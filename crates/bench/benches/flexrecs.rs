@@ -1,15 +1,13 @@
 //! E4/E5/A2 — Figure 5 workflows: related-courses and collaborative
-//! filtering, direct interpreter vs the unified LogicalPlan pipeline
-//! (serial and parallel).
+//! filtering, direct interpreter vs the unified LogicalPlan pipeline.
 
 // Benches are measurement harnesses, not library code: aborting on a
 // broken fixture is the right behavior.
 #![allow(clippy::unwrap_used)]
 
 use cr_bench::fixtures::{campus, observe};
-use cr_flexrecs::compile::{compile, compile_and_run, compile_and_run_with};
+use cr_flexrecs::compile::{compile, compile_and_run};
 use cr_flexrecs::templates::{self, SchemaMap};
-use cr_relation::ExecOptions;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench_flexrecs(c: &mut Criterion) {
@@ -17,11 +15,6 @@ fn bench_flexrecs(c: &mut Criterion) {
     observe("E4/E5", &format!("corpus: {}", stats.summary()));
     let catalog = db.catalog();
     let map = SchemaMap::default();
-    let par = ExecOptions {
-        parallelism: 4,
-        min_partition_rows: 64,
-        ..ExecOptions::default()
-    };
 
     // ---- E4: Figure 5(a) ----------------------------------------------
     let title = db.course(1).unwrap().unwrap().title;
@@ -82,10 +75,6 @@ fn bench_flexrecs(c: &mut Criterion) {
         b.iter(|| compile_and_run(std::hint::black_box(&wf_b), &catalog).unwrap())
     });
 
-    group.bench_function("fig5b_user_cf_plan_par4", |b| {
-        b.iter(|| compile_and_run_with(std::hint::black_box(&wf_b), &catalog, &par).unwrap())
-    });
-
     let wf_w = templates::user_cf_weighted(&map, 1, 20, 10, 2);
     group.bench_function("user_cf_weighted_plan", |b| {
         b.iter(|| compile_and_run(std::hint::black_box(&wf_w), &catalog).unwrap())
@@ -102,9 +91,6 @@ fn bench_flexrecs(c: &mut Criterion) {
     });
     group.bench_function("item_item_cf_ratings_plan", |b| {
         b.iter(|| compile_and_run(std::hint::black_box(&wf_r), &catalog).unwrap())
-    });
-    group.bench_function("item_item_cf_ratings_plan_par4", |b| {
-        b.iter(|| compile_and_run_with(std::hint::black_box(&wf_r), &catalog, &par).unwrap())
     });
 
     let sql = templates::quarter_recommendation_sql(&map, 1);

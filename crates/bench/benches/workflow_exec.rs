@@ -1,10 +1,10 @@
 //! PR4/PR7 — workflow execution: the reference interpreter vs the
-//! compiled `LogicalPlan` pipeline, serial and at parallelism 4, per
-//! built-in strategy. Results are asserted byte-identical before timing,
-//! so the numbers compare equivalent work. Emits `[PR4] scenario=…
-//! median_ns=…` lines for `scripts/bench_pr4.py` and `[PR7] …` lines
-//! (vectorized default vs the `batch_size: 0` row oracle) for
-//! `scripts/bench_pr7.py`.
+//! compiled `LogicalPlan` pipeline, per built-in strategy. Results are
+//! asserted byte-identical before timing, so the numbers compare
+//! equivalent work. Prints `[PR4] scenario=… median_ns=…` lines
+//! (interpreter vs plan) and `[PR7] …` lines (vectorized default vs the
+//! `batch_size: 0` row oracle), the formats `BENCH_pr4.json` and
+//! `BENCH_pr7.json` were taken from.
 
 // Benches are measurement harnesses, not library code: aborting on a
 // broken fixture is the right behavior.
@@ -36,12 +36,6 @@ fn main() {
     println!("[PR4] corpus {}", stats.summary());
     let catalog = db.catalog();
     let map = SchemaMap::default();
-    let par = ExecOptions {
-        parallelism: 4,
-        min_partition_rows: 64,
-        ..ExecOptions::default()
-    };
-
     let workflows = [
         ("user_cf", templates::user_cf(&map, 1, 10, 20, 2, true)),
         (
@@ -55,10 +49,7 @@ fn main() {
     ];
 
     // The row-at-a-time oracle: the pre-PR7 execution path.
-    let row = ExecOptions {
-        batch_size: 0,
-        ..ExecOptions::default()
-    };
+    let row = ExecOptions { batch_size: 0 };
 
     for (name, wf) in &workflows {
         let direct = cr_flexrecs::execute(wf, &catalog).unwrap();
@@ -83,13 +74,6 @@ fn main() {
             std::hint::black_box(compile_and_run(std::hint::black_box(wf), &catalog).unwrap());
         });
         println!("[PR4] scenario=workflow_exec_{name}_plan median_ns={batch_ns}");
-
-        let ns = median_ns(iters, || {
-            std::hint::black_box(
-                compile_and_run_with(std::hint::black_box(wf), &catalog, &par).unwrap(),
-            );
-        });
-        println!("[PR4] scenario=workflow_exec_{name}_plan_par4 median_ns={ns}");
 
         let row_ns = median_ns(iters, || {
             std::hint::black_box(

@@ -48,7 +48,6 @@
 //! and delta functions must be pure over `(old value, event)`.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
 use cr_relation::mutation::Mutation;
@@ -80,20 +79,6 @@ fn metrics() -> &'static CacheMetrics {
             evictions: r.counter("courserank.reccache.evictions"),
         }
     })
-}
-
-/// When false, the mutation observer degrades to the version-bump
-/// scheme: any write to a dependency table drops every dependent entry.
-/// The `cache_churn` benchmark flips this to measure what push-advance
-/// maintenance buys.
-static PUSH_INVALIDATION: AtomicBool = AtomicBool::new(true);
-
-/// Enable/disable push-advance maintenance globally (default on).
-/// Returns the previous setting. Correctness never depends on this —
-/// stamps only advance through the observer, so with it off, lookups
-/// simply see version mismatches and recompute.
-pub fn set_push_invalidation(on: bool) -> bool {
-    PUSH_INVALIDATION.swap(on, Ordering::Relaxed)
 }
 
 /// What a cached value depends on within one base table. Produced by
@@ -515,7 +500,6 @@ impl<V: Clone + Send + Sync + 'static> VersionedCache<V> {
     /// drop every dependent entry (see module docs for the protocol).
     fn apply_event(&self, event: &MutationEvent<'_>) {
         let recording = cr_obs::enabled();
-        let push = PUSH_INVALIDATION.load(Ordering::Relaxed);
         let delta = self.delta.lock().clone();
         let table = event.table.to_ascii_lowercase();
         let mut store = self.store.lock();
@@ -526,9 +510,9 @@ impl<V: Clone + Send + Sync + 'static> VersionedCache<V> {
                 return true; // independent of this table
             };
             let stamped = entry.deps[pos].1;
-            if !push || stamped + 1 != event.version {
-                // Coarse mode, or the entry missed an earlier delta
-                // (pre-subscription or raced): only recompute is sound.
+            if stamped + 1 != event.version {
+                // The entry missed an earlier delta (pre-subscription or
+                // raced): only recompute is sound.
                 dropped += 1;
                 return false;
             }
@@ -971,32 +955,6 @@ mod tests {
         db.execute_sql("UPDATE T SET X = 0 WHERE Id = 1").unwrap();
         assert_eq!(lookup(), 5);
         assert_eq!(computes.get(), 2);
-    }
-
-    #[test]
-    fn push_invalidation_off_degrades_to_version_bumps() {
-        let db = db_with_table();
-        let cache: Arc<VersionedCache<i64>> = Arc::new(VersionedCache::default());
-        VersionedCache::subscribe(&cache, &db.catalog());
-        let prev = set_push_invalidation(false);
-        let computes = std::cell::Cell::new(0usize);
-        let lookup = || {
-            cache
-                .get_or_compute_refined(&db.catalog(), "k", &["T"], || {
-                    computes.set(computes.get() + 1);
-                    Ok((1, vec![DepSpec::table("T").with_key("Id", [Value::Int(1)])]))
-                })
-                .unwrap()
-        };
-        lookup();
-        db.execute_sql("INSERT INTO T VALUES (3, 30)").unwrap();
-        lookup();
-        set_push_invalidation(prev);
-        assert_eq!(
-            computes.get(),
-            2,
-            "with push maintenance off, any write must invalidate"
-        );
     }
 
     #[test]

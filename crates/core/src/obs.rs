@@ -6,7 +6,7 @@
 //! all pre-resolved handles, so steady-state recording never takes the
 //! registry lock. When tracing is on, each request additionally opens a
 //! **root trace span** named `courserank.<service>.request`; everything
-//! below (FlexRecs stages, plan operators, partitions, WAL flushes)
+//! below (FlexRecs stages, plan operators, WAL flushes)
 //! parents under it, giving one trace per service request. When
 //! observability is disabled the wrapper costs two relaxed atomic loads
 //! and never reads the clock.

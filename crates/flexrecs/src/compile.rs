@@ -131,7 +131,7 @@ pub fn compile_and_run(workflow: &Workflow, catalog: &Catalog) -> RelResult<Comp
     compile_and_run_with(workflow, catalog, &ExecOptions::default())
 }
 
-/// [`compile_and_run`] with explicit execution options (parallelism).
+/// [`compile_and_run`] with explicit execution options.
 pub fn compile_and_run_with(
     workflow: &Workflow,
     catalog: &Catalog,
@@ -563,23 +563,6 @@ mod tests {
         let direct = exec::execute(&wf, &db.catalog()).unwrap();
         let compiled = compile_and_run(&wf, &db.catalog()).unwrap();
         assert_eq!(compiled.result, direct);
-    }
-
-    #[test]
-    fn compiled_matches_interpreter_in_parallel() {
-        let db = db();
-        let wf = cf_workflow();
-        let direct = exec::execute(&wf, &db.catalog()).unwrap();
-        for n in [2, 4] {
-            let opts = ExecOptions {
-                parallelism: n,
-                min_partition_rows: 1,
-                adaptive: false,
-                batch_size: 0,
-            };
-            let compiled = compile_and_run_with(&wf, &db.catalog(), &opts).unwrap();
-            assert_eq!(compiled.result, direct, "parallelism={n}");
-        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! gate, and is **off by default**: a disabled `TraceSpan` constructor
 //! does one relaxed load and returns an inert guard — no clock read,
 //! no allocation. Parenting is implicit through a thread-local span
-//! stack; crossing threads (parallel partitions) is explicit via
+//! stack; crossing threads is explicit via
 //! [`TraceSpan::child_of`] with a captured [`SpanContext`].
 //!
 //! Two exporters ship with the recorder:
@@ -331,7 +331,7 @@ impl TraceSpan {
     }
 
     /// Open a child of an explicit parent context — the cross-thread
-    /// link for parallel partitions. Also anchors this thread's stack
+    /// link for worker threads. Also anchors this thread's stack
     /// so further [`TraceSpan::child`] calls nest under it.
     pub fn child_of(parent: SpanContext, name: &str) -> TraceSpan {
         if !enabled() {

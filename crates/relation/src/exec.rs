@@ -1,8 +1,10 @@
 //! Physical execution.
 //!
-//! Two executors share this module:
+//! Two plan walkers share this module and the operator implementations
+//! below them:
 //!
-//! * The **vectorized executor** (`batch_size > 0`, the default): operators
+//! * [`run_batched`] — the **vectorized executor** (`batch_size > 0`, the
+//!   default, and the only path production callers use): operators
 //!   exchange columnar [`Batch`]es. Scans hand out the table's cached
 //!   columnar image ([`Table::columnar`], `Arc`-shared, rebuilt only after
 //!   a mutation), pushed-down filters set the batch's *selection vector*
@@ -13,17 +15,21 @@
 //!   column slices into the shared [`AggState`] machinery, sort and limit
 //!   permute/truncate the selection vector.
 //!
-//! * The **row executor** (`batch_size == 0`): the original pull pipeline
-//!   of `Vec<Row>` operators. It is retained as the differential oracle
-//!   (see `tests/batch_differential.rs`) and as the only path with
-//!   partition-parallel operators.
+//! * [`run`] — the **row executor** (`batch_size == 0`): the original
+//!   serial pipeline of `Vec<Row>` operators, kept as the differential
+//!   oracle that `tests/batch_differential.rs` compares the batched path
+//!   against.
 //!
-//! Both paths produce byte-identical results. Scans pick an **access
-//! path** at runtime: if the pushed-down predicate contains an equality
-//! (or range) conjunct on the primary key or an indexed column, the
-//! matching index serves the lookup and only the residual predicate is
-//! evaluated per row. This is what makes FlexRecs' compiled per-user
-//! queries cheap on paper-scale data.
+//! Both produce byte-identical results, and both are generic over
+//! [`Profile`]: `()` records nothing, [`OpProfile`] builds the EXPLAIN
+//! ANALYZE tree, the trace spans and the per-operator histograms — so
+//! profiling is a type parameter of a walker, not a second copy of it.
+//!
+//! Scans pick an **access path** at runtime: if the pushed-down
+//! predicate contains an equality (or range) conjunct on the primary key
+//! or an indexed column, the matching index serves the lookup and only
+//! the residual predicate is evaluated per row. This is what makes
+//! FlexRecs' compiled per-user queries cheap on paper-scale data.
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
@@ -55,9 +61,6 @@ struct RelMetrics {
     scan_pk: Arc<cr_obs::Counter>,
     scan_index_eq: Arc<cr_obs::Counter>,
     scan_index_range: Arc<cr_obs::Counter>,
-    parallel_ops: Arc<cr_obs::Counter>,
-    partitions_spawned: Arc<cr_obs::Counter>,
-    adaptive_fallbacks: Arc<cr_obs::Counter>,
     // Per-operator-kind latency histograms (`relation.op.<kind>_ns`),
     // pre-resolved so the profiled executor never takes the registry
     // lock per node — it already measured the elapsed time, recording
@@ -106,9 +109,6 @@ fn metrics() -> &'static RelMetrics {
             scan_pk: r.counter("relation.scan.pk_lookup"),
             scan_index_eq: r.counter("relation.scan.index_eq"),
             scan_index_range: r.counter("relation.scan.index_range"),
-            parallel_ops: r.counter("relation.parallel.ops"),
-            partitions_spawned: r.counter("relation.parallel.partitions_spawned"),
-            adaptive_fallbacks: r.counter("relation.parallel.adaptive_fallbacks"),
             op_scan_ns: r.histogram("relation.op.scan_ns"),
             op_filter_ns: r.histogram("relation.op.filter_ns"),
             op_project_ns: r.histogram("relation.op.project_ns"),
@@ -125,224 +125,23 @@ fn metrics() -> &'static RelMetrics {
 }
 
 // ---------------------------------------------------------------------
-// Execution options + partition plumbing
+// Execution options
 // ---------------------------------------------------------------------
 
-/// Knobs for physical execution.
-///
-/// With `parallelism > 1`, scans, filters, projections, hash joins, and
-/// aggregations split their input across up to that many scoped worker
-/// threads (the vendored `crossbeam::thread::scope`). Every parallel
-/// operator reassembles its partitions deterministically, so output row
-/// order is identical to the serial path; the only permitted divergence
-/// is last-ulp float summation order in SUM/AVG partials (see DESIGN.md).
-///
-/// `min_partition_rows` is the per-worker input floor: an operator stays
-/// serial unless each spawned partition would receive at least this many
-/// rows, so thread spawn cost never dominates small operators. Tests can
-/// set it to 1 to force parallel execution on tiny inputs.
-///
-/// With `adaptive` on (the default), an operator also stays serial when
-/// the host has a single CPU — partitioning there is pure overhead (the
-/// partitions time-slice one core), observed as parallel "speedups" of
-/// 0.4–0.8× on 1-CPU machines. Tests that assert on partitioned
-/// execution regardless of the host set `adaptive: false`.
+/// The one knob of physical execution: which walker runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecOptions {
-    pub parallelism: usize,
-    pub min_partition_rows: usize,
-    /// Fall back to serial execution when parallelism cannot pay off
-    /// (single-CPU host, sub-floor input). The decision is surfaced in
-    /// EXPLAIN ANALYZE and as a span attribute.
-    pub adaptive: bool,
     /// Rows per expression-kernel invocation on the vectorized executor
-    /// (the default path). `0` selects the row-at-a-time executor — the
-    /// differential oracle, and the only path that honors partitioned
-    /// parallelism (`parallelism`/`min_partition_rows` apply there;
-    /// the vectorized path runs each operator serially and records the
-    /// adaptive decision instead).
+    /// (the default path). `0` selects the row-at-a-time executor, the
+    /// differential oracle; tests vary the size to land chunk boundaries
+    /// mid-table.
     pub batch_size: usize,
 }
 
 impl Default for ExecOptions {
     fn default() -> Self {
-        ExecOptions {
-            parallelism: 1,
-            min_partition_rows: 2048,
-            adaptive: true,
-            batch_size: 1024,
-        }
+        ExecOptions { batch_size: 1024 }
     }
-}
-
-/// Cached `std::thread::available_parallelism()` (1 when unknown).
-pub fn host_parallelism() -> usize {
-    static H: OnceLock<usize> = OnceLock::new();
-    *H.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    })
-}
-
-impl ExecOptions {
-    /// Options with the given worker count and the default partition floor.
-    pub fn with_parallelism(parallelism: usize) -> Self {
-        ExecOptions {
-            parallelism: parallelism.max(1),
-            ..ExecOptions::default()
-        }
-    }
-
-    /// Worker count for an operator over `rows` input rows: capped so each
-    /// partition gets at least `min_partition_rows`, and forced to 1 by
-    /// the adaptive guard on single-CPU hosts. 1 means "stay serial".
-    fn threads_for(&self, rows: usize) -> usize {
-        if self.parallelism <= 1 || (self.adaptive && host_parallelism() == 1) {
-            return 1;
-        }
-        self.parallelism
-            .min(rows / self.min_partition_rows.max(1))
-            .max(1)
-    }
-
-    /// Why a parallel-eligible operator over `rows` input rows will stay
-    /// serial under these options, if it will. `None` either means "it
-    /// parallelizes" or "the caller asked for serial" (not a fallback).
-    pub fn fallback_reason(&self, rows: usize) -> Option<&'static str> {
-        if self.parallelism <= 1 {
-            return None;
-        }
-        if self.adaptive && host_parallelism() == 1 {
-            return Some("parallel=skipped(single_cpu)");
-        }
-        if self.parallelism.min(rows / self.min_partition_rows.max(1)) <= 1 {
-            return Some("parallel=skipped(small_input)");
-        }
-        None
-    }
-}
-
-/// Per-partition accounting from one parallel operator, surfaced in
-/// EXPLAIN ANALYZE (`partitions=N` + per-partition wall times) and in the
-/// `relation.parallel.*` counters.
-struct ParInfo {
-    partition_ns: Vec<u64>,
-}
-
-impl ParInfo {
-    fn record(partition_ns: Vec<u64>) -> ParInfo {
-        if cr_obs::enabled() {
-            let m = metrics();
-            m.parallel_ops.inc();
-            m.partitions_spawned.add(partition_ns.len() as u64);
-        }
-        ParInfo { partition_ns }
-    }
-
-    fn detail(&self) -> Vec<String> {
-        let times: Vec<String> = self
-            .partition_ns
-            .iter()
-            .map(|ns| format!("{:.3}ms", *ns as f64 / 1e6))
-            .collect();
-        vec![
-            format!("partitions={}", self.partition_ns.len()),
-            format!("partition_times=[{}]", times.join(",")),
-        ]
-    }
-}
-
-fn push_par_detail(detail: &mut Vec<String>, info: &Option<ParInfo>) {
-    if let Some(info) = info {
-        detail.extend(info.detail());
-    }
-}
-
-/// EXPLAIN / span note when a parallel-eligible operator stayed serial
-/// under the adaptive guard (single-CPU host or sub-floor input).
-fn push_adaptive_detail(
-    detail: &mut Vec<String>,
-    opts: &ExecOptions,
-    rows_in: usize,
-    par: &Option<ParInfo>,
-) {
-    if par.is_none() {
-        if let Some(reason) = opts.fallback_reason(rows_in) {
-            if cr_obs::enabled() {
-                metrics().adaptive_fallbacks.inc();
-            }
-            detail.push(reason.to_owned());
-        }
-    }
-}
-
-/// Split an owned vec into `parts` contiguous chunks (sizes differ by at
-/// most one) using pointer-moving `split_off`s — no per-row copying.
-fn split_owned<T>(mut v: Vec<T>, parts: usize) -> Vec<Vec<T>> {
-    let len = v.len();
-    let mut out = Vec::with_capacity(parts);
-    for p in (1..parts).rev() {
-        out.push(v.split_off(p * len / parts));
-    }
-    out.push(v);
-    out.reverse();
-    out
-}
-
-/// Run `work` over each chunk on its own scoped thread, timing each
-/// worker, and return the per-chunk results in chunk order (first error
-/// in chunk order wins) plus the recorded [`ParInfo`].
-///
-/// This is the single choke point for every parallel operator, so it is
-/// also where cross-thread trace linkage happens: the spawning thread's
-/// current span becomes the parent of one `partition` span per worker.
-fn run_partitioned<T, R>(
-    chunks: Vec<T>,
-    work: impl Fn(T) -> RelResult<R> + Sync,
-) -> RelResult<(Vec<R>, ParInfo)>
-where
-    T: Send,
-    R: Send,
-{
-    let work = &work;
-    let parent = if cr_obs::trace::enabled() {
-        cr_obs::trace::current_context()
-    } else {
-        None
-    };
-    let joined: Vec<(RelResult<R>, u64)> = crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .enumerate()
-            .map(|(i, chunk)| {
-                s.spawn(move |_| {
-                    let mut span = match parent {
-                        Some(ctx) => cr_obs::trace::TraceSpan::child_of(ctx, "partition"),
-                        None => cr_obs::trace::TraceSpan::noop(),
-                    };
-                    if span.is_recording() {
-                        span.attr("partition", i.to_string());
-                    }
-                    let t0 = Instant::now();
-                    let r = work(chunk);
-                    (r, t0.elapsed().as_nanos() as u64)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("partition worker panicked"))
-            .collect()
-    })
-    .expect("partition scope");
-    let mut results = Vec::with_capacity(joined.len());
-    let mut partition_ns = Vec::with_capacity(joined.len());
-    for (r, ns) in joined {
-        results.push(r?);
-        partition_ns.push(ns);
-    }
-    Ok((results, ParInfo::record(partition_ns)))
 }
 
 /// A fully materialized query result.
@@ -436,96 +235,28 @@ pub fn execute(plan: &LogicalPlan, catalog: &Catalog) -> RelResult<ResultSet> {
     execute_with(plan, catalog, &ExecOptions::default())
 }
 
-/// [`execute`] with explicit [`ExecOptions`] (parallel partitioned
-/// operators when `opts.parallelism > 1`). Results are row-for-row
-/// identical to the serial path regardless of the options.
+/// [`execute`] with explicit [`ExecOptions`]. Results are row-for-row
+/// identical regardless of the options.
 pub fn execute_with(
     plan: &LogicalPlan,
     catalog: &Catalog,
     opts: &ExecOptions,
 ) -> RelResult<ResultSet> {
-    // Tracing and slow-query capture need the profiled executor (spans
-    // and EXPLAIN ANALYZE trees are per-node); route through it when
-    // either is armed. Both checks are one relaxed load.
+    // Tracing and slow-query capture need per-node spans and the EXPLAIN
+    // ANALYZE tree, so run with the recording profile when either is
+    // armed. Both checks are one relaxed load.
     if cr_obs::trace::enabled() || cr_obs::trace::slow_query_threshold_ns().is_some() {
-        return execute_traced_with(plan, catalog, opts);
+        return Ok(execute_as::<OpProfile>(plan, catalog, opts)?.0);
     }
-    let started = if cr_obs::enabled() {
-        Some(Instant::now())
-    } else {
-        None
-    };
-    let rows = if opts.batch_size > 0 {
-        run_batched(plan, catalog, opts)?.to_rows()
-    } else {
-        run(plan, catalog, opts)?.into_owned()
-    };
-    if let Some(t0) = started {
-        let m = metrics();
-        m.queries.inc();
-        m.rows_out.add(rows.len() as u64);
-        m.query_ns.record_duration(t0.elapsed());
-    }
-    Ok(ResultSet {
-        schema: plan.schema().clone(),
-        rows,
-    })
-}
-
-/// Capture a slow request into the flight recorder's slow-query log if
-/// the configured threshold is set and exceeded.
-fn maybe_capture_slow(label: &str, fingerprint: u64, elapsed_ns: u64, profile: &OpProfile) {
-    if let Some(threshold) = cr_obs::trace::slow_query_threshold_ns() {
-        if elapsed_ns >= threshold {
-            cr_obs::trace::capture_slow_query(label, fingerprint, elapsed_ns, profile.render());
-        }
-    }
-}
-
-/// [`execute_with`] under tracing: one `relation.query` span over the
-/// whole request (operator and partition spans nest below it via
-/// [`run_profiled`]), plus slow-query capture with the plan fingerprint
-/// and the full EXPLAIN ANALYZE tree.
-fn execute_traced_with(
-    plan: &LogicalPlan,
-    catalog: &Catalog,
-    opts: &ExecOptions,
-) -> RelResult<ResultSet> {
-    let mut span = cr_obs::trace::TraceSpan::child("relation.query");
-    let t0 = Instant::now();
-    let (rows, profile) = if opts.batch_size > 0 {
-        let (batch, profile) = run_batched_profiled(plan, catalog, opts)?;
-        (batch.to_rows(), profile)
-    } else {
-        let (rows, profile) = run_profiled(plan, catalog, opts)?;
-        (rows.into_owned(), profile)
-    };
-    let elapsed = t0.elapsed();
-    if cr_obs::enabled() {
-        let m = metrics();
-        m.queries.inc();
-        m.rows_out.add(rows.len() as u64);
-        m.query_ns.record_duration(elapsed);
-    }
-    let fingerprint = plan.fingerprint();
-    let elapsed_ns = elapsed.as_nanos().min(u64::MAX as u128) as u64;
-    if span.is_recording() {
-        span.attr("rows_out", rows.len().to_string());
-        span.attr("fingerprint", format!("{fingerprint:016x}"));
-    }
-    maybe_capture_slow("relation.query", fingerprint, elapsed_ns, &profile);
-    Ok(ResultSet {
-        schema: plan.schema().clone(),
-        rows,
-    })
+    Ok(execute_as::<()>(plan, catalog, opts)?.0)
 }
 
 /// Execute a plan with per-operator profiling: every physical operator is
-/// wrapped with rows-in/rows-out/elapsed accounting and the access path
-/// it chose, yielding an `EXPLAIN ANALYZE`-style [`OpProfile`] tree next
-/// to the normal [`ResultSet`]. Profiling cost is per plan *node* (one
-/// clock read each), not per row, so it stays within a few percent of
-/// [`execute`] — the `instrumentation_overhead` bench pins this down.
+/// wrapped with rows-out/elapsed accounting and the access path it chose,
+/// yielding an `EXPLAIN ANALYZE`-style [`OpProfile`] tree next to the
+/// normal [`ResultSet`]. Profiling cost is per plan *node* (one clock
+/// read each), not per row, so it stays within a few percent of
+/// [`execute`].
 pub fn execute_instrumented(
     plan: &LogicalPlan,
     catalog: &Catalog,
@@ -533,176 +264,241 @@ pub fn execute_instrumented(
     execute_instrumented_with(plan, catalog, &ExecOptions::default())
 }
 
-/// [`execute_instrumented`] with explicit [`ExecOptions`]: parallel
-/// operators additionally annotate their profile node with
-/// `partitions=N` and per-partition wall times.
+/// [`execute_instrumented`] with explicit [`ExecOptions`].
 pub fn execute_instrumented_with(
     plan: &LogicalPlan,
     catalog: &Catalog,
     opts: &ExecOptions,
 ) -> RelResult<(ResultSet, OpProfile)> {
-    let mut span = cr_obs::trace::TraceSpan::child("relation.query");
-    let started = Instant::now();
+    execute_as::<OpProfile>(plan, catalog, opts)
+}
+
+/// The one body behind every `execute*` entry point: pick the walker,
+/// materialize rows, record the query metrics, close the query-level
+/// profile (the `relation.query` span and slow-query capture).
+fn execute_as<P: Profile>(
+    plan: &LogicalPlan,
+    catalog: &Catalog,
+    opts: &ExecOptions,
+) -> RelResult<(ResultSet, P)> {
+    let open = P::open("relation.query");
+    let started = cr_obs::enabled().then(Instant::now);
     let (rows, profile) = if opts.batch_size > 0 {
-        let (batch, profile) = run_batched_profiled(plan, catalog, opts)?;
+        let (batch, profile) = run_batched::<P>(plan, catalog, opts.batch_size)?;
         (batch.to_rows(), profile)
     } else {
-        let (rows, profile) = run_profiled(plan, catalog, opts)?;
+        let (rows, profile) = run::<P>(plan, catalog)?;
         (rows.into_owned(), profile)
     };
-    let elapsed = started.elapsed();
-    if cr_obs::enabled() {
+    if let Some(t0) = started {
         let m = metrics();
         m.queries.inc();
         m.rows_out.add(rows.len() as u64);
-        m.query_ns.record_duration(elapsed);
+        m.query_ns.record_duration(t0.elapsed());
     }
-    let fingerprint = plan.fingerprint();
-    if span.is_recording() {
-        span.attr("rows_out", rows.len().to_string());
-        span.attr("fingerprint", format!("{fingerprint:016x}"));
-    }
-    maybe_capture_slow(
-        "relation.query",
-        fingerprint,
-        elapsed.as_nanos().min(u64::MAX as u128) as u64,
-        &profile,
-    );
-    Ok((
-        ResultSet {
-            schema: plan.schema().clone(),
-            rows,
-        },
-        profile,
-    ))
+    profile.close_query(open, plan, rows.len());
+    let result = ResultSet {
+        schema: plan.schema().clone(),
+        rows,
+    };
+    Ok((result, profile))
 }
 
-/// The row-at-a-time walker. Returns `Cow` so `LogicalPlan::Values`
-/// lends its literal rows instead of cloning them on every run — copies
-/// happen only when an ancestor operator actually consumes owned rows.
-fn run<'p>(
-    plan: &'p LogicalPlan,
-    catalog: &Catalog,
-    opts: &ExecOptions,
-) -> RelResult<Cow<'p, [Row]>> {
-    match plan {
-        LogicalPlan::Scan {
-            table,
-            projection,
-            filter,
-            ..
-        } => Ok(Cow::Owned(
-            catalog
-                .with_table(table, |t| scan_table(t, projection, filter, opts))??
-                .0,
-        )),
+// ---------------------------------------------------------------------
+// Profiling hooks
+// ---------------------------------------------------------------------
 
-        LogicalPlan::Filter { input, predicate } => Ok(Cow::Owned(
-            filter_rows_opt(run(input, catalog, opts)?.into_owned(), predicate, opts)?.0,
-        )),
+/// An operator's name and detail strings, as EXPLAIN ANALYZE prints them.
+type OpLabel = (String, Vec<String>);
 
-        LogicalPlan::Project { input, exprs, .. } => Ok(Cow::Owned(
-            project_rows_opt(run(input, catalog, opts)?.into_owned(), exprs, opts)?.0,
-        )),
+/// What a walker records about the plan nodes it executes.
+///
+/// `()` records nothing: every hook is empty, label closures are never
+/// called and no clock is read, so `run_batched::<()>` is the plain
+/// executor. [`OpProfile`] times each node, names its trace span and
+/// feeds the `relation.op.*_ns` histograms.
+trait Profile: Sized {
+    /// State opened before a node's (or the whole query's) inputs run.
+    type Open;
+    /// What [`Profile::label`] keeps of a node's [`OpLabel`].
+    type Label;
 
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
-            ..
-        } => {
-            let left_rows = run(left, catalog, opts)?.into_owned();
-            let right_rows = run(right, catalog, opts)?.into_owned();
-            let (rows, _, _) = join_rows_opt(
-                left_rows,
-                right_rows,
-                left.schema().len(),
-                right.schema().len(),
-                *kind,
-                on,
-                opts,
-            )?;
-            Ok(Cow::Owned(rows))
+    fn open(span: &'static str) -> Self::Open;
+
+    /// Build a node's label — `f` runs only if this profile keeps it.
+    fn label(f: impl FnOnce() -> OpLabel) -> Self::Label;
+
+    /// Finish one node, after its operator ran.
+    fn close(
+        open: Self::Open,
+        label: Self::Label,
+        plan: &LogicalPlan,
+        rows_out: usize,
+        children: Vec<Self>,
+    ) -> Self;
+
+    /// Finish the query whose root node is `self`.
+    fn close_query(&self, open: Self::Open, plan: &LogicalPlan, rows_out: usize);
+}
+
+impl Profile for () {
+    type Open = ();
+    type Label = ();
+
+    fn open(_: &'static str) {}
+
+    fn label(_: impl FnOnce() -> OpLabel) {}
+
+    fn close(_: (), _: (), _: &LogicalPlan, _: usize, _: Vec<()>) {}
+
+    fn close_query(&self, _: (), _: &LogicalPlan, _: usize) {}
+}
+
+impl Profile for OpProfile {
+    /// The span is opened before the node's inputs run so child operators
+    /// nest under it in the trace; operator spans open as `"op"` and are
+    /// renamed on close, once the operator (e.g. hash vs nested-loop
+    /// join) is known.
+    type Open = (cr_obs::trace::TraceSpan, Instant);
+    type Label = OpLabel;
+
+    fn open(span: &'static str) -> Self::Open {
+        (cr_obs::trace::TraceSpan::child(span), Instant::now())
+    }
+
+    fn label(f: impl FnOnce() -> OpLabel) -> OpLabel {
+        f()
+    }
+
+    fn close(
+        (mut span, t0): Self::Open,
+        (op, detail): OpLabel,
+        plan: &LogicalPlan,
+        rows_out: usize,
+        children: Vec<OpProfile>,
+    ) -> OpProfile {
+        let elapsed = t0.elapsed();
+        if cr_obs::enabled() {
+            // Pre-resolved per-kind histogram: elapsed is already measured,
+            // recording is one atomic bump (no Span, no registry lock).
+            metrics().op_hist(plan).record_duration(elapsed);
         }
-
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-            ..
-        } => Ok(Cow::Owned(
-            aggregate_rows_opt(&run(input, catalog, opts)?, group_by, aggs, opts)?.0,
-        )),
-
-        LogicalPlan::Sort { input, keys } => Ok(Cow::Owned(sort_rows(
-            run(input, catalog, opts)?.into_owned(),
-            keys,
-        )?)),
-
-        LogicalPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => Ok(Cow::Owned(limit_rows(
-            run(input, catalog, opts)?.into_owned(),
-            *limit,
-            *offset,
-        ))),
-
-        LogicalPlan::Values { rows, .. } => Ok(Cow::Borrowed(rows.as_slice())),
-
-        LogicalPlan::Union { left, right } => {
-            let mut rows = run(left, catalog, opts)?.into_owned();
-            match run(right, catalog, opts)? {
-                Cow::Owned(mut r) => rows.append(&mut r),
-                Cow::Borrowed(r) => rows.extend_from_slice(r),
+        if span.is_recording() {
+            span.set_name(&op);
+            span.attr("rows_out", rows_out.to_string());
+            if !detail.is_empty() {
+                span.attr("detail", detail.join(" "));
             }
-            Ok(Cow::Owned(rows))
         }
-
-        LogicalPlan::Extend {
-            input,
-            related,
-            key_col,
-            rating,
-            ..
-        } => {
-            let input_rows = run(input, catalog, opts)?.into_owned();
-            let related_rows = run(related, catalog, opts)?;
-            Ok(Cow::Owned(
-                extend_rows_opt(input_rows, &related_rows, *key_col, *rating, opts)?.0,
-            ))
+        OpProfile {
+            op,
+            detail,
+            rows_out,
+            elapsed,
+            children,
         }
+    }
 
-        LogicalPlan::Recommend {
-            target,
-            comparator,
-            spec,
-            ..
-        } => {
-            let target_rows = run(target, catalog, opts)?.into_owned();
-            let comparator_rows = run(comparator, catalog, opts)?;
-            Ok(Cow::Owned(
-                recommend_rows_opt(target_rows, &comparator_rows, spec, opts)?.0,
-            ))
+    /// Stamp the `relation.query` span and capture the request into the
+    /// flight recorder's slow-query log (plan fingerprint plus the full
+    /// EXPLAIN ANALYZE tree) if the configured threshold is exceeded.
+    fn close_query(&self, (mut span, t0): Self::Open, plan: &LogicalPlan, rows_out: usize) {
+        let elapsed_ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        let fingerprint = plan.fingerprint();
+        if span.is_recording() {
+            span.attr("rows_out", rows_out.to_string());
+            span.attr("fingerprint", format!("{fingerprint:016x}"));
+        }
+        if let Some(threshold) = cr_obs::trace::slow_query_threshold_ns() {
+            if elapsed_ns >= threshold {
+                cr_obs::trace::capture_slow_query(
+                    "relation.query",
+                    fingerprint,
+                    elapsed_ns,
+                    self.render(),
+                );
+            }
         }
     }
 }
 
-/// Profiled twin of [`run`]: same operator implementations (the shared
-/// `*_rows` helpers), with each node timed and annotated.
-fn run_profiled<'p>(
-    plan: &'p LogicalPlan,
-    catalog: &Catalog,
-    opts: &ExecOptions,
-) -> RelResult<(Cow<'p, [Row]>, OpProfile)> {
-    // Opened before recursing so child operators (and partition workers)
-    // nest under this node in the trace; the operator name is only known
-    // after the match, hence the rename below.
-    let mut span = cr_obs::trace::TraceSpan::child("op");
-    let t0 = Instant::now();
-    let (rows, op, detail, children) = match plan {
+fn scan_label(
+    table: &str,
+    alias: &Option<String>,
+    path: &AccessPath,
+    filter: &Option<Expr>,
+) -> OpLabel {
+    let op = match alias {
+        Some(a) if a != table => format!("Scan {table} AS {a}"),
+        _ => format!("Scan {table}"),
+    };
+    let mut detail = vec![format!("access={path}")];
+    if let Some(f) = filter {
+        detail.push(format!("filter={f}"));
+    }
+    (op, detail)
+}
+
+fn join_label(kind: JoinKind, info: &JoinInfo) -> OpLabel {
+    let mut detail = vec![format!("kind={kind:?}")];
+    if info.hash {
+        detail.push(format!("keys={}", info.keys));
+        detail.push("build=right".to_owned());
+        ("HashJoin".to_owned(), detail)
+    } else {
+        ("NestedLoopJoin".to_owned(), detail)
+    }
+}
+
+fn aggregate_label(group_by: &[Expr], aggs: &[AggExpr]) -> OpLabel {
+    let detail = vec![
+        format!("group_by={}", group_by.len()),
+        format!("aggs={}", aggs.len()),
+    ];
+    ("Aggregate".to_owned(), detail)
+}
+
+fn limit_label(limit: Option<usize>, offset: usize) -> OpLabel {
+    let mut detail = Vec::new();
+    if let Some(n) = limit {
+        detail.push(format!("limit={n}"));
+    }
+    if offset > 0 {
+        detail.push(format!("offset={offset}"));
+    }
+    ("Limit".to_owned(), detail)
+}
+
+fn extend_label(rating: bool, key_col: usize, as_name: &str) -> OpLabel {
+    let detail = vec![
+        format!("kind={}", if rating { "ratings" } else { "set" }),
+        format!("key=#{key_col}"),
+        format!("as={as_name}"),
+    ];
+    ("Extend".to_owned(), detail)
+}
+
+fn recommend_label(spec: &RecSpec) -> OpLabel {
+    let mut detail = vec![
+        format!("method={}", spec.method.name()),
+        format!("agg={}", spec.agg),
+    ];
+    if let Some(k) = spec.k {
+        detail.push(format!("top={k}"));
+    }
+    if spec.exclude_seen.is_some() {
+        detail.push("exclude_seen".to_owned());
+    }
+    ("Recommend".to_owned(), detail)
+}
+
+/// The row-at-a-time walker (the differential oracle). Returns `Cow` so
+/// `LogicalPlan::Values` lends its literal rows instead of cloning them
+/// on every run — copies happen only when an ancestor operator actually
+/// consumes owned rows.
+fn run<'p, P: Profile>(plan: &'p LogicalPlan, catalog: &Catalog) -> RelResult<(Cow<'p, [Row]>, P)> {
+    let open = P::open("op");
+    let (rows, label, children) = match plan {
         LogicalPlan::Scan {
             table,
             alias,
@@ -710,43 +506,24 @@ fn run_profiled<'p>(
             filter,
             ..
         } => {
-            let (scanned, table_len) = catalog.with_table(table, |t| {
-                (scan_table(t, projection, filter, opts), t.len())
-            })?;
-            let (rows, path, par) = scanned?;
-            let mut detail = vec![format!("access={path}")];
-            if let Some(f) = filter {
-                detail.push(format!("filter={f}"));
-            }
-            push_par_detail(&mut detail, &par);
-            if matches!(path, AccessPath::SeqScan) {
-                push_adaptive_detail(&mut detail, opts, table_len, &par);
-            }
-            let op = match alias {
-                Some(a) if a != table => format!("Scan {table} AS {a}"),
-                _ => format!("Scan {table}"),
-            };
-            (Cow::Owned(rows), op, detail, Vec::new())
+            let (rows, path) =
+                catalog.with_table(table, |t| scan_table(t, projection, filter))??;
+            let label = P::label(|| scan_label(table, alias, &path, filter));
+            (Cow::Owned(rows), label, Vec::new())
         }
 
         LogicalPlan::Filter { input, predicate } => {
-            let (rows, child) = run_profiled(input, catalog, opts)?;
-            let rows_in = rows.len();
-            let (rows, par) = filter_rows_opt(rows.into_owned(), predicate, opts)?;
-            let mut detail = vec![format!("predicate={predicate}")];
-            push_par_detail(&mut detail, &par);
-            push_adaptive_detail(&mut detail, opts, rows_in, &par);
-            (Cow::Owned(rows), "Filter".to_owned(), detail, vec![child])
+            let (rows, child) = run::<P>(input, catalog)?;
+            let rows = filter_rows(rows.into_owned(), predicate)?;
+            let label = P::label(|| ("Filter".to_owned(), vec![format!("predicate={predicate}")]));
+            (Cow::Owned(rows), label, vec![child])
         }
 
         LogicalPlan::Project { input, exprs, .. } => {
-            let (rows, child) = run_profiled(input, catalog, opts)?;
-            let rows_in = rows.len();
-            let (rows, par) = project_rows_opt(rows.into_owned(), exprs, opts)?;
-            let mut detail = vec![format!("exprs={}", exprs.len())];
-            push_par_detail(&mut detail, &par);
-            push_adaptive_detail(&mut detail, opts, rows_in, &par);
-            (Cow::Owned(rows), "Project".to_owned(), detail, vec![child])
+            let (rows, child) = run::<P>(input, catalog)?;
+            let rows = project_rows(rows.into_owned(), exprs)?;
+            let label = P::label(|| ("Project".to_owned(), vec![format!("exprs={}", exprs.len())]));
+            (Cow::Owned(rows), label, vec![child])
         }
 
         LogicalPlan::Join {
@@ -756,38 +533,18 @@ fn run_profiled<'p>(
             on,
             ..
         } => {
-            let (left_rows, lchild) = run_profiled(left, catalog, opts)?;
-            let (right_rows, rchild) = run_profiled(right, catalog, opts)?;
-            let rows_in = left_rows.len();
-            let (rows, info, par) = join_rows_opt(
+            let (left_rows, lchild) = run::<P>(left, catalog)?;
+            let (right_rows, rchild) = run::<P>(right, catalog)?;
+            let (rows, info) = join_rows(
                 left_rows.into_owned(),
                 right_rows.into_owned(),
                 left.schema().len(),
                 right.schema().len(),
                 *kind,
                 on,
-                opts,
             )?;
-            let op = if info.hash {
-                "HashJoin"
-            } else {
-                "NestedLoopJoin"
-            };
-            let mut detail = vec![format!("kind={kind:?}")];
-            if info.hash {
-                detail.push(format!("keys={}", info.keys));
-                detail.push("build=right".to_owned());
-            }
-            push_par_detail(&mut detail, &par);
-            if info.hash {
-                push_adaptive_detail(&mut detail, opts, rows_in, &par);
-            }
-            (
-                Cow::Owned(rows),
-                op.to_owned(),
-                detail,
-                vec![lchild, rchild],
-            )
+            let label = P::label(|| join_label(*kind, &info));
+            (Cow::Owned(rows), label, vec![lchild, rchild])
         }
 
         LogicalPlan::Aggregate {
@@ -796,26 +553,17 @@ fn run_profiled<'p>(
             aggs,
             ..
         } => {
-            let (rows, child) = run_profiled(input, catalog, opts)?;
-            let (out, par) = aggregate_rows_opt(&rows, group_by, aggs, opts)?;
-            let mut detail = vec![
-                format!("group_by={}", group_by.len()),
-                format!("aggs={}", aggs.len()),
-            ];
-            push_par_detail(&mut detail, &par);
-            push_adaptive_detail(&mut detail, opts, rows.len(), &par);
-            (Cow::Owned(out), "Aggregate".to_owned(), detail, vec![child])
+            let (rows, child) = run::<P>(input, catalog)?;
+            let out = aggregate_rows(&rows, group_by, aggs)?;
+            let label = P::label(|| aggregate_label(group_by, aggs));
+            (Cow::Owned(out), label, vec![child])
         }
 
         LogicalPlan::Sort { input, keys } => {
-            let (rows, child) = run_profiled(input, catalog, opts)?;
+            let (rows, child) = run::<P>(input, catalog)?;
             let rows = sort_rows(rows.into_owned(), keys)?;
-            (
-                Cow::Owned(rows),
-                "Sort".to_owned(),
-                vec![format!("keys={}", keys.len())],
-                vec![child],
-            )
+            let label = P::label(|| ("Sort".to_owned(), vec![format!("keys={}", keys.len())]));
+            (Cow::Owned(rows), label, vec![child])
         }
 
         LogicalPlan::Limit {
@@ -823,39 +571,27 @@ fn run_profiled<'p>(
             limit,
             offset,
         } => {
-            let (rows, child) = run_profiled(input, catalog, opts)?;
+            let (rows, child) = run::<P>(input, catalog)?;
             let rows = limit_rows(rows.into_owned(), *limit, *offset);
-            let mut detail = Vec::new();
-            if let Some(n) = limit {
-                detail.push(format!("limit={n}"));
-            }
-            if *offset > 0 {
-                detail.push(format!("offset={offset}"));
-            }
-            (Cow::Owned(rows), "Limit".to_owned(), detail, vec![child])
+            let label = P::label(|| limit_label(*limit, *offset));
+            (Cow::Owned(rows), label, vec![child])
         }
 
-        LogicalPlan::Values { rows, .. } => (
-            Cow::Borrowed(rows.as_slice()),
-            "Values".to_owned(),
-            Vec::new(),
-            Vec::new(),
-        ),
+        LogicalPlan::Values { rows, .. } => {
+            let label = P::label(|| ("Values".to_owned(), Vec::new()));
+            (Cow::Borrowed(rows.as_slice()), label, Vec::new())
+        }
 
         LogicalPlan::Union { left, right } => {
-            let (rows, lchild) = run_profiled(left, catalog, opts)?;
-            let (right_rows, rchild) = run_profiled(right, catalog, opts)?;
+            let (rows, lchild) = run::<P>(left, catalog)?;
+            let (right_rows, rchild) = run::<P>(right, catalog)?;
             let mut rows = rows.into_owned();
             match right_rows {
                 Cow::Owned(mut r) => rows.append(&mut r),
                 Cow::Borrowed(r) => rows.extend_from_slice(r),
             }
-            (
-                Cow::Owned(rows),
-                "Union".to_owned(),
-                Vec::new(),
-                vec![lchild, rchild],
-            )
+            let label = P::label(|| ("Union".to_owned(), Vec::new()));
+            (Cow::Owned(rows), label, vec![lchild, rchild])
         }
 
         LogicalPlan::Extend {
@@ -866,29 +602,11 @@ fn run_profiled<'p>(
             as_name,
             ..
         } => {
-            let (input_rows, ichild) = run_profiled(input, catalog, opts)?;
-            let (related_rows, rchild) = run_profiled(related, catalog, opts)?;
-            let rows_in = input_rows.len();
-            let (rows, par) = extend_rows_opt(
-                input_rows.into_owned(),
-                &related_rows,
-                *key_col,
-                *rating,
-                opts,
-            )?;
-            let mut detail = vec![
-                format!("kind={}", if *rating { "ratings" } else { "set" }),
-                format!("key=#{key_col}"),
-                format!("as={as_name}"),
-            ];
-            push_par_detail(&mut detail, &par);
-            push_adaptive_detail(&mut detail, opts, rows_in, &par);
-            (
-                Cow::Owned(rows),
-                "Extend".to_owned(),
-                detail,
-                vec![ichild, rchild],
-            )
+            let (input_rows, ichild) = run::<P>(input, catalog)?;
+            let (related_rows, rchild) = run::<P>(related, catalog)?;
+            let rows = extend_rows(input_rows.into_owned(), &related_rows, *key_col, *rating)?;
+            let label = P::label(|| extend_label(*rating, *key_col, as_name));
+            (Cow::Owned(rows), label, vec![ichild, rchild])
         }
 
         LogicalPlan::Recommend {
@@ -897,57 +615,19 @@ fn run_profiled<'p>(
             spec,
             ..
         } => {
-            let (target_rows, tchild) = run_profiled(target, catalog, opts)?;
-            let (comparator_rows, cchild) = run_profiled(comparator, catalog, opts)?;
-            let rows_in = target_rows.len();
-            let (rows, par) =
-                recommend_rows_opt(target_rows.into_owned(), &comparator_rows, spec, opts)?;
-            let mut detail = vec![
-                format!("method={}", spec.method.name()),
-                format!("agg={}", spec.agg),
-            ];
-            if let Some(k) = spec.k {
-                detail.push(format!("top={k}"));
-            }
-            if spec.exclude_seen.is_some() {
-                detail.push("exclude_seen".to_owned());
-            }
-            push_par_detail(&mut detail, &par);
-            push_adaptive_detail(&mut detail, opts, rows_in, &par);
-            (
-                Cow::Owned(rows),
-                "Recommend".to_owned(),
-                detail,
-                vec![tchild, cchild],
-            )
+            let (target_rows, tchild) = run::<P>(target, catalog)?;
+            let (comparator_rows, cchild) = run::<P>(comparator, catalog)?;
+            let rows = recommend_rows(target_rows.into_owned(), &comparator_rows, spec)?;
+            let label = P::label(|| recommend_label(spec));
+            (Cow::Owned(rows), label, vec![tchild, cchild])
         }
     };
-    let elapsed = t0.elapsed();
-    if cr_obs::enabled() {
-        // Pre-resolved per-kind histogram: elapsed is already measured,
-        // recording is one atomic bump (no Span, no registry lock).
-        metrics().op_hist(plan).record_duration(elapsed);
-    }
-    if span.is_recording() {
-        span.set_name(&op);
-        span.attr("rows_out", rows.len().to_string());
-        if !detail.is_empty() {
-            span.attr("detail", detail.join(" "));
-        }
-    }
-    let profile = OpProfile {
-        op,
-        detail,
-        rows_out: rows.len(),
-        elapsed,
-        children,
-    };
+    let profile = P::close(open, label, plan, rows.len(), children);
     Ok((rows, profile))
 }
 
 // ---------------------------------------------------------------------
-// Row-level operator implementations, shared by the plain and profiled
-// executors so both paths compute identical results.
+// Row-level operator implementations
 // ---------------------------------------------------------------------
 
 fn filter_rows(rows: Vec<Row>, predicate: &Expr) -> RelResult<Vec<Row>> {
@@ -960,23 +640,6 @@ fn filter_rows(rows: Vec<Row>, predicate: &Expr) -> RelResult<Vec<Row>> {
     Ok(out)
 }
 
-/// [`filter_rows`], partition-parallel when the options allow. Chunks are
-/// contiguous and reassembled in order, so output order matches serial.
-fn filter_rows_opt(
-    rows: Vec<Row>,
-    predicate: &Expr,
-    opts: &ExecOptions,
-) -> RelResult<(Vec<Row>, Option<ParInfo>)> {
-    let threads = opts.threads_for(rows.len());
-    if threads <= 1 {
-        return Ok((filter_rows(rows, predicate)?, None));
-    }
-    let (parts, info) = run_partitioned(split_owned(rows, threads), |chunk| {
-        filter_rows(chunk, predicate)
-    })?;
-    Ok((parts.into_iter().flatten().collect(), Some(info)))
-}
-
 fn project_rows(rows: Vec<Row>, exprs: &[(Expr, String)]) -> RelResult<Vec<Row>> {
     let mut out = Vec::with_capacity(rows.len());
     for r in rows {
@@ -987,22 +650,6 @@ fn project_rows(rows: Vec<Row>, exprs: &[(Expr, String)]) -> RelResult<Vec<Row>>
         out.push(projected);
     }
     Ok(out)
-}
-
-/// [`project_rows`], partition-parallel when the options allow.
-fn project_rows_opt(
-    rows: Vec<Row>,
-    exprs: &[(Expr, String)],
-    opts: &ExecOptions,
-) -> RelResult<(Vec<Row>, Option<ParInfo>)> {
-    let threads = opts.threads_for(rows.len());
-    if threads <= 1 {
-        return Ok((project_rows(rows, exprs)?, None));
-    }
-    let (parts, info) = run_partitioned(split_owned(rows, threads), |chunk| {
-        project_rows(chunk, exprs)
-    })?;
-    Ok((parts.into_iter().flatten().collect(), Some(info)))
 }
 
 fn limit_rows(rows: Vec<Row>, limit: Option<usize>, offset: usize) -> Vec<Row> {
@@ -1123,32 +770,6 @@ fn extend_rows(
     extend_probe(input_rows, key_col, rating, &map)
 }
 
-/// [`extend_rows`], with the probe side partition-parallel when the
-/// options allow. The nest map is always built serially (fixed float
-/// accumulation order); probing is per-row independent and chunks
-/// reassemble in order, so output is byte-identical to serial.
-fn extend_rows_opt(
-    input_rows: Vec<Row>,
-    related_rows: &[Row],
-    key_col: usize,
-    rating: bool,
-    opts: &ExecOptions,
-) -> RelResult<(Vec<Row>, Option<ParInfo>)> {
-    let threads = opts.threads_for(input_rows.len());
-    if threads <= 1 {
-        return Ok((
-            extend_rows(input_rows, related_rows, key_col, rating)?,
-            None,
-        ));
-    }
-    let map = build_nest_map(related_rows, rating)?;
-    let map = &map;
-    let (parts, info) = run_partitioned(split_owned(input_rows, threads), |chunk| {
-        extend_probe(chunk, key_col, rating, map)
-    })?;
-    Ok((parts.into_iter().flatten().collect(), Some(info)))
-}
-
 /// Precomputed per-run state for the recommend operator: the exclusion
 /// key set and (for `RatingLookup`) one key → rating map per comparator.
 struct RecContext<'a> {
@@ -1184,8 +805,7 @@ fn build_rec_context<'a>(comparator_rows: &'a [Row], spec: &RecSpec) -> RecConte
 }
 
 /// Score one target row against every comparator row. Returns `None` when
-/// the target is excluded, matched no comparator, or scored ≤ 0. Pure per
-/// target, which is what makes the parallel path trivially deterministic.
+/// the target is excluded, matched no comparator, or scored ≤ 0.
 fn score_target(
     mut t: Row,
     comparator_rows: &[Row],
@@ -1301,35 +921,6 @@ fn recommend_rows(
         }
     }
     Ok(finish_recommend(scored, spec))
-}
-
-/// [`recommend_rows`], scoring targets partition-parallel when the options
-/// allow. Chunk outputs concatenate in order (preserving original target
-/// order) before the stable final sort, so output is byte-identical to
-/// serial.
-fn recommend_rows_opt(
-    target_rows: Vec<Row>,
-    comparator_rows: &[Row],
-    spec: &RecSpec,
-    opts: &ExecOptions,
-) -> RelResult<(Vec<Row>, Option<ParInfo>)> {
-    let threads = opts.threads_for(target_rows.len());
-    if threads <= 1 {
-        return Ok((recommend_rows(target_rows, comparator_rows, spec)?, None));
-    }
-    let ctx = build_rec_context(comparator_rows, spec);
-    let ctx = &ctx;
-    let (parts, info) = run_partitioned(split_owned(target_rows, threads), |chunk| {
-        let mut part = Vec::new();
-        for t in chunk {
-            if let Some(s) = score_target(t, comparator_rows, spec, ctx) {
-                part.push(s);
-            }
-        }
-        Ok(part)
-    })?;
-    let scored: Vec<(f64, Row)> = parts.into_iter().flatten().collect();
-    Ok((finish_recommend(scored, spec), Some(info)))
 }
 
 // ---------------------------------------------------------------------
@@ -1501,8 +1092,7 @@ fn scan_table(
     table: &Table,
     projection: &Option<Vec<usize>>,
     filter: &Option<Expr>,
-    opts: &ExecOptions,
-) -> RelResult<(Vec<Row>, AccessPath, Option<ParInfo>)> {
+) -> RelResult<(Vec<Row>, AccessPath)> {
     let path = choose_access_path(table, filter);
     if cr_obs::enabled() {
         let m = metrics();
@@ -1525,35 +1115,12 @@ fn scan_table(
             None => Ok(true),
         }
     };
-    let mut par_info = None;
     let mut out = Vec::new();
     match &path {
         AccessPath::SeqScan => {
-            let threads = opts.threads_for(table.len());
-            if threads > 1 {
-                // Contiguous slot ranges per worker; concatenating the
-                // partition outputs in range order reproduces the serial
-                // scan order exactly.
-                let slots = table.slot_count();
-                let ranges: Vec<std::ops::Range<usize>> = (0..threads)
-                    .map(|p| (p * slots / threads)..((p + 1) * slots / threads))
-                    .collect();
-                let (parts, info) = run_partitioned(ranges, |range| {
-                    let mut part = Vec::new();
-                    for (_, r) in table.scan_slots(range) {
-                        if passes(r)? {
-                            part.push(project(r));
-                        }
-                    }
-                    Ok(part)
-                })?;
-                out = parts.into_iter().flatten().collect();
-                par_info = Some(info);
-            } else {
-                for (_, r) in table.scan() {
-                    if passes(r)? {
-                        out.push(project(r));
-                    }
+            for (_, r) in table.scan() {
+                if passes(r)? {
+                    out.push(project(r));
                 }
             }
         }
@@ -1615,7 +1182,7 @@ fn scan_table(
             }
         }
     }
-    Ok((out, path, par_info))
+    Ok((out, path))
 }
 
 // ---------------------------------------------------------------------
@@ -1744,130 +1311,6 @@ fn join_rows(
     ))
 }
 
-/// Hash partition for a row's join key, or `None` if any key column is
-/// NULL (NULL keys never join). Both sides use the same function so
-/// matching keys always land in the same partition.
-fn key_partition(row: &Row, cols: &[usize], parts: usize) -> Option<usize> {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    for &c in cols {
-        if row[c].is_null() {
-            return None;
-        }
-        row[c].hash(&mut h);
-    }
-    Some((h.finish() % parts as u64) as usize)
-}
-
-/// Hash-join one partition pair: build on the right rows, probe the left
-/// rows (tagged with their original position) in order. The right rows
-/// preserve their original relative order, so per-probe match order is
-/// identical to the serial join's.
-#[allow(clippy::too_many_arguments)]
-fn join_partition(
-    left: &[(usize, Row)],
-    right: &[Row],
-    left_width: usize,
-    right_width: usize,
-    kind: JoinKind,
-    lk: &[usize],
-    rk: &[usize],
-    residual: &Option<Expr>,
-) -> RelResult<Vec<(usize, Row)>> {
-    let mut build: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(right.len());
-    for (i, r) in right.iter().enumerate() {
-        let key: Vec<Value> = rk.iter().map(|&k| r[k].clone()).collect();
-        build.entry(key).or_default().push(i);
-    }
-    let mut out = Vec::new();
-    for (orig, l) in left {
-        let key: Vec<Value> = lk.iter().map(|&k| l[k].clone()).collect();
-        let mut matched = false;
-        if !key.iter().any(Value::is_null) {
-            if let Some(idxs) = build.get(&key) {
-                for &i in idxs {
-                    let mut combined = Vec::with_capacity(left_width + right_width);
-                    combined.extend_from_slice(l);
-                    combined.extend_from_slice(&right[i]);
-                    let ok = match residual {
-                        Some(p) => p.eval_predicate(&combined)?,
-                        None => true,
-                    };
-                    if ok {
-                        matched = true;
-                        out.push((*orig, combined));
-                    }
-                }
-            }
-        }
-        if !matched && kind == JoinKind::LeftOuter {
-            let mut combined = Vec::with_capacity(left_width + right_width);
-            combined.extend_from_slice(l);
-            combined.extend(std::iter::repeat_n(Value::Null, right_width));
-            out.push((*orig, combined));
-        }
-    }
-    Ok(out)
-}
-
-/// [`join_rows`], parallel for equi-joins when the options allow: both
-/// sides are hash-partitioned by join key, partition pairs join on worker
-/// threads, and the outputs merge by original left-row position — so the
-/// result is row-for-row identical to the serial probe order.
-fn join_rows_opt(
-    left_rows: Vec<Row>,
-    right_rows: Vec<Row>,
-    left_width: usize,
-    right_width: usize,
-    kind: JoinKind,
-    on: &Expr,
-    opts: &ExecOptions,
-) -> RelResult<(Vec<Row>, JoinInfo, Option<ParInfo>)> {
-    let threads = opts.threads_for(left_rows.len() + right_rows.len());
-    let (lk, rk, residual) = extract_equi_keys(on, left_width);
-    if lk.is_empty() || threads <= 1 {
-        let (rows, info) = join_rows(left_rows, right_rows, left_width, right_width, kind, on)?;
-        return Ok((rows, info, None));
-    }
-    let residual = if residual.is_empty() {
-        None
-    } else {
-        Some(Expr::conjoin(residual))
-    };
-    // NULL-keyed left rows can never match but still null-extend under
-    // LEFT JOIN; spread them round-robin so no partition is starved.
-    // NULL-keyed right rows are dropped, exactly like the serial build.
-    let mut lparts: Vec<Vec<(usize, Row)>> = (0..threads).map(|_| Vec::new()).collect();
-    for (i, l) in left_rows.into_iter().enumerate() {
-        let p = key_partition(&l, &lk, threads).unwrap_or(i % threads);
-        lparts[p].push((i, l));
-    }
-    let mut rparts: Vec<Vec<Row>> = (0..threads).map(|_| Vec::new()).collect();
-    for r in right_rows {
-        if let Some(p) = key_partition(&r, &rk, threads) {
-            rparts[p].push(r);
-        }
-    }
-    let (lk, rk, residual) = (&lk, &rk, &residual);
-    let pairs: Vec<_> = lparts.into_iter().zip(rparts).collect();
-    let (parts, info) = run_partitioned(pairs, |(lp, rp)| {
-        join_partition(&lp, &rp, left_width, right_width, kind, lk, rk, residual)
-    })?;
-    let mut tagged: Vec<(usize, Row)> = parts.into_iter().flatten().collect();
-    // Stable: a left row's multiple matches stay in their within-partition
-    // (= serial probe) order.
-    tagged.sort_by_key(|(i, _)| *i);
-    let rows = tagged.into_iter().map(|(_, r)| r).collect();
-    Ok((
-        rows,
-        JoinInfo {
-            hash: true,
-            keys: lk.len(),
-        },
-        Some(info),
-    ))
-}
-
 // ---------------------------------------------------------------------
 // Aggregation
 // ---------------------------------------------------------------------
@@ -1875,10 +1318,12 @@ fn join_rows_opt(
 #[derive(Debug, Clone)]
 enum AggState {
     Count(i64),
+    /// Int inputs accumulate exactly in `int`, wrapping like scalar `+`;
+    /// the first non-Int input moves the total into `float` for good.
     Sum {
-        total: f64,
+        int: i64,
+        float: Option<f64>,
         any: bool,
-        int: bool,
     },
     Avg {
         total: f64,
@@ -1898,9 +1343,9 @@ impl AggState {
         match a.func {
             AggFn::Count | AggFn::CountStar => AggState::Count(0),
             AggFn::Sum => AggState::Sum {
-                total: 0.0,
+                int: 0,
+                float: None,
                 any: false,
-                int: true,
             },
             AggFn::Avg => AggState::Avg { total: 0.0, n: 0 },
             AggFn::Min => AggState::Min(None),
@@ -1915,12 +1360,13 @@ impl AggState {
                     *n += 1;
                 }
             }
-            AggState::Sum { total, any, int } => {
+            AggState::Sum { int, float, any } => {
                 if !v.is_null() {
-                    if !matches!(v, Value::Int(_)) {
-                        *int = false;
+                    match (&v, float.as_mut()) {
+                        (Value::Int(n), None) => *int = int.wrapping_add(*n),
+                        (_, Some(f)) => *f += v.as_float()?,
+                        (_, None) => *float = Some(*int as f64 + v.as_float()?),
                     }
-                    *total += v.as_float()?;
                     *any = true;
                 }
             }
@@ -1949,61 +1395,14 @@ impl AggState {
         Ok(())
     }
 
-    /// Fold another partial state (from a later input chunk) into this
-    /// one. Matches the serial `update` semantics: earlier-chunk values
-    /// win MIN/MAX ties, DISTINCT collections concatenate in chunk order.
-    fn merge(&mut self, other: AggState) {
-        match (self, other) {
-            (AggState::Count(n), AggState::Count(m)) => *n += m,
-            (
-                AggState::Sum { total, any, int },
-                AggState::Sum {
-                    total: t2,
-                    any: a2,
-                    int: i2,
-                },
-            ) => {
-                *total += t2;
-                *any |= a2;
-                *int &= i2;
-            }
-            (AggState::Avg { total, n }, AggState::Avg { total: t2, n: n2 }) => {
-                *total += t2;
-                *n += n2;
-            }
-            (AggState::Min(cur), AggState::Min(other)) => {
-                if let Some(v) = other {
-                    if cur.as_ref().is_none_or(|c| v < *c) {
-                        *cur = Some(v);
-                    }
-                }
-            }
-            (AggState::Max(cur), AggState::Max(other)) => {
-                if let Some(v) = other {
-                    if cur.as_ref().is_none_or(|c| v > *c) {
-                        *cur = Some(v);
-                    }
-                }
-            }
-            (AggState::Distinct(vals, _), AggState::Distinct(mut other, _)) => {
-                vals.append(&mut other);
-            }
-            _ => unreachable!("merging mismatched aggregate states"),
-        }
-    }
-
     fn finish(self) -> RelResult<Value> {
         Ok(match self {
             AggState::Count(n) => Value::Int(n),
-            AggState::Sum { total, any, int } => {
-                if !any {
-                    Value::Null
-                } else if int {
-                    Value::Int(total as i64)
-                } else {
-                    Value::float(total)
-                }
-            }
+            AggState::Sum { any: false, .. } => Value::Null,
+            AggState::Sum {
+                float: Some(total), ..
+            } => Value::float(total),
+            AggState::Sum { int, .. } => Value::Int(int),
             AggState::Avg { total, n } => {
                 if n == 0 {
                     Value::Null
@@ -2028,42 +1427,6 @@ impl AggState {
             }
         })
     }
-}
-
-/// Per-chunk grouped partial states plus the chunk's first-seen group
-/// order (the unit merged across parallel aggregation workers).
-type AggPartial = (HashMap<Vec<Value>, Vec<AggState>>, Vec<Vec<Value>>);
-
-/// One accumulation pass over a row chunk.
-fn aggregate_partial(rows: &[Row], group_by: &[Expr], aggs: &[AggExpr]) -> RelResult<AggPartial> {
-    let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
-    // Preserve first-seen group order for deterministic output.
-    let mut order: Vec<Vec<Value>> = Vec::new();
-    for r in rows {
-        let mut key = Vec::with_capacity(group_by.len());
-        for g in group_by {
-            key.push(g.eval(r)?);
-        }
-        let states = match groups.get_mut(&key) {
-            Some(s) => s,
-            None => {
-                order.push(key.clone());
-                groups
-                    .entry(key.clone())
-                    .or_insert_with(|| aggs.iter().map(AggState::new).collect())
-            }
-        };
-        for (state, a) in states.iter_mut().zip(aggs) {
-            let is_star = a.func == AggFn::CountStar;
-            let v = if is_star {
-                Value::Int(1)
-            } else {
-                a.arg.eval(r)?
-            };
-            state.update(v, is_star)?;
-        }
-    }
-    Ok((groups, order))
 }
 
 /// Finish accumulated groups into output rows (first-seen group order).
@@ -2095,47 +1458,34 @@ fn aggregate_finish(
 }
 
 fn aggregate_rows(rows: &[Row], group_by: &[Expr], aggs: &[AggExpr]) -> RelResult<Vec<Row>> {
-    let (groups, order) = aggregate_partial(rows, group_by, aggs)?;
-    aggregate_finish(groups, order, group_by, aggs)
-}
-
-/// [`aggregate_rows`], parallel when the options allow: each worker
-/// accumulates partial states over a contiguous chunk, and partials merge
-/// in chunk order — so first-seen group order (and therefore output
-/// order) matches the serial pass.
-fn aggregate_rows_opt(
-    rows: &[Row],
-    group_by: &[Expr],
-    aggs: &[AggExpr],
-    opts: &ExecOptions,
-) -> RelResult<(Vec<Row>, Option<ParInfo>)> {
-    let threads = opts.threads_for(rows.len());
-    if threads <= 1 {
-        return Ok((aggregate_rows(rows, group_by, aggs)?, None));
-    }
-    let chunks: Vec<&[Row]> = (0..threads)
-        .map(|p| &rows[(p * rows.len() / threads)..((p + 1) * rows.len() / threads)])
-        .collect();
-    let (parts, info) = run_partitioned(chunks, |chunk| aggregate_partial(chunk, group_by, aggs))?;
     let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
+    // Preserve first-seen group order for deterministic output.
     let mut order: Vec<Vec<Value>> = Vec::new();
-    for (mut part_groups, part_order) in parts {
-        for key in part_order {
-            let states = part_groups.remove(&key).expect("group recorded in order");
-            match groups.get_mut(&key) {
-                Some(existing) => {
-                    for (cur, other) in existing.iter_mut().zip(states) {
-                        cur.merge(other);
-                    }
-                }
-                None => {
-                    order.push(key.clone());
-                    groups.insert(key, states);
-                }
+    for r in rows {
+        let mut key = Vec::with_capacity(group_by.len());
+        for g in group_by {
+            key.push(g.eval(r)?);
+        }
+        let states = match groups.get_mut(&key) {
+            Some(s) => s,
+            None => {
+                order.push(key.clone());
+                groups
+                    .entry(key.clone())
+                    .or_insert_with(|| aggs.iter().map(AggState::new).collect())
             }
+        };
+        for (state, a) in states.iter_mut().zip(aggs) {
+            let is_star = a.func == AggFn::CountStar;
+            let v = if is_star {
+                Value::Int(1)
+            } else {
+                a.arg.eval(r)?
+            };
+            state.update(v, is_star)?;
         }
     }
-    Ok((aggregate_finish(groups, order, group_by, aggs)?, Some(info)))
+    aggregate_finish(groups, order, group_by, aggs)
 }
 
 // ---------------------------------------------------------------------
@@ -2261,7 +1611,7 @@ fn scan_batched(
     t: &Table,
     projection: &Option<Vec<usize>>,
     filter: &Option<Expr>,
-    opts: &ExecOptions,
+    batch_size: usize,
 ) -> RelResult<(Batch, AccessPath, usize)> {
     let path = choose_access_path(t, filter);
     if matches!(path, AccessPath::SeqScan) {
@@ -2272,7 +1622,7 @@ fn scan_batched(
         let mut batch = Batch::new((*cols).clone(), t.len());
         let mut batches = 1;
         if let Some(f) = filter {
-            let (keep, nb) = filter_selection(&batch, f, opts.batch_size)?;
+            let (keep, nb) = filter_selection(&batch, f, batch_size)?;
             batches = nb;
             batch = batch.select(keep);
         }
@@ -2282,7 +1632,7 @@ fn scan_batched(
         }
         Ok((batch, path, batches))
     } else {
-        let (rows, path, _) = scan_table(t, projection, filter, opts)?;
+        let (rows, path) = scan_table(t, projection, filter)?;
         let width = projection
             .as_ref()
             .map_or(t.schema().columns().len(), Vec::len);
@@ -2543,111 +1893,15 @@ fn recommend_batched(target: &Batch, comparator: &Batch, spec: &RecSpec) -> RelR
     Ok(Batch::from_rows(&rows, width))
 }
 
-/// The vectorized walker (the default execution path).
-fn run_batched(plan: &LogicalPlan, catalog: &Catalog, opts: &ExecOptions) -> RelResult<Batch> {
-    match plan {
-        LogicalPlan::Scan {
-            table,
-            projection,
-            filter,
-            ..
-        } => Ok(catalog
-            .with_table(table, |t| scan_batched(t, projection, filter, opts))??
-            .0),
-
-        LogicalPlan::Filter { input, predicate } => {
-            let batch = run_batched(input, catalog, opts)?;
-            let (keep, _) = filter_selection(&batch, predicate, opts.batch_size)?;
-            Ok(batch.select(keep))
-        }
-
-        LogicalPlan::Project { input, exprs, .. } => {
-            let batch = run_batched(input, catalog, opts)?;
-            Ok(project_batched(&batch, exprs, opts.batch_size)?.0)
-        }
-
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
-            ..
-        } => {
-            let l = run_batched(left, catalog, opts)?;
-            let r = run_batched(right, catalog, opts)?;
-            Ok(join_batched(&l, &r, *kind, on)?.0)
-        }
-
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-            ..
-        } => {
-            let batch = run_batched(input, catalog, opts)?;
-            let rows = aggregate_batched(&batch, group_by, aggs)?;
-            Ok(Batch::from_rows(&rows, group_by.len() + aggs.len()))
-        }
-
-        LogicalPlan::Sort { input, keys } => sort_batched(run_batched(input, catalog, opts)?, keys),
-
-        LogicalPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => Ok(limit_batched(
-            run_batched(input, catalog, opts)?,
-            *limit,
-            *offset,
-        )),
-
-        LogicalPlan::Values { rows, .. } => Ok(Batch::from_rows(rows, plan.schema().len())),
-
-        LogicalPlan::Union { left, right } => {
-            let l = run_batched(left, catalog, opts)?;
-            let r = run_batched(right, catalog, opts)?;
-            Ok(union_batched(&l, &r))
-        }
-
-        LogicalPlan::Extend {
-            input,
-            related,
-            key_col,
-            rating,
-            ..
-        } => {
-            let i = run_batched(input, catalog, opts)?;
-            let r = run_batched(related, catalog, opts)?;
-            extend_batched(i, &r, *key_col, *rating)
-        }
-
-        LogicalPlan::Recommend {
-            target,
-            comparator,
-            spec,
-            ..
-        } => {
-            let t = run_batched(target, catalog, opts)?;
-            let c = run_batched(comparator, catalog, opts)?;
-            recommend_batched(&t, &c, spec)
-        }
-    }
-}
-
-/// Profiled twin of [`run_batched`]: same batched operator
-/// implementations, with each node timed and annotated. Spans and
-/// EXPLAIN ANALYZE keep the row path's operator names and fields, plus
-/// the new `batches=`/`selected=` detail. The batched path runs each
-/// operator serially; when the options asked for parallelism the adaptive
-/// decision is still recorded on the span.
-fn run_batched_profiled(
+/// The vectorized walker (the default execution path). Labels keep the
+/// row walker's operator names and fields, plus `batches=`/`selected=`.
+fn run_batched<P: Profile>(
     plan: &LogicalPlan,
     catalog: &Catalog,
-    opts: &ExecOptions,
-) -> RelResult<(Batch, OpProfile)> {
-    let mut span = cr_obs::trace::TraceSpan::child("op");
-    let t0 = Instant::now();
-    let (batch, op, detail, children) = match plan {
+    batch_size: usize,
+) -> RelResult<(Batch, P)> {
+    let open = P::open("op");
+    let (batch, label, children) = match plan {
         LogicalPlan::Scan {
             table,
             alias,
@@ -2655,50 +1909,43 @@ fn run_batched_profiled(
             filter,
             ..
         } => {
-            let (scanned, table_len) = catalog.with_table(table, |t| {
-                (scan_batched(t, projection, filter, opts), t.len())
-            })?;
-            let (batch, path, batches) = scanned?;
-            let mut detail = vec![format!("access={path}")];
-            if let Some(f) = filter {
-                detail.push(format!("filter={f}"));
-            }
-            detail.push(format!("batches={batches}"));
-            detail.push(format!("selected={}", batch.len()));
-            if matches!(path, AccessPath::SeqScan) {
-                push_adaptive_detail(&mut detail, opts, table_len, &None);
-            }
-            let op = match alias {
-                Some(a) if a != table => format!("Scan {table} AS {a}"),
-                _ => format!("Scan {table}"),
-            };
-            (batch, op, detail, Vec::new())
+            let (batch, path, batches) = catalog
+                .with_table(table, |t| scan_batched(t, projection, filter, batch_size))??;
+            let label = P::label(|| {
+                let (op, mut detail) = scan_label(table, alias, &path, filter);
+                detail.push(format!("batches={batches}"));
+                detail.push(format!("selected={}", batch.len()));
+                (op, detail)
+            });
+            (batch, label, Vec::new())
         }
 
         LogicalPlan::Filter { input, predicate } => {
-            let (batch, child) = run_batched_profiled(input, catalog, opts)?;
-            let rows_in = batch.len();
-            let (keep, batches) = filter_selection(&batch, predicate, opts.batch_size)?;
+            let (batch, child) = run_batched::<P>(input, catalog, batch_size)?;
+            let (keep, batches) = filter_selection(&batch, predicate, batch_size)?;
             let batch = batch.select(keep);
-            let mut detail = vec![
-                format!("predicate={predicate}"),
-                format!("batches={batches}"),
-                format!("selected={}", batch.len()),
-            ];
-            push_adaptive_detail(&mut detail, opts, rows_in, &None);
-            (batch, "Filter".to_owned(), detail, vec![child])
+            let label = P::label(|| {
+                let detail = vec![
+                    format!("predicate={predicate}"),
+                    format!("batches={batches}"),
+                    format!("selected={}", batch.len()),
+                ];
+                ("Filter".to_owned(), detail)
+            });
+            (batch, label, vec![child])
         }
 
         LogicalPlan::Project { input, exprs, .. } => {
-            let (batch, child) = run_batched_profiled(input, catalog, opts)?;
-            let rows_in = batch.len();
-            let (batch, batches) = project_batched(&batch, exprs, opts.batch_size)?;
-            let mut detail = vec![
-                format!("exprs={}", exprs.len()),
-                format!("batches={batches}"),
-            ];
-            push_adaptive_detail(&mut detail, opts, rows_in, &None);
-            (batch, "Project".to_owned(), detail, vec![child])
+            let (batch, child) = run_batched::<P>(input, catalog, batch_size)?;
+            let (batch, batches) = project_batched(&batch, exprs, batch_size)?;
+            let label = P::label(|| {
+                let detail = vec![
+                    format!("exprs={}", exprs.len()),
+                    format!("batches={batches}"),
+                ];
+                ("Project".to_owned(), detail)
+            });
+            (batch, label, vec![child])
         }
 
         LogicalPlan::Join {
@@ -2708,22 +1955,11 @@ fn run_batched_profiled(
             on,
             ..
         } => {
-            let (l, lchild) = run_batched_profiled(left, catalog, opts)?;
-            let (r, rchild) = run_batched_profiled(right, catalog, opts)?;
-            let rows_in = l.len();
+            let (l, lchild) = run_batched::<P>(left, catalog, batch_size)?;
+            let (r, rchild) = run_batched::<P>(right, catalog, batch_size)?;
             let (batch, info) = join_batched(&l, &r, *kind, on)?;
-            let op = if info.hash {
-                "HashJoin"
-            } else {
-                "NestedLoopJoin"
-            };
-            let mut detail = vec![format!("kind={kind:?}")];
-            if info.hash {
-                detail.push(format!("keys={}", info.keys));
-                detail.push("build=right".to_owned());
-                push_adaptive_detail(&mut detail, opts, rows_in, &None);
-            }
-            (batch, op.to_owned(), detail, vec![lchild, rchild])
+            let label = P::label(|| join_label(*kind, &info));
+            (batch, label, vec![lchild, rchild])
         }
 
         LogicalPlan::Aggregate {
@@ -2732,27 +1968,18 @@ fn run_batched_profiled(
             aggs,
             ..
         } => {
-            let (batch, child) = run_batched_profiled(input, catalog, opts)?;
-            let rows_in = batch.len();
+            let (batch, child) = run_batched::<P>(input, catalog, batch_size)?;
             let rows = aggregate_batched(&batch, group_by, aggs)?;
             let out = Batch::from_rows(&rows, group_by.len() + aggs.len());
-            let mut detail = vec![
-                format!("group_by={}", group_by.len()),
-                format!("aggs={}", aggs.len()),
-            ];
-            push_adaptive_detail(&mut detail, opts, rows_in, &None);
-            (out, "Aggregate".to_owned(), detail, vec![child])
+            let label = P::label(|| aggregate_label(group_by, aggs));
+            (out, label, vec![child])
         }
 
         LogicalPlan::Sort { input, keys } => {
-            let (batch, child) = run_batched_profiled(input, catalog, opts)?;
+            let (batch, child) = run_batched::<P>(input, catalog, batch_size)?;
             let batch = sort_batched(batch, keys)?;
-            (
-                batch,
-                "Sort".to_owned(),
-                vec![format!("keys={}", keys.len())],
-                vec![child],
-            )
+            let label = P::label(|| ("Sort".to_owned(), vec![format!("keys={}", keys.len())]));
+            (batch, label, vec![child])
         }
 
         LogicalPlan::Limit {
@@ -2760,34 +1987,23 @@ fn run_batched_profiled(
             limit,
             offset,
         } => {
-            let (batch, child) = run_batched_profiled(input, catalog, opts)?;
+            let (batch, child) = run_batched::<P>(input, catalog, batch_size)?;
             let batch = limit_batched(batch, *limit, *offset);
-            let mut detail = Vec::new();
-            if let Some(n) = limit {
-                detail.push(format!("limit={n}"));
-            }
-            if *offset > 0 {
-                detail.push(format!("offset={offset}"));
-            }
-            (batch, "Limit".to_owned(), detail, vec![child])
+            let label = P::label(|| limit_label(*limit, *offset));
+            (batch, label, vec![child])
         }
 
-        LogicalPlan::Values { rows, .. } => (
-            Batch::from_rows(rows, plan.schema().len()),
-            "Values".to_owned(),
-            Vec::new(),
-            Vec::new(),
-        ),
+        LogicalPlan::Values { rows, .. } => {
+            let batch = Batch::from_rows(rows, plan.schema().len());
+            let label = P::label(|| ("Values".to_owned(), Vec::new()));
+            (batch, label, Vec::new())
+        }
 
         LogicalPlan::Union { left, right } => {
-            let (l, lchild) = run_batched_profiled(left, catalog, opts)?;
-            let (r, rchild) = run_batched_profiled(right, catalog, opts)?;
-            (
-                union_batched(&l, &r),
-                "Union".to_owned(),
-                Vec::new(),
-                vec![lchild, rchild],
-            )
+            let (l, lchild) = run_batched::<P>(left, catalog, batch_size)?;
+            let (r, rchild) = run_batched::<P>(right, catalog, batch_size)?;
+            let label = P::label(|| ("Union".to_owned(), Vec::new()));
+            (union_batched(&l, &r), label, vec![lchild, rchild])
         }
 
         LogicalPlan::Extend {
@@ -2798,17 +2014,11 @@ fn run_batched_profiled(
             as_name,
             ..
         } => {
-            let (i, ichild) = run_batched_profiled(input, catalog, opts)?;
-            let (r, rchild) = run_batched_profiled(related, catalog, opts)?;
-            let rows_in = i.len();
+            let (i, ichild) = run_batched::<P>(input, catalog, batch_size)?;
+            let (r, rchild) = run_batched::<P>(related, catalog, batch_size)?;
             let batch = extend_batched(i, &r, *key_col, *rating)?;
-            let mut detail = vec![
-                format!("kind={}", if *rating { "ratings" } else { "set" }),
-                format!("key=#{key_col}"),
-                format!("as={as_name}"),
-            ];
-            push_adaptive_detail(&mut detail, opts, rows_in, &None);
-            (batch, "Extend".to_owned(), detail, vec![ichild, rchild])
+            let label = P::label(|| extend_label(*rating, *key_col, as_name));
+            (batch, label, vec![ichild, rchild])
         }
 
         LogicalPlan::Recommend {
@@ -2817,42 +2027,14 @@ fn run_batched_profiled(
             spec,
             ..
         } => {
-            let (t, tchild) = run_batched_profiled(target, catalog, opts)?;
-            let (c, cchild) = run_batched_profiled(comparator, catalog, opts)?;
-            let rows_in = t.len();
+            let (t, tchild) = run_batched::<P>(target, catalog, batch_size)?;
+            let (c, cchild) = run_batched::<P>(comparator, catalog, batch_size)?;
             let batch = recommend_batched(&t, &c, spec)?;
-            let mut detail = vec![
-                format!("method={}", spec.method.name()),
-                format!("agg={}", spec.agg),
-            ];
-            if let Some(k) = spec.k {
-                detail.push(format!("top={k}"));
-            }
-            if spec.exclude_seen.is_some() {
-                detail.push("exclude_seen".to_owned());
-            }
-            push_adaptive_detail(&mut detail, opts, rows_in, &None);
-            (batch, "Recommend".to_owned(), detail, vec![tchild, cchild])
+            let label = P::label(|| recommend_label(spec));
+            (batch, label, vec![tchild, cchild])
         }
     };
-    let elapsed = t0.elapsed();
-    if cr_obs::enabled() {
-        metrics().op_hist(plan).record_duration(elapsed);
-    }
-    if span.is_recording() {
-        span.set_name(&op);
-        span.attr("rows_out", batch.len().to_string());
-        if !detail.is_empty() {
-            span.attr("detail", detail.join(" "));
-        }
-    }
-    let profile = OpProfile {
-        op,
-        detail,
-        rows_out: batch.len(),
-        elapsed,
-        children,
-    };
+    let profile = P::close(open, label, plan, batch.len(), children);
     Ok((batch, profile))
 }
 
@@ -3141,117 +2323,36 @@ mod tests {
         let db = Database::new();
         db.execute_sql("CREATE TABLE a (x INT)").unwrap();
         db.execute_sql("CREATE TABLE b (y INT)").unwrap();
-        db.execute_sql("INSERT INTO a VALUES (NULL),(1)").unwrap();
-        db.execute_sql("INSERT INTO b VALUES (NULL),(1)").unwrap();
-        let rs = db.query_sql("SELECT * FROM a JOIN b ON a.x = b.y").unwrap();
-        assert_eq!(rs.rows.len(), 1);
-    }
-
-    /// Options that force every parallelizable operator to split, even on
-    /// tiny test tables and single-CPU hosts. `batch_size: 0` pins the
-    /// row executor — the only path that partitions.
-    fn par(n: usize) -> ExecOptions {
-        ExecOptions {
-            parallelism: n,
-            min_partition_rows: 1,
-            adaptive: false,
-            batch_size: 0,
-        }
-    }
-
-    #[test]
-    fn parallel_results_match_serial() {
-        let db = db();
-        let queries = [
-            "SELECT * FROM courses",
-            "SELECT id, units FROM courses WHERE units >= 3 AND dep <> 'MATH'",
-            "SELECT courses.id, comments.text FROM courses \
-             JOIN comments ON courses.id = comments.course_id",
-            "SELECT courses.id, comments.text FROM courses \
-             LEFT JOIN comments ON courses.id = comments.course_id",
-            "SELECT dep, COUNT(*) AS n, SUM(units) AS su, MIN(units) AS mn, \
-             MAX(units) AS mx, COUNT(DISTINCT units) AS d \
-             FROM courses GROUP BY dep",
-            "SELECT COUNT(*) AS c, MAX(units) AS m FROM courses WHERE id > 999",
-            "SELECT id FROM courses ORDER BY id LIMIT 2 OFFSET 1",
-        ];
-        for sql in queries {
-            let serial = db.query_sql(sql).unwrap();
-            for n in [2, 3, 8] {
-                let parallel = db.query_sql_with(sql, &par(n)).unwrap();
-                assert_eq!(parallel, serial, "parallelism={n} sql={sql}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_join_null_keys_match_serial() {
-        let db = Database::new();
-        db.execute_sql("CREATE TABLE a (x INT)").unwrap();
-        db.execute_sql("CREATE TABLE b (y INT)").unwrap();
         db.execute_sql("INSERT INTO a VALUES (NULL),(1),(2),(NULL),(2)")
             .unwrap();
         db.execute_sql("INSERT INTO b VALUES (NULL),(1),(2),(2)")
             .unwrap();
-        for sql in [
-            "SELECT * FROM a JOIN b ON a.x = b.y",
-            "SELECT * FROM a LEFT JOIN b ON a.x = b.y",
+        // 1 matches once, each of the two 2s matches twice; NULL-keyed
+        // left rows never match but LEFT JOIN still null-extends them.
+        for (sql, want) in [
+            ("SELECT * FROM a JOIN b ON a.x = b.y", 5),
+            ("SELECT * FROM a LEFT JOIN b ON a.x = b.y", 7),
         ] {
-            let serial = db.query_sql(sql).unwrap();
-            let parallel = db.query_sql_with(sql, &par(4)).unwrap();
-            assert_eq!(parallel, serial, "sql={sql}");
+            let rs = db.query_sql(sql).unwrap();
+            assert_eq!(rs.rows.len(), want, "sql={sql}");
+            let oracle = db
+                .query_sql_with(sql, &ExecOptions { batch_size: 0 })
+                .unwrap();
+            assert_eq!(rs, oracle, "sql={sql}");
         }
     }
 
     #[test]
-    fn parallel_profile_reports_partitions() {
-        let db = db();
-        let (rs, profile) = db
-            .explain_analyze_sql_with("SELECT * FROM courses", &par(2))
-            .unwrap();
-        assert_eq!(rs.rows.len(), 5);
-        let scan = profile.find("Scan courses").expect("scan profiled");
-        assert!(
-            scan.detail.iter().any(|d| d == "partitions=2"),
-            "detail: {:?}",
-            scan.detail
-        );
-        assert!(
-            scan.detail
-                .iter()
-                .any(|d| d.starts_with("partition_times=")),
-            "detail: {:?}",
-            scan.detail
-        );
-    }
-
-    #[test]
-    fn parallel_metrics_count_partitions() {
-        cr_obs::install();
-        let db = db();
-        let before = cr_obs::Registry::global()
-            .snapshot()
-            .counter("relation.parallel.partitions_spawned")
-            .unwrap_or(0);
-        db.query_sql_with("SELECT * FROM courses", &par(3)).unwrap();
-        let after = cr_obs::Registry::global()
-            .snapshot()
-            .counter("relation.parallel.partitions_spawned")
-            .unwrap_or(0);
-        assert!(after >= before + 3, "before={before} after={after}");
-    }
-
-    #[test]
     fn database_default_options_apply() {
-        let db = db().with_exec_options(par(4));
-        assert_eq!(db.exec_options().parallelism, 4);
+        let db = db().with_exec_options(ExecOptions { batch_size: 0 });
+        assert_eq!(db.exec_options().batch_size, 0);
         let rs = db.query_sql("SELECT * FROM courses").unwrap();
         assert_eq!(rs.rows.len(), 5);
-        let serial = Database::clone(&db)
+        let batched = Database::clone(&db)
             .with_exec_options(ExecOptions::default())
             .query_sql("SELECT * FROM courses")
             .unwrap();
-        assert_eq!(rs, serial);
+        assert_eq!(rs, batched);
     }
 
     /// Fixture for the FlexRecs operators: students and the courses they
@@ -3438,32 +2539,6 @@ mod tests {
     }
 
     #[test]
-    fn extend_recommend_parallel_match_serial() {
-        let db = nest_db();
-        let mk = || {
-            let targets = PlanBuilder::from_plan(extend_students(&db, false));
-            let comparators = PlanBuilder::from_plan(extend_students(&db, false));
-            let spec = RecSpec {
-                target_col: 2,
-                comparator_col: 2,
-                method: RecMethod::Set(crate::similarity::SetSim::Dice),
-                agg: RecAggPlan::Avg,
-                k: Some(2),
-                unbounded_ok: false,
-                score_name: "score".into(),
-                exclude_seen: None,
-            };
-            targets.recommend(comparators, spec).unwrap().build()
-        };
-        let plan = mk();
-        let serial = db.run_plan(&plan).unwrap();
-        for n in [2, 3, 8] {
-            let parallel = db.run_plan_with(&plan, &par(n)).unwrap();
-            assert_eq!(parallel, serial, "parallelism={n}");
-        }
-    }
-
-    #[test]
     fn extend_key_must_be_scalar() {
         let db = nest_db();
         // Extending on the nested column itself errors.
@@ -3515,18 +2590,5 @@ mod tests {
             "detail: {:?}",
             ext.detail
         );
-    }
-
-    #[test]
-    fn split_owned_is_contiguous_and_complete() {
-        for len in [0usize, 1, 5, 10, 17] {
-            for parts in 1..=6 {
-                let v: Vec<usize> = (0..len).collect();
-                let chunks = split_owned(v, parts);
-                assert_eq!(chunks.len(), parts);
-                let flat: Vec<usize> = chunks.into_iter().flatten().collect();
-                assert_eq!(flat, (0..len).collect::<Vec<_>>(), "{len}/{parts}");
-            }
-        }
     }
 }

@@ -16,10 +16,13 @@
 //!   (predicate pushdown, projection pruning, constant folding, index
 //!   selection),
 //! * a vectorized [`exec`]ution engine (seq/index scan, filter, project,
-//!   nested-loop and hash joins, hash aggregation, sort, limit, union)
-//!   running batch-at-a-time over [`batch`] columns with selection
-//!   vectors; the row-at-a-time executor remains selectable
-//!   (`ExecOptions { batch_size: 0, .. }`) as the differential oracle,
+//!   nested-loop and hash joins, hash aggregation, sort, limit, union,
+//!   and the FlexRecs extend/recommend operators) running
+//!   batch-at-a-time over [`batch`] columns with selection vectors; the
+//!   serial row-at-a-time executor remains selectable
+//!   (`ExecOptions { batch_size: 0 }`, the executor's one option) as the
+//!   differential oracle, and both walkers take EXPLAIN ANALYZE
+//!   profiling as a type parameter rather than a second code path,
 //! * a [`sql`] front end (lexer → parser → binder) for the subset needed by
 //!   the paper's workloads: `CREATE TABLE`, `INSERT`, `SELECT` with joins /
 //!   `WHERE` / `GROUP BY` / `HAVING` / `ORDER BY` / `LIMIT`, `UPDATE`,

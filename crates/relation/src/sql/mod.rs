@@ -65,9 +65,7 @@ pub fn query(text: &str, catalog: &Catalog) -> RelResult<ResultSet> {
     query_with(text, catalog, &crate::exec::ExecOptions::default())
 }
 
-/// Execute a query (SELECT only) with explicit execution options —
-/// `opts.parallelism > 1` partitions scans/filters/joins/aggregations
-/// across worker threads without changing the result.
+/// Execute a query (SELECT only) with explicit execution options.
 pub fn query_with(
     text: &str,
     catalog: &Catalog,

@@ -386,23 +386,9 @@ impl Table {
             .filter_map(|(i, slot)| slot.as_ref().map(|r| (RowId(i as u64), r)))
     }
 
-    /// Number of physical slots (live rows + tombstones). Parallel scans
-    /// partition `0..slot_count()` into contiguous ranges.
+    /// Number of physical slots (live rows + tombstones).
     pub fn slot_count(&self) -> usize {
         self.rows.len()
-    }
-
-    /// Iterate live rows within a contiguous slot range. Concatenating
-    /// the outputs of adjacent ranges reproduces [`Table::scan`] exactly.
-    pub fn scan_slots(
-        &self,
-        slots: std::ops::Range<usize>,
-    ) -> impl Iterator<Item = (RowId, &Row)> + '_ {
-        let start = slots.start;
-        self.rows[slots]
-            .iter()
-            .enumerate()
-            .filter_map(move |(i, slot)| slot.as_ref().map(|r| (RowId((start + i) as u64), r)))
     }
 
     /// Create a secondary index over `columns` and backfill it.
@@ -619,26 +605,6 @@ mod tests {
         assert_eq!(t.version(), 3);
         t.scan().count(); // reads never bump
         assert_eq!(t.version(), 3);
-    }
-
-    #[test]
-    fn scan_slots_partitions_reassemble_to_scan() {
-        let mut t = courses();
-        for id in 0..10i64 {
-            t.insert(row![id, "t", id % 3]).unwrap();
-        }
-        t.delete(RowId(4));
-        t.delete(RowId(7));
-        let serial: Vec<_> = t.scan().map(|(rid, r)| (rid, r.clone())).collect();
-        let n = t.slot_count();
-        for parts in 1..=5 {
-            let mut stitched = Vec::new();
-            for p in 0..parts {
-                let (lo, hi) = (p * n / parts, (p + 1) * n / parts);
-                stitched.extend(t.scan_slots(lo..hi).map(|(rid, r)| (rid, r.clone())));
-            }
-            assert_eq!(stitched, serial, "parts={parts}");
-        }
     }
 
     #[test]

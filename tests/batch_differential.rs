@@ -2,8 +2,7 @@
 //! an *optimization*, not an approximation. For any generated database,
 //! query, or FlexRecs workflow, the batched pipeline must return
 //! byte-identical results to the row-at-a-time oracle (`batch_size: 0`) —
-//! at every batch size, and whether the oracle runs serially or
-//! partitioned.
+//! at every batch size, and whether or not the run is profiled.
 //!
 //! Predicates and data are NULL-heavy on purpose: three-valued logic,
 //! null join keys, null ratings, and null function arguments are where a
@@ -15,7 +14,10 @@
 
 use cr_flexrecs::compile::compile_and_run_with;
 use cr_flexrecs::{CmpOp, Node, RecAgg, RecMethod, RecommendSpec, WfPredicate, Workflow};
-use cr_relation::{Database, ExecOptions, RatingsSim, SetSim, TextSim, Value};
+use cr_relation::{
+    execute_instrumented_with, execute_with, Database, ExecOptions, RatingsSim, SetSim, TextSim,
+    Value,
+};
 use proptest::prelude::*;
 
 /// The batch sizes under test: degenerate (1 row per kernel call), odd
@@ -23,27 +25,11 @@ use proptest::prelude::*;
 const BATCH_SIZES: &[usize] = &[1, 7, 1024];
 
 fn batched(b: usize) -> ExecOptions {
-    ExecOptions {
-        batch_size: b,
-        ..ExecOptions::default()
-    }
+    ExecOptions { batch_size: b }
 }
 
 fn oracle() -> ExecOptions {
-    ExecOptions {
-        batch_size: 0,
-        ..ExecOptions::default()
-    }
-}
-
-/// The row oracle with forced partitioning (the only path that splits).
-fn oracle_par(n: usize) -> ExecOptions {
-    ExecOptions {
-        parallelism: n,
-        min_partition_rows: 1,
-        adaptive: false,
-        batch_size: 0,
-    }
+    ExecOptions { batch_size: 0 }
 }
 
 // ---------------------------------------------------------------------
@@ -99,6 +85,8 @@ const QUERIES: &[&str] = &[
      FROM T1 GROUP BY G HAVING COUNT(*) >= 1",
     "SELECT Id, V FROM T1 ORDER BY V DESC, Id LIMIT 5",
     "SELECT Id, V FROM T1 WHERE V > -100 ORDER BY G, Id LIMIT 4 OFFSET 2",
+    // Int sums past 2^53, where an f64 accumulator would round.
+    "SELECT G, SUM(V + 9007199254740992) AS big FROM T1 GROUP BY G",
 ];
 
 proptest! {
@@ -108,16 +96,40 @@ proptest! {
     fn batched_sql_matches_row_oracle(
         rows1 in proptest::collection::vec((0i64..6, -20i64..20, 0usize..6), 0..120),
         rows2 in proptest::collection::vec((0i64..6, -20i64..20), 0..80),
-        parallelism in 2usize..6,
     ) {
         let db = build_db(&rows1, &rows2);
         for q in QUERIES {
             let row = db.query_sql_with(q, &oracle()).unwrap();
-            let row_par = db.query_sql_with(q, &oracle_par(parallelism)).unwrap();
-            prop_assert_eq!(&row, &row_par, "row oracle diverged under partitioning: {}", q);
             for &b in BATCH_SIZES {
                 let vec = db.query_sql_with(q, &batched(b)).unwrap();
                 prop_assert_eq!(&row, &vec, "batch_size={} diverged on {}", b, q);
+            }
+        }
+    }
+
+    /// Profiling is an observer: on both walkers the instrumented run
+    /// returns the plain run's result, and its profile tree mirrors the
+    /// plan node for node.
+    #[test]
+    fn profiled_runs_match_plain_runs(
+        rows1 in proptest::collection::vec((0i64..6, -20i64..20, 0usize..6), 0..120),
+        rows2 in proptest::collection::vec((0i64..6, -20i64..20), 0..80),
+    ) {
+        let db = build_db(&rows1, &rows2);
+        let catalog = db.catalog();
+        for q in QUERIES {
+            let plan = cr_relation::sql::plan_query(q, &catalog).unwrap();
+            // `explain` prints one line per plan node.
+            let plan_nodes = plan.explain().lines().count();
+            for b in std::iter::once(0).chain(BATCH_SIZES.iter().copied()) {
+                let plain = execute_with(&plan, &catalog, &batched(b)).unwrap();
+                let (rs, profile) = execute_instrumented_with(&plan, &catalog, &batched(b)).unwrap();
+                prop_assert_eq!(&rs, &plain, "batch_size={} profiled run diverged on {}", b, q);
+                prop_assert_eq!(profile.rows_out, rs.rows.len(), "batch_size={} on {}", b, q);
+                prop_assert_eq!(
+                    profile.operator_count(), plan_nodes,
+                    "batch_size={} on {}\n{}", b, q, profile.render()
+                );
             }
         }
     }
@@ -406,20 +418,10 @@ proptest! {
         users in proptest::collection::vec(0i64..7, 0..14),
         ratings in proptest::collection::vec((0i64..18, 0i64..6, 0i64..6), 0..40),
         wf in arb_workflow(),
-        parallelism in 2usize..6,
     ) {
         let db = build_social_db(&users, &ratings);
         let catalog = db.catalog();
         let row = compile_and_run_with(&wf, &catalog, &oracle());
-        let row_par = compile_and_run_with(&wf, &catalog, &oracle_par(parallelism));
-        match (&row, &row_par) {
-            (Ok(r), Ok(p)) => prop_assert_eq!(
-                &r.result, &p.result,
-                "row oracle diverged under partitioning\n{}", wf.explain()
-            ),
-            (Err(_), Err(_)) => {}
-            _ => prop_assert!(false, "serial/parallel oracle error disagreement\n{}", wf.explain()),
-        }
         for &b in BATCH_SIZES {
             let vec = compile_and_run_with(&wf, &catalog, &batched(b));
             match (&row, &vec) {

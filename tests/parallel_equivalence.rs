@@ -1,89 +1,16 @@
-//! PR2 equivalence properties: the parallel execution paths and the
-//! top-k pruned search are *optimizations*, not approximations. For any
-//! generated database and query shape, the partitioned scan / hash join /
-//! aggregation pipeline must return byte-identical results to the serial
-//! executor, and `search_topk` must return the same hits (docs, scores,
-//! order) as the exhaustive `search`.
-//!
-//! Aggregation inputs are integers only: per-partition partial sums are
-//! f64 additions of integer values well below 2^53, so chunked summation
-//! is exact and merge order cannot perturb the result.
+//! PR2 equivalence properties for search: the top-k pruned search and the
+//! term-sharded search are *optimizations*, not approximations. For any
+//! generated corpus and query, `search_topk` must return the same hits
+//! (docs, scores, order) as the exhaustive `search`, and a sharded engine
+//! the same hits as a serial one.
 
 // Test code: panicking on a broken fixture is the right behavior.
 #![allow(clippy::unwrap_used)]
 
-use cr_relation::{Database, ExecOptions};
+use cr_relation::Database;
 use cr_textsearch::engine::SearchEngine;
 use cr_textsearch::entity::{build_index, EntitySpec};
 use proptest::prelude::*;
-
-fn par(n: usize) -> ExecOptions {
-    ExecOptions {
-        parallelism: n,
-        // Force partitioning even on tiny generated tables and 1-CPU hosts;
-        // batch_size: 0 pins the row executor, the only path that partitions.
-        min_partition_rows: 1,
-        adaptive: false,
-        batch_size: 0,
-    }
-}
-
-/// Build a two-table database from compact random descriptions.
-/// `rows1[i] = (g, v)` with `g` used as a join/group key (g == 0 becomes
-/// NULL); `rows2[i] = (k, w)` likewise.
-fn build_db(rows1: &[(i64, i64)], rows2: &[(i64, i64)]) -> Database {
-    let db = Database::new();
-    db.execute_sql("CREATE TABLE T1 (Id INT PRIMARY KEY, G INT, V INT)")
-        .unwrap();
-    db.execute_sql("CREATE TABLE T2 (Id INT PRIMARY KEY, K INT, W INT)")
-        .unwrap();
-    let null_or = |x: i64| {
-        if x == 0 {
-            "NULL".to_owned()
-        } else {
-            x.to_string()
-        }
-    };
-    for (i, &(g, v)) in rows1.iter().enumerate() {
-        db.execute_sql(&format!("INSERT INTO T1 VALUES ({i}, {}, {v})", null_or(g)))
-            .unwrap();
-    }
-    for (i, &(k, w)) in rows2.iter().enumerate() {
-        db.execute_sql(&format!("INSERT INTO T2 VALUES ({i}, {}, {w})", null_or(k)))
-            .unwrap();
-    }
-    // Tombstones so partitions straddle deleted slots.
-    db.execute_sql("DELETE FROM T1 WHERE V = 3").unwrap();
-    db
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn parallel_queries_match_serial(
-        rows1 in proptest::collection::vec((0i64..6, -20i64..20), 0..120),
-        rows2 in proptest::collection::vec((0i64..6, -20i64..20), 0..80),
-        parallelism in 2usize..6,
-    ) {
-        let db = build_db(&rows1, &rows2);
-        let queries = [
-            "SELECT * FROM T1",
-            "SELECT Id, V FROM T1 WHERE V > 0",
-            "SELECT T1.Id, T1.V, T2.W FROM T1 JOIN T2 ON T1.G = T2.K",
-            "SELECT T1.Id, T2.Id FROM T1 LEFT JOIN T2 ON T1.G = T2.K",
-            "SELECT G, COUNT(*) AS n, SUM(V) AS s, MIN(V) AS lo, MAX(V) AS hi, AVG(V) AS m \
-             FROM T1 GROUP BY G",
-            "SELECT COUNT(*) AS n, SUM(W) AS s FROM T2",
-        ];
-        let opts = par(parallelism);
-        for q in queries {
-            let serial = db.query_sql(q).unwrap();
-            let parallel = db.query_sql_with(q, &opts).unwrap();
-            prop_assert_eq!(serial, parallel, "query {} diverged at parallelism {}", q, parallelism);
-        }
-    }
-}
 
 /// Random corpus from a small vocabulary so queries actually hit.
 const WORDS: &[&str] = &[

@@ -1,9 +1,9 @@
 //! cr-server under concurrency: snapshot isolation, admission shedding,
 //! and crash-recovery-then-serve (PR8 acceptance tests).
 //!
-//! The consistency scheme mirrors the `server_load` bench: a writer
-//! inserts a `CommentVotes` row *before* its matching `Comments` row,
-//! so `count(CommentVotes) >= count(Comments)` holds at every
+//! The consistency scheme: a writer inserts a `CommentVotes` row
+//! *before* its matching `Comments` row, so
+//! `count(CommentVotes) >= count(Comments)` holds at every
 //! whole-request boundary. Readers probe both counts in the hazardous
 //! order (votes first); only a torn, non-snapshot read can ever observe
 //! `comments > votes`.

@@ -4,7 +4,7 @@
 // Test code: panicking on a broken fixture is the right behavior.
 #![allow(clippy::unwrap_used)]
 
-use cr_relation::{Database, Value};
+use cr_relation::{Database, ExecOptions, Value};
 use proptest::prelude::*;
 
 fn db_with_data(values: &[(i64, i64)]) -> Database {
@@ -132,6 +132,28 @@ fn explain_plan_shows_pushdown() {
     // The filter sank into the scan (the executor serves it via the PK).
     assert!(text.contains("Scan t"), "{text}");
     assert!(text.contains("filter="), "{text}");
+}
+
+/// SUM over Int inputs is exact i64 arithmetic (wrapping, like scalar
+/// `+`), not an f64 accumulator; a Float input makes the sum a Float.
+#[test]
+fn int_sum_is_exact_past_f64_precision() {
+    let db = db_with_data(&[(1, 9007199254740992), (2, 1)]);
+    for batch_size in [0, 1024] {
+        let opts = ExecOptions { batch_size };
+        let rs = db
+            .query_sql_with("SELECT SUM(v) AS s FROM t", &opts)
+            .unwrap();
+        assert_eq!(rs.scalar(), Some(&Value::Int(9007199254740993)));
+        let rs = db
+            .query_sql_with(
+                "SELECT SUM(v + v - v) AS s, SUM(v * 0.5) AS f FROM t",
+                &opts,
+            )
+            .unwrap();
+        assert_eq!(rs.rows[0][0], Value::Int(9007199254740993));
+        assert_eq!(rs.rows[0][1], Value::Float(4503599627370496.5));
+    }
 }
 
 proptest! {

@@ -1,5 +1,5 @@
-//! PR6 — flight recorder end-to-end: hierarchical span trees across
-//! parallel partitions, slow-query capture into `cr_stat_slow_queries`,
+//! PR6 — flight recorder end-to-end: hierarchical span trees under the
+//! query span, slow-query capture into `cr_stat_slow_queries`,
 //! a golden Chrome trace-event export, and a proptest that every
 //! telemetry system table stays lint-clean and panic-free through the
 //! standard plan path.
@@ -13,7 +13,7 @@ use std::time::Duration;
 use cr_obs::trace::{self, SpanId, SpanRecord, TraceId};
 use cr_relation::row::row;
 use cr_relation::telemetry::SYSTEM_TABLES;
-use cr_relation::{Database, ExecOptions};
+use cr_relation::Database;
 use proptest::prelude::*;
 
 /// The tracing state (gate, recorder, slow log, manual clock, id
@@ -51,20 +51,13 @@ fn find<'a>(records: &'a [SpanRecord], name: &str) -> Vec<&'a SpanRecord> {
 }
 
 #[test]
-fn span_tree_nests_across_parallel_partitions() {
+fn operator_spans_nest_under_the_query_span() {
     let _g = guard();
     reset_tracing();
     trace::enable();
 
     let db = ratings_db();
-    // Force partitioning even on tiny tables and 1-CPU hosts.
-    let opts = ExecOptions {
-        parallelism: 4,
-        min_partition_rows: 1,
-        adaptive: false,
-        batch_size: 0,
-    };
-    db.query_sql_with("SELECT * FROM ratings WHERE score >= 1.0", &opts)
+    db.query_sql("SELECT * FROM ratings WHERE score >= 1.0")
         .unwrap();
     trace::disable();
 
@@ -86,71 +79,9 @@ fn span_tree_nests_across_parallel_partitions() {
     assert_eq!(project.parent, Some(root.span), "Project nests under root");
     assert_eq!(scan.parent, Some(project.span), "Scan nests under Project");
     assert_eq!(scan.trace, root.trace, "one trace end to end");
-
-    // Both data-parallel operators spawn 4 partitions; each partition
-    // span parents under the operator that spawned it, carries its
-    // partition ordinal, and shares the trace id even though it ran on
-    // a worker thread.
-    let partitions = find(&records, "partition");
-    assert_eq!(partitions.len(), 8, "{records:#?}");
-    for op in [scan, project] {
-        let mine: Vec<_> = partitions
-            .iter()
-            .filter(|p| p.parent == Some(op.span))
-            .collect();
-        assert_eq!(mine.len(), 4, "4 partitions under {}", op.name);
-        let mut ordinals: Vec<&str> = mine
-            .iter()
-            .filter_map(|p| {
-                p.attrs
-                    .iter()
-                    .find(|(k, _)| *k == "partition")
-                    .map(|(_, v)| v.as_str())
-            })
-            .collect();
-        ordinals.sort_unstable();
-        assert_eq!(ordinals, ["0", "1", "2", "3"]);
-        // Partitions nest in time as well as by id.
-        for p in &mine {
-            assert!(p.trace == root.trace, "partition joins the same trace");
-            assert!(p.start_ns >= op.start_ns);
-            assert!(p.start_ns + p.dur_ns <= op.start_ns + op.dur_ns + 1);
-        }
-    }
-}
-
-#[test]
-fn adaptive_fallback_is_visible_in_the_span() {
-    let _g = guard();
-    reset_tracing();
-    trace::enable();
-
-    let db = ratings_db();
-    // Ask for parallelism but leave the adaptive guard on: on a 1-CPU
-    // host it skips threads for the host, otherwise for the tiny input
-    // (120 rows < 2048/partition floor). Either way the decision is
-    // recorded on the span.
-    let opts = ExecOptions {
-        parallelism: 4,
-        ..ExecOptions::default()
-    };
-    db.query_sql_with("SELECT * FROM ratings", &opts).unwrap();
-    trace::disable();
-
-    let records = trace::recorder().snapshot();
-    let scan = find(&records, "Scan ratings")[0];
-    let detail = scan
-        .attrs
-        .iter()
-        .find(|(k, _)| *k == "detail")
-        .map(|(_, v)| v.as_str())
-        .unwrap_or("");
-    assert!(
-        detail.contains("parallel=skipped(single_cpu)")
-            || detail.contains("parallel=skipped(small_input)"),
-        "adaptive decision must be on the span: {detail:?}"
-    );
-    assert!(find(&records, "partition").is_empty(), "no workers spawned");
+    // Spans nest in time as well as by id.
+    assert!(scan.start_ns >= project.start_ns);
+    assert!(scan.start_ns + scan.dur_ns <= project.start_ns + project.dur_ns + 1);
 }
 
 #[test]
