@@ -81,7 +81,7 @@ impl CourseRank {
     pub fn assemble_with_threads(db: CourseRankDb, threads: usize) -> RelResult<Self> {
         let privacy = Privacy::new(db.clone());
         let incentives = Incentives::new(db.clone());
-        Ok(CourseRank {
+        let app = CourseRank {
             auth: Arc::new(Auth::new(db.clone())),
             search: Arc::new(CourseCloud::build_parallel(db.clone(), threads)?),
             recs: Recommender::new(db.clone()),
@@ -96,7 +96,13 @@ impl CourseRank {
             strategies: Strategies::new(db.clone()),
             textbooks: Textbooks::new(db.clone(), incentives),
             db,
-        })
+        };
+        // Derived relations are materialized here, on the writer side and
+        // after every service has subscribed its observers (a rebuilt
+        // table carries none): requests run on read views, which can only
+        // read them.
+        app.recs.ensure_grade_points()?;
+        Ok(app)
     }
 
     /// Pin a snapshot-bound view of the whole application: one atomic

@@ -16,12 +16,16 @@
 //! helpfulness votes ("rank the accuracy of each others' comments"), and
 //! the incentive-point ledger.
 
+use std::collections::HashSet;
 use std::path::Path;
 use std::sync::Arc;
 
+use parking_lot::Mutex;
+
 use cr_relation::plan::{JoinKind, PlanBuilder, TablePolicy};
-use cr_relation::row::row;
-use cr_relation::{Database, Expr, RelError, RelResult, Value};
+use cr_relation::row::{row, Row};
+use cr_relation::table::Table;
+use cr_relation::{Column, DataType, Database, Expr, RelError, RelResult, Schema, Value};
 use cr_storage::{
     FsBackend, RecoveryReport, Storage, StorageBackend, StorageConfig, StorageResult,
 };
@@ -124,6 +128,11 @@ pub struct CourseRankDb {
     db: Database,
     /// Present on durable databases; `None` for in-memory ones.
     storage: Option<Arc<Storage>>,
+    /// Graded enrollments write two tables ([`GRADE_POINTS`] too). They
+    /// and the rebuild take turns, so each (student, course) is entered
+    /// once, a failed write undoes only its own row and the rebuild
+    /// misses none.
+    graded_writes: Arc<Mutex<()>>,
 }
 
 /// DDL for every relation, in dependency order.
@@ -162,6 +171,10 @@ pub const SCHEMA_SQL: &[&str] = &[
      InstructorID INT NOT NULL, Text TEXT NOT NULL, Url TEXT)",
     "CREATE TABLE RecStrategies (Name TEXT PRIMARY KEY, Description TEXT, Json TEXT NOT NULL)",
 ];
+
+/// The derived grade-point relation behind grade-similarity
+/// recommendations (see [`CourseRankDb::rebuild_grade_points`]).
+pub const GRADE_POINTS: &str = "GradePoints";
 
 /// Secondary indexes for the hot access paths.
 const INDEX_SQL: &[&str] = &[
@@ -228,6 +241,16 @@ pub fn apply_flow_policies(db: &Database) {
             .gated("Term")
             .gated("Status"),
     );
+    // Derived from Enrollments (`rebuild_grade_points`) and labelled like
+    // its source, ahead of its creation: points are grades, and which
+    // courses a student was graded in is plan data.
+    catalog.set_table_policy(
+        GRADE_POINTS,
+        TablePolicy::new(Community)
+            .owner("SuID", Community)
+            .column("Points", PerUser)
+            .gated("CourseID"),
+    );
     catalog.set_table_policy(
         "Comments",
         TablePolicy::new(Community).owner("SuID", Community),
@@ -282,7 +305,11 @@ impl CourseRankDb {
         cr_relation::telemetry::register_system_tables(&db.catalog())
             .expect("system tables never collide with the app schema");
         apply_flow_policies(&db);
-        CourseRankDb { db, storage: None }
+        CourseRankDb {
+            db,
+            storage: None,
+            graded_writes: Arc::default(),
+        }
     }
 
     /// Open (or create) a durable CourseRank database in `dir`. State is
@@ -326,6 +353,7 @@ impl CourseRankDb {
             CourseRankDb {
                 db,
                 storage: Some(storage),
+                graded_writes: Arc::default(),
             },
             report,
         ))
@@ -345,7 +373,12 @@ impl CourseRankDb {
     /// carries no storage handle (checkpointing stays with the live db).
     pub fn snapshot(&self) -> (CourseRankDb, cr_relation::CatalogSnapshot) {
         let (db, cut) = self.db.snapshot();
-        (CourseRankDb { db, storage: None }, cut)
+        let view = CourseRankDb {
+            db,
+            storage: None,
+            graded_writes: Arc::clone(&self.graded_writes),
+        };
+        (view, cut)
     }
 
     /// True for handles produced by [`CourseRankDb::snapshot`].
@@ -470,7 +503,38 @@ impl CourseRankDb {
             .map(|_| ())
     }
 
+    /// Insert an enrollment. This is the one write path into Enrollments,
+    /// so it also keeps the derived [`GRADE_POINTS`] relation current
+    /// (once [`CourseRankDb::rebuild_grade_points`] has materialized it).
     pub fn insert_enrollment(&self, e: &Enrollment) -> RelResult<()> {
+        let Some(points) = graded(e.status, e.grade) else {
+            return self.insert_enrollment_row(e);
+        };
+        let _turn = self.graded_writes.lock();
+        // The relation keeps the first grade per (student, course).
+        let first_grade = self.catalog().has_table(GRADE_POINTS)
+            && !self
+                .enrollments_of(e.student)?
+                .iter()
+                .any(|x| x.course == e.course && graded(x.status, x.grade).is_some());
+        if !first_grade {
+            return self.insert_enrollment_row(e);
+        }
+        // Points first: a read view cut between the two inserts pairs
+        // them with the old Enrollments version, and whatever it caches
+        // under that version the Enrollments insert below invalidates.
+        let rid = self
+            .db
+            .insert(GRADE_POINTS, row![e.student, e.course, points])?;
+        let inserted = self.insert_enrollment_row(e);
+        if inserted.is_err() {
+            self.catalog()
+                .with_table_mut(GRADE_POINTS, |t| t.delete(rid))?;
+        }
+        inserted
+    }
+
+    fn insert_enrollment_row(&self, e: &Enrollment) -> RelResult<()> {
         self.db
             .insert(
                 "Enrollments",
@@ -484,6 +548,73 @@ impl CourseRankDb {
                 ],
             )
             .map(|_| ())
+    }
+
+    /// (Re)build the derived `GradePoints(SuID, CourseID, Points)` relation
+    /// from the letter grades in Enrollments: one row per graded, taken
+    /// (student, course), the earliest enrollment winning. The table is
+    /// built off to the side and swapped in whole, unobserved — it is
+    /// derived data, so it is never write-ahead logged and is rebuilt
+    /// from the recovered Enrollments on open. Writer side only: read
+    /// views reject it. Returns the number of rows.
+    pub fn rebuild_grade_points(&self) -> RelResult<usize> {
+        let _turn = self.graded_writes.lock();
+        let rows =
+            self.catalog()
+                .with_table("Enrollments", |t| -> RelResult<Vec<Option<Row>>> {
+                    let col = |name| t.schema().index_of(name);
+                    let (suid, course, grade, status) = (
+                        col("SuID")?,
+                        col("CourseID")?,
+                        col("Grade")?,
+                        col("Status")?,
+                    );
+                    let mut seen = HashSet::new();
+                    let mut rows = Vec::new();
+                    for (_, r) in t.scan() {
+                        let points = r[status]
+                            .as_text()
+                            .ok()
+                            .and_then(EnrollStatus::parse)
+                            .and_then(|taken| {
+                                graded(taken, r[grade].as_text().ok().and_then(Grade::parse))
+                            });
+                        let (Some(points), Ok(s), Ok(c)) =
+                            (points, r[suid].as_int(), r[course].as_int())
+                        else {
+                            continue;
+                        };
+                        if seen.insert((s, c)) {
+                            rows.push(Some(row![s, c, points]));
+                        }
+                    }
+                    Ok(rows)
+                })??;
+        let n = rows.len();
+        let table = Table::restore(
+            GRADE_POINTS,
+            Schema::qualified(
+                GRADE_POINTS,
+                vec![
+                    Column::not_null("SuID", DataType::Int),
+                    Column::not_null("CourseID", DataType::Int),
+                    Column::not_null("Points", DataType::Float),
+                ],
+            ),
+            // No key: the writers' turn-taking keeps (student, course)
+            // unique, and an index over every grade is memory every
+            // workload would pay for.
+            Vec::new(),
+            rows,
+            n as u64,
+        );
+        let catalog = self.catalog();
+        if catalog.has_table(GRADE_POINTS) {
+            catalog.with_table_mut(GRADE_POINTS, |t| *t = table)?;
+        } else {
+            catalog.install_table(table)?;
+        }
+        Ok(n)
     }
 
     pub fn insert_comment(&self, c: &Comment) -> RelResult<()> {
@@ -650,6 +781,15 @@ impl CourseRankDb {
     /// Scalar convenience: COUNT(*) of a table.
     pub fn count(&self, table: &str) -> RelResult<i64> {
         self.catalog().with_table(table, |t| t.len() as i64)
+    }
+}
+
+/// The grade points an enrollment carries into [`GRADE_POINTS`]: it must
+/// be taken, with a grade that has points (CR/NC has none).
+fn graded(status: EnrollStatus, grade: Option<Grade>) -> Option<f64> {
+    match status {
+        EnrollStatus::Taken => grade?.points(),
+        EnrollStatus::Planned => None,
     }
 }
 

@@ -35,12 +35,12 @@ fn metrics() -> &'static SvcMetrics {
 }
 
 /// Base tables course/related recommendations read. `GradePoints` is
-/// deliberately absent: it is derived from Enrollments and rebuilt by the
-/// computation itself, so tracking Enrollments covers it.
+/// deliberately absent: it is derived from Enrollments and kept current
+/// by the enrollment write path, so tracking Enrollments covers it.
 const REC_DEPS: &[&str] = &["Comments", "Enrollments", "Courses", "Students"];
 
 /// Tables the plan-level dependency extractor must ignore: derived
-/// relations rebuilt by the computation itself (see [`REC_DEPS`]).
+/// relations whose base table is tracked instead (see [`REC_DEPS`]).
 const DERIVED_TABLES: &[&str] = &["gradepoints"];
 
 /// Major recommendations additionally join through Departments.
@@ -106,9 +106,10 @@ pub struct CourseRec {
 }
 
 /// Materialized state behind one transcript-similarity (CoursesTaken)
-/// recommendation: everything [`CtState::recs`] needs to re-rank without
-/// touching the catalog, so a one-comment delta can be folded in by the
-/// cache observer while the writer still holds the table lock.
+/// recommendation: everything [`CtState::ranked`] needs to re-rank
+/// without touching the catalog, so a one-comment delta can be folded in
+/// by the cache observer while the writer still holds the table lock.
+/// Titles are not state: the few that are returned are read when served.
 ///
 /// The per-course sums are folded over Comments in row-id order; a
 /// delta-applied insert appends to that fold (row ids are assigned
@@ -122,9 +123,6 @@ struct CtState {
     agg: BTreeMap<CourseId, (f64, u64)>,
     /// Courses the requesting student already took.
     taken: BTreeSet<CourseId>,
-    /// Every course title — prefetched so a delta about a course the
-    /// neighbors had not rated yet stays maintainable.
-    titles: BTreeMap<CourseId, String>,
     k_courses: usize,
     exclude_taken: bool,
 }
@@ -132,7 +130,7 @@ struct CtState {
 impl CtState {
     /// Rank from the aggregates: mean rating descending, course id as
     /// the total tie-break.
-    fn recs(&self) -> Vec<CourseRec> {
+    fn ranked(&self) -> Vec<(CourseId, f64)> {
         let mut ranked: Vec<(CourseId, f64)> = self
             .agg
             .iter()
@@ -144,21 +142,11 @@ impl CtState {
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.0.cmp(&b.0))
         });
-        let mut out = Vec::with_capacity(self.k_courses);
-        for (course, score) in ranked {
-            if self.exclude_taken && self.taken.contains(&course) {
-                continue;
-            }
-            out.push(CourseRec {
-                course,
-                title: self.titles.get(&course).cloned().unwrap_or_default(),
-                score,
-            });
-            if out.len() >= self.k_courses {
-                break;
-            }
+        if self.exclude_taken {
+            ranked.retain(|(course, _)| !self.taken.contains(course));
         }
-        out
+        ranked.truncate(self.k_courses);
+        ranked
     }
 
     /// The dependency footprint of this state. The Comments dependency
@@ -174,7 +162,6 @@ impl CtState {
             // Neighbor similarity reads every transcript; the taken set
             // reads the student's own. Whole-table is the sound cover.
             DepSpec::table("Enrollments"),
-            DepSpec::table("Courses").with_columns(["courseid", "title"]),
             DepSpec::table("Students"),
         ]
     }
@@ -379,46 +366,15 @@ impl Recommender {
         }
     }
 
-    /// (Re)build the derived `GradePoints(SuID, CourseID, Points)` relation
-    /// from the letter grades in Enrollments. Called before grade-based
-    /// recommendations; cheap enough to refresh on demand.
+    /// (Re)build the derived `GradePoints` relation grade-based
+    /// recommendations read ([`CourseRankDb::rebuild_grade_points`]).
+    /// [`CourseRank::assemble`] calls this once; from then on the
+    /// enrollment write path keeps the relation current and the read path
+    /// only reads it — a read view can neither build nor refresh it.
+    ///
+    /// [`CourseRank::assemble`]: crate::app::CourseRank::assemble
     pub fn ensure_grade_points(&self) -> RelResult<usize> {
-        let catalog = self.db.catalog();
-        if !catalog.has_table("GradePoints") {
-            self.db.database().execute_sql(
-                "CREATE TABLE GradePoints (SuID INT, CourseID INT, Points FLOAT NOT NULL, \
-                 PRIMARY KEY (SuID, CourseID))",
-            )?;
-        } else {
-            self.db.database().execute_sql("DELETE FROM GradePoints")?;
-        }
-        let rs = self.db.database().query_sql(
-            "SELECT SuID, CourseID, Grade FROM Enrollments \
-             WHERE Status = 'taken' AND Grade IS NOT NULL",
-        )?;
-        let mut rows = Vec::with_capacity(rs.rows.len());
-        for r in &rs.rows {
-            let Some(points) = r[2]
-                .as_text()
-                .ok()
-                .and_then(crate::model::Grade::parse)
-                .and_then(|g| g.points())
-            else {
-                continue; // CR/NC carries no points
-            };
-            rows.push(cr_relation::row::row![r[0].clone(), r[1].clone(), points]);
-        }
-        let n = rows.len();
-        // A student may appear twice for the same course across quarters;
-        // keep the first (insert_many would abort on the duplicate).
-        for row in rows {
-            match self.db.database().insert("GradePoints", row) {
-                Ok(_) => {}
-                Err(RelError::DuplicateKey(_)) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(n)
+        self.db.rebuild_grade_points()
     }
 
     /// Recommend courses for a student. Results are cached by the compiled
@@ -476,7 +432,22 @@ impl Recommender {
                 "delta-maintained CT state diverged from cold recompute"
             );
         }
-        Ok(state.recs())
+        self.db.catalog().with_table("Courses", |t| {
+            let title = t.schema().index_of("Title")?;
+            Ok(state
+                .ranked()
+                .into_iter()
+                .map(|(course, score)| CourseRec {
+                    course,
+                    title: t
+                        .get_by_pk(&vec![Value::Int(course)])
+                        .and_then(|r| r[title].as_text().ok())
+                        .unwrap_or_default()
+                        .to_owned(),
+                    score,
+                })
+                .collect())
+        })?
     }
 
     /// Cold (full) computation of the transcript-similarity state: the
@@ -495,23 +466,7 @@ impl Recommender {
             .into_iter()
             .map(|(v, _)| v.as_int())
             .collect::<RelResult<_>>()?;
-        let mut agg: BTreeMap<CourseId, (f64, u64)> = BTreeMap::new();
-        let rs = self
-            .db
-            .database()
-            .query_sql("SELECT SuID, CourseID, Rating FROM Comments")?;
-        for r in &rs.rows {
-            let Ok(suid) = r[0].as_int() else { continue };
-            if !neighbors.contains(&suid) {
-                continue;
-            }
-            let Ok(course) = r[1].as_int() else { continue };
-            if let Some(rating) = rating_of(&r[2]) {
-                let slot = agg.entry(course).or_insert((0.0, 0));
-                slot.0 += rating;
-                slot.1 += 1;
-            }
-        }
+        let agg = self.neighbor_ratings(&neighbors)?;
         let taken: BTreeSet<CourseId> = if opts.exclude_taken {
             self.db
                 .enrollments_of(student)?
@@ -522,27 +477,57 @@ impl Recommender {
         } else {
             BTreeSet::new()
         };
-        let titles: BTreeMap<CourseId, String> = self
-            .db
-            .database()
-            .query_sql("SELECT CourseID, Title FROM Courses")?
-            .rows
-            .iter()
-            .filter_map(|r| Some((r[0].as_int().ok()?, r[1].as_text().ok()?.to_owned())))
-            .collect();
         Ok(CtState {
             neighbors,
             agg,
             taken,
-            titles,
             k_courses: opts.k_courses,
             exclude_taken: opts.exclude_taken,
         })
     }
 
+    /// Per course, the (rating sum, rating count) over the neighbors'
+    /// comments. Only their rows are read (`comments_by_student`), but in
+    /// row-id order — the order a fold over the whole table visits them,
+    /// and the order [`ct_delta`] appends in — so the sums are the same
+    /// floats either way.
+    fn neighbor_ratings(
+        &self,
+        neighbors: &BTreeSet<StudentId>,
+    ) -> RelResult<BTreeMap<CourseId, (f64, u64)>> {
+        self.db.catalog().with_table("Comments", |t| {
+            let index = t
+                .index("comments_by_student")
+                .ok_or_else(|| RelError::UnknownIndex("comments_by_student".into()))?;
+            let (course, rating) = (
+                t.schema().index_of("CourseID")?,
+                t.schema().index_of("Rating")?,
+            );
+            let mut rids: Vec<_> = neighbors
+                .iter()
+                .filter_map(|s| index.get(&vec![Value::Int(*s)]))
+                .flatten()
+                .copied()
+                .collect();
+            rids.sort_unstable();
+            let mut agg: BTreeMap<CourseId, (f64, u64)> = BTreeMap::new();
+            for r in rids.into_iter().filter_map(|rid| t.get(rid)) {
+                let Ok(course) = r[course].as_int() else {
+                    continue;
+                };
+                if let Some(rating) = rating_of(&r[rating]) {
+                    let slot = agg.entry(course).or_insert((0.0, 0));
+                    slot.0 += rating;
+                    slot.1 += 1;
+                }
+            }
+            Ok(agg)
+        })?
+    }
+
     /// The refined dependency footprint of a Ratings/Grades request: the
-    /// optimized plan's extracted deps (minus derived relations the
-    /// computation rebuilds itself) unioned with what the post-processing
+    /// optimized plan's extracted deps (minus derived relations, whose
+    /// base table stands in) unioned with what the post-processing
     /// reads outside the plan.
     fn course_dep_specs(&self, student: StudentId, opts: &RecOptions) -> RelResult<Vec<DepSpec>> {
         let wf = self.course_workflow(student, opts);
@@ -553,9 +538,8 @@ impl Recommender {
             specs.push(DepSpec::table("Enrollments"));
         }
         if opts.basis == SimilarityBasis::Grades {
-            // The plan scans GradePoints, which is rebuilt from
-            // Enrollments on every recompute — Enrollments is the true
-            // base dependency.
+            // The plan scans GradePoints, which the enrollment write
+            // path derives from Enrollments — the true base dependency.
             specs.push(DepSpec::table("Enrollments"));
         }
         Ok(DepSpec::merge(specs))
@@ -578,11 +562,6 @@ impl Recommender {
     /// execution (result count, exclude-taken). Two option sets that lower
     /// to the same plan share one entry.
     fn course_cache_key(&self, student: StudentId, opts: &RecOptions) -> RelResult<String> {
-        if opts.basis == SimilarityBasis::Grades && !self.db.catalog().has_table("GradePoints") {
-            // The grade workflow's plan scans GradePoints; materialize it
-            // before lowering. Refreshes happen on cache misses below.
-            self.ensure_grade_points()?;
-        }
         let wf = self.course_workflow(student, opts);
         let fp = compile(&wf, &self.db.catalog())?.fingerprint();
         Ok(format!(
@@ -596,9 +575,6 @@ impl Recommender {
         student: StudentId,
         opts: &RecOptions,
     ) -> RelResult<Vec<CourseRec>> {
-        if opts.basis == SimilarityBasis::Grades {
-            self.ensure_grade_points()?;
-        }
         // CoursesTaken is served by `recommend_courses_ct` and never
         // reaches here.
         let wf = self.course_workflow(student, opts);
@@ -941,6 +917,48 @@ mod tests {
         // Refreshing is idempotent.
         let n2 = r.ensure_grade_points().unwrap();
         assert_eq!(n, n2);
+        // The enrollment write path keeps the relation equal to a
+        // rebuild: graded taken courses land in it (the first grade per
+        // course wins), planned and ungraded ones do not.
+        let grade_points = || {
+            db.catalog()
+                .with_table("GradePoints", |t| t.all_rows())
+                .unwrap()
+        };
+        let enroll = |course, year, grade, status| {
+            db.insert_enrollment(&crate::db::Enrollment {
+                student: 4,
+                course,
+                quarter: Quarter::new(year, Term::Winter),
+                grade,
+                status,
+            })
+            .unwrap();
+        };
+        enroll(102, 2031, Some(crate::model::Grade::B), EnrollStatus::Taken);
+        enroll(102, 2032, Some(crate::model::Grade::A), EnrollStatus::Taken);
+        enroll(
+            103,
+            2031,
+            Some(crate::model::Grade::A),
+            EnrollStatus::Planned,
+        );
+        enroll(202, 2031, None, EnrollStatus::Taken);
+        // A rejected enrollment (same course and term as the ungraded
+        // one) takes its points back out.
+        let rejected = db.insert_enrollment(&crate::db::Enrollment {
+            student: 4,
+            course: 202,
+            quarter: Quarter::new(2031, Term::Winter),
+            grade: Some(crate::model::Grade::A),
+            status: EnrollStatus::Taken,
+        });
+        assert!(rejected.is_err());
+        let maintained = grade_points();
+        assert_eq!(maintained.len(), n + 1);
+        assert!(maintained.contains(&cr_relation::row::row![4i64, 102i64, 3.0]));
+        assert_eq!(r.ensure_grade_points().unwrap(), n + 1);
+        assert_eq!(grade_points(), maintained);
         let opts = RecOptions {
             basis: SimilarityBasis::Grades,
             min_common: 1,

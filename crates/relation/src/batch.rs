@@ -61,6 +61,15 @@ impl Column {
         b.finish()
     }
 
+    /// A column over plain values, NULLs inline (what nested rec data
+    /// and mixed-type columns use).
+    pub fn from_generic(values: Vec<Value>) -> Column {
+        Column {
+            data: ColumnData::Generic(values),
+            validity: None,
+        }
+    }
+
     pub fn len(&self) -> usize {
         match &self.data {
             ColumnData::Int(v) => v.len(),
@@ -408,6 +417,11 @@ impl Batch {
         self.columns.len()
     }
 
+    /// Slots in every column (live rows plus unselected ones).
+    pub fn base_rows(&self) -> usize {
+        self.base_rows
+    }
+
     pub fn columns(&self) -> &[Arc<Column>] {
         &self.columns
     }
@@ -462,23 +476,6 @@ impl Batch {
         match &self.sel {
             Some(s) => s[j] as usize,
             None => j,
-        }
-    }
-
-    /// Materialize the live rows densely: drops the selection vector and
-    /// copies survivors so every column is contiguous again. No-op when
-    /// there is no selection.
-    pub fn compact(self) -> Batch {
-        let Some(sel) = self.sel else { return self };
-        let columns = self
-            .columns
-            .iter()
-            .map(|c| Arc::new(c.gather(&sel)))
-            .collect();
-        Batch {
-            columns,
-            sel: None,
-            base_rows: sel.len(),
         }
     }
 
@@ -817,12 +814,8 @@ mod tests {
         assert_eq!(b.len(), 2);
         assert_eq!(b.value(0, 0), Value::Int(2));
         assert_eq!(b.value(0, 1), Value::Int(6));
-        let dense = b.compact();
-        assert!(!dense.has_selection());
-        assert_eq!(
-            dense.to_rows(),
-            vec![vec![Value::Int(2)], vec![Value::Int(6)]]
-        );
+        assert!(b.has_selection());
+        assert_eq!(b.to_rows(), vec![vec![Value::Int(2)], vec![Value::Int(6)]]);
     }
 
     #[test]

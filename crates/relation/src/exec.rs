@@ -13,7 +13,10 @@
 //!   scan→filter→project chain is one fused pass with no per-row
 //!   dispatch. Joins build/probe over column views, aggregation feeds
 //!   column slices into the shared [`AggState`] machinery, sort and limit
-//!   permute/truncate the selection vector.
+//!   permute/truncate the selection vector. `Extend` probes the related
+//!   table's version-keyed nest image ([`Table::nested`]) when its
+//!   related side is a bare projected scan, and `Recommend` scores off
+//!   the columns, gathering only the rows it returns.
 //!
 //! * [`run`] — the **row executor** (`batch_size == 0`): the original
 //!   serial pipeline of `Vec<Row>` operators, kept as the differential
@@ -42,6 +45,7 @@ use crate::batch::{Batch, Column as BatchColumn, ColumnBuilder, EvalCol};
 use crate::catalog::Catalog;
 use crate::error::{RelError, RelResult};
 use crate::expr::{BinOp, Expr};
+use crate::nest::{build_nest_map_core, NestMap};
 use crate::plan::{AggExpr, AggFn, JoinKind, LogicalPlan, RecAggPlan, RecMethod, RecSpec, SortKey};
 use crate::profile::OpProfile;
 use crate::row::Row;
@@ -61,6 +65,10 @@ struct RelMetrics {
     scan_pk: Arc<cr_obs::Counter>,
     scan_index_eq: Arc<cr_obs::Counter>,
     scan_index_range: Arc<cr_obs::Counter>,
+    /// Extend nest maps built (from a related batch or as a fresh
+    /// [`Table::nested`] image) vs. served from a table's cached image.
+    nest_builds: Arc<cr_obs::Counter>,
+    nest_hits: Arc<cr_obs::Counter>,
     // Per-operator-kind latency histograms (`relation.op.<kind>_ns`),
     // pre-resolved so the profiled executor never takes the registry
     // lock per node — it already measured the elapsed time, recording
@@ -109,6 +117,8 @@ fn metrics() -> &'static RelMetrics {
             scan_pk: r.counter("relation.scan.pk_lookup"),
             scan_index_eq: r.counter("relation.scan.index_eq"),
             scan_index_range: r.counter("relation.scan.index_range"),
+            nest_builds: r.counter("relation.nest.builds"),
+            nest_hits: r.counter("relation.nest.hits"),
             op_scan_ns: r.histogram("relation.op.scan_ns"),
             op_filter_ns: r.histogram("relation.op.filter_ns"),
             op_project_ns: r.histogram("relation.op.project_ns"),
@@ -428,15 +438,18 @@ fn scan_label(
     path: &AccessPath,
     filter: &Option<Expr>,
 ) -> OpLabel {
-    let op = match alias {
-        Some(a) if a != table => format!("Scan {table} AS {a}"),
-        _ => format!("Scan {table}"),
-    };
     let mut detail = vec![format!("access={path}")];
     if let Some(f) = filter {
         detail.push(format!("filter={f}"));
     }
-    (op, detail)
+    (scan_op(table, alias), detail)
+}
+
+fn scan_op(table: &str, alias: &Option<String>) -> String {
+    match alias {
+        Some(a) if a != table => format!("Scan {table} AS {a}"),
+        _ => format!("Scan {table}"),
+    }
 }
 
 fn join_label(kind: JoinKind, info: &JoinInfo) -> OpLabel {
@@ -450,15 +463,19 @@ fn join_label(kind: JoinKind, info: &JoinInfo) -> OpLabel {
     }
 }
 
-fn aggregate_label(group_by: &[Expr], aggs: &[AggExpr]) -> OpLabel {
-    let detail = vec![
-        format!("group_by={}", group_by.len()),
-        format!("aggs={}", aggs.len()),
-    ];
-    ("Aggregate".to_owned(), detail)
+/// Label for an operator EXPLAIN ANALYZE names as the plan does.
+fn plan_label(plan: &LogicalPlan, detail: Vec<String>) -> OpLabel {
+    (plan.op_name().to_owned(), detail)
 }
 
-fn limit_label(limit: Option<usize>, offset: usize) -> OpLabel {
+fn aggregate_detail(group_by: &[Expr], aggs: &[AggExpr]) -> Vec<String> {
+    vec![
+        format!("group_by={}", group_by.len()),
+        format!("aggs={}", aggs.len()),
+    ]
+}
+
+fn limit_detail(limit: Option<usize>, offset: usize) -> Vec<String> {
     let mut detail = Vec::new();
     if let Some(n) = limit {
         detail.push(format!("limit={n}"));
@@ -466,19 +483,18 @@ fn limit_label(limit: Option<usize>, offset: usize) -> OpLabel {
     if offset > 0 {
         detail.push(format!("offset={offset}"));
     }
-    ("Limit".to_owned(), detail)
+    detail
 }
 
-fn extend_label(rating: bool, key_col: usize, as_name: &str) -> OpLabel {
-    let detail = vec![
+fn extend_detail(rating: bool, key_col: usize, as_name: &str) -> Vec<String> {
+    vec![
         format!("kind={}", if rating { "ratings" } else { "set" }),
         format!("key=#{key_col}"),
         format!("as={as_name}"),
-    ];
-    ("Extend".to_owned(), detail)
+    ]
 }
 
-fn recommend_label(spec: &RecSpec) -> OpLabel {
+fn recommend_detail(spec: &RecSpec) -> Vec<String> {
     let mut detail = vec![
         format!("method={}", spec.method.name()),
         format!("agg={}", spec.agg),
@@ -489,7 +505,7 @@ fn recommend_label(spec: &RecSpec) -> OpLabel {
     if spec.exclude_seen.is_some() {
         detail.push("exclude_seen".to_owned());
     }
-    ("Recommend".to_owned(), detail)
+    detail
 }
 
 /// The row-at-a-time walker (the differential oracle). Returns `Cow` so
@@ -515,14 +531,14 @@ fn run<'p, P: Profile>(plan: &'p LogicalPlan, catalog: &Catalog) -> RelResult<(C
         LogicalPlan::Filter { input, predicate } => {
             let (rows, child) = run::<P>(input, catalog)?;
             let rows = filter_rows(rows.into_owned(), predicate)?;
-            let label = P::label(|| ("Filter".to_owned(), vec![format!("predicate={predicate}")]));
+            let label = P::label(|| plan_label(plan, vec![format!("predicate={predicate}")]));
             (Cow::Owned(rows), label, vec![child])
         }
 
         LogicalPlan::Project { input, exprs, .. } => {
             let (rows, child) = run::<P>(input, catalog)?;
             let rows = project_rows(rows.into_owned(), exprs)?;
-            let label = P::label(|| ("Project".to_owned(), vec![format!("exprs={}", exprs.len())]));
+            let label = P::label(|| plan_label(plan, vec![format!("exprs={}", exprs.len())]));
             (Cow::Owned(rows), label, vec![child])
         }
 
@@ -555,14 +571,14 @@ fn run<'p, P: Profile>(plan: &'p LogicalPlan, catalog: &Catalog) -> RelResult<(C
         } => {
             let (rows, child) = run::<P>(input, catalog)?;
             let out = aggregate_rows(&rows, group_by, aggs)?;
-            let label = P::label(|| aggregate_label(group_by, aggs));
+            let label = P::label(|| plan_label(plan, aggregate_detail(group_by, aggs)));
             (Cow::Owned(out), label, vec![child])
         }
 
         LogicalPlan::Sort { input, keys } => {
             let (rows, child) = run::<P>(input, catalog)?;
             let rows = sort_rows(rows.into_owned(), keys)?;
-            let label = P::label(|| ("Sort".to_owned(), vec![format!("keys={}", keys.len())]));
+            let label = P::label(|| plan_label(plan, vec![format!("keys={}", keys.len())]));
             (Cow::Owned(rows), label, vec![child])
         }
 
@@ -573,12 +589,12 @@ fn run<'p, P: Profile>(plan: &'p LogicalPlan, catalog: &Catalog) -> RelResult<(C
         } => {
             let (rows, child) = run::<P>(input, catalog)?;
             let rows = limit_rows(rows.into_owned(), *limit, *offset);
-            let label = P::label(|| limit_label(*limit, *offset));
+            let label = P::label(|| plan_label(plan, limit_detail(*limit, *offset)));
             (Cow::Owned(rows), label, vec![child])
         }
 
         LogicalPlan::Values { rows, .. } => {
-            let label = P::label(|| ("Values".to_owned(), Vec::new()));
+            let label = P::label(|| plan_label(plan, Vec::new()));
             (Cow::Borrowed(rows.as_slice()), label, Vec::new())
         }
 
@@ -590,7 +606,7 @@ fn run<'p, P: Profile>(plan: &'p LogicalPlan, catalog: &Catalog) -> RelResult<(C
                 Cow::Owned(mut r) => rows.append(&mut r),
                 Cow::Borrowed(r) => rows.extend_from_slice(r),
             }
-            let label = P::label(|| ("Union".to_owned(), Vec::new()));
+            let label = P::label(|| plan_label(plan, Vec::new()));
             (Cow::Owned(rows), label, vec![lchild, rchild])
         }
 
@@ -605,7 +621,7 @@ fn run<'p, P: Profile>(plan: &'p LogicalPlan, catalog: &Catalog) -> RelResult<(C
             let (input_rows, ichild) = run::<P>(input, catalog)?;
             let (related_rows, rchild) = run::<P>(related, catalog)?;
             let rows = extend_rows(input_rows.into_owned(), &related_rows, *key_col, *rating)?;
-            let label = P::label(|| extend_label(*rating, *key_col, as_name));
+            let label = P::label(|| plan_label(plan, extend_detail(*rating, *key_col, as_name)));
             (Cow::Owned(rows), label, vec![ichild, rchild])
         }
 
@@ -618,7 +634,7 @@ fn run<'p, P: Profile>(plan: &'p LogicalPlan, catalog: &Catalog) -> RelResult<(C
             let (target_rows, tchild) = run::<P>(target, catalog)?;
             let (comparator_rows, cchild) = run::<P>(comparator, catalog)?;
             let rows = recommend_rows(target_rows.into_owned(), &comparator_rows, spec)?;
-            let label = P::label(|| recommend_label(spec));
+            let label = P::label(|| plan_label(plan, recommend_detail(spec)));
             (Cow::Owned(rows), label, vec![tchild, cchild])
         }
     };
@@ -675,57 +691,9 @@ fn as_rec_scalar(v: &Value) -> Option<&Value> {
     }
 }
 
-/// Build the fk → nested-attribute map from an iterator of related-side
-/// triples `(fk, key, rating)` — `rating` is `None` in Set mode. The
-/// shared core of the row and batched Extend implementations: related
-/// entries are consumed in input order, so the float accumulation order of
-/// duplicate-key rating averages is deterministic on both paths; set
-/// elements are sorted and deduplicated, ratings sorted by key.
-fn build_nest_map_core(
-    related: impl Iterator<Item = (Value, Value, Option<Value>)>,
-    rating: bool,
-) -> RelResult<HashMap<Value, Value>> {
-    let mut map: HashMap<Value, Value> = HashMap::new();
-    if rating {
-        let mut acc: HashMap<Value, HashMap<Value, (f64, usize)>> = HashMap::new();
-        for (fk, key, rv) in related {
-            let rv = rv.unwrap_or(Value::Null);
-            if fk.is_null() || rv.is_null() {
-                continue;
-            }
-            let r = rv.as_float()?;
-            let e = acc.entry(fk).or_default().entry(key).or_insert((0.0, 0));
-            e.0 += r;
-            e.1 += 1;
-        }
-        for (fk, per_key) in acc {
-            let mut v: Vec<(Value, f64)> = per_key
-                .into_iter()
-                .map(|(k, (sum, n))| (k, sum / n as f64))
-                .collect();
-            v.sort_by(|a, b| a.0.total_cmp(&b.0));
-            map.insert(fk, Value::Ratings(v));
-        }
-    } else {
-        let mut acc: HashMap<Value, Vec<Value>> = HashMap::new();
-        for (fk, key, _) in related {
-            if fk.is_null() {
-                continue;
-            }
-            acc.entry(fk).or_default().push(key);
-        }
-        for (fk, mut v) in acc {
-            v.sort();
-            v.dedup();
-            map.insert(fk, Value::Set(v));
-        }
-    }
-    Ok(map)
-}
-
 /// [`build_nest_map_core`] over materialized rows (`[fk, key]` for Set,
 /// `[fk, key, rating]` for Ratings).
-fn build_nest_map(related_rows: &[Row], rating: bool) -> RelResult<HashMap<Value, Value>> {
+fn build_nest_map(related_rows: &[Row], rating: bool) -> RelResult<NestMap> {
     build_nest_map_core(
         related_rows.iter().map(|row| {
             (
@@ -738,26 +706,15 @@ fn build_nest_map(related_rows: &[Row], rating: bool) -> RelResult<HashMap<Value
     )
 }
 
-/// Append the nested attribute to each input row by probing the nest map.
-fn extend_probe(
-    rows: Vec<Row>,
-    key_col: usize,
-    rating: bool,
-    map: &HashMap<Value, Value>,
-) -> RelResult<Vec<Row>> {
-    let mut out = Vec::with_capacity(rows.len());
-    for mut row in rows {
-        let key = as_rec_scalar(&row[key_col])
-            .ok_or_else(|| RelError::Invalid("extend key not scalar".into()))?;
-        let nested = match map.get(key) {
-            Some(v) => v.clone(),
-            None if rating => Value::Ratings(Vec::new()),
-            None => Value::Set(Vec::new()),
-        };
-        row.push(nested);
-        out.push(row);
-    }
-    Ok(out)
+/// The nested attribute an extend key maps to (empty when unmatched).
+fn nest_probe(map: &NestMap, key: &Value, rating: bool) -> RelResult<Value> {
+    let key =
+        as_rec_scalar(key).ok_or_else(|| RelError::Invalid("extend key not scalar".into()))?;
+    Ok(match map.get(key) {
+        Some(v) => v.clone(),
+        None if rating => Value::Ratings(Vec::new()),
+        None => Value::Set(Vec::new()),
+    })
 }
 
 fn extend_rows(
@@ -767,11 +724,116 @@ fn extend_rows(
     rating: bool,
 ) -> RelResult<Vec<Row>> {
     let map = build_nest_map(related_rows, rating)?;
-    extend_probe(input_rows, key_col, rating, &map)
+    let mut out = Vec::with_capacity(input_rows.len());
+    for mut row in input_rows {
+        let nested = nest_probe(&map, &row[key_col], rating)?;
+        row.push(nested);
+        out.push(row);
+    }
+    Ok(out)
 }
 
-/// Precomputed per-run state for the recommend operator: the exclusion
-/// key set and (for `RatingLookup`) one key → rating map per comparator.
+/// One target's scores against the comparators, accumulated in
+/// comparator order. Both executors fold through this, so a target's
+/// final score is the same float on either path.
+#[derive(Debug, Clone, Copy)]
+struct ScoreAcc {
+    sum: f64,
+    weight: f64,
+    n: usize,
+    max: f64,
+}
+
+impl ScoreAcc {
+    const EMPTY: ScoreAcc = ScoreAcc {
+        sum: 0.0,
+        weight: 0.0,
+        n: 0,
+        max: f64::NEG_INFINITY,
+    };
+
+    fn add(&mut self, score: f64, weight: f64) {
+        self.sum += score * weight;
+        self.weight += weight;
+        self.n += 1;
+        self.max = self.max.max(score);
+    }
+
+    /// The aggregate score; `None` when no comparator matched or the
+    /// score is ≤ 0.
+    fn finish(&self, agg: &RecAggPlan) -> Option<f64> {
+        if self.n == 0 {
+            return None;
+        }
+        let score = match agg {
+            RecAggPlan::Avg => self.sum / self.n as f64,
+            RecAggPlan::Sum => self.sum,
+            RecAggPlan::Max => self.max,
+            RecAggPlan::WeightedAvg { .. } => {
+                if self.weight <= 0.0 {
+                    return None;
+                }
+                self.sum / self.weight
+            }
+        };
+        if score <= 0.0 {
+            return None;
+        }
+        Some(score)
+    }
+}
+
+/// A comparator's weight under `WeightedAvg` (its upstream score cell).
+fn rec_weight(cell: &Value) -> f64 {
+    match as_rec_scalar(cell) {
+        Some(Value::Float(f)) => *f,
+        Some(Value::Int(n)) => *n as f64,
+        _ => 0.0,
+    }
+}
+
+/// Library similarity of one target cell to one comparator cell; `None`
+/// when a cell has the wrong shape for the method. `RatingLookup` is not
+/// a pairwise similarity — each executor resolves it through its own
+/// lookup structure.
+fn pair_score(method: &RecMethod, t: &Value, c: &Value) -> Option<f64> {
+    match method {
+        RecMethod::Text(sim) => match (as_rec_scalar(t), as_rec_scalar(c)) {
+            (Some(Value::Text(a)), Some(Value::Text(b))) => Some(sim.score(a, b)),
+            _ => None,
+        },
+        RecMethod::Set(sim) => match (t.as_set(), c.as_set()) {
+            (Some(a), Some(b)) => Some(sim.score(a, b)),
+            _ => None,
+        },
+        RecMethod::Ratings { sim, min_common } => match (t.as_ratings(), c.as_ratings()) {
+            (Some(a), Some(b)) => Some(sim.score(a, b, *min_common)),
+            _ => None,
+        },
+        RecMethod::RatingLookup => None,
+    }
+}
+
+/// Add the keys a nested cell carries to the `exclude_seen` set.
+fn extend_seen<'a>(seen: &mut HashSet<&'a Value>, cell: &'a Value) {
+    match cell {
+        Value::Set(items) => seen.extend(items.iter()),
+        Value::Ratings(r) => seen.extend(r.iter().map(|(k, _)| k)),
+        _ => {}
+    }
+}
+
+/// One comparator's key → rating map (`RatingLookup`); a duplicated key
+/// keeps its last rating.
+fn rating_lookup(cell: &Value) -> HashMap<&Value, f64> {
+    cell.as_ratings()
+        .map(|r| r.iter().map(|(k, v)| (k, *v)).collect())
+        .unwrap_or_default()
+}
+
+/// Precomputed per-run state for the row recommend operator: the
+/// exclusion key set and (for `RatingLookup`) one key → rating map per
+/// comparator.
 struct RecContext<'a> {
     seen: HashSet<&'a Value>,
     lookup: Vec<HashMap<&'a Value, f64>>,
@@ -781,22 +843,13 @@ fn build_rec_context<'a>(comparator_rows: &'a [Row], spec: &RecSpec) -> RecConte
     let mut seen: HashSet<&Value> = HashSet::new();
     if let Some((_, c_idx)) = spec.exclude_seen {
         for c in comparator_rows {
-            match &c[c_idx] {
-                Value::Set(items) => seen.extend(items.iter()),
-                Value::Ratings(r) => seen.extend(r.iter().map(|(k, _)| k)),
-                _ => {}
-            }
+            extend_seen(&mut seen, &c[c_idx]);
         }
     }
     let lookup = if matches!(spec.method, RecMethod::RatingLookup) {
         comparator_rows
             .iter()
-            .map(|c| {
-                c[spec.comparator_col]
-                    .as_ratings()
-                    .map(|r| r.iter().map(|(k, v)| (k, *v)).collect())
-                    .unwrap_or_default()
-            })
+            .map(|c| rating_lookup(&c[spec.comparator_col]))
             .collect()
     } else {
         Vec::new()
@@ -819,89 +872,53 @@ fn score_target(
             }
         }
     }
-    let mut acc_sum = 0.0;
-    let mut acc_weight = 0.0;
-    let mut acc_n = 0usize;
-    let mut acc_max = f64::NEG_INFINITY;
+    let mut acc = ScoreAcc::EMPTY;
     for (i, c) in comparator_rows.iter().enumerate() {
-        let score: Option<f64> = match &spec.method {
-            RecMethod::Text(sim) => match (
-                as_rec_scalar(&t[spec.target_col]),
-                as_rec_scalar(&c[spec.comparator_col]),
-            ) {
-                (Some(Value::Text(a)), Some(Value::Text(b))) => Some(sim.score(a, b)),
-                _ => None,
-            },
-            RecMethod::Set(sim) => {
-                match (t[spec.target_col].as_set(), c[spec.comparator_col].as_set()) {
-                    (Some(a), Some(b)) => Some(sim.score(a, b)),
-                    _ => None,
-                }
-            }
-            RecMethod::Ratings { sim, min_common } => match (
-                t[spec.target_col].as_ratings(),
-                c[spec.comparator_col].as_ratings(),
-            ) {
-                (Some(a), Some(b)) => Some(sim.score(a, b, *min_common)),
-                _ => None,
-            },
+        let score = match &spec.method {
             RecMethod::RatingLookup => {
                 as_rec_scalar(&t[spec.target_col]).and_then(|key| ctx.lookup[i].get(key).copied())
             }
-        };
-        let weight = match spec.agg {
-            RecAggPlan::WeightedAvg { weight_col } => match as_rec_scalar(&c[weight_col]) {
-                Some(Value::Float(f)) => *f,
-                Some(Value::Int(n)) => *n as f64,
-                _ => 0.0,
-            },
-            _ => 1.0,
+            method => pair_score(method, &t[spec.target_col], &c[spec.comparator_col]),
         };
         if let Some(s) = score {
-            acc_sum += s * weight;
-            acc_weight += weight;
-            acc_n += 1;
-            acc_max = acc_max.max(s);
+            let weight = match spec.agg {
+                RecAggPlan::WeightedAvg { weight_col } => rec_weight(&c[weight_col]),
+                _ => 1.0,
+            };
+            acc.add(s, weight);
         }
     }
-    if acc_n == 0 {
-        return None;
-    }
-    let final_score = match spec.agg {
-        RecAggPlan::Avg => acc_sum / acc_n as f64,
-        RecAggPlan::Sum => acc_sum,
-        RecAggPlan::Max => acc_max,
-        RecAggPlan::WeightedAvg { .. } => {
-            if acc_weight <= 0.0 {
-                return None;
-            }
-            acc_sum / acc_weight
-        }
-    };
-    if final_score <= 0.0 {
-        return None;
-    }
+    let final_score = acc.finish(&spec.agg)?;
     t.push(Value::float(final_score));
     Some((final_score, t))
 }
 
-/// Sort scored targets by score descending (stable; ties broken by the
-/// first column when scalar) and apply top-k.
-fn finish_recommend(mut scored: Vec<(f64, Row)>, spec: &RecSpec) -> Vec<Row> {
+/// Order of two scored targets: score descending, ties broken by the
+/// first column when both are scalar (`first_cols`, consulted only on a
+/// tie). Callers sort stably, so input order settles what remains.
+fn rec_order<'a>(
+    (a, b): (f64, f64),
+    first_cols: impl FnOnce() -> (Option<Cow<'a, Value>>, Option<Cow<'a, Value>>),
+) -> std::cmp::Ordering {
     use std::cmp::Ordering;
-    scored.sort_by(|a, b| {
-        b.0.partial_cmp(&a.0)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| {
-                match (
-                    a.1.first().and_then(as_rec_scalar),
-                    b.1.first().and_then(as_rec_scalar),
-                ) {
-                    (Some(x), Some(y)) => x.total_cmp(y),
-                    _ => Ordering::Equal,
-                }
-            })
-    });
+    b.partial_cmp(&a).unwrap_or(Ordering::Equal).then_with(|| {
+        let (x, y) = first_cols();
+        match (
+            x.as_deref().and_then(as_rec_scalar),
+            y.as_deref().and_then(as_rec_scalar),
+        ) {
+            (Some(x), Some(y)) => x.total_cmp(y),
+            _ => Ordering::Equal,
+        }
+    })
+}
+
+/// Sort scored targets ([`rec_order`]) and apply top-k.
+fn finish_recommend(mut scored: Vec<(f64, Row)>, spec: &RecSpec) -> Vec<Row> {
+    fn first(row: &Row) -> Option<Cow<'_, Value>> {
+        row.first().map(Cow::Borrowed)
+    }
+    scored.sort_by(|a, b| rec_order((a.0, b.0), || (first(&a.1), first(&b.1))));
     if let Some(k) = spec.k {
         scored.truncate(k);
     }
@@ -1846,51 +1863,191 @@ fn union_batched(left: &Batch, right: &Batch) -> Batch {
     Batch::new(cols, n)
 }
 
-/// Batched Extend: the nest map builds straight from the related batch's
-/// columns (shared [`build_nest_map_core`]), the probe appends one nested
-/// column to the compacted input.
-fn extend_batched(input: Batch, related: &Batch, key_col: usize, rating: bool) -> RelResult<Batch> {
-    let map = build_nest_map_core(
+/// The Extend nest map built straight from a related batch's columns
+/// (`[fk, key(, rating)]`) — the general path, for a related side that
+/// is more than a bare projected scan.
+fn nest_from_batch(related: &Batch, rating: bool) -> RelResult<NestMap> {
+    build_nest_map_core(
         (0..related.len()).map(|j| {
             (
                 related.value(0, j),
                 related.value(1, j),
-                if rating {
-                    Some(related.value(2, j))
-                } else {
-                    None
-                },
+                rating.then(|| related.value(2, j)),
             )
         }),
         rating,
-    )?;
-    let input = input.compact();
-    let n = input.len();
-    let mut b = ColumnBuilder::with_capacity(n);
-    for j in 0..n {
-        let keyv = input.value(key_col, j);
-        let key = as_rec_scalar(&keyv)
-            .ok_or_else(|| RelError::Invalid("extend key not scalar".into()))?;
-        let nested = match map.get(key) {
-            Some(v) => v.clone(),
-            None if rating => Value::Ratings(Vec::new()),
-            None => Value::Set(Vec::new()),
-        };
-        b.push(nested);
-    }
-    let mut cols = input.columns().to_vec();
-    cols.push(Arc::new(b.finish()));
-    Ok(Batch::new(cols, n))
+    )
 }
 
-/// Batched Recommend. Scoring is O(targets × comparators) over nested
-/// Set/Ratings values — compute-bound, not dispatch-bound — so both sides
-/// materialize once and the scoring core runs unchanged (shared with the
-/// oracle by construction).
-fn recommend_batched(target: &Batch, comparator: &Batch, spec: &RecSpec) -> RelResult<Batch> {
-    let width = target.width() + 1;
-    let rows = recommend_rows(target.to_rows(), &comparator.to_rows(), spec)?;
-    Ok(Batch::from_rows(&rows, width))
+/// Batched Extend probe: append one nested column. The input keeps its
+/// selection vector — no input column is copied, unselected slots of the
+/// new column stay NULL.
+fn extend_batched(input: Batch, nest: &NestMap, key_col: usize, rating: bool) -> RelResult<Batch> {
+    let keys = input.column(key_col);
+    let mut nested = vec![Value::Null; input.base_rows()];
+    for j in 0..input.len() {
+        let base = input.base_index(j);
+        nested[base] = nest_probe(nest, &cell(keys, base), rating)?;
+    }
+    let mut cols = input.columns().to_vec();
+    cols.push(Arc::new(BatchColumn::from_generic(nested)));
+    Ok(input.with_columns(cols))
+}
+
+/// Borrow a column cell where the storage holds `Value`s (nested rec
+/// data always does), reconstruct it otherwise.
+fn cell(col: &BatchColumn, i: usize) -> Cow<'_, Value> {
+    col.value_ref(i)
+        .map_or_else(|| Cow::Owned(col.value(i)), Cow::Borrowed)
+}
+
+/// Batched Recommend: scores straight off the columns and materializes
+/// only the rows it returns. Per target the comparators fold in input
+/// order through the row path's [`ScoreAcc`]/[`pair_score`], and the
+/// ranking is the row path's [`rec_order`], so the result is the row
+/// executor's bit for bit.
+fn recommend_batched(target: &Batch, comparator: &Batch, spec: &RecSpec) -> Batch {
+    let col_cells = |c: usize| -> Vec<Cow<'_, Value>> {
+        let col = comparator.column(c);
+        (0..comparator.len())
+            .map(|i| cell(col, comparator.base_index(i)))
+            .collect()
+    };
+    let ccells = col_cells(spec.comparator_col);
+    // Every similarity of an empty (or non-nested) comparator cell is 0
+    // or undefined, and a target that only scores 0 is dropped.
+    let nothing_to_match = |c: &Cow<'_, Value>| match c.as_ref() {
+        Value::Set(items) => items.is_empty(),
+        Value::Ratings(r) => r.is_empty(),
+        _ => true,
+    };
+    if !matches!(spec.method, RecMethod::Text(_)) && ccells.iter().all(nothing_to_match) {
+        return Batch::empty(target.width() + 1);
+    }
+    let weights: Vec<f64> = match spec.agg {
+        RecAggPlan::WeightedAvg { weight_col } => col_cells(weight_col)
+            .iter()
+            .map(|w| rec_weight(w))
+            .collect(),
+        _ => vec![1.0; ccells.len()],
+    };
+    let seen_cells = spec.exclude_seen.map(|(_, c_idx)| col_cells(c_idx));
+    let mut seen: HashSet<&Value> = HashSet::new();
+    for c in seen_cells.iter().flatten() {
+        extend_seen(&mut seen, c);
+    }
+    // RatingLookup: fold every comparator's ratings into one accumulator
+    // per key, comparator by comparator — a key's accumulator sees the
+    // scores a per-target walk over the comparators would hand it, in the
+    // same order — then each target is a single probe.
+    let mut per_key: HashMap<&Value, ScoreAcc> = HashMap::new();
+    if matches!(spec.method, RecMethod::RatingLookup) {
+        for (c, &w) in ccells.iter().zip(&weights) {
+            for (key, rating) in rating_lookup(c) {
+                per_key.entry(key).or_insert(ScoreAcc::EMPTY).add(rating, w);
+            }
+        }
+    }
+
+    let tcol = target.column(spec.target_col);
+    // (score, live row) of every target that scored.
+    let mut scored: Vec<(f64, u32)> = Vec::new();
+    for j in 0..target.len() {
+        let base = target.base_index(j);
+        if let Some((t_idx, _)) = spec.exclude_seen {
+            let v = cell(target.column(t_idx), base);
+            if as_rec_scalar(&v).is_some_and(|v| seen.contains(v)) {
+                continue;
+            }
+        }
+        let t = cell(tcol, base);
+        let acc = match &spec.method {
+            RecMethod::RatingLookup => as_rec_scalar(&t)
+                .and_then(|key| per_key.get(key).copied())
+                .unwrap_or(ScoreAcc::EMPTY),
+            method => {
+                let mut acc = ScoreAcc::EMPTY;
+                for (c, &w) in ccells.iter().zip(&weights) {
+                    if let Some(s) = pair_score(method, &t, c) {
+                        acc.add(s, w);
+                    }
+                }
+                acc
+            }
+        };
+        if let Some(score) = acc.finish(&spec.agg) {
+            scored.push((score, j as u32));
+        }
+    }
+
+    // The row path's stable sort, spelled as a total order (input order
+    // last) so the top k can be selected before anything is sorted.
+    let first = |j: u32| {
+        let col = target.columns().first()?;
+        Some(cell(col, target.base_index(j as usize)))
+    };
+    let order = |a: &(f64, u32), b: &(f64, u32)| {
+        rec_order((a.0, b.0), || (first(a.1), first(b.1))).then(a.1.cmp(&b.1))
+    };
+    if let Some(k) = spec.k.filter(|&k| k < scored.len()) {
+        if k > 0 {
+            scored.select_nth_unstable_by(k, order);
+        }
+        scored.truncate(k);
+    }
+    scored.sort_unstable_by(order);
+    let idx: Vec<u32> = scored
+        .iter()
+        .map(|&(_, j)| target.base_index(j as usize) as u32)
+        .collect();
+    let mut cols: Vec<Arc<BatchColumn>> = target
+        .columns()
+        .iter()
+        .map(|c| Arc::new(c.gather(&idx)))
+        .collect();
+    let mut scores = ColumnBuilder::with_capacity(scored.len());
+    for &(score, _) in &scored {
+        scores.push(Value::float(score));
+    }
+    cols.push(Arc::new(scores.finish()));
+    Batch::new(cols, scored.len())
+}
+
+/// Extend's physical choice, like SeqScan vs. index access for a scan:
+/// when `related` is a bare projected scan — `[fk, key(, rating)]`, no
+/// filter, what every workflow template lowers to — the nest map is the
+/// table's version-keyed image ([`Table::nested`]) instead of a rebuild
+/// from the scanned rows; the flag says whether the image was cached.
+/// The scan still gets its profile node (one per plan node). `None` for
+/// any other related side: the caller builds from its batch.
+fn nest_image<P: Profile>(
+    related: &LogicalPlan,
+    rating: bool,
+    catalog: &Catalog,
+) -> Option<RelResult<(Arc<NestMap>, bool, P)>> {
+    let LogicalPlan::Scan {
+        table,
+        alias,
+        projection: Some(cols),
+        filter: None,
+        ..
+    } = related
+    else {
+        return None;
+    };
+    let (fk, key, rating_col) = match (cols.as_slice(), rating) {
+        (&[fk, key], false) => (fk, key, None),
+        (&[fk, key, r], true) => (fk, key, Some(r)),
+        _ => return None,
+    };
+    let served = catalog.with_table(table, |t| {
+        let open = P::open("op");
+        let label = P::label(|| (scan_op(table, alias), vec!["access=NestImage".to_owned()]));
+        let scan = P::close(open, label, related, t.len(), Vec::new());
+        let (nest, cached) = t.nested(fk, key, rating_col)?;
+        Ok((nest, cached, scan))
+    });
+    Some(served.and_then(|r| r))
 }
 
 /// The vectorized walker (the default execution path). Labels keep the
@@ -1930,7 +2087,7 @@ fn run_batched<P: Profile>(
                     format!("batches={batches}"),
                     format!("selected={}", batch.len()),
                 ];
-                ("Filter".to_owned(), detail)
+                plan_label(plan, detail)
             });
             (batch, label, vec![child])
         }
@@ -1943,7 +2100,7 @@ fn run_batched<P: Profile>(
                     format!("exprs={}", exprs.len()),
                     format!("batches={batches}"),
                 ];
-                ("Project".to_owned(), detail)
+                plan_label(plan, detail)
             });
             (batch, label, vec![child])
         }
@@ -1971,14 +2128,14 @@ fn run_batched<P: Profile>(
             let (batch, child) = run_batched::<P>(input, catalog, batch_size)?;
             let rows = aggregate_batched(&batch, group_by, aggs)?;
             let out = Batch::from_rows(&rows, group_by.len() + aggs.len());
-            let label = P::label(|| aggregate_label(group_by, aggs));
+            let label = P::label(|| plan_label(plan, aggregate_detail(group_by, aggs)));
             (out, label, vec![child])
         }
 
         LogicalPlan::Sort { input, keys } => {
             let (batch, child) = run_batched::<P>(input, catalog, batch_size)?;
             let batch = sort_batched(batch, keys)?;
-            let label = P::label(|| ("Sort".to_owned(), vec![format!("keys={}", keys.len())]));
+            let label = P::label(|| plan_label(plan, vec![format!("keys={}", keys.len())]));
             (batch, label, vec![child])
         }
 
@@ -1989,20 +2146,20 @@ fn run_batched<P: Profile>(
         } => {
             let (batch, child) = run_batched::<P>(input, catalog, batch_size)?;
             let batch = limit_batched(batch, *limit, *offset);
-            let label = P::label(|| limit_label(*limit, *offset));
+            let label = P::label(|| plan_label(plan, limit_detail(*limit, *offset)));
             (batch, label, vec![child])
         }
 
         LogicalPlan::Values { rows, .. } => {
             let batch = Batch::from_rows(rows, plan.schema().len());
-            let label = P::label(|| ("Values".to_owned(), Vec::new()));
+            let label = P::label(|| plan_label(plan, Vec::new()));
             (batch, label, Vec::new())
         }
 
         LogicalPlan::Union { left, right } => {
             let (l, lchild) = run_batched::<P>(left, catalog, batch_size)?;
             let (r, rchild) = run_batched::<P>(right, catalog, batch_size)?;
-            let label = P::label(|| ("Union".to_owned(), Vec::new()));
+            let label = P::label(|| plan_label(plan, Vec::new()));
             (union_batched(&l, &r), label, vec![lchild, rchild])
         }
 
@@ -2015,9 +2172,23 @@ fn run_batched<P: Profile>(
             ..
         } => {
             let (i, ichild) = run_batched::<P>(input, catalog, batch_size)?;
-            let (r, rchild) = run_batched::<P>(related, catalog, batch_size)?;
-            let batch = extend_batched(i, &r, *key_col, *rating)?;
-            let label = P::label(|| extend_label(*rating, *key_col, as_name));
+            let (nest, cached, rchild) = match nest_image::<P>(related, *rating, catalog) {
+                Some(served) => served?,
+                None => {
+                    let (r, rchild) = run_batched::<P>(related, catalog, batch_size)?;
+                    (Arc::new(nest_from_batch(&r, *rating)?), false, rchild)
+                }
+            };
+            if cr_obs::enabled() {
+                let m = metrics();
+                if cached { &m.nest_hits } else { &m.nest_builds }.inc();
+            }
+            let batch = extend_batched(i, &nest, *key_col, *rating)?;
+            let label = P::label(|| {
+                let mut detail = extend_detail(*rating, *key_col, as_name);
+                detail.push(format!("nest={}", if cached { "cached" } else { "built" }));
+                plan_label(plan, detail)
+            });
             (batch, label, vec![ichild, rchild])
         }
 
@@ -2029,8 +2200,8 @@ fn run_batched<P: Profile>(
         } => {
             let (t, tchild) = run_batched::<P>(target, catalog, batch_size)?;
             let (c, cchild) = run_batched::<P>(comparator, catalog, batch_size)?;
-            let batch = recommend_batched(&t, &c, spec)?;
-            let label = P::label(|| recommend_label(spec));
+            let batch = recommend_batched(&t, &c, spec);
+            let label = P::label(|| plan_label(plan, recommend_detail(spec)));
             (batch, label, vec![tchild, cchild])
         }
     };
@@ -2376,16 +2547,21 @@ mod tests {
         db
     }
 
+    /// ε(students) the way the workflow compiler lowers it: the related
+    /// side is a bare projected scan `[fk, key(, rating)]`.
     fn extend_students(db: &Database, rating: bool) -> crate::plan::LogicalPlan {
-        let cols: &[&str] = if rating {
-            &["sid", "course", "rating"]
-        } else {
-            &["sid", "course"]
-        };
-        let related = PlanBuilder::scan(&db.catalog(), "taken")
-            .unwrap()
-            .select_columns(cols)
-            .unwrap();
+        let taken = db.catalog().table_schema("taken").unwrap();
+        let cols: Vec<usize> = ["sid", "course", "rating"][..2 + usize::from(rating)]
+            .iter()
+            .map(|c| taken.index_of(c).unwrap())
+            .collect();
+        let related = PlanBuilder::from_plan(LogicalPlan::Scan {
+            table: "taken".into(),
+            alias: None,
+            schema: LogicalPlan::scan_output_schema(&taken, &Some(cols.clone())),
+            projection: Some(cols),
+            filter: None,
+        });
         PlanBuilder::scan(&db.catalog(), "students")
             .unwrap()
             .extend(related, "sid", rating, "courses")
@@ -2590,5 +2766,73 @@ mod tests {
             "detail: {:?}",
             ext.detail
         );
+        // One profile node per plan node: the related scan is still there,
+        // reported as served by the table's nest image...
+        assert_eq!(profile.operator_count(), plan.explain().lines().count());
+        assert_eq!(ext.children.len(), 2);
+        assert_eq!(ext.children[1].op, "Scan taken");
+        assert_eq!(ext.children[1].detail, ["access=NestImage"]);
+        // ...which the target-side Extend built and the comparator-side
+        // one (and any later run at this table version) found cached.
+        let nest_of = |p: &OpProfile| -> Vec<String> {
+            p.children[..2]
+                .iter()
+                .map(|e| e.detail.last().cloned().unwrap_or_default())
+                .collect()
+        };
+        assert_eq!(nest_of(rec), ["nest=built", "nest=cached"]);
+        let (_, again) = db.run_plan_instrumented(&plan).unwrap();
+        let rec = again.find("Recommend").expect("recommend profiled");
+        assert_eq!(nest_of(rec), ["nest=cached", "nest=cached"]);
+        assert!(again.render().contains("nest=cached"));
+    }
+
+    /// A related side that is more than a bare projected scan builds its
+    /// nest from the scanned batch — same rows out, never a cached image,
+    /// never a stale one after the related table changes.
+    #[test]
+    fn extend_general_path_and_invalidation() {
+        let db = nest_db();
+        let bare = extend_students(&db, true);
+        let filtered = {
+            let related = PlanBuilder::scan(&db.catalog(), "taken")
+                .unwrap()
+                .filter(Expr::col("tid").gt_eq(Expr::lit(0i64)))
+                .unwrap()
+                .select_columns(&["sid", "course", "rating"])
+                .unwrap();
+            PlanBuilder::scan(&db.catalog(), "students")
+                .unwrap()
+                .extend(related, "sid", true, "courses")
+                .unwrap()
+                .build()
+        };
+        let nest_detail = |plan: &LogicalPlan| {
+            let (rs, profile) = db.run_plan_instrumented(plan).unwrap();
+            let ext = profile.find("Extend").expect("extend profiled").clone();
+            let executed = crate::plan::optimizer::optimize(plan.clone());
+            assert_eq!(profile.operator_count(), executed.explain().lines().count());
+            (rs.rows, ext.detail.last().cloned().unwrap_or_default())
+        };
+        let (rows, first) = nest_detail(&bare);
+        assert_eq!(first, "nest=built");
+        assert_eq!(nest_detail(&bare), (rows.clone(), "nest=cached".to_owned()));
+        // The always-true filter changes the path, not the answer.
+        assert_eq!(
+            nest_detail(&filtered),
+            (rows.clone(), "nest=built".to_owned())
+        );
+        assert_eq!(nest_detail(&filtered).1, "nest=built");
+        // A write to the related table retires the image.
+        db.execute_sql("INSERT INTO taken VALUES (7, 3, 103, 1.0)")
+            .unwrap();
+        let (after, rebuilt) = nest_detail(&bare);
+        assert_eq!(rebuilt, "nest=built");
+        assert_eq!(after[2][2], Value::Ratings(vec![(Value::Int(103), 1.0)]));
+        assert_eq!(nest_detail(&filtered).0, after);
+        let oracle = db
+            .run_plan_with(&bare, &ExecOptions { batch_size: 0 })
+            .unwrap();
+        assert_eq!(oracle.rows, after);
     }
 }

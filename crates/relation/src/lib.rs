@@ -54,6 +54,7 @@ pub mod exec;
 pub mod expr;
 pub mod index;
 pub mod mutation;
+pub mod nest;
 pub mod plan;
 pub mod profile;
 pub mod provider;

@@ -1175,7 +1175,7 @@ pub fn check_disclosure(
         principal,
         k: catalog.flow_k(),
         diags: Vec::new(),
-        stack: vec![op_name(plan)],
+        stack: vec![plan.op_name()],
         restricted_reported: BTreeSet::new(),
     };
     let info = checker.flow(plan);
@@ -1280,22 +1280,6 @@ pub fn check_disclosure_sql(
     let report = Arc::new(check_disclosure(&plan, catalog, principal));
     catalog.store_flow_decision(key, gen, Arc::clone(&report));
     Some(report)
-}
-
-fn op_name(plan: &LogicalPlan) -> &'static str {
-    match plan {
-        LogicalPlan::Scan { .. } => "Scan",
-        LogicalPlan::Filter { .. } => "Filter",
-        LogicalPlan::Project { .. } => "Project",
-        LogicalPlan::Join { .. } => "Join",
-        LogicalPlan::Aggregate { .. } => "Aggregate",
-        LogicalPlan::Sort { .. } => "Sort",
-        LogicalPlan::Limit { .. } => "Limit",
-        LogicalPlan::Values { .. } => "Values",
-        LogicalPlan::Union { .. } => "Union",
-        LogicalPlan::Extend { .. } => "Extend",
-        LogicalPlan::Recommend { .. } => "Recommend",
-    }
 }
 
 #[cfg(test)]

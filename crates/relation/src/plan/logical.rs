@@ -178,6 +178,23 @@ impl LogicalPlan {
         }
     }
 
+    /// The operator's name as diagnostics and EXPLAIN ANALYZE spell it.
+    pub fn op_name(&self) -> &'static str {
+        match self {
+            LogicalPlan::Scan { .. } => "Scan",
+            LogicalPlan::Filter { .. } => "Filter",
+            LogicalPlan::Project { .. } => "Project",
+            LogicalPlan::Join { .. } => "Join",
+            LogicalPlan::Aggregate { .. } => "Aggregate",
+            LogicalPlan::Sort { .. } => "Sort",
+            LogicalPlan::Limit { .. } => "Limit",
+            LogicalPlan::Values { .. } => "Values",
+            LogicalPlan::Union { .. } => "Union",
+            LogicalPlan::Extend { .. } => "Extend",
+            LogicalPlan::Recommend { .. } => "Recommend",
+        }
+    }
+
     /// Effective scan schema after projection (helper used by exec).
     pub fn scan_output_schema(full: &Schema, projection: &Option<Vec<usize>>) -> Schema {
         match projection {

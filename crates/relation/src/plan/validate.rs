@@ -281,7 +281,7 @@ pub fn validate(plan: &LogicalPlan) -> ValidationReport {
         catalog: None,
         warn: false,
         diags: Vec::new(),
-        stack: vec![op_name(plan)],
+        stack: vec![plan.op_name()],
         scratch: Vec::new(),
     };
     c.visit(plan);
@@ -300,7 +300,7 @@ pub fn validate_against(plan: &LogicalPlan, catalog: &Catalog) -> ValidationRepo
         catalog: Some(catalog),
         warn: false,
         diags: Vec::new(),
-        stack: vec![op_name(plan)],
+        stack: vec![plan.op_name()],
         scratch: Vec::new(),
     };
     c.visit(plan);
@@ -319,36 +319,20 @@ pub fn analyze(plan: &LogicalPlan, catalog: Option<&Catalog>) -> ValidationRepor
         catalog,
         warn: true,
         diags: Vec::new(),
-        stack: vec![op_name(plan)],
+        stack: vec![plan.op_name()],
         scratch: Vec::new(),
     };
     c.visit(plan);
     // The unused-extend analysis needs top-down required-column sets, so it
     // runs as its own pass (only sensible on structurally valid plans).
     if !c.diags.iter().any(Diagnostic::is_error) {
-        observe(plan, None, &mut vec![op_name(plan)], &mut c.diags);
+        observe(plan, None, &mut vec![plan.op_name()], &mut c.diags);
     }
     let report = ValidationReport {
         diagnostics: c.diags,
     };
     record(&report);
     report
-}
-
-fn op_name(plan: &LogicalPlan) -> &'static str {
-    match plan {
-        LogicalPlan::Scan { .. } => "Scan",
-        LogicalPlan::Filter { .. } => "Filter",
-        LogicalPlan::Project { .. } => "Project",
-        LogicalPlan::Join { .. } => "Join",
-        LogicalPlan::Aggregate { .. } => "Aggregate",
-        LogicalPlan::Sort { .. } => "Sort",
-        LogicalPlan::Limit { .. } => "Limit",
-        LogicalPlan::Values { .. } => "Values",
-        LogicalPlan::Union { .. } => "Union",
-        LogicalPlan::Extend { .. } => "Extend",
-        LogicalPlan::Recommend { .. } => "Recommend",
-    }
 }
 
 fn is_nested(dt: DataType) -> bool {
@@ -388,7 +372,7 @@ impl Checker<'_> {
         if let Some(e) = edge {
             self.stack.push(e);
         }
-        self.stack.push(op_name(child));
+        self.stack.push(child.op_name());
         self.visit(child);
         self.stack.pop();
         if edge.is_some() {
@@ -1135,7 +1119,7 @@ fn observe_child(
     if let Some(e) = edge {
         stack.push(e);
     }
-    stack.push(op_name(child));
+    stack.push(child.op_name());
     observe(child, required, stack, diags);
     stack.pop();
     if edge.is_some() {

@@ -27,15 +27,101 @@ pub enum SetSim {
     Cosine,
 }
 
+/// Are the keys strictly ascending (sorted, no duplicates)? What the
+/// extend operator's nest guarantees, and what makes a merge walk see
+/// exactly the pairs a hash intersection would.
+fn strictly_ascending<T>(items: &[T], key: impl Fn(&T) -> &Value) -> bool {
+    items.windows(2).all(|w| key(&w[0]) < key(&w[1]))
+}
+
+/// Walk two strictly ascending key sequences in step, calling `hit` with
+/// the positions of every shared key, in `a` order.
+fn merge_common<A, B>(
+    a: &[A],
+    b: &[B],
+    key_a: impl Fn(&A) -> &Value,
+    key_b: impl Fn(&B) -> &Value,
+    mut hit: impl FnMut(usize, usize),
+) {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match key_a(&a[i]).cmp(key_b(&b[j])) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                hit(i, j);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+}
+
+/// `(|A∩B|, |A|, |B|)` over distinct elements, by hashing — for any
+/// input, including unsorted and duplicated ones.
+fn set_counts_hashed(a: &[Value], b: &[Value]) -> (usize, usize, usize) {
+    let sa: HashSet<&Value> = a.iter().collect();
+    let sb: HashSet<&Value> = b.iter().collect();
+    (sa.intersection(&sb).count(), sa.len(), sb.len())
+}
+
+/// [`set_counts_hashed`], by sorted merge when both inputs are strictly
+/// ascending: nothing is hashed or allocated per pair.
+fn set_counts(a: &[Value], b: &[Value]) -> (usize, usize, usize) {
+    if !(strictly_ascending(a, |v| v) && strictly_ascending(b, |v| v)) {
+        return set_counts_hashed(a, b);
+    }
+    let mut inter = 0;
+    merge_common(a, b, |v| v, |v| v, |_, _| inter += 1);
+    (inter, a.len(), b.len())
+}
+
+/// The ratings two vectors give their shared keys, paired up in `a`
+/// order, by hashing `b` (a duplicated `b` key keeps its last rating).
+fn common_ratings_hashed(a: &[(Value, f64)], b: &[(Value, f64)]) -> (Vec<f64>, Vec<f64>) {
+    let bm: std::collections::HashMap<&Value, f64> = b.iter().map(|(k, v)| (k, *v)).collect();
+    let (mut xs, mut ys) = (Vec::new(), Vec::new());
+    for (k, va) in a {
+        if let Some(vb) = bm.get(k) {
+            xs.push(*va);
+            ys.push(*vb);
+        }
+    }
+    (xs, ys)
+}
+
+/// [`common_ratings_hashed`], by sorted merge when both inputs are
+/// strictly ascending by key — same pairs in the same order, so every
+/// similarity over them is the same float.
+fn common_ratings(a: &[(Value, f64)], b: &[(Value, f64)]) -> (Vec<f64>, Vec<f64>) {
+    if !(strictly_ascending(a, |e| &e.0) && strictly_ascending(b, |e| &e.0)) {
+        return common_ratings_hashed(a, b);
+    }
+    let (mut xs, mut ys) = (Vec::new(), Vec::new());
+    merge_common(
+        a,
+        b,
+        |e| &e.0,
+        |e| &e.0,
+        |i, j| {
+            xs.push(a[i].1);
+            ys.push(b[j].1);
+        },
+    );
+    (xs, ys)
+}
+
 impl SetSim {
     pub fn score(&self, a: &[Value], b: &[Value]) -> f64 {
-        let sa: HashSet<&Value> = a.iter().collect();
-        let sb: HashSet<&Value> = b.iter().collect();
-        if sa.is_empty() && sb.is_empty() {
+        self.score_counts(set_counts(a, b))
+    }
+
+    /// The similarity from `(|A∩B|, |A|, |B|)`.
+    fn score_counts(&self, (inter, la, lb): (usize, usize, usize)) -> f64 {
+        if la == 0 && lb == 0 {
             return 0.0;
         }
-        let inter = sa.intersection(&sb).count() as f64;
-        let (la, lb) = (sa.len() as f64, sb.len() as f64);
+        let (inter, la, lb) = (inter as f64, la as f64, lb as f64);
         match self {
             SetSim::Jaccard => {
                 let union = la + lb - inter;
@@ -97,23 +183,18 @@ impl RatingsSim {
     /// `min_common`: below this many shared keys the similarity is 0
     /// (a single shared rating says nothing; CF folklore uses 2–5).
     pub fn score(&self, a: &[(Value, f64)], b: &[(Value, f64)], min_common: usize) -> f64 {
-        // Pair up common keys.
-        let bm: std::collections::HashMap<&Value, f64> = b.iter().map(|(k, v)| (k, *v)).collect();
-        let mut xs: Vec<f64> = Vec::new();
-        let mut ys: Vec<f64> = Vec::new();
-        for (k, va) in a {
-            if let Some(vb) = bm.get(k) {
-                xs.push(*va);
-                ys.push(*vb);
-            }
-        }
+        self.score_common(&common_ratings(a, b), min_common)
+    }
+
+    /// The similarity from the paired ratings of the shared keys.
+    fn score_common(&self, (xs, ys): &(Vec<f64>, Vec<f64>), min_common: usize) -> f64 {
         let n = xs.len();
         if n < min_common.max(1) {
             return 0.0;
         }
         match self {
             RatingsSim::InverseEuclidean => {
-                let d2: f64 = xs.iter().zip(&ys).map(|(x, y)| (x - y) * (x - y)).sum();
+                let d2: f64 = xs.iter().zip(ys).map(|(x, y)| (x - y) * (x - y)).sum();
                 1.0 / (1.0 + d2.sqrt())
             }
             RatingsSim::Pearson => {
@@ -123,7 +204,7 @@ impl RatingsSim {
                 let mut cov = 0.0;
                 let mut vx = 0.0;
                 let mut vy = 0.0;
-                for (x, y) in xs.iter().zip(&ys) {
+                for (x, y) in xs.iter().zip(ys) {
                     cov += (x - mx) * (y - my);
                     vx += (x - mx) * (x - mx);
                     vy += (y - my) * (y - my);
@@ -135,7 +216,7 @@ impl RatingsSim {
                 }
             }
             RatingsSim::Cosine => {
-                let dot: f64 = xs.iter().zip(&ys).map(|(x, y)| x * y).sum();
+                let dot: f64 = xs.iter().zip(ys).map(|(x, y)| x * y).sum();
                 let na: f64 = xs.iter().map(|x| x * x).sum::<f64>().sqrt();
                 let nb: f64 = ys.iter().map(|y| y * y).sum::<f64>().sqrt();
                 if na == 0.0 || nb == 0.0 {
@@ -414,6 +495,49 @@ mod tests {
             prop_assert!((0.0..=1.0).contains(&ie));
             let p = RatingsSim::Pearson.score(&ra, &rb, 1);
             prop_assert!((-1.0 - 1e9_f64.recip()..=1.0 + 1e9_f64.recip()).contains(&p));
+        }
+
+        /// The sorted-merge path is an optimization of the hash path, not
+        /// an approximation: on any input — unsorted, duplicated, empty,
+        /// or strictly ascending (which `score` serves by merge) — every
+        /// similarity is the hash path's float, bit for bit.
+        #[test]
+        fn merge_path_equals_hash_path(
+            a in proptest::collection::vec((0i64..12, 1.0f64..5.0), 0..12),
+            b in proptest::collection::vec((0i64..12, 1.0f64..5.0), 0..12),
+            ascending in any::<bool>(),
+        ) {
+            let nest = |v: &[(i64, f64)]| -> Vec<(Value, f64)> {
+                let mut r: Vec<(Value, f64)> = v.iter().map(|(k, x)| (Value::Int(*k), *x)).collect();
+                if ascending {
+                    // What the extend operator hands over.
+                    r.sort_by(|x, y| x.0.cmp(&y.0));
+                    r.dedup_by(|x, y| x.0 == y.0);
+                }
+                r
+            };
+            let (ra, rb) = (nest(&a), nest(&b));
+            let keys = |r: &[(Value, f64)]| -> Vec<Value> { r.iter().map(|(k, _)| k.clone()).collect() };
+            let (sa, sb) = (keys(&ra), keys(&rb));
+            for sim in [SetSim::Jaccard, SetSim::Dice, SetSim::Overlap, SetSim::Cosine] {
+                let hashed = sim.score_counts(set_counts_hashed(&sa, &sb));
+                prop_assert_eq!(sim.score(&sa, &sb).to_bits(), hashed.to_bits(), "{}", sim.name());
+            }
+            for sim in [RatingsSim::InverseEuclidean, RatingsSim::Pearson, RatingsSim::Cosine] {
+                for min_common in [0, 1, 2, 5] {
+                    let hashed = sim.score_common(&common_ratings_hashed(&ra, &rb), min_common);
+                    prop_assert_eq!(
+                        sim.score(&ra, &rb, min_common).to_bits(), hashed.to_bits(),
+                        "{} min_common={}", sim.name(), min_common
+                    );
+                }
+            }
+            if ascending {
+                // The merge really ran, and found the hash path's pairs.
+                prop_assert!(strictly_ascending(&ra, |e| &e.0) && strictly_ascending(&rb, |e| &e.0));
+                prop_assert_eq!(common_ratings(&ra, &rb), common_ratings_hashed(&ra, &rb));
+                prop_assert_eq!(set_counts(&sa, &sb), set_counts_hashed(&sa, &sb));
+            }
         }
 
         #[test]

@@ -13,26 +13,39 @@ use crate::batch::{Column as BatchColumn, ColumnBuilder};
 use crate::error::{RelError, RelResult};
 use crate::index::{Index, IndexKey, IndexKind};
 use crate::mutation::{Mutation, MutationObserver, ObserverSlot};
+use crate::nest::{build_nest_map_core, NestMap};
 use crate::row::{Row, RowId};
 use crate::schema::Schema;
 use crate::value::Value;
 
-/// Cached columnar image of a table's live rows, keyed by the mutation
-/// [`Table::version`] it was built at. Built lazily on first batched scan
-/// and reused until the next mutation. Cloning a table copies the current
-/// snapshot (cheap — the columns are `Arc`-shared and immutable) into a
+/// A derived image of a table's live rows, keyed by the mutation
+/// [`Table::version`] it was built at. Built lazily on first use and
+/// reused until the next mutation. Cloning a table copies the current
+/// snapshot (cheap — the images are `Arc`-shared and immutable) into a
 /// fresh cell, so clones that later diverge can never see each other's
 /// rebuilds.
-type ColumnarSnapshot = (u64, Arc<Vec<Arc<BatchColumn>>>);
+#[derive(Debug)]
+struct Versioned<T>(Mutex<Option<(u64, T)>>);
 
-#[derive(Debug, Default)]
-struct ColumnarCache(Mutex<Option<ColumnarSnapshot>>);
-
-impl Clone for ColumnarCache {
-    fn clone(&self) -> Self {
-        ColumnarCache(Mutex::new(self.0.lock().clone()))
+impl<T> Default for Versioned<T> {
+    fn default() -> Self {
+        Versioned(Mutex::new(None))
     }
 }
+
+impl<T: Clone> Clone for Versioned<T> {
+    fn clone(&self) -> Self {
+        Versioned(Mutex::new(self.0.lock().clone()))
+    }
+}
+
+/// The columnar image batched scans serve (see [`Table::columnar`]).
+type ColumnarImage = Arc<Vec<Arc<BatchColumn>>>;
+
+/// The nest images built at one version, by `(fk, key, rating)` column
+/// positions (see [`Table::nested`]). A table is nested by one or two
+/// column triples in practice, so a scan of a short vector.
+type NestImages = Vec<((usize, usize, Option<usize>), Arc<NestMap>)>;
 
 /// An in-memory table.
 #[derive(Debug, Clone)]
@@ -55,8 +68,10 @@ pub struct Table {
     version: u64,
     /// Optional durability hook; notified after each successful mutation.
     observer: ObserverSlot,
-    /// Lazily built columnar image for batched scans (see [`ColumnarCache`]).
-    columnar: ColumnarCache,
+    /// Lazily built columnar image for batched scans.
+    columnar: Versioned<ColumnarImage>,
+    /// Lazily built nest images for the FlexRecs extend operator.
+    nests: Versioned<NestImages>,
 }
 
 impl Table {
@@ -72,7 +87,8 @@ impl Table {
             indexes: Vec::new(),
             version: 0,
             observer: ObserverSlot::default(),
-            columnar: ColumnarCache::default(),
+            columnar: Versioned::default(),
+            nests: Versioned::default(),
         }
     }
 
@@ -99,7 +115,8 @@ impl Table {
             indexes: Vec::new(),
             version,
             observer: ObserverSlot::default(),
-            columnar: ColumnarCache::default(),
+            columnar: Versioned::default(),
+            nests: Versioned::default(),
         };
         for (i, slot) in slots.iter().enumerate() {
             if let Some(row) = slot {
@@ -456,7 +473,7 @@ impl Table {
     /// mutation and cached against [`Table::version`], so steady-state
     /// read traffic pays a pointer clone. Concurrent first calls may both
     /// build; the result is identical either way.
-    pub fn columnar(&self) -> Arc<Vec<Arc<BatchColumn>>> {
+    pub fn columnar(&self) -> ColumnarImage {
         if let Some((v, cols)) = &*self.columnar.0.lock() {
             if *v == self.version {
                 return Arc::clone(cols);
@@ -473,10 +490,67 @@ impl Table {
                 b.push(v.clone());
             }
         }
-        let cols: Arc<Vec<Arc<BatchColumn>>> =
+        let cols: ColumnarImage =
             Arc::new(builders.into_iter().map(|b| Arc::new(b.finish())).collect());
         *self.columnar.0.lock() = Some((self.version, Arc::clone(&cols)));
         cols
+    }
+
+    /// Nested image of the live rows for the FlexRecs extend operator:
+    /// `fk_col` value → `Value::Set` of `key_col` values, or — with a
+    /// `rating_col` — `Value::Ratings` of per-key rating averages (see
+    /// [`build_nest_map_core`], fed in [`Table::scan`] order). Same life
+    /// cycle as [`Table::columnar`]: built on first call after a mutation,
+    /// cached against [`Table::version`], `Arc`-shared into clones;
+    /// concurrent first calls may both build, the result is identical
+    /// either way. The flag is `true` when the image came from the cache.
+    pub fn nested(
+        &self,
+        fk_col: usize,
+        key_col: usize,
+        rating_col: Option<usize>,
+    ) -> RelResult<(Arc<NestMap>, bool)> {
+        let key = (fk_col, key_col, rating_col);
+        let cached = |slot: &Option<(u64, NestImages)>| match slot {
+            Some((v, images)) if *v == self.version => images
+                .iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, image)| Arc::clone(image)),
+            _ => None,
+        };
+        if let Some(image) = cached(&self.nests.0.lock()) {
+            return Ok((image, true));
+        }
+        let width = self.schema.len();
+        if let Some(&c) = [fk_col, key_col]
+            .iter()
+            .chain(rating_col.iter())
+            .find(|&&c| c >= width)
+        {
+            return Err(RelError::Invalid(format!(
+                "no column #{c} in {} to nest by",
+                self.name
+            )));
+        }
+        let built = Arc::new(build_nest_map_core(
+            self.scan().map(|(_, r)| {
+                (
+                    r[fk_col].clone(),
+                    r[key_col].clone(),
+                    rating_col.map(|c| r[c].clone()),
+                )
+            }),
+            rating_col.is_some(),
+        )?);
+        let mut slot = self.nests.0.lock();
+        if let Some(raced) = cached(&slot) {
+            return Ok((raced, false));
+        }
+        match &mut *slot {
+            Some((v, images)) if *v == self.version => images.push((key, Arc::clone(&built))),
+            _ => *slot = Some((self.version, vec![(key, Arc::clone(&built))])),
+        }
+        Ok((built, false))
     }
 }
 
@@ -630,7 +704,91 @@ mod tests {
         assert_eq!(c2[1].value(0), Value::text("B"));
     }
 
+    /// A fresh nest build over the table's live rows (the oracle for
+    /// [`Table::nested`]).
+    fn fresh_nest(t: &Table, rating: bool) -> NestMap {
+        build_nest_map_core(
+            t.scan()
+                .map(|(_, r)| (r[2].clone(), r[0].clone(), rating.then(|| r[2].clone()))),
+            rating,
+        )
+        .unwrap()
+    }
+
+    /// The last image a test saw, with the version it saw it at.
+    type Seen = Option<(u64, Arc<NestMap>)>;
+
+    /// `nested` equals a fresh build and is the same `Arc` as `previous`
+    /// exactly when the version has not moved since.
+    fn check_nested(t: &Table, previous: &mut Seen) {
+        let (image, cached) = t.nested(2, 0, None).unwrap();
+        assert_eq!(*image, fresh_nest(t, false));
+        assert_eq!(*t.nested(2, 0, Some(2)).unwrap().0, fresh_nest(t, true));
+        if let Some((version, old)) = previous {
+            assert_eq!(Arc::ptr_eq(old, &image), *version == t.version());
+            assert_eq!(cached, *version == t.version());
+        }
+        assert!(t.nested(2, 0, None).unwrap().1, "second call is served");
+        *previous = Some((t.version(), image));
+    }
+
+    #[test]
+    fn nested_rejects_columns_outside_the_schema() {
+        let t = courses();
+        assert!(t.nested(0, 3, None).is_err());
+        assert!(t.nested(0, 1, Some(7)).is_err());
+    }
+
     proptest! {
+        /// The nest image tracks the table through any insert / update /
+        /// delete sequence, and through a clone whose writes diverge.
+        #[test]
+        fn nest_cache_tracks_version_and_survives_clone(
+            ops in proptest::collection::vec((0u8..4, 0i64..6, 0usize..8), 1..40),
+            fork_at in 0usize..40,
+        ) {
+            let mut t = courses();
+            let mut fork: Option<(Table, Seen)> = None;
+            let mut seen: Seen = None;
+            let mut next_id = 0i64;
+            for (i, (op, units, pick)) in ops.into_iter().enumerate() {
+                if i == fork_at {
+                    // The clone starts from the warm image...
+                    let u = t.clone();
+                    if let Some((_, image)) = &seen {
+                        prop_assert!(Arc::ptr_eq(&u.nested(2, 0, None).unwrap().0, image));
+                    }
+                    fork = Some((u, seen.clone()));
+                }
+                let victim = t.scan().nth(pick).map(|(rid, _)| rid);
+                match (op, victim) {
+                    (0, Some(rid)) => {
+                        t.delete(rid);
+                    }
+                    (1, Some(rid)) => {
+                        let id = t.get(rid).unwrap()[0].clone();
+                        t.update(rid, vec![id, Value::text("u"), Value::Int(units)]).unwrap();
+                    }
+                    // Reads (and misses) leave the version alone.
+                    (2, _) => {}
+                    _ => {
+                        next_id += 1;
+                        t.insert(row![next_id, "t", units]).unwrap();
+                    }
+                }
+                check_nested(&t, &mut seen);
+                // ...and diverges on its own writes without disturbing,
+                // or being disturbed by, the original.
+                if let Some((u, u_seen)) = &mut fork {
+                    if i % 2 == 0 {
+                        next_id += 1;
+                        u.insert(row![next_id, "fork", units]).unwrap();
+                    }
+                    check_nested(u, u_seen);
+                }
+            }
+        }
+
         /// Index contents always agree with a full scan, under arbitrary
         /// insert/delete interleavings.
         #[test]

@@ -286,7 +286,13 @@ impl PartialOrd for Value {
 }
 
 impl Ord for Value {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
+        // Ids are Ints: keep the merge loops over nested keys (and sorts
+        // of id columns) out of the general, recursive comparison.
+        if let (Value::Int(a), Value::Int(b)) = (self, other) {
+            return a.cmp(b);
+        }
         self.total_cmp(other)
     }
 }

@@ -443,3 +443,249 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// The shapes the batched Extend/Recommend special-case
+// ---------------------------------------------------------------------
+
+fn extended(users: Node, rating: bool) -> Node {
+    Node::Extend {
+        input: Box::new(users),
+        related_table: "Ratings".to_owned(),
+        fk_column: "UId".to_owned(),
+        local_key: "UId".to_owned(),
+        key_column: "IId".to_owned(),
+        rating_column: rating.then(|| "Score".to_owned()),
+        as_name: "R".to_owned(),
+    }
+}
+
+fn user(uid: i64) -> Node {
+    maybe_select(src("Users"), Some(WfPredicate::eq("UId", uid)))
+}
+
+/// Workflows over one fixed campus, each aimed at a branch the batched
+/// executor takes and the row oracle does not: a comparator whose nest
+/// is empty (no rating, or only NULL-keyed ones), score ties cut by
+/// `top_k` (first column, then input order), duplicate `(fk, key)`
+/// ratings averaged in row order, rating lookups folded per key.
+fn nest_shape_workflows() -> Vec<Workflow> {
+    let recommend = |target: Node, comparator: Node, spec: RecommendSpec| Node::Recommend {
+        target: Box::new(target),
+        comparator: Box::new(comparator),
+        spec,
+    };
+    // Age first: its duplicates leave ties to the input order.
+    let by_age = |rating: bool| Node::Project {
+        input: Box::new(extended(src("Users"), rating)),
+        columns: vec!["Age".to_owned(), "UId".to_owned(), "R".to_owned()],
+    };
+    let set = |sim| RecommendSpec::new("R", "R", RecMethod::Set(sim));
+    let ratings =
+        |sim, min_common| RecommendSpec::new("R", "R", RecMethod::Ratings { sim, min_common });
+    let lookup = || RecommendSpec::new("IId", "R", RecMethod::RatingLookup);
+    let mut roots = vec![
+        // User 0 has no ratings: the comparator nest is empty.
+        recommend(
+            extended(src("Users"), false),
+            extended(user(0), false),
+            set(SetSim::Jaccard),
+        ),
+        recommend(
+            extended(src("Users"), true),
+            extended(user(0), true),
+            ratings(RatingsSim::Pearson, 1),
+        ),
+        recommend(
+            src("Items"),
+            extended(user(0), true),
+            lookup().with_agg(RecAgg::Sum),
+        ),
+        // Users 1–4 rated the same items: every score ties.
+        recommend(
+            by_age(false),
+            extended(user(1), false),
+            set(SetSim::Jaccard).top_k(2),
+        ),
+        recommend(
+            by_age(false),
+            extended(user(1), false),
+            set(SetSim::Cosine).top_k(3),
+        ),
+        recommend(
+            extended(src("Users"), false),
+            extended(user(2), false),
+            set(SetSim::Dice).top_k(1),
+        ),
+        // Duplicate (user, item) ratings average before they compare.
+        recommend(
+            by_age(true),
+            extended(user(1), true),
+            ratings(RatingsSim::InverseEuclidean, 1).top_k(3),
+        ),
+        recommend(
+            extended(src("Users"), true),
+            extended(src("Users"), true),
+            ratings(RatingsSim::Cosine, 2),
+        ),
+        // Every user is a comparator: per-key folds across all of them.
+        recommend(
+            src("Items"),
+            extended(src("Users"), true),
+            lookup().top_k(2),
+        ),
+        recommend(
+            src("Items"),
+            extended(src("Users"), true),
+            lookup().with_agg(RecAgg::WeightedAvg {
+                weight_attr: "Age".to_owned(),
+            }),
+        ),
+    ];
+    roots.push(recommend(
+        src("Items"),
+        recommend(
+            maybe_select(
+                extended(src("Users"), true),
+                Some(WfPredicate::cmp("UId", CmpOp::NotEq, 1i64)),
+            ),
+            extended(user(1), true),
+            // Hides user 2: the id is one of user 1's rated item ids.
+            ratings(RatingsSim::InverseEuclidean, 1)
+                .top_k(2)
+                .score_as("sim")
+                .excluding_seen("UId", "R"),
+        ),
+        lookup(),
+    ));
+    roots
+        .into_iter()
+        .map(|root| Workflow::new("nest-shape", root))
+        .collect()
+}
+
+/// Give every bare related scan an always-true filter: Extend then has
+/// to build its nest from the scanned batch instead of taking the
+/// table's image — the general path, next to the cached one.
+fn with_related_filter(plan: cr_relation::LogicalPlan) -> cr_relation::LogicalPlan {
+    use cr_relation::{Expr, LogicalPlan};
+    let rewrite = |p: Box<LogicalPlan>| Box::new(with_related_filter(*p));
+    match plan {
+        LogicalPlan::Extend {
+            input,
+            related,
+            key_col,
+            rating,
+            as_name,
+            schema,
+        } => {
+            let related = match *related {
+                LogicalPlan::Scan {
+                    table,
+                    alias,
+                    projection,
+                    filter: None,
+                    schema,
+                } => LogicalPlan::Scan {
+                    table,
+                    alias,
+                    projection,
+                    filter: Some(Expr::col_idx(0).gt_eq(Expr::lit(0i64))),
+                    schema,
+                },
+                other => other,
+            };
+            LogicalPlan::Extend {
+                input: rewrite(input),
+                related: Box::new(related),
+                key_col,
+                rating,
+                as_name,
+                schema,
+            }
+        }
+        LogicalPlan::Recommend {
+            target,
+            comparator,
+            spec,
+            schema,
+        } => LogicalPlan::Recommend {
+            target: rewrite(target),
+            comparator: rewrite(comparator),
+            spec,
+            schema,
+        },
+        LogicalPlan::Project {
+            input,
+            exprs,
+            schema,
+        } => LogicalPlan::Project {
+            input: rewrite(input),
+            exprs,
+            schema,
+        },
+        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
+            input: rewrite(input),
+            predicate,
+        },
+        leaf => leaf,
+    }
+}
+
+#[test]
+fn nest_image_shapes_match_row_oracle() {
+    // Users 1–4 share items {1, 2} (user 1 rated item 2 twice), user 5
+    // stands apart, user 0 has no ratings — UId 0 inserts as NULL, so
+    // those rows carry a NULL foreign key.
+    let users = [3, 1, 1, 2, 2, 5];
+    let mut ratings = vec![(0, 1, 5), (0, 3, 2), (5, 4, 3), (5, 1, 0), (9, 2, 4)];
+    for uid in 1..=4 {
+        ratings.extend([(uid, 1, 4), (uid, 2, uid + 1)]);
+    }
+    ratings.push((1, 2, 5));
+    let db = build_social_db(&users, &ratings);
+    let catalog = db.catalog();
+    let check = |label: &str| {
+        let mut results = Vec::new();
+        for wf in nest_shape_workflows() {
+            let row = compile_and_run_with(&wf, &catalog, &oracle()).unwrap();
+            let general = with_related_filter(row.plan.clone());
+            assert_ne!(
+                general,
+                row.plan,
+                "no related scan to filter\n{}",
+                wf.explain()
+            );
+            for &b in BATCH_SIZES {
+                let vec = compile_and_run_with(&wf, &catalog, &batched(b)).unwrap();
+                assert_eq!(
+                    row.result,
+                    vec.result,
+                    "{label}: batch_size={b}\n{}",
+                    wf.explain()
+                );
+                // Cached image, batch-built nest and row oracle agree.
+                let cached = execute_with(&row.plan, &catalog, &batched(b)).unwrap();
+                let built = execute_with(&general, &catalog, &batched(b)).unwrap();
+                assert_eq!(cached, built, "{label}: batch_size={b}\n{}", wf.explain());
+                assert_eq!(built, execute_with(&general, &catalog, &oracle()).unwrap());
+            }
+            results.push(row.result);
+        }
+        results
+    };
+    let before = check("cold and warm images");
+    assert!(
+        before[..3].iter().all(|r| r.tuples.is_empty()),
+        "empty nests match nothing"
+    );
+    let sizes: Vec<usize> = before.iter().map(|r| r.tuples.len()).collect();
+    assert!(sizes[3..].iter().all(|&n| n > 0), "{sizes:?}");
+    // A write to the related table retires every image built above.
+    db.execute_sql("INSERT INTO Ratings VALUES (900, 5, 2, 1)")
+        .unwrap();
+    db.execute_sql("DELETE FROM Ratings WHERE UId = 3 AND IId = 1")
+        .unwrap();
+    let after = check("after mutating Ratings");
+    assert_ne!(before, after, "the mutation must show");
+}

@@ -482,3 +482,115 @@ fn join_on_nested_attribute_is_rejected_not_miscompiled() {
     );
     assert!(compile_and_run(&wf, &db.catalog()).is_err());
 }
+
+/// The shapes the plan path serves from a table's cached nest image and
+/// ranks straight off columns, pinned against the interpreter on a fixed
+/// campus: an empty comparator nest, NULL foreign keys, duplicate
+/// `(user, item)` ratings, score ties cut by `top_k` (first column, then
+/// input order), per-key rating lookups — and again after the related
+/// table changes, when a stale image would show.
+#[test]
+fn nest_image_shapes_match_interpreter() {
+    let extended = |users: Node, rating: bool| Node::Extend {
+        input: Box::new(users),
+        related_table: "Ratings".to_owned(),
+        fk_column: "UId".to_owned(),
+        local_key: "UId".to_owned(),
+        key_column: "IId".to_owned(),
+        rating_column: rating.then(|| "Score".to_owned()),
+        as_name: "R".to_owned(),
+    };
+    let user = |uid: i64| maybe_select(src("Users"), Some(WfPredicate::eq("UId", uid)));
+    let recommend = |target: Node, comparator: Node, spec: RecommendSpec| Node::Recommend {
+        target: Box::new(target),
+        comparator: Box::new(comparator),
+        spec,
+    };
+    // Age first: its duplicates leave ties to the input order.
+    let by_age = |rating: bool| Node::Project {
+        input: Box::new(extended(src("Users"), rating)),
+        columns: vec!["Age".to_owned(), "UId".to_owned(), "R".to_owned()],
+    };
+    let set = |sim| RecommendSpec::new("R", "R", RecMethod::Set(sim));
+    let ratings = |sim| RecommendSpec::new("R", "R", RecMethod::Ratings { sim, min_common: 1 });
+    let lookup = || RecommendSpec::new("IId", "R", RecMethod::RatingLookup);
+    let workflows = || -> Vec<Workflow> {
+        vec![
+            // User 0's nest is empty: UId 0 inserts as a NULL foreign key.
+            recommend(
+                extended(src("Users"), false),
+                extended(user(0), false),
+                set(SetSim::Jaccard),
+            ),
+            recommend(src("Items"), extended(user(0), true), lookup()),
+            // Users 1–4 rated the same items: every score ties.
+            recommend(
+                by_age(false),
+                extended(user(1), false),
+                set(SetSim::Jaccard).top_k(2),
+            ),
+            recommend(
+                extended(src("Users"), false),
+                extended(user(2), false),
+                set(SetSim::Overlap).top_k(1),
+            ),
+            // User 1 rated item 2 twice: the average is what compares.
+            recommend(
+                by_age(true),
+                extended(user(1), true),
+                ratings(RatingsSim::InverseEuclidean).top_k(3),
+            ),
+            recommend(
+                extended(src("Users"), true),
+                extended(src("Users"), true),
+                ratings(RatingsSim::Pearson),
+            ),
+            // Every user is a comparator: per-key folds across all of them.
+            recommend(
+                src("Items"),
+                extended(src("Users"), true),
+                lookup().top_k(2),
+            ),
+            recommend(
+                src("Items"),
+                extended(src("Users"), true),
+                lookup().with_agg(RecAgg::WeightedAvg {
+                    weight_attr: "Age".to_owned(),
+                }),
+            ),
+        ]
+        .into_iter()
+        .map(|root| Workflow::new("nest-shape", root))
+        .collect()
+    };
+    let users = [3, 1, 1, 2, 2, 5];
+    let mut rated = vec![(0, 1, 5), (0, 3, 2), (5, 4, 3), (5, 1, 0), (9, 2, 4)];
+    for uid in 1..=4 {
+        rated.extend([(uid, 1, 4), (uid, 2, uid + 1)]);
+    }
+    rated.push((1, 2, 5));
+    let db = build_db(&users, &rated);
+    let catalog = db.catalog();
+    let check = || -> Vec<_> {
+        workflows()
+            .iter()
+            .map(|wf| {
+                let direct = execute(wf, &catalog).unwrap();
+                // Twice: once building the image, once served from it.
+                for _ in 0..2 {
+                    let run = compile_and_run(wf, &catalog).unwrap();
+                    assert_eq!(direct, run.result, "divergence\n{}", wf.explain());
+                }
+                direct
+            })
+            .collect()
+    };
+    let before = check();
+    assert!(before[..2].iter().all(|r| r.tuples.is_empty()));
+    assert!(before[2..].iter().all(|r| !r.tuples.is_empty()));
+    db.execute_sql("INSERT INTO Ratings VALUES (900, 5, 2, 1)")
+        .unwrap();
+    db.execute_sql("DELETE FROM Ratings WHERE UId = 3 AND IId = 1")
+        .unwrap();
+    assert_ne!(before, check(), "the mutation must show");
+}

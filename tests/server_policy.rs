@@ -172,6 +172,70 @@ fn k_aggregation_declassifies_grades_over_the_wire() {
     student.goodbye().unwrap();
 }
 
+/// Grade-similarity recommendations run on the request's read view like
+/// every other read: the derived GradePoints relation is materialized at
+/// assemble and kept current by the enrollment write path, so a miss
+/// only reads — before a write to Enrollments and after one.
+#[test]
+fn grade_basis_recommendations_are_served_from_read_views() {
+    use cr_server::protocol::Request;
+
+    let server = tiny_server();
+    let mut student = connect(&server, "grades", "student:2");
+    let recommend = |c: &mut Client<transport::PipeConn>, who: i64| match c
+        .recommend_with_basis(who, 5, "grades")
+        .unwrap()
+    {
+        Response::Recommendations { recs } => recs,
+        other => panic!("grades basis must be served, got {other:?}"),
+    };
+    // Misses for several students: none may write through its view.
+    let before: Vec<_> = (1..=8).map(|who| recommend(&mut student, who)).collect();
+    assert!(before.iter().any(|recs| !recs.is_empty()), "{before:?}");
+
+    let enrolled = student
+        .call(&Request::Enroll {
+            student: 2,
+            course: 1,
+            year: 2030,
+            term: "Aut".into(),
+            planned: true,
+        })
+        .unwrap();
+    assert!(matches!(enrolled, Response::Written), "{enrolled:?}");
+
+    // The write dropped every cached entry (Enrollments is a whole-table
+    // dependency): these recompute, again on a read view. A planned
+    // enrollment carries no grade, so the answers stand.
+    let after: Vec<_> = (1..=8).map(|who| recommend(&mut student, who)).collect();
+    assert_eq!(after, before);
+
+    // The derived relation carries its source's labels: grade points are
+    // grades, sealed from other students exactly like Enrollments.Grade.
+    let others = "SELECT SuID, CourseID, Points FROM GradePoints WHERE SuID = 3";
+    let resp = student.sql(others).unwrap();
+    assert!(client::is_policy_denied(&resp), "{resp:?}");
+    let resp = student.sql("SELECT SuID, Points FROM GradePoints").unwrap();
+    assert!(deny_message(&resp).contains("P001"), "{resp:?}");
+    // Which courses someone was graded in is plan data, gated like
+    // Enrollments.CourseID.
+    let resp = student
+        .sql("SELECT CourseID FROM GradePoints WHERE SuID = 3")
+        .unwrap();
+    assert!(deny_message(&resp).contains("P004"), "{resp:?}");
+    assert!(matches!(
+        student
+            .sql("SELECT Points FROM GradePoints WHERE SuID = 2")
+            .unwrap(),
+        Response::Rows { .. }
+    ));
+    let mut staff = connect(&server, "grades-staff", "staff");
+    assert!(matches!(staff.sql(others).unwrap(), Response::Rows { .. }));
+
+    student.goodbye().unwrap();
+    staff.goodbye().unwrap();
+}
+
 #[test]
 fn unknown_principal_rejected_at_handshake() {
     let server = tiny_server();

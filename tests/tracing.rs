@@ -84,6 +84,80 @@ fn operator_spans_nest_under_the_query_span() {
     assert!(scan.start_ns + scan.dur_ns <= project.start_ns + project.dur_ns + 1);
 }
 
+/// An Extend over a bare related scan is served by the table's nest
+/// image: its span says whether the image was built or found cached, the
+/// related scan keeps its own span under it, and the two outcomes are
+/// counted where `cr_stat_counters` can see them.
+#[test]
+fn extend_spans_report_the_nest_image() {
+    use cr_flexrecs::{compile::compile_and_run, Node, Workflow};
+
+    let _g = guard();
+    reset_tracing();
+    cr_obs::install();
+    let db = ratings_db();
+    cr_relation::register_system_tables(&db.catalog()).unwrap();
+    db.execute_sql("CREATE TABLE students (student INT PRIMARY KEY)")
+        .unwrap();
+    db.execute_sql("INSERT INTO students VALUES (1), (2), (3)")
+        .unwrap();
+    let wf = Workflow::new(
+        "nest",
+        Node::Extend {
+            input: Box::new(Node::Source {
+                table: "students".into(),
+            }),
+            related_table: "ratings".into(),
+            fk_column: "student".into(),
+            local_key: "student".into(),
+            key_column: "id".into(),
+            rating_column: Some("score".into()),
+            as_name: "rated".into(),
+        },
+    );
+    let counter = |name: &str| -> i64 {
+        let rs = db
+            .query_sql(&format!(
+                "SELECT value FROM cr_stat_counters WHERE name = '{name}'"
+            ))
+            .unwrap();
+        // Absent until the executor first records a metric.
+        rs.scalar().map_or(0, |v| v.as_int().unwrap())
+    };
+    let (builds, hits) = (
+        counter("relation.nest.builds"),
+        counter("relation.nest.hits"),
+    );
+
+    trace::enable();
+    compile_and_run(&wf, &db.catalog()).unwrap();
+    compile_and_run(&wf, &db.catalog()).unwrap();
+    trace::disable();
+
+    let records = trace::recorder().snapshot();
+    let detail = |r: &SpanRecord| -> String {
+        let attr = r.attrs.iter().find(|(k, _)| *k == "detail");
+        attr.map(|(_, v)| v.clone()).unwrap_or_default()
+    };
+    let extends = find(&records, "Extend");
+    let outcomes: Vec<bool> = extends
+        .iter()
+        .map(|e| detail(e).ends_with("nest=cached"))
+        .collect();
+    assert_eq!(outcomes, [false, true], "built once, then served");
+    assert!(detail(extends[0]).ends_with("nest=built"));
+    for ext in extends {
+        let related: Vec<_> = find(&records, "Scan ratings")
+            .into_iter()
+            .filter(|s| s.parent == Some(ext.span))
+            .collect();
+        assert_eq!(related.len(), 1, "the related scan keeps its span");
+        assert_eq!(detail(related[0]), "access=NestImage");
+    }
+    assert_eq!(counter("relation.nest.builds"), builds + 1);
+    assert_eq!(counter("relation.nest.hits"), hits + 1);
+}
+
 #[test]
 fn slow_queries_land_in_the_system_table_with_fingerprint() {
     let _g = guard();
