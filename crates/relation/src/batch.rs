@@ -436,6 +436,11 @@ impl Batch {
         self.sel.is_some()
     }
 
+    /// The selection vector; `None` when every slot is live, in order.
+    pub fn live(&self) -> Option<&[u32]> {
+        self.sel.as_deref()
+    }
+
     /// The base-slot indices of the live rows, in output order.
     pub fn selection(&self) -> Cow<'_, [u32]> {
         match &self.sel {
@@ -540,6 +545,7 @@ impl EvalCol {
 
 /// A uniform elementwise view over a kernel operand: a column viewed
 /// through a selection, a dense computed column, or a broadcast constant.
+#[derive(Clone, Copy)]
 pub(crate) enum Vals<'a> {
     View {
         col: &'a Column,
@@ -666,6 +672,7 @@ fn valid(validity: Option<&[bool]>, i: usize) -> bool {
     validity.map(|v| v[i]).unwrap_or(true)
 }
 
+#[derive(Clone, Copy)]
 pub(crate) enum IntsAcc<'a> {
     Slice {
         data: &'a [i64],
@@ -692,6 +699,7 @@ impl IntsAcc<'_> {
     }
 }
 
+#[derive(Clone, Copy)]
 pub(crate) enum NumsAcc<'a> {
     IntSlice {
         data: &'a [i64],
@@ -731,6 +739,7 @@ impl NumsAcc<'_> {
     }
 }
 
+#[derive(Clone, Copy)]
 pub(crate) enum TextsAcc<'a> {
     Slice {
         data: &'a [String],

@@ -11,8 +11,10 @@
 //!   instead of copying rows, and projections evaluate expression kernels
 //!   ([`Expr::eval_batch`]) only over selected slots — so a
 //!   scan→filter→project chain is one fused pass with no per-row
-//!   dispatch. Joins build/probe over column views, aggregation feeds
-//!   column slices into the shared [`AggState`] machinery, sort and limit
+//!   dispatch. Hash joins and hash aggregation group rows by hashing and
+//!   comparing their key columns where they are stored (dense group ids,
+//!   no `Vec<Value>` key per row) and aggregation feeds the shared
+//!   [`AggState`] machinery, sort and limit
 //!   permute/truncate the selection vector. `Extend` probes the related
 //!   table's version-keyed nest image ([`Table::nested`]) when its
 //!   related side is a bare projected scan, and `Recommend` scores off
@@ -41,10 +43,11 @@ use std::ops::Bound;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use crate::batch::{Batch, Column as BatchColumn, ColumnBuilder, EvalCol};
+use crate::batch::{Batch, Column as BatchColumn, ColumnBuilder, EvalCol, Vals};
 use crate::catalog::Catalog;
 use crate::error::{RelError, RelResult};
 use crate::expr::{BinOp, Expr};
+use crate::keys::{Key, KeyTable};
 use crate::nest::{build_nest_map_core, NestMap};
 use crate::plan::{AggExpr, AggFn, JoinKind, LogicalPlan, RecAggPlan, RecMethod, RecSpec, SortKey};
 use crate::profile::OpProfile;
@@ -1446,34 +1449,6 @@ impl AggState {
     }
 }
 
-/// Finish accumulated groups into output rows (first-seen group order).
-fn aggregate_finish(
-    mut groups: HashMap<Vec<Value>, Vec<AggState>>,
-    order: Vec<Vec<Value>>,
-    group_by: &[Expr],
-    aggs: &[AggExpr],
-) -> RelResult<Vec<Row>> {
-    // Global aggregate over empty input still yields one row.
-    if groups.is_empty() && group_by.is_empty() {
-        let states: Vec<AggState> = aggs.iter().map(AggState::new).collect();
-        let mut row = Vec::with_capacity(aggs.len());
-        for s in states {
-            row.push(s.finish()?);
-        }
-        return Ok(vec![row]);
-    }
-    let mut out = Vec::with_capacity(groups.len());
-    for key in order {
-        let states = groups.remove(&key).expect("group recorded in order");
-        let mut row = key;
-        for s in states {
-            row.push(s.finish()?);
-        }
-        out.push(row);
-    }
-    Ok(out)
-}
-
 fn aggregate_rows(rows: &[Row], group_by: &[Expr], aggs: &[AggExpr]) -> RelResult<Vec<Row>> {
     let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
     // Preserve first-seen group order for deterministic output.
@@ -1502,7 +1477,24 @@ fn aggregate_rows(rows: &[Row], group_by: &[Expr], aggs: &[AggExpr]) -> RelResul
             state.update(v, is_star)?;
         }
     }
-    aggregate_finish(groups, order, group_by, aggs)
+    // Global aggregate over empty input still yields one row.
+    if groups.is_empty() && group_by.is_empty() {
+        let row = aggs
+            .iter()
+            .map(|a| AggState::new(a).finish())
+            .collect::<RelResult<Row>>()?;
+        return Ok(vec![row]);
+    }
+    let mut out = Vec::with_capacity(groups.len());
+    for key in order {
+        let states = groups.remove(&key).expect("group recorded in order");
+        let mut row = key;
+        for s in states {
+            row.push(s.finish()?);
+        }
+        out.push(row);
+    }
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------
@@ -1583,18 +1575,28 @@ fn filter_selection(
 }
 
 /// Evaluate the projection kernels over the selected slots, producing a
-/// dense batch. Column-picking projections over a dense input reuse the
-/// input column `Arc` outright.
+/// dense batch. A projection that only picks columns evaluates nothing:
+/// it shares the input column `Arc`s and keeps the selection vector.
 fn project_batched(
     batch: &Batch,
     exprs: &[(Expr, String)],
     batch_size: usize,
 ) -> RelResult<(Batch, usize)> {
-    let sel = batch.selection();
-    let n = sel.len();
     let cols = batch.columns();
     let chunk = batch_size.max(1);
-    let batches = n.div_ceil(chunk);
+    let batches = batch.len().div_ceil(chunk);
+    let picks: Option<Vec<Arc<BatchColumn>>> = exprs
+        .iter()
+        .map(|(e, _)| match e {
+            Expr::Column(i) => cols.get(*i).cloned(),
+            _ => None,
+        })
+        .collect();
+    if let Some(picked) = picks {
+        return Ok((batch.with_columns(picked), batches));
+    }
+    let sel = batch.selection();
+    let n = sel.len();
     let mut out: Vec<Arc<BatchColumn>> = Vec::with_capacity(exprs.len());
     for (e, _) in exprs {
         if let Expr::Column(i) = e {
@@ -1657,8 +1659,34 @@ fn scan_batched(
     }
 }
 
-/// Batched hash join: build over the right columns, probe the left view
-/// in order, then gather both sides' output columns by match index (typed
+/// Column `c` of `batch` over its live rows, read in place.
+fn live_column(batch: &Batch, c: usize) -> Vals<'_> {
+    Vals::View {
+        col: batch.column(c),
+        sel: batch.live(),
+    }
+}
+
+/// An expression's values over a batch's live rows: a plain column is
+/// read in place through the selection, anything else is evaluated once
+/// into `slot`, which the view borrows.
+fn operand<'a>(batch: &'a Batch, e: &Expr, slot: &'a mut Option<EvalCol>) -> RelResult<Vals<'a>> {
+    if let Expr::Column(i) = e {
+        if *i < batch.width() {
+            return Ok(live_column(batch, *i));
+        }
+    }
+    Ok(
+        match slot.insert(e.eval_batch(batch.columns(), &batch.selection())?) {
+            EvalCol::Col(col) => Vals::View { col, sel: None },
+            EvalCol::Const(v) => Vals::Const { v },
+        },
+    )
+}
+
+/// Batched hash join: group the right rows by key ([`KeyTable`] over the
+/// key columns, hashed and compared in place), probe the left view in
+/// order, then gather both sides' output columns by match index (typed
 /// gathers; NULL-extension for LEFT OUTER falls back to a builder).
 /// Non-equi predicates use the row nested-loop join and transpose.
 fn join_batched(
@@ -1685,34 +1713,52 @@ fn join_batched(
     } else {
         Some(Expr::conjoin(residual))
     };
-    let mut build: HashMap<Vec<Value>, Vec<u32>> = HashMap::with_capacity(right.len());
-    for j in 0..right.len() {
-        let key: Vec<Value> = rk.iter().map(|&k| right.value(k, j)).collect();
-        if key.iter().any(Value::is_null) {
-            continue; // NULL keys never join
+    // Build: each right row's group, then the groups' rows laid out
+    // contiguously in input order (`rows[start[g]..start[g + 1]]`).
+    let rkey = Key::new(rk.iter().map(|&c| live_column(right, c)), right.len());
+    let rhash = rkey.hashes();
+    let mut table = KeyTable::default();
+    let mut group = vec![u32::MAX; right.len()];
+    for (j, g) in group.iter_mut().enumerate() {
+        if !rkey.has_null(j) {
+            // NULL keys never join.
+            *g = table.find_or_insert(rhash[j], j, |f| rkey.eq(f, &rkey, j));
         }
-        build.entry(key).or_default().push(j as u32);
     }
+    let mut start = vec![0usize; table.len() + 1];
+    for &g in group.iter().filter(|&&g| g != u32::MAX) {
+        start[g as usize + 1] += 1;
+    }
+    for g in 0..table.len() {
+        start[g + 1] += start[g];
+    }
+    let mut rows = vec![0u32; start[table.len()]];
+    let mut fill = start.clone();
+    for (j, &g) in group.iter().enumerate().filter(|(_, &g)| g != u32::MAX) {
+        rows[fill[g as usize]] = j as u32;
+        fill[g as usize] += 1;
+    }
+    let lkey = Key::new(lk.iter().map(|&c| live_column(left, c)), left.len());
     let mut pairs: Vec<(u32, Option<u32>)> = Vec::new();
-    for j in 0..left.len() {
-        let key: Vec<Value> = lk.iter().map(|&k| left.value(k, j)).collect();
+    for (j, h) in lkey.hashes().into_iter().enumerate() {
         let mut matched = false;
-        if !key.iter().any(Value::is_null) {
-            if let Some(idxs) = build.get(&key) {
-                for &i in idxs {
-                    let ok = match &residual {
-                        Some(p) => {
-                            let mut combined = left.row(j);
-                            combined.extend(right.row(i as usize));
-                            p.eval_predicate(&combined)?
-                        }
-                        None => true,
-                    };
-                    if ok {
-                        matched = true;
-                        pairs.push((j as u32, Some(i)));
-                    }
+        let hit = match lkey.has_null(j) {
+            true => None,
+            false => table.find(h, |f| rkey.eq(f, &lkey, j)),
+        };
+        let matches = hit.map_or(&[][..], |g| &rows[start[g as usize]..start[g as usize + 1]]);
+        for &i in matches {
+            let ok = match &residual {
+                Some(p) => {
+                    let mut combined = left.row(j);
+                    combined.extend(right.row(i as usize));
+                    p.eval_predicate(&combined)?
                 }
+                None => true,
+            };
+            if ok {
+                matched = true;
+                pairs.push((j as u32, Some(i)));
             }
         }
         if !matched && kind == JoinKind::LeftOuter {
@@ -1757,51 +1803,67 @@ fn join_batched(
     ))
 }
 
-/// Batched aggregation: group keys and aggregate arguments evaluate as
-/// kernels over the full selection, then feed the shared [`AggState`]
-/// machinery — so grouping/accumulation semantics (including first-seen
-/// group order) are the row path's by construction.
-fn aggregate_batched(batch: &Batch, group_by: &[Expr], aggs: &[AggExpr]) -> RelResult<Vec<Row>> {
-    let sel = batch.selection();
-    let n = sel.len();
-    let cols = batch.columns();
-    let gcols: Vec<EvalCol> = group_by
+/// Batched aggregation: group keys and aggregate arguments are read in
+/// place (plain columns through the selection, other expressions as
+/// kernels), rows get dense group ids from a [`KeyTable`] over the key
+/// columns (first-seen order), and every group's [`AggState`]s live in
+/// one `Vec` — accumulation semantics are the row path's by construction.
+fn aggregate_batched(batch: &Batch, group_by: &[Expr], aggs: &[AggExpr]) -> RelResult<Batch> {
+    let n = batch.len();
+    let mut gslots: Vec<Option<EvalCol>> = group_by.iter().map(|_| None).collect();
+    let mut aslots: Vec<Option<EvalCol>> = aggs.iter().map(|_| None).collect();
+    let gvals = group_by
         .iter()
-        .map(|g| g.eval_batch(cols, &sel))
+        .zip(&mut gslots)
+        .map(|(g, slot)| operand(batch, g, slot))
         .collect::<RelResult<Vec<_>>>()?;
-    let acols: Vec<Option<EvalCol>> = aggs
+    let avals = aggs
         .iter()
-        .map(|a| {
-            if a.func == AggFn::CountStar {
-                Ok(None) // COUNT(*): the argument is never evaluated
-            } else {
-                a.arg.eval_batch(cols, &sel).map(Some)
-            }
+        .zip(&mut aslots)
+        .map(|(a, slot)| match a.func {
+            AggFn::CountStar => Ok(None), // the argument is never evaluated
+            _ => operand(batch, &a.arg, slot).map(Some),
         })
         .collect::<RelResult<Vec<_>>>()?;
-    let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
-    let mut order: Vec<Vec<Value>> = Vec::new();
-    for j in 0..n {
-        let key: Vec<Value> = gcols.iter().map(|g| g.value_at(j)).collect();
-        let states = match groups.get_mut(&key) {
-            Some(s) => s,
-            None => {
-                order.push(key.clone());
-                groups
-                    .entry(key.clone())
-                    .or_insert_with(|| aggs.iter().map(AggState::new).collect())
-            }
-        };
-        for ((state, a), ac) in states.iter_mut().zip(aggs).zip(&acols) {
-            let is_star = a.func == AggFn::CountStar;
-            let v = match ac {
+    let key = Key::new(gvals.iter().copied(), n);
+    let hashes = key.hashes();
+    let mut table = KeyTable::default();
+    let mut states: Vec<AggState> = Vec::new();
+    for (j, &h) in hashes.iter().enumerate() {
+        let g = table.find_or_insert(h, j, |f| key.eq(f, &key, j)) as usize;
+        if states.len() < table.len() * aggs.len() {
+            states.extend(aggs.iter().map(AggState::new));
+        }
+        let group_states = &mut states[g * aggs.len()..(g + 1) * aggs.len()];
+        for ((state, a), av) in group_states.iter_mut().zip(aggs).zip(&avals) {
+            let v = match av {
                 None => Value::Int(1),
-                Some(c) => c.value_at(j),
+                Some(v) => v.value_at(j),
             };
-            state.update(v, is_star)?;
+            state.update(v, a.func == AggFn::CountStar)?;
         }
     }
-    aggregate_finish(groups, order, group_by, aggs)
+    // A global aggregate over empty input still yields one row.
+    let groups = if group_by.is_empty() && n == 0 {
+        states.extend(aggs.iter().map(AggState::new));
+        1
+    } else {
+        table.len()
+    };
+    let mut out: Vec<ColumnBuilder> = (0..group_by.len() + aggs.len())
+        .map(|_| ColumnBuilder::with_capacity(groups))
+        .collect();
+    for (b, v) in out.iter_mut().zip(&gvals) {
+        for &first in table.firsts() {
+            b.push(v.value_at(first as usize));
+        }
+    }
+    let agg_out = &mut out[group_by.len()..];
+    for (i, state) in states.into_iter().enumerate() {
+        agg_out[i % aggs.len()].push(state.finish()?);
+    }
+    let cols = out.into_iter().map(|b| Arc::new(b.finish())).collect();
+    Ok(Batch::new(cols, groups))
 }
 
 /// Batched sort: key expressions evaluate as kernels, then only the
@@ -2126,8 +2188,7 @@ fn run_batched<P: Profile>(
             ..
         } => {
             let (batch, child) = run_batched::<P>(input, catalog, batch_size)?;
-            let rows = aggregate_batched(&batch, group_by, aggs)?;
-            let out = Batch::from_rows(&rows, group_by.len() + aggs.len());
+            let out = aggregate_batched(&batch, group_by, aggs)?;
             let label = P::label(|| plan_label(plan, aggregate_detail(group_by, aggs)));
             (out, label, vec![child])
         }

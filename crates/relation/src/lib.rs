@@ -13,10 +13,11 @@
 //!   secondary hash / B-tree [`index`]es,
 //! * an [`expr`]ession AST and evaluator,
 //! * a [`plan`] layer: logical plans, a builder, and an optimizer
-//!   (predicate pushdown, projection pruning, constant folding, index
-//!   selection),
+//!   (predicate pushdown, required-column scan narrowing, constant
+//!   folding, index selection),
 //! * a vectorized [`exec`]ution engine (seq/index scan, filter, project,
-//!   nested-loop and hash joins, hash aggregation, sort, limit, union,
+//!   nested-loop and hash joins and hash aggregation keyed on the
+//!   columns themselves, sort, limit, union,
 //!   and the FlexRecs extend/recommend operators) running
 //!   batch-at-a-time over [`batch`] columns with selection vectors; the
 //!   serial row-at-a-time executor remains selectable
@@ -53,6 +54,7 @@ pub mod error;
 pub mod exec;
 pub mod expr;
 pub mod index;
+mod keys;
 pub mod mutation;
 pub mod nest;
 pub mod plan;

@@ -495,6 +495,35 @@ mod tests {
     }
 
     #[test]
+    fn join_group_by_footprint_names_the_columns_it_reads() {
+        // The optimizer narrows both scans under the join, so the cache
+        // footprint is the key, the grouped, aggregated and filtered
+        // columns — an update to a course title cannot change the answer
+        // and no longer invalidates it.
+        let db = campus();
+        let plan = crate::sql::plan_query(
+            "SELECT m.SuID, COUNT(*) AS n, AVG(m.Rating) AS r FROM Comments m \
+             JOIN Courses c ON c.CourseID = m.CourseID WHERE m.SuID > 3 GROUP BY m.SuID",
+            &db.catalog(),
+        )
+        .unwrap();
+        let deps = extract_in(&plan, Some(&db.catalog()));
+        let named = |cols: &[&str]| ColumnSet::Named(cols.iter().map(|c| c.to_string()).collect());
+        assert_eq!(
+            deps.tables["comments"].columns,
+            named(&["courseid", "rating", "suid"])
+        );
+        assert_eq!(deps.tables["courses"].columns, named(&["courseid"]));
+        // Counting every row reads no column at all.
+        let count =
+            crate::sql::plan_query("SELECT COUNT(*) AS n FROM Comments", &db.catalog()).unwrap();
+        assert_eq!(
+            extract_in(&count, Some(&db.catalog())).tables["comments"].columns,
+            named(&[])
+        );
+    }
+
+    #[test]
     fn builder_plans_extract_too() {
         let db = campus();
         let plan = PlanBuilder::scan(&db.catalog(), "Comments")

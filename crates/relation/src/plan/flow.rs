@@ -487,6 +487,12 @@ pub(crate) struct ScanTemplate {
 #[derive(Debug, Clone)]
 struct FlowInfo {
     cells: Vec<Cell>,
+    /// Table columns a scan's projection dropped below this point. They
+    /// still decide which rows exist, so `COUNT(*)` reads them with the
+    /// output cells: the answer is the same whether or not the optimizer
+    /// narrowed the scans. A `Project` (a query's own column list) or an
+    /// `Aggregate` starts afresh.
+    hidden: Vec<Cell>,
     ctx: Sensitivity,
     /// What tainted the context, as `(kind, table, column)` parts —
     /// formatted only if a P002 diagnostic is actually emitted.
@@ -503,11 +509,17 @@ impl FlowInfo {
     fn new(cells: Vec<Cell>) -> FlowInfo {
         FlowInfo {
             cells,
+            hidden: Vec::new(),
             ctx: Sensitivity::Public,
             ctx_origin: None,
             ctx_gated: false,
             gate_checked: false,
         }
+    }
+
+    /// Output cells, then the cells a projection hid.
+    fn all_cells_mut(&mut self) -> impl Iterator<Item = &mut Cell> {
+        self.cells.iter_mut().chain(self.hidden.iter_mut())
     }
 
     /// Render the context-taint origin for a P002 message.
@@ -527,7 +539,7 @@ impl FlowInfo {
         if !self.gate_checked {
             return;
         }
-        for c in self.cells.iter_mut() {
+        for c in self.all_cells_mut() {
             if c.gated {
                 c.gated = false;
                 if c.label == Sensitivity::PerUser {
@@ -586,7 +598,11 @@ impl<'a> FlowChecker<'a> {
                     .iter()
                     .map(|(e, name)| derive_cell(&info.cells, e, name))
                     .collect();
-                FlowInfo { cells, ..info }
+                FlowInfo {
+                    cells,
+                    hidden: Vec::new(),
+                    ..info
+                }
             }
             LogicalPlan::Join {
                 left, right, on, ..
@@ -762,7 +778,7 @@ impl<'a> FlowChecker<'a> {
                 self.apply_predicate(&mut info, pred);
             }
             if let Some(idx) = projection {
-                info.cells = project_cells(info.cells, idx);
+                project_scan(&mut info, idx);
             }
             return info;
         };
@@ -786,7 +802,7 @@ impl<'a> FlowChecker<'a> {
             self.apply_predicate(&mut info, pred);
         }
         if let Some(idx) = projection {
-            info.cells = project_cells(info.cells, idx);
+            project_scan(&mut info, idx);
         }
         info
     }
@@ -890,7 +906,7 @@ impl<'a> FlowChecker<'a> {
                 if cell.role == ColumnRole::Owner && self.principal.owns(*id) =>
             {
                 let table = cell.table.clone();
-                for c in info.cells.iter_mut().filter(|c| c.table == table) {
+                for c in info.all_cells_mut().filter(|c| c.table == table) {
                     if c.label == Sensitivity::PerUser {
                         c.label = Sensitivity::Community;
                     }
@@ -980,20 +996,22 @@ impl<'a> FlowChecker<'a> {
             cells.push(cell);
         }
         for a in aggs {
-            let mut refs = Vec::new();
-            if a.func == AggFn::CountStar {
-                // COUNT(*) depends on every input column's row multiset.
-                refs.extend(0..info.cells.len());
-            } else {
-                a.arg.referenced_columns(&mut refs);
-            }
             let mut label = info.ctx;
             let mut gated = false;
-            for &r in &refs {
-                if let Some(c) = info.cells.get(r) {
-                    label = label.max(c.label);
-                    gated |= c.gated;
-                }
+            let read = |c: &Cell| {
+                label = label.max(c.label);
+                gated |= c.gated;
+            };
+            if a.func == AggFn::CountStar {
+                // COUNT(*) depends on every input column's row multiset,
+                // the ones a scan projection hid included.
+                info.cells.iter().chain(&info.hidden).for_each(read);
+            } else {
+                let mut refs = Vec::new();
+                a.arg.referenced_columns(&mut refs);
+                refs.iter()
+                    .filter_map(|&r| info.cells.get(r))
+                    .for_each(read);
             }
             let agg_guarded = label == Sensitivity::PerUser;
             // Any count is a k-guard candidate — even when the counted column
@@ -1080,10 +1098,21 @@ fn derive_cell(cells: &[Cell], expr: &Expr, name: &str) -> Cell {
     out
 }
 
-fn project_cells(cells: Vec<Cell>, idx: &[usize]) -> Vec<Cell> {
-    idx.iter()
+/// Apply a scan's projection: the picked cells become the output, the
+/// rest are hidden (see [`FlowInfo::hidden`]).
+fn project_scan(info: &mut FlowInfo, idx: &[usize]) {
+    let cells = std::mem::take(&mut info.cells);
+    info.cells = idx
+        .iter()
         .map(|&i| cells.get(i).cloned().unwrap_or_else(|| Cell::public("?")))
-        .collect()
+        .collect();
+    info.hidden.extend(
+        cells
+            .into_iter()
+            .enumerate()
+            .filter(|(i, _)| !idx.contains(i))
+            .map(|(_, c)| c),
+    );
 }
 
 fn join_cells(mut a: Cell, b: &Cell) -> Cell {
@@ -1099,10 +1128,11 @@ fn join_cells(mut a: Cell, b: &Cell) -> Cell {
 /// Combine two child infos: `combine` merges the cell vectors; context is
 /// the lattice join; gate checks survive from either side.
 fn merge_infos(
-    l: FlowInfo,
+    mut l: FlowInfo,
     r: FlowInfo,
     combine: impl FnOnce(Vec<Cell>, Vec<Cell>) -> Vec<Cell>,
 ) -> FlowInfo {
+    l.hidden.extend(r.hidden);
     let (ctx, ctx_origin, ctx_gated) = if r.ctx > l.ctx {
         (r.ctx, r.ctx_origin, r.ctx_gated)
     } else if l.ctx == r.ctx && l.ctx_gated && !r.ctx_gated && r.ctx > Sensitivity::Public {
@@ -1114,6 +1144,7 @@ fn merge_infos(
     };
     FlowInfo {
         cells: combine(l.cells, r.cells),
+        hidden: l.hidden,
         ctx,
         ctx_origin,
         ctx_gated,
@@ -1467,6 +1498,64 @@ mod tests {
             gate_decision(&Principal::Faculty, 444, true),
             GateDecision::DeniedRole
         );
+    }
+
+    #[test]
+    fn narrowed_scans_keep_every_p_code() {
+        // The optimizer narrows scans to the columns read above them, so a
+        // COUNT(*) can sit over scans that emit no column at all. The
+        // verdict must not depend on that: the bound plan and the
+        // optimized one get the same codes for every principal.
+        let db = campus();
+        let bound = |sql: &str| match crate::sql::parse(sql).unwrap().as_slice() {
+            [crate::sql::ast::Statement::Select(q)] => {
+                crate::sql::binder::bind_select(q, &db.catalog()).unwrap()
+            }
+            other => panic!("expected one SELECT, got {other:?}"),
+        };
+        let codes = |r: ValidationReport| {
+            let mut c: Vec<&str> = r.diagnostics.iter().map(|d| d.code).collect();
+            c.sort_unstable();
+            c
+        };
+        let corpus = [
+            "SELECT COUNT(*) AS n FROM Enrollments",
+            "SELECT COUNT(*) AS n FROM Enrollments WHERE SuID = 2",
+            "SELECT COUNT(*) AS n FROM Enrollments WHERE Grade = 'A'",
+            "SELECT CourseID, COUNT(*) AS n FROM Enrollments GROUP BY CourseID",
+            "SELECT s.Name, COUNT(*) AS n FROM Students s JOIN Enrollments e ON e.SuID = s.SuID \
+             GROUP BY s.Name",
+            "SELECT e.CourseID, COUNT(*) AS n FROM Enrollments e JOIN Students s \
+             ON e.SuID = s.SuID WHERE s.SharePlans = TRUE GROUP BY e.CourseID",
+            "SELECT s.Name, COUNT(*) AS n FROM Students s JOIN Enrollments e ON e.SuID = s.SuID \
+             WHERE e.SuID = 2 GROUP BY s.Name",
+            "SELECT Grade, COUNT(*) AS n FROM Enrollments GROUP BY Grade HAVING COUNT(*) >= 5",
+            "SELECT e.SuID, e.CourseID FROM Enrollments e JOIN Students s ON e.SuID = s.SuID \
+             WHERE s.SharePlans = TRUE AND e.Status = 'planned'",
+            "SELECT Name FROM Students WHERE GPA > 3.5",
+        ];
+        for sql in corpus {
+            let plan = bound(sql);
+            let optimized = crate::plan::optimizer::optimize(plan.clone());
+            assert!(optimized.explain().contains("cols="), "{sql}");
+            for p in [
+                Principal::Student(Some(2)),
+                Principal::Student(None),
+                Principal::Faculty,
+                Principal::Anonymous,
+            ] {
+                let want = codes(check_disclosure(&plan, &db.catalog(), &p));
+                let got = codes(check_disclosure(&optimized, &db.catalog(), &p));
+                assert_eq!(got, want, "{p}: {sql}\n{}", optimized.explain());
+            }
+        }
+        // The counted table's labels still reach a zero-column scan.
+        let r = check(
+            &db,
+            "SELECT COUNT(*) AS n FROM Enrollments",
+            &Principal::Student(Some(2)),
+        );
+        assert!(r.has_errors(), "{r}");
     }
 
     #[test]

@@ -1,18 +1,26 @@
 //! Logical-plan rewrites.
 //!
-//! Three classic passes, applied bottom-up until fixpoint:
+//! Three classic passes, each one walk of the plan, in this order:
 //!
 //! 1. **Constant folding** — every expression is folded.
 //! 2. **Predicate pushdown** — filters sink through filters and joins and
 //!    merge into scans, where the executor can serve them from an index.
-//! 3. **Projection pruning** — a projection directly above a scan (with an
-//!    optional filter in between) narrows the scan to the columns actually
-//!    used, so wide CourseRank rows (descriptions, comment text) are not
-//!    cloned when only ids and ratings are needed.
+//! 3. **Required columns** — one top-down walk pushes the set of columns
+//!    each operator's parent reads through Filter, Project, Join (keys
+//!    and residual), Aggregate (group keys and arguments), Sort, Limit and
+//!    Union into every `Scan.projection`, remapping each parent's
+//!    expressions on the way back up. A join then gathers only the
+//!    columns above it read — `Courses.Description` is never cloned to
+//!    count enrollments — and a dead `Extend` disappears. The per-operator
+//!    rule is [`child_reads`], the same function the unused-extend
+//!    warning (W104) walks with. Extend and Recommend inputs keep every
+//!    column, and the root schema never changes.
 
 use crate::expr::Expr;
+use crate::schema::Schema;
 
-use super::logical::{JoinKind, LogicalPlan};
+use super::logical::{AggExpr, JoinKind, LogicalPlan, SortKey};
+use super::validate::child_reads;
 
 /// A named rewrite rule: a whole-plan transformation.
 type Rule = (&'static str, fn(LogicalPlan) -> LogicalPlan);
@@ -23,7 +31,7 @@ type Rule = (&'static str, fn(LogicalPlan) -> LogicalPlan);
 const RULES: &[Rule] = &[
     ("fold_constants", fold_constants),
     ("push_down_predicates", push_down_predicates),
-    ("prune_projections", prune_projections),
+    ("prune_columns", prune_columns),
 ];
 
 /// Optimize a plan. Idempotent.
@@ -318,96 +326,299 @@ fn push_filter(input: LogicalPlan, predicate: Expr) -> LogicalPlan {
     }
 }
 
-/// Narrow scans under projections to the columns actually used.
-fn prune_projections(plan: LogicalPlan) -> LogicalPlan {
-    map_children(plan, &|p| {
-        let LogicalPlan::Project {
+/// Narrow every scan to the columns the operators above it read.
+fn prune_columns(plan: LogicalPlan) -> LogicalPlan {
+    narrow(plan, None).0
+}
+
+/// The old output positions a rewritten node still produces, ascending;
+/// `None` when it still produces every column in place.
+type Kept = Option<Vec<usize>>;
+
+/// Rewrite `plan` so that it produces (at least) the `required` positions
+/// of its output — `None` meaning all of them — and report which it kept
+/// so the caller can remap its own expressions.
+///
+/// The requirements come from the one required-column rule
+/// ([`child_reads`]). Only row-preserving operators whose output is the
+/// concatenation or pass-through of their inputs' (Scan, Filter, Join,
+/// Sort, Limit, Union) narrow their output; Project and Aggregate keep
+/// theirs and narrow below; Extend and Recommend keep every column of
+/// their inputs (the nest-image fast path and the score ranking read
+/// whole rows), except that an Extend whose nested column nobody reads is
+/// dropped outright — its nest-map build is dead work.
+fn narrow(plan: LogicalPlan, required: Option<&[usize]>) -> (LogicalPlan, Kept) {
+    // A set naming every column (or one out of range: an invalid plan,
+    // left for validation to report) asks for nothing to be dropped.
+    let width = plan.schema().len();
+    let required = required.filter(|r| r.len() < width && r.last().is_none_or(|&c| c < width));
+    // Project and Aggregate keep their output, so they read for all of it.
+    let keeps_output = matches!(
+        plan,
+        LogicalPlan::Project { .. } | LogicalPlan::Aggregate { .. }
+    );
+    let mut reads = child_reads(&plan, if keeps_output { None } else { required }).into_iter();
+    let mut next = || reads.next().flatten();
+    match plan {
+        LogicalPlan::Scan {
+            table,
+            alias,
+            projection,
+            filter,
+            schema,
+        } => {
+            // A projection its schema disagrees with is invalid: leave it.
+            let valid = projection.as_ref().is_none_or(|p| p.len() == schema.len());
+            let Some(req) = required.filter(|_| valid) else {
+                let scan = LogicalPlan::Scan {
+                    table,
+                    alias,
+                    projection,
+                    filter,
+                    schema,
+                };
+                return (scan, None);
+            };
+            let kept = req.to_vec();
+            // The filter stays bound to the full table schema.
+            let projection = kept
+                .iter()
+                .map(|&i| projection.as_ref().map_or(i, |p| p[i]))
+                .collect();
+            let scan = LogicalPlan::Scan {
+                table,
+                alias,
+                projection: Some(projection),
+                filter,
+                schema: pick(&schema, &kept),
+            };
+            (scan, Some(kept))
+        }
+
+        LogicalPlan::Filter { input, predicate } => {
+            let (input, kept) = narrow(*input, next().as_deref());
+            let predicate = remap(predicate, &kept);
+            let filter = LogicalPlan::Filter {
+                input: Box::new(input),
+                predicate,
+            };
+            (filter, kept)
+        }
+
+        LogicalPlan::Project {
             input,
             exprs,
             schema,
-        } = p
-        else {
-            return p;
-        };
-        match *input {
-            // Project ∘ Extend where no expression reads the nested column
-            // (always the last): the whole Extend — nest-map build included —
-            // is dead work. Dropping it leaves column indices unchanged.
-            LogicalPlan::Extend {
-                input: ext_input,
-                schema: ext_schema,
-                ..
-            } if {
-                let nested_col = ext_schema.len() - 1;
-                let mut used = Vec::new();
-                for (e, _) in &exprs {
-                    e.referenced_columns(&mut used);
-                }
-                !used.contains(&nested_col)
-            } =>
-            {
-                LogicalPlan::Project {
-                    input: ext_input,
-                    exprs,
-                    schema,
-                }
-            }
-            LogicalPlan::Scan {
-                table,
-                alias,
-                projection: None,
-                filter,
-                schema: scan_schema,
-            } => {
-                // Columns the projection reads (scan filter runs before the
-                // projection inside the scan, so its columns need not be
-                // emitted).
-                let mut used = Vec::new();
-                for (e, _) in &exprs {
-                    e.referenced_columns(&mut used);
-                }
-                used.sort_unstable();
-                used.dedup();
-                if used.len() == scan_schema.len() {
-                    // Nothing to prune.
-                    return LogicalPlan::Project {
-                        input: Box::new(LogicalPlan::Scan {
-                            table,
-                            alias,
-                            projection: None,
-                            filter,
-                            schema: scan_schema,
-                        }),
-                        exprs,
-                        schema,
-                    };
-                }
-                // Remap projection expressions onto the narrowed row.
-                let position = |old: usize| used.binary_search(&old).unwrap_or(0);
-                let new_exprs: Vec<(Expr, String)> = exprs
-                    .into_iter()
-                    .map(|(e, n)| (e.map_columns(&position), n))
-                    .collect();
-                let narrowed = LogicalPlan::scan_output_schema(&scan_schema, &Some(used.clone()));
-                LogicalPlan::Project {
-                    input: Box::new(LogicalPlan::Scan {
-                        table,
-                        alias,
-                        projection: Some(used),
-                        filter,
-                        schema: narrowed,
-                    }),
-                    exprs: new_exprs,
-                    schema,
-                }
-            }
-            other => LogicalPlan::Project {
-                input: Box::new(other),
+        } => {
+            let (input, kept) = narrow(*input, next().as_deref());
+            let exprs = exprs
+                .into_iter()
+                .map(|(e, n)| (remap(e, &kept), n))
+                .collect();
+            let project = LogicalPlan::Project {
+                input: Box::new(input),
                 exprs,
                 schema,
-            },
+            };
+            (project, None)
         }
-    })
+
+        LogicalPlan::Join {
+            left,
+            right,
+            kind,
+            on,
+            schema,
+        } => {
+            let (lw, rw) = (left.schema().len(), right.schema().len());
+            // A join whose stored schema is not its sides' is invalid:
+            // narrow nothing at this level and leave it for validation.
+            let (lreq, rreq) = match schema.len() == lw + rw {
+                true => (next(), next()),
+                false => (None, None),
+            };
+            let (left, lkept) = narrow(*left, lreq.as_deref());
+            let (right, rkept) = narrow(*right, rreq.as_deref());
+            if lkept.is_none() && rkept.is_none() {
+                let join = LogicalPlan::Join {
+                    left: Box::new(left),
+                    right: Box::new(right),
+                    kind,
+                    on,
+                    schema,
+                };
+                return (join, None);
+            }
+            let kept: Vec<usize> = positions(lkept, lw)
+                .into_iter()
+                .chain(positions(rkept, rw).into_iter().map(|c| c + lw))
+                .collect();
+            let join = LogicalPlan::Join {
+                left: Box::new(left),
+                right: Box::new(right),
+                kind,
+                on: remap(on, &Some(kept.clone())),
+                schema: pick(&schema, &kept),
+            };
+            (join, Some(kept))
+        }
+
+        LogicalPlan::Aggregate {
+            input,
+            group_by,
+            aggs,
+            schema,
+        } => {
+            let (input, kept) = narrow(*input, next().as_deref());
+            let group_by = group_by.into_iter().map(|g| remap(g, &kept)).collect();
+            let aggs = aggs
+                .into_iter()
+                .map(|a| AggExpr {
+                    arg: remap(a.arg, &kept),
+                    ..a
+                })
+                .collect();
+            let aggregate = LogicalPlan::Aggregate {
+                input: Box::new(input),
+                group_by,
+                aggs,
+                schema,
+            };
+            (aggregate, None)
+        }
+
+        LogicalPlan::Sort { input, keys } => {
+            let (input, kept) = narrow(*input, next().as_deref());
+            let keys = keys
+                .into_iter()
+                .map(|k| SortKey {
+                    expr: remap(k.expr, &kept),
+                    desc: k.desc,
+                })
+                .collect();
+            let sort = LogicalPlan::Sort {
+                input: Box::new(input),
+                keys,
+            };
+            (sort, kept)
+        }
+
+        LogicalPlan::Limit {
+            input,
+            limit,
+            offset,
+        } => {
+            let (input, kept) = narrow(*input, next().as_deref());
+            let node = LogicalPlan::Limit {
+                input: Box::new(input),
+                limit,
+                offset,
+            };
+            (node, kept)
+        }
+
+        LogicalPlan::Union { left, right } => {
+            let Some(req) = required else {
+                let union = LogicalPlan::Union {
+                    left: Box::new(narrow(*left, None).0),
+                    right: Box::new(narrow(*right, None).0),
+                };
+                return (union, None);
+            };
+            // Both sides must keep the same positions. Each keeps at least
+            // what it is asked for, so asking both for the union of what
+            // they kept converges (at worst on "everything").
+            let mut want = Some(req.to_vec());
+            loop {
+                let (l, lkept) = narrow((*left).clone(), want.as_deref());
+                let (r, rkept) = narrow((*right).clone(), want.as_deref());
+                if lkept == rkept {
+                    let union = LogicalPlan::Union {
+                        left: Box::new(l),
+                        right: Box::new(r),
+                    };
+                    return (union, lkept);
+                }
+                want = lkept.zip(rkept).map(|(mut a, b)| {
+                    a.extend(b);
+                    a.sort_unstable();
+                    a.dedup();
+                    a
+                });
+            }
+        }
+
+        // Nobody reads the nested column (always the last): the Extend
+        // only appends it, so its input serves the same columns.
+        LogicalPlan::Extend { input, .. }
+            if required.is_some_and(|req| req.binary_search(&input.schema().len()).is_err()) =>
+        {
+            narrow(*input, required)
+        }
+
+        LogicalPlan::Extend {
+            input,
+            related,
+            key_col,
+            rating,
+            as_name,
+            schema,
+        } => {
+            let extend = LogicalPlan::Extend {
+                input: Box::new(narrow(*input, None).0),
+                related: Box::new(narrow(*related, None).0),
+                key_col,
+                rating,
+                as_name,
+                schema,
+            };
+            (extend, None)
+        }
+
+        LogicalPlan::Recommend {
+            target,
+            comparator,
+            spec,
+            schema,
+        } => {
+            let recommend = LogicalPlan::Recommend {
+                target: Box::new(narrow(*target, None).0),
+                comparator: Box::new(narrow(*comparator, None).0),
+                spec,
+                schema,
+            };
+            (recommend, None)
+        }
+
+        values @ LogicalPlan::Values { .. } => (values, None),
+    }
+}
+
+/// Every position a node of `width` columns kept.
+fn positions(kept: Kept, width: usize) -> Vec<usize> {
+    kept.unwrap_or_else(|| (0..width).collect())
+}
+
+/// Rebind `e` from a child's old output positions to the ones it kept.
+/// Every column `e` reads was required of the child, so it was kept; a
+/// reference out of range (an invalid plan) stays out of range.
+fn remap(e: Expr, kept: &Kept) -> Expr {
+    match kept {
+        None => e,
+        Some(kept) => e.map_columns(&|c| kept.binary_search(&c).unwrap_or(c)),
+    }
+}
+
+/// The columns of `schema` at `positions`, qualifiers kept.
+fn pick(schema: &Schema, positions: &[usize]) -> Schema {
+    let mut picked = Schema::default();
+    for &i in positions {
+        picked.push(
+            schema.column(i).clone(),
+            schema.qualifier(i).map(str::to_owned),
+        );
+    }
+    picked
 }
 
 /// Apply `f` to every node, bottom-up.
@@ -688,6 +899,146 @@ mod tests {
         }
     }
 
+    /// The CourseRank tables the analytics statements read, column for
+    /// column.
+    fn campus() -> crate::catalog::Database {
+        let db = crate::catalog::Database::new();
+        for ddl in [
+            "CREATE TABLE Courses (CourseID INT PRIMARY KEY, DepID TEXT NOT NULL, \
+             Title TEXT NOT NULL, Description TEXT, Units INT NOT NULL, Url TEXT)",
+            "CREATE TABLE Enrollments (SuID INT, CourseID INT, Year INT, Term TEXT, Grade TEXT, \
+             Status TEXT NOT NULL, PRIMARY KEY (SuID, CourseID, Year, Term))",
+            "CREATE TABLE Comments (CommentID INT PRIMARY KEY, SuID INT NOT NULL, \
+             CourseID INT NOT NULL, Year INT, Term TEXT, Text TEXT, Rating FLOAT, Date DATE)",
+        ] {
+            db.execute_sql(ddl).unwrap();
+        }
+        db
+    }
+
+    fn scan_lines(sql: &str, db: &crate::catalog::Database) -> Vec<String> {
+        crate::sql::plan_query(sql, &db.catalog())
+            .unwrap()
+            .explain()
+            .lines()
+            .filter(|l| l.trim_start().starts_with("Scan"))
+            .map(|l| l.trim().to_owned())
+            .collect()
+    }
+
+    #[test]
+    fn analytics_statements_scan_only_what_they_read() {
+        // The three join + group-by statements of the benchmark's
+        // analytics mix: each scan under the join reads its join key and
+        // what the aggregate reads, nothing else; pushed filters stay
+        // bound to the full table.
+        let db = campus();
+        let cases = [
+            (
+                "SELECT c.DepID, COUNT(*) AS n, AVG(m.Rating) AS r FROM Comments m \
+                 JOIN Courses c ON c.CourseID = m.CourseID \
+                 WHERE m.Rating >= 2 AND c.Units >= 3 GROUP BY c.DepID ORDER BY n DESC",
+                [
+                    "Scan Comments AS m cols=[2, 6] filter=(#6 >= 2)",
+                    "Scan Courses AS c cols=[0, 1] filter=(#4 >= 3)",
+                ],
+            ),
+            (
+                "SELECT e.CourseID, COUNT(*) AS n FROM Enrollments e \
+                 JOIN Courses c ON c.CourseID = e.CourseID \
+                 WHERE e.Year = 2007 AND c.Units >= 2 GROUP BY e.CourseID ORDER BY n DESC LIMIT 20",
+                [
+                    "Scan Enrollments AS e cols=[1] filter=(#2 = 2007)",
+                    "Scan Courses AS c cols=[0] filter=(#4 >= 2)",
+                ],
+            ),
+            (
+                "SELECT c.DepID, COUNT(*) AS n, SUM(c.Units) AS u FROM Enrollments e \
+                 JOIN Courses c ON c.CourseID = e.CourseID \
+                 WHERE e.Year = 2008 AND c.Units >= 4 GROUP BY c.DepID ORDER BY u DESC",
+                [
+                    "Scan Enrollments AS e cols=[1] filter=(#2 = 2008)",
+                    "Scan Courses AS c cols=[0, 1, 4] filter=(#4 >= 4)",
+                ],
+            ),
+        ];
+        for (sql, want) in cases {
+            assert_eq!(scan_lines(sql, &db), want, "{sql}");
+        }
+    }
+
+    #[test]
+    fn narrowing_reaches_through_filters_sorts_limits_and_unions() {
+        let c = setup();
+        // A residual filter above a join keeps its columns; the union's
+        // sides narrow to the same positions; `units` is read only by the
+        // filter, `dep` by nobody.
+        let left = PlanBuilder::scan(&c, "t").unwrap();
+        let right = PlanBuilder::scan(&c, "u").unwrap();
+        let joined = left
+            .join(
+                right,
+                JoinKind::Inner,
+                Expr::col("t.id").eq(Expr::col("u.t_id")),
+            )
+            .unwrap()
+            .filter(Expr::col("t.units").gt(Expr::col("u.id")))
+            .unwrap();
+        let plan = joined
+            .sort_by("u.id", false)
+            .unwrap()
+            .limit(5)
+            .project(vec![(Expr::col("u.id"), "uid")])
+            .unwrap()
+            .build();
+        let opt = optimize(plan.clone());
+        let text = opt.explain();
+        assert!(text.contains("Scan t cols=[0, 2]\n"), "{text}");
+        assert!(text.contains("Scan u\n"), "{text}");
+        let union = PlanBuilder::scan(&c, "t")
+            .unwrap()
+            .union(
+                PlanBuilder::scan(&c, "t")
+                    .unwrap()
+                    .filter(Expr::col("units").gt(Expr::lit(3i64)))
+                    .unwrap(),
+            )
+            .unwrap()
+            .project(vec![(Expr::col_idx(1), "dep")])
+            .unwrap()
+            .build();
+        let text = optimize(union).explain();
+        assert_eq!(text.matches("cols=[1]").count(), 2, "{text}");
+    }
+
+    #[test]
+    fn narrowing_composes_with_an_existing_projection() {
+        let c = setup();
+        let full = c.table_schema("t").unwrap();
+        let scan = LogicalPlan::Scan {
+            table: "t".into(),
+            alias: None,
+            schema: LogicalPlan::scan_output_schema(&full, &Some(vec![2, 0, 1])),
+            projection: Some(vec![2, 0, 1]),
+            filter: None,
+        };
+        let plan = PlanBuilder::from_plan(scan)
+            .project(vec![(Expr::col_idx(2), "dep"), (Expr::col_idx(0), "units")])
+            .unwrap()
+            .build();
+        match optimize(plan) {
+            LogicalPlan::Project { input, exprs, .. } => {
+                assert!(matches!(
+                    &*input,
+                    LogicalPlan::Scan { projection: Some(p), .. } if p == &vec![2, 1]
+                ));
+                assert_eq!(exprs[0].0, Expr::col_idx(1));
+                assert_eq!(exprs[1].0, Expr::col_idx(0));
+            }
+            other => panic!("expected Project, got {}", other.explain()),
+        }
+    }
+
     fn extend_setup() -> Catalog {
         let c = setup();
         c.create_table(
@@ -823,6 +1174,66 @@ mod tests {
             .build();
         let opt = optimize(plan);
         assert!(has_extend(&opt), "got {}", opt.explain());
+    }
+
+    #[test]
+    fn unused_extend_warning_and_rewrite_share_the_rule_below_projects() {
+        use crate::plan::validate::{analyze, W_UNUSED_EXTEND};
+        let c = extend_setup();
+        let warned = |p: &LogicalPlan| analyze(p, Some(&c)).has_code(W_UNUSED_EXTEND);
+        let kept = |p: LogicalPlan| optimize(p).explain().contains("Extend");
+        // Every operator between the Project and the Extend passes the
+        // required set through: warned ⇔ dropped.
+        let direct = extended(&c)
+            .filter(Expr::col("units").gt(Expr::lit(1i64)))
+            .unwrap()
+            .sort_by("id", false)
+            .unwrap()
+            .project(vec![(Expr::col("id"), "id")])
+            .unwrap()
+            .build();
+        assert!(warned(&direct) && !kept(direct));
+        let read = extended(&c)
+            .project(vec![(Expr::col("nested"), "n")])
+            .unwrap()
+            .build();
+        assert!(!warned(&read) && kept(read));
+        // A Project keeps its whole output, so one that still carries the
+        // nested column keeps the Extend the warning calls dead above it.
+        let stacked = extended(&c)
+            .project(vec![(Expr::col("id"), "id"), (Expr::col("nested"), "n")])
+            .unwrap()
+            .project(vec![(Expr::col("id"), "id")])
+            .unwrap()
+            .build();
+        assert!(warned(&stacked) && kept(stacked));
+    }
+
+    #[test]
+    fn extend_inputs_keep_every_column() {
+        // Only `id` and the nested column are read above, but the Extend's
+        // input scan stays whole (the nest-image path and the recommend
+        // ranking read whole rows). A Limit between the Extend and the
+        // Project that drops the nested column still kills the Extend, and
+        // its input then narrows like any other.
+        let c = extend_setup();
+        let plan = extended(&c)
+            .project(vec![(Expr::col("id"), "id"), (Expr::col("nested"), "n")])
+            .unwrap()
+            .build();
+        let text = optimize(plan).explain();
+        assert!(
+            text.contains("Scan t\n") && text.contains("Extend"),
+            "{text}"
+        );
+        let plan = extended(&c)
+            .limit(2)
+            .project(vec![(Expr::col("dep"), "dep")])
+            .unwrap()
+            .build();
+        let text = optimize(plan).explain();
+        assert!(!text.contains("Extend"), "{text}");
+        assert!(text.contains("Scan t cols=[1]\n"), "{text}");
     }
 
     #[test]

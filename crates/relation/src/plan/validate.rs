@@ -27,7 +27,6 @@
 //! single tree walk with no schema construction — cheap enough to run
 //! unconditionally after lowering (< 5% of compile time).
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -1105,188 +1104,160 @@ impl Checker<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Dataflow: required-column analysis (unused-extend detection)
+// Dataflow: required columns (unused-extend detection, scan narrowing)
 // ---------------------------------------------------------------------------
 
-/// Descend into `child`, maintaining the path segment stack.
-fn observe_child(
-    child: &LogicalPlan,
-    required: Option<&BTreeSet<usize>>,
-    edge: Option<&'static str>,
-    stack: &mut Vec<&'static str>,
-    diags: &mut Vec<Diagnostic>,
-) {
-    if let Some(e) = edge {
-        stack.push(e);
-    }
-    stack.push(child.op_name());
-    observe(child, required, stack, diags);
-    stack.pop();
-    if edge.is_some() {
-        stack.pop();
-    }
-}
+/// A set of column positions, ascending without duplicates; `None` means
+/// "every column".
+pub(crate) type Required = Option<Vec<usize>>;
 
-/// Top-down required-column walk. `required = None` means "every output
-/// column is observed" (the root's columns are all returned to the user).
-/// Fires [`W_UNUSED_EXTEND`] when an extend's appended nested column is
-/// never consumed above it.
-fn observe(
-    plan: &LogicalPlan,
-    required: Option<&BTreeSet<usize>>,
-    stack: &mut Vec<&'static str>,
-    diags: &mut Vec<Diagnostic>,
-) {
-    let expr_cols = |exprs: &[&Expr]| {
-        let mut cols = Vec::new();
+/// The required-column rule, one operator at a time: given the columns of
+/// `plan`'s output its parent reads (`None` = all of them — the root's
+/// columns all go to the user), the columns of each child `plan` reads,
+/// in child order (input; left, right; input, related; target,
+/// comparator).
+///
+/// The unused-extend warning ([`W_UNUSED_EXTEND`]) and the optimizer's
+/// scan narrowing (`optimizer::narrow`) both walk the plan top-down with
+/// this one function. The rewrite asks every Project for its whole output
+/// (a Project's schema stays as built), so it drops an Extend the warning
+/// calls dead only when nothing in between must keep the nested column's
+/// position: a Project (`Project[id]` over `Project[id, nested]` over an
+/// Extend warns but keeps the Extend), or a Union whose other side cannot
+/// narrow.
+pub(crate) fn child_reads(plan: &LogicalPlan, required: Option<&[usize]>) -> Vec<Required> {
+    /// `cols` plus the columns `exprs` read, as a set.
+    fn with<'e>(mut cols: Vec<usize>, exprs: impl IntoIterator<Item = &'e Expr>) -> Vec<usize> {
         for e in exprs {
             e.referenced_columns(&mut cols);
         }
-        cols.into_iter().collect::<BTreeSet<usize>>()
+        cols.sort_unstable();
+        cols.dedup();
+        cols
+    }
+    // The parent's set plus what the operator itself reads; "all" stays all.
+    let plus = |own: &[&Expr]| required.map(|req| with(req.to_vec(), own.iter().copied()));
+    // The parent's set restricted to the columns a child passes through
+    // unchanged (the first `width` outputs), plus the operator's own reads.
+    let passthrough = |width: usize, own: &[usize]| {
+        let mut cols: Vec<usize> = match required {
+            Some(req) => req[..req.partition_point(|&c| c < width)].to_vec(),
+            None => (0..width).collect(),
+        };
+        cols.extend(own);
+        Some(with(cols, []))
     };
     match plan {
-        LogicalPlan::Scan { .. } | LogicalPlan::Values { .. } => {}
-
-        LogicalPlan::Filter { input, predicate } => {
-            let child = required.map(|req| {
-                let mut set = req.clone();
-                set.extend(expr_cols(&[predicate]));
-                set
-            });
-            observe_child(input, child.as_ref(), None, stack, diags);
+        LogicalPlan::Scan { .. } | LogicalPlan::Values { .. } => Vec::new(),
+        LogicalPlan::Filter { predicate, .. } => vec![plus(&[predicate])],
+        LogicalPlan::Sort { keys, .. } => {
+            vec![plus(&keys.iter().map(|k| &k.expr).collect::<Vec<_>>())]
         }
-
-        LogicalPlan::Project { input, exprs, .. } => {
-            let set = match required {
-                Some(req) => {
-                    let picked: Vec<&Expr> = exprs
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| req.contains(i))
-                        .map(|(_, (e, _))| e)
-                        .collect();
-                    expr_cols(&picked)
-                }
-                None => expr_cols(&exprs.iter().map(|(e, _)| e).collect::<Vec<_>>()),
-            };
-            observe_child(input, Some(&set), None, stack, diags);
-        }
-
-        LogicalPlan::Join {
-            left, right, on, ..
-        } => {
-            let lw = left.schema().len();
-            let on_cols = expr_cols(&[on]);
-            let (lreq, rreq) = match required {
-                Some(req) => {
-                    let mut l: BTreeSet<usize> = req.iter().filter(|&&c| c < lw).copied().collect();
-                    let mut r: BTreeSet<usize> =
-                        req.iter().filter(|&&c| c >= lw).map(|&c| c - lw).collect();
-                    l.extend(on_cols.iter().filter(|&&c| c < lw).copied());
-                    r.extend(on_cols.iter().filter(|&&c| c >= lw).map(|&c| c - lw));
-                    (Some(l), Some(r))
-                }
-                None => (None, None),
-            };
-            observe_child(left, lreq.as_ref(), Some("left"), stack, diags);
-            observe_child(right, rreq.as_ref(), Some("right"), stack, diags);
-        }
-
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-            ..
-        } => {
-            // Group keys shape the output even when unused upstream, and
-            // every aggregate argument is read.
-            let mut exprs: Vec<&Expr> = group_by.iter().collect();
-            exprs.extend(aggs.iter().map(|a| &a.arg));
-            let set = expr_cols(&exprs);
-            observe_child(input, Some(&set), None, stack, diags);
-        }
-
-        LogicalPlan::Sort { input, keys } => {
-            let child = required.map(|req| {
-                let mut set = req.clone();
-                set.extend(expr_cols(&keys.iter().map(|k| &k.expr).collect::<Vec<_>>()));
-                set
-            });
-            observe_child(input, child.as_ref(), None, stack, diags);
-        }
-
-        LogicalPlan::Limit { input, .. } => {
-            observe_child(input, required, None, stack, diags);
-        }
-
-        LogicalPlan::Union { left, right } => {
-            observe_child(left, required, Some("left"), stack, diags);
-            observe_child(right, required, Some("right"), stack, diags);
-        }
-
-        LogicalPlan::Extend {
-            input,
-            related,
-            key_col,
-            as_name,
-            ..
-        } => {
-            let iw = input.schema().len();
-            if let Some(req) = required {
-                if !req.contains(&iw) {
-                    diags.push(Diagnostic::warning(
-                        W_UNUSED_EXTEND,
-                        stack.join("."),
-                        format!(
-                            "nested column {as_name} is never consumed above this extend \
-                             (dead nest-map work)"
-                        ),
-                    ));
-                }
+        LogicalPlan::Limit { .. } => vec![required.map(<[usize]>::to_vec)],
+        LogicalPlan::Union { .. } => vec![required.map(<[usize]>::to_vec); 2],
+        LogicalPlan::Project { exprs, .. } => vec![Some(with(
+            Vec::new(),
+            exprs
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| required.is_none_or(|req| req.binary_search(i).is_ok()))
+                .map(|(_, (e, _))| e),
+        ))],
+        // Group keys shape the output even when unused upstream, and every
+        // aggregate argument is read.
+        LogicalPlan::Aggregate { group_by, aggs, .. } => vec![Some(with(
+            Vec::new(),
+            group_by.iter().chain(aggs.iter().map(|a| &a.arg)),
+        ))],
+        LogicalPlan::Join { left, on, .. } => match required {
+            Some(req) => {
+                let lw = left.schema().len();
+                let cols = with(req.to_vec(), [on]);
+                let (l, r) = cols.split_at(cols.partition_point(|&c| c < lw));
+                vec![Some(l.to_vec()), Some(r.iter().map(|c| c - lw).collect())]
             }
-            let child = {
-                let mut set: BTreeSet<usize> = match required {
-                    Some(req) => req.iter().filter(|&&c| c < iw).copied().collect(),
-                    None => (0..iw).collect(),
-                };
-                set.insert(*key_col);
-                set
-            };
-            observe_child(input, Some(&child), None, stack, diags);
-            // The related side's [fk, key(, rating)] columns are all read.
-            observe_child(related, None, Some("related"), stack, diags);
+            None => vec![None, None],
+        },
+        // The related side's [fk, key(, rating)] columns are all read.
+        LogicalPlan::Extend { input, key_col, .. } => {
+            vec![passthrough(input.schema().len(), &[*key_col]), None]
         }
+        LogicalPlan::Recommend { target, spec, .. } => {
+            let mut own = vec![spec.target_col];
+            own.extend(spec.exclude_seen.map(|(t, _)| t));
+            let mut creq = vec![spec.comparator_col];
+            if let RecAggPlan::WeightedAvg { weight_col } = spec.agg {
+                creq.push(weight_col);
+            }
+            creq.extend(spec.exclude_seen.map(|(_, c)| c));
+            vec![
+                passthrough(target.schema().len(), &own),
+                Some(with(creq, [])),
+            ]
+        }
+    }
+}
 
+/// A child plan and the edge label the diagnostic path gives it (`None`
+/// for single-input operators).
+type Child<'p> = Option<(&'p LogicalPlan, Option<&'static str>)>;
+
+/// `plan`'s children in [`child_reads`] order (at most two; absent ones
+/// are `None`).
+fn children(plan: &LogicalPlan) -> [Child<'_>; 2] {
+    match plan {
+        LogicalPlan::Scan { .. } | LogicalPlan::Values { .. } => [None, None],
+        LogicalPlan::Filter { input, .. }
+        | LogicalPlan::Project { input, .. }
+        | LogicalPlan::Aggregate { input, .. }
+        | LogicalPlan::Sort { input, .. }
+        | LogicalPlan::Limit { input, .. } => [Some((input, None)), None],
+        LogicalPlan::Join { left, right, .. } | LogicalPlan::Union { left, right } => {
+            [Some((left, Some("left"))), Some((right, Some("right")))]
+        }
+        LogicalPlan::Extend { input, related, .. } => {
+            [Some((input, None)), Some((related, Some("related")))]
+        }
         LogicalPlan::Recommend {
-            target,
-            comparator,
-            spec,
-            ..
-        } => {
-            let tw = target.schema().len();
-            let treq = {
-                let mut set: BTreeSet<usize> = match required {
-                    Some(req) => req.iter().filter(|&&c| c < tw).copied().collect(),
-                    None => (0..tw).collect(),
-                };
-                set.insert(spec.target_col);
-                if let Some((t, _)) = spec.exclude_seen {
-                    set.insert(t);
-                }
-                set
-            };
-            let creq = {
-                let mut set = BTreeSet::from([spec.comparator_col]);
-                if let RecAggPlan::WeightedAvg { weight_col } = spec.agg {
-                    set.insert(weight_col);
-                }
-                if let Some((_, c)) = spec.exclude_seen {
-                    set.insert(c);
-                }
-                set
-            };
-            observe_child(target, Some(&treq), Some("target"), stack, diags);
-            observe_child(comparator, Some(&creq), Some("comparator"), stack, diags);
+            target, comparator, ..
+        } => [
+            Some((target, Some("target"))),
+            Some((comparator, Some("comparator"))),
+        ],
+    }
+}
+
+/// Top-down required-column walk ([`child_reads`]). Fires
+/// [`W_UNUSED_EXTEND`] when an extend's appended nested column is never
+/// consumed above it.
+fn observe(
+    plan: &LogicalPlan,
+    required: Option<&[usize]>,
+    stack: &mut Vec<&'static str>,
+    diags: &mut Vec<Diagnostic>,
+) {
+    if let LogicalPlan::Extend { input, as_name, .. } = plan {
+        if required.is_some_and(|req| req.binary_search(&input.schema().len()).is_err()) {
+            diags.push(Diagnostic::warning(
+                W_UNUSED_EXTEND,
+                stack.join("."),
+                format!(
+                    "nested column {as_name} is never consumed above this extend \
+                     (dead nest-map work)"
+                ),
+            ));
+        }
+    }
+    let kids = children(plan).into_iter().flatten();
+    for ((child, edge), req) in kids.zip(child_reads(plan, required)) {
+        if let Some(e) = edge {
+            stack.push(e);
+        }
+        stack.push(child.op_name());
+        observe(child, req.as_deref(), stack, diags);
+        stack.pop();
+        if edge.is_some() {
+            stack.pop();
         }
     }
 }

@@ -99,6 +99,7 @@ proptest! {
     ) {
         let db = build_db(&rows1, &rows2);
         for q in QUERIES {
+            assert_optimize_stable(&bind(q, &db));
             let row = db.query_sql_with(q, &oracle()).unwrap();
             for &b in BATCH_SIZES {
                 let vec = db.query_sql_with(q, &batched(b)).unwrap();
@@ -133,6 +134,208 @@ proptest! {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Hash keys and narrowed scans: joins and group-bys keyed on columns
+// ---------------------------------------------------------------------
+
+const FLOATS: &[&str] = &["NULL", "-0.0", "0.0", "1.0", "1.5", "3.0"];
+const KEY_TEXTS: &[&str] = &["NULL", "'x'", "'y'", "''", "'x y'"];
+
+/// Two tables whose key columns meet across types: Int `K` against Float
+/// `F` (3 = 3.0), −0.0 next to 0.0, NULL Int/Float/Text keys, and a wide
+/// `Pad` column no query reads — the column the narrowed scans drop.
+fn build_key_db(a: &[(i64, usize, usize, i64)], b: &[(i64, usize, usize, i64)]) -> Database {
+    let db = Database::new();
+    for (table, rows, v) in [("A", a, "P"), ("B", b, "W")] {
+        db.execute_sql(&format!(
+            "CREATE TABLE {table} (Id INT PRIMARY KEY, K INT, F FLOAT, S TEXT, {v} INT, Pad TEXT)"
+        ))
+        .unwrap();
+        for (i, &(k, f, s, n)) in rows.iter().enumerate() {
+            let k = if k == 0 {
+                "NULL".to_owned()
+            } else {
+                k.to_string()
+            };
+            db.execute_sql(&format!(
+                "INSERT INTO {table} VALUES ({i}, {k}, {}, {}, {n}, 'padding {i}')",
+                FLOATS[f % FLOATS.len()],
+                KEY_TEXTS[s % KEY_TEXTS.len()]
+            ))
+            .unwrap();
+        }
+    }
+    db
+}
+
+/// Join and group keys of every shape the key hashing distinguishes,
+/// over scans the optimizer narrows.
+const KEY_QUERIES: &[&str] = &[
+    // Int keys meet Float keys numerically.
+    "SELECT A.Id, B.Id FROM A JOIN B ON A.K = B.F",
+    // −0.0 joins and groups with 0.0; NULL Float keys never join.
+    "SELECT A.Id, B.Id, A.F, B.F FROM A JOIN B ON A.F = B.F",
+    "SELECT F, COUNT(*) AS n, SUM(P) AS s FROM A GROUP BY F",
+    // NULL group keys form one group.
+    "SELECT K, COUNT(*) AS n, MIN(S) AS lo FROM A GROUP BY K",
+    // Two-column join and group keys, Text included.
+    "SELECT A.Id, B.W FROM A JOIN B ON A.K = B.K AND A.S = B.S",
+    "SELECT K, S, COUNT(*) AS n, MAX(P) AS hi FROM A GROUP BY K, S",
+    "SELECT A.S, COUNT(*) AS n, AVG(B.F) AS f FROM A JOIN B ON A.S = B.S GROUP BY A.S",
+    // LEFT OUTER with the right side narrowed to its key and one column.
+    "SELECT A.Id, B.W FROM A LEFT JOIN B ON A.K = B.K",
+    "SELECT A.Id, B.W FROM A LEFT JOIN B ON A.K = B.K AND B.W > 0",
+    // Aliased self-join; the residual sits above the join.
+    "SELECT x.Id, y.P FROM A x JOIN A y ON x.K = y.K WHERE x.Id < y.Id",
+    // UNION ALL of narrowed sides.
+    "SELECT K FROM A WHERE P > 0 UNION ALL SELECT F FROM B WHERE W < 0",
+    // COUNT(*) over a join: each side needs only its key.
+    "SELECT COUNT(*) AS n FROM A JOIN B ON A.K = B.K",
+    // Zero-column scans.
+    "SELECT COUNT(*) AS n FROM A",
+    "SELECT COUNT(*) AS n FROM A WHERE P > 0",
+    "SELECT DISTINCT S FROM B",
+    // A three-way join with pushed filters and a group key from the middle.
+    "SELECT B.S, COUNT(*) AS n, SUM(c.P) AS total FROM A JOIN B ON A.K = B.K \
+     JOIN A c ON c.F = B.F WHERE A.P > -3 AND B.W < 4 GROUP BY B.S ORDER BY n DESC, S",
+];
+
+/// Plans SQL cannot spell: a Union of whole scans (narrowed to the same
+/// positions on both sides) and a key column that is Int on one side and
+/// Float on the other, which the batched union stores as Generic values.
+fn key_plans(db: &Database) -> Vec<cr_relation::LogicalPlan> {
+    use cr_relation::plan::{AggExpr, AggFn, JoinKind};
+    use cr_relation::{Expr, PlanBuilder};
+    let c = db.catalog();
+    let scan = |t: &str| PlanBuilder::scan(&c, t).unwrap();
+    let count = || AggExpr {
+        func: AggFn::CountStar,
+        arg: Expr::lit(1i64),
+        distinct: false,
+        name: "n".into(),
+    };
+    let mixed = || {
+        scan("A")
+            .select_columns(&["K"])
+            .unwrap()
+            .union(scan("B").select_columns(&["F"]).unwrap())
+            .unwrap()
+    };
+    vec![
+        scan("A")
+            .union(scan("B"))
+            .unwrap()
+            .aggregate(vec![Expr::col_idx(1)], vec![count()])
+            .unwrap()
+            .build(),
+        mixed()
+            .aggregate(vec![Expr::col_idx(0)], vec![count()])
+            .unwrap()
+            .build(),
+        scan("B")
+            .join(
+                mixed(),
+                JoinKind::Inner,
+                Expr::col_idx(1).eq(Expr::col_idx(6)),
+            )
+            .unwrap()
+            .select_columns(&["Id"])
+            .unwrap()
+            .build(),
+    ]
+}
+
+/// Bind a SELECT without optimizing it: the unnarrowed plan the row
+/// oracle runs as ground truth.
+fn bind(sql: &str, db: &Database) -> cr_relation::LogicalPlan {
+    match cr_relation::sql::parse(sql).unwrap().as_slice() {
+        [cr_relation::sql::ast::Statement::Select(q)] => {
+            cr_relation::sql::binder::bind_select(q, &db.catalog()).unwrap()
+        }
+        other => panic!("expected one SELECT, got {other:?}"),
+    }
+}
+
+/// `optimize` is idempotent and keeps the root schema.
+fn assert_optimize_stable(plan: &cr_relation::LogicalPlan) -> cr_relation::LogicalPlan {
+    use cr_relation::plan::optimizer::optimize;
+    let once = optimize(plan.clone());
+    assert_eq!(
+        once.schema(),
+        plan.schema(),
+        "root schema\n{}",
+        once.explain()
+    );
+    assert_eq!(
+        optimize(once.clone()),
+        once,
+        "not idempotent\n{}",
+        once.explain()
+    );
+    once
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The unoptimized plan on the row oracle is ground truth; the
+    /// optimized (narrowed) plan on every walker must print the same rows
+    /// — `Debug`, so −0.0 and 0.0 stay apart — in the same order.
+    #[test]
+    fn keyed_joins_over_narrowed_scans_match_row_oracle(
+        a in proptest::collection::vec((0i64..5, 0usize..6, 0usize..5, -4i64..4), 0..60),
+        b in proptest::collection::vec((0i64..5, 0usize..6, 0usize..5, -4i64..4), 0..40),
+    ) {
+        let db = build_key_db(&a, &b);
+        let catalog = db.catalog();
+        let plans = KEY_QUERIES.iter().map(|q| bind(q, &db)).chain(key_plans(&db));
+        for plan in plans {
+            let want = format!("{:?}", execute_with(&plan, &catalog, &oracle()).unwrap().rows);
+            let optimized = assert_optimize_stable(&plan);
+            for b in std::iter::once(0).chain(BATCH_SIZES.iter().copied()) {
+                let got = execute_with(&optimized, &catalog, &batched(b)).unwrap();
+                prop_assert_eq!(
+                    &format!("{:?}", got.rows), &want,
+                    "batch_size={} diverged on\n{}", b, optimized.explain()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn key_corpus_has_the_shapes_it_claims() {
+    // Int 3 / Float 3.0, −0.0 / 0.0 and NULL keys all present, and the
+    // key queries' scans really are narrowed (one to zero columns).
+    let rows: Vec<(i64, usize, usize, i64)> = (0..12)
+        .map(|i| (i % 4, i as usize, i as usize, i))
+        .collect();
+    let db = build_key_db(&rows, &rows);
+    let floats = format!("{:?}", db.query_sql("SELECT F FROM A").unwrap().rows);
+    assert!(
+        floats.contains("Float(-0.0)") && floats.contains("Float(0.0)"),
+        "{floats}"
+    );
+    let plans: Vec<String> = KEY_QUERIES
+        .iter()
+        .map(|q| {
+            cr_relation::sql::plan_query(q, &db.catalog())
+                .unwrap()
+                .explain()
+        })
+        .collect();
+    let scans = plans
+        .iter()
+        .flat_map(|p| p.lines())
+        .filter(|l| l.contains("Scan"));
+    assert!(scans.clone().all(|l| l.contains("cols=")), "{plans:#?}");
+    assert!(plans.iter().any(|p| p.contains("cols=[]")), "{plans:#?}");
+    let joined = db
+        .query_sql("SELECT COUNT(*) AS n FROM A JOIN B ON A.K = B.F")
+        .unwrap();
+    assert_ne!(joined.scalar(), Some(&Value::Int(0)));
 }
 
 // ---------------------------------------------------------------------
@@ -421,6 +624,9 @@ proptest! {
     ) {
         let db = build_social_db(&users, &ratings);
         let catalog = db.catalog();
+        if let Ok(plan) = cr_flexrecs::compile::compile(&wf, &catalog) {
+            assert_optimize_stable(&plan);
+        }
         let row = compile_and_run_with(&wf, &catalog, &oracle());
         for &b in BATCH_SIZES {
             let vec = compile_and_run_with(&wf, &catalog, &batched(b));
