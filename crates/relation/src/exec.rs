@@ -72,40 +72,11 @@ struct RelMetrics {
     /// [`Table::nested`] image) vs. served from a table's cached image.
     nest_builds: Arc<cr_obs::Counter>,
     nest_hits: Arc<cr_obs::Counter>,
-    // Per-operator-kind latency histograms (`relation.op.<kind>_ns`),
-    // pre-resolved so the profiled executor never takes the registry
-    // lock per node — it already measured the elapsed time, recording
-    // is one atomic bump.
-    op_scan_ns: Arc<cr_obs::Histogram>,
-    op_filter_ns: Arc<cr_obs::Histogram>,
-    op_project_ns: Arc<cr_obs::Histogram>,
-    op_join_ns: Arc<cr_obs::Histogram>,
-    op_aggregate_ns: Arc<cr_obs::Histogram>,
-    op_sort_ns: Arc<cr_obs::Histogram>,
-    op_limit_ns: Arc<cr_obs::Histogram>,
-    op_values_ns: Arc<cr_obs::Histogram>,
-    op_union_ns: Arc<cr_obs::Histogram>,
-    op_extend_ns: Arc<cr_obs::Histogram>,
-    op_recommend_ns: Arc<cr_obs::Histogram>,
-}
-
-impl RelMetrics {
-    /// The pre-resolved histogram for one plan operator.
-    fn op_hist(&self, plan: &LogicalPlan) -> &Arc<cr_obs::Histogram> {
-        match plan {
-            LogicalPlan::Scan { .. } => &self.op_scan_ns,
-            LogicalPlan::Filter { .. } => &self.op_filter_ns,
-            LogicalPlan::Project { .. } => &self.op_project_ns,
-            LogicalPlan::Join { .. } => &self.op_join_ns,
-            LogicalPlan::Aggregate { .. } => &self.op_aggregate_ns,
-            LogicalPlan::Sort { .. } => &self.op_sort_ns,
-            LogicalPlan::Limit { .. } => &self.op_limit_ns,
-            LogicalPlan::Values { .. } => &self.op_values_ns,
-            LogicalPlan::Union { .. } => &self.op_union_ns,
-            LogicalPlan::Extend { .. } => &self.op_extend_ns,
-            LogicalPlan::Recommend { .. } => &self.op_recommend_ns,
-        }
-    }
+    /// Per-operator-kind latency histograms (`relation.op.<kind>_ns`),
+    /// indexed by [`LogicalPlan::op_index`] and pre-resolved so the
+    /// profiled executor never takes the registry lock per node — it
+    /// already measured the elapsed time, recording is one atomic bump.
+    op_ns: [Arc<cr_obs::Histogram>; LogicalPlan::OP_NAMES.len()],
 }
 
 fn metrics() -> &'static RelMetrics {
@@ -122,17 +93,8 @@ fn metrics() -> &'static RelMetrics {
             scan_index_range: r.counter("relation.scan.index_range"),
             nest_builds: r.counter("relation.nest.builds"),
             nest_hits: r.counter("relation.nest.hits"),
-            op_scan_ns: r.histogram("relation.op.scan_ns"),
-            op_filter_ns: r.histogram("relation.op.filter_ns"),
-            op_project_ns: r.histogram("relation.op.project_ns"),
-            op_join_ns: r.histogram("relation.op.join_ns"),
-            op_aggregate_ns: r.histogram("relation.op.aggregate_ns"),
-            op_sort_ns: r.histogram("relation.op.sort_ns"),
-            op_limit_ns: r.histogram("relation.op.limit_ns"),
-            op_values_ns: r.histogram("relation.op.values_ns"),
-            op_union_ns: r.histogram("relation.op.union_ns"),
-            op_extend_ns: r.histogram("relation.op.extend_ns"),
-            op_recommend_ns: r.histogram("relation.op.recommend_ns"),
+            op_ns: LogicalPlan::OP_NAMES
+                .map(|op| r.histogram(&format!("relation.op.{}_ns", op.to_ascii_lowercase()))),
         }
     })
 }
@@ -394,7 +356,7 @@ impl Profile for OpProfile {
         if cr_obs::enabled() {
             // Pre-resolved per-kind histogram: elapsed is already measured,
             // recording is one atomic bump (no Span, no registry lock).
-            metrics().op_hist(plan).record_duration(elapsed);
+            metrics().op_ns[plan.op_index()].record_duration(elapsed);
         }
         if span.is_recording() {
             span.set_name(&op);

@@ -105,7 +105,7 @@ pub fn extract(plan: &LogicalPlan) -> PlanDeps {
 /// the base schema. Without a catalog those cases degrade conservatively.
 pub fn extract_in(plan: &LogicalPlan, catalog: Option<&Catalog>) -> PlanDeps {
     let mut scans = Vec::new();
-    walk(plan, catalog, &mut scans);
+    walk_scan_chain(plan, catalog, &[], &mut scans);
     let mut deps = PlanDeps::default();
     for scan in scans {
         match deps.tables.remove(&scan.table) {
@@ -145,44 +145,11 @@ pub fn extract_in(plan: &LogicalPlan, catalog: Option<&Catalog>) -> PlanDeps {
     deps
 }
 
-/// Recursive walk. `scans` accumulates one entry per scan instance.
-fn walk(plan: &LogicalPlan, catalog: Option<&Catalog>, scans: &mut Vec<ScanDep>) {
-    match plan {
-        LogicalPlan::Scan { .. } | LogicalPlan::Filter { .. } | LogicalPlan::Sort { .. } => {
-            // Start of a potential filter→scan chain: collect predicates
-            // down to the scan if the path stays row-set-preserving.
-            walk_scan_chain(plan, catalog, &[], scans);
-        }
-        LogicalPlan::Project { input, .. } => walk(input, catalog, scans),
-        LogicalPlan::Join { left, right, .. } => {
-            walk(left, catalog, scans);
-            walk(right, catalog, scans);
-        }
-        LogicalPlan::Aggregate { input, .. } => walk(input, catalog, scans),
-        LogicalPlan::Limit { input, .. } => walk(input, catalog, scans),
-        LogicalPlan::Values { .. } => {}
-        LogicalPlan::Union { left, right } => {
-            walk(left, catalog, scans);
-            walk(right, catalog, scans);
-        }
-        LogicalPlan::Extend { input, related, .. } => {
-            walk(input, catalog, scans);
-            walk(related, catalog, scans);
-        }
-        LogicalPlan::Recommend {
-            target, comparator, ..
-        } => {
-            walk(target, catalog, scans);
-            walk(comparator, catalog, scans);
-        }
-    }
-}
-
-/// Follow a chain of row-set-preserving nodes (`Filter`, `Sort`) down to
-/// a `Scan`, accumulating filter predicates that apply to every row the
-/// scan emits. Any other node shape ends the chain and falls back to the
-/// generic walk (predicates collected so far are discarded — they do not
-/// provably gate the scan).
+/// Recursive walk; `scans` accumulates one entry per scan instance.
+/// Follows a chain of row-set-preserving nodes (`Filter`, `Sort`) down to
+/// a `Scan`, accumulating in `pending` the filter predicates that apply to
+/// every row the scan emits. Any other node ends the chain: its inputs
+/// start fresh ones.
 fn walk_scan_chain<'p>(
     plan: &'p LogicalPlan,
     catalog: Option<&Catalog>,
@@ -207,10 +174,14 @@ fn walk_scan_chain<'p>(
                 table, projection, filter, schema, catalog, pending,
             ));
         }
+        // Chain broken (Project/Join/Limit/…, a new operator included):
+        // predicates above this node do not provably gate the scans below
+        // it row-for-row, so they are dropped. Safe for every variant —
+        // dropping a key constraint only widens the footprint.
         other => {
-            // Chain broken (Project/Join/Limit/...): predicates above this
-            // node do not gate the scans below it row-for-row.
-            walk(other, catalog, scans);
+            for (_, child) in other.children().into_iter().flatten() {
+                walk_scan_chain(child, catalog, &[], scans);
+            }
         }
     }
 }

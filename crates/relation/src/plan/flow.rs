@@ -72,7 +72,7 @@ use crate::expr::{BinOp, Expr};
 use crate::schema::Schema;
 use crate::value::Value;
 
-use super::logical::{AggFn, LogicalPlan};
+use super::logical::{AggFn, Child, LogicalPlan};
 use super::validate::{Diagnostic, ValidationReport};
 
 // ---------------------------------------------------------------------------
@@ -570,7 +570,11 @@ impl<'a> FlowChecker<'a> {
         self.stack.join(".")
     }
 
+    /// The flow state of `plan`'s output: the operator's transfer over
+    /// its inputs' states, each taken along its [`LogicalPlan::children`]
+    /// edge by [`FlowChecker::descend`].
     fn flow(&mut self, plan: &LogicalPlan) -> FlowInfo {
+        let [first, second] = plan.children();
         match plan {
             LogicalPlan::Scan {
                 table,
@@ -579,21 +583,13 @@ impl<'a> FlowChecker<'a> {
                 schema,
                 ..
             } => self.scan_flow(table, projection, filter.as_ref(), schema),
-            LogicalPlan::Filter { input, predicate } => {
-                self.stack.push("Filter");
-                let mut info = self.flow(input);
-                self.stack.pop();
+            LogicalPlan::Filter { predicate, .. } => {
+                let mut info = self.descend(first);
                 self.apply_predicate(&mut info, predicate);
                 info
             }
-            LogicalPlan::Project {
-                input,
-                exprs,
-                schema: _,
-            } => {
-                self.stack.push("Project");
-                let info = self.flow(input);
-                self.stack.pop();
+            LogicalPlan::Project { exprs, .. } => {
+                let info = self.descend(first);
                 let cells = exprs
                     .iter()
                     .map(|(e, name)| derive_cell(&info.cells, e, name))
@@ -604,38 +600,22 @@ impl<'a> FlowChecker<'a> {
                     ..info
                 }
             }
-            LogicalPlan::Join {
-                left, right, on, ..
-            } => {
-                self.stack.push("Join.left");
-                let l = self.flow(left);
-                self.stack.pop();
-                self.stack.push("Join.right");
-                let r = self.flow(right);
-                self.stack.pop();
-                let mut info = merge_infos(l, r, |mut lc, rc| {
-                    lc.extend(rc);
-                    lc
-                });
+            LogicalPlan::Join { on, .. } => {
+                let mut info =
+                    merge_infos(self.descend(first), self.descend(second), |mut lc, rc| {
+                        lc.extend(rc);
+                        lc
+                    });
                 info.settle_gate();
                 self.apply_predicate(&mut info, on);
                 info
             }
-            LogicalPlan::Aggregate {
-                input,
-                group_by,
-                aggs,
-                ..
-            } => {
-                self.stack.push("Aggregate");
-                let info = self.flow(input);
-                self.stack.pop();
+            LogicalPlan::Aggregate { group_by, aggs, .. } => {
+                let info = self.descend(first);
                 self.aggregate_flow(&info, group_by, aggs)
             }
-            LogicalPlan::Sort { input, keys } => {
-                self.stack.push("Sort");
-                let mut info = self.flow(input);
-                self.stack.pop();
+            LogicalPlan::Sort { keys, .. } => {
+                let mut info = self.descend(first);
                 // Sorting by sensitive data is an implicit flow: the output
                 // *order* encodes it even if the column is projected away
                 // above.
@@ -644,12 +624,7 @@ impl<'a> FlowChecker<'a> {
                 }
                 info
             }
-            LogicalPlan::Limit { input, .. } => {
-                self.stack.push("Limit");
-                let info = self.flow(input);
-                self.stack.pop();
-                info
-            }
+            LogicalPlan::Limit { .. } => self.descend(first),
             LogicalPlan::Values { schema, .. } => FlowInfo::new(
                 schema
                     .columns()
@@ -657,14 +632,8 @@ impl<'a> FlowChecker<'a> {
                     .map(|c| Cell::public(&c.name))
                     .collect(),
             ),
-            LogicalPlan::Union { left, right } => {
-                self.stack.push("Union.left");
-                let l = self.flow(left);
-                self.stack.pop();
-                self.stack.push("Union.right");
-                let r = self.flow(right);
-                self.stack.pop();
-                let mut info = merge_infos(l, r, |lc, rc| {
+            LogicalPlan::Union { .. } => {
+                let mut info = merge_infos(self.descend(first), self.descend(second), |lc, rc| {
                     lc.into_iter()
                         .zip(rc)
                         .map(|(a, b)| join_cells(a, &b))
@@ -673,18 +642,8 @@ impl<'a> FlowChecker<'a> {
                 info.settle_gate();
                 info
             }
-            LogicalPlan::Extend {
-                input,
-                related,
-                as_name,
-                ..
-            } => {
-                self.stack.push("Extend.input");
-                let info = self.flow(input);
-                self.stack.pop();
-                self.stack.push("Extend.related");
-                let rel = self.flow(related);
-                self.stack.pop();
+            LogicalPlan::Extend { as_name, .. } => {
+                let (mut out, rel) = (self.descend(first), self.descend(second));
                 // The appended nested attribute carries everything the
                 // related sub-plan produced, *selected* under the related
                 // side's context (its filters), so that context folds into
@@ -699,24 +658,13 @@ impl<'a> FlowChecker<'a> {
                     }
                 }
                 appended.label = appended.label.max(rel.ctx);
-                let mut out = info;
                 out.cells.push(appended);
                 out.gate_checked |= rel.gate_checked;
                 out.settle_gate();
                 out
             }
-            LogicalPlan::Recommend {
-                target,
-                comparator,
-                spec,
-                ..
-            } => {
-                self.stack.push("Recommend.target");
-                let t = self.flow(target);
-                self.stack.pop();
-                self.stack.push("Recommend.comparator");
-                let c = self.flow(comparator);
-                self.stack.pop();
+            LogicalPlan::Recommend { spec, .. } => {
+                let (mut out, c) = (self.descend(first), self.descend(second));
                 // Declassification rule 4: the score is an aggregate
                 // similarity over the whole comparator set, so comparator-
                 // side PerUser data lowers to Community through it.
@@ -732,7 +680,6 @@ impl<'a> FlowChecker<'a> {
                     Sensitivity::PerUser => Sensitivity::Community,
                     other => other,
                 };
-                let mut out = t;
                 out.cells.push(Cell {
                     label: score_label,
                     gated: false,
@@ -745,6 +692,21 @@ impl<'a> FlowChecker<'a> {
                 out
             }
         }
+    }
+
+    /// The flow state of one input, with the path stack spelled as the
+    /// validator spells it while the input is walked.
+    #[inline]
+    fn descend(&mut self, edge: Option<Child<'_>>) -> FlowInfo {
+        let (label, child) = edge.expect("children() yields every input of the operator");
+        let depth = self.stack.len();
+        if let Some(label) = label {
+            self.stack.push(label);
+        }
+        self.stack.push(child.op_name());
+        let info = self.flow(child);
+        self.stack.truncate(depth);
+        info
     }
 
     fn scan_flow(
@@ -785,7 +747,7 @@ impl<'a> FlowChecker<'a> {
         if template.restricted && self.principal.clearance() < Sensitivity::Restricted {
             self.diags.push(Diagnostic::error(
                 P_RESTRICTED_SOURCE,
-                format!("{}.Scan", self.path()),
+                self.path(),
                 format!(
                     "table {table} is restricted telemetry; principal {} has {} clearance",
                     self.principal,
@@ -1556,6 +1518,86 @@ mod tests {
             &Principal::Student(Some(2)),
         );
         assert!(r.has_errors(), "{r}");
+    }
+
+    #[test]
+    fn restricted_scan_paths_are_spelled_as_the_validator_spells_them() {
+        // A P005 names the scan it fires at with the validator's path:
+        // every operator once, plus the edge label of a non-main input.
+        use crate::plan::validate::{validate, E_SCHEMA_ARITY};
+        use crate::plan::PlanBuilder;
+        let db = campus();
+        db.execute_sql("CREATE TABLE Telemetry (Id INT PRIMARY KEY, SuID INT, Query TEXT)")
+            .unwrap();
+        let c = db.catalog();
+        c.set_table_policy("Telemetry", TablePolicy::new(Sensitivity::Restricted));
+        let scan = |t: &str| PlanBuilder::scan(&c, t).unwrap();
+        let pair = |t: &str, key: &str| scan(t).select_columns(&["SuID", key]).unwrap();
+        let cases = [
+            (
+                crate::sql::plan_query("SELECT Query FROM Telemetry", &c).unwrap(),
+                "Project.Scan",
+            ),
+            (
+                scan("Telemetry")
+                    .join(
+                        scan("Students"),
+                        crate::plan::JoinKind::Inner,
+                        Expr::col("Telemetry.SuID").eq(Expr::col("Students.SuID")),
+                    )
+                    .unwrap()
+                    .select_columns(&["Name"])
+                    .unwrap()
+                    .build(),
+                "Project.Join.left.Scan",
+            ),
+            (
+                scan("Telemetry")
+                    .extend(pair("Enrollments", "CourseID"), "SuID", false, "taken")
+                    .unwrap()
+                    .build(),
+                "Extend.Scan",
+            ),
+            (
+                scan("Students")
+                    .extend(pair("Telemetry", "Id"), "SuID", false, "queries")
+                    .unwrap()
+                    .build(),
+                "Extend.related.Project.Scan",
+            ),
+        ];
+        // The validator's path to the same scan: give it a projection its
+        // schema disagrees with, and read where E004 fires.
+        fn break_telemetry_scans(plan: LogicalPlan) -> LogicalPlan {
+            let mut plan = plan.map_children(break_telemetry_scans);
+            if let LogicalPlan::Scan {
+                table, projection, ..
+            } = &mut plan
+            {
+                if table == "Telemetry" {
+                    *projection = Some(Vec::new());
+                }
+            }
+            plan
+        }
+        for (plan, want) in cases {
+            let r = check_disclosure(&plan, &c, &Principal::Student(Some(2)));
+            let p005: Vec<&str> = r
+                .diagnostics
+                .iter()
+                .filter(|d| d.code == P_RESTRICTED_SOURCE)
+                .map(|d| d.path.as_str())
+                .collect();
+            assert_eq!(p005, [want], "{r}\n{}", plan.explain());
+            let v = validate(&break_telemetry_scans(plan));
+            let e004: Vec<&str> = v
+                .diagnostics
+                .iter()
+                .filter(|d| d.code == E_SCHEMA_ARITY)
+                .map(|d| d.path.as_str())
+                .collect();
+            assert_eq!(e004, [want], "{v}");
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@ use std::fmt;
 use crate::expr::Expr;
 use crate::row::Row;
 use crate::schema::{Column, DataType, Schema};
+use crate::value::Value;
 
 use super::rec::RecSpec;
 
@@ -160,7 +161,27 @@ pub enum LogicalPlan {
     },
 }
 
+/// One input edge of a plan node: the label a diagnostic path gives the
+/// edge (`None` for a node's main input) and the child behind it.
+pub(crate) type Child<'p> = (Option<&'static str>, &'p LogicalPlan);
+
 impl LogicalPlan {
+    /// Every operator's name, in variant order: [`LogicalPlan::op_index`]
+    /// indexes it.
+    pub(crate) const OP_NAMES: [&'static str; 11] = [
+        "Scan",
+        "Filter",
+        "Project",
+        "Join",
+        "Aggregate",
+        "Sort",
+        "Limit",
+        "Values",
+        "Union",
+        "Extend",
+        "Recommend",
+    ];
+
     /// Output schema of this node.
     pub fn schema(&self) -> &Schema {
         match self {
@@ -178,21 +199,120 @@ impl LogicalPlan {
         }
     }
 
+    /// The operator's position in [`LogicalPlan::OP_NAMES`], for tables
+    /// kept per operator kind.
+    pub(crate) fn op_index(&self) -> usize {
+        match self {
+            LogicalPlan::Scan { .. } => 0,
+            LogicalPlan::Filter { .. } => 1,
+            LogicalPlan::Project { .. } => 2,
+            LogicalPlan::Join { .. } => 3,
+            LogicalPlan::Aggregate { .. } => 4,
+            LogicalPlan::Sort { .. } => 5,
+            LogicalPlan::Limit { .. } => 6,
+            LogicalPlan::Values { .. } => 7,
+            LogicalPlan::Union { .. } => 8,
+            LogicalPlan::Extend { .. } => 9,
+            LogicalPlan::Recommend { .. } => 10,
+        }
+    }
+
     /// The operator's name as diagnostics and EXPLAIN ANALYZE spell it.
     pub fn op_name(&self) -> &'static str {
+        Self::OP_NAMES[self.op_index()]
+    }
+
+    /// The node's inputs with their path labels, in evaluation order:
+    /// input; left, right; input, related; target, comparator. Absent
+    /// inputs are `None`, so a pass iterates
+    /// `children().into_iter().flatten()` without allocating.
+    // Inlined across modules: the validator and flow gate call it once
+    // per node on every request, and a call per node cost them measurably.
+    #[inline]
+    pub fn children(&self) -> [Option<Child<'_>>; 2] {
         match self {
-            LogicalPlan::Scan { .. } => "Scan",
-            LogicalPlan::Filter { .. } => "Filter",
-            LogicalPlan::Project { .. } => "Project",
-            LogicalPlan::Join { .. } => "Join",
-            LogicalPlan::Aggregate { .. } => "Aggregate",
-            LogicalPlan::Sort { .. } => "Sort",
-            LogicalPlan::Limit { .. } => "Limit",
-            LogicalPlan::Values { .. } => "Values",
-            LogicalPlan::Union { .. } => "Union",
-            LogicalPlan::Extend { .. } => "Extend",
-            LogicalPlan::Recommend { .. } => "Recommend",
+            LogicalPlan::Scan { .. } | LogicalPlan::Values { .. } => [None, None],
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Limit { input, .. } => [Some((None, input)), None],
+            LogicalPlan::Join { left, right, .. } | LogicalPlan::Union { left, right } => {
+                [Some((Some("left"), left)), Some((Some("right"), right))]
+            }
+            LogicalPlan::Extend { input, related, .. } => {
+                [Some((None, input)), Some((Some("related"), related))]
+            }
+            LogicalPlan::Recommend {
+                target, comparator, ..
+            } => [
+                Some((Some("target"), target)),
+                Some((Some("comparator"), comparator)),
+            ],
         }
+    }
+
+    /// Rebuild the node with `f` applied to each input, in
+    /// [`LogicalPlan::children`] order. Not recursive: a pass recurses by
+    /// calling itself from `f`.
+    pub fn map_children(mut self, mut f: impl FnMut(LogicalPlan) -> LogicalPlan) -> LogicalPlan {
+        let mut map = |child: &mut Box<LogicalPlan>| {
+            // An empty Values allocates nothing; it holds the slot while
+            // `f` owns the child.
+            let empty = LogicalPlan::Values {
+                schema: Schema::default(),
+                rows: Vec::new(),
+            };
+            **child = f(std::mem::replace(&mut **child, empty));
+        };
+        match &mut self {
+            LogicalPlan::Scan { .. } | LogicalPlan::Values { .. } => {}
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Limit { input, .. } => map(input),
+            LogicalPlan::Join { left, right, .. } | LogicalPlan::Union { left, right } => {
+                map(left);
+                map(right);
+            }
+            LogicalPlan::Extend { input, related, .. } => {
+                map(input);
+                map(related);
+            }
+            LogicalPlan::Recommend {
+                target, comparator, ..
+            } => {
+                map(target);
+                map(comparator);
+            }
+        }
+        self
+    }
+
+    /// Rebuild the node with `f` applied to every expression it carries:
+    /// the scan filter, the filter predicate, the projections, the join
+    /// condition, the group keys and aggregate arguments, the sort keys.
+    /// Not recursive, like [`LogicalPlan::map_children`].
+    pub fn map_exprs(mut self, mut f: impl FnMut(Expr) -> Expr) -> LogicalPlan {
+        let mut map = |e: &mut Expr| *e = f(std::mem::replace(e, Expr::Literal(Value::Null)));
+        match &mut self {
+            LogicalPlan::Scan { filter, .. } => filter.iter_mut().for_each(map),
+            LogicalPlan::Filter { predicate, .. } => map(predicate),
+            LogicalPlan::Project { exprs, .. } => exprs.iter_mut().for_each(|(e, _)| map(e)),
+            LogicalPlan::Join { on, .. } => map(on),
+            LogicalPlan::Aggregate { group_by, aggs, .. } => {
+                group_by.iter_mut().for_each(&mut map);
+                aggs.iter_mut().for_each(|a| map(&mut a.arg));
+            }
+            LogicalPlan::Sort { keys, .. } => keys.iter_mut().for_each(|k| map(&mut k.expr)),
+            LogicalPlan::Limit { .. }
+            | LogicalPlan::Values { .. }
+            | LogicalPlan::Union { .. }
+            | LogicalPlan::Extend { .. }
+            | LogicalPlan::Recommend { .. } => {}
+        }
+        self
     }
 
     /// Effective scan schema after projection (helper used by exec).
@@ -235,8 +355,8 @@ impl LogicalPlan {
 
     fn explain_into(&self, depth: usize, out: &mut String) {
         use fmt::Write;
-        let pad = "  ".repeat(depth);
-        match self {
+        out.push_str(&"  ".repeat(depth));
+        let _ = match self {
             LogicalPlan::Scan {
                 table,
                 alias,
@@ -244,104 +364,62 @@ impl LogicalPlan {
                 filter,
                 ..
             } => {
-                let _ = write!(out, "{pad}Scan {table}");
+                let _ = write!(out, "Scan {table}");
                 if let Some(a) = alias {
                     let _ = write!(out, " AS {a}");
                 }
                 if let Some(p) = projection {
                     let _ = write!(out, " cols={p:?}");
                 }
-                if let Some(f) = filter {
-                    let _ = write!(out, " filter={f}");
+                match filter {
+                    Some(f) => writeln!(out, " filter={f}"),
+                    None => writeln!(out),
                 }
-                out.push('\n');
             }
-            LogicalPlan::Filter { input, predicate } => {
-                let _ = writeln!(out, "{pad}Filter {predicate}");
-                input.explain_into(depth + 1, out);
-            }
-            LogicalPlan::Project { input, exprs, .. } => {
+            LogicalPlan::Filter { predicate, .. } => writeln!(out, "Filter {predicate}"),
+            LogicalPlan::Project { exprs, .. } => {
                 let cols: Vec<String> = exprs.iter().map(|(e, n)| format!("{e} AS {n}")).collect();
-                let _ = writeln!(out, "{pad}Project {}", cols.join(", "));
-                input.explain_into(depth + 1, out);
+                writeln!(out, "Project {}", cols.join(", "))
             }
-            LogicalPlan::Join {
-                left,
-                right,
-                kind,
-                on,
-                ..
-            } => {
-                let _ = writeln!(out, "{pad}{kind:?}Join on {on}");
-                left.explain_into(depth + 1, out);
-                right.explain_into(depth + 1, out);
-            }
-            LogicalPlan::Aggregate {
-                input,
-                group_by,
-                aggs,
-                ..
-            } => {
+            LogicalPlan::Join { kind, on, .. } => writeln!(out, "{kind:?}Join on {on}"),
+            LogicalPlan::Aggregate { group_by, aggs, .. } => {
                 let g: Vec<String> = group_by.iter().map(ToString::to_string).collect();
                 let a: Vec<String> = aggs
                     .iter()
                     .map(|a| format!("{}({}) AS {}", a.func.sql(), a.arg, a.name))
                     .collect();
-                let _ = writeln!(
+                writeln!(
                     out,
-                    "{pad}Aggregate group=[{}] aggs=[{}]",
+                    "Aggregate group=[{}] aggs=[{}]",
                     g.join(", "),
                     a.join(", ")
-                );
-                input.explain_into(depth + 1, out);
+                )
             }
-            LogicalPlan::Sort { input, keys } => {
+            LogicalPlan::Sort { keys, .. } => {
                 let k: Vec<String> = keys
                     .iter()
                     .map(|k| format!("{}{}", k.expr, if k.desc { " DESC" } else { "" }))
                     .collect();
-                let _ = writeln!(out, "{pad}Sort {}", k.join(", "));
-                input.explain_into(depth + 1, out);
+                writeln!(out, "Sort {}", k.join(", "))
             }
-            LogicalPlan::Limit {
-                input,
-                limit,
-                offset,
-            } => {
-                let _ = writeln!(out, "{pad}Limit limit={limit:?} offset={offset}");
-                input.explain_into(depth + 1, out);
+            LogicalPlan::Limit { limit, offset, .. } => {
+                writeln!(out, "Limit limit={limit:?} offset={offset}")
             }
-            LogicalPlan::Values { rows, .. } => {
-                let _ = writeln!(out, "{pad}Values ({} rows)", rows.len());
-            }
-            LogicalPlan::Union { left, right } => {
-                let _ = writeln!(out, "{pad}Union");
-                left.explain_into(depth + 1, out);
-                right.explain_into(depth + 1, out);
-            }
+            LogicalPlan::Values { rows, .. } => writeln!(out, "Values ({} rows)", rows.len()),
+            LogicalPlan::Union { .. } => writeln!(out, "Union"),
             LogicalPlan::Extend {
-                input,
-                related,
                 key_col,
                 rating,
                 as_name,
                 ..
             } => {
                 let kind = if *rating { "ratings" } else { "set" };
-                let _ = writeln!(out, "{pad}Extend {kind} AS {as_name} key=#{key_col}");
-                input.explain_into(depth + 1, out);
-                related.explain_into(depth + 1, out);
+                writeln!(out, "Extend {kind} AS {as_name} key=#{key_col}")
             }
-            LogicalPlan::Recommend {
-                target,
-                comparator,
-                spec,
-                ..
-            } => {
-                let _ = writeln!(out, "{pad}Recommend {}", spec.describe());
-                target.explain_into(depth + 1, out);
-                comparator.explain_into(depth + 1, out);
-            }
+            LogicalPlan::Recommend { spec, .. } => writeln!(out, "Recommend {}", spec.describe()),
+        };
+        for (_, child) in self.children().into_iter().flatten() {
+            child.explain_into(depth + 1, out);
         }
     }
 }

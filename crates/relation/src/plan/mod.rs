@@ -5,6 +5,15 @@
 //! the [`PlanBuilder`] (programmatic API — what FlexRecs' direct executor
 //! uses) or by the SQL binder, then rewritten by the [`optimizer`] and
 //! executed by [`crate::exec`].
+//!
+//! Every pass walks the tree through three structural methods on the node:
+//! [`LogicalPlan::children`] (at most two `(edge label, &child)` pairs, the
+//! labels diagnostic paths spell), [`LogicalPlan::map_children`] and
+//! [`LogicalPlan::map_exprs`] (owned rebuilds). A pass names an operator
+//! only where that operator means something to it — the validator's
+//! checks, the flow transfer, the required-column rule, the executors —
+//! so a new operator is a compile error at exactly those places (see
+//! `scripts/plan_variant_sites.sh`) and is otherwise visited for free.
 
 mod builder;
 pub mod deps;

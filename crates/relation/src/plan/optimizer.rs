@@ -1,10 +1,15 @@
 //! Logical-plan rewrites.
 //!
-//! Three classic passes, each one walk of the plan, in this order:
+//! Three classic passes, each one walk of the plan, in this order. Each
+//! walks through [`LogicalPlan::map_children`] and
+//! [`LogicalPlan::map_exprs`], so an operator is visited without the pass
+//! naming it unless the pass treats it specially:
 //!
-//! 1. **Constant folding** — every expression is folded.
-//! 2. **Predicate pushdown** — filters sink through filters and joins and
-//!    merge into scans, where the executor can serve them from an index.
+//! 1. **Constant folding** — every expression every operator carries is
+//!    folded (one line: nothing here names an operator).
+//! 2. **Predicate pushdown** — filters sink through filters, joins,
+//!    Extend and Recommend (one conjunct router for all three) and merge
+//!    into scans, where the executor can serve them from an index.
 //! 3. **Required columns** — one top-down walk pushes the set of columns
 //!    each operator's parent reads through Filter, Project, Join (keys
 //!    and residual), Aggregate (group keys and arguments), Sort, Limit and
@@ -19,7 +24,8 @@
 use crate::expr::Expr;
 use crate::schema::Schema;
 
-use super::logical::{AggExpr, JoinKind, LogicalPlan, SortKey};
+use super::logical::{JoinKind, LogicalPlan};
+use super::rec::RecSpec;
 use super::validate::child_reads;
 
 /// A named rewrite rule: a whole-plan transformation.
@@ -87,62 +93,18 @@ fn assert_rule_sound(rule: &str, plan: &LogicalPlan, schema_before: &crate::sche
 /// divergence in folding shows up under the debug-build soundness harness
 /// instead of at execution time.
 fn fold_constants(plan: LogicalPlan) -> LogicalPlan {
-    map_children(plan, &|p| match p {
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input,
-            predicate: predicate.fold_kernel(),
-        },
-        LogicalPlan::Project {
-            input,
-            exprs,
-            schema,
-        } => LogicalPlan::Project {
-            input,
-            exprs: exprs
-                .into_iter()
-                .map(|(e, n)| (e.fold_kernel(), n))
-                .collect(),
-            schema,
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
-            schema,
-        } => LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on: on.fold_kernel(),
-            schema,
-        },
-        LogicalPlan::Scan {
-            table,
-            alias,
-            projection,
-            filter,
-            schema,
-        } => LogicalPlan::Scan {
-            table,
-            alias,
-            projection,
-            filter: filter.map(|f| f.fold_kernel()),
-            schema,
-        },
-        other => other,
-    })
+    plan.map_children(fold_constants)
+        .map_exprs(|e| e.fold_kernel())
 }
 
-/// Push filters down as far as they can go.
+/// Push filters down as far as they can go, bottom-up.
 fn push_down_predicates(plan: LogicalPlan) -> LogicalPlan {
-    map_children(plan, &|p| {
-        if let LogicalPlan::Filter { input, predicate } = p {
-            push_filter(*input, predicate)
-        } else {
-            p
-        }
-    })
+    let plan = plan.map_children(push_down_predicates);
+    if let LogicalPlan::Filter { input, predicate } = plan {
+        push_filter(*input, predicate)
+    } else {
+        plan
+    }
 }
 
 fn push_filter(input: LogicalPlan, predicate: Expr) -> LogicalPlan {
@@ -175,154 +137,81 @@ fn push_filter(input: LogicalPlan, predicate: Expr) -> LogicalPlan {
         },
 
         // Filter ∘ Join → route conjuncts that reference only one side.
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
-            schema,
-        } => {
-            let left_width = left.schema().len();
-            let mut to_left = Vec::new();
-            let mut to_right = Vec::new();
-            let mut keep = Vec::new();
-            for part in predicate.split_conjunction() {
-                let mut cols = Vec::new();
-                part.referenced_columns(&mut cols);
-                let all_left = cols.iter().all(|&c| c < left_width);
-                let all_right = cols.iter().all(|&c| c >= left_width);
-                // For LEFT OUTER joins, pushing a predicate to the right
-                // side changes semantics (it would filter before the
-                // null-extension); pushing left is always safe.
-                match (all_left, all_right, kind) {
-                    (true, _, _) => to_left.push(part),
-                    (_, true, JoinKind::Inner) => {
-                        to_right.push(part.map_columns(&|c| c - left_width))
-                    }
-                    _ => keep.push(part),
-                }
-            }
-            let new_left = if to_left.is_empty() {
-                *left
-            } else {
-                push_filter(*left, Expr::conjoin(to_left))
-            };
-            let new_right = if to_right.is_empty() {
-                *right
-            } else {
-                push_filter(*right, Expr::conjoin(to_right))
-            };
-            let joined = LogicalPlan::Join {
-                left: Box::new(new_left),
-                right: Box::new(new_right),
-                kind,
-                on,
-                schema,
-            };
-            if keep.is_empty() {
-                joined
-            } else {
-                LogicalPlan::Filter {
-                    input: Box::new(joined),
-                    predicate: Expr::conjoin(keep),
-                }
-            }
-        }
-
-        // Filter ∘ Extend → conjuncts that don't touch the appended nested
-        // column (always the last) filter the same rows whether they run
-        // before or after nesting, so they sink into the input side.
-        LogicalPlan::Extend {
-            input,
-            related,
-            key_col,
-            rating,
-            as_name,
-            schema,
-        } => {
-            let input_width = schema.len() - 1;
-            let mut below = Vec::new();
-            let mut keep = Vec::new();
-            for part in predicate.split_conjunction() {
-                let mut cols = Vec::new();
-                part.referenced_columns(&mut cols);
-                if cols.iter().all(|&c| c < input_width) {
-                    below.push(part);
+        // For LEFT OUTER joins, pushing a predicate to the right side
+        // changes semantics (it would filter before the null-extension);
+        // pushing left is always safe.
+        LogicalPlan::Join { ref left, kind, .. } => {
+            let lw = left.schema().len();
+            sink_conjuncts(input, predicate, |cols| {
+                if cols.iter().all(|&c| c < lw) {
+                    Some((0, 0))
+                } else if cols.iter().all(|&c| c >= lw) && kind == JoinKind::Inner {
+                    Some((1, lw))
                 } else {
-                    keep.push(part);
+                    None
                 }
-            }
-            let new_input = if below.is_empty() {
-                *input
-            } else {
-                push_filter(*input, Expr::conjoin(below))
-            };
-            let extended = LogicalPlan::Extend {
-                input: Box::new(new_input),
-                related,
-                key_col,
-                rating,
-                as_name,
-                schema,
-            };
-            if keep.is_empty() {
-                extended
-            } else {
-                LogicalPlan::Filter {
-                    input: Box::new(extended),
-                    predicate: Expr::conjoin(keep),
-                }
-            }
+            })
         }
 
-        // Filter ∘ Recommend → target-only conjuncts (not touching the
-        // appended score column) sink into the target side, but only when
-        // there is no top-k: with top-k, filtering before scoring changes
-        // *which* rows make the cut, not just which survive the filter.
-        LogicalPlan::Recommend {
-            target,
-            comparator,
-            spec,
-            schema,
-        } if spec.k.is_none() => {
-            let target_width = schema.len() - 1;
-            let mut below = Vec::new();
-            let mut keep = Vec::new();
-            for part in predicate.split_conjunction() {
-                let mut cols = Vec::new();
-                part.referenced_columns(&mut cols);
-                if cols.iter().all(|&c| c < target_width) {
-                    below.push(part);
-                } else {
-                    keep.push(part);
-                }
-            }
-            let new_target = if below.is_empty() {
-                *target
-            } else {
-                push_filter(*target, Expr::conjoin(below))
-            };
-            let rec = LogicalPlan::Recommend {
-                target: Box::new(new_target),
-                comparator,
-                spec,
-                schema,
-            };
-            if keep.is_empty() {
-                rec
-            } else {
-                LogicalPlan::Filter {
-                    input: Box::new(rec),
-                    predicate: Expr::conjoin(keep),
-                }
-            }
+        // Filter ∘ Extend / Recommend → conjuncts that don't touch the
+        // appended column (always the last: the nested set, the score)
+        // filter the same rows before or after the operator, so they sink
+        // into the first input. For Recommend only without a top-k: with
+        // one, filtering before scoring changes *which* rows make the cut,
+        // not just which survive the filter.
+        LogicalPlan::Extend { ref schema, .. }
+        | LogicalPlan::Recommend {
+            ref schema,
+            spec: RecSpec { k: None, .. },
+            ..
+        } => {
+            let width = schema.len() - 1;
+            sink_conjuncts(input, predicate, |cols| {
+                cols.iter().all(|&c| c < width).then_some((0, 0))
+            })
         }
 
-        // Anything else: leave the filter in place.
+        // Anything else, a new operator included: leave the filter in
+        // place. Safe for every variant — a filter left where it is
+        // filters the same rows; it only forgoes an earlier cut.
         other => LogicalPlan::Filter {
             input: Box::new(other),
             predicate,
         },
+    }
+}
+
+/// Split `predicate` into conjuncts and sink each one `route` sends to a
+/// child of `node` — `Some((child, offset))`, the child's position in
+/// [`LogicalPlan::children`] and how far its columns sit from the
+/// node's — into that child, rebased. The rest stay in a filter above.
+fn sink_conjuncts(
+    node: LogicalPlan,
+    predicate: Expr,
+    route: impl Fn(&[usize]) -> Option<(usize, usize)>,
+) -> LogicalPlan {
+    let mut below: [Vec<Expr>; 2] = Default::default();
+    let mut keep = Vec::new();
+    for part in predicate.split_conjunction() {
+        let mut cols = Vec::new();
+        part.referenced_columns(&mut cols);
+        match route(&cols) {
+            Some((child, offset)) => below[child].push(part.map_columns(&|c| c - offset)),
+            None => keep.push(part),
+        }
+    }
+    let mut below = below.into_iter();
+    let node = node.map_children(|child| match below.next() {
+        Some(parts) if !parts.is_empty() => push_filter(child, Expr::conjoin(parts)),
+        _ => child,
+    });
+    if keep.is_empty() {
+        node
+    } else {
+        LogicalPlan::Filter {
+            input: Box::new(node),
+            predicate: Expr::conjoin(keep),
+        }
     }
 }
 
@@ -340,10 +229,11 @@ type Kept = Option<Vec<usize>>;
 /// so the caller can remap its own expressions.
 ///
 /// The requirements come from the one required-column rule
-/// ([`child_reads`]). Only row-preserving operators whose output is the
-/// concatenation or pass-through of their inputs' (Scan, Filter, Join,
-/// Sort, Limit, Union) narrow their output; Project and Aggregate keep
-/// theirs and narrow below; Extend and Recommend keep every column of
+/// ([`child_reads`]); each node's expressions are remapped through
+/// [`LogicalPlan::map_exprs`]. Only row-preserving operators whose output
+/// is the concatenation or pass-through of their inputs' (Scan, Filter,
+/// Join, Sort, Limit, Union) narrow their output; Project and Aggregate
+/// keep theirs and narrow below; Extend and Recommend keep every column of
 /// their inputs (the nest-image fast path and the score ranking read
 /// whole rows), except that an Extend whose nested column nobody reads is
 /// dropped outright — its nest-map build is dead work.
@@ -360,26 +250,15 @@ fn narrow(plan: LogicalPlan, required: Option<&[usize]>) -> (LogicalPlan, Kept) 
     let mut reads = child_reads(&plan, if keeps_output { None } else { required }).into_iter();
     let mut next = || reads.next().flatten();
     match plan {
+        // A projection its schema disagrees with is invalid: leave it.
         LogicalPlan::Scan {
             table,
             alias,
             projection,
             filter,
             schema,
-        } => {
-            // A projection its schema disagrees with is invalid: leave it.
-            let valid = projection.as_ref().is_none_or(|p| p.len() == schema.len());
-            let Some(req) = required.filter(|_| valid) else {
-                let scan = LogicalPlan::Scan {
-                    table,
-                    alias,
-                    projection,
-                    filter,
-                    schema,
-                };
-                return (scan, None);
-            };
-            let kept = req.to_vec();
+        } if required.is_some() && projection.as_ref().is_none_or(|p| p.len() == schema.len()) => {
+            let kept = required.unwrap_or_default().to_vec();
             // The filter stays bound to the full table schema.
             let projection = kept
                 .iter()
@@ -395,32 +274,21 @@ fn narrow(plan: LogicalPlan, required: Option<&[usize]>) -> (LogicalPlan, Kept) 
             (scan, Some(kept))
         }
 
-        LogicalPlan::Filter { input, predicate } => {
-            let (input, kept) = narrow(*input, next().as_deref());
-            let predicate = remap(predicate, &kept);
-            let filter = LogicalPlan::Filter {
-                input: Box::new(input),
-                predicate,
-            };
-            (filter, kept)
-        }
-
-        LogicalPlan::Project {
-            input,
-            exprs,
-            schema,
-        } => {
-            let (input, kept) = narrow(*input, next().as_deref());
-            let exprs = exprs
-                .into_iter()
-                .map(|(e, n)| (remap(e, &kept), n))
-                .collect();
-            let project = LogicalPlan::Project {
-                input: Box::new(input),
-                exprs,
-                schema,
-            };
-            (project, None)
+        // One input: narrow it and remap the node's expressions onto what
+        // it kept. Filter, Sort and Limit then pass the kept positions up.
+        node @ (LogicalPlan::Filter { .. }
+        | LogicalPlan::Project { .. }
+        | LogicalPlan::Aggregate { .. }
+        | LogicalPlan::Sort { .. }
+        | LogicalPlan::Limit { .. }) => {
+            let mut kept = None;
+            let node = node.map_children(|input| {
+                let (input, k) = narrow(input, next().as_deref());
+                kept = k;
+                input
+            });
+            let node = node.map_exprs(|e| remap(e, &kept));
+            (node, if keeps_output { None } else { kept })
         }
 
         LogicalPlan::Join {
@@ -463,72 +331,11 @@ fn narrow(plan: LogicalPlan, required: Option<&[usize]>) -> (LogicalPlan, Kept) 
             (join, Some(kept))
         }
 
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-            schema,
-        } => {
-            let (input, kept) = narrow(*input, next().as_deref());
-            let group_by = group_by.into_iter().map(|g| remap(g, &kept)).collect();
-            let aggs = aggs
-                .into_iter()
-                .map(|a| AggExpr {
-                    arg: remap(a.arg, &kept),
-                    ..a
-                })
-                .collect();
-            let aggregate = LogicalPlan::Aggregate {
-                input: Box::new(input),
-                group_by,
-                aggs,
-                schema,
-            };
-            (aggregate, None)
-        }
-
-        LogicalPlan::Sort { input, keys } => {
-            let (input, kept) = narrow(*input, next().as_deref());
-            let keys = keys
-                .into_iter()
-                .map(|k| SortKey {
-                    expr: remap(k.expr, &kept),
-                    desc: k.desc,
-                })
-                .collect();
-            let sort = LogicalPlan::Sort {
-                input: Box::new(input),
-                keys,
-            };
-            (sort, kept)
-        }
-
-        LogicalPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => {
-            let (input, kept) = narrow(*input, next().as_deref());
-            let node = LogicalPlan::Limit {
-                input: Box::new(input),
-                limit,
-                offset,
-            };
-            (node, kept)
-        }
-
-        LogicalPlan::Union { left, right } => {
-            let Some(req) = required else {
-                let union = LogicalPlan::Union {
-                    left: Box::new(narrow(*left, None).0),
-                    right: Box::new(narrow(*right, None).0),
-                };
-                return (union, None);
-            };
-            // Both sides must keep the same positions. Each keeps at least
-            // what it is asked for, so asking both for the union of what
-            // they kept converges (at worst on "everything").
-            let mut want = Some(req.to_vec());
+        // Both sides must keep the same positions. Each keeps at least what
+        // it is asked for, so asking both for the union of what they kept
+        // converges (at worst on "everything").
+        LogicalPlan::Union { left, right } if required.is_some() => {
+            let mut want = required.map(<[usize]>::to_vec);
             loop {
                 let (l, lkept) = narrow((*left).clone(), want.as_deref());
                 let (r, rkept) = narrow((*right).clone(), want.as_deref());
@@ -556,41 +363,14 @@ fn narrow(plan: LogicalPlan, required: Option<&[usize]>) -> (LogicalPlan, Kept) 
             narrow(*input, required)
         }
 
-        LogicalPlan::Extend {
-            input,
-            related,
-            key_col,
-            rating,
-            as_name,
-            schema,
-        } => {
-            let extend = LogicalPlan::Extend {
-                input: Box::new(narrow(*input, None).0),
-                related: Box::new(narrow(*related, None).0),
-                key_col,
-                rating,
-                as_name,
-                schema,
-            };
-            (extend, None)
-        }
-
-        LogicalPlan::Recommend {
-            target,
-            comparator,
-            spec,
-            schema,
-        } => {
-            let recommend = LogicalPlan::Recommend {
-                target: Box::new(narrow(*target, None).0),
-                comparator: Box::new(narrow(*comparator, None).0),
-                spec,
-                schema,
-            };
-            (recommend, None)
-        }
-
-        values @ LogicalPlan::Values { .. } => (values, None),
+        // Every input keeps every column (the nest-image fast path and the
+        // score ranking read whole rows; a Union asked for all of its
+        // output needs all of both sides), narrowed only below.
+        node @ (LogicalPlan::Scan { .. }
+        | LogicalPlan::Union { .. }
+        | LogicalPlan::Extend { .. }
+        | LogicalPlan::Recommend { .. }
+        | LogicalPlan::Values { .. }) => (node.map_children(|c| narrow(c, None).0), None),
     }
 }
 
@@ -619,94 +399,6 @@ fn pick(schema: &Schema, positions: &[usize]) -> Schema {
         );
     }
     picked
-}
-
-/// Apply `f` to every node, bottom-up.
-fn map_children(plan: LogicalPlan, f: &dyn Fn(LogicalPlan) -> LogicalPlan) -> LogicalPlan {
-    let rebuilt = match plan {
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(map_children(*input, f)),
-            predicate,
-        },
-        LogicalPlan::Project {
-            input,
-            exprs,
-            schema,
-        } => LogicalPlan::Project {
-            input: Box::new(map_children(*input, f)),
-            exprs,
-            schema,
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
-            schema,
-        } => LogicalPlan::Join {
-            left: Box::new(map_children(*left, f)),
-            right: Box::new(map_children(*right, f)),
-            kind,
-            on,
-            schema,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-            schema,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(map_children(*input, f)),
-            group_by,
-            aggs,
-            schema,
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(map_children(*input, f)),
-            keys,
-        },
-        LogicalPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => LogicalPlan::Limit {
-            input: Box::new(map_children(*input, f)),
-            limit,
-            offset,
-        },
-        LogicalPlan::Union { left, right } => LogicalPlan::Union {
-            left: Box::new(map_children(*left, f)),
-            right: Box::new(map_children(*right, f)),
-        },
-        LogicalPlan::Extend {
-            input,
-            related,
-            key_col,
-            rating,
-            as_name,
-            schema,
-        } => LogicalPlan::Extend {
-            input: Box::new(map_children(*input, f)),
-            related: Box::new(map_children(*related, f)),
-            key_col,
-            rating,
-            as_name,
-            schema,
-        },
-        LogicalPlan::Recommend {
-            target,
-            comparator,
-            spec,
-            schema,
-        } => LogicalPlan::Recommend {
-            target: Box::new(map_children(*target, f)),
-            comparator: Box::new(map_children(*comparator, f)),
-            spec,
-            schema,
-        },
-        leaf => leaf,
-    };
-    f(rebuilt)
 }
 
 #[cfg(test)]
@@ -778,6 +470,55 @@ mod tests {
             rendered.contains("42"),
             "projection must fold to 42:\n{rendered}"
         );
+    }
+
+    #[test]
+    fn constant_folding_reaches_every_expression() {
+        // One foldable constant in every expression a plan node carries:
+        // scan filter, filter predicate, projection, join condition, group
+        // key, aggregate argument, sort key. None may survive.
+        use crate::plan::{AggExpr, AggFn};
+        let c = setup();
+        let two = || Expr::lit(1i64).add(Expr::lit(1i64));
+        let scan = LogicalPlan::Scan {
+            table: "t".into(),
+            alias: None,
+            projection: None,
+            filter: Some(Expr::col_idx(0).gt(two())),
+            schema: c.table_schema("t").unwrap(),
+        };
+        let plan = PlanBuilder::from_plan(scan)
+            .join(
+                PlanBuilder::scan(&c, "u").unwrap(),
+                JoinKind::Inner,
+                Expr::col("t.id").add(two()).eq(Expr::col("u.t_id")),
+            )
+            .unwrap()
+            .filter(Expr::col("t.units").lt(two()))
+            .unwrap()
+            .project(vec![
+                (Expr::col("t.dep"), "dep"),
+                (Expr::col("t.units").mul(two()), "u2"),
+            ])
+            .unwrap()
+            .aggregate(
+                vec![Expr::col_idx(1).add(two())],
+                vec![AggExpr {
+                    func: AggFn::Sum,
+                    arg: Expr::col_idx(1).mul(two()),
+                    distinct: false,
+                    name: "s".into(),
+                }],
+            )
+            .unwrap()
+            .sort(vec![(Expr::col_idx(1).add(two()), true)])
+            .unwrap()
+            .build();
+        let before = plan.explain();
+        assert_eq!(before.matches("(1 + 1)").count(), 7, "{before}");
+        let text = optimize(plan).explain();
+        assert!(!text.contains("(1 + 1)"), "{text}");
+        assert_eq!(text.matches(" 2)").count(), 7, "{text}");
     }
 
     #[test]
@@ -1157,14 +898,11 @@ mod tests {
         // No projection expression reads the nested column → the Extend
         // (and its nest-map build) disappears entirely.
         fn has_extend(p: &LogicalPlan) -> bool {
-            match p {
-                LogicalPlan::Extend { .. } => true,
-                LogicalPlan::Project { input, .. }
-                | LogicalPlan::Filter { input, .. }
-                | LogicalPlan::Sort { input, .. }
-                | LogicalPlan::Limit { input, .. } => has_extend(input),
-                _ => false,
-            }
+            matches!(p, LogicalPlan::Extend { .. })
+                || p.children()
+                    .into_iter()
+                    .flatten()
+                    .any(|(_, c)| has_extend(c))
         }
         assert!(!has_extend(&opt), "got {}", opt.explain());
         // But a projection that does read it keeps the Extend.

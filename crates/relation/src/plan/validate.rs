@@ -276,47 +276,29 @@ fn record(report: &ValidationReport) {
 /// without catalog access (scan internals that need the full table schema
 /// are skipped). Errors only.
 pub fn validate(plan: &LogicalPlan) -> ValidationReport {
-    let mut c = Checker {
-        catalog: None,
-        warn: false,
-        diags: Vec::new(),
-        stack: vec![plan.op_name()],
-        scratch: Vec::new(),
-    };
-    c.visit(plan);
-    let report = ValidationReport {
-        diagnostics: c.diags,
-    };
-    record(&report);
-    report
+    check(plan, None, false)
 }
 
 /// [`validate`] plus catalog-backed scan checks: unknown tables, projection
 /// indices against the full table schema, and scan filters (which bind
 /// against the *full* schema, not the projected output).
 pub fn validate_against(plan: &LogicalPlan, catalog: &Catalog) -> ValidationReport {
-    let mut c = Checker {
-        catalog: Some(catalog),
-        warn: false,
-        diags: Vec::new(),
-        stack: vec![plan.op_name()],
-        scratch: Vec::new(),
-    };
-    c.visit(plan);
-    let report = ValidationReport {
-        diagnostics: c.diags,
-    };
-    record(&report);
-    report
+    check(plan, Some(catalog), false)
 }
 
 /// Full analysis: validation errors plus dataflow warnings (contradictory
 /// and always-true filters, dead operators, unused extends, cartesian
 /// joins, unbounded recommends).
 pub fn analyze(plan: &LogicalPlan, catalog: Option<&Catalog>) -> ValidationReport {
+    check(plan, catalog, true)
+}
+
+/// The one body of the three entry points: `warn` adds the dataflow
+/// warnings.
+fn check(plan: &LogicalPlan, catalog: Option<&Catalog>, warn: bool) -> ValidationReport {
     let mut c = Checker {
         catalog,
-        warn: true,
+        warn,
         diags: Vec::new(),
         stack: vec![plan.op_name()],
         scratch: Vec::new(),
@@ -324,8 +306,8 @@ pub fn analyze(plan: &LogicalPlan, catalog: Option<&Catalog>) -> ValidationRepor
     c.visit(plan);
     // The unused-extend analysis needs top-down required-column sets, so it
     // runs as its own pass (only sensible on structurally valid plans).
-    if !c.diags.iter().any(Diagnostic::is_error) {
-        observe(plan, None, &mut vec![plan.op_name()], &mut c.diags);
+    if warn && !c.diags.iter().any(Diagnostic::is_error) {
+        observe(plan, None, &mut c.stack, &mut c.diags);
     }
     let report = ValidationReport {
         diagnostics: c.diags,
@@ -367,15 +349,22 @@ impl Checker<'_> {
         }
     }
 
-    fn visit_child(&mut self, child: &LogicalPlan, edge: Option<&'static str>) {
-        if let Some(e) = edge {
-            self.stack.push(e);
-        }
-        self.stack.push(child.op_name());
-        self.visit(child);
-        self.stack.pop();
-        if edge.is_some() {
-            self.stack.pop();
+    /// Output columns `offset..` of `schema` pass `input` through, so
+    /// their types must agree.
+    fn check_passthrough(&mut self, op: &str, schema: &Schema, offset: usize, input: &Schema) {
+        for (i, col) in input.columns().iter().enumerate() {
+            let out = schema.column(offset + i).data_type;
+            if out != col.data_type {
+                self.error(
+                    E_SCHEMA_TYPE,
+                    format!(
+                        "{op} passthrough column {} is {} but the input column is {}",
+                        offset + i,
+                        out.sql_name(),
+                        col.data_type.sql_name()
+                    ),
+                );
+            }
         }
     }
 
@@ -480,7 +469,15 @@ impl Checker<'_> {
         }
     }
 
+    /// Check `plan`'s inputs, then the operator against them.
     fn visit(&mut self, plan: &LogicalPlan) {
+        for (edge, child) in plan.children().into_iter().flatten() {
+            let depth = self.stack.len();
+            self.stack.extend(edge);
+            self.stack.push(child.op_name());
+            self.visit(child);
+            self.stack.truncate(depth);
+        }
         match plan {
             LogicalPlan::Scan {
                 table,
@@ -573,7 +570,6 @@ impl Checker<'_> {
             }
 
             LogicalPlan::Filter { input, predicate } => {
-                self.visit_child(input, None);
                 self.check_predicate(predicate, input.schema(), "filter predicate");
                 self.warn_predicate(predicate);
                 // A contradiction may span a *stack* of filters (workflow
@@ -595,7 +591,6 @@ impl Checker<'_> {
                 exprs,
                 schema,
             } => {
-                self.visit_child(input, None);
                 if schema.len() != exprs.len() {
                     self.error(
                         E_SCHEMA_ARITY,
@@ -633,8 +628,6 @@ impl Checker<'_> {
                 schema,
                 ..
             } => {
-                self.visit_child(left, Some("left"));
-                self.visit_child(right, Some("right"));
                 let lw = left.schema().len();
                 let rw = right.schema().len();
                 if schema.len() != lw + rw {
@@ -647,23 +640,8 @@ impl Checker<'_> {
                     );
                     return;
                 }
-                for i in 0..lw + rw {
-                    let side = if i < lw {
-                        left.schema().column(i)
-                    } else {
-                        right.schema().column(i - lw)
-                    };
-                    if schema.column(i).data_type != side.data_type {
-                        self.error(
-                            E_SCHEMA_TYPE,
-                            format!(
-                                "join output column {i} is {} but the input column is {}",
-                                schema.column(i).data_type.sql_name(),
-                                side.data_type.sql_name()
-                            ),
-                        );
-                    }
-                }
+                self.check_passthrough("join", schema, 0, left.schema());
+                self.check_passthrough("join", schema, lw, right.schema());
                 self.check_predicate(on, schema, "join condition");
                 // Joins are rare enough per plan that the column list is
                 // collected into a reused scratch buffer, not a fresh Vec.
@@ -702,7 +680,6 @@ impl Checker<'_> {
                 aggs,
                 schema,
             } => {
-                self.visit_child(input, None);
                 let is = input.schema();
                 let mut ok = Vec::with_capacity(group_by.len() + aggs.len());
                 for e in group_by {
@@ -761,14 +738,12 @@ impl Checker<'_> {
             }
 
             LogicalPlan::Sort { input, keys } => {
-                self.visit_child(input, None);
                 for k in keys {
                     self.check_expr(&k.expr, input.schema(), "sort key");
                 }
             }
 
-            LogicalPlan::Limit { input, limit, .. } => {
-                self.visit_child(input, None);
+            LogicalPlan::Limit { limit, .. } => {
                 if *limit == Some(0) {
                     self.warning(W_DEAD_OPERATOR, "LIMIT 0 can never produce rows".to_owned());
                 }
@@ -791,8 +766,6 @@ impl Checker<'_> {
             }
 
             LogicalPlan::Union { left, right } => {
-                self.visit_child(left, Some("left"));
-                self.visit_child(right, Some("right"));
                 let ls = left.schema();
                 let rs = right.schema();
                 if ls.len() != rs.len() {
@@ -826,8 +799,6 @@ impl Checker<'_> {
                 as_name,
                 schema,
             } => {
-                self.visit_child(input, None);
-                self.visit_child(related, Some("related"));
                 let is = input.schema();
                 let rel = related.schema();
                 let expected = if *rating { 3 } else { 2 };
@@ -887,18 +858,7 @@ impl Checker<'_> {
                     );
                     return;
                 }
-                for i in 0..is.len() {
-                    if schema.column(i).data_type != is.column(i).data_type {
-                        self.error(
-                            E_SCHEMA_TYPE,
-                            format!(
-                                "extend passthrough column {i} is {} but the input column is {}",
-                                schema.column(i).data_type.sql_name(),
-                                is.column(i).data_type.sql_name()
-                            ),
-                        );
-                    }
-                }
+                self.check_passthrough("extend", schema, 0, is);
                 let want = if *rating {
                     DataType::Ratings
                 } else {
@@ -925,8 +885,6 @@ impl Checker<'_> {
                 spec,
                 schema,
             } => {
-                self.visit_child(target, Some("target"));
-                self.visit_child(comparator, Some("comparator"));
                 let ts = target.schema();
                 let cs = comparator.schema();
                 let mut in_range = true;
@@ -964,19 +922,7 @@ impl Checker<'_> {
                     );
                     return;
                 }
-                for i in 0..ts.len() {
-                    if schema.column(i).data_type != ts.column(i).data_type {
-                        self.error(
-                            E_SCHEMA_TYPE,
-                            format!(
-                                "recommend passthrough column {i} is {} but the target column \
-                                 is {}",
-                                schema.column(i).data_type.sql_name(),
-                                ts.column(i).data_type.sql_name()
-                            ),
-                        );
-                    }
-                }
+                self.check_passthrough("recommend", schema, 0, ts);
                 let score = schema.column(ts.len());
                 if score.data_type != DataType::Float || score.name != spec.score_name {
                     self.error(
@@ -1114,8 +1060,7 @@ pub(crate) type Required = Option<Vec<usize>>;
 /// The required-column rule, one operator at a time: given the columns of
 /// `plan`'s output its parent reads (`None` = all of them — the root's
 /// columns all go to the user), the columns of each child `plan` reads,
-/// in child order (input; left, right; input, related; target,
-/// comparator).
+/// in [`LogicalPlan::children`] order.
 ///
 /// The unused-extend warning ([`W_UNUSED_EXTEND`]) and the optimizer's
 /// scan narrowing (`optimizer::narrow`) both walk the plan top-down with
@@ -1198,35 +1143,6 @@ pub(crate) fn child_reads(plan: &LogicalPlan, required: Option<&[usize]>) -> Vec
     }
 }
 
-/// A child plan and the edge label the diagnostic path gives it (`None`
-/// for single-input operators).
-type Child<'p> = Option<(&'p LogicalPlan, Option<&'static str>)>;
-
-/// `plan`'s children in [`child_reads`] order (at most two; absent ones
-/// are `None`).
-fn children(plan: &LogicalPlan) -> [Child<'_>; 2] {
-    match plan {
-        LogicalPlan::Scan { .. } | LogicalPlan::Values { .. } => [None, None],
-        LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Project { input, .. }
-        | LogicalPlan::Aggregate { input, .. }
-        | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::Limit { input, .. } => [Some((input, None)), None],
-        LogicalPlan::Join { left, right, .. } | LogicalPlan::Union { left, right } => {
-            [Some((left, Some("left"))), Some((right, Some("right")))]
-        }
-        LogicalPlan::Extend { input, related, .. } => {
-            [Some((input, None)), Some((related, Some("related")))]
-        }
-        LogicalPlan::Recommend {
-            target, comparator, ..
-        } => [
-            Some((target, Some("target"))),
-            Some((comparator, Some("comparator"))),
-        ],
-    }
-}
-
 /// Top-down required-column walk ([`child_reads`]). Fires
 /// [`W_UNUSED_EXTEND`] when an extend's appended nested column is never
 /// consumed above it.
@@ -1248,17 +1164,13 @@ fn observe(
             ));
         }
     }
-    let kids = children(plan).into_iter().flatten();
-    for ((child, edge), req) in kids.zip(child_reads(plan, required)) {
-        if let Some(e) = edge {
-            stack.push(e);
-        }
+    let kids = plan.children().into_iter().flatten();
+    for ((edge, child), req) in kids.zip(child_reads(plan, required)) {
+        let depth = stack.len();
+        stack.extend(edge);
         stack.push(child.op_name());
         observe(child, req.as_deref(), stack, diags);
-        stack.pop();
-        if edge.is_some() {
-            stack.pop();
-        }
+        stack.truncate(depth);
     }
 }
 

@@ -277,6 +277,100 @@ fn assert_optimize_stable(plan: &cr_relation::LogicalPlan) -> cr_relation::Logic
     once
 }
 
+/// Every node of `plan` survives `map_children` and `map_exprs` with the
+/// identity unchanged, `map_children` visits the inputs `children()`
+/// lists, and `children()` reaches exactly the nodes `explain()` prints,
+/// one line each. Returns the node count.
+fn assert_traversal_identities(plan: &cr_relation::LogicalPlan) -> usize {
+    assert_eq!(&plan.clone().map_exprs(|e| e), plan);
+    let mut mapped = 0;
+    let rebuilt = plan.clone().map_children(|c| {
+        mapped += 1;
+        c
+    });
+    assert_eq!(&rebuilt, plan);
+    let children: Vec<_> = plan.children().into_iter().flatten().collect();
+    assert_eq!(children.len(), mapped, "{}", plan.explain());
+    let nodes = 1 + children
+        .iter()
+        .map(|(_, child)| assert_traversal_identities(child))
+        .sum::<usize>();
+    assert_eq!(nodes, plan.explain().lines().count(), "{}", plan.explain());
+    nodes
+}
+
+/// The analyses see the same plan before and after `optimize`: the
+/// validator's codes and paths, the analyzer's codes (and paths, when a
+/// corpus's filters do not merge into scans below a warning), and the
+/// dependency footprint's tables and keys agree; the footprint's columns
+/// only narrow.
+fn assert_analyses_agree(bound: &cr_relation::LogicalPlan, db: &Database, analyze_paths: bool) {
+    use cr_relation::plan::deps::{extract_in, ColumnSet};
+    use cr_relation::plan::validate::{analyze, validate, validate_against, ValidationReport};
+    let c = db.catalog();
+    let optimized = cr_relation::plan::optimizer::optimize(bound.clone());
+    assert_traversal_identities(bound);
+    assert_traversal_identities(&optimized);
+    let diags = |r: ValidationReport, paths: bool| {
+        let mut d: Vec<String> = r
+            .diagnostics
+            .iter()
+            .map(|d| match paths {
+                true => format!("{} at {}", d.code, d.path),
+                false => d.code.to_owned(),
+            })
+            .collect();
+        d.sort();
+        d
+    };
+    let text = optimized.explain();
+    for (p, o) in [
+        (validate(bound), validate(&optimized)),
+        (
+            validate_against(bound, &c),
+            validate_against(&optimized, &c),
+        ),
+    ] {
+        assert_eq!(diags(p, true), diags(o, true), "{text}");
+    }
+    assert_eq!(
+        diags(analyze(bound, Some(&c)), analyze_paths),
+        diags(analyze(&optimized, Some(&c)), analyze_paths),
+        "{text}"
+    );
+    let (before, after) = (
+        extract_in(bound, Some(&c)),
+        extract_in(&optimized, Some(&c)),
+    );
+    assert_eq!(before.table_names(), after.table_names(), "{text}");
+    for (table, dep) in &after.tables {
+        let was = &before.tables[table];
+        assert_eq!(dep.key, was.key, "{table}: {text}");
+        match (&dep.columns, &was.columns) {
+            (_, ColumnSet::All) => {}
+            (ColumnSet::Named(now), ColumnSet::Named(then)) => {
+                assert!(now.is_subset(then), "{table}: {text}")
+            }
+            (ColumnSet::All, ColumnSet::Named(_)) => panic!("{table} widened: {text}"),
+        }
+    }
+}
+
+#[test]
+fn plan_traversals_and_analyses_agree_on_sql_corpora() {
+    let db = build_db(&[(1, 2, 0)], &[(1, 3)]);
+    for q in QUERIES {
+        assert_analyses_agree(&bind(q, &db), &db, true);
+    }
+    let kdb = build_key_db(&[(1, 0, 1, 2)], &[(1, 0, 1, 2)]);
+    for q in KEY_QUERIES {
+        assert_analyses_agree(&bind(q, &kdb), &kdb, true);
+    }
+    for plan in key_plans(&kdb) {
+        assert_analyses_agree(&plan, &kdb, true);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -626,6 +720,9 @@ proptest! {
         let catalog = db.catalog();
         if let Ok(plan) = cr_flexrecs::compile::compile(&wf, &catalog) {
             assert_optimize_stable(&plan);
+            // Workflow selections merge into their scans, which moves a
+            // filter warning's path from the Filter to the Scan.
+            assert_analyses_agree(&plan, &db, false);
         }
         let row = compile_and_run_with(&wf, &catalog, &oracle());
         for &b in BATCH_SIZES {
@@ -775,67 +872,17 @@ fn nest_shape_workflows() -> Vec<Workflow> {
 /// table's image — the general path, next to the cached one.
 fn with_related_filter(plan: cr_relation::LogicalPlan) -> cr_relation::LogicalPlan {
     use cr_relation::{Expr, LogicalPlan};
-    let rewrite = |p: Box<LogicalPlan>| Box::new(with_related_filter(*p));
-    match plan {
-        LogicalPlan::Extend {
-            input,
-            related,
-            key_col,
-            rating,
-            as_name,
-            schema,
-        } => {
-            let related = match *related {
-                LogicalPlan::Scan {
-                    table,
-                    alias,
-                    projection,
-                    filter: None,
-                    schema,
-                } => LogicalPlan::Scan {
-                    table,
-                    alias,
-                    projection,
-                    filter: Some(Expr::col_idx(0).gt_eq(Expr::lit(0i64))),
-                    schema,
-                },
-                other => other,
-            };
-            LogicalPlan::Extend {
-                input: rewrite(input),
-                related: Box::new(related),
-                key_col,
-                rating,
-                as_name,
-                schema,
-            }
+    let mut plan = plan.map_children(with_related_filter);
+    if let LogicalPlan::Extend { related, .. } = &mut plan {
+        if let LogicalPlan::Scan {
+            filter: filter @ None,
+            ..
+        } = &mut **related
+        {
+            *filter = Some(Expr::col_idx(0).gt_eq(Expr::lit(0i64)));
         }
-        LogicalPlan::Recommend {
-            target,
-            comparator,
-            spec,
-            schema,
-        } => LogicalPlan::Recommend {
-            target: rewrite(target),
-            comparator: rewrite(comparator),
-            spec,
-            schema,
-        },
-        LogicalPlan::Project {
-            input,
-            exprs,
-            schema,
-        } => LogicalPlan::Project {
-            input: rewrite(input),
-            exprs,
-            schema,
-        },
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: rewrite(input),
-            predicate,
-        },
-        leaf => leaf,
     }
+    plan
 }
 
 #[test]

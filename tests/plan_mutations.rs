@@ -579,52 +579,29 @@ mod policy {
 
 /// Apply `f` to the first Extend node found (preorder), rebuilding the
 /// tree.
-fn map_first_extend(plan: LogicalPlan, f: impl Fn(LogicalPlan) -> LogicalPlan) -> LogicalPlan {
-    fn go(
+fn map_first_extend(plan: LogicalPlan, f: impl FnOnce(LogicalPlan) -> LogicalPlan) -> LogicalPlan {
+    fn go<F: FnOnce(LogicalPlan) -> LogicalPlan>(
         plan: LogicalPlan,
-        done: &mut bool,
-        f: &dyn Fn(LogicalPlan) -> LogicalPlan,
+        f: &mut Option<F>,
     ) -> LogicalPlan {
-        if *done {
-            return plan;
-        }
-        if matches!(plan, LogicalPlan::Extend { .. }) {
-            *done = true;
-            return f(plan);
-        }
-        match plan {
-            LogicalPlan::Recommend {
-                target,
-                comparator,
-                spec,
-                schema,
-            } => LogicalPlan::Recommend {
-                target: Box::new(go(*target, done, f)),
-                comparator: Box::new(go(*comparator, done, f)),
-                spec,
-                schema,
-            },
-            LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-                input: Box::new(go(*input, done, f)),
-                predicate,
-            },
-            other => other,
+        match f.take_if(|_| matches!(plan, LogicalPlan::Extend { .. })) {
+            Some(f) => f(plan),
+            None if f.is_some() => plan.map_children(|c| go(c, f)),
+            None => plan,
         }
     }
-    let mut done = false;
-    go(plan, &mut done, &f)
+    go(plan, &mut Some(f))
 }
 
 /// Find the first Extend node (preorder).
 fn extract_first_extend(plan: &LogicalPlan) -> Option<LogicalPlan> {
-    match plan {
-        LogicalPlan::Extend { .. } => Some(plan.clone()),
-        LogicalPlan::Recommend {
-            target, comparator, ..
-        } => extract_first_extend(target).or_else(|| extract_first_extend(comparator)),
-        LogicalPlan::Filter { input, .. } => extract_first_extend(input),
-        _ => None,
+    if matches!(plan, LogicalPlan::Extend { .. }) {
+        return Some(plan.clone());
     }
+    plan.children()
+        .into_iter()
+        .flatten()
+        .find_map(|(_, child)| extract_first_extend(child))
 }
 
 /// Find the related side of the first Extend node.

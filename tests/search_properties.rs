@@ -1,4 +1,4 @@
-//! PR2 equivalence properties for search: the top-k pruned search and the
+//! Equivalence properties for search: the top-k pruned search and the
 //! term-sharded search are *optimizations*, not approximations. For any
 //! generated corpus and query, `search_topk` must return the same hits
 //! (docs, scores, order) as the exhaustive `search`, and a sharded engine
