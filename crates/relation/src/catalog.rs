@@ -9,7 +9,12 @@
 //! copy-on-write via [`Arc::make_mut`]: while no reader pins the image
 //! the mutation is applied in place (the common, allocation-free case);
 //! while a snapshot is live the first write clones the table and later
-//! readers see the new image, earlier pins keep the old one.
+//! readers see the new image, earlier pins keep the old one. That clone
+//! copies pointers, not rows: a [`Table`] keeps its rows in `Arc`'d
+//! chunks and its primary-key map and hash indexes in `Arc`'d shards, so
+//! the write copies only the one chunk and the one shard per map it
+//! touches (see [`crate::table`]), and dropping the old image frees only
+//! those.
 //!
 //! [`Catalog::snapshot`] extends per-table pinning to the whole catalog:
 //! it briefly excludes writers (the `publish` lock), pins every table at
@@ -327,9 +332,11 @@ impl Catalog {
 
     /// Run a closure with write access to a table. The mutation is
     /// copy-on-write: in place while the image is unshared (no live
-    /// snapshot pins it), against a private clone otherwise — pinned
-    /// readers keep the pre-write image either way. Virtual tables are
-    /// read-only and reject this; so do frozen snapshot handles.
+    /// snapshot pins it), against a private clone otherwise — one that
+    /// shares every row chunk and index shard the closure does not
+    /// write — and pinned readers keep the pre-write image either way.
+    /// Virtual tables are read-only and reject this; so do frozen
+    /// snapshot handles.
     pub fn with_table_mut<R>(&self, name: &str, f: impl FnOnce(&mut Table) -> R) -> RelResult<R> {
         self.reject_frozen()?;
         match self.handle(name) {

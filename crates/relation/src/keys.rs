@@ -15,7 +15,8 @@
 //! the same numbers hash alike.
 //!
 //! [`KeyTable`] hands out dense group ids in first-seen order; callers
-//! index plain `Vec`s with them.
+//! index plain `Vec`s with them. [`values_hash`] hashes a key held as
+//! values the same way; the sharded index maps pick a key's shard by it.
 
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
@@ -60,6 +61,24 @@ fn cell_hash(v: &Value) -> u64 {
             h.0
         }
     }
+}
+
+/// The hash of a key held as values: the same number [`Key::hashes`]
+/// gives a row holding these cells.
+pub(crate) fn values_hash(values: &[Value]) -> u64 {
+    values.iter().fold(0, |h, v| mix(h, cell_hash(v)))
+}
+
+/// An avalanche of `h` (murmur3's finalizer), so that any slice of its
+/// bits is usable: single Int keys hash to their float bits, which vary
+/// only high.
+#[inline]
+pub(crate) fn avalanche(h: u64) -> u64 {
+    let mut x = h ^ (h >> 33);
+    x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    x ^ (x >> 33)
 }
 
 /// A word-at-a-time multiplicative hasher (FxHash's shape) for the cells
@@ -242,16 +261,10 @@ impl KeyTable {
         &self.firsts
     }
 
-    /// The slot a hash probes first: the top bits of an avalanche of `h`
-    /// (single Int keys hash to their float bits, which vary only high).
+    /// The slot a hash probes first: the low bits of an avalanche of `h`.
     #[inline]
     fn home(&self, h: u64) -> usize {
-        let mut x = h ^ (h >> 33);
-        x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
-        x ^= x >> 33;
-        x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-        x ^= x >> 33;
-        (x as usize) & (self.slots.len() - 1)
+        (avalanche(h) as usize) & (self.slots.len() - 1)
     }
 
     /// The id of the group with hash `h` whose first row `same` accepts.

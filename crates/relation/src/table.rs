@@ -1,17 +1,38 @@
-//! Row-oriented table storage.
+//! Row-oriented table storage, copy-on-write by the chunk.
 //!
-//! A [`Table`] owns its rows (a `Vec<Option<Row>>` slot array — `None` is a
-//! tombstone left by DELETE), a primary-key index, and any number of
-//! secondary [`Index`]es which are maintained eagerly on every mutation.
+//! A [`Table`] owns its rows — a slot array indexed by [`RowId`], where
+//! `None` is a tombstone left by DELETE so that row ids keep their
+//! meaning — a primary-key map, and any number of secondary [`Index`]es
+//! which are maintained eagerly on every mutation.
+//!
+//! ## Copy-on-write
+//!
+//! The catalog shares one `Arc<Table>` image between the live catalog and
+//! every snapshot that pins it; a write to a shared image first clones it
+//! (`Arc::make_mut`, see [`crate::catalog`]). That clone is cheap because
+//! every part of a table that grows with its rows is itself `Arc`-shared:
+//!
+//! * the slot array is cut into chunks of `CHUNK_ROWS` (128) slots, row
+//!   `rid` in chunk `rid / CHUNK_ROWS`;
+//! * the primary-key map and every hash index are `ShardMap`s, fixed
+//!   arrays of `Arc`'d shards picked by key hash (see [`crate::index`];
+//!   B-tree indexes are one `Arc`'d map).
+//!
+//! So cloning a table copies O(#chunks + #shards) pointers, and a
+//! mutation then copies only the chunk it touches and, in each map, the
+//! shard its key lands in — and only while a clone still shares them; an
+//! unshared chunk or shard is written in place. Every clone keeps exactly
+//! the state it was taken at. The derived images ([`Table::columnar`],
+//! [`Table::nested`]) are immutable `Arc`s stamped with
+//! [`Table::version`], rebuilt on first use after a mutation.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::batch::{Column as BatchColumn, ColumnBuilder};
 use crate::error::{RelError, RelResult};
-use crate::index::{Index, IndexKey, IndexKind};
+use crate::index::{Index, IndexKey, IndexKind, ShardMap};
 use crate::mutation::{Mutation, MutationObserver, ObserverSlot};
 use crate::nest::{build_nest_map_core, NestMap};
 use crate::row::{Row, RowId};
@@ -47,19 +68,69 @@ type ColumnarImage = Arc<Vec<Arc<BatchColumn>>>;
 /// column triples in practice, so a scan of a short vector.
 type NestImages = Vec<((usize, usize, Option<usize>), Arc<NestMap>)>;
 
+/// Slots per row chunk (module docs: copy-on-write). A power of two, so a
+/// row id splits into chunk and offset by shift and mask.
+const CHUNK_ROWS: usize = 128;
+
+/// One chunk of the slot array: always [`CHUNK_ROWS`] slots, those past
+/// the table's slot count `None`.
+type Chunk = [Option<Row>; CHUNK_ROWS];
+
+/// The slot array, index == `RowId.0`, cut into `Arc`'d [`Chunk`]s. A
+/// fixed-size chunk makes a row lookup two loads and one bounds check.
+#[derive(Debug, Clone, Default)]
+struct Slots {
+    chunks: Vec<Arc<Chunk>>,
+    len: usize,
+}
+
+impl Slots {
+    #[inline]
+    fn get(&self, slot: usize) -> Option<&Row> {
+        self.chunks.get(slot / CHUNK_ROWS)?[slot % CHUNK_ROWS].as_ref()
+    }
+
+    /// Put `row` in `slot` (below `len`), returning what was there.
+    /// Unshares the slot's chunk, so callers that may be making no change
+    /// check [`Slots::get`] first.
+    fn replace(&mut self, slot: usize, row: Option<Row>) -> Option<Row> {
+        let chunk = Arc::make_mut(&mut self.chunks[slot / CHUNK_ROWS]);
+        std::mem::replace(&mut chunk[slot % CHUNK_ROWS], row)
+    }
+
+    fn push(&mut self, row: Option<Row>) {
+        if self.len.is_multiple_of(CHUNK_ROWS) {
+            self.chunks.push(Arc::new(std::array::from_fn(|_| None)));
+        }
+        if row.is_some() {
+            self.replace(self.len, row);
+        }
+        self.len += 1;
+    }
+
+    /// Live rows with their ids, in row-id order.
+    fn iter(&self) -> impl Iterator<Item = (RowId, &Row)> + '_ {
+        self.chunks
+            .iter()
+            .flat_map(|chunk| chunk.iter())
+            .enumerate()
+            .filter_map(|(i, slot)| slot.as_ref().map(|r| (RowId(i as u64), r)))
+    }
+}
+
 /// An in-memory table.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     schema: Schema,
-    /// Slot array; index == RowId.0. Tombstoned slots are `None`.
-    rows: Vec<Option<Row>>,
+    /// Slot array; tombstoned slots are `None`.
+    rows: Slots,
     /// Live-row count (excludes tombstones).
     live: usize,
     /// Positions of the primary-key columns (may be empty: no PK).
     pk_columns: Vec<usize>,
     /// PK value → RowId.
-    pk_index: HashMap<IndexKey, RowId>,
+    pk_index: ShardMap<RowId>,
     /// Secondary indexes by name.
     indexes: Vec<Index>,
     /// Monotonic mutation counter: bumped on every successful insert,
@@ -80,10 +151,10 @@ impl Table {
         Table {
             name: name.into(),
             schema,
-            rows: Vec::new(),
+            rows: Slots::default(),
             live: 0,
             pk_columns,
-            pk_index: HashMap::new(),
+            pk_index: ShardMap::default(),
             indexes: Vec::new(),
             version: 0,
             observer: ObserverSlot::default(),
@@ -105,28 +176,17 @@ impl Table {
         slots: Vec<Option<Row>>,
         version: u64,
     ) -> Self {
-        let mut table = Table {
-            name: name.into(),
-            schema,
-            rows: Vec::new(),
-            live: 0,
-            pk_columns,
-            pk_index: HashMap::new(),
-            indexes: Vec::new(),
-            version,
-            observer: ObserverSlot::default(),
-            columnar: Versioned::default(),
-            nests: Versioned::default(),
-        };
-        for (i, slot) in slots.iter().enumerate() {
-            if let Some(row) = slot {
+        let mut table = Table::new(name, schema, pk_columns);
+        table.version = version;
+        for (i, slot) in slots.into_iter().enumerate() {
+            if let Some(row) = &slot {
                 table.live += 1;
                 if let Some(key) = table.pk_key(row) {
                     table.pk_index.insert(key, RowId(i as u64));
                 }
             }
+            table.rows.push(slot);
         }
-        table.rows = slots;
         table
     }
 
@@ -178,6 +238,69 @@ impl Table {
         }
     }
 
+    /// The first unique index in which `row`'s key is already taken by a
+    /// row other than `except`.
+    fn unique_conflict(&self, row: &Row, except: Option<RowId>) -> Option<&Index> {
+        self.indexes
+            .iter()
+            .find(|idx| idx.unique && idx.conflicts_except(&idx.key_of(row), except))
+    }
+
+    /// Enter `row` under `rid` in the PK map and every secondary index.
+    fn index_row(&mut self, rid: RowId, row: &Row) {
+        if let Some(key) = self.pk_key(row) {
+            self.pk_index.insert(key, rid);
+        }
+        for idx in &mut self.indexes {
+            let key = idx.key_of(row);
+            idx.insert(key, rid);
+        }
+    }
+
+    /// Tombstone the live row at `rid` and drop its PK and index entries.
+    /// A dead or absent slot is left alone, its chunk still shared.
+    fn take_row(&mut self, rid: RowId) -> Option<Row> {
+        self.get(rid)?;
+        let row = self.rows.replace(rid.0 as usize, None)?;
+        if let Some(key) = self.pk_key(&row) {
+            self.pk_index.remove(&key);
+        }
+        for idx in &mut self.indexes {
+            let key = idx.key_of(&row);
+            idx.remove(&key, rid);
+        }
+        self.live -= 1;
+        self.version += 1;
+        Some(row)
+    }
+
+    /// Swap the row at `rid` — which the caller checked is live — for
+    /// `new_row`, moving PK and index entries whose keys changed (an
+    /// unchanged key keeps its place in its bucket). Returns the old row.
+    fn replace_row(&mut self, rid: RowId, new_row: Row) -> Option<Row> {
+        let old_row = self.rows.replace(rid.0 as usize, None)?;
+        let (old_key, new_key) = (self.pk_key(&old_row), self.pk_key(&new_row));
+        if old_key != new_key {
+            if let Some(key) = old_key {
+                self.pk_index.remove(&key);
+            }
+            if let Some(key) = new_key {
+                self.pk_index.insert(key, rid);
+            }
+        }
+        for idx in &mut self.indexes {
+            let old_key = idx.key_of(&old_row);
+            let new_key = idx.key_of(&new_row);
+            if old_key != new_key {
+                idx.remove(&old_key, rid);
+                idx.insert(new_key, rid);
+            }
+        }
+        self.rows.replace(rid.0 as usize, Some(new_row));
+        self.version += 1;
+        Some(old_row)
+    }
+
     /// Insert a row (validated and coerced against the schema).
     /// Returns the new row's id.
     pub fn insert(&mut self, row: Row) -> RelResult<RowId> {
@@ -197,30 +320,19 @@ impl Table {
                 )));
             }
         }
-        for idx in &self.indexes {
-            if idx.unique {
-                let key = idx.key_of(&row);
-                if idx.would_conflict(&key) {
-                    return Err(RelError::DuplicateKey(format!(
-                        "{}:{}",
-                        self.name, idx.name
-                    )));
-                }
-            }
+        if let Some(idx) = self.unique_conflict(&row, None) {
+            return Err(RelError::DuplicateKey(format!(
+                "{}:{}",
+                self.name, idx.name
+            )));
         }
-        let rid = RowId(self.rows.len() as u64);
-        if let Some(key) = self.pk_key(&row) {
-            self.pk_index.insert(key, rid);
-        }
-        for idx in &mut self.indexes {
-            let key = idx.key_of(&row);
-            idx.insert(key, rid);
-        }
+        let rid = RowId(self.rows.len as u64);
+        self.index_row(rid, &row);
         self.rows.push(Some(row));
         self.live += 1;
         self.version += 1;
         if self.observer.get().is_some() {
-            let row = self.rows[rid.0 as usize].as_ref().expect("just inserted");
+            let row = self.get(rid).expect("just inserted");
             self.emit(&Mutation::Insert {
                 rid,
                 row,
@@ -232,7 +344,7 @@ impl Table {
 
     /// Fetch a row by id (None if tombstoned or out of range).
     pub fn get(&self, rid: RowId) -> Option<&Row> {
-        self.rows.get(rid.0 as usize).and_then(Option::as_ref)
+        self.rows.get(rid.0 as usize)
     }
 
     /// Look up by primary key.
@@ -247,22 +359,9 @@ impl Table {
 
     /// Delete by row id. Returns true if a live row was removed.
     pub fn delete(&mut self, rid: RowId) -> bool {
-        let slot = match self.rows.get_mut(rid.0 as usize) {
-            Some(s) => s,
-            None => return false,
-        };
-        let Some(row) = slot.take() else {
+        let Some(row) = self.take_row(rid) else {
             return false;
         };
-        if let Some(key) = self.pk_key(&row) {
-            self.pk_index.remove(&key);
-        }
-        for idx in &mut self.indexes {
-            let key = idx.key_of(&row);
-            idx.remove(&key, rid);
-        }
-        self.live -= 1;
-        self.version += 1;
         self.emit(&Mutation::Delete {
             rid,
             row: &row,
@@ -272,36 +371,31 @@ impl Table {
     }
 
     /// Replace the row at `rid` with `new_row` (validated). Indexes are
-    /// updated. Errors restore nothing — callers treat errors as aborts on
-    /// a single-row basis (the engine has no multi-statement transactions).
+    /// updated. Every check — the row exists, and neither its primary key
+    /// nor any unique index key is taken by another row — runs before
+    /// anything is changed, so an error leaves the table as it was
+    /// (callers treat errors as aborts on a single-row basis; the engine
+    /// has no multi-statement transactions).
     pub fn update(&mut self, rid: RowId, new_row: Row) -> RelResult<()> {
         let new_row = self.schema.validate_row(new_row)?;
         let old_row = self
             .get(rid)
-            .cloned()
             .ok_or_else(|| RelError::Invalid(format!("no row {rid:?} in {}", self.name)))?;
-        // PK change: check uniqueness against *other* rows.
-        if let (Some(old_key), Some(new_key)) = (self.pk_key(&old_row), self.pk_key(&new_row)) {
-            if old_key != new_key {
-                if self.pk_index.contains_key(&new_key) {
-                    return Err(RelError::DuplicateKey(self.name.clone()));
-                }
-                self.pk_index.remove(&old_key);
-                self.pk_index.insert(new_key, rid);
-            }
+        let new_key = self.pk_key(&new_row);
+        if new_key != self.pk_key(old_row)
+            && new_key.is_some_and(|key| self.pk_index.contains_key(&key))
+        {
+            return Err(RelError::DuplicateKey(self.name.clone()));
         }
-        for idx in &mut self.indexes {
-            let old_key = idx.key_of(&old_row);
-            let new_key = idx.key_of(&new_row);
-            if old_key != new_key {
-                idx.remove(&old_key, rid);
-                idx.insert(new_key, rid);
-            }
+        if let Some(idx) = self.unique_conflict(&new_row, Some(rid)) {
+            return Err(RelError::DuplicateKey(format!(
+                "{}:{}",
+                self.name, idx.name
+            )));
         }
-        self.rows[rid.0 as usize] = Some(new_row);
-        self.version += 1;
+        let old_row = self.replace_row(rid, new_row).expect("checked live");
         if self.observer.get().is_some() {
-            let row = self.rows[rid.0 as usize].as_ref().expect("just updated");
+            let row = self.get(rid).expect("just updated");
             self.emit(&Mutation::Update {
                 rid,
                 row,
@@ -330,20 +424,14 @@ impl Table {
     /// reflected by the snapshot).
     pub fn replay_insert(&mut self, rid: RowId, row: Row) -> RelResult<()> {
         let slot = rid.0 as usize;
-        if slot >= self.rows.len() {
-            self.rows.resize(slot + 1, None);
+        while self.rows.len <= slot {
+            self.rows.push(None);
         }
-        if self.rows[slot].is_some() {
+        if self.rows.get(slot).is_some() {
             return Ok(()); // already reflected by the snapshot
         }
-        if let Some(key) = self.pk_key(&row) {
-            self.pk_index.insert(key, rid);
-        }
-        for idx in &mut self.indexes {
-            let key = idx.key_of(&row);
-            idx.insert(key, rid);
-        }
-        self.rows[slot] = Some(row);
+        self.index_row(rid, &row);
+        self.rows.replace(slot, Some(row));
         self.live += 1;
         self.version += 1;
         Ok(())
@@ -351,61 +439,31 @@ impl Table {
 
     /// Re-apply a logged update (replace the row image at `rid`).
     pub fn replay_update(&mut self, rid: RowId, new_row: Row) -> RelResult<()> {
-        let Some(old_row) = self.get(rid).cloned() else {
-            return Err(RelError::Invalid(format!(
+        match self.get(rid) {
+            Some(_) => {
+                self.replace_row(rid, new_row);
+                Ok(())
+            }
+            None => Err(RelError::Invalid(format!(
                 "replay: no row {rid:?} in {}",
                 self.name
-            )));
-        };
-        if let (Some(old_key), Some(new_key)) = (self.pk_key(&old_row), self.pk_key(&new_row)) {
-            if old_key != new_key {
-                self.pk_index.remove(&old_key);
-                self.pk_index.insert(new_key, rid);
-            }
+            ))),
         }
-        for idx in &mut self.indexes {
-            let old_key = idx.key_of(&old_row);
-            let new_key = idx.key_of(&new_row);
-            if old_key != new_key {
-                idx.remove(&old_key, rid);
-                idx.insert(new_key, rid);
-            }
-        }
-        self.rows[rid.0 as usize] = Some(new_row);
-        self.version += 1;
-        Ok(())
     }
 
     /// Re-apply a logged delete (no-op if the slot is already empty).
     pub fn replay_delete(&mut self, rid: RowId) {
-        let Some(slot) = self.rows.get_mut(rid.0 as usize) else {
-            return;
-        };
-        let Some(row) = slot.take() else {
-            return;
-        };
-        if let Some(key) = self.pk_key(&row) {
-            self.pk_index.remove(&key);
-        }
-        for idx in &mut self.indexes {
-            let key = idx.key_of(&row);
-            idx.remove(&key, rid);
-        }
-        self.live -= 1;
-        self.version += 1;
+        self.take_row(rid);
     }
 
-    /// Iterate live rows with their ids.
+    /// Iterate live rows with their ids, in row-id order.
     pub fn scan(&self) -> impl Iterator<Item = (RowId, &Row)> + '_ {
-        self.rows
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| slot.as_ref().map(|r| (RowId(i as u64), r)))
+        self.rows.iter()
     }
 
     /// Number of physical slots (live rows + tombstones).
     pub fn slot_count(&self) -> usize {
-        self.rows.len()
+        self.rows.len
     }
 
     /// Create a secondary index over `columns` and backfill it.
@@ -421,12 +479,7 @@ impl Table {
             return Err(RelError::IndexExists(name));
         }
         let mut idx = Index::new(name, columns, kind, unique);
-        for (rid, row) in self
-            .rows
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|r| (RowId(i as u64), r)))
-        {
+        for (rid, row) in self.rows.iter() {
             let key = idx.key_of(row);
             if idx.would_conflict(&key) {
                 return Err(RelError::DuplicateKey(format!(
@@ -552,11 +605,54 @@ impl Table {
         }
         Ok((built, false))
     }
+
+    /// Every part of this table that grows with its rows, as labelled
+    /// pointers in a fixed order: row chunks, primary-key shards, then
+    /// each index's parts. The destructuring is exhaustive on purpose: a
+    /// field added later does not compile here until it is listed, either
+    /// among the parts or as cheap to clone, so nothing that copies
+    /// O(table) can slip into `Table::clone` unseen by the
+    /// structural-sharing test.
+    #[cfg(test)]
+    pub(crate) fn cow_parts(&self) -> Vec<(String, *const ())> {
+        let Table {
+            // O(1) or O(schema) to clone.
+            name: _,
+            schema: _,
+            live: _,
+            pk_columns: _,
+            version: _,
+            observer: _,
+            // Immutable `Arc`'d images: a clone copies the pointers.
+            columnar: _,
+            nests: _,
+            rows,
+            pk_index,
+            indexes,
+        } = self;
+        let chunks = rows
+            .chunks
+            .iter()
+            .map(|c| ("rows".to_owned(), Arc::as_ptr(c).cast::<()>()));
+        let pk = pk_index
+            .shard_ptrs()
+            .into_iter()
+            .map(|p| ("pk".to_owned(), p));
+        let idx = indexes.iter().flat_map(|i| {
+            i.cow_parts()
+                .into_iter()
+                .map(move |p| (format!("index {}", i.name), p))
+        });
+        chunks.chain(pk).chain(idx).collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+    use std::ops::Bound;
+
     use crate::row::row;
     use crate::schema::{Column, DataType};
     use proptest::prelude::*;
@@ -661,6 +757,117 @@ mod tests {
             t.insert(row![2i64, "A", 4i64]),
             Err(RelError::DuplicateKey(_))
         ));
+    }
+
+    #[test]
+    fn update_rejects_a_unique_key_held_by_another_row() {
+        let mut t = courses();
+        t.create_index("uniq_units", vec![2], IndexKind::Hash, true)
+            .unwrap();
+        let r1 = t.insert(row![1i64, "A", 10i64]).unwrap();
+        let r2 = t.insert(row![2i64, "B", 20i64]).unwrap();
+        let version = t.version();
+        assert!(matches!(
+            t.update(r2, row![2i64, "B", 10i64]),
+            Err(RelError::DuplicateKey(_))
+        ));
+        // Rejected before anything moved: row, index and version intact.
+        assert_eq!(t.version(), version);
+        assert_eq!(t.get(r2).unwrap()[2], Value::Int(20));
+        let idx = t.index("uniq_units").unwrap();
+        assert_eq!(idx.get(&vec![Value::Int(10)]).unwrap(), &[r1]);
+        assert_eq!(idx.get(&vec![Value::Int(20)]).unwrap(), &[r2]);
+        assert!(matches!(
+            t.insert(row![4i64, "D", 20i64]),
+            Err(RelError::DuplicateKey(_))
+        ));
+        // A row keeps its own key, and may move to a free one.
+        t.update(r1, row![1i64, "A2", 10i64]).unwrap();
+        t.update(r2, row![2i64, "B", 30i64]).unwrap();
+        assert_eq!(
+            t.index("uniq_units").unwrap().get(&vec![Value::Int(30)]),
+            Some(&[r2][..])
+        );
+    }
+
+    #[test]
+    fn a_write_after_a_clone_copies_one_chunk_and_one_shard_per_map() {
+        let mut t = courses();
+        t.create_index("by_units", vec![2], IndexKind::Hash, false)
+            .unwrap();
+        t.create_index("by_title", vec![1], IndexKind::Hash, true)
+            .unwrap();
+        let n = 3 * CHUNK_ROWS as i64 + 7;
+        for id in 0..n {
+            t.insert(row![id, format!("t{id}"), id % 5]).unwrap();
+        }
+        // Labels of the parts that differ between two tables, counted.
+        let moved = |a: &Table, b: &Table| {
+            let (a, b) = (a.cow_parts(), b.cow_parts());
+            assert_eq!(a.len(), b.len());
+            let mut moved: Vec<(String, usize)> = Vec::new();
+            for ((label, p), (_, q)) in a.iter().zip(&b) {
+                if p != q {
+                    match moved.iter_mut().find(|(l, _)| l == label) {
+                        Some((_, k)) => *k += 1,
+                        None => moved.push((label.clone(), 1)),
+                    }
+                }
+            }
+            moved
+        };
+        let each_once = |rows: bool| {
+            let mut want = vec![
+                ("pk".to_owned(), 1),
+                ("index by_units".to_owned(), 1),
+                ("index by_title".to_owned(), 1),
+            ];
+            if rows {
+                want.insert(0, ("rows".to_owned(), 1));
+            }
+            want
+        };
+
+        let first = t.clone();
+        assert!(moved(&t, &first).is_empty(), "a clone shares everything");
+        t.insert(row![n, "new", 3i64]).unwrap();
+        assert_eq!(moved(&t, &first), each_once(true));
+        let (tp, fp) = (t.cow_parts(), first.cow_parts());
+        let last_chunk = tp.iter().filter(|(l, _)| l == "rows").count() - 1;
+        assert_ne!(tp[last_chunk].1, fp[last_chunk].1, "the tail chunk moved");
+
+        // A delete in the middle copies that chunk and one shard per map.
+        let middle = RowId(CHUNK_ROWS as u64 + 3);
+        let second = t.clone();
+        assert!(t.delete(middle));
+        assert_eq!(moved(&t, &second), each_once(true));
+        assert_ne!(t.cow_parts()[1].1, second.cow_parts()[1].1, "chunk 1 moved");
+
+        // Once unshared, a chunk takes later writes in place.
+        let chunk_1 = t.cow_parts()[1].1;
+        assert!(t.delete(RowId(CHUNK_ROWS as u64 + 4)));
+        t.update(
+            RowId(CHUNK_ROWS as u64 + 5),
+            row![CHUNK_ROWS as i64 + 5, "t", 4i64],
+        )
+        .unwrap();
+        assert_eq!(t.cow_parts()[1].1, chunk_1);
+
+        // A rejected or no-op write leaves every shared part shared.
+        let third = t.clone();
+        assert!(!t.delete(middle));
+        assert!(t.insert(row![0i64, "dup", 1i64]).is_err());
+        assert!(t.update(RowId(0), row![1i64, "t0", 0i64]).is_err());
+        assert!(moved(&t, &third).is_empty());
+
+        // Each clone still shows the state it was taken at.
+        assert!(first.get_by_pk(&vec![Value::Int(n)]).is_none());
+        assert_eq!(first.slot_count() as i64, n);
+        assert_eq!(
+            second.get(middle).unwrap()[1],
+            Value::text(format!("t{}", middle.0))
+        );
+        assert!(t.get(middle).is_none());
     }
 
     #[test]
@@ -818,6 +1025,225 @@ mod tests {
             }
             prop_assert_eq!(via_index, t.len());
             prop_assert_eq!(idx.entries(), t.len());
+        }
+    }
+
+    /// The model the chunked table is checked against: the plain slot
+    /// array and primary-key map the table's chunks and shards stand for.
+    #[derive(Clone, Default)]
+    struct Model {
+        slots: Vec<Option<Row>>,
+        pk: HashMap<i64, RowId>,
+    }
+
+    impl Model {
+        fn live(&self) -> impl Iterator<Item = (RowId, &Row)> + '_ {
+            self.slots
+                .iter()
+                .enumerate()
+                .filter_map(|(i, s)| s.as_ref().map(|r| (RowId(i as u64), r)))
+        }
+
+        fn id(row: &Row) -> i64 {
+            row[0].as_int().unwrap()
+        }
+
+        /// Is `title` held by a live row other than `except`?
+        fn title_taken(&self, title: &Value, except: Option<RowId>) -> bool {
+            self.live()
+                .any(|(rid, r)| r[1] == *title && Some(rid) != except)
+        }
+
+        fn put(&mut self, rid: RowId, row: Option<Row>) {
+            let slot = rid.0 as usize;
+            if self.slots.len() <= slot {
+                self.slots.resize(slot + 1, None);
+            }
+            if let Some(old) = self.slots[slot].take() {
+                self.pk.remove(&Self::id(&old));
+            }
+            if let Some(new) = &row {
+                self.pk.insert(Self::id(new), rid);
+            }
+            self.slots[slot] = row;
+        }
+    }
+
+    /// `courses` with a unique hash index on title, a hash index on units
+    /// and a B-tree on units.
+    fn indexed_courses() -> Table {
+        let mut t = courses();
+        add_indexes(&mut t);
+        t
+    }
+
+    fn add_indexes(t: &mut Table) {
+        t.create_index("by_title", vec![1], IndexKind::Hash, true)
+            .unwrap();
+        t.create_index("by_units", vec![2], IndexKind::Hash, false)
+            .unwrap();
+        t.create_index("units_tree", vec![2], IndexKind::BTree, false)
+            .unwrap();
+    }
+
+    const UNITS: i64 = 7;
+
+    fn sorted(mut rids: Vec<RowId>) -> Vec<RowId> {
+        rids.sort();
+        rids
+    }
+
+    /// Everything a reader can observe of `t` equals the model.
+    fn check_model(t: &Table, m: &Model) {
+        let want: Vec<(RowId, &Row)> = m.live().collect();
+        assert_eq!(t.slot_count(), m.slots.len());
+        assert_eq!(t.len(), want.len());
+        assert_eq!(t.scan().collect::<Vec<_>>(), want, "scan, in row-id order");
+        for (i, slot) in m.slots.iter().enumerate() {
+            assert_eq!(t.get(RowId(i as u64)), slot.as_ref());
+        }
+        assert!(t.get(RowId(m.slots.len() as u64)).is_none());
+        for (&id, &rid) in &m.pk {
+            assert_eq!(t.rowid_by_pk(&vec![Value::Int(id)]), Some(rid));
+        }
+        assert!(t.get_by_pk(&vec![Value::Int(-1)]).is_none());
+        let (by_title, by_units, tree) = (
+            t.index("by_title").unwrap(),
+            t.index("by_units").unwrap(),
+            t.index("units_tree").unwrap(),
+        );
+        for (rid, r) in &want {
+            assert_eq!(by_title.get(&vec![r[1].clone()]), Some(&[*rid][..]));
+        }
+        for units in 0..UNITS {
+            let key = vec![Value::Int(units)];
+            let rids: Vec<RowId> = want
+                .iter()
+                .filter(|(_, r)| r[2] == Value::Int(units))
+                .map(|(rid, _)| *rid)
+                .collect();
+            assert_eq!(sorted(by_units.get(&key).unwrap_or(&[]).to_vec()), rids);
+            assert_eq!(sorted(tree.get(&key).unwrap_or(&[]).to_vec()), rids);
+        }
+        let (lo, hi) = (vec![Value::Int(2)], vec![Value::Int(5)]);
+        let in_range: Vec<RowId> = want
+            .iter()
+            .filter(|(_, r)| (Value::Int(2)..Value::Int(5)).contains(&r[2]))
+            .map(|(rid, _)| *rid)
+            .collect();
+        let got = tree
+            .range(Bound::Included(&lo), Bound::Excluded(&hi))
+            .collect();
+        assert_eq!(sorted(got), in_range);
+        for idx in t.indexes() {
+            assert_eq!(idx.entries(), want.len(), "{}", idx.name);
+        }
+        assert_eq!(by_title.distinct_keys(), want.len());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The chunked, sharded table behaves as a plain slot array plus
+        /// maps under insert / update / delete / replay, across chunk
+        /// boundaries, tombstones and replays past the end; every clone
+        /// keeps exactly the state it was taken at while the original
+        /// moves on; and the live table equals a rebuild of its slots.
+        #[test]
+        fn chunked_table_matches_the_slot_array_model(
+            ops in proptest::collection::vec((0u8..8, 0usize..4096, 0i64..4096), 40..120),
+        ) {
+            let mut t = indexed_courses();
+            let mut m = Model::default();
+            let mut clones: Vec<(Table, Model)> = Vec::new();
+            let mut next_id = 0i64;
+            let mut fresh = |units: i64| {
+                next_id += 1;
+                row![next_id, format!("t{next_id}"), units % UNITS]
+            };
+            // Open with two full chunks, so every run crosses at least
+            // two chunk boundaries before the random operations start.
+            for i in 0..2 * CHUNK_ROWS as i64 + 1 {
+                let r = fresh(i);
+                let rid = t.insert(r.clone()).unwrap();
+                m.put(rid, Some(r));
+            }
+            for (op, pick, b) in ops {
+                let slots = m.slots.len();
+                let rid = RowId((pick % slots) as u64);
+                let live = m.slots[rid.0 as usize].clone();
+                match op {
+                    // A burst of inserts.
+                    0 | 1 => {
+                        for units in 0..=b % 40 {
+                            let r = fresh(units);
+                            let got = t.insert(r.clone()).unwrap();
+                            prop_assert_eq!(got, RowId(m.slots.len() as u64));
+                            m.put(got, Some(r));
+                        }
+                    }
+                    // Update: maybe to a taken id or title, which must be
+                    // rejected with the table unchanged.
+                    2 => {
+                        let Some(old) = live else {
+                            prop_assert!(t.update(rid, row![1i64, "x", 0i64]).is_err());
+                            continue;
+                        };
+                        let id = if b % 3 == 0 { b % 64 + 1 } else { Model::id(&old) };
+                        let title = Value::text(format!("t{}", b % 97));
+                        let new = vec![Value::Int(id), title.clone(), Value::Int(b % UNITS)];
+                        let pk_taken = id != Model::id(&old) && m.pk.contains_key(&id);
+                        let expect_err = pk_taken || m.title_taken(&title, Some(rid));
+                        let got = t.update(rid, new.clone());
+                        prop_assert_eq!(got.is_err(), expect_err);
+                        if expect_err {
+                            prop_assert!(matches!(got, Err(RelError::DuplicateKey(_))));
+                        } else {
+                            m.put(rid, Some(new));
+                        }
+                    }
+                    // Delete (tombstones; out of range and dead are no-ops).
+                    3 => {
+                        let rid = RowId((pick % (slots + 2)) as u64);
+                        let was_live = m.slots.get(rid.0 as usize).is_some_and(Option::is_some);
+                        prop_assert_eq!(t.delete(rid), was_live);
+                        if was_live {
+                            m.put(rid, None);
+                        }
+                    }
+                    // Replay an insert, often past the end.
+                    4 => {
+                        let rid = if b % 2 == 0 { RowId((slots + pick % 700) as u64) } else { rid };
+                        let r = fresh(b);
+                        t.replay_insert(rid, r.clone()).unwrap();
+                        if m.slots.get(rid.0 as usize).is_none_or(Option::is_none) {
+                            m.put(rid, Some(r));
+                        }
+                    }
+                    5 => {
+                        let r = fresh(b);
+                        let got = t.replay_update(rid, r.clone());
+                        prop_assert_eq!(got.is_ok(), live.is_some());
+                        if live.is_some() {
+                            m.put(rid, Some(r));
+                        }
+                    }
+                    6 => {
+                        t.replay_delete(rid);
+                        m.put(rid, None);
+                    }
+                    _ => clones.push((t.clone(), m.clone())),
+                }
+            }
+            check_model(&t, &m);
+            for (clone, model) in &clones {
+                check_model(clone, model);
+            }
+            let slots = (0..t.slot_count()).map(|i| t.get(RowId(i as u64)).cloned()).collect();
+            let mut rebuilt = Table::restore("courses", t.schema().clone(), vec![0], slots, t.version());
+            add_indexes(&mut rebuilt);
+            check_model(&rebuilt, &m);
+            prop_assert_eq!(rebuilt.version(), t.version());
         }
     }
 }

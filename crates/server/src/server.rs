@@ -26,13 +26,15 @@
 //! * the reading session has itself written since the cut was taken
 //!   (read-your-writes: sessions always observe their own mutations).
 //!
-//! Sharing matters under write load: every live pin of a table's `Arc`
-//! forces the next writer touching that table to copy it
-//! (`Arc::make_mut`). With per-request cuts the copy rate is the *read*
-//! rate; with a shared cut it is bounded by the republish rate, so a
-//! write storm cannot ruin readers (and vice versa). Every request
-//! still sees one atomic cut across all tables — publication only
-//! decides *which* cut.
+//! Sharing matters under write load: while a cut pins a table, the next
+//! writer touching it copies what it writes into — one row chunk and one
+//! shard per index map (cr-relation's `table` module docs) — and the
+//! cut's last reference frees the superseded pieces. With per-request
+//! cuts the copy rate is the *read* rate; with a shared cut it is bounded
+//! by the republish rate, so a write storm cannot ruin readers (and vice
+//! versa). The superseded cut is dropped after the view lock is released,
+//! so no reader waits on that free. Every request still sees one atomic
+//! cut across all tables — publication only decides *which* cut.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -390,7 +392,12 @@ impl Server {
             taken: Instant::now(),
             as_of_seq,
         });
-        *cache = Some(Arc::clone(&fresh));
+        let superseded = cache.replace(Arc::clone(&fresh));
+        // Free the old cut only after releasing the lock: when this was its
+        // last reference, dropping it frees every chunk and shard written
+        // since, and concurrent readers must not queue behind that.
+        drop(cache);
+        drop(superseded);
         fresh
     }
 

@@ -302,6 +302,67 @@ mod tests {
         assert!(t.get(RowId(2)).is_none(), "tombstone preserved");
     }
 
+    /// A table with a composite primary key, a hash and a B-tree index,
+    /// and tombstones both inside the slot array and at its end.
+    fn golden_catalog() -> Catalog {
+        let c = Catalog::new();
+        let schema = Schema::qualified(
+            "offerings",
+            vec![
+                Column::not_null("dept", DataType::Text),
+                Column::not_null("num", DataType::Int),
+                Column::new("title", DataType::Text),
+                Column::new("units", DataType::Float),
+            ],
+        );
+        c.create_table("Offerings", schema, vec![0, 1]).unwrap();
+        c.with_table_mut("offerings", |t| {
+            use cr_relation::index::IndexKind;
+            t.create_index("by_title", vec![2], IndexKind::Hash, false)
+                .unwrap();
+            t.create_index("by_units", vec![3], IndexKind::BTree, false)
+                .unwrap();
+            let rows = [
+                row!["CS", 145i64, "Databases", 4.0f64],
+                row!["CS", 143i64, "Compilers", 3.0f64],
+                row!["EE", 108i64, "Digital Systems", 4.0f64],
+                row!["CS", 999i64, "Dropped", 1.0f64],
+                row!["MATH", 51i64, Value::Null, 5.0f64],
+                row!["CS", 998i64, "Dropped too", 2.0f64],
+            ];
+            let rids: Vec<RowId> = rows.into_iter().map(|r| t.insert(r).unwrap()).collect();
+            t.delete(rids[3]);
+            t.delete(rids[5]);
+            t.update(rids[1], row!["CS", 143i64, "Compilers", 4.0f64])
+                .unwrap();
+        })
+        .unwrap();
+        c
+    }
+
+    /// The snapshot encoding of [`golden_catalog`], byte for byte. A
+    /// change to how tables store rows or indexes must not move a byte
+    /// of what reaches disk.
+    const GOLDEN_SNAPSHOT_HEX: &str = concat!(
+        "4352534e4150310056ebd210034d01094f66666572696e677309020001040464",
+        "657074030001096f66666572696e6773036e756d010001096f66666572696e67",
+        "73057469746c65030101096f66666572696e677305756e697473020101096f66",
+        "666572696e6773020862795f7469746c65010200000862795f756e6974730103",
+        "0100060400040502435303a20205094461746162617365730400000000000010",
+        "40010405024353039e020509436f6d70696c6572730400000000000010400204",
+        "0502454503d801050f4469676974616c2053797374656d730400000000000010",
+        "40040405044d415448036600040000000000001440",
+    );
+
+    #[test]
+    fn golden_encoding_is_unchanged() {
+        let hex: String = encode_snapshot(&golden_catalog(), 3, 77)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(hex, GOLDEN_SNAPSHOT_HEX);
+    }
+
     #[test]
     fn encoding_is_deterministic() {
         let a = encode_snapshot(&populated_catalog(), 1, 2);

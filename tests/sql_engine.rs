@@ -4,7 +4,7 @@
 // Test code: panicking on a broken fixture is the right behavior.
 #![allow(clippy::unwrap_used)]
 
-use cr_relation::{Database, ExecOptions, Value};
+use cr_relation::{Database, ExecOptions, RelError, Value};
 use proptest::prelude::*;
 
 fn db_with_data(values: &[(i64, i64)]) -> Database {
@@ -109,6 +109,34 @@ fn update_delete_roundtrip_preserves_indexes() {
     // The index agrees with the data after update+delete.
     let rs = db.query_sql("SELECT id FROM t WHERE v = 2").unwrap();
     assert_eq!(rs.rows.len(), 1);
+}
+
+#[test]
+fn update_cannot_take_a_unique_index_key_from_another_row() {
+    let db = Database::new();
+    db.execute_sql("CREATE TABLE t (id INT PRIMARY KEY, u INT)")
+        .unwrap();
+    db.execute_sql("CREATE UNIQUE INDEX ui ON t (u)").unwrap();
+    db.execute_sql("INSERT INTO t VALUES (1, 10), (2, 20)")
+        .unwrap();
+    let all = "SELECT id, u FROM t ORDER BY id";
+    let before = db.query_sql(all).unwrap().rows;
+    assert!(matches!(
+        db.execute_sql("UPDATE t SET u = 10 WHERE id = 2"),
+        Err(RelError::DuplicateKey(_))
+    ));
+    assert_eq!(db.query_sql(all).unwrap().rows, before, "table unchanged");
+    // Row 2 still holds 20, so 20 is still taken.
+    assert!(matches!(
+        db.execute_sql("INSERT INTO t VALUES (4, 20)"),
+        Err(RelError::DuplicateKey(_))
+    ));
+    // A row may keep its own key, and take a free one.
+    db.execute_sql("UPDATE t SET u = 10 WHERE id = 1").unwrap();
+    db.execute_sql("UPDATE t SET u = 30 WHERE id = 2").unwrap();
+    db.execute_sql("INSERT INTO t VALUES (4, 20)").unwrap();
+    let rs = db.query_sql("SELECT id FROM t WHERE u = 30").unwrap();
+    assert_eq!(rs.rows, vec![vec![Value::Int(2)]]);
 }
 
 #[test]
