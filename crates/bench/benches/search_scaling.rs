@@ -1,12 +1,12 @@
-//! A4 — search scaling: index build (sequential vs parallel shards) and
-//! query latency as the corpus grows toward the paper's 18,605 courses.
+//! A4 — search scaling: index build and query latency as the corpus
+//! grows toward the paper's 18,605 courses.
 
 // Benches are measurement harnesses, not library code: aborting on a
 // broken fixture is the right behavior.
 #![allow(clippy::unwrap_used)]
 
 use cr_bench::fixtures::{campus, observe};
-use cr_textsearch::entity::{build_index, build_index_parallel};
+use cr_textsearch::entity::build_index;
 use cr_textsearch::SearchEngine;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -25,11 +25,6 @@ fn bench_search_scaling(c: &mut Criterion) {
             BenchmarkId::new("index_build_sequential", stats.courses),
             &catalog,
             |b, cat| b.iter(|| build_index(cat, &spec).unwrap()),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("index_build_parallel4", stats.courses),
-            &catalog,
-            |b, cat| b.iter(|| build_index_parallel(cat, &spec, 4).unwrap()),
         );
 
         let corpus = build_index(&catalog, &spec).unwrap();

@@ -46,10 +46,32 @@ pub struct CourseRank {
 
 impl CourseRank {
     /// Assemble the system over a populated database, building the search
-    /// index sequentially (see DESIGN.md §indexing for why sequential is
-    /// the default; `assemble_with_threads` exposes the parallel build).
+    /// index (serially: DESIGN.md §8 says why there is no parallel build).
     pub fn assemble(db: CourseRankDb) -> RelResult<Self> {
-        Self::assemble_with_threads(db, 1)
+        let privacy = Privacy::new(db.clone());
+        let incentives = Incentives::new(db.clone());
+        let app = CourseRank {
+            auth: Arc::new(Auth::new(db.clone())),
+            search: Arc::new(CourseCloud::build(db.clone())?),
+            recs: Recommender::new(db.clone()),
+            planner: Planner::new(db.clone()),
+            requirements: RequirementTracker::new(db.clone()),
+            grades: Grades::new(db.clone(), privacy.clone()),
+            comments: Comments::new(db.clone()),
+            faculty: Faculty::new(db.clone()),
+            forum: Forum::new(db.clone()),
+            incentives: Arc::new(incentives.clone()),
+            privacy,
+            strategies: Strategies::new(db.clone()),
+            textbooks: Textbooks::new(db.clone(), incentives),
+            db,
+        };
+        // Derived relations are materialized here, on the writer side and
+        // after every service has subscribed its observers (a rebuilt
+        // table carries none): requests run on read views, which can only
+        // read them.
+        app.recs.ensure_grade_points()?;
+        Ok(app)
     }
 
     /// Open (or create) a durable CourseRank instance in `dir`: recover
@@ -77,32 +99,11 @@ impl CourseRank {
         self.db.checkpoint()
     }
 
-    /// Assemble with an explicit indexing thread count.
-    pub fn assemble_with_threads(db: CourseRankDb, threads: usize) -> RelResult<Self> {
-        let privacy = Privacy::new(db.clone());
-        let incentives = Incentives::new(db.clone());
-        let app = CourseRank {
-            auth: Arc::new(Auth::new(db.clone())),
-            search: Arc::new(CourseCloud::build_parallel(db.clone(), threads)?),
-            recs: Recommender::new(db.clone()),
-            planner: Planner::new(db.clone()),
-            requirements: RequirementTracker::new(db.clone()),
-            grades: Grades::new(db.clone(), privacy.clone()),
-            comments: Comments::new(db.clone()),
-            faculty: Faculty::new(db.clone()),
-            forum: Forum::new(db.clone()),
-            incentives: Arc::new(incentives.clone()),
-            privacy,
-            strategies: Strategies::new(db.clone()),
-            textbooks: Textbooks::new(db.clone(), incentives),
-            db,
-        };
-        // Derived relations are materialized here, on the writer side and
-        // after every service has subscribed its observers (a rebuilt
-        // table carries none): requests run on read views, which can only
-        // read them.
-        app.recs.ensure_grade_points()?;
-        Ok(app)
+    /// [`CourseRank::assemble`], for callers written when the index had a
+    /// sharded parallel build. The index now always builds serially, so
+    /// the thread count is ignored.
+    pub fn assemble_with_threads(db: CourseRankDb, _threads: usize) -> RelResult<Self> {
+        Self::assemble(db)
     }
 
     /// Pin a snapshot-bound view of the whole application: one atomic
@@ -287,7 +288,7 @@ mod tests {
 
     #[test]
     fn assemble_over_fixture() {
-        let app = CourseRank::assemble_with_threads(small_campus(), 2).unwrap();
+        let app = CourseRank::assemble(small_campus()).unwrap();
         // Every component reachable and functional.
         let (hits, _) = app.search().search("programming", 10).unwrap();
         assert!(!hits.is_empty());
@@ -421,7 +422,7 @@ mod tests {
 
     #[test]
     fn course_page_renders() {
-        let app = CourseRank::assemble_with_threads(small_campus(), 1).unwrap();
+        let app = CourseRank::assemble(small_campus()).unwrap();
         let page = app.course_page(101).unwrap();
         assert!(page.contains("Introduction to Programming"));
         assert!(page.contains("average student rating"));

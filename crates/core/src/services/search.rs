@@ -8,10 +8,8 @@
 use cr_relation::{RelResult, Value};
 use cr_textsearch::cloud::{aggregate_cloud, cloud_from_agg, CloudAgg, CloudConfig};
 use cr_textsearch::engine::{SearchEngine, SearchResults};
-use cr_textsearch::entity::{
-    build_index, build_index_parallel, reindex_entity, EntitySpec, FieldSource,
-};
-use cr_textsearch::{DataCloud, DocId};
+use cr_textsearch::entity::{build_index, reindex_entity, EntitySpec, FieldSource};
+use cr_textsearch::{DataCloud, TermId};
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, OnceLock};
@@ -55,11 +53,12 @@ const CLOUD_CACHE_CAPACITY: usize = 256;
 
 #[derive(Debug)]
 struct CloudEntry {
-    /// Entity ids of the (sampled) result docs the aggregates cover, in
-    /// result order. Doc ids are NOT stored — reindexing reassigns them;
-    /// entity ids are the stable identity.
+    /// Entity ids of the result docs the aggregates cover, in result
+    /// order. Doc ids are NOT stored — reindexing reassigns them; entity
+    /// ids are the stable identity.
     ids: Vec<Value>,
-    agg: CloudAgg,
+    /// Shared so a hit hands out a pointer, not a copy of the aggregates.
+    agg: Arc<CloudAgg>,
     /// Corpus generation the aggregates are current at (see
     /// [`CourseCloud::reindex_course`]).
     generation: u64,
@@ -81,13 +80,13 @@ struct CloudCache {
 }
 
 impl CloudCache {
-    fn lookup(&self, key: &str, generation: u64, ids: &[Value]) -> Option<CloudAgg> {
-        let mut guard = self.entries.lock();
-        let entry = guard.0.get_mut(key)?;
-        (entry.generation == generation && entry.ids == ids).then(|| entry.agg.clone())
+    fn lookup(&self, key: &str, generation: u64, ids: &[Value]) -> Option<Arc<CloudAgg>> {
+        let guard = self.entries.lock();
+        let entry = guard.0.get(key)?;
+        (entry.generation == generation && entry.ids == ids).then(|| Arc::clone(&entry.agg))
     }
 
-    fn insert(&self, key: String, ids: Vec<Value>, agg: CloudAgg, generation: u64) {
+    fn insert(&self, key: String, ids: Vec<Value>, agg: Arc<CloudAgg>, generation: u64) {
         let mut guard = self.entries.lock();
         let (map, order) = &mut *guard;
         if map
@@ -125,8 +124,8 @@ impl CloudCache {
         entity: &Value,
         gen_from: u64,
         gen_to: u64,
-        old_tf: Option<&HashMap<String, u32>>,
-        new_tf: Option<&HashMap<String, u32>>,
+        old_tf: Option<&[(TermId, u32)]>,
+        new_tf: Option<&[(TermId, u32)]>,
     ) -> (u64, u64, u64) {
         let mut guard = self.entries.lock();
         let (map, order) = &mut *guard;
@@ -143,7 +142,7 @@ impl CloudCache {
                 return true;
             }
             if let (Some(old), Some(new)) = (old_tf, new_tf) {
-                if entry.agg.apply_reindex_delta(old, new) {
+                if Arc::make_mut(&mut entry.agg).apply_reindex_delta(old, new) {
                     entry.generation = gen_to;
                     entry.delta_applied += 1;
                     applied += 1;
@@ -264,13 +263,6 @@ impl CourseCloud {
         Ok(Self::assemble(db, SearchEngine::new(corpus), spec))
     }
 
-    /// Build the index with parallel sharding (paper-scale corpora).
-    pub fn build_parallel(db: CourseRankDb, threads: usize) -> RelResult<Self> {
-        let spec = course_entity_spec();
-        let corpus = build_index_parallel(&db.catalog(), &spec, threads)?;
-        Ok(Self::assemble(db, SearchEngine::new(corpus), spec))
-    }
-
     fn assemble(db: CourseRankDb, engine: SearchEngine, spec: EntitySpec) -> Self {
         let cloud_cache = Arc::new(CloudCache::default());
         let as_stats: Arc<dyn CacheStats> = cloud_cache.clone();
@@ -351,18 +343,8 @@ impl CourseCloud {
         self.cloud_cached(results)
     }
 
-    /// Sampled result prefix the cloud aggregates over (mirrors the
-    /// `sample_top_k` rule inside `compute_cloud`).
-    fn sampled_docs<'a>(&self, results: &'a SearchResults) -> &'a [DocId] {
-        let docs = &results.matched_docs;
-        match self.cloud_config.sample_top_k {
-            Some(k) => &docs[..k.min(docs.len())],
-            None => docs,
-        }
-    }
-
     fn cloud_cached(&self, results: &SearchResults) -> DataCloud {
-        let docs = self.sampled_docs(results);
+        let docs = &results.matched_docs;
         if docs.is_empty() {
             return self.engine.cloud(results, &self.cloud_config);
         }
@@ -380,10 +362,9 @@ impl CourseCloud {
             // what a cold aggregation produces.
             #[cfg(any(test, feature = "oracle-checks"))]
             {
-                let cold =
-                    aggregate_cloud(&corpus.index, &results.matched_docs, &self.cloud_config);
+                let cold = aggregate_cloud(&corpus.index, docs);
                 assert_eq!(
-                    cold, agg,
+                    cold, *agg,
                     "cloud cache divergence for query {:?}",
                     results.query.terms
                 );
@@ -398,7 +379,7 @@ impl CourseCloud {
         if cr_obs::enabled() {
             cloud_metrics().misses.add(1);
         }
-        let agg = aggregate_cloud(&corpus.index, &results.matched_docs, &self.cloud_config);
+        let agg = Arc::new(aggregate_cloud(&corpus.index, docs));
         let cloud = cloud_from_agg(
             &corpus.index,
             &agg,
@@ -460,8 +441,8 @@ impl CourseCloud {
             &entity,
             gen_from,
             self.generation,
-            old_tf.as_ref(),
-            new_tf.as_ref(),
+            old_tf.as_deref(),
+            new_tf.as_deref(),
         );
         if cr_obs::enabled() {
             let m = cloud_metrics();
@@ -543,16 +524,6 @@ mod tests {
         let (hits, r) = c.search("quantum", 10).unwrap();
         assert_eq!(r.total, 1);
         assert_eq!(hits[0].course, 103);
-    }
-
-    #[test]
-    fn parallel_build_equivalent() {
-        let db = small_campus();
-        let seq = CourseCloud::build(db.clone()).unwrap();
-        let par = CourseCloud::build_parallel(db, 2).unwrap();
-        let (a, _) = seq.search("programming", 10).unwrap();
-        let (b, _) = par.search("programming", 10).unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -6,36 +6,24 @@
 //! terms in the results of a search and how can we dynamically and
 //! efficiently compute their data cloud?"
 //!
-//! This module answers with two scorers and two aggregation strategies:
+//! This module answers with two scorers:
 //!
 //! * [`TermScorer::LogLikelihood`] (default) — Dunning's log-likelihood
 //!   ratio comparing each term's frequency inside the result set against
 //!   the rest of the corpus; surfaces terms *characteristic of the result
 //!   set*, not merely frequent ones.
 //! * [`TermScorer::TfIdf`] — aggregate tf × idf; cheaper, more
-//!   frequency-driven.
-//! * Exact aggregation over the full result set, or a sampled
-//!   approximation over the top-K scored documents (the "efficiently"
-//!   half of the question; ablation A1 in DESIGN.md benchmarks the
-//!   trade-off).
+//!   frequency-driven, and the fallback when nothing in the result set is
+//!   over-represented.
+//!
+//! Both are exact over the whole result set, and the "efficiently" half
+//! of the question is answered by working on the index's interned
+//! [`TermId`]s: aggregation adds each result document's forward vector
+//! into arrays indexed by id, scoring reads the per-id corpus statistics,
+//! and strings are built only for the terms the cloud returns.
 
-use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
-
-use crate::index::{DocId, InvertedIndex};
+use crate::index::{DocId, InvertedIndex, TermId};
 use crate::score::idf;
-
-/// Below this many result docs, sharded aggregation is pure overhead.
-const PARALLEL_CLOUD_MIN_DOCS: usize = 256;
-
-/// One aggregation shard's output: term → (tf, df), plus the shard's
-/// total token count.
-type TermAgg<'a> = (HashMap<&'a str, (u64, usize)>, u64);
-
-fn cloud_shard_counter() -> &'static Arc<cr_obs::Counter> {
-    static C: OnceLock<Arc<cr_obs::Counter>> = OnceLock::new();
-    C.get_or_init(|| cr_obs::Registry::global().counter("textsearch.shards_spawned"))
-}
 
 /// Which statistic ranks cloud terms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -54,9 +42,6 @@ pub struct CloudConfig {
     pub max_terms: usize,
     /// Rank terms with this scorer.
     pub scorer: TermScorer,
-    /// If set, aggregate only over the top-K documents of the result list
-    /// (the sampled approximation) instead of the whole result set.
-    pub sample_top_k: Option<usize>,
     /// Minimum number of result documents a term must appear in.
     pub min_doc_freq: usize,
     /// Prefer bigrams when a bigram subsumes its parts (e.g. show
@@ -76,10 +61,6 @@ pub struct CloudConfig {
     /// bigrams exist), displacing the lowest-scored unigrams — Figure 3's
     /// cloud always shows phrases ("Latin American", "African American").
     pub min_bigrams: usize,
-    /// Worker threads for sharding term aggregation over large result
-    /// sets (1 = serial). Per-shard tallies merge with integer adds, so
-    /// the cloud is identical either way.
-    pub parallelism: usize,
 }
 
 impl Default for CloudConfig {
@@ -87,13 +68,11 @@ impl Default for CloudConfig {
         CloudConfig {
             max_terms: 30,
             scorer: TermScorer::default(),
-            sample_top_k: None,
             min_doc_freq: 2,
             collapse_subterms: true,
             bigram_cohesion: 0.03,
             bigram_boost: 2.0,
             min_bigrams: 4,
-            parallelism: 1,
         }
     }
 }
@@ -118,7 +97,7 @@ pub struct CloudTerm {
 #[derive(Debug, Clone, Default)]
 pub struct DataCloud {
     pub terms: Vec<CloudTerm>,
-    /// How many documents were aggregated (≤ result size when sampling).
+    /// How many result documents were aggregated.
     pub docs_aggregated: usize,
 }
 
@@ -143,162 +122,162 @@ impl DataCloud {
     }
 }
 
-/// Owned term aggregates over a (sampled) result set: everything cloud
-/// scoring needs besides the corpus statistics. The counts are plain
-/// integers, so they can be maintained incrementally when one document is
-/// reindexed — [`CloudAgg::apply_reindex_delta`] — and the maintained
-/// aggregates are exactly equal to a recomputation (integer adds are
-/// order-independent); re-scoring from them via [`cloud_from_agg`]
-/// reproduces [`compute_cloud`] bit for bit.
+/// Owned term aggregates over a result set: everything cloud scoring
+/// needs besides the corpus statistics. The counts are plain integers, so
+/// they can be maintained incrementally when one document is reindexed —
+/// [`CloudAgg::apply_reindex_delta`] — and the maintained aggregates are
+/// exactly equal to a recomputation (integer adds are order-independent);
+/// re-scoring from them via [`cloud_from_agg`] reproduces
+/// [`compute_cloud`] bit for bit.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CloudAgg {
-    /// term → (tf across result docs, number of result docs containing it).
-    pub terms: HashMap<String, (u64, usize)>,
+    /// `(term, tf across result docs, number of result docs containing
+    /// it)`, strictly ascending by term id, without all-zero entries.
+    pub terms: Vec<(TermId, u64, usize)>,
     /// Σ tf — total tokens (incl. bigrams) across the aggregated docs.
     pub token_total: u64,
-    /// How many documents were aggregated (≤ result size when sampling).
+    /// How many documents were aggregated.
     pub docs_aggregated: usize,
 }
 
 impl CloudAgg {
     /// Fold one document's reindex into the aggregates: `old`/`new` are
-    /// the doc's term-frequency maps before and after. Returns `false`
-    /// when the shift is inconsistent with the stored counts (underflow)
-    /// — the caller must discard the aggregates and recompute.
-    pub fn apply_reindex_delta(
-        &mut self,
-        old: &HashMap<String, u32>,
-        new: &HashMap<String, u32>,
-    ) -> bool {
-        for (term, &otf) in old {
-            let ntf = new.get(term).copied().unwrap_or(0);
-            if !self.shift_term(term, otf, ntf) {
+    /// the doc's forward vectors before and after. Returns `false` (and
+    /// leaves the aggregates untouched) when the shift is inconsistent
+    /// with the stored counts (underflow) — the caller must discard the
+    /// aggregates and recompute.
+    pub fn apply_reindex_delta(&mut self, old: &[(TermId, u32)], new: &[(TermId, u32)]) -> bool {
+        let mut terms = Vec::with_capacity(self.terms.len() + new.len());
+        let mut token_total = self.token_total;
+        let mut rest = self.terms.iter().copied().peekable();
+        for (id, old_tf, new_tf) in tf_changes(old, new) {
+            while let Some(kept) = rest.next_if(|e| e.0 < id) {
+                terms.push(kept);
+            }
+            let (tf, df) = rest.next_if(|e| e.0 == id).map_or((0, 0), |e| (e.1, e.2));
+            let shifted = tf
+                .checked_add(new_tf as u64)
+                .and_then(|v| v.checked_sub(old_tf as u64));
+            let total = token_total
+                .checked_add(new_tf as u64)
+                .and_then(|v| v.checked_sub(old_tf as u64));
+            let df = match (old_tf > 0, new_tf > 0) {
+                (false, true) => df.checked_add(1),
+                (true, false) => df.checked_sub(1),
+                _ => Some(df),
+            };
+            let (Some(tf), Some(total), Some(df)) = (shifted, total, df) else {
                 return false;
+            };
+            token_total = total;
+            // A fresh aggregation has no zero entries; keep parity.
+            if tf != 0 || df != 0 {
+                terms.push((id, tf, df));
             }
         }
-        for (term, &ntf) in new {
-            if !old.contains_key(term) && !self.shift_term(term, 0, ntf) {
-                return false;
-            }
-        }
+        terms.extend(rest);
+        self.terms = terms;
+        self.token_total = token_total;
         true
     }
+}
 
-    fn shift_term(&mut self, term: &str, old_tf: u32, new_tf: u32) -> bool {
-        if old_tf == new_tf {
-            return true;
-        }
-        let slot = self.terms.entry(term.to_owned()).or_insert((0, 0));
-        let shifted = slot
-            .0
-            .checked_add(new_tf as u64)
-            .and_then(|v| v.checked_sub(old_tf as u64));
-        let total = self
-            .token_total
-            .checked_add(new_tf as u64)
-            .and_then(|v| v.checked_sub(old_tf as u64));
-        let df = match (old_tf > 0, new_tf > 0) {
-            (false, true) => slot.1.checked_add(1),
-            (true, false) => slot.1.checked_sub(1),
-            _ => Some(slot.1),
-        };
-        match (shifted, total, df) {
-            (Some(tf), Some(tok), Some(df)) => {
-                slot.0 = tf;
-                slot.1 = df;
-                self.token_total = tok;
-                // A fresh aggregation has no zero entries; keep parity.
-                if tf == 0 && df == 0 {
-                    self.terms.remove(term);
-                }
-                true
+/// Merge two ascending forward vectors into `(term, old tf, new tf)` for
+/// every term whose tf changed, ascending by id (absent = 0).
+fn tf_changes(old: &[(TermId, u32)], new: &[(TermId, u32)]) -> Vec<(TermId, u32, u32)> {
+    let mut out = Vec::new();
+    let (mut i, mut j) = (0, 0);
+    loop {
+        let (id, old_tf, new_tf) = match (old.get(i), new.get(j)) {
+            (Some(&(a, ta)), Some(&(b, tb))) if a == b => {
+                i += 1;
+                j += 1;
+                (a, ta, tb)
             }
-            _ => false,
+            (Some(&(a, ta)), Some(&(b, _))) if a < b => {
+                i += 1;
+                (a, ta, 0)
+            }
+            (Some(&(a, ta)), None) => {
+                i += 1;
+                (a, ta, 0)
+            }
+            (_, Some(&(b, tb))) => {
+                j += 1;
+                (b, 0, tb)
+            }
+            (None, None) => return out,
+        };
+        if old_tf != new_tf {
+            out.push((id, old_tf, new_tf));
         }
     }
 }
 
-/// Sample per config: cloud aggregation runs over the top-K scored docs
-/// when `sample_top_k` is set, else the whole result list.
-fn sample<'a>(results: &'a [DocId], config: &CloudConfig) -> &'a [DocId] {
-    match config.sample_top_k {
-        Some(k) if k < results.len() => &results[..k],
-        _ => results,
-    }
-}
-
-/// Aggregate term frequencies across `docs` from the forward index,
-/// sharding large sets across worker threads.
-fn aggregate<'a>(index: &'a InvertedIndex, docs: &[DocId], config: &CloudConfig) -> TermAgg<'a> {
-    let shards = if config.parallelism > 1 && docs.len() >= PARALLEL_CLOUD_MIN_DOCS {
-        config.parallelism
-    } else {
-        1
-    };
-    if shards <= 1 {
-        return aggregate_terms(index, docs);
-    }
-    let parts: Vec<TermAgg> = crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = (0..shards)
-            .map(|p| {
-                let lo = p * docs.len() / shards;
-                let hi = (p + 1) * docs.len() / shards;
-                let chunk = &docs[lo..hi];
-                s.spawn(move |_| aggregate_terms(index, chunk))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("cloud shard panicked"))
-            .collect()
-    })
-    .expect("cloud shard scope");
-    if cr_obs::enabled() {
-        cloud_shard_counter().add(shards as u64);
-    }
-    let mut it = parts.into_iter();
-    let (mut agg, mut total) = it.next().expect("at least one shard");
-    for (part, part_total) in it {
-        total += part_total;
-        for (term, (tf, df)) in part {
-            let slot = agg.entry(term).or_insert((0, 0));
-            slot.0 += tf;
-            slot.1 += df;
+/// The aggregation half of [`compute_cloud`], with owned counts — the
+/// cacheable/maintainable intermediate. Each result document's forward
+/// vector adds into arrays indexed by term id.
+pub fn aggregate_cloud(index: &InvertedIndex, results: &[DocId]) -> CloudAgg {
+    let vocabulary = index.vocabulary_size();
+    let mut tf = vec![0u64; vocabulary];
+    let mut df = vec![0usize; vocabulary];
+    let mut token_total: u64 = 0;
+    for entry in results.iter().filter_map(|&d| index.doc(d)) {
+        for &(id, n) in &entry.term_freqs {
+            tf[id.0 as usize] += n as u64;
+            df[id.0 as usize] += 1;
+            token_total += n as u64;
         }
     }
-    (agg, total)
-}
-
-/// The aggregation half of [`compute_cloud`], with owned terms — the
-/// cacheable/maintainable intermediate.
-pub fn aggregate_cloud(index: &InvertedIndex, results: &[DocId], config: &CloudConfig) -> CloudAgg {
-    let docs = sample(results, config);
-    let (agg, token_total) = aggregate(index, docs, config);
+    let terms = df
+        .iter()
+        .enumerate()
+        .filter(|&(_, &d)| d > 0)
+        .map(|(i, &d)| (TermId(i as u32), tf[i], d))
+        .collect();
     CloudAgg {
-        terms: agg.into_iter().map(|(t, v)| (t.to_owned(), v)).collect(),
+        terms,
         token_total,
-        docs_aggregated: docs.len(),
+        docs_aggregated: results.len(),
     }
 }
 
 /// The scoring half of [`compute_cloud`]: rank a (possibly cached and
 /// delta-maintained) aggregate against the *current* corpus statistics.
-/// `compute_cloud(ix, r, x, c) == cloud_from_agg(ix, &aggregate_cloud(ix, r, c), x, c)`
+/// `compute_cloud(ix, r, x, c) == cloud_from_agg(ix, &aggregate_cloud(ix, r), x, c)`
 /// bit for bit.
+///
+/// Scoring falls back to TF-IDF on a degenerate LLR outcome (the result
+/// set ≈ the whole corpus, so nothing is *over*represented and the cloud
+/// comes out empty): TF-IDF still ranks the set's frequent-but-rare
+/// terms, and aggregation is scorer-independent, so the fallback reuses
+/// the aggregates.
 pub fn cloud_from_agg(
     index: &InvertedIndex,
     agg: &CloudAgg,
     exclude_terms: &[String],
     config: &CloudConfig,
 ) -> DataCloud {
-    score_with_fallback(
-        index,
-        &agg.terms,
-        agg.token_total,
-        agg.docs_aggregated,
-        exclude_terms,
-        config,
-    )
+    let excluded: Vec<TermId> = exclude_terms
+        .iter()
+        .filter_map(|t| index.term_id(t))
+        .collect();
+    let cloud = score_cloud(index, agg, &excluded, config);
+    if cloud.terms.is_empty()
+        && agg.docs_aggregated > 0
+        && config.scorer == TermScorer::LogLikelihood
+    {
+        return score_cloud(
+            index,
+            agg,
+            &excluded,
+            &CloudConfig {
+                scorer: TermScorer::TfIdf,
+                ..config.clone()
+            },
+        );
+    }
+    cloud
 }
 
 /// Compute a data cloud over `results` (doc ids ordered by search score).
@@ -311,99 +290,69 @@ pub fn compute_cloud(
     exclude_terms: &[String],
     config: &CloudConfig,
 ) -> DataCloud {
-    let docs = sample(results, config);
-    if docs.is_empty() {
-        return DataCloud::default();
-    }
-    let (agg, result_token_total) = aggregate(index, docs, config);
-    score_with_fallback(
+    cloud_from_agg(
         index,
-        &agg,
-        result_token_total,
-        docs.len(),
+        &aggregate_cloud(index, results),
         exclude_terms,
         config,
     )
 }
 
-/// Score with the configured scorer; on a degenerate LLR outcome (the
-/// result set ≈ the whole corpus, so nothing is *over*represented and the
-/// cloud comes out empty) fall back to TF-IDF, which still ranks the
-/// set's frequent-but-rare terms. Aggregation is scorer-independent, so
-/// the fallback reuses the aggregates.
-fn score_with_fallback<K: std::borrow::Borrow<str> + Eq + std::hash::Hash>(
-    index: &InvertedIndex,
-    agg: &HashMap<K, (u64, usize)>,
-    result_token_total: u64,
-    docs_aggregated: usize,
-    exclude_terms: &[String],
-    config: &CloudConfig,
-) -> DataCloud {
-    let cloud = score_cloud(
-        index,
-        agg,
-        result_token_total,
-        docs_aggregated,
-        exclude_terms,
-        config,
-    );
-    if cloud.terms.is_empty() && docs_aggregated > 0 && config.scorer == TermScorer::LogLikelihood {
-        return score_cloud(
-            index,
-            agg,
-            result_token_total,
-            docs_aggregated,
-            exclude_terms,
-            &CloudConfig {
-                scorer: TermScorer::TfIdf,
-                ..config.clone()
-            },
-        );
-    }
-    cloud
+/// A term that passed the cloud's filters, before strings are built.
+#[derive(Debug, Clone, Copy)]
+struct Scored {
+    id: TermId,
+    score: f64,
+    tf: u64,
+    df: usize,
+    /// A bigram's parts (`None` for a unigram).
+    parts: Option<(TermId, TermId)>,
 }
 
-fn score_cloud<K: std::borrow::Borrow<str> + Eq + std::hash::Hash>(
+fn score_cloud(
     index: &InvertedIndex,
-    agg: &HashMap<K, (u64, usize)>,
-    result_token_total: u64,
-    docs_aggregated: usize,
-    exclude_terms: &[String],
+    agg: &CloudAgg,
+    excluded: &[TermId],
     config: &CloudConfig,
 ) -> DataCloud {
-    if docs_aggregated == 0 {
+    if agg.docs_aggregated == 0 {
         return DataCloud::default();
     }
     let corpus_docs = index.num_docs().max(1);
-    let corpus_token_total = (index.corpus_tokens() as f64).max(result_token_total as f64 + 1.0);
+    let corpus_token_total = (index.corpus_tokens() as f64).max(agg.token_total as f64 + 1.0);
 
-    let excluded: Vec<&str> = exclude_terms.iter().map(String::as_str).collect();
-    let mut scored: Vec<CloudTerm> = Vec::with_capacity(agg.len() / 4);
-    for (term, (tf, df)) in agg {
-        let term: &str = term.borrow();
-        if *df < config.min_doc_freq {
+    let mut scored: Vec<Scored> = Vec::with_capacity(agg.terms.len() / 4);
+    for &(id, tf, df) in &agg.terms {
+        if df < config.min_doc_freq {
             continue;
         }
-        if excluded.contains(&term) || term.split(' ').all(|part| excluded.contains(&part)) {
+        let stats = index.term_stats(id);
+        let echoes_query = excluded.contains(&id)
+            || stats
+                .parts
+                .is_some_and(|(w1, w2)| excluded.contains(&w1) && excluded.contains(&w2));
+        if echoes_query {
             continue;
         }
-        let corpus_df = index.doc_freq(term);
-        let score = match config.scorer {
-            TermScorer::TfIdf => *tf as f64 * idf(corpus_docs, corpus_df),
+        let mut score = match config.scorer {
+            TermScorer::TfIdf => tf as f64 * idf(corpus_docs, stats.doc_freq as usize),
             TermScorer::LogLikelihood => {
                 // Exact 2×2 contingency: term occurrences inside vs
                 // outside the result set.
-                let k1 = *tf as f64;
-                let n1 = result_token_total as f64;
-                let k2 = (index.corpus_tf(term) as f64 - k1).max(0.0) + 0.5;
+                let k1 = tf as f64;
+                let n1 = agg.token_total as f64;
+                let k2 = (stats.corpus_tf as f64 - k1).max(0.0) + 0.5;
                 let n2 = (corpus_token_total - n1).max(1.0);
                 log_likelihood_ratio(k1, n1, k2, n2)
             }
         };
-        let mut score = score;
-        if let Some((w1, w2)) = term.split_once(' ') {
-            let pair_tf = index.corpus_tf(term) as f64;
-            let min_part = index.corpus_tf(w1).min(index.corpus_tf(w2)).max(1) as f64;
+        if let Some((w1, w2)) = stats.parts {
+            let pair_tf = stats.corpus_tf as f64;
+            let min_part = index
+                .term_stats(w1)
+                .corpus_tf
+                .min(index.term_stats(w2).corpus_tf)
+                .max(1) as f64;
             if pair_tf / min_part < config.bigram_cohesion {
                 continue; // incidental adjacency, not a phrase
             }
@@ -412,49 +361,49 @@ fn score_cloud<K: std::borrow::Borrow<str> + Eq + std::hash::Hash>(
         if score <= 0.0 {
             continue;
         }
-        scored.push(CloudTerm {
-            term: (*term).to_owned(),
-            display: index.display_form(term).to_owned(),
+        scored.push(Scored {
+            id,
             score,
-            result_doc_freq: *df,
-            result_tf: *tf,
-            bucket: 1,
+            tf,
+            df,
+            parts: stats.parts,
         });
     }
 
+    // Ties break on the term text, not the id, so the order does not
+    // depend on which term the index happened to see first.
     scored.sort_by(|a, b| {
         b.score
             .partial_cmp(&a.score)
             .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.term.cmp(&b.term))
+            .then_with(|| index.term_text(a.id).cmp(index.term_text(b.id)))
     });
 
     if config.collapse_subterms {
-        collapse_subterms(&mut scored);
+        collapse_subterms(index, &mut scored);
     }
     // Reserve slots for the best bigrams before truncating.
     if scored.len() > config.max_terms && config.min_bigrams > 0 {
         let in_window = scored[..config.max_terms]
             .iter()
-            .filter(|t| t.term.contains(' '))
+            .filter(|t| t.parts.is_some())
             .count();
         if in_window < config.min_bigrams {
-            let mut promote: Vec<CloudTerm> = scored[config.max_terms..]
+            let mut promote: Vec<Scored> = scored[config.max_terms..]
                 .iter()
-                .filter(|t| t.term.contains(' '))
+                .filter(|t| t.parts.is_some())
                 .take(config.min_bigrams - in_window)
-                .cloned()
+                .copied()
                 .collect();
             if !promote.is_empty() {
                 // Drop the lowest-scored unigrams from the window.
                 let mut kept = Vec::with_capacity(config.max_terms);
-                let drop_n = promote.len();
-                let mut unigrams_to_drop = drop_n;
+                let mut unigrams_to_drop = promote.len();
                 for t in scored[..config.max_terms].iter().rev() {
-                    if unigrams_to_drop > 0 && !t.term.contains(' ') {
+                    if unigrams_to_drop > 0 && t.parts.is_none() {
                         unigrams_to_drop -= 1;
                     } else {
-                        kept.push(t.clone());
+                        kept.push(*t);
                     }
                 }
                 kept.reverse();
@@ -469,29 +418,22 @@ fn score_cloud<K: std::borrow::Borrow<str> + Eq + std::hash::Hash>(
         }
     }
     scored.truncate(config.max_terms);
-    assign_buckets(&mut scored);
+    let mut terms: Vec<CloudTerm> = scored
+        .iter()
+        .map(|t| CloudTerm {
+            term: index.term_text(t.id).to_owned(),
+            display: index.term_surface(t.id).to_owned(),
+            score: t.score,
+            result_doc_freq: t.df,
+            result_tf: t.tf,
+            bucket: 1,
+        })
+        .collect();
+    assign_buckets(&mut terms);
     DataCloud {
-        terms: scored,
-        docs_aggregated,
+        terms,
+        docs_aggregated: agg.docs_aggregated,
     }
-}
-
-/// Tally term → (tf, df) plus the total token count over `docs` from the
-/// forward index.
-fn aggregate_terms<'a>(index: &'a InvertedIndex, docs: &[DocId]) -> TermAgg<'a> {
-    let mut agg: HashMap<&str, (u64, usize)> = HashMap::new();
-    let mut token_total: u64 = 0;
-    for &d in docs {
-        if let Some(entry) = index.doc(d) {
-            for (term, tf) in &entry.term_freqs {
-                let slot = agg.entry(term.as_str()).or_insert((0, 0));
-                slot.0 += *tf as u64;
-                slot.1 += 1;
-                token_total += *tf as u64;
-            }
-        }
-    }
-    (agg, token_total)
 }
 
 /// Dunning's G² statistic for a 2×2 contingency of term occurrence inside
@@ -523,28 +465,26 @@ pub fn log_likelihood_ratio(k1: f64, n1: f64, k2: f64, n2: f64) -> f64 {
 
 /// Suppress a unigram when a retained higher-scoring bigram contains it
 /// and accounts for most (≥80%) of its occurrences.
-fn collapse_subterms(scored: &mut Vec<CloudTerm>) {
-    let bigrams: Vec<(String, u64, usize)> = scored
-        .iter()
-        .filter(|t| t.term.contains(' '))
-        .map(|t| (t.term.clone(), t.result_tf, t.result_doc_freq))
-        .collect();
-    if bigrams.is_empty() {
+fn collapse_subterms(index: &InvertedIndex, scored: &mut Vec<Scored>) {
+    if !scored.iter().any(|t| t.parts.is_some()) {
         return;
     }
-    let mut rank: HashMap<&str, usize> = HashMap::new();
+    // Position of each scored unigram, by term id.
+    let mut rank = vec![usize::MAX; index.vocabulary_size()];
     for (i, t) in scored.iter().enumerate() {
-        rank.insert(t.term.as_str(), i);
+        if t.parts.is_none() {
+            rank[t.id.0 as usize] = i;
+        }
     }
     let mut dead = vec![false; scored.len()];
-    for (bigram, btf, _) in &bigrams {
-        let brank = rank[bigram.as_str()];
-        for part in bigram.split(' ') {
-            if let Some(&pi) = rank.get(part) {
-                let parent = &scored[pi];
-                if brank < pi && *btf as f64 >= 0.8 * parent.result_tf as f64 {
-                    dead[pi] = true;
-                }
+    for (brank, bigram) in scored.iter().enumerate() {
+        let Some((w1, w2)) = bigram.parts else {
+            continue;
+        };
+        for part in [w1, w2] {
+            let pi = rank[part.0 as usize];
+            if pi != usize::MAX && brank < pi && bigram.tf as f64 >= 0.8 * scored[pi].tf as f64 {
+                dead[pi] = true;
             }
         }
     }
@@ -627,46 +567,6 @@ mod tests {
     }
 
     #[test]
-    fn sampling_reduces_docs_aggregated() {
-        let (ix, results) = build_corpus();
-        let cfg = CloudConfig {
-            sample_top_k: Some(3),
-            min_doc_freq: 1,
-            ..CloudConfig::default()
-        };
-        let cloud = compute_cloud(&ix, &results, &[], &cfg);
-        assert_eq!(cloud.docs_aggregated, 3);
-    }
-
-    #[test]
-    fn sampled_cloud_approximates_exact() {
-        let (ix, results) = build_corpus();
-        let exact = compute_cloud(&ix, &results, &[], &CloudConfig::default());
-        let approx = compute_cloud(
-            &ix,
-            &results,
-            &[],
-            &CloudConfig {
-                sample_top_k: Some(5),
-                ..CloudConfig::default()
-            },
-        );
-        // Top-3 overlap should be substantial on this homogeneous corpus.
-        let top_exact: Vec<&str> = exact.term_strings().into_iter().take(3).collect();
-        let overlap = approx
-            .term_strings()
-            .iter()
-            .take(5)
-            .filter(|t| top_exact.contains(t))
-            .count();
-        assert!(
-            overlap >= 2,
-            "exact {top_exact:?} vs approx {:?}",
-            approx.term_strings()
-        );
-    }
-
-    #[test]
     fn empty_results_empty_cloud() {
         let (ix, _) = build_corpus();
         let cloud = compute_cloud(&ix, &[], &[], &CloudConfig::default());
@@ -721,45 +621,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_aggregation_matches_serial() {
-        let mut ix = InvertedIndex::new(
-            Analyzer::new(),
-            vec![FieldSpec {
-                name: "body".into(),
-                weight: 1.0,
-            }],
-        );
-        let b = ix.field_id("body").unwrap();
-        let mut results = Vec::new();
-        for i in 0..400 {
-            let text = format!(
-                "american politics seminar {} federal policy topic{}",
-                i,
-                i % 7
-            );
-            results.push(ix.add_document(&[(b, text.as_str())]));
-        }
-        let serial = compute_cloud(&ix, &results, &[], &CloudConfig::default());
-        let sharded = compute_cloud(
-            &ix,
-            &results,
-            &[],
-            &CloudConfig {
-                parallelism: 4,
-                ..CloudConfig::default()
-            },
-        );
-        assert_eq!(serial.docs_aggregated, sharded.docs_aggregated);
-        assert_eq!(serial.terms.len(), sharded.terms.len());
-        for (a, b) in serial.terms.iter().zip(&sharded.terms) {
-            assert_eq!(a.term, b.term);
-            assert_eq!(a.result_tf, b.result_tf);
-            assert_eq!(a.result_doc_freq, b.result_doc_freq);
-            assert_eq!(a.score.to_bits(), b.score.to_bits());
-        }
-    }
-
-    #[test]
     fn aggregate_then_score_equals_compute_cloud() {
         let (ix, results) = build_corpus();
         let cfg = CloudConfig {
@@ -768,7 +629,7 @@ mod tests {
         };
         let exclude = vec!["american".to_owned()];
         let direct = compute_cloud(&ix, &results, &exclude, &cfg);
-        let agg = aggregate_cloud(&ix, &results, &cfg);
+        let agg = aggregate_cloud(&ix, &results);
         let split = cloud_from_agg(&ix, &agg, &exclude, &cfg);
         assert_eq!(direct.docs_aggregated, split.docs_aggregated);
         assert_eq!(direct.terms.len(), split.terms.len());
@@ -784,7 +645,7 @@ mod tests {
     fn reindex_delta_matches_recomputed_aggregates() {
         let (mut ix, mut results) = build_corpus();
         let cfg = CloudConfig::default();
-        let mut maintained = aggregate_cloud(&ix, &results, &cfg);
+        let mut maintained = aggregate_cloud(&ix, &results);
         // Reindex the first result doc with changed text (remove + re-add,
         // as the entity layer does): some terms vanish, some appear, some
         // change frequency.
@@ -796,7 +657,7 @@ mod tests {
         let new_tf = ix.doc(fresh_doc).unwrap().term_freqs.clone();
         assert!(maintained.apply_reindex_delta(&old_tf, &new_tf));
         results[0] = fresh_doc;
-        let recomputed = aggregate_cloud(&ix, &results, &cfg);
+        let recomputed = aggregate_cloud(&ix, &results);
         assert_eq!(maintained, recomputed);
         // And scoring the maintained aggregates equals a cold cloud.
         let cold = compute_cloud(&ix, &results, &[], &cfg);
@@ -811,19 +672,18 @@ mod tests {
     #[test]
     fn reindex_delta_underflow_reports_unmaintainable() {
         let mut agg = CloudAgg::default();
-        let mut old = HashMap::new();
-        old.insert("ghost".to_owned(), 3u32);
-        let new = HashMap::new();
-        // The aggregates never saw "ghost": subtracting must fail loudly
-        // rather than wrap.
-        assert!(!agg.clone().apply_reindex_delta(&old, &new));
+        // The aggregates never saw term 7: subtracting must fail loudly
+        // rather than wrap, and leave the aggregates as they were.
+        assert!(!agg.apply_reindex_delta(&[(TermId(7), 3)], &[]));
+        assert_eq!(agg, CloudAgg::default());
         // Consistent shifts still work on the same starting point.
-        old.clear();
-        let mut added = HashMap::new();
-        added.insert("new term".to_owned(), 2u32);
-        assert!(agg.apply_reindex_delta(&old, &added));
-        assert_eq!(agg.terms.get("new term"), Some(&(2, 1)));
+        assert!(agg.apply_reindex_delta(&[], &[(TermId(3), 2)]));
+        assert_eq!(agg.terms, vec![(TermId(3), 2, 1)]);
         assert_eq!(agg.token_total, 2);
+        // A term that leaves the document leaves the aggregates.
+        assert!(agg.apply_reindex_delta(&[(TermId(3), 2)], &[(TermId(1), 1)]));
+        assert_eq!(agg.terms, vec![(TermId(1), 1, 1)]);
+        assert_eq!(agg.token_total, 1);
     }
 
     #[test]

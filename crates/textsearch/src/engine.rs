@@ -705,30 +705,6 @@ mod tests {
     }
 
     #[test]
-    fn search_records_metrics_when_enabled() {
-        let e = setup();
-        cr_obs::enable();
-        let snap_before = cr_obs::Registry::global().snapshot();
-        let before_q = snap_before.counter("textsearch.queries").unwrap_or(0);
-        let before_l = snap_before
-            .counter("textsearch.postings_lookups")
-            .unwrap_or(0);
-        let (r, _cloud) = e.search_with_cloud("american politics", 10, &CloudConfig::default());
-        assert_eq!(r.total, 2);
-        let snap = cr_obs::Registry::global().snapshot();
-        assert_eq!(snap.counter("textsearch.queries"), Some(before_q + 1));
-        // Two query terms → two postings lookups.
-        assert_eq!(
-            snap.counter("textsearch.postings_lookups"),
-            Some(before_l + 2)
-        );
-        assert!(snap.histogram("textsearch.query_ns").unwrap().count >= 1);
-        assert!(snap.histogram("textsearch.cloud_ns").unwrap().count >= 1);
-        // Candidate set (docs matching "american") is 5, filtered to 2.
-        assert!(snap.histogram("textsearch.candidate_set").unwrap().max >= 5);
-    }
-
-    #[test]
     fn scores_are_descending() {
         let e = setup();
         let r = e.search(&e.parse_query("american"), 10);

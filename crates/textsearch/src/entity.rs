@@ -10,9 +10,7 @@
 //! [`cr_relation`] database: a base table plus any number of weighted text
 //! fields, each drawn either from a base-table column or from a related
 //! table via a foreign key (one join hop — comments, instructor names,
-//! textbook titles). [`build_index`] materializes the corpus;
-//! [`build_index_parallel`] shards the work across threads with crossbeam
-//! and merges the shards (the search-scaling bench measures the speedup).
+//! textbook titles). [`build_index`] materializes the corpus.
 
 use std::collections::HashMap;
 
@@ -201,7 +199,7 @@ fn gather_texts(catalog: &Catalog, spec: &EntitySpec) -> RelResult<EntityTexts> 
     })?
 }
 
-/// Build the corpus single-threaded.
+/// Build the corpus.
 pub fn build_index(catalog: &Catalog, spec: &EntitySpec) -> RelResult<EntityCorpus> {
     let gathered = gather_texts(catalog, spec)?;
     let mut index = InvertedIndex::new(Analyzer::new(), spec.field_specs());
@@ -222,93 +220,6 @@ pub fn build_index(catalog: &Catalog, spec: &EntitySpec) -> RelResult<EntityCorp
         doc_to_id,
         id_to_doc,
     })
-}
-
-/// Build the corpus with `threads` shards (crossbeam scoped threads), then
-/// merge. Deterministic: shard boundaries are contiguous, so the final doc
-/// order equals the sequential order.
-pub fn build_index_parallel(
-    catalog: &Catalog,
-    spec: &EntitySpec,
-    threads: usize,
-) -> RelResult<EntityCorpus> {
-    let threads = threads.max(1);
-    let gathered = gather_texts(catalog, spec)?;
-    let n = gathered.ids.len();
-    if threads == 1 || n < 2 * threads {
-        // Not worth sharding.
-        return build_from_gathered(gathered, spec);
-    }
-    let chunk = n.div_ceil(threads);
-    let field_specs = spec.field_specs();
-    let mut shards: Vec<InvertedIndex> = Vec::with_capacity(threads);
-    crossbeam::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for texts_chunk in gathered.texts.chunks(chunk) {
-            let specs = field_specs.clone();
-            handles.push(s.spawn(move |_| {
-                let mut ix = InvertedIndex::new(Analyzer::new(), specs);
-                for per_field in texts_chunk {
-                    let field_texts: Vec<(crate::index::FieldId, &str)> = per_field
-                        .iter()
-                        .enumerate()
-                        .map(|(fi, t)| (crate::index::FieldId(fi as u16), t.as_str()))
-                        .collect();
-                    ix.add_document(&field_texts);
-                }
-                ix
-            }));
-        }
-        for h in handles {
-            shards.push(h.join().expect("shard indexing panicked"));
-        }
-    })
-    .expect("crossbeam scope");
-
-    let index = merge_shards(shards, Analyzer::new(), field_specs);
-    let mut id_to_doc = HashMap::with_capacity(n);
-    for (i, id) in gathered.ids.iter().enumerate() {
-        id_to_doc.insert(id.clone(), DocId(i as u32));
-    }
-    Ok(EntityCorpus {
-        index,
-        doc_to_id: gathered.ids,
-        id_to_doc,
-    })
-}
-
-fn build_from_gathered(gathered: EntityTexts, spec: &EntitySpec) -> RelResult<EntityCorpus> {
-    let mut index = InvertedIndex::new(Analyzer::new(), spec.field_specs());
-    let mut doc_to_id = Vec::with_capacity(gathered.ids.len());
-    let mut id_to_doc = HashMap::with_capacity(gathered.ids.len());
-    for (id, per_field) in gathered.ids.into_iter().zip(gathered.texts) {
-        let field_texts: Vec<(crate::index::FieldId, &str)> = per_field
-            .iter()
-            .enumerate()
-            .map(|(fi, s)| (crate::index::FieldId(fi as u16), s.as_str()))
-            .collect();
-        let doc = index.add_document(&field_texts);
-        id_to_doc.insert(id.clone(), doc);
-        doc_to_id.push(id);
-    }
-    Ok(EntityCorpus {
-        index,
-        doc_to_id,
-        id_to_doc,
-    })
-}
-
-/// Merge shard indexes built over contiguous entity ranges.
-fn merge_shards(
-    shards: Vec<InvertedIndex>,
-    analyzer: Analyzer,
-    fields: Vec<FieldSpec>,
-) -> InvertedIndex {
-    let mut merged = InvertedIndex::new(analyzer, fields);
-    for shard in shards {
-        merged.absorb(shard);
-    }
-    merged
 }
 
 /// Rebuild a single entity's document in the corpus (after, e.g., a new
@@ -446,25 +357,10 @@ mod tests {
         // Comment text merged with title/description for entity 1.
         let d1 = corpus.id_to_doc[&Value::Int(1)];
         let entry = corpus.index.doc(d1).unwrap();
-        assert!(entry.term_freqs.contains_key("revolution"));
-        assert!(entry.term_freqs.contains_key("american"));
-    }
-
-    #[test]
-    fn parallel_build_equals_sequential() {
-        let db = setup();
-        let seq = build_index(&db.catalog(), &spec()).unwrap();
-        let par = build_index_parallel(&db.catalog(), &spec(), 2).unwrap();
-        assert_eq!(seq.index.num_docs(), par.index.num_docs());
-        assert_eq!(seq.doc_to_id, par.doc_to_id);
-        for term in ["american", "sql", "latin american"] {
-            assert_eq!(
-                seq.index.doc_freq(term),
-                par.index.doc_freq(term),
-                "df mismatch for {term}"
-            );
+        for term in ["revolution", "american"] {
+            let id = corpus.index.term_id(term).unwrap();
+            assert!(entry.term_freqs.iter().any(|(t, _)| *t == id), "{term}");
         }
-        assert!((seq.index.avg_weighted_len() - par.index.avg_weighted_len()).abs() < 1e-9);
     }
 
     #[test]

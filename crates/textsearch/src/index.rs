@@ -2,24 +2,35 @@
 //!
 //! Documents are *entities* with multiple weighted fields. The index keeps:
 //!
-//! * **postings**: term → list of (doc, per-field term frequency) — drives
-//!   retrieval;
-//! * **forward index**: doc → term frequency map including **bigrams** —
-//!   drives data-cloud aggregation (§3.1's "terms are aggregated over all
-//!   parts that make a course entity");
-//! * corpus statistics (document frequencies, total/average field lengths)
-//!   — drive BM25F and the cloud's log-likelihood scorer.
+//! * a **term dictionary**: every unigram and bigram interned to a dense
+//!   [`TermId`], with per-id corpus statistics (corpus tf, live document
+//!   frequency), the display surface, and a bigram's two unigram parts;
+//! * **postings**: term id → list of (doc, per-field term frequency) —
+//!   drives retrieval;
+//! * **forward vectors**: doc → `(term id, tf)` ascending by id, including
+//!   **bigrams** — drives data-cloud aggregation (§3.1's "terms are
+//!   aggregated over all parts that make a course entity");
+//! * corpus statistics (total/average field lengths, total tokens) —
+//!   drive BM25F and the cloud's log-likelihood scorer.
 //!
 //! Indexing is incremental: documents can be added and removed (CourseRank
-//! reindexes a course entity when a new comment arrives).
+//! reindexes a course entity when a new comment arrives). Term ids are
+//! assigned append-only and never reused, even across removal or
+//! [`InvertedIndex::vacuum`], so an id held by a cached cloud aggregate
+//! always names the same term.
 
 use std::collections::HashMap;
 
-use crate::analysis::Analyzer;
+use crate::analysis::{Analyzer, Token};
 
 /// Document identifier (dense, assigned by the index).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DocId(pub u32);
+
+/// Term identifier: a dense index into the term dictionary (unigrams and
+/// bigrams alike), assigned in first-seen order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct TermId(pub u32);
 
 /// Field identifier (position in the index's field table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -47,10 +58,24 @@ pub struct Posting {
 pub struct DocEntry {
     /// Weighted length (Σ field_weight × field token count).
     pub weighted_len: f64,
-    /// Term → tf across all fields (unweighted), **including bigrams**.
-    pub term_freqs: HashMap<String, u32>,
+    /// The forward vector: `(term, tf across all fields)`, unweighted,
+    /// **including bigrams**, strictly ascending by term id.
+    pub term_freqs: Vec<(TermId, u32)>,
     /// Tombstone.
     pub deleted: bool,
+}
+
+/// Corpus statistics of one dictionary term, maintained across adds and
+/// removes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TermStats {
+    /// Exact corpus term frequency across live docs — the denominator of
+    /// the cloud's log-likelihood contingency table.
+    pub corpus_tf: u64,
+    /// Number of live documents containing the term.
+    pub doc_freq: u32,
+    /// A bigram's two unigram parts (`None` for a unigram).
+    pub parts: Option<(TermId, TermId)>,
 }
 
 /// The index.
@@ -58,18 +83,25 @@ pub struct DocEntry {
 pub struct InvertedIndex {
     analyzer: Analyzer,
     fields: Vec<FieldSpec>,
-    postings: HashMap<String, Vec<Posting>>,
+    /// Term text (stem, or "stem stem" for a bigram) → id.
+    term_ids: HashMap<String, TermId>,
+    /// A bigram's (first part, second part) → id.
+    bigram_ids: HashMap<(TermId, TermId), TermId>,
+    /// Per id: the term text.
+    texts: Vec<String>,
+    /// Per id: the surface of the term's first indexed occurrence. Clouds
+    /// display surfaces ("politics"), not stems ("politic").
+    surfaces: Vec<String>,
+    /// Per id: corpus statistics.
+    stats: Vec<TermStats>,
+    /// Per id: postings in ascending doc order (includes tombstoned docs
+    /// until [`InvertedIndex::vacuum`]).
+    postings: Vec<Vec<Posting>>,
     docs: Vec<DocEntry>,
     live_docs: usize,
     total_weighted_len: f64,
     /// Whether to index adjacent-token bigrams (needed by data clouds).
     index_bigrams: bool,
-    /// term (stem) → (most frequent surface form, its count). Clouds
-    /// display surfaces ("politics"), not stems ("politic").
-    surfaces: HashMap<String, (String, u32)>,
-    /// Exact corpus term frequencies (incl. bigrams) across live docs —
-    /// the denominator of the cloud's log-likelihood contingency table.
-    corpus_tf: HashMap<String, u64>,
     /// Σ corpus_tf — total live tokens (incl. bigrams).
     corpus_tokens: u64,
 }
@@ -80,19 +112,22 @@ impl InvertedIndex {
         InvertedIndex {
             analyzer,
             fields,
-            postings: HashMap::new(),
+            term_ids: HashMap::new(),
+            bigram_ids: HashMap::new(),
+            texts: Vec::new(),
+            surfaces: Vec::new(),
+            stats: Vec::new(),
+            postings: Vec::new(),
             docs: Vec::new(),
             live_docs: 0,
             total_weighted_len: 0.0,
             index_bigrams: true,
-            surfaces: HashMap::new(),
-            corpus_tf: HashMap::new(),
             corpus_tokens: 0,
         }
     }
 
     /// Disable bigram indexing (halves index size; clouds lose multi-word
-    /// terms — used by the A1 ablation).
+    /// terms).
     pub fn without_bigrams(mut self) -> Self {
         self.index_bigrams = false;
         self
@@ -128,19 +163,37 @@ impl InvertedIndex {
         }
     }
 
-    /// Document frequency of a term (live docs only; postings may contain
-    /// tombstoned docs which are filtered at read time).
+    /// The id of an indexed term (unigram stem or "stem stem" bigram).
+    pub fn term_id(&self, term: &str) -> Option<TermId> {
+        self.term_ids.get(term).copied()
+    }
+
+    /// A term's text. Panics on an id this index did not assign.
+    pub fn term_text(&self, id: TermId) -> &str {
+        &self.texts[id.0 as usize]
+    }
+
+    /// A term's display surface (see [`InvertedIndex::display_form`]).
+    pub fn term_surface(&self, id: TermId) -> &str {
+        &self.surfaces[id.0 as usize]
+    }
+
+    /// A term's corpus statistics.
+    pub fn term_stats(&self, id: TermId) -> &TermStats {
+        &self.stats[id.0 as usize]
+    }
+
+    /// Document frequency of a term over live docs.
     pub fn doc_freq(&self, term: &str) -> usize {
-        self.postings
-            .get(term)
-            .map(|ps| ps.iter().filter(|p| self.is_live(p.doc)).count())
-            .unwrap_or(0)
+        self.term_id(term)
+            .map_or(0, |id| self.term_stats(id).doc_freq as usize)
     }
 
     /// Raw postings for a term (includes tombstoned docs; callers filter
     /// with [`InvertedIndex::is_live`]).
     pub fn postings(&self, term: &str) -> &[Posting] {
-        self.postings.get(term).map(Vec::as_slice).unwrap_or(&[])
+        self.term_id(term)
+            .map_or(&[], |id| self.postings[id.0 as usize].as_slice())
     }
 
     /// Is this doc id live?
@@ -153,9 +206,10 @@ impl InvertedIndex {
         self.docs.get(doc.0 as usize).filter(|d| !d.deleted)
     }
 
-    /// Total number of distinct indexed terms (unigrams + bigrams).
+    /// Size of the term dictionary: every distinct unigram and bigram ever
+    /// indexed. Term ids are `0..vocabulary_size()`.
     pub fn vocabulary_size(&self) -> usize {
-        self.postings.len()
+        self.texts.len()
     }
 
     /// Add a document given `(field, text)` pairs; unknown fields are an
@@ -163,46 +217,91 @@ impl InvertedIndex {
     /// Returns the new doc id.
     pub fn add_document(&mut self, field_texts: &[(FieldId, &str)]) -> DocId {
         let doc = DocId(self.docs.len() as u32);
-        let mut entry = DocEntry::default();
-        // term → per-field tf
-        let mut tf: HashMap<String, Vec<u32>> = HashMap::new();
-        for (field, text) in field_texts {
+        let nfields = self.fields.len();
+        let mut weighted_len = 0.0;
+        // Every term occurrence as (term, field); sorted, each run of one
+        // term is its posting and its forward-vector entry.
+        let mut hits: Vec<(TermId, u16)> = Vec::new();
+        for &(field, text) in field_texts {
             let fi = field.0 as usize;
-            assert!(fi < self.fields.len(), "unknown field {field:?}");
-            let weight = self.fields[fi].weight;
+            assert!(fi < nfields, "unknown field {field:?}");
             let tokens = self.analyzer.tokenize(text);
-            entry.weighted_len += weight * tokens.len() as f64;
-            for (i, tok) in tokens.iter().enumerate() {
-                bump(&mut tf, &tok.term, fi, self.fields.len());
-                *entry.term_freqs.entry(tok.term.clone()).or_insert(0) += 1;
-                record_surface(&mut self.surfaces, &tok.term, &tok.surface);
-                if self.index_bigrams {
-                    if let Some(prev) = i.checked_sub(1).map(|j| &tokens[j]) {
-                        if prev.position + 1 == tok.position {
-                            let bigram = format!("{} {}", prev.term, tok.term);
-                            let bigram_surface = format!("{} {}", prev.surface, tok.surface);
-                            record_surface(&mut self.surfaces, &bigram, &bigram_surface);
-                            bump(&mut tf, &bigram, fi, self.fields.len());
-                            *entry.term_freqs.entry(bigram).or_insert(0) += 1;
-                        }
+            weighted_len += self.fields[fi].weight * tokens.len() as f64;
+            let mut prev: Option<(TermId, &Token)> = None;
+            for tok in &tokens {
+                let id = self.intern(&tok.term, &tok.surface);
+                hits.push((id, field.0));
+                if let Some((prev_id, p)) = prev {
+                    if self.index_bigrams && p.position + 1 == tok.position {
+                        hits.push((self.intern_bigram(prev_id, p, id, tok), field.0));
                     }
                 }
+                prev = Some((id, tok));
             }
         }
-        for (term, tf_val) in &entry.term_freqs {
-            *self.corpus_tf.entry(term.clone()).or_insert(0) += *tf_val as u64;
-            self.corpus_tokens += *tf_val as u64;
+        hits.sort_unstable();
+        let mut term_freqs = Vec::new();
+        for run in hits.chunk_by(|a, b| a.0 == b.0) {
+            let id = run[0].0;
+            let mut field_tf = vec![0u32; nfields];
+            for &(_, f) in run {
+                field_tf[f as usize] += 1;
+            }
+            let tf = run.len() as u32;
+            self.postings[id.0 as usize].push(Posting { doc, field_tf });
+            let stats = &mut self.stats[id.0 as usize];
+            stats.corpus_tf += tf as u64;
+            stats.doc_freq += 1;
+            self.corpus_tokens += tf as u64;
+            term_freqs.push((id, tf));
         }
-        for (term, field_tf) in tf {
-            self.postings
-                .entry(term)
-                .or_default()
-                .push(Posting { doc, field_tf });
-        }
-        self.total_weighted_len += entry.weighted_len;
-        self.docs.push(entry);
+        self.total_weighted_len += weighted_len;
+        self.docs.push(DocEntry {
+            weighted_len,
+            term_freqs,
+            deleted: false,
+        });
         self.live_docs += 1;
         doc
+    }
+
+    /// The id of a unigram, interning it on first sight.
+    fn intern(&mut self, term: &str, surface: &str) -> TermId {
+        match self.term_ids.get(term) {
+            Some(&id) => id,
+            None => self.push_term(term.to_owned(), surface.to_owned(), None),
+        }
+    }
+
+    /// The id of the bigram `a b`, interning it on first sight.
+    fn intern_bigram(&mut self, a: TermId, a_tok: &Token, b: TermId, b_tok: &Token) -> TermId {
+        if let Some(&id) = self.bigram_ids.get(&(a, b)) {
+            return id;
+        }
+        let text = format!("{} {}", a_tok.term, b_tok.term);
+        let surface = format!("{} {}", a_tok.surface, b_tok.surface);
+        let id = self.push_term(text, surface, Some((a, b)));
+        self.bigram_ids.insert((a, b), id);
+        id
+    }
+
+    fn push_term(
+        &mut self,
+        text: String,
+        surface: String,
+        parts: Option<(TermId, TermId)>,
+    ) -> TermId {
+        let id = TermId(self.texts.len() as u32);
+        self.term_ids.insert(text.clone(), id);
+        self.texts.push(text);
+        self.surfaces.push(surface);
+        self.stats.push(TermStats {
+            corpus_tf: 0,
+            doc_freq: 0,
+            parts,
+        });
+        self.postings.push(Vec::new());
+        id
     }
 
     /// Remove a document (tombstone). Postings are filtered lazily; call
@@ -213,32 +312,31 @@ impl InvertedIndex {
                 d.deleted = true;
                 self.live_docs -= 1;
                 self.total_weighted_len -= d.weighted_len;
-                for (term, tf) in &d.term_freqs {
-                    if let Some(c) = self.corpus_tf.get_mut(term) {
-                        *c = c.saturating_sub(*tf as u64);
-                    }
-                    self.corpus_tokens = self.corpus_tokens.saturating_sub(*tf as u64);
+                for &(id, tf) in &d.term_freqs {
+                    let stats = &mut self.stats[id.0 as usize];
+                    stats.corpus_tf = stats.corpus_tf.saturating_sub(tf as u64);
+                    stats.doc_freq -= 1;
+                    self.corpus_tokens = self.corpus_tokens.saturating_sub(tf as u64);
                 }
-                d.term_freqs.clear();
-                d.term_freqs.shrink_to_fit();
+                d.term_freqs = Vec::new();
                 true
             }
             _ => false,
         }
     }
 
-    /// Physically drop tombstoned postings.
+    /// Physically drop tombstoned postings. Term ids stay assigned.
     pub fn vacuum(&mut self) {
         let docs = &self.docs;
-        self.postings.retain(|_, ps| {
+        for ps in &mut self.postings {
             ps.retain(|p| !docs[p.doc.0 as usize].deleted);
-            !ps.is_empty()
-        });
+        }
     }
 
     /// Exact corpus term frequency (live docs, incl. bigrams).
     pub fn corpus_tf(&self, term: &str) -> u64 {
-        self.corpus_tf.get(term).copied().unwrap_or(0)
+        self.term_id(term)
+            .map_or(0, |id| self.term_stats(id).corpus_tf)
     }
 
     /// Total live tokens across the corpus (incl. bigrams).
@@ -246,49 +344,12 @@ impl InvertedIndex {
         self.corpus_tokens
     }
 
-    /// The display (surface) form for a term: the most frequent original
-    /// word that stemmed to it ("politic" → "politics"). Falls back to the
-    /// term itself.
+    /// The display (surface) form for a term: the original word of the
+    /// term's **first** indexed occurrence ("politic" → "politics"), kept
+    /// for good even when another surface of the same stem later occurs
+    /// more often. Falls back to the term itself.
     pub fn display_form<'a>(&'a self, term: &'a str) -> &'a str {
-        self.surfaces
-            .get(term)
-            .map(|(s, _)| s.as_str())
-            .unwrap_or(term)
-    }
-
-    /// Absorb another index built with the same analyzer/field config,
-    /// appending its documents after this index's (doc ids shift by the
-    /// current doc count). Used to merge parallel build shards.
-    pub fn absorb(&mut self, other: InvertedIndex) {
-        assert_eq!(
-            self.fields.len(),
-            other.fields.len(),
-            "absorb requires identical field configuration"
-        );
-        let offset = self.docs.len() as u32;
-        for (term, postings) in other.postings {
-            let slot = self.postings.entry(term).or_default();
-            slot.reserve(postings.len());
-            for mut p in postings {
-                p.doc = DocId(p.doc.0 + offset);
-                slot.push(p);
-            }
-        }
-        self.docs.extend(other.docs);
-        self.live_docs += other.live_docs;
-        self.total_weighted_len += other.total_weighted_len;
-        for (term, (surface, count)) in other.surfaces {
-            match self.surfaces.get_mut(&term) {
-                Some(slot) if slot.1 >= count => {}
-                _ => {
-                    self.surfaces.insert(term, (surface, count));
-                }
-            }
-        }
-        for (term, tf) in other.corpus_tf {
-            *self.corpus_tf.entry(term).or_insert(0) += tf;
-        }
-        self.corpus_tokens += other.corpus_tokens;
+        self.term_id(term).map_or(term, |id| self.term_surface(id))
     }
 
     /// All live doc ids (used by match-all queries / corpus statistics).
@@ -299,36 +360,6 @@ impl InvertedIndex {
             .filter(|(_, d)| !d.deleted)
             .map(|(i, _)| DocId(i as u32))
             .collect()
-    }
-}
-
-fn record_surface(map: &mut HashMap<String, (String, u32)>, term: &str, surface: &str) {
-    match map.get_mut(term) {
-        Some((best, count)) => {
-            if best == surface {
-                *count += 1;
-            } else if *count == 0 {
-                *best = surface.to_owned();
-                *count = 1;
-            }
-            // A different surface with the slot occupied: simple
-            // first-wins-with-reinforcement policy (cheap and stable; the
-            // dominant form wins in practice because it reinforces).
-        }
-        None => {
-            map.insert(term.to_owned(), (surface.to_owned(), 1));
-        }
-    }
-}
-
-fn bump(map: &mut HashMap<String, Vec<u32>>, term: &str, field: usize, nfields: usize) {
-    match map.get_mut(term) {
-        Some(v) => v[field] += 1,
-        None => {
-            let mut v = vec![0u32; nfields];
-            v[field] = 1;
-            map.insert(term.to_owned(), v);
-        }
     }
 }
 
@@ -417,6 +448,37 @@ mod tests {
     }
 
     #[test]
+    fn term_ids_are_never_reused() {
+        let mut ix = index();
+        let t = ix.field_id("title").unwrap();
+        let d0 = ix.add_document(&[(t, "alpha beta")]);
+        let alpha = ix.term_id("alpha").unwrap();
+        let pair = ix.term_id("alpha beta").unwrap();
+        assert_eq!(
+            ix.term_stats(pair).parts,
+            Some((alpha, ix.term_id("beta").unwrap()))
+        );
+        ix.remove_document(d0);
+        ix.vacuum();
+        assert_eq!(ix.doc_freq("alpha"), 0);
+        assert_eq!(ix.corpus_tf("alpha beta"), 0);
+        ix.add_document(&[(t, "gamma alpha beta")]);
+        assert_eq!(ix.term_id("alpha"), Some(alpha));
+        assert_eq!(ix.term_id("alpha beta"), Some(pair));
+        assert_eq!(ix.doc_freq("alpha beta"), 1);
+        assert_eq!(ix.vocabulary_size(), 5); // alpha, beta, alpha beta, gamma, gamma alpha
+    }
+
+    #[test]
+    fn display_form_is_the_first_surface_seen() {
+        let mut ix = index();
+        let b = ix.field_id("body").unwrap();
+        ix.add_document(&[(b, "politic")]);
+        ix.add_document(&[(b, "politics politics politics")]);
+        assert_eq!(ix.display_form("politic"), "politic");
+    }
+
+    #[test]
     fn weighted_length_accounting() {
         let mut ix = index();
         let t = ix.field_id("title").unwrap();
@@ -436,9 +498,18 @@ mod tests {
         let b = ix.field_id("body").unwrap();
         let d = ix.add_document(&[(b, "politics politics war")]);
         let entry = ix.doc(d).unwrap();
-        assert_eq!(entry.term_freqs.get("politic"), Some(&2));
-        assert_eq!(entry.term_freqs.get("war"), Some(&1));
-        assert_eq!(entry.term_freqs.get("politic politic"), Some(&1));
+        let tf = |term: &str| {
+            let id = ix.term_id(term).unwrap();
+            entry
+                .term_freqs
+                .iter()
+                .find(|(t, _)| *t == id)
+                .map(|(_, n)| *n)
+        };
+        assert_eq!(tf("politic"), Some(2));
+        assert_eq!(tf("war"), Some(1));
+        assert_eq!(tf("politic politic"), Some(1));
+        assert!(entry.term_freqs.windows(2).all(|w| w[0].0 < w[1].0));
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! Components:
 //!
 //! * [`analysis`] — tokenizer, stopwords, a light stemmer;
-//! * [`index`] — an inverted index with per-field postings (title,
-//!   description, comments, ... with different weights) plus a forward
-//!   index of per-document term frequencies (the cloud's raw material);
+//! * [`index`] — a term dictionary of interned ids, an inverted index
+//!   with per-field postings (title, description, comments, ... with
+//!   different weights) plus per-document forward vectors of
+//!   `(term id, tf)` (the cloud's raw material);
 //! * [`score`] — BM25F-style ranking, answering the paper's question "if we
 //!   search for *Java*, should a course that mentions Java in its title
 //!   score the same as one that mentions it in student comments?" (no — the
@@ -20,7 +21,7 @@
 //!   description, instructor names and every student comment);
 //! * [`cloud`] — data-cloud term scoring (log-likelihood ratio against the
 //!   background corpus, or TF-IDF), unigrams + bigrams ("Latin American"),
-//!   exact and sampled variants;
+//!   exact over the whole result set;
 //! * [`engine`] — the search-refine loop of Figures 3 and 4.
 
 #![forbid(unsafe_code)]
@@ -38,4 +39,4 @@ pub use cloud::{CloudConfig, CloudTerm, DataCloud, TermScorer};
 pub use engine::{SearchEngine, SearchHit, SearchResults};
 pub use entity::{EntitySpec, FieldSource};
 pub use highlight::{snippet, Snippet};
-pub use index::{DocId, FieldId, InvertedIndex};
+pub use index::{DocId, FieldId, InvertedIndex, TermId};

@@ -1,0 +1,465 @@
+//! Exactness properties for data clouds over interned term ids.
+//!
+//! The index interns every unigram and bigram to a [`TermId`]; clouds
+//! aggregate and score over ids and build strings only for the terms they
+//! return. None of that may change a cloud. On random small-vocabulary
+//! corpora (with bigrams, stopword gaps and shared stems), put through
+//! random remove and reindex steps:
+//!
+//! * `compute_cloud` equals a string-keyed reference — the aggregation
+//!   and scoring clouds used before term ids, kept here as test-only
+//!   code — bit for bit;
+//! * `cloud_from_agg` over delta-maintained aggregates equals a cold
+//!   cloud, and the maintained aggregates equal a cold aggregation;
+//! * every term's maintained `doc_freq` equals its live postings, its
+//!   `corpus_tf` the sum over live forward vectors, and every forward
+//!   vector is strictly ascending.
+
+// Test code: panicking on a broken fixture is the right behavior.
+#![allow(clippy::unwrap_used)]
+
+use std::collections::HashMap;
+
+use cr_textsearch::cloud::{
+    aggregate_cloud, cloud_from_agg, compute_cloud, log_likelihood_ratio, CloudConfig, CloudTerm,
+    DataCloud, TermScorer,
+};
+use cr_textsearch::index::{DocId, FieldId, FieldSpec, InvertedIndex, TermId};
+use cr_textsearch::score::idf;
+use cr_textsearch::Analyzer;
+use proptest::prelude::*;
+
+/// Shared stems ("system"/"systems") exercise display surfaces; stopwords
+/// ("the", "of") break bigrams.
+const WORDS: &[&str] = &[
+    "american",
+    "history",
+    "histories",
+    "politics",
+    "latin",
+    "culture",
+    "the",
+    "of",
+    "systems",
+    "system",
+    "storage",
+    "elections",
+];
+
+/// Title and body word indexes of one document.
+type DocWords = (Vec<usize>, Vec<usize>);
+
+fn words(ws: &[usize]) -> String {
+    ws.iter()
+        .map(|&w| WORDS[w % WORDS.len()])
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
+fn new_index() -> InvertedIndex {
+    InvertedIndex::new(
+        Analyzer::new(),
+        vec![
+            FieldSpec {
+                name: "title".into(),
+                weight: 3.0,
+            },
+            FieldSpec {
+                name: "body".into(),
+                weight: 1.0,
+            },
+        ],
+    )
+}
+
+fn add(ix: &mut InvertedIndex, doc: &DocWords) -> DocId {
+    let (title, body) = (words(&doc.0), words(&doc.1));
+    ix.add_document(&[(FieldId(0), title.as_str()), (FieldId(1), body.as_str())])
+}
+
+fn config(
+    max_terms: usize,
+    min_doc_freq: usize,
+    min_bigrams: usize,
+    collapse: bool,
+    tfidf: bool,
+    cohesion: usize,
+) -> CloudConfig {
+    CloudConfig {
+        max_terms,
+        scorer: if tfidf {
+            TermScorer::TfIdf
+        } else {
+            TermScorer::LogLikelihood
+        },
+        min_doc_freq,
+        collapse_subterms: collapse,
+        bigram_cohesion: [0.0, 0.03, 0.3][cohesion],
+        min_bigrams,
+        ..CloudConfig::default()
+    }
+}
+
+/// Query terms to exclude: the analyzed words, plus their first bigram.
+fn exclusions(ix: &InvertedIndex, ws: &[usize]) -> Vec<String> {
+    let mut terms = ix.analyzer().terms(&words(ws));
+    if terms.len() >= 2 {
+        terms.push(format!("{} {}", terms[0], terms[1]));
+    }
+    terms
+}
+
+/// The string-keyed reference: the aggregation and scoring clouds used
+/// before term ids, reading the index only through `&str` accessors.
+mod reference {
+    use super::*;
+
+    /// The document frequency the string-keyed scorer read: a term's live
+    /// postings.
+    pub fn live_postings(index: &InvertedIndex, term: &str) -> usize {
+        index
+            .postings(term)
+            .iter()
+            .filter(|p| index.is_live(p.doc))
+            .count()
+    }
+
+    pub fn cloud(
+        index: &InvertedIndex,
+        results: &[DocId],
+        exclude_terms: &[String],
+        config: &CloudConfig,
+    ) -> DataCloud {
+        if results.is_empty() {
+            return DataCloud::default();
+        }
+        let mut agg: HashMap<String, (u64, usize)> = HashMap::new();
+        let mut token_total = 0u64;
+        for &d in results {
+            if let Some(entry) = index.doc(d) {
+                for &(id, tf) in &entry.term_freqs {
+                    let slot = agg.entry(index.term_text(id).to_owned()).or_insert((0, 0));
+                    slot.0 += tf as u64;
+                    slot.1 += 1;
+                    token_total += tf as u64;
+                }
+            }
+        }
+        let cloud = score(
+            index,
+            &agg,
+            token_total,
+            results.len(),
+            exclude_terms,
+            config,
+        );
+        if cloud.terms.is_empty() && config.scorer == TermScorer::LogLikelihood {
+            let tfidf = CloudConfig {
+                scorer: TermScorer::TfIdf,
+                ..config.clone()
+            };
+            return score(
+                index,
+                &agg,
+                token_total,
+                results.len(),
+                exclude_terms,
+                &tfidf,
+            );
+        }
+        cloud
+    }
+
+    fn score(
+        index: &InvertedIndex,
+        agg: &HashMap<String, (u64, usize)>,
+        result_token_total: u64,
+        docs_aggregated: usize,
+        exclude_terms: &[String],
+        config: &CloudConfig,
+    ) -> DataCloud {
+        let corpus_docs = index.num_docs().max(1);
+        let corpus_token_total =
+            (index.corpus_tokens() as f64).max(result_token_total as f64 + 1.0);
+        let excluded: Vec<&str> = exclude_terms.iter().map(String::as_str).collect();
+        let mut scored: Vec<CloudTerm> = Vec::new();
+        for (term, &(tf, df)) in agg {
+            let term = term.as_str();
+            if df < config.min_doc_freq {
+                continue;
+            }
+            if excluded.contains(&term) || term.split(' ').all(|part| excluded.contains(&part)) {
+                continue;
+            }
+            let mut score = match config.scorer {
+                TermScorer::TfIdf => tf as f64 * idf(corpus_docs, live_postings(index, term)),
+                TermScorer::LogLikelihood => {
+                    let k1 = tf as f64;
+                    let n1 = result_token_total as f64;
+                    let k2 = (index.corpus_tf(term) as f64 - k1).max(0.0) + 0.5;
+                    let n2 = (corpus_token_total - n1).max(1.0);
+                    log_likelihood_ratio(k1, n1, k2, n2)
+                }
+            };
+            if let Some((w1, w2)) = term.split_once(' ') {
+                let pair_tf = index.corpus_tf(term) as f64;
+                let min_part = index.corpus_tf(w1).min(index.corpus_tf(w2)).max(1) as f64;
+                if pair_tf / min_part < config.bigram_cohesion {
+                    continue;
+                }
+                score *= config.bigram_boost;
+            }
+            if score <= 0.0 {
+                continue;
+            }
+            scored.push(CloudTerm {
+                term: term.to_owned(),
+                display: index.display_form(term).to_owned(),
+                score,
+                result_doc_freq: df,
+                result_tf: tf,
+                bucket: 1,
+            });
+        }
+        scored.sort_by(|a, b| {
+            b.score
+                .partial_cmp(&a.score)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| a.term.cmp(&b.term))
+        });
+        if config.collapse_subterms {
+            collapse_subterms(&mut scored);
+        }
+        if scored.len() > config.max_terms && config.min_bigrams > 0 {
+            let in_window = scored[..config.max_terms]
+                .iter()
+                .filter(|t| t.term.contains(' '))
+                .count();
+            if in_window < config.min_bigrams {
+                let mut promote: Vec<CloudTerm> = scored[config.max_terms..]
+                    .iter()
+                    .filter(|t| t.term.contains(' '))
+                    .take(config.min_bigrams - in_window)
+                    .cloned()
+                    .collect();
+                if !promote.is_empty() {
+                    let mut kept = Vec::new();
+                    let mut unigrams_to_drop = promote.len();
+                    for t in scored[..config.max_terms].iter().rev() {
+                        if unigrams_to_drop > 0 && !t.term.contains(' ') {
+                            unigrams_to_drop -= 1;
+                        } else {
+                            kept.push(t.clone());
+                        }
+                    }
+                    kept.reverse();
+                    kept.append(&mut promote);
+                    kept.sort_by(|a, b| {
+                        b.score
+                            .partial_cmp(&a.score)
+                            .unwrap_or(std::cmp::Ordering::Equal)
+                    });
+                    scored = kept;
+                }
+            }
+        }
+        scored.truncate(config.max_terms);
+        assign_buckets(&mut scored);
+        DataCloud {
+            terms: scored,
+            docs_aggregated,
+        }
+    }
+
+    fn collapse_subterms(scored: &mut Vec<CloudTerm>) {
+        let bigrams: Vec<(String, u64)> = scored
+            .iter()
+            .filter(|t| t.term.contains(' '))
+            .map(|t| (t.term.clone(), t.result_tf))
+            .collect();
+        let rank: HashMap<String, usize> = scored
+            .iter()
+            .enumerate()
+            .map(|(i, t)| (t.term.clone(), i))
+            .collect();
+        let mut dead = vec![false; scored.len()];
+        for (bigram, btf) in &bigrams {
+            let brank = rank[bigram];
+            for part in bigram.split(' ') {
+                if let Some(&pi) = rank.get(part) {
+                    if brank < pi && *btf as f64 >= 0.8 * scored[pi].result_tf as f64 {
+                        dead[pi] = true;
+                    }
+                }
+            }
+        }
+        let mut i = 0;
+        scored.retain(|_| {
+            i += 1;
+            !dead[i - 1]
+        });
+    }
+
+    fn assign_buckets(terms: &mut [CloudTerm]) {
+        if terms.is_empty() {
+            return;
+        }
+        let max = terms.iter().map(|t| t.score).fold(f64::MIN, f64::max);
+        let min = terms.iter().map(|t| t.score).fold(f64::MAX, f64::min);
+        let span = (max.ln() - min.ln()).max(1e-9);
+        for t in terms {
+            let rel = (t.score.ln() - min.ln()) / span;
+            t.bucket = 1 + (rel * 4.0).round() as u8;
+        }
+    }
+}
+
+fn assert_same_cloud(got: &DataCloud, want: &DataCloud) {
+    assert_eq!(got.docs_aggregated, want.docs_aggregated);
+    let line = |t: &CloudTerm| {
+        (
+            t.term.clone(),
+            t.display.clone(),
+            t.result_tf,
+            t.result_doc_freq,
+            t.score.to_bits(),
+            t.bucket,
+        )
+    };
+    let got: Vec<_> = got.terms.iter().map(line).collect();
+    let want: Vec<_> = want.terms.iter().map(line).collect();
+    assert_eq!(got, want);
+}
+
+/// The maintained statistics agree with a recount from the live forward
+/// vectors and postings, and every forward vector is strictly ascending.
+fn assert_index_consistent(ix: &InvertedIndex) {
+    let mut corpus_tf = vec![0u64; ix.vocabulary_size()];
+    for d in ix.live_doc_ids() {
+        let tf = &ix.doc(d).unwrap().term_freqs;
+        assert!(tf.windows(2).all(|w| w[0].0 < w[1].0), "{tf:?}");
+        for &(id, n) in tf {
+            corpus_tf[id.0 as usize] += n as u64;
+        }
+    }
+    for (i, &tf) in corpus_tf.iter().enumerate() {
+        let id = TermId(i as u32);
+        let term = ix.term_text(id);
+        assert_eq!(ix.term_id(term), Some(id));
+        assert_eq!(
+            ix.doc_freq(term),
+            reference::live_postings(ix, term),
+            "{term}"
+        );
+        assert_eq!(ix.corpus_tf(term), tf, "{term}");
+    }
+    assert_eq!(ix.corpus_tokens(), corpus_tf.iter().sum::<u64>());
+}
+
+fn doc_words() -> impl Strategy<Value = DocWords> {
+    (
+        proptest::collection::vec(0usize..WORDS.len(), 0..5),
+        proptest::collection::vec(0usize..WORDS.len(), 0..14),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// After random removes and reindexes, the id-based cloud equals the
+    /// string-keyed reference bit for bit.
+    #[test]
+    fn cloud_equals_string_keyed_reference(
+        docs in proptest::collection::vec((doc_words(), any::<bool>()), 1..24),
+        steps in proptest::collection::vec(
+            (0usize..24, proptest::option::of(doc_words())), 0..8),
+        exclude in proptest::collection::vec(0usize..WORDS.len(), 0..3),
+        max_terms in 1usize..10,
+        min_df in 1usize..3,
+        min_bigrams in 0usize..4,
+        collapse in any::<bool>(),
+        tfidf in any::<bool>(),
+        cohesion in 0usize..3,
+    ) {
+        let mut ix = new_index();
+        let mut slots: Vec<Option<DocId>> = docs.iter().map(|(d, _)| Some(add(&mut ix, d))).collect();
+        assert_index_consistent(&ix);
+        for (slot, text) in &steps {
+            let slot = slot % slots.len();
+            if let Some(doc) = slots[slot].take() {
+                ix.remove_document(doc);
+            }
+            slots[slot] = text.as_ref().map(|t| add(&mut ix, t));
+            assert_index_consistent(&ix);
+        }
+        let results: Vec<DocId> = docs
+            .iter()
+            .zip(&slots)
+            .filter(|((_, member), _)| *member)
+            .filter_map(|(_, doc)| *doc)
+            .collect();
+        let exclude = exclusions(&ix, &exclude);
+        let cfg = config(max_terms, min_df, min_bigrams, collapse, tfidf, cohesion);
+        assert_same_cloud(
+            &compute_cloud(&ix, &results, &exclude, &cfg),
+            &reference::cloud(&ix, &results, &exclude, &cfg),
+        );
+    }
+
+    /// Aggregates maintained through member reindexes (and untouched by
+    /// non-member writes) equal a cold aggregation, and score to the cold
+    /// cloud bit for bit.
+    #[test]
+    fn delta_maintained_cloud_equals_cold(
+        docs in proptest::collection::vec((doc_words(), any::<bool>()), 1..24),
+        steps in proptest::collection::vec(
+            (0usize..24, proptest::option::of(doc_words())), 1..8),
+        exclude in proptest::collection::vec(0usize..WORDS.len(), 0..3),
+        max_terms in 1usize..10,
+        min_df in 1usize..3,
+        min_bigrams in 0usize..4,
+    ) {
+        let mut ix = new_index();
+        let mut slots: Vec<Option<DocId>> = docs.iter().map(|(d, _)| Some(add(&mut ix, d))).collect();
+        let members: Vec<bool> = docs.iter().map(|(_, m)| *m).collect();
+        let results_of = |slots: &[Option<DocId>]| -> Vec<DocId> {
+            slots
+                .iter()
+                .zip(&members)
+                .filter(|(_, &m)| m)
+                .filter_map(|(d, _)| *d)
+                .collect()
+        };
+        let exclude = exclusions(&ix, &exclude);
+        let cfg = config(max_terms, min_df, min_bigrams, true, false, 1);
+        let mut maintained = aggregate_cloud(&ix, &results_of(&slots));
+        for (slot, text) in &steps {
+            let slot = slot % slots.len();
+            let Some(doc) = slots[slot] else { continue };
+            match text {
+                Some(t) => {
+                    let old = ix.doc(doc).unwrap().term_freqs.clone();
+                    ix.remove_document(doc);
+                    let fresh = add(&mut ix, t);
+                    slots[slot] = Some(fresh);
+                    if members[slot] {
+                        let new = ix.doc(fresh).unwrap().term_freqs.clone();
+                        prop_assert!(maintained.apply_reindex_delta(&old, &new));
+                    }
+                }
+                // Only a non-member may vanish: the cache drops an entry
+                // whose member is deleted.
+                None if !members[slot] => {
+                    ix.remove_document(doc);
+                    slots[slot] = None;
+                }
+                None => continue,
+            }
+            let results = results_of(&slots);
+            prop_assert_eq!(&maintained, &aggregate_cloud(&ix, &results));
+            let cold = compute_cloud(&ix, &results, &exclude, &cfg);
+            assert_same_cloud(&cloud_from_agg(&ix, &maintained, &exclude, &cfg), &cold);
+            assert_same_cloud(&cold, &reference::cloud(&ix, &results, &exclude, &cfg));
+        }
+    }
+}

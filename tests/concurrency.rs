@@ -19,7 +19,7 @@ use cr_datagen::ScaleConfig;
 #[test]
 fn concurrent_reads_and_writes() {
     let (db, _) = cr_datagen::generate(&ScaleConfig::tiny()).unwrap();
-    let app = CourseRank::assemble_with_threads(db, 2).unwrap();
+    let app = CourseRank::assemble(db).unwrap();
     let next_comment_id = Arc::new(AtomicI64::new(1_000_000));
 
     let mut handles = Vec::new();
@@ -87,7 +87,7 @@ fn concurrent_reads_and_writes() {
 #[test]
 fn concurrent_incentive_awards_stay_consistent() {
     let (db, _) = cr_datagen::generate(&ScaleConfig::tiny()).unwrap();
-    let app = CourseRank::assemble_with_threads(db, 1).unwrap();
+    let app = CourseRank::assemble(db).unwrap();
     let mut handles = Vec::new();
     // Many threads race to award daily logins for distinct users — each
     // (user, day) must grant exactly once-per-day semantics per user.

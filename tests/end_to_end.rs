@@ -18,7 +18,7 @@ use cr_datagen::ScaleConfig;
 #[test]
 fn student_journey() {
     let (db, _) = cr_datagen::generate(&ScaleConfig::tiny()).unwrap();
-    let app = CourseRank::assemble_with_threads(db, 2).unwrap();
+    let app = CourseRank::assemble(db).unwrap();
 
     // 1. Log in (closed community: user ids come from the directory).
     let session = app.auth().login("user1").unwrap();
@@ -111,7 +111,7 @@ fn student_journey() {
         })
         .unwrap();
     // Reindex via a fresh facade (the shared index is behind an Arc).
-    let app2 = CourseRank::assemble_with_threads(app.db().clone(), 2).unwrap();
+    let app2 = CourseRank::assemble(app.db().clone()).unwrap();
     let (hits2, _) = app2.search().search("xylophone", 5).unwrap();
     assert_eq!(hits2.len(), 1);
     assert_eq!(hits2[0].course, course);
@@ -126,7 +126,7 @@ fn student_journey() {
 #[test]
 fn staff_journey_defines_program_students_audit_it() {
     let (db, _) = cr_datagen::generate(&ScaleConfig::tiny()).unwrap();
-    let app = CourseRank::assemble_with_threads(db, 1).unwrap();
+    let app = CourseRank::assemble(db).unwrap();
     app.auth()
         .register(800_000, "registrar", Role::Staff, "The Registrar")
         .unwrap();

@@ -92,7 +92,7 @@ fn e7_inflated_reports_are_detectably_higher_but_close() {
 #[test]
 fn e8_small_class_distributions_suppressed() {
     let (db, _) = cr_datagen::generate(&ScaleConfig::tiny()).unwrap();
-    let app = CourseRank::assemble_with_threads(db, 1).unwrap();
+    let app = CourseRank::assemble(db).unwrap();
     // Find a course with 0 < self-reports < 5 and no official dist.
     let rs = app
         .db()

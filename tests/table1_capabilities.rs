@@ -23,7 +23,7 @@ use cr_datagen::ScaleConfig;
 
 fn app() -> CourseRank {
     let (db, _) = cr_datagen::generate(&ScaleConfig::tiny()).unwrap();
-    CourseRank::assemble_with_threads(db, 1).unwrap()
+    CourseRank::assemble(db).unwrap()
 }
 
 #[test]
