@@ -99,13 +99,6 @@ impl CourseRank {
         self.db.checkpoint()
     }
 
-    /// [`CourseRank::assemble`], for callers written when the index had a
-    /// sharded parallel build. The index now always builds serially, so
-    /// the thread count is ignored.
-    pub fn assemble_with_threads(db: CourseRankDb, _threads: usize) -> RelResult<Self> {
-        Self::assemble(db)
-    }
-
     /// Pin a snapshot-bound view of the whole application: one atomic
     /// catalog cut ([`CourseRankDb::snapshot`]) with every service rebound
     /// over it. Reads through the view proceed concurrently with writers

@@ -5,9 +5,9 @@
 //! the page. The cache keys an entry by the full request (strategy,
 //! student, parameters) and tags it with one [`DepSpec`] per base table
 //! the computation reads, stamped with the table *version* it was
-//! computed against. [`cr_relation::Table`] bumps a monotonic counter on
-//! every insert/update/delete, and lookups serve an entry only while
-//! every dependency is still at its stamped version — conservative,
+//! computed against. [`cr_relation::table::Table`] bumps a monotonic
+//! counter on every insert/update/delete, and lookups serve an entry only
+//! while every dependency is still at its stamped version — conservative,
 //! never stale.
 //!
 //! ## Push-advance maintenance

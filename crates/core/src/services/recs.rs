@@ -18,11 +18,11 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
-use cr_flexrecs::compile::{compile, compile_and_run};
+use cr_flexrecs::compile::{compile, compile_and_run, run_compiled};
 use cr_flexrecs::templates::{self, SchemaMap};
 use cr_flexrecs::{RecResult, Workflow};
-use cr_relation::plan::{deps, optimizer};
-use cr_relation::{RelError, RelResult, Value};
+use cr_relation::plan::{deps, LogicalPlan};
+use cr_relation::{ExecOptions, RelError, RelResult, Value};
 
 use crate::cache::{register_cache, CacheStats, DepSpec, MutationKind, VersionedCache};
 use crate::db::{CourseRankDb, EnrollStatus};
@@ -384,6 +384,8 @@ impl Recommender {
     /// extracted from the optimized plan, so only mutations that actually
     /// intersect the computation invalidate them; the transcript-similarity
     /// basis additionally delta-maintains its aggregate state in place.
+    /// The workflow is compiled once per request and, on a miss, optimized
+    /// once: the key, the run and the footprint all come from that plan.
     pub fn recommend_courses(
         &self,
         student: StudentId,
@@ -393,12 +395,21 @@ impl Recommender {
             if opts.basis == SimilarityBasis::CoursesTaken {
                 return self.recommend_courses_ct(student, opts);
             }
-            let key = self.course_cache_key(student, opts)?;
+            let wf = self.course_workflow(student, opts);
+            let catalog = self.db.catalog();
+            let plan = compile(&wf, &catalog)?;
+            let key = format!(
+                "courses|{:016x}|{}|{}",
+                plan.fingerprint(),
+                opts.k_courses,
+                opts.exclude_taken
+            );
             self.course_cache
-                .get_or_compute_refined(&self.db.catalog(), &key, REC_DEPS, || {
-                    let recs = self.recommend_courses_inner(student, opts)?;
-                    let specs = self.course_dep_specs(student, opts)?;
-                    Ok((recs, specs))
+                .get_or_compute_refined(&catalog, &key, REC_DEPS, || {
+                    let run = run_compiled(&wf, plan, &catalog, &ExecOptions::default())?;
+                    let specs = self.course_dep_specs(&run.plan, opts);
+                    let result = self.cross_checked(&wf, run.result)?;
+                    Ok((self.rank_courses(student, opts, result)?, specs))
                 })
         })
     }
@@ -529,9 +540,8 @@ impl Recommender {
     /// optimized plan's extracted deps (minus derived relations, whose
     /// base table stands in) unioned with what the post-processing
     /// reads outside the plan.
-    fn course_dep_specs(&self, student: StudentId, opts: &RecOptions) -> RelResult<Vec<DepSpec>> {
-        let wf = self.course_workflow(student, opts);
-        let mut specs = self.plan_dep_specs(&wf)?;
+    fn course_dep_specs(&self, plan: &LogicalPlan, opts: &RecOptions) -> Vec<DepSpec> {
+        let mut specs = self.plan_dep_specs(plan);
         // Titles for the result page.
         specs.push(DepSpec::table("Courses").with_columns(["courseid", "title"]));
         if opts.exclude_taken {
@@ -542,43 +552,29 @@ impl Recommender {
             // path derives from Enrollments — the true base dependency.
             specs.push(DepSpec::table("Enrollments"));
         }
-        Ok(DepSpec::merge(specs))
+        DepSpec::merge(specs)
     }
 
-    /// Lower a workflow to its optimized plan and extract the base-table
-    /// footprint, dropping derived relations (see [`DERIVED_TABLES`]).
-    fn plan_dep_specs(&self, wf: &Workflow) -> RelResult<Vec<DepSpec>> {
-        let catalog = self.db.catalog();
-        let plan = optimizer::optimize(compile(wf, &catalog)?);
-        let pd = deps::extract_in(&plan, Some(&catalog));
-        Ok(DepSpec::from_plan_deps(&pd)
+    /// The base-table footprint of an optimized plan, dropping derived
+    /// relations (see [`DERIVED_TABLES`]).
+    fn plan_dep_specs(&self, plan: &LogicalPlan) -> Vec<DepSpec> {
+        let pd = deps::extract_in(plan, Some(&self.db.catalog()));
+        DepSpec::from_plan_deps(&pd)
             .into_iter()
             .filter(|s| !DERIVED_TABLES.contains(&s.table.as_str()))
-            .collect())
+            .collect()
     }
 
-    /// Cache key for a course-recommendation request: the fingerprint of
-    /// the plan the request compiles to, plus the knobs applied after
-    /// execution (result count, exclude-taken). Two option sets that lower
-    /// to the same plan share one entry.
-    fn course_cache_key(&self, student: StudentId, opts: &RecOptions) -> RelResult<String> {
-        let wf = self.course_workflow(student, opts);
-        let fp = compile(&wf, &self.db.catalog())?.fingerprint();
-        Ok(format!(
-            "courses|{fp:016x}|{}|{}",
-            opts.k_courses, opts.exclude_taken
-        ))
-    }
-
-    fn recommend_courses_inner(
+    /// The post-processing of a course-recommendation run: drop taken
+    /// courses if asked, keep the top `k_courses`, read their titles.
+    /// The cache key names these knobs next to the plan's fingerprint,
+    /// so two option sets that lower to the same plan share one entry.
+    fn rank_courses(
         &self,
         student: StudentId,
         opts: &RecOptions,
+        result: RecResult,
     ) -> RelResult<Vec<CourseRec>> {
-        // CoursesTaken is served by `recommend_courses_ct` and never
-        // reaches here.
-        let wf = self.course_workflow(student, opts);
-        let result = self.run_workflow(&wf)?;
         let ranking: Vec<(Value, f64)> = result.ranking("CourseID", "score")?;
 
         let taken: HashSet<CourseId> = if opts.exclude_taken {
@@ -728,16 +724,24 @@ impl Recommender {
     /// oracle; production builds never pay for the second run.
     fn run_workflow(&self, wf: &Workflow) -> RelResult<RecResult> {
         let run = compile_and_run(wf, &self.db.catalog())?;
+        self.cross_checked(wf, run.result)
+    }
+
+    /// A plan run's result, asserted equal to the reference interpreter's
+    /// under `oracle-checks` (see [`Recommender::run_workflow`]).
+    fn cross_checked(&self, wf: &Workflow, result: RecResult) -> RelResult<RecResult> {
         #[cfg(any(test, feature = "oracle-checks"))]
         {
             let oracle = cr_flexrecs::execute(wf, &self.db.catalog())?;
             assert_eq!(
-                run.result, oracle,
+                result, oracle,
                 "plan/interpreter divergence for workflow {}",
                 wf.name
             );
         }
-        Ok(run.result)
+        #[cfg(not(any(test, feature = "oracle-checks")))]
+        let _ = wf;
+        Ok(result)
     }
 
     /// The optimized plan a workflow executes as, one operator per line —

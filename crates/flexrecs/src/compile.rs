@@ -33,7 +33,7 @@ use cr_relation::{
     Catalog, Column, DataType, ExecOptions, Expr, RelError, RelResult, Schema, Value,
 };
 
-use crate::datum::Datum;
+use crate::datum::{Datum, WfSchema};
 use crate::exec::RecResult;
 use crate::workflow::{infer_schema, CmpOp, Node, RecAgg, WfPredicate, Workflow};
 
@@ -137,6 +137,35 @@ pub fn compile_and_run_with(
     catalog: &Catalog,
     opts: &ExecOptions,
 ) -> RelResult<CompiledRun> {
+    run_phases(workflow, catalog, opts, || {
+        let out_schema = infer_schema(&workflow.root, catalog)?;
+        Ok((out_schema, lower(&workflow.root, catalog)?))
+    })
+}
+
+/// Optimize and run `plan`, which [`compile`] lowered from `workflow`:
+/// [`compile_and_run_with`] for a caller that needed the unoptimized plan
+/// first (to key a cache by its fingerprint), so the workflow is lowered
+/// once. Its "Lower" step only infers the output schema.
+pub fn run_compiled(
+    workflow: &Workflow,
+    plan: LogicalPlan,
+    catalog: &Catalog,
+    opts: &ExecOptions,
+) -> RelResult<CompiledRun> {
+    run_phases(workflow, catalog, opts, || {
+        Ok((infer_schema(&workflow.root, catalog)?, plan))
+    })
+}
+
+/// The timed phases of a compiled run: `lower` (the workflow's output
+/// schema and unoptimized plan), optimize, execute.
+fn run_phases(
+    workflow: &Workflow,
+    catalog: &Catalog,
+    opts: &ExecOptions,
+    lower: impl FnOnce() -> RelResult<(WfSchema, LogicalPlan)>,
+) -> RelResult<CompiledRun> {
     let mut run_span = cr_obs::trace::TraceSpan::child("flexrecs.run");
     if run_span.is_recording() {
         run_span.attr("workflow", workflow.name.to_string());
@@ -157,8 +186,7 @@ pub fn compile_and_run_with(
     let t0 = Instant::now();
     let (out_schema, plan) = {
         let _stage = cr_obs::trace::TraceSpan::child("flexrecs.lower");
-        let out_schema = infer_schema(&workflow.root, catalog)?;
-        (out_schema, lower(&workflow.root, catalog)?)
+        lower()?
     };
     phase("Lower", 0, t0.elapsed());
 

@@ -9,6 +9,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use cr_relation::Value;
 
@@ -22,12 +23,14 @@ pub enum WfType {
     Ratings,
 }
 
-/// A workflow attribute value.
+/// A workflow attribute value. Nested payloads are shared slices, the
+/// same as [`Value::Set`] and [`Value::Ratings`], so a plan's nested cell
+/// becomes a datum without a copy.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Datum {
     Scalar(Value),
-    Set(Vec<Value>),
-    Ratings(Vec<(Value, f64)>),
+    Set(Arc<[Value]>),
+    Ratings(Arc<[(Value, f64)]>),
 }
 
 impl Datum {
@@ -48,14 +51,14 @@ impl Datum {
 
     pub fn as_set(&self) -> Option<&[Value]> {
         match self {
-            Datum::Set(s) => Some(s),
+            Datum::Set(s) => Some(&s[..]),
             _ => None,
         }
     }
 
     pub fn as_ratings(&self) -> Option<&[(Value, f64)]> {
         match self {
-            Datum::Ratings(r) => Some(r),
+            Datum::Ratings(r) => Some(&r[..]),
             _ => None,
         }
     }
@@ -152,10 +155,10 @@ mod tests {
         assert!(s.as_set().is_none());
         assert_eq!(s.wf_type(), WfType::Scalar);
 
-        let set = Datum::Set(vec![Value::Int(1), Value::Int(2)]);
+        let set = Datum::Set(vec![Value::Int(1), Value::Int(2)].into());
         assert_eq!(set.as_set().unwrap().len(), 2);
 
-        let r = Datum::Ratings(vec![(Value::Int(1), 4.0), (Value::Int(2), 3.5)]);
+        let r = Datum::Ratings(vec![(Value::Int(1), 4.0), (Value::Int(2), 3.5)].into());
         let map = r.ratings_map().unwrap();
         assert_eq!(map[&Value::Int(1)], 4.0);
     }
@@ -182,11 +185,11 @@ mod tests {
     fn datum_display() {
         assert_eq!(Datum::Scalar(Value::text("x")).to_string(), "x");
         assert_eq!(
-            Datum::Set(vec![Value::Int(1), Value::Int(2)]).to_string(),
+            Datum::Set(vec![Value::Int(1), Value::Int(2)].into()).to_string(),
             "{1, 2}"
         );
         assert_eq!(
-            Datum::Ratings(vec![(Value::Int(1), 4.0)]).to_string(),
+            Datum::Ratings(vec![(Value::Int(1), 4.0)].into()).to_string(),
             "{1:4.0}"
         );
     }

@@ -270,8 +270,10 @@ pub(crate) fn eval(node: &Node, catalog: &Catalog) -> RelResult<Vec<Tuple>> {
                     .as_scalar()
                     .ok_or_else(|| RelError::Invalid("extend key not scalar".into()))?;
                 let datum = match &agg {
-                    Agg::Sets(m) => Datum::Set(m.get(key).cloned().unwrap_or_default()),
-                    Agg::Ratings(m) => Datum::Ratings(m.get(key).cloned().unwrap_or_default()),
+                    Agg::Sets(m) => Datum::Set(m.get(key).map_or(&[][..], Vec::as_slice).into()),
+                    Agg::Ratings(m) => {
+                        Datum::Ratings(m.get(key).map_or(&[][..], Vec::as_slice).into())
+                    }
                 };
                 t.push(datum);
                 out.push(t);

@@ -4,7 +4,7 @@
 //! artifacts — "site managers can define recommendations declaratively" —
 //! which only pays off if a bad workflow is caught at definition time, not
 //! as a wrong result at serving time. `lint` compiles a workflow onto the
-//! unified [`LogicalPlan`] IR and runs the plan validator plus the dataflow
+//! unified [`LogicalPlan`](cr_relation::LogicalPlan) IR and runs the plan validator plus the dataflow
 //! analyses over the result, surfacing everything as coded diagnostics:
 //!
 //! * `E…` — the workflow cannot run (failed to compile, or lowering

@@ -118,14 +118,14 @@ pub fn write_value(v: &Value, out: &mut Vec<u8>) {
         Value::Set(s) => {
             out.push(TAG_SET);
             write_u64(s.len() as u64, out);
-            for v in s {
+            for v in s.iter() {
                 write_value(v, out);
             }
         }
         Value::Ratings(r) => {
             out.push(TAG_RATINGS);
             write_u64(r.len() as u64, out);
-            for (k, rating) in r {
+            for (k, rating) in r.iter() {
                 write_value(k, out);
                 out.extend_from_slice(&rating.to_bits().to_le_bytes());
             }
@@ -171,7 +171,7 @@ pub fn read_value(buf: &[u8], pos: &mut usize) -> RelResult<Value> {
             for _ in 0..n {
                 items.push(read_value(buf, pos)?);
             }
-            Ok(Value::Set(items))
+            Ok(Value::Set(items.into()))
         }
         TAG_RATINGS => {
             let n = read_u64(buf, pos)? as usize;
@@ -190,7 +190,7 @@ pub fn read_value(buf: &[u8], pos: &mut usize) -> RelResult<Value> {
                 *pos = end;
                 items.push((k, f64::from_bits(u64::from_le_bytes(bytes))));
             }
-            Ok(Value::Ratings(items))
+            Ok(Value::Ratings(items.into()))
         }
         other => Err(corrupt(&format!("unknown value tag {other}"))),
     }

@@ -3,7 +3,7 @@
 //! Two plan walkers share this module and the operator implementations
 //! below them:
 //!
-//! * [`run_batched`] — the **vectorized executor** (`batch_size > 0`, the
+//! * `run_batched` — the **vectorized executor** (`batch_size > 0`, the
 //!   default, and the only path production callers use): operators
 //!   exchange columnar [`Batch`]es. Scans hand out the table's cached
 //!   columnar image ([`Table::columnar`], `Arc`-shared, rebuilt only after
@@ -14,19 +14,19 @@
 //!   dispatch. Hash joins and hash aggregation group rows by hashing and
 //!   comparing their key columns where they are stored (dense group ids,
 //!   no `Vec<Value>` key per row) and aggregation feeds the shared
-//!   [`AggState`] machinery, sort and limit
+//!   `AggState` machinery, sort and limit
 //!   permute/truncate the selection vector. `Extend` probes the related
 //!   table's version-keyed nest image ([`Table::nested`]) when its
 //!   related side is a bare projected scan, and `Recommend` scores off
 //!   the columns, gathering only the rows it returns.
 //!
-//! * [`run`] — the **row executor** (`batch_size == 0`): the original
+//! * `run` — the **row executor** (`batch_size == 0`): the original
 //!   serial pipeline of `Vec<Row>` operators, kept as the differential
 //!   oracle that `tests/batch_differential.rs` compares the batched path
 //!   against.
 //!
 //! Both produce byte-identical results, and both are generic over
-//! [`Profile`]: `()` records nothing, [`OpProfile`] builds the EXPLAIN
+//! `Profile`: `()` records nothing, [`OpProfile`] builds the EXPLAIN
 //! ANALYZE tree, the trace spans and the per-operator histograms — so
 //! profiling is a type parameter of a walker, not a second copy of it.
 //!
@@ -48,7 +48,7 @@ use crate::catalog::Catalog;
 use crate::error::{RelError, RelResult};
 use crate::expr::{BinOp, Expr};
 use crate::keys::{Key, KeyTable};
-use crate::nest::{build_nest_map_core, NestMap};
+use crate::nest::NestMap;
 use crate::plan::{AggExpr, AggFn, JoinKind, LogicalPlan, RecAggPlan, RecMethod, RecSpec, SortKey};
 use crate::profile::OpProfile;
 use crate::row::Row;
@@ -656,10 +656,10 @@ fn as_rec_scalar(v: &Value) -> Option<&Value> {
     }
 }
 
-/// [`build_nest_map_core`] over materialized rows (`[fk, key]` for Set,
+/// [`NestMap::build`] over materialized rows (`[fk, key]` for Set,
 /// `[fk, key, rating]` for Ratings).
 fn build_nest_map(related_rows: &[Row], rating: bool) -> RelResult<NestMap> {
-    build_nest_map_core(
+    NestMap::build(
         related_rows.iter().map(|row| {
             (
                 row[0].clone(),
@@ -672,14 +672,10 @@ fn build_nest_map(related_rows: &[Row], rating: bool) -> RelResult<NestMap> {
 }
 
 /// The nested attribute an extend key maps to (empty when unmatched).
-fn nest_probe(map: &NestMap, key: &Value, rating: bool) -> RelResult<Value> {
+fn nest_probe(map: &NestMap, key: &Value) -> RelResult<Value> {
     let key =
         as_rec_scalar(key).ok_or_else(|| RelError::Invalid("extend key not scalar".into()))?;
-    Ok(match map.get(key) {
-        Some(v) => v.clone(),
-        None if rating => Value::Ratings(Vec::new()),
-        None => Value::Set(Vec::new()),
-    })
+    Ok(map.probe(key))
 }
 
 fn extend_rows(
@@ -691,7 +687,7 @@ fn extend_rows(
     let map = build_nest_map(related_rows, rating)?;
     let mut out = Vec::with_capacity(input_rows.len());
     for mut row in input_rows {
-        let nested = nest_probe(&map, &row[key_col], rating)?;
+        let nested = nest_probe(&map, &row[key_col])?;
         row.push(nested);
         out.push(row);
     }
@@ -1891,7 +1887,7 @@ fn union_batched(left: &Batch, right: &Batch) -> Batch {
 /// (`[fk, key(, rating)]`) — the general path, for a related side that
 /// is more than a bare projected scan.
 fn nest_from_batch(related: &Batch, rating: bool) -> RelResult<NestMap> {
-    build_nest_map_core(
+    NestMap::build(
         (0..related.len()).map(|j| {
             (
                 related.value(0, j),
@@ -1906,12 +1902,12 @@ fn nest_from_batch(related: &Batch, rating: bool) -> RelResult<NestMap> {
 /// Batched Extend probe: append one nested column. The input keeps its
 /// selection vector — no input column is copied, unselected slots of the
 /// new column stay NULL.
-fn extend_batched(input: Batch, nest: &NestMap, key_col: usize, rating: bool) -> RelResult<Batch> {
+fn extend_batched(input: Batch, nest: &NestMap, key_col: usize) -> RelResult<Batch> {
     let keys = input.column(key_col);
     let mut nested = vec![Value::Null; input.base_rows()];
     for j in 0..input.len() {
         let base = input.base_index(j);
-        nested[base] = nest_probe(nest, &cell(keys, base), rating)?;
+        nested[base] = nest_probe(nest, &cell(keys, base))?;
     }
     let mut cols = input.columns().to_vec();
     cols.push(Arc::new(BatchColumn::from_generic(nested)));
@@ -2206,7 +2202,7 @@ fn run_batched<P: Profile>(
                 let m = metrics();
                 if cached { &m.nest_hits } else { &m.nest_builds }.inc();
             }
-            let batch = extend_batched(i, &nest, *key_col, *rating)?;
+            let batch = extend_batched(i, &nest, *key_col)?;
             let label = P::label(|| {
                 let mut detail = extend_detail(*rating, *key_col, as_name);
                 detail.push(format!("nest={}", if cached { "cached" } else { "built" }));
@@ -2601,14 +2597,14 @@ mod tests {
         // ann took 101 twice + 102 → deduped sorted {101, 102}.
         assert_eq!(
             rs.rows[0][2],
-            Value::Set(vec![Value::Int(101), Value::Int(102)])
+            Value::Set(vec![Value::Int(101), Value::Int(102)].into())
         );
         assert_eq!(
             rs.rows[1][2],
-            Value::Set(vec![Value::Int(101), Value::Int(103)])
+            Value::Set(vec![Value::Int(101), Value::Int(103)].into())
         );
         // cat's only enrollment has NULL rating but the course id exists.
-        assert_eq!(rs.rows[2][2], Value::Set(vec![Value::Int(102)]));
+        assert_eq!(rs.rows[2][2], Value::Set(vec![Value::Int(102)].into()));
     }
 
     #[test]
@@ -2619,10 +2615,10 @@ mod tests {
         // ann rated 101 twice (5.0, 3.0) → avg 4.0.
         assert_eq!(
             rs.rows[0][2],
-            Value::Ratings(vec![(Value::Int(101), 4.0), (Value::Int(102), 3.0)])
+            Value::Ratings(vec![(Value::Int(101), 4.0), (Value::Int(102), 3.0)].into())
         );
         // cat's single enrollment has a NULL rating → empty ratings.
-        assert_eq!(rs.rows[2][2], Value::Ratings(vec![]));
+        assert_eq!(rs.rows[2][2], Value::Ratings(Arc::new([])));
     }
 
     #[test]
@@ -2812,7 +2808,8 @@ mod tests {
 
     /// A related side that is more than a bare projected scan builds its
     /// nest from the scanned batch — same rows out, never a cached image,
-    /// never a stale one after the related table changes.
+    /// never a stale one after the related table changes. An insert into
+    /// the related table patches the image, any other write drops it.
     #[test]
     fn extend_general_path_and_invalidation() {
         let db = nest_db();
@@ -2846,16 +2843,25 @@ mod tests {
             (rows.clone(), "nest=built".to_owned())
         );
         assert_eq!(nest_detail(&filtered).1, "nest=built");
-        // A write to the related table retires the image.
+        // An insert into the related table patches the image...
         db.execute_sql("INSERT INTO taken VALUES (7, 3, 103, 1.0)")
             .unwrap();
-        let (after, rebuilt) = nest_detail(&bare);
-        assert_eq!(rebuilt, "nest=built");
-        assert_eq!(after[2][2], Value::Ratings(vec![(Value::Int(103), 1.0)]));
+        let (after, patched) = nest_detail(&bare);
+        assert_eq!(patched, "nest=cached");
+        assert_eq!(
+            after[2][2],
+            Value::Ratings(vec![(Value::Int(103), 1.0)].into())
+        );
         assert_eq!(nest_detail(&filtered).0, after);
         let oracle = db
             .run_plan_with(&bare, &ExecOptions { batch_size: 0 })
             .unwrap();
         assert_eq!(oracle.rows, after);
+        // ...and a delete retires it.
+        db.execute_sql("DELETE FROM taken WHERE tid = 7").unwrap();
+        let (after, rebuilt) = nest_detail(&bare);
+        assert_eq!(rebuilt, "nest=built");
+        assert_eq!(after[2][2], Value::Ratings(Arc::new([])));
+        assert_eq!(nest_detail(&filtered).0, after);
     }
 }

@@ -628,7 +628,7 @@ impl Expr {
     /// Semantics mirror [`Expr::eval`] row-for-row: typed fast-path
     /// kernels are exact specializations of the scalar rules, and every
     /// other case funnels through the same scalar cores
-    /// ([`binary_scalar`] & friends) the row evaluator uses. `AND`/`OR`/
+    /// (`binary_scalar` & friends) the row evaluator uses. `AND`/`OR`/
     /// `COALESCE` (and `ROUND`/`SUBSTR` extra arguments) keep their lazy
     /// semantics by evaluating the deferred operand only over the
     /// sub-selection of rows where the row evaluator would have reached

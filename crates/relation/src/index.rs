@@ -115,6 +115,11 @@ impl<V: Clone> ShardMap<V> {
         self.shards.iter().flat_map(|s| s.values())
     }
 
+    /// Every entry, shard by shard (no particular order).
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&IndexKey, &V)> {
+        self.shards.iter().flat_map(|s| s.iter())
+    }
+
     /// The shard pointers, in shard order (structural-sharing tests).
     #[cfg(test)]
     pub(crate) fn shard_ptrs(&self) -> Vec<*const ()> {

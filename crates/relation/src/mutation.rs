@@ -24,7 +24,7 @@ use crate::schema::Schema;
 /// emission order onto the same starting state reproduces the table
 /// byte-for-byte (row ids included). Updates and deletes additionally
 /// carry the *old* row image and every record carries the post-mutation
-/// [`crate::Table::version`], so delta-driven caches can test a write
+/// [`crate::table::Table::version`], so delta-driven caches can test a write
 /// against an entry's dependency set (touched columns, key values)
 /// without re-reading the table.
 pub enum Mutation<'a> {

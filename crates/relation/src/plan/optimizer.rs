@@ -17,7 +17,7 @@
 //!    expressions on the way back up. A join then gathers only the
 //!    columns above it read — `Courses.Description` is never cloned to
 //!    count enrollments — and a dead `Extend` disappears. The per-operator
-//!    rule is [`child_reads`], the same function the unused-extend
+//!    rule is `child_reads`, the same function the unused-extend
 //!    warning (W104) walks with. Extend and Recommend inputs keep every
 //!    column, and the root schema never changes.
 

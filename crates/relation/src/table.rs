@@ -22,11 +22,21 @@
 //! mutation then copies only the chunk it touches and, in each map, the
 //! shard its key lands in — and only while a clone still shares them; an
 //! unshared chunk or shard is written in place. Every clone keeps exactly
-//! the state it was taken at. The derived images ([`Table::columnar`],
-//! [`Table::nested`]) are immutable `Arc`s stamped with
-//! [`Table::version`], rebuilt on first use after a mutation.
+//! the state it was taken at.
+//!
+//! ## Derived images
+//!
+//! The columnar image ([`Table::columnar`]) and the nest images
+//! ([`Table::nested`]) are `Arc`s stamped with [`Table::version`] and
+//! built on first use. The columnar image is rebuilt after any mutation.
+//! A nest image survives inserts: [`Table::insert`] folds the new row into
+//! every nest image stamped at the pre-insert version and restamps it, so
+//! the image is patched, not rebuilt. A nest image is itself sharded
+//! copy-on-write (see [`crate::nest`]), so a patch made while a snapshot
+//! pins the image copies one shard of it. A delete, an update or a WAL
+//! replay drops the nest images, and the next use rebuilds them.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
@@ -34,7 +44,7 @@ use crate::batch::{Column as BatchColumn, ColumnBuilder};
 use crate::error::{RelError, RelResult};
 use crate::index::{Index, IndexKey, IndexKind, ShardMap};
 use crate::mutation::{Mutation, MutationObserver, ObserverSlot};
-use crate::nest::{build_nest_map_core, NestMap};
+use crate::nest::NestMap;
 use crate::row::{Row, RowId};
 use crate::schema::Schema;
 use crate::value::Value;
@@ -63,10 +73,30 @@ impl<T: Clone> Clone for Versioned<T> {
 /// The columnar image batched scans serve (see [`Table::columnar`]).
 type ColumnarImage = Arc<Vec<Arc<BatchColumn>>>;
 
-/// The nest images built at one version, by `(fk, key, rating)` column
+/// The nest images current at one version, by `(fk, key, rating)` column
 /// positions (see [`Table::nested`]). A table is nested by one or two
 /// column triples in practice, so a scan of a short vector.
 type NestImages = Vec<((usize, usize, Option<usize>), Arc<NestMap>)>;
+
+/// Nest-image maintenance counters: images built cold, patched by an
+/// insert, and dropped by any other write.
+struct NestCounters {
+    built: Arc<cr_obs::Counter>,
+    patched: Arc<cr_obs::Counter>,
+    dropped: Arc<cr_obs::Counter>,
+}
+
+fn nest_counters() -> &'static NestCounters {
+    static C: OnceLock<NestCounters> = OnceLock::new();
+    C.get_or_init(|| {
+        let r = cr_obs::Registry::global();
+        NestCounters {
+            built: r.counter("relation.nest.built"),
+            patched: r.counter("relation.nest.patched"),
+            dropped: r.counter("relation.nest.dropped"),
+        }
+    })
+}
 
 /// Slots per row chunk (module docs: copy-on-write). A power of two, so a
 /// row id splits into chunk and offset by shift and mask.
@@ -271,6 +301,7 @@ impl Table {
         }
         self.live -= 1;
         self.version += 1;
+        self.drop_nests();
         Some(row)
     }
 
@@ -298,7 +329,50 @@ impl Table {
         }
         self.rows.replace(rid.0 as usize, Some(new_row));
         self.version += 1;
+        self.drop_nests();
         Some(old_row)
+    }
+
+    /// Drop every nest image (module docs: derived images); the next
+    /// [`Table::nested`] call rebuilds it.
+    fn drop_nests(&mut self) {
+        if let Some((_, images)) = self.nests.0.get_mut().take() {
+            if cr_obs::enabled() {
+                nest_counters().dropped.add(images.len() as u64);
+            }
+        }
+    }
+
+    /// Fold the row just inserted at `rid` into every nest image current
+    /// before the insert, and stamp them with the new version (module
+    /// docs: derived images). Images that were already stale, and any a
+    /// patch fails on, are dropped.
+    fn patch_nests(&mut self, rid: RowId) {
+        let slot = self.nests.0.get_mut();
+        let Some((version, images)) = slot else {
+            return;
+        };
+        let row = self.rows.get(rid.0 as usize).expect("just inserted");
+        let before = images.len();
+        if *version + 1 == self.version {
+            images.retain_mut(|(cols, image)| {
+                let (fk, key, rating) = *cols;
+                let triple = (
+                    row[fk].clone(),
+                    row[key].clone(),
+                    rating.map(|c| row[c].clone()),
+                );
+                Arc::make_mut(image).patch(triple).is_ok()
+            });
+        } else {
+            images.clear();
+        }
+        if cr_obs::enabled() {
+            let c = nest_counters();
+            c.patched.add(images.len() as u64);
+            c.dropped.add((before - images.len()) as u64);
+        }
+        *version = self.version;
     }
 
     /// Insert a row (validated and coerced against the schema).
@@ -331,6 +405,7 @@ impl Table {
         self.rows.push(Some(row));
         self.live += 1;
         self.version += 1;
+        self.patch_nests(rid);
         if self.observer.get().is_some() {
             let row = self.get(rid).expect("just inserted");
             self.emit(&Mutation::Insert {
@@ -434,6 +509,7 @@ impl Table {
         self.rows.replace(slot, Some(row));
         self.live += 1;
         self.version += 1;
+        self.drop_nests();
         Ok(())
     }
 
@@ -552,11 +628,13 @@ impl Table {
     /// Nested image of the live rows for the FlexRecs extend operator:
     /// `fk_col` value → `Value::Set` of `key_col` values, or — with a
     /// `rating_col` — `Value::Ratings` of per-key rating averages (see
-    /// [`build_nest_map_core`], fed in [`Table::scan`] order). Same life
-    /// cycle as [`Table::columnar`]: built on first call after a mutation,
-    /// cached against [`Table::version`], `Arc`-shared into clones;
-    /// concurrent first calls may both build, the result is identical
-    /// either way. The flag is `true` when the image came from the cache.
+    /// [`NestMap`], fed in [`Table::scan`] order). Built on first call,
+    /// cached against [`Table::version`] and `Arc`-shared into clones. An
+    /// insert patches the cached image in place of dropping it, and any
+    /// other mutation drops it (module docs: derived images); either way
+    /// the image equals a cold build at the current version. Concurrent
+    /// first calls may both build, the result is identical either way. The
+    /// flag is `true` when the image came from the cache, patched or not.
     pub fn nested(
         &self,
         fk_col: usize,
@@ -585,7 +663,7 @@ impl Table {
                 self.name
             )));
         }
-        let built = Arc::new(build_nest_map_core(
+        let built = Arc::new(NestMap::build(
             self.scan().map(|(_, r)| {
                 (
                     r[fk_col].clone(),
@@ -595,6 +673,9 @@ impl Table {
             }),
             rating_col.is_some(),
         )?);
+        if cr_obs::enabled() {
+            nest_counters().built.inc();
+        }
         let mut slot = self.nests.0.lock();
         if let Some(raced) = cached(&slot) {
             return Ok((raced, false));
@@ -607,12 +688,12 @@ impl Table {
     }
 
     /// Every part of this table that grows with its rows, as labelled
-    /// pointers in a fixed order: row chunks, primary-key shards, then
-    /// each index's parts. The destructuring is exhaustive on purpose: a
-    /// field added later does not compile here until it is listed, either
-    /// among the parts or as cheap to clone, so nothing that copies
-    /// O(table) can slip into `Table::clone` unseen by the
-    /// structural-sharing test.
+    /// pointers in a fixed order: row chunks, primary-key shards, each
+    /// index's parts, then each cached nest image's shards. The
+    /// destructuring is exhaustive on purpose: a field added later does
+    /// not compile here until it is listed, either among the parts or as
+    /// cheap to clone, so nothing that copies O(table) can slip into
+    /// `Table::clone` unseen by the structural-sharing test.
     #[cfg(test)]
     pub(crate) fn cow_parts(&self) -> Vec<(String, *const ())> {
         let Table {
@@ -623,12 +704,12 @@ impl Table {
             pk_columns: _,
             version: _,
             observer: _,
-            // Immutable `Arc`'d images: a clone copies the pointers.
+            // An immutable `Arc`'d image: a clone copies the pointer.
             columnar: _,
-            nests: _,
             rows,
             pk_index,
             indexes,
+            nests,
         } = self;
         let chunks = rows
             .chunks
@@ -643,7 +724,19 @@ impl Table {
                 .into_iter()
                 .map(move |p| (format!("index {}", i.name), p))
         });
-        chunks.chain(pk).chain(idx).collect()
+        let images = nests
+            .0
+            .lock()
+            .iter()
+            .flat_map(|(_, images)| images)
+            .flat_map(|(cols, image)| {
+                image
+                    .shard_ptrs()
+                    .into_iter()
+                    .map(move |p| (format!("nest {cols:?}"), p))
+            })
+            .collect::<Vec<_>>();
+        chunks.chain(pk).chain(idx).chain(images).collect()
     }
 }
 
@@ -860,6 +953,38 @@ mod tests {
         assert!(t.update(RowId(0), row![1i64, "t0", 0i64]).is_err());
         assert!(moved(&t, &third).is_empty());
 
+        // An insert under a pinned nest image copies one shard of it, and
+        // the pinned image stays what it was.
+        let pinned = [
+            t.nested(2, 0, None).unwrap().0,
+            t.nested(2, 0, Some(2)).unwrap().0,
+        ];
+        let fourth = t.clone();
+        assert!(moved(&t, &fourth).is_empty());
+        t.insert(row![n + 1, "newer", 4i64]).unwrap();
+        let mut want = each_once(true);
+        want.push(("nest (2, 0, None)".to_owned(), 1));
+        want.push(("nest (2, 0, Some(2))".to_owned(), 1));
+        assert_eq!(moved(&t, &fourth), want);
+        assert!(Arc::ptr_eq(
+            &fourth.nested(2, 0, None).unwrap().0,
+            &pinned[0]
+        ));
+        assert!(Arc::ptr_eq(
+            &fourth.nested(2, 0, Some(2)).unwrap().0,
+            &pinned[1]
+        ));
+        let units_4 = t.nested(2, 0, None).unwrap().0;
+        assert_eq!(
+            units_4
+                .get(&Value::Int(4))
+                .unwrap()
+                .as_set()
+                .unwrap()
+                .last(),
+            Some(&Value::Int(n + 1))
+        );
+
         // Each clone still shows the state it was taken at.
         assert!(first.get_by_pk(&vec![Value::Int(n)]).is_none());
         assert_eq!(first.slot_count() as i64, n);
@@ -911,32 +1036,91 @@ mod tests {
         assert_eq!(c2[1].value(0), Value::text("B"));
     }
 
-    /// A fresh nest build over the table's live rows (the oracle for
+    /// `(id, fk, key, score)` rows nested by `fk`: keys repeat under one
+    /// foreign key, scores are tenths (non-dyadic, so a sum depends on its
+    /// order), and both `fk` and `score` are sometimes NULL.
+    fn rated() -> Table {
+        let schema = Schema::qualified(
+            "rated",
+            vec![
+                Column::not_null("id", DataType::Int),
+                Column::new("fk", DataType::Int),
+                Column::new("key", DataType::Int),
+                Column::new("score", DataType::Float),
+            ],
+        );
+        Table::new("rated", schema, vec![0])
+    }
+
+    /// A `rated` row from small draws: `fk` 4 and `score` 0 are NULL.
+    fn rated_row(id: i64, fk: i64, key: i64, score: i64) -> Row {
+        let fk = if fk == 4 { Value::Null } else { Value::Int(fk) };
+        let score = if score == 0 {
+            Value::Null
+        } else {
+            Value::float(score as f64 / 10.0)
+        };
+        vec![Value::Int(id), fk, Value::Int(key), score]
+    }
+
+    /// `(fk, key, rating)` column positions of a nest image.
+    type Cols = (usize, usize, Option<usize>);
+
+    /// The two images of a `rated` table: Set mode and Ratings mode.
+    const IMAGES: [Cols; 2] = [(1, 2, None), (1, 2, Some(3))];
+
+    /// A cold nest build over the table's live rows (the oracle for
     /// [`Table::nested`]).
-    fn fresh_nest(t: &Table, rating: bool) -> NestMap {
-        build_nest_map_core(
+    fn cold_nest(t: &Table, (fk, key, rating): Cols) -> NestMap {
+        NestMap::build(
             t.scan()
-                .map(|(_, r)| (r[2].clone(), r[0].clone(), rating.then(|| r[2].clone()))),
-            rating,
+                .map(|(_, r)| (r[fk].clone(), r[key].clone(), rating.map(|c| r[c].clone()))),
+            rating.is_some(),
         )
         .unwrap()
     }
 
-    /// The last image a test saw, with the version it saw it at.
-    type Seen = Option<(u64, Arc<NestMap>)>;
+    /// A nest map's content by foreign key, every rating as its bits.
+    fn bits(map: &NestMap) -> Vec<(Value, Vec<(Value, u64)>)> {
+        let mut out: Vec<_> = map
+            .iter()
+            .map(|(fk, nested)| {
+                let pairs = match nested {
+                    Value::Set(s) => s.iter().map(|k| (k.clone(), 0)).collect(),
+                    Value::Ratings(r) => r.iter().map(|(k, x)| (k.clone(), x.to_bits())).collect(),
+                    other => panic!("not nested: {other}"),
+                };
+                (fk.clone(), pairs)
+            })
+            .collect();
+        out.sort();
+        out
+    }
 
-    /// `nested` equals a fresh build and is the same `Arc` as `previous`
-    /// exactly when the version has not moved since.
-    fn check_nested(t: &Table, previous: &mut Seen) {
-        let (image, cached) = t.nested(2, 0, None).unwrap();
-        assert_eq!(*image, fresh_nest(t, false));
-        assert_eq!(*t.nested(2, 0, Some(2)).unwrap().0, fresh_nest(t, true));
-        if let Some((version, old)) = previous {
-            assert_eq!(Arc::ptr_eq(old, &image), *version == t.version());
-            assert_eq!(cached, *version == t.version());
+    /// The last images a test saw, with the version it saw them at.
+    type Seen = [Option<(u64, Arc<NestMap>)>; 2];
+
+    /// Each image equals a cold build bit for bit. It is the same `Arc` as
+    /// the one seen before exactly when the version has not moved since,
+    /// and it is served from the cache unless a write other than an insert
+    /// came in between: an insert patches the image it finds current.
+    fn check_nested(t: &Table, seen: &mut Seen, inserted: bool) {
+        for (cols, previous) in IMAGES.into_iter().zip(seen.iter_mut()) {
+            let (image, cached) = t.nested(cols.0, cols.1, cols.2).unwrap();
+            let cold = cold_nest(t, cols);
+            assert_eq!(bits(&image), bits(&cold), "{cols:?}");
+            assert_eq!(*image, cold, "{cols:?}: sums and counts");
+            if let Some((version, old)) = previous {
+                let same = *version == t.version();
+                assert_eq!(Arc::ptr_eq(old, &image), same);
+                assert_eq!(cached, same || (inserted && *version + 1 == t.version()));
+            }
+            assert!(
+                t.nested(cols.0, cols.1, cols.2).unwrap().1,
+                "second call is served"
+            );
+            *previous = Some((t.version(), image));
         }
-        assert!(t.nested(2, 0, None).unwrap().1, "second call is served");
-        *previous = Some((t.version(), image));
     }
 
     #[test]
@@ -946,52 +1130,87 @@ mod tests {
         assert!(t.nested(0, 1, Some(7)).is_err());
     }
 
+    #[test]
+    fn a_patch_that_fails_drops_the_image() {
+        let mut t = courses();
+        // Ratings over a text column: empty while every rating is NULL...
+        t.insert(vec![Value::Int(1), Value::Null, Value::Int(3)])
+            .unwrap();
+        assert!(t.nested(2, 0, Some(1)).unwrap().0.is_empty());
+        // ...and not numeric once one is not: the patch fails, the image
+        // goes, and the next use reports the error a cold build does.
+        t.insert(row![2i64, "B", 3i64]).unwrap();
+        assert!(t.nests.0.lock().as_ref().unwrap().1.is_empty());
+        assert!(t.nested(2, 0, Some(1)).is_err());
+    }
+
     proptest! {
-        /// The nest image tracks the table through any insert / update /
-        /// delete sequence, and through a clone whose writes diverge.
+        /// The nest images track the table through any insert / update /
+        /// delete sequence; a clone whose writes diverge and every pinned
+        /// clone keep images equal to a cold build at their own version.
         #[test]
         fn nest_cache_tracks_version_and_survives_clone(
-            ops in proptest::collection::vec((0u8..4, 0i64..6, 0usize..8), 1..40),
-            fork_at in 0usize..40,
+            ops in proptest::collection::vec((0u8..8, 0i64..5, 0i64..4, 0i64..30), 1..60),
+            fork_at in 0usize..60,
         ) {
-            let mut t = courses();
+            let mut t = rated();
             let mut fork: Option<(Table, Seen)> = None;
-            let mut seen: Seen = None;
+            let mut pins: Vec<(Table, Vec<Arc<NestMap>>)> = Vec::new();
+            let mut seen: Seen = Default::default();
             let mut next_id = 0i64;
-            for (i, (op, units, pick)) in ops.into_iter().enumerate() {
+            for (i, (op, fk, key, score)) in ops.into_iter().enumerate() {
                 if i == fork_at {
-                    // The clone starts from the warm image...
+                    // The clone starts from the warm images...
                     let u = t.clone();
-                    if let Some((_, image)) = &seen {
-                        prop_assert!(Arc::ptr_eq(&u.nested(2, 0, None).unwrap().0, image));
+                    for ((fk, key, r), s) in IMAGES.into_iter().zip(&seen) {
+                        if let Some((_, image)) = s {
+                            prop_assert!(Arc::ptr_eq(&u.nested(fk, key, r).unwrap().0, image));
+                        }
                     }
                     fork = Some((u, seen.clone()));
                 }
-                let victim = t.scan().nth(pick).map(|(rid, _)| rid);
-                match (op, victim) {
+                let victim = t.scan().nth((key * 5 + score) as usize % 7).map(|(rid, _)| rid);
+                let inserted = match (op, victim) {
                     (0, Some(rid)) => {
                         t.delete(rid);
+                        false
                     }
                     (1, Some(rid)) => {
-                        let id = t.get(rid).unwrap()[0].clone();
-                        t.update(rid, vec![id, Value::text("u"), Value::Int(units)]).unwrap();
+                        let id = t.get(rid).unwrap()[0].as_int().unwrap();
+                        t.update(rid, rated_row(id, fk, key, score)).unwrap();
+                        false
                     }
                     // Reads (and misses) leave the version alone.
-                    (2, _) => {}
+                    (2, _) => false,
+                    (3, _) => {
+                        let images = IMAGES.map(|(fk, key, r)| t.nested(fk, key, r).unwrap().0);
+                        pins.push((t.clone(), images.to_vec()));
+                        false
+                    }
                     _ => {
                         next_id += 1;
-                        t.insert(row![next_id, "t", units]).unwrap();
+                        t.insert(rated_row(next_id, fk, key, score)).unwrap();
+                        true
                     }
-                }
-                check_nested(&t, &mut seen);
+                };
+                check_nested(&t, &mut seen, inserted);
                 // ...and diverges on its own writes without disturbing,
                 // or being disturbed by, the original.
                 if let Some((u, u_seen)) = &mut fork {
-                    if i % 2 == 0 {
+                    let write = i % 2 == 0;
+                    if write {
                         next_id += 1;
-                        u.insert(row![next_id, "fork", units]).unwrap();
+                        u.insert(rated_row(next_id, fk, key, score)).unwrap();
                     }
-                    check_nested(u, u_seen);
+                    check_nested(u, u_seen, write);
+                }
+                // A pinned clone keeps the images it was pinned with.
+                for (pin, images) in &pins {
+                    for (cols, pinned) in IMAGES.into_iter().zip(images) {
+                        let (image, cached) = pin.nested(cols.0, cols.1, cols.2).unwrap();
+                        prop_assert!(cached && Arc::ptr_eq(&image, pinned));
+                        prop_assert_eq!(bits(&image), bits(&cold_nest(pin, cols)));
+                    }
                 }
             }
         }

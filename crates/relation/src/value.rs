@@ -12,6 +12,7 @@
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -39,11 +40,13 @@ pub enum Value {
     Date(i32),
     /// A set of scalar values, produced by the FlexRecs `Extend` operator
     /// (e.g. the set of CourseIDs a student has taken). Stored sorted and
-    /// deduplicated by the producer.
-    Set(Vec<Value>),
+    /// deduplicated by the producer. The payload is shared: cloning a set
+    /// (an Extend probe, a copied nest-image shard) copies a pointer.
+    Set(Arc<[Value]>),
     /// A key → rating map, produced by `Extend ... with rating` (e.g.
-    /// CourseID → the rating a student gave). Stored sorted by key.
-    Ratings(Vec<(Value, f64)>),
+    /// CourseID → the rating a student gave). Stored sorted by key;
+    /// shared like [`Value::Set`].
+    Ratings(Arc<[(Value, f64)]>),
 }
 
 impl Value {
@@ -130,7 +133,7 @@ impl Value {
     /// Borrow the elements of a `Set` value, or `None` for anything else.
     pub fn as_set(&self) -> Option<&[Value]> {
         match self {
-            Value::Set(s) => Some(s),
+            Value::Set(s) => Some(&s[..]),
             _ => None,
         }
     }
@@ -138,7 +141,7 @@ impl Value {
     /// Borrow the `(key, rating)` pairs of a `Ratings` value, or `None`.
     pub fn as_ratings(&self) -> Option<&[(Value, f64)]> {
         match self {
-            Value::Ratings(r) => Some(r),
+            Value::Ratings(r) => Some(&r[..]),
             _ => None,
         }
     }
@@ -328,14 +331,14 @@ impl Hash for Value {
             Value::Set(s) => {
                 5u8.hash(state);
                 s.len().hash(state);
-                for v in s {
+                for v in s.iter() {
                     v.hash(state);
                 }
             }
             Value::Ratings(r) => {
                 6u8.hash(state);
                 r.len().hash(state);
-                for (k, rating) in r {
+                for (k, rating) in r.iter() {
                     k.hash(state);
                     // normalize -0.0 to 0.0, same as Float above
                     let f = if *rating == 0.0 { 0.0 } else { *rating };

@@ -22,7 +22,7 @@
 //!
 //! ## Locking
 //!
-//! Mutations reach [`Storage::log`] while holding their table's write
+//! Mutations reach `Storage::log` while holding their table's write
 //! lock, and `log` takes the WAL mutex — so per-table WAL order equals
 //! apply order. The WAL mutex is never held while acquiring table
 //! locks: [`Storage::checkpoint`] captures the WAL position, releases

@@ -13,10 +13,12 @@
 #![allow(clippy::unwrap_used)]
 
 use cr_flexrecs::compile::compile_and_run_with;
-use cr_flexrecs::{CmpOp, Node, RecAgg, RecMethod, RecommendSpec, WfPredicate, Workflow};
+use cr_flexrecs::{
+    CmpOp, Node, RecAgg, RecMethod, RecResult, RecommendSpec, WfPredicate, Workflow,
+};
 use cr_relation::{
-    execute_instrumented_with, execute_with, Database, ExecOptions, RatingsSim, SetSim, TextSim,
-    Value,
+    execute_instrumented_with, execute_with, Catalog, Database, ExecOptions, RatingsSim, SetSim,
+    TextSim, Value,
 };
 use proptest::prelude::*;
 
@@ -934,11 +936,92 @@ fn nest_image_shapes_match_row_oracle() {
     );
     let sizes: Vec<usize> = before.iter().map(|r| r.tuples.len()).collect();
     assert!(sizes[3..].iter().all(|&n| n > 0), "{sizes:?}");
-    // A write to the related table retires every image built above.
+    // The insert patches every image built above; the delete retires them.
     db.execute_sql("INSERT INTO Ratings VALUES (900, 5, 2, 1)")
         .unwrap();
     db.execute_sql("DELETE FROM Ratings WHERE UId = 3 AND IId = 1")
         .unwrap();
     let after = check("after mutating Ratings");
     assert_ne!(before, after, "the mutation must show");
+}
+
+/// Every nest-shape workflow over `catalog` three ways — the table's nest
+/// image, a nest built from a filtered related scan, and the row oracle —
+/// asserted equal at every batch size; returns the oracle's results.
+fn nest_paths_agree(catalog: &Catalog, label: &str) -> Vec<RecResult> {
+    let mut results = Vec::new();
+    for wf in nest_shape_workflows() {
+        let row = compile_and_run_with(&wf, catalog, &oracle()).unwrap();
+        let general = with_related_filter(row.plan.clone());
+        let want = execute_with(&general, catalog, &oracle()).unwrap();
+        for &b in BATCH_SIZES {
+            let image = execute_with(&row.plan, catalog, &batched(b)).unwrap();
+            let built = execute_with(&general, catalog, &batched(b)).unwrap();
+            assert_eq!(
+                image,
+                want,
+                "{label}: image, batch_size={b}\n{}",
+                wf.explain()
+            );
+            assert_eq!(
+                built,
+                want,
+                "{label}: built, batch_size={b}\n{}",
+                wf.explain()
+            );
+        }
+        results.push(row.result);
+    }
+    results
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Inserts patch the cached nest images while updates and deletes
+    /// drop them, interleaved with snapshot pins. After every write the
+    /// live catalog, and every pin taken so far, agree three ways (image,
+    /// batch-built nest, row oracle), and each pin still answers what it
+    /// answered when it was taken.
+    #[test]
+    fn nest_images_at_snapshot_pins_match_row_oracle(
+        ops in proptest::collection::vec((0u8..6, 0i64..7, 1i64..6, 0i64..6), 1..16),
+    ) {
+        let db = build_social_db(&[3, 1, 1, 2, 2, 5], &[(1, 1, 4), (1, 2, 2), (2, 1, 4), (5, 3, 1)]);
+        let null_or = |x: i64| if x == 0 { "NULL".to_owned() } else { x.to_string() };
+        let mut pins = Vec::new();
+        let mut next_rid = 100;
+        // Warm the images, so the first insert has something to patch.
+        nest_paths_agree(&db.catalog(), "cold");
+        for (op, uid, iid, score) in ops {
+            let target = format!("UId = {uid} AND IId = {iid}");
+            match op {
+                0 => {
+                    db.execute_sql(&format!("DELETE FROM Ratings WHERE {target}")).unwrap();
+                }
+                1 => {
+                    let sql = format!("UPDATE Ratings SET Score = {} WHERE {target}", null_or(score));
+                    db.execute_sql(&sql).unwrap();
+                }
+                2 => {
+                    let (view, snap) = db.snapshot();
+                    let answers = nest_paths_agree(&view.catalog(), "pin");
+                    pins.push((view, snap, answers));
+                }
+                _ => {
+                    next_rid += 1;
+                    let sql = format!(
+                        "INSERT INTO Ratings VALUES ({next_rid}, {}, {iid}, {})",
+                        null_or(uid),
+                        null_or(score)
+                    );
+                    db.execute_sql(&sql).unwrap();
+                }
+            }
+            nest_paths_agree(&db.catalog(), "live");
+            for (view, _, answers) in &pins {
+                prop_assert_eq!(&nest_paths_agree(&view.catalog(), "pinned"), answers);
+            }
+        }
+    }
 }

@@ -17,7 +17,7 @@ use cr_datagen::ScaleConfig;
 
 fn app() -> CourseRank {
     let (db, _) = cr_datagen::generate(&ScaleConfig::scaled(0.1)).unwrap();
-    CourseRank::assemble_with_threads(db, 2).unwrap()
+    CourseRank::assemble(db).unwrap()
 }
 
 #[test]
@@ -116,7 +116,7 @@ fn search_reaches_comment_only_matches() {
         date: 0,
     })
     .unwrap();
-    let app = CourseRank::assemble_with_threads(db, 1).unwrap();
+    let app = CourseRank::assemble(db).unwrap();
     let (hits, results) = app.search().search("zanzibar", 10).unwrap();
     assert_eq!(results.total, 1);
     assert_eq!(hits[0].course, 42);
