@@ -166,11 +166,10 @@ fn run_phases(
     opts: &ExecOptions,
     lower: impl FnOnce() -> RelResult<(WfSchema, LogicalPlan)>,
 ) -> RelResult<CompiledRun> {
-    let mut run_span = cr_obs::trace::TraceSpan::child("flexrecs.run");
+    let mut run_span = cr_obs::trace::TraceSpan::child("flexrecs.run").timed(&metrics().run_ns);
     if run_span.is_recording() {
         run_span.attr("workflow", workflow.name.to_string());
     }
-    let started = Instant::now();
     let mut steps = Vec::with_capacity(3);
     let mut phase = |label: &str, rows: usize, elapsed: Duration| {
         if cr_obs::enabled() {
@@ -210,9 +209,7 @@ fn run_phases(
         .map(|r| r.into_iter().map(value_to_datum).collect())
         .collect();
     if cr_obs::enabled() {
-        let m = metrics();
-        m.compiled_runs.inc();
-        m.run_ns.record_duration(started.elapsed());
+        metrics().compiled_runs.inc();
     }
     let fingerprint = plan.fingerprint();
     Ok(CompiledRun {

@@ -117,11 +117,13 @@ impl Histogram {
             seen += slot.load(Ordering::Relaxed);
             if seen >= target {
                 // Clamp the midpoint into the observed min..max range so
-                // single-value histograms report that exact value.
+                // single-value histograms report that exact value. A read
+                // racing a first `record` (count bumped, min/max not yet)
+                // sees lo > hi; the midpoint stands then.
                 let mid = bucket_mid(b);
                 let lo = self.min.load(Ordering::Relaxed);
                 let hi = self.max.load(Ordering::Relaxed);
-                return mid.clamp(lo, hi);
+                return if lo <= hi { mid.clamp(lo, hi) } else { mid };
             }
         }
         self.max.load(Ordering::Relaxed)
@@ -272,6 +274,22 @@ mod tests {
             .sum();
         assert_eq!(bucket_total, threads * per_thread);
         assert!(h.quantile(0.5) > 0);
+    }
+
+    #[test]
+    fn torn_first_record_snapshots_without_panicking() {
+        // A reader between a first record's `count` bump and its min/max
+        // updates: the bucket and count are in, min/max still at rest.
+        let h = Histogram::new();
+        h.buckets[bucket_index(1_000)].store(1, Ordering::Relaxed);
+        h.count.store(1, Ordering::Relaxed);
+        h.sum.store(1_000, Ordering::Relaxed);
+        assert_eq!(h.min.load(Ordering::Relaxed), u64::MAX);
+        assert_eq!(h.max.load(Ordering::Relaxed), 0);
+        let s = h.snapshot("torn");
+        assert_eq!(s.count, 1);
+        assert_eq!(s.p50, bucket_mid(bucket_index(1_000)));
+        assert_eq!(s.p99, s.p50);
     }
 
     #[test]

@@ -36,8 +36,9 @@ pub fn enable() {
     ENABLED.store(true, Ordering::Relaxed);
 }
 
-/// Turn collection off. Already-resolved handles keep recording into
-/// their atomics only where call sites skip the [`enabled()`] gate.
+/// Turn collection off. A guard armed while collection was on (see
+/// [`crate::TraceSpan::timed`]) still records when it closes; nothing
+/// opened afterwards records until [`enable()`].
 pub fn disable() {
     ENABLED.store(false, Ordering::Relaxed);
 }
@@ -205,6 +206,7 @@ mod tests {
 
     #[test]
     fn enable_disable_flag() {
+        let _g = crate::gate_lock();
         enable();
         assert!(enabled());
         disable();

@@ -1,20 +1,26 @@
-//! Hierarchical tracing into an always-on flight recorder.
+//! Hierarchical tracing into an always-on flight recorder, and the
+//! workspace's one timed-section guard.
 //!
-//! Where [`crate::Span`] aggregates durations into histograms, a
-//! [`TraceSpan`] records an *individual* timed section — with a trace
-//! id, a span id, a parent link, key-value attributes, and point
-//! events — into a process-wide bounded ring buffer (the
-//! [`FlightRecorder`]). The ring is lock-free on the happy path: a
-//! writer reserves a slot with one `fetch_add` and takes a per-slot
-//! `try_lock`; if the slot is contended the record is dropped and a
-//! counter bumped, so recording never blocks an executor thread.
+//! A [`TraceSpan`] times a section into up to two sinks, each behind
+//! its own gate:
 //!
-//! Tracing has its own gate ([`enabled`]), separate from the metrics
-//! gate, and is **off by default**: a disabled `TraceSpan` constructor
-//! does one relaxed load and returns an inert guard — no clock read,
-//! no allocation. Parenting is implicit through a thread-local span
-//! stack; crossing threads is explicit via
-//! [`TraceSpan::child_of`] with a captured [`SpanContext`].
+//! * the **ring** (trace gate, [`enabled`]): an individual
+//!   [`SpanRecord`] — trace id, span id, parent link, key-value
+//!   attributes and point events — lands in a process-wide bounded
+//!   ring buffer (the [`FlightRecorder`]). The ring is lock-free on the
+//!   happy path: a writer reserves a slot with one `fetch_add` and takes
+//!   a per-slot `try_lock`; if the slot is contended the record is
+//!   dropped and a counter bumped, so recording never blocks an
+//!   executor thread;
+//! * a **histogram** (metrics gate, [`crate::enabled`]), attached with
+//!   [`TraceSpan::timed`]: the section's duration is aggregated into it.
+//!
+//! Both gates are **off by default**. With both off a guard costs two
+//! relaxed loads — no clock read, no allocation. With either on, both
+//! sinks share one trace-clock reading at open and one at close. The
+//! metrics-only guard reads the clock and nothing else: no allocation,
+//! no span stack. Parenting is implicit through a thread-local span
+//! stack that only ring-recording spans join.
 //!
 //! Two exporters ship with the recorder:
 //!
@@ -39,7 +45,7 @@
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::histogram::Histogram;
@@ -78,12 +84,11 @@ pub struct TraceId(pub u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SpanId(pub u64);
 
-/// A span's coordinates, cheap to copy across threads so workers can
-/// attach children to a parent on another thread.
+/// A live span's coordinates, as kept on the thread-local span stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SpanContext {
-    pub trace: TraceId,
-    pub span: SpanId,
+struct SpanContext {
+    trace: TraceId,
+    span: SpanId,
 }
 
 static NEXT_TRACE: AtomicU64 = AtomicU64::new(1);
@@ -142,9 +147,8 @@ fn thread_ordinal() -> u32 {
     THREAD_ORDINAL.with(|t| *t)
 }
 
-/// The innermost live span on this thread, if any — capture it before
-/// spawning workers and hand it to [`TraceSpan::child_of`].
-pub fn current_context() -> Option<SpanContext> {
+/// The innermost ring-recording span on this thread, if any.
+fn current_context() -> Option<SpanContext> {
     SPAN_STACK.with(|s| s.borrow().last().copied())
 }
 
@@ -272,57 +276,72 @@ pub fn recorder() -> &'static FlightRecorder {
 // TraceSpan
 // ---------------------------------------------------------------------------
 
+/// The ring sink's state: everything a [`SpanRecord`] needs but the
+/// timing.
 struct LiveSpan {
     ctx: SpanContext,
     parent: Option<SpanId>,
     name: String,
-    start_ns: u64,
     attrs: Vec<(&'static str, String)>,
     events: Vec<(u64, String)>,
-    hist: Option<Arc<Histogram>>,
 }
 
-/// An in-flight traced section. Records a [`SpanRecord`] into the
-/// global [`recorder`] on drop; inert (no clock, no allocation) when
-/// tracing is disabled.
+/// An in-flight timed section. On drop it records a [`SpanRecord`] into
+/// the global [`recorder`] if tracing was on at open, and its duration
+/// into the histogram attached with [`TraceSpan::timed`] if metrics
+/// were on; inert (no clock, no allocation) when neither was.
 #[must_use = "a trace span records when dropped; binding it to _ drops immediately"]
-pub struct TraceSpan {
+pub struct TraceSpan<'h> {
+    /// Trace-clock reading at open, shared by both sinks; meaningful
+    /// only while one of them is armed.
+    start_ns: u64,
+    /// The ring sink, armed when tracing was on at open.
     live: Option<LiveSpan>,
+    /// The histogram sink, armed by [`TraceSpan::timed`].
+    hist: Option<&'h Histogram>,
 }
 
-impl TraceSpan {
-    fn start(trace: TraceId, parent: Option<SpanId>, name: &str) -> TraceSpan {
+impl<'h> TraceSpan<'h> {
+    fn inert() -> Self {
+        TraceSpan {
+            start_ns: 0,
+            live: None,
+            hist: None,
+        }
+    }
+
+    fn start(trace: TraceId, parent: Option<SpanId>, name: &str) -> Self {
         let ctx = SpanContext {
             trace,
             span: next_span_id(),
         };
         SPAN_STACK.with(|s| s.borrow_mut().push(ctx));
         TraceSpan {
+            start_ns: now_ns(),
             live: Some(LiveSpan {
                 ctx,
                 parent,
                 name: name.to_owned(),
-                start_ns: now_ns(),
                 attrs: Vec::new(),
                 events: Vec::new(),
-                hist: None,
             }),
+            hist: None,
         }
     }
 
     /// Open a root span: a fresh trace with no parent.
-    pub fn root(name: &str) -> TraceSpan {
+    pub fn root(name: &str) -> Self {
         if !enabled() {
-            return TraceSpan { live: None };
+            return TraceSpan::inert();
         }
         TraceSpan::start(next_trace_id(), None, name)
     }
 
     /// Open a child of the innermost live span on this thread, or a
     /// fresh root when the stack is empty.
-    pub fn child(name: &str) -> TraceSpan {
+    pub fn child(name: &str) -> Self {
         if !enabled() {
-            return TraceSpan { live: None };
+            return TraceSpan::inert();
         }
         match current_context() {
             Some(parent) => TraceSpan::start(parent.trace, Some(parent.span), name),
@@ -330,28 +349,28 @@ impl TraceSpan {
         }
     }
 
-    /// Open a child of an explicit parent context — the cross-thread
-    /// link for worker threads. Also anchors this thread's stack
-    /// so further [`TraceSpan::child`] calls nest under it.
-    pub fn child_of(parent: SpanContext, name: &str) -> TraceSpan {
-        if !enabled() {
-            return TraceSpan { live: None };
+    /// Also record the section's duration into `hist` when metrics
+    /// collection ([`crate::enabled`]) is on. Chain it onto the
+    /// constructor: the duration runs from the span's opening clock
+    /// reading, or from here when tracing is off.
+    pub fn timed(mut self, hist: &'h Histogram) -> Self {
+        if crate::registry::enabled() {
+            if self.live.is_none() {
+                self.start_ns = now_ns();
+            }
+            self.hist = Some(hist);
         }
-        TraceSpan::start(parent.trace, Some(parent.span), name)
+        self
     }
 
-    /// A span that never records, regardless of the enable flag.
-    pub fn noop() -> TraceSpan {
-        TraceSpan { live: None }
-    }
-
-    /// Is this span actually recording?
+    /// Is this span recording into the ring (so attributes and events
+    /// are kept)?
     pub fn is_recording(&self) -> bool {
         self.live.is_some()
     }
 
-    /// This span's coordinates (to hand to [`TraceSpan::child_of`]).
-    pub fn context(&self) -> Option<SpanContext> {
+    #[cfg(test)]
+    fn context(&self) -> Option<SpanContext> {
         self.live.as_ref().map(|l| l.ctx)
     }
 
@@ -378,32 +397,28 @@ impl TraceSpan {
         }
     }
 
-    /// Also record the span's duration into a pre-resolved histogram
-    /// on drop (one span, both systems).
-    pub fn with_histogram(mut self, hist: Arc<Histogram>) -> TraceSpan {
-        if let Some(l) = self.live.as_mut() {
-            l.hist = Some(hist);
-        }
-        self
-    }
-
-    /// Elapsed trace-clock nanoseconds so far, if live.
+    /// Elapsed trace-clock nanoseconds so far, if either sink is armed.
     pub fn elapsed_ns(&self) -> Option<u64> {
-        self.live
-            .as_ref()
-            .map(|l| now_ns().saturating_sub(l.start_ns))
+        (self.live.is_some() || self.hist.is_some()).then(|| now_ns().saturating_sub(self.start_ns))
     }
 
     /// Finish explicitly (equivalent to dropping).
     pub fn finish(self) {}
 }
 
-impl Drop for TraceSpan {
+impl Drop for TraceSpan<'_> {
     fn drop(&mut self) {
-        let Some(live) = self.live.take() else {
+        let live = self.live.take();
+        if live.is_none() && self.hist.is_none() {
+            return;
+        }
+        let dur_ns = now_ns().saturating_sub(self.start_ns);
+        if let Some(hist) = self.hist {
+            hist.record(dur_ns);
+        }
+        let Some(live) = live else {
             return;
         };
-        let dur_ns = now_ns().saturating_sub(live.start_ns);
         // Spans are scope guards, so per-thread lifetimes are LIFO;
         // still, only pop if the top really is us (a mem::forget'd
         // child must not make us pop someone else's frame).
@@ -413,9 +428,6 @@ impl Drop for TraceSpan {
                 stack.pop();
             }
         });
-        if let Some(h) = &live.hist {
-            h.record(dur_ns);
-        }
         recorder().record(SpanRecord {
             seq: 0, // assigned by the ring
             trace: live.ctx.trace,
@@ -423,7 +435,7 @@ impl Drop for TraceSpan {
             parent: live.parent,
             name: live.name,
             thread: thread_ordinal(),
-            start_ns: live.start_ns,
+            start_ns: self.start_ns,
             dur_ns,
             attrs: live.attrs,
             events: live.events,
@@ -596,27 +608,80 @@ pub fn clear_slow_queries() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate_lock as guard;
 
-    // Trace state (gate, ring, id counters) is process-global; tests
-    // that touch it serialize on this lock and filter by their own
-    // trace ids where possible.
-    fn guard() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    fn stack_depth() -> usize {
+        SPAN_STACK.with(|s| s.borrow().len())
+    }
+
+    /// Set both gates, run a 500 ns section on the manual clock under a
+    /// `timed` child span, and report what each sink saw: histogram
+    /// count and sum, ring records added, the guard's `elapsed_ns`, and
+    /// the span-stack depth inside the section.
+    fn run_section(metrics: bool, tracing: bool) -> (u64, u64, u64, Option<u64>, usize) {
+        if metrics {
+            crate::registry::enable();
+        } else {
+            crate::registry::disable();
+        }
+        if tracing {
+            enable();
+        } else {
+            disable();
+        }
+        set_manual_clock(true);
+        let hist = Histogram::new();
+        let before = recorder().recorded();
+        let (elapsed, depth) = {
+            let span = TraceSpan::child("gates").timed(&hist);
+            advance_manual_clock(500);
+            (span.elapsed_ns(), stack_depth())
+        };
+        let added = recorder().recorded() - before;
+        set_manual_clock(false);
+        disable();
+        crate::registry::disable();
+        (hist.count(), hist.sum(), added, elapsed, depth)
     }
 
     #[test]
-    fn disabled_span_is_inert() {
+    fn both_gates_off_is_inert() {
         let _g = guard();
+        assert_eq!(run_section(false, false), (0, 0, 0, None, 0));
+    }
+
+    #[test]
+    fn metrics_only_feeds_the_histogram_and_leaves_the_stack_alone() {
+        let _g = guard();
+        assert_eq!(run_section(true, false), (1, 500, 0, Some(500), 0));
+    }
+
+    #[test]
+    fn trace_only_feeds_the_ring() {
+        let _g = guard();
+        assert_eq!(run_section(false, true), (0, 0, 1, Some(500), 1));
+    }
+
+    #[test]
+    fn both_gates_feed_both_sinks_from_one_clock() {
+        let _g = guard();
+        enable();
+        crate::registry::enable();
+        set_manual_clock(true);
+        let hist = Histogram::new();
+        let ctx = {
+            let span = TraceSpan::root("both").timed(&hist);
+            advance_manual_clock(750);
+            span.context().expect("recording")
+        };
+        set_manual_clock(false);
         disable();
-        let before = recorder().recorded();
-        {
-            let s = TraceSpan::root("inert");
-            assert!(!s.is_recording());
-            assert!(s.context().is_none());
-            assert!(s.elapsed_ns().is_none());
-        }
-        assert_eq!(recorder().recorded(), before);
+        crate::registry::disable();
+        let spans = recorder().snapshot();
+        let rec = spans.iter().find(|r| r.span == ctx.span).expect("recorded");
+        assert_eq!(rec.dur_ns, 750);
+        assert_eq!((hist.count(), hist.sum()), (1, 750));
+        assert_eq!(stack_depth(), 0);
     }
 
     #[test]
@@ -647,28 +712,6 @@ mod tests {
             .find(|s| s.trace == root_ctx.trace && s.name == "outer")
             .expect("outer recorded");
         assert_eq!(outer.parent, None);
-        disable();
-    }
-
-    #[test]
-    fn child_of_links_across_contexts() {
-        let _g = guard();
-        enable();
-        let parent = TraceSpan::root("parent");
-        let ctx = parent.context().expect("recording");
-        let worker = std::thread::spawn(move || {
-            let child = TraceSpan::child_of(ctx, "worker");
-            child.context().expect("recording")
-        });
-        let child_ctx = worker.join().expect("worker thread");
-        assert_eq!(child_ctx.trace, ctx.trace);
-        drop(parent);
-        let spans = recorder().snapshot();
-        let child = spans
-            .iter()
-            .find(|s| s.span == child_ctx.span)
-            .expect("child recorded");
-        assert_eq!(child.parent, Some(ctx.span));
         disable();
     }
 

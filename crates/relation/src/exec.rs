@@ -43,6 +43,8 @@ use std::ops::Bound;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
+use cr_obs::trace::TraceSpan;
+
 use crate::batch::{Batch, Column as BatchColumn, ColumnBuilder, EvalCol, Vals};
 use crate::catalog::Catalog;
 use crate::error::{RelError, RelResult};
@@ -248,16 +250,16 @@ pub fn execute_instrumented_with(
     execute_as::<OpProfile>(plan, catalog, opts)
 }
 
-/// The one body behind every `execute*` entry point: pick the walker,
-/// materialize rows, record the query metrics, close the query-level
-/// profile (the `relation.query` span and slow-query capture).
+/// The one body behind every `execute*` entry point: open the
+/// `relation.query` span (timed into `relation.query_ns`), pick the
+/// walker, materialize rows, record the query metrics, close the
+/// query-level profile (span attributes and slow-query capture).
 fn execute_as<P: Profile>(
     plan: &LogicalPlan,
     catalog: &Catalog,
     opts: &ExecOptions,
 ) -> RelResult<(ResultSet, P)> {
-    let open = P::open("relation.query");
-    let started = cr_obs::enabled().then(Instant::now);
+    let mut span = TraceSpan::child("relation.query").timed(&metrics().query_ns);
     let (rows, profile) = if opts.batch_size > 0 {
         let (batch, profile) = run_batched::<P>(plan, catalog, opts.batch_size)?;
         (batch.to_rows(), profile)
@@ -265,13 +267,12 @@ fn execute_as<P: Profile>(
         let (rows, profile) = run::<P>(plan, catalog)?;
         (rows.into_owned(), profile)
     };
-    if let Some(t0) = started {
+    if cr_obs::enabled() {
         let m = metrics();
         m.queries.inc();
         m.rows_out.add(rows.len() as u64);
-        m.query_ns.record_duration(t0.elapsed());
     }
-    profile.close_query(open, plan, rows.len());
+    profile.close_query(&mut span, plan, rows.len());
     let result = ResultSet {
         schema: plan.schema().clone(),
         rows,
@@ -293,12 +294,12 @@ type OpLabel = (String, Vec<String>);
 /// executor. [`OpProfile`] times each node, names its trace span and
 /// feeds the `relation.op.*_ns` histograms.
 trait Profile: Sized {
-    /// State opened before a node's (or the whole query's) inputs run.
+    /// State opened before a node's inputs run.
     type Open;
     /// What [`Profile::label`] keeps of a node's [`OpLabel`].
     type Label;
 
-    fn open(span: &'static str) -> Self::Open;
+    fn open() -> Self::Open;
 
     /// Build a node's label — `f` runs only if this profile keeps it.
     fn label(f: impl FnOnce() -> OpLabel) -> Self::Label;
@@ -312,21 +313,22 @@ trait Profile: Sized {
         children: Vec<Self>,
     ) -> Self;
 
-    /// Finish the query whose root node is `self`.
-    fn close_query(&self, open: Self::Open, plan: &LogicalPlan, rows_out: usize);
+    /// Finish the query whose root node is `self`; `span` is its
+    /// `relation.query` span.
+    fn close_query(&self, span: &mut TraceSpan<'_>, plan: &LogicalPlan, rows_out: usize);
 }
 
 impl Profile for () {
     type Open = ();
     type Label = ();
 
-    fn open(_: &'static str) {}
+    fn open() {}
 
     fn label(_: impl FnOnce() -> OpLabel) {}
 
     fn close(_: (), _: (), _: &LogicalPlan, _: usize, _: Vec<()>) {}
 
-    fn close_query(&self, _: (), _: &LogicalPlan, _: usize) {}
+    fn close_query(&self, _: &mut TraceSpan<'_>, _: &LogicalPlan, _: usize) {}
 }
 
 impl Profile for OpProfile {
@@ -334,11 +336,11 @@ impl Profile for OpProfile {
     /// nest under it in the trace; operator spans open as `"op"` and are
     /// renamed on close, once the operator (e.g. hash vs nested-loop
     /// join) is known.
-    type Open = (cr_obs::trace::TraceSpan, Instant);
+    type Open = (TraceSpan<'static>, Instant);
     type Label = OpLabel;
 
-    fn open(span: &'static str) -> Self::Open {
-        (cr_obs::trace::TraceSpan::child(span), Instant::now())
+    fn open() -> Self::Open {
+        (TraceSpan::child("op"), Instant::now())
     }
 
     fn label(f: impl FnOnce() -> OpLabel) -> OpLabel {
@@ -376,9 +378,10 @@ impl Profile for OpProfile {
 
     /// Stamp the `relation.query` span and capture the request into the
     /// flight recorder's slow-query log (plan fingerprint plus the full
-    /// EXPLAIN ANALYZE tree) if the configured threshold is exceeded.
-    fn close_query(&self, (mut span, t0): Self::Open, plan: &LogicalPlan, rows_out: usize) {
-        let elapsed_ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+    /// EXPLAIN ANALYZE tree) if the root operator's time exceeds the
+    /// configured threshold.
+    fn close_query(&self, span: &mut TraceSpan<'_>, plan: &LogicalPlan, rows_out: usize) {
+        let elapsed_ns = self.elapsed.as_nanos().min(u64::MAX as u128) as u64;
         let fingerprint = plan.fingerprint();
         if span.is_recording() {
             span.attr("rows_out", rows_out.to_string());
@@ -478,7 +481,7 @@ fn recommend_detail(spec: &RecSpec) -> Vec<String> {
 /// on every run — copies happen only when an ancestor operator actually
 /// consumes owned rows.
 fn run<'p, P: Profile>(plan: &'p LogicalPlan, catalog: &Catalog) -> RelResult<(Cow<'p, [Row]>, P)> {
-    let open = P::open("op");
+    let open = P::open();
     let (rows, label, children) = match plan {
         LogicalPlan::Scan {
             table,
@@ -2061,7 +2064,7 @@ fn nest_image<P: Profile>(
         _ => return None,
     };
     let served = catalog.with_table(table, |t| {
-        let open = P::open("op");
+        let open = P::open();
         let label = P::label(|| (scan_op(table, alias), vec!["access=NestImage".to_owned()]));
         let scan = P::close(open, label, related, t.len(), Vec::new());
         let (nest, cached) = t.nested(fk, key, rating_col)?;
@@ -2077,7 +2080,7 @@ fn run_batched<P: Profile>(
     catalog: &Catalog,
     batch_size: usize,
 ) -> RelResult<(Batch, P)> {
-    let open = P::open("op");
+    let open = P::open();
     let (batch, label, children) = match plan {
         LogicalPlan::Scan {
             table,

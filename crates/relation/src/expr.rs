@@ -939,7 +939,7 @@ pub(crate) fn not_scalar(v: Value) -> RelResult<Value> {
 pub(crate) fn neg_scalar(v: Value) -> RelResult<Value> {
     match v {
         Value::Null => Ok(Value::Null),
-        Value::Int(i) => Ok(Value::Int(-i)),
+        Value::Int(i) => Ok(Value::Int(i.wrapping_neg())),
         Value::Float(f) => Ok(Value::float(-f)),
         v => Err(RelError::TypeMismatch {
             expected: "numeric".into(),
@@ -996,6 +996,8 @@ pub(crate) fn binary_scalar(op: BinOp, l: Value, r: Value) -> RelResult<Value> {
 /// Integer arithmetic kernel (shared by the row evaluator and the
 /// vectorized `Int × Int` fast path). SQL-style: integer division yields a
 /// float when not exact, matching how ratings averages must behave.
+/// Overflow wraps (two's complement), like `SUM`: `i64::MIN / -1` is
+/// `i64::MIN` and `i64::MIN % -1` is 0; only a zero divisor is an error.
 #[inline]
 fn int_arith(op: BinOp, a: i64, b: i64) -> RelResult<Value> {
     Ok(match op {
@@ -1006,8 +1008,8 @@ fn int_arith(op: BinOp, a: i64, b: i64) -> RelResult<Value> {
             if b == 0 {
                 return Err(RelError::Arithmetic("division by zero".into()));
             }
-            if a % b == 0 {
-                Value::Int(a / b)
+            if a.wrapping_rem(b) == 0 {
+                Value::Int(a.wrapping_div(b))
             } else {
                 Value::float(a as f64 / b as f64)
             }
@@ -1016,7 +1018,7 @@ fn int_arith(op: BinOp, a: i64, b: i64) -> RelResult<Value> {
             if b == 0 {
                 return Err(RelError::Arithmetic("modulo by zero".into()));
             }
-            Value::Int(a % b)
+            Value::Int(a.wrapping_rem(b))
         }
         _ => unreachable!(),
     })
@@ -1539,7 +1541,7 @@ fn text_case_scalar(func: ScalarFn, s: &str) -> Value {
 fn abs_scalar(v: Value) -> RelResult<Value> {
     match v {
         Value::Null => Ok(Value::Null),
-        Value::Int(i) => Ok(Value::Int(i.abs())),
+        Value::Int(i) => Ok(Value::Int(i.wrapping_abs())),
         Value::Float(f) => Ok(Value::float(f.abs())),
         v => Err(RelError::TypeMismatch {
             expected: "numeric".into(),

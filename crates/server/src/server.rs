@@ -329,7 +329,9 @@ impl Server {
         let permit = match self.admission.admit(class) {
             Ok(p) => p,
             Err(shed) => {
-                self.metrics.shed.inc();
+                if cr_obs::enabled() {
+                    self.metrics.shed.inc();
+                }
                 self.sessions.record(session, req.kind(), false, true);
                 return Response::Overloaded {
                     class: shed.class,
@@ -338,24 +340,21 @@ impl Server {
                 };
             }
         };
-        let mut span = if cr_obs::trace::enabled() {
-            cr_obs::trace::TraceSpan::root("server.request")
-        } else {
-            cr_obs::trace::TraceSpan::noop()
-        };
+        let mut span = cr_obs::trace::TraceSpan::root("server.request")
+            .timed(&self.metrics.latency[class.index()]);
         if span.is_recording() {
             span.attr("kind", req.kind());
             span.attr("class", class.name());
         }
-        let start = Instant::now();
         let resp = self.execute(session, req);
-        self.metrics.latency[class.index()].record_duration(start.elapsed());
-        self.metrics.requests.inc();
         let is_err = matches!(resp, Response::Error { .. });
         if is_err {
-            self.metrics.errors.inc();
-            if span.is_recording() {
-                span.attr("error", "true");
+            span.attr("error", "true");
+        }
+        if cr_obs::enabled() {
+            self.metrics.requests.inc();
+            if is_err {
+                self.metrics.errors.inc();
             }
         }
         self.sessions.record(session, req.kind(), is_err, false);

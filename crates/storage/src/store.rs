@@ -30,7 +30,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -153,9 +152,8 @@ impl Storage {
         cfg: StorageConfig,
     ) -> StorageResult<(Arc<Storage>, Database, RecoveryReport)> {
         let metrics = StoreMetrics::new();
-        let mut span = cr_obs::trace::TraceSpan::child("storage.recover");
-        let observing = cr_obs::enabled();
-        let t0 = observing.then(Instant::now);
+        let mut span =
+            cr_obs::trace::TraceSpan::child("storage.recover").timed(&metrics.recovery_ns);
         let mut report = RecoveryReport::default();
 
         let files = backend.list()?;
@@ -239,15 +237,12 @@ impl Storage {
             offset = 0;
         };
 
-        if observing {
+        if cr_obs::enabled() {
             metrics.recovery_runs.inc();
             metrics.replay_records.add(report.replayed_records);
             metrics.replay_bytes.add(report.replayed_bytes);
             metrics.replay_skipped.add(report.skipped_records);
             metrics.replay_truncated_bytes.add(report.truncated_bytes);
-            if let Some(t0) = t0 {
-                metrics.recovery_ns.record_duration(t0.elapsed());
-            }
         }
         if span.is_recording() {
             span.attr("snapshot_seq", format!("{:?}", report.snapshot_seq));
@@ -300,9 +295,8 @@ impl Storage {
     /// files only they referenced. Returns the new snapshot's sequence.
     pub fn checkpoint(&self) -> StorageResult<u64> {
         let _guard = self.checkpoint_lock.lock();
-        let mut span = cr_obs::trace::TraceSpan::child("storage.checkpoint");
-        let observing = cr_obs::enabled();
-        let t0 = observing.then(Instant::now);
+        let mut span =
+            cr_obs::trace::TraceSpan::child("storage.checkpoint").timed(&self.metrics.snapshot_ns);
         // Capture a flushed position, then RELEASE the wal mutex before
         // touching table locks (see module docs on lock order).
         let (wal_seq, wal_offset) = {
@@ -316,12 +310,9 @@ impl Storage {
             .write_atomic(&snapshot_file_name(snap_seq), &data)?;
         self.wal.lock().rotate()?;
         self.prune()?;
-        if observing {
+        if cr_obs::enabled() {
             self.metrics.snapshot_writes.inc();
             self.metrics.snapshot_bytes.add(data.len() as u64);
-            if let Some(t0) = t0 {
-                self.metrics.snapshot_ns.record_duration(t0.elapsed());
-            }
         }
         if span.is_recording() {
             span.attr("snapshot_seq", snap_seq.to_string());

@@ -22,7 +22,6 @@
 //! snapshot so old files can be pruned.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use cr_relation::codec;
 use cr_relation::index::IndexKind;
@@ -560,18 +559,16 @@ impl Wal {
         self.buf.clear();
         self.buffered = 0;
         self.offset += len;
-        let observing = cr_obs::enabled();
-        if observing {
+        if cr_obs::enabled() {
             self.metrics.flushes.inc();
             self.metrics.bytes.add(len);
         }
         if self.cfg.fsync != FsyncPolicy::Never {
-            let _fsync_span = cr_obs::trace::TraceSpan::child("storage.wal.fsync");
-            let t0 = observing.then(Instant::now);
+            let _fsync_span =
+                cr_obs::trace::TraceSpan::child("storage.wal.fsync").timed(&self.metrics.fsync_ns);
             self.backend.sync(&file)?;
-            if let Some(t0) = t0 {
+            if cr_obs::enabled() {
                 self.metrics.fsyncs.inc();
-                self.metrics.fsync_ns.record_duration(t0.elapsed());
             }
         }
         Ok(())

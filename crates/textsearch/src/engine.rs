@@ -9,7 +9,8 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+
+use cr_obs::trace::TraceSpan;
 
 use cr_relation::Value;
 
@@ -18,8 +19,9 @@ use crate::entity::EntityCorpus;
 use crate::index::{DocId, Posting};
 use crate::score::{bm25f_term_score, idf, Bm25Params};
 
-// Handles resolved once; recording is relaxed atomics. All sites gate on
-// `cr_obs::enabled()` so the disabled cost is one atomic load per query.
+// Handles resolved once; recording is relaxed atomics. Counters gate on
+// `cr_obs::enabled()` and latencies ride a `TraceSpan` guard, so with
+// both gates off a query costs a few relaxed loads and no clock read.
 struct TsMetrics {
     queries: Arc<cr_obs::Counter>,
     query_ns: Arc<cr_obs::Histogram>,
@@ -29,7 +31,6 @@ struct TsMetrics {
     cloud_ns: Arc<cr_obs::Histogram>,
     heap_prunes: Arc<cr_obs::Counter>,
     docs_skipped: Arc<cr_obs::Counter>,
-    shards: Arc<cr_obs::Counter>,
 }
 
 fn metrics() -> &'static TsMetrics {
@@ -45,7 +46,6 @@ fn metrics() -> &'static TsMetrics {
             cloud_ns: r.histogram("textsearch.cloud_ns"),
             heap_prunes: r.counter("textsearch.topk.heap_prunes"),
             docs_skipped: r.counter("textsearch.topk.docs_skipped"),
-            shards: r.counter("textsearch.shards_spawned"),
         }
     })
 }
@@ -63,24 +63,19 @@ struct SearchStats {
     /// Matching docs whose scoring was abandoned early because their
     /// upper bound could not reach the current k-th score.
     docs_skipped: u64,
-    /// Worker threads spawned for sharded per-term scoring.
-    shards: u64,
 }
 
-fn record_query_metrics(stats: &SearchStats, t0: Instant) {
+fn record_query_metrics(stats: &SearchStats) {
+    if !cr_obs::enabled() {
+        return;
+    }
     let m = metrics();
     m.queries.inc();
     m.postings_lookups.add(stats.postings_lookups);
     m.candidate_set.record(stats.candidates);
     m.heap_prunes.add(stats.heap_prunes);
     m.docs_skipped.add(stats.docs_skipped);
-    m.shards.add(stats.shards);
-    m.query_ns.record_duration(t0.elapsed());
 }
-
-/// One term's scoring output: live doc frequency plus per-doc BM25F
-/// contributions in posting order.
-type TermScores = (usize, Vec<(DocId, f64)>);
 
 /// Heap entry for top-k search. Ordering: higher score is greater; on a
 /// score tie the *lower* doc id is greater (it wins), matching the
@@ -195,9 +190,6 @@ pub struct SearchResults {
 pub struct SearchEngine {
     corpus: EntityCorpus,
     params: Bm25Params,
-    /// Worker threads for sharding per-term scoring across multi-term
-    /// queries (1 = serial). Results are identical either way.
-    parallelism: usize,
 }
 
 impl SearchEngine {
@@ -205,19 +197,11 @@ impl SearchEngine {
         SearchEngine {
             corpus,
             params: Bm25Params::default(),
-            parallelism: 1,
         }
     }
 
     pub fn with_params(mut self, params: Bm25Params) -> Self {
         self.params = params;
-        self
-    }
-
-    /// Builder-style: shard per-term postings scoring across up to
-    /// `parallelism` scoped threads for multi-term queries.
-    pub fn with_search_parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism.max(1);
         self
     }
 
@@ -237,18 +221,13 @@ impl SearchEngine {
     /// Run a search: conjunctive over the query terms, BM25F-scored,
     /// returning the top `k` hits and the full match list. Records
     /// per-query metrics (index lookups, candidate-set size, latency)
-    /// when metrics collection is enabled.
+    /// when metrics collection is enabled, and a `textsearch.query`
+    /// span when tracing is.
     pub fn search(&self, query: &Query, k: usize) -> SearchResults {
-        let started = if cr_obs::enabled() {
-            Some(Instant::now())
-        } else {
-            None
-        };
+        let _span = TraceSpan::child("textsearch.query").timed(&metrics().query_ns);
         let mut stats = SearchStats::default();
         let results = self.search_inner(query, k, &mut stats);
-        if let Some(t0) = started {
-            record_query_metrics(&stats, t0);
-        }
+        record_query_metrics(&stats);
         results
     }
 
@@ -271,31 +250,6 @@ impl SearchEngine {
         (df, scored)
     }
 
-    /// Score every term concurrently: terms split into contiguous shards,
-    /// one scoped thread each. One postings lookup per term, same as the
-    /// serial pass.
-    fn score_terms_sharded(&self, terms: &[String], stats: &mut SearchStats) -> Vec<TermScores> {
-        let shards = self.parallelism.min(terms.len());
-        stats.postings_lookups += terms.len() as u64;
-        stats.shards += shards as u64;
-        let per_shard: Vec<Vec<TermScores>> = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = (0..shards)
-                .map(|p| {
-                    let lo = p * terms.len() / shards;
-                    let hi = (p + 1) * terms.len() / shards;
-                    let shard = &terms[lo..hi];
-                    s.spawn(move |_| shard.iter().map(|t| self.score_term(t)).collect())
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect()
-        })
-        .expect("shard scope");
-        per_shard.into_iter().flatten().collect()
-    }
-
     fn search_inner(&self, query: &Query, k: usize, stats: &mut SearchStats) -> SearchResults {
         if query.terms.is_empty() {
             return SearchResults {
@@ -303,23 +257,18 @@ impl SearchEngine {
                 ..SearchResults::default()
             };
         }
-        // Per-term (df, scored postings), computed serially term-by-term
-        // (with early exit on a dead term) or sharded across threads.
-        let per_term: Vec<TermScores> = if self.parallelism > 1 && query.terms.len() > 1 {
-            self.score_terms_sharded(&query.terms, stats)
-        } else {
-            let mut per_term = Vec::with_capacity(query.terms.len());
-            for term in &query.terms {
-                stats.postings_lookups += 1;
-                let scored = self.score_term(term);
-                let dead = scored.0 == 0;
-                per_term.push(scored);
-                if dead {
-                    break;
-                }
+        // Per-term (df, scored postings), term by term with an early
+        // exit on a dead term.
+        let mut per_term = Vec::with_capacity(query.terms.len());
+        for term in &query.terms {
+            stats.postings_lookups += 1;
+            let scored = self.score_term(term);
+            let dead = scored.0 == 0;
+            per_term.push(scored);
+            if dead {
+                break;
             }
-            per_term
-        };
+        }
         if per_term.len() < query.terms.len() || per_term.iter().any(|(df, _)| *df == 0) {
             return SearchResults {
                 query: query.clone(),
@@ -388,16 +337,10 @@ impl SearchEngine {
     ///
     /// [`search`]: SearchEngine::search
     pub fn search_topk(&self, query: &Query, k: usize) -> SearchResults {
-        let started = if cr_obs::enabled() {
-            Some(Instant::now())
-        } else {
-            None
-        };
+        let _span = TraceSpan::child("textsearch.query").timed(&metrics().query_ns);
         let mut stats = SearchStats::default();
         let results = self.search_topk_inner(query, k, &mut stats);
-        if let Some(t0) = started {
-            record_query_metrics(&stats, t0);
-        }
+        record_query_metrics(&stats);
         results
     }
 
@@ -523,25 +466,19 @@ impl SearchEngine {
 
     /// Compute the data cloud for a result set (excluding the query's own
     /// terms, per Figure 3). Cloud aggregation time is recorded in the
-    /// `textsearch.cloud_ns` histogram when metrics collection is enabled.
+    /// `textsearch.cloud_ns` histogram when metrics collection is enabled,
+    /// and as a `textsearch.cloud` span when tracing is.
     pub fn cloud(&self, results: &SearchResults, config: &CloudConfig) -> DataCloud {
-        let started = if cr_obs::enabled() {
-            Some(Instant::now())
-        } else {
-            None
-        };
-        let cloud = compute_cloud(
+        let _span = TraceSpan::child("textsearch.cloud").timed(&metrics().cloud_ns);
+        if cr_obs::enabled() {
+            metrics().clouds.inc();
+        }
+        compute_cloud(
             &self.corpus.index,
             &results.matched_docs,
             &results.query.terms,
             config,
-        );
-        if let Some(t0) = started {
-            let m = metrics();
-            m.clouds.inc();
-            m.cloud_ns.record_duration(t0.elapsed());
-        }
-        cloud
+        )
     }
 
     /// The full search-then-cloud step used by the examples.
@@ -753,19 +690,6 @@ mod tests {
             r.matched_docs,
             r.hits.iter().map(|h| h.doc).collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn sharded_search_matches_serial() {
-        let serial = setup();
-        let sharded = setup().with_search_parallelism(3);
-        for query in ["american", "american politics", "american history states"] {
-            let q = serial.parse_query(query);
-            let a = serial.search(&q, 10);
-            let b = sharded.search(&q, 10);
-            assert_same_hits(&a, &b);
-            assert_eq!(a.matched_docs, b.matched_docs);
-        }
     }
 
     #[test]

@@ -18,9 +18,15 @@
 #     semantic fallback, and should say in a comment why it is safe for
 #     every variant.
 #
+# Exits non-zero (a CI gate) when there is any silent traversal, or when
+# more than MAX_SITES matches break: adding an operator must not get
+# more expensive than it is today.
+#
 # The check builds into target/plan-variant-sites (or $SITES_TARGET), so
 # a second run only recompiles the workspace's own crates.
 set -euo pipefail
+
+MAX_SITES=13
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 work="$(mktemp -d)"
@@ -50,10 +56,10 @@ CARGO_TARGET_DIR="${SITES_TARGET:-$repo/target/plan-variant-sites}" \
   cargo check --offline --workspace --all-targets --message-format short \
   --manifest-path "$work/Cargo.toml" >"$log" 2>&1 || true
 
-python3 - "$work" "$log" <<'EOF'
+python3 - "$work" "$log" "$MAX_SITES" <<'EOF'
 import pathlib, re, sys
 
-work, log = pathlib.Path(sys.argv[1]), sys.argv[2]
+work, log, max_sites = pathlib.Path(sys.argv[1]), sys.argv[2], int(sys.argv[3])
 sites = set()
 for line in open(log):
     m = re.match(r"(\S+?\.rs):(\d+):\d+: error\[E0004\]", line)
@@ -104,4 +110,8 @@ for s in silent:
 print(f"semantic fallbacks (catch-all arms with their own behaviour): {len(fallback)}")
 for s in fallback:
     print(f"  {s}")
+if not sites:
+    sys.exit("no E0004 site found: did the throwaway variant fail to build for another reason?")
+if silent or len(sites) > max_sites:
+    sys.exit(f"FAIL: {len(silent)} silent traversals (allowed 0), {len(sites)} sites (allowed {max_sites})")
 EOF

@@ -1,8 +1,7 @@
-//! Equivalence properties for search: the top-k pruned search and the
-//! term-sharded search are *optimizations*, not approximations. For any
-//! generated corpus and query, `search_topk` must return the same hits
-//! (docs, scores, order) as the exhaustive `search`, and a sharded engine
-//! the same hits as a serial one.
+//! Equivalence property for search: the top-k pruned search is an
+//! *optimization*, not an approximation. For any generated corpus and
+//! query, `search_topk` must return the same hits (docs, scores, order)
+//! as the exhaustive `search`.
 
 // Test code: panicking on a broken fixture is the right behavior.
 #![allow(clippy::unwrap_used)]
@@ -85,21 +84,5 @@ proptest! {
         let exhaustive = engine.search(&q, k);
         let topk = engine.search_topk(&q, k);
         assert_hits_identical(&exhaustive, &topk);
-    }
-
-    #[test]
-    fn sharded_search_matches_serial_on_random_corpora(
-        docs in proptest::collection::vec(
-            proptest::collection::vec(0usize..10, 2..10), 1..40),
-        query in proptest::collection::vec(0usize..10, 1..4),
-    ) {
-        let serial = build_engine(&docs);
-        let sharded = build_engine(&docs).with_search_parallelism(3);
-        let text: Vec<&str> = query.iter().map(|&w| WORDS[w]).collect();
-        let q = serial.parse_query(&text.join(" "));
-        let a = serial.search(&q, 10);
-        let b = sharded.search(&q, 10);
-        assert_hits_identical(&a, &b);
-        prop_assert_eq!(a.matched_docs, b.matched_docs);
     }
 }

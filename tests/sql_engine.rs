@@ -184,6 +184,43 @@ fn int_sum_is_exact_past_f64_precision() {
     }
 }
 
+/// Int arithmetic follows one rule: overflow wraps, like `+`, `-`, `*`
+/// and `SUM`. `i64::MIN / -1`, `i64::MIN % -1`, `-i64::MIN` and
+/// `ABS(i64::MIN)` are values, not panics, on both walkers and through
+/// constant folding (the literal operands); a zero divisor stays an error.
+#[test]
+fn int_overflow_wraps_on_every_operator() {
+    let db = db_with_data(&[(1, -9223372036854775807)]);
+    let min = Value::Int(i64::MIN);
+    let wrapped = vec![min.clone(), Value::Int(0), min.clone(), min.clone()];
+    for batch_size in [0, 1024] {
+        let opts = ExecOptions { batch_size };
+        for operand in ["(v - 1)", "(-9223372036854775807 - 1)"] {
+            let sql = format!(
+                "SELECT {operand} / -1 AS d, {operand} % -1 AS m, -{operand} AS n, \
+                 ABS({operand}) AS a FROM t"
+            );
+            let rs = db.query_sql_with(&sql, &opts).unwrap();
+            assert_eq!(
+                rs.rows,
+                vec![wrapped.clone()],
+                "{sql} at batch {batch_size}"
+            );
+        }
+        for sql in [
+            "SELECT v / 0 FROM t",
+            "SELECT v % 0 FROM t",
+            "SELECT 1 / 0 FROM t",
+            "SELECT 1 % 0 FROM t",
+        ] {
+            assert!(
+                db.query_sql_with(sql, &opts).is_err(),
+                "{sql} at batch {batch_size}"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
