@@ -553,10 +553,11 @@ impl CourseRankDb {
     /// (Re)build the derived `GradePoints(SuID, CourseID, Points)` relation
     /// from the letter grades in Enrollments: one row per graded, taken
     /// (student, course), the earliest enrollment winning. The table is
-    /// built off to the side and swapped in whole, unobserved — it is
-    /// derived data, so it is never write-ahead logged and is rebuilt
-    /// from the recovered Enrollments on open. Writer side only: read
-    /// views reject it. Returns the number of rows.
+    /// built off to the side and swapped in whole, marked derived
+    /// ([`Table::mark_derived`]): it is never write-ahead logged nor
+    /// snapshotted, and is rebuilt from the recovered Enrollments on
+    /// open. Writer side only: read views reject it. Returns the number
+    /// of rows.
     pub fn rebuild_grade_points(&self) -> RelResult<usize> {
         let _turn = self.graded_writes.lock();
         let rows =
@@ -591,7 +592,7 @@ impl CourseRankDb {
                     Ok(rows)
                 })??;
         let n = rows.len();
-        let table = Table::restore(
+        let mut table = Table::restore(
             GRADE_POINTS,
             Schema::qualified(
                 GRADE_POINTS,
@@ -608,6 +609,7 @@ impl CourseRankDb {
             rows,
             n as u64,
         );
+        table.mark_derived();
         let catalog = self.catalog();
         if catalog.has_table(GRADE_POINTS) {
             catalog.with_table_mut(GRADE_POINTS, |t| *t = table)?;

@@ -100,11 +100,11 @@ fn nest_counters() -> &'static NestCounters {
 
 /// Slots per row chunk (module docs: copy-on-write). A power of two, so a
 /// row id splits into chunk and offset by shift and mask.
-const CHUNK_ROWS: usize = 128;
+pub const CHUNK_ROWS: usize = 128;
 
 /// One chunk of the slot array: always [`CHUNK_ROWS`] slots, those past
 /// the table's slot count `None`.
-type Chunk = [Option<Row>; CHUNK_ROWS];
+pub type Chunk = [Option<Row>; CHUNK_ROWS];
 
 /// The slot array, index == `RowId.0`, cut into `Arc`'d [`Chunk`]s. A
 /// fixed-size chunk makes a row lookup two loads and one bounds check.
@@ -173,6 +173,9 @@ pub struct Table {
     columnar: Versioned<ColumnarImage>,
     /// Lazily built nest images for the FlexRecs extend operator.
     nests: Versioned<NestImages>,
+    /// Derived data, rebuilt from base tables rather than persisted (see
+    /// [`Table::mark_derived`]).
+    derived: bool,
 }
 
 impl Table {
@@ -190,6 +193,7 @@ impl Table {
             observer: ObserverSlot::default(),
             columnar: Versioned::default(),
             nests: Versioned::default(),
+            derived: false,
         }
     }
 
@@ -221,9 +225,24 @@ impl Table {
     }
 
     /// Attach (or detach) the durability observer. Set by the catalog so
-    /// every handle to this table shares it.
+    /// every handle to this table shares it. A derived table takes none:
+    /// its base tables' events cover it.
     pub(crate) fn set_observer(&mut self, observer: Option<Arc<dyn MutationObserver>>) {
-        self.observer = ObserverSlot(observer);
+        self.observer = ObserverSlot(observer.filter(|_| !self.derived));
+    }
+
+    /// Mark this table as derived: rebuilt from base tables whenever the
+    /// database is assembled, so never persisted. Persistence skips it
+    /// (snapshots, checkpoint deltas) and it takes no mutation observer,
+    /// so none of its writes are write-ahead logged.
+    pub fn mark_derived(&mut self) {
+        self.derived = true;
+        self.observer = ObserverSlot::default();
+    }
+
+    /// True once [`Table::mark_derived`] has run.
+    pub fn is_derived(&self) -> bool {
+        self.derived
     }
 
     #[inline]
@@ -542,6 +561,17 @@ impl Table {
         self.rows.len
     }
 
+    /// The slot array as its `Arc`'d chunks, read-only: chunk `i` holds
+    /// slots `i * CHUNK_ROWS ..`, and there are
+    /// `slot_count().div_ceil(CHUNK_ROWS)` of them. Every slot write
+    /// goes through `Arc::make_mut`, so a chunk someone else still holds
+    /// is copied before it is written: a held chunk never changes, and a
+    /// chunk `Arc::ptr_eq` to one held since an earlier cut has the same
+    /// slots as it did then.
+    pub fn chunks(&self) -> &[Arc<Chunk>] {
+        &self.rows.chunks
+    }
+
     /// Create a secondary index over `columns` and backfill it.
     pub fn create_index(
         &mut self,
@@ -704,6 +734,7 @@ impl Table {
             pk_columns: _,
             version: _,
             observer: _,
+            derived: _,
             // An immutable `Arc`'d image: a clone copies the pointer.
             columnar: _,
             rows,

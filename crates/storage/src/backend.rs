@@ -46,6 +46,11 @@ pub trait StorageBackend: Send + Sync {
     /// Durably flush `file` to stable storage.
     fn sync(&self, file: &str) -> StorageResult<()>;
 
+    /// Durably record the directory's entries: a file created by
+    /// [`StorageBackend::append`] survives a power cut only once this
+    /// returns, however often the file itself was synced.
+    fn sync_dir(&self) -> StorageResult<()>;
+
     /// All file names, unsorted.
     fn list(&self) -> StorageResult<Vec<String>>;
 
@@ -104,11 +109,9 @@ impl StorageBackend for FsBackend {
             f.sync_all()?;
         }
         fs::rename(&tmp, self.path(file))?;
-        // Make the rename itself durable.
-        if let Ok(d) = fs::File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
-        Ok(())
+        // Make the rename itself durable: callers delete the files the
+        // replaced state needed as soon as this returns.
+        self.sync_dir()
     }
 
     fn truncate(&self, file: &str, len: u64) -> StorageResult<()> {
@@ -121,6 +124,11 @@ impl StorageBackend for FsBackend {
     fn sync(&self, file: &str) -> StorageResult<()> {
         let f = fs::OpenOptions::new().write(true).open(self.path(file))?;
         f.sync_all()?;
+        Ok(())
+    }
+
+    fn sync_dir(&self) -> StorageResult<()> {
+        fs::File::open(&self.dir)?.sync_all()?;
         Ok(())
     }
 
@@ -216,6 +224,10 @@ impl StorageBackend for MemBackend {
     }
 
     fn sync(&self, _file: &str) -> StorageResult<()> {
+        Ok(())
+    }
+
+    fn sync_dir(&self) -> StorageResult<()> {
         Ok(())
     }
 
@@ -336,6 +348,10 @@ impl StorageBackend for FaultyBackend {
         self.inner.sync(file)
     }
 
+    fn sync_dir(&self) -> StorageResult<()> {
+        self.check_alive()
+    }
+
     fn list(&self) -> StorageResult<Vec<String>> {
         self.check_alive()?;
         self.inner.list()
@@ -343,6 +359,67 @@ impl StorageBackend for FaultyBackend {
 
     fn remove(&self, file: &str) -> StorageResult<()> {
         self.check_alive()?;
+        self.inner.remove(file)
+    }
+}
+
+/// A [`MemBackend`] that logs every append and sync, and can be told to
+/// fail directory syncs or atomic writes (each failure is transient,
+/// unlike [`FaultyBackend`]'s crash).
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct RecordingBackend {
+    pub(crate) inner: MemBackend,
+    calls: Mutex<Vec<String>>,
+    pub(crate) fail_dir_sync: AtomicBool,
+    pub(crate) fail_atomic: AtomicBool,
+}
+
+#[cfg(test)]
+impl RecordingBackend {
+    /// The calls logged since the last take.
+    pub(crate) fn take_calls(&self) -> Vec<String> {
+        std::mem::take(&mut *self.calls.lock())
+    }
+
+    fn failure(flag: &AtomicBool, what: &str) -> StorageResult<()> {
+        if flag.load(Ordering::Relaxed) {
+            return Err(StorageError::Io(std::io::Error::other(format!(
+                "{what} failed"
+            ))));
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+impl StorageBackend for RecordingBackend {
+    fn append(&self, file: &str, data: &[u8]) -> StorageResult<()> {
+        self.calls.lock().push(format!("append {file}"));
+        self.inner.append(file, data)
+    }
+    fn read(&self, file: &str) -> StorageResult<Option<Vec<u8>>> {
+        self.inner.read(file)
+    }
+    fn write_atomic(&self, file: &str, data: &[u8]) -> StorageResult<()> {
+        Self::failure(&self.fail_atomic, "atomic write")?;
+        self.inner.write_atomic(file, data)
+    }
+    fn truncate(&self, file: &str, len: u64) -> StorageResult<()> {
+        self.inner.truncate(file, len)
+    }
+    fn sync(&self, file: &str) -> StorageResult<()> {
+        self.calls.lock().push(format!("sync {file}"));
+        Ok(())
+    }
+    fn sync_dir(&self) -> StorageResult<()> {
+        self.calls.lock().push("sync_dir".into());
+        Self::failure(&self.fail_dir_sync, "directory sync")
+    }
+    fn list(&self) -> StorageResult<Vec<String>> {
+        self.inner.list()
+    }
+    fn remove(&self, file: &str) -> StorageResult<()> {
         self.inner.remove(file)
     }
 }
@@ -364,6 +441,7 @@ mod tests {
         backend.truncate("a.log", 5).unwrap();
         assert_eq!(backend.read("a.log").unwrap().unwrap(), b"hello");
         backend.sync("a.log").unwrap();
+        backend.sync_dir().unwrap();
 
         let mut names = backend.list().unwrap();
         names.sort();

@@ -7,14 +7,16 @@
 //!   *and* DDL — is appended as a length-prefixed, CRC32-checksummed
 //!   frame before the caller sees success. Group commit and an fsync
 //!   policy ([`FsyncPolicy`]) trade durability for throughput.
-//! * **Snapshots** ([`snapshot`]): periodic full table images written
-//!   atomically, carrying each table's mutation counter and the WAL
-//!   position captured *before* encoding began. The WAL rotates at each
-//!   checkpoint so old files can be pruned.
-//! * **Recovery** ([`store`]): load the newest decodable snapshot, replay
-//!   the WAL chain from the position it names, truncate at the first
-//!   torn or corrupt frame. The result is always a *prefix* of the
-//!   logical mutation history — never a torn mix.
+//! * **Snapshots** ([`snapshot`]): each checkpoint writes, atomically,
+//!   either a full base image or a delta holding only the row chunks
+//!   changed since the previous checkpoint, carrying each table's
+//!   mutation counter and the WAL position captured *before* the cut was
+//!   pinned. The WAL rotates at each checkpoint so old files can be
+//!   pruned.
+//! * **Recovery** ([`store`]): merge the newest decodable chain (base
+//!   plus deltas), replay the WAL from the position it names, truncate at
+//!   the first torn or corrupt frame. The result is always a *prefix* of
+//!   the logical mutation history — never a torn mix.
 //!
 //! All I/O goes through the [`backend::StorageBackend`] trait, so the
 //! same recovery code runs against the real filesystem

@@ -3,22 +3,49 @@
 //!
 //! ## Recovery algorithm
 //!
-//! 1. Pick the newest snapshot that decodes cleanly (corrupt ones are
-//!    skipped, falling back to older snapshots, then to "no snapshot").
-//! 2. Restore its tables into a fresh catalog.
-//! 3. Replay WAL files starting at the `(seq, offset)` the snapshot
-//!    names (or `wal-00000000.log` offset 0 with no snapshot), walking
-//!    consecutive files until one is missing or torn.
-//! 4. On a torn/corrupt frame: truncate that file to its valid prefix
+//! 1. Read every link file (base snapshot or delta, see [`snapshot`]) and
+//!    check its magic, CRC and header.
+//! 2. Try recovery points newest first: a point's chain (its base, then
+//!    each delta in order) is merged at the slot level and its tables
+//!    and indexes built once, at the end. A point whose chain is
+//!    incomplete, or any link of which fails to decode or merge, is
+//!    skipped for the next older one, then for "no snapshot". With no
+//!    point, link files on disk and the first WAL file gone, the writes
+//!    the links held are unrecoverable: `open` fails with
+//!    [`StorageError::Corrupt`] and deletes nothing.
+//! 3. Install the tables and remember their chunks (the *manifest*), so
+//!    the first checkpoint after the restart is a delta, not a base.
+//! 4. Replay WAL files starting at the `(seq, offset)` the point names
+//!    (or `wal-00000000.log` offset 0 with no point), walking consecutive
+//!    files until one is missing or torn.
+//! 5. On a torn/corrupt frame: truncate that file to its valid prefix
 //!    and delete every later WAL file. The surviving log is a prefix of
 //!    the logical mutation history.
 //!
-//! Replay is idempotent — records at positions between the snapshot's
-//! captured offset and the moment its table images were encoded may
-//! already be reflected in those images, so `replay_*` treat
-//! "already applied" (occupied slot, missing row, existing table/index)
-//! as a skip, not an error. Corruption is detected by CRC at the frame
-//! level, *before* a record is ever interpreted.
+//! Replay is idempotent — records at positions between the point's
+//! captured offset and the moment its cut was pinned may already be
+//! reflected in its images, so `replay_*` treat "already applied"
+//! (occupied slot, missing row, existing table/index) as a skip, not an
+//! error. Corruption is detected by CRC at the frame level, *before* a
+//! record is ever interpreted.
+//!
+//! ## Checkpoints and retention
+//!
+//! A checkpoint writes a delta over the newest link, holding the chunks
+//! that are not `Arc::ptr_eq` to the manifest's, or a base when there is
+//! no link to build on or the chain's deltas add up to more than a fixed
+//! share of its base (`COMPACT_AT_PERCENT`, not a setting). The manifest
+//! moves to the new cut only once the file is durable, so a failed
+//! checkpoint leaves the next delta covering everything since the last
+//! durable link.
+//!
+//! [`StorageConfig::snapshots_to_keep`] counts independent recovery
+//! points: the newest link over each of that many bases is kept with
+//! every link its chain needs, so no two kept points share a file, and
+//! the WAL from the oldest kept point's position. Until that many bases
+//! exist no WAL file is deleted, and replay from the first one stands in
+//! for a missing point. Pruning works from the list of links built at
+//! open and extended by each checkpoint; it reads no file.
 //!
 //! ## Locking
 //!
@@ -28,7 +55,7 @@
 //! locks: [`Storage::checkpoint`] captures the WAL position, releases
 //! the mutex, and only then reads tables. No lock-order cycle.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -36,22 +63,30 @@ use parking_lot::Mutex;
 use cr_relation::mutation::{Mutation, MutationObserver};
 use cr_relation::row::RowId;
 use cr_relation::schema::Schema;
+use cr_relation::table::Table;
 use cr_relation::{Catalog, Database, RelError};
 
 use crate::backend::StorageBackend;
-use crate::snapshot::{
-    self, encode_snapshot, parse_snapshot_seq, peek_wal_position, snapshot_file_name,
-};
+use crate::snapshot::{self, parse_link_name, Cut, DeltaLink, LinkFile, LinkInfo, Manifest};
 use crate::wal::{parse_wal_seq, scan, wal_file_name, Wal, WalConfig, WalRecord};
 use crate::{StorageError, StorageResult};
+
+/// A checkpoint writes a base instead of a delta once the deltas of the
+/// current chain add up to more than this share of its base, in percent.
+/// Merging a link costs recovery about what decoding as many base bytes
+/// does, so a chain at the limit recovers within a few percent of a base
+/// of the same tables (DESIGN §7 has the measurement).
+const COMPACT_AT_PERCENT: u64 = 10;
 
 /// Storage engine tuning.
 #[derive(Debug, Clone, Copy)]
 pub struct StorageConfig {
     pub wal: WalConfig,
-    /// Snapshots retained after a checkpoint (older ones and the WAL
-    /// files only they reference are deleted). Keeping ≥2 means a
-    /// corrupt latest snapshot still leaves a recovery path.
+    /// Independent recovery points retained after a checkpoint: the
+    /// newest link over each of this many bases, each with every link
+    /// file its chain needs (older files and the WAL files only they
+    /// reference are deleted). Keeping ≥2 means one corrupt file, base or
+    /// delta, still leaves a recovery path.
     pub snapshots_to_keep: usize,
 }
 
@@ -68,10 +103,13 @@ impl Default for StorageConfig {
 /// mirrored into `storage.replay.*` / `storage.recovery.*` metrics.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Sequence of the snapshot restored, if any.
+    /// Sequence of the recovery point restored (a base or a delta), if
+    /// any.
     pub snapshot_seq: Option<u64>,
-    /// Snapshots that failed validation and were skipped.
+    /// Recovery points that failed validation and were skipped.
     pub corrupt_snapshots_skipped: u64,
+    /// Deltas merged over the restored point's base.
+    pub deltas_applied: u64,
     /// WAL records applied during replay.
     pub replayed_records: u64,
     /// WAL bytes walked during replay.
@@ -114,6 +152,42 @@ impl StoreMetrics {
     }
 }
 
+/// What checkpoints know about the files on disk. Held under its mutex
+/// for a whole checkpoint, which also serializes checkpoints (the WAL
+/// mutex alone can't: it is released between position capture and
+/// rotation).
+struct Disk {
+    /// Link files that hold or support a recovery point, by seq.
+    links: BTreeMap<u64, LinkInfo>,
+    /// The newest durable link and the chunks of the cut it holds.
+    tip: Option<(u64, Manifest)>,
+    next_seq: u64,
+    /// Link files found at open that hold no recovery point; the next
+    /// prune deletes them.
+    stale: Vec<String>,
+    /// Lowest WAL file seq that may still exist.
+    wal_floor: u64,
+}
+
+impl Disk {
+    /// The link the next checkpoint writes a delta over, and the chunks
+    /// to compare against; `None` when a base is due instead.
+    fn delta_over(&self) -> Option<(DeltaLink, &Manifest)> {
+        let (tip, manifest) = self.tip.as_ref()?;
+        let chain = snapshot::chain(&self.links, *tip)?;
+        let (&base, deltas) = chain.split_last()?;
+        let delta_bytes: u64 = deltas.iter().map(|s| self.links[s].bytes).sum();
+        if delta_bytes * 100 > self.links[&base].bytes * COMPACT_AT_PERCENT {
+            return None;
+        }
+        let link = DeltaLink {
+            base_seq: base,
+            prev_seq: *tip,
+        };
+        Some((link, manifest))
+    }
+}
+
 /// The durability engine. Created by [`Storage::open`]; installed as the
 /// catalog's [`MutationObserver`] so logging is transparent to callers.
 pub struct Storage {
@@ -121,10 +195,7 @@ pub struct Storage {
     cfg: StorageConfig,
     catalog: Catalog,
     wal: Mutex<Wal>,
-    /// Serializes checkpoints (the WAL mutex alone can't: it is released
-    /// between position capture and rotation).
-    checkpoint_lock: Mutex<()>,
-    next_snapshot_seq: AtomicU64,
+    disk: Mutex<Disk>,
     /// First WAL-append failure, kept so callers can notice that
     /// durability silently degraded (the observer hook is infallible).
     last_error: Mutex<Option<String>>,
@@ -140,6 +211,23 @@ impl std::fmt::Debug for Storage {
             .field("last_error", &*self.last_error.lock())
             .finish_non_exhaustive()
     }
+}
+
+/// Merge the chain of recovery point `seq` and build its tables. Returns
+/// them with the number of deltas merged.
+fn recover_point(
+    files: &BTreeMap<u64, LinkFile>,
+    infos: &BTreeMap<u64, LinkInfo>,
+    seq: u64,
+) -> StorageResult<(Vec<Table>, u64)> {
+    let chain = snapshot::chain(infos, seq)
+        .ok_or_else(|| StorageError::Corrupt(format!("link {seq} has no complete chain")))?;
+    let (base, deltas) = chain.split_last().expect("a chain holds its base");
+    let mut image = files[base].decode_base()?;
+    for delta in deltas.iter().rev() {
+        files[delta].apply_delta(&mut image)?;
+    }
+    Ok((image.build()?, deltas.len() as u64))
 }
 
 impl Storage {
@@ -159,36 +247,79 @@ impl Storage {
         let files = backend.list()?;
         let catalog = Catalog::new();
 
-        // 1–2. Newest decodable snapshot.
-        let mut snapshot_seqs: Vec<u64> =
-            files.iter().filter_map(|f| parse_snapshot_seq(f)).collect();
-        snapshot_seqs.sort_unstable();
-        let max_snapshot_seq = snapshot_seqs.last().copied();
-        let mut restored: Option<(u64, u64, u64)> = None; // (snap_seq, wal_seq, wal_offset)
-        for &seq in snapshot_seqs.iter().rev() {
-            let Some(data) = backend.read(&snapshot_file_name(seq))? else {
+        // 1. Every link file whose magic, CRC and header check out.
+        let mut link_files = BTreeMap::new();
+        let mut stale = Vec::new();
+        let mut unreadable = Vec::new();
+        let mut next_seq = 0;
+        for name in &files {
+            let Some((seq, delta)) = parse_link_name(name) else {
                 continue;
             };
-            match snapshot::decode_snapshot(&data) {
-                Ok(snap) => {
-                    for table in snap.tables {
+            next_seq = next_seq.max(seq + 1);
+            let Some(data) = backend.read(name)? else {
+                continue;
+            };
+            match LinkFile::check(seq, delta, data) {
+                Ok(file) if !link_files.contains_key(&seq) => {
+                    link_files.insert(seq, file);
+                }
+                _ => {
+                    stale.push(name.clone());
+                    unreadable.push(seq);
+                }
+            }
+        }
+        let infos: BTreeMap<u64, LinkInfo> =
+            link_files.iter().map(|(&seq, f)| (seq, f.info)).collect();
+
+        // 2–3. Newest recovery point whose chain merges.
+        let mut tip = None;
+        for &seq in infos.keys().rev() {
+            match recover_point(&link_files, &infos, seq) {
+                Ok((tables, deltas)) => {
+                    for table in tables {
                         catalog.install_table(table)?;
                     }
-                    restored = Some((seq, snap.wal_seq, snap.wal_offset));
+                    report.snapshot_seq = Some(seq);
+                    report.deltas_applied = deltas;
+                    // Before replay, so replayed writes count as changed.
+                    tip = Some((seq, Cut::pin(&catalog).manifest()));
                     break;
                 }
                 Err(_) => report.corrupt_snapshots_skipped += 1,
             }
         }
-        report.snapshot_seq = restored.map(|(s, _, _)| s);
-
-        // 3–4. Replay the WAL chain.
-        let (start_seq, start_offset) = match restored {
-            Some((_, wal_seq, wal_offset)) => (wal_seq, wal_offset),
-            None => {
-                let first = files.iter().filter_map(|f| parse_wal_seq(f)).min();
-                (first.unwrap_or(0), 0)
+        drop(link_files);
+        let restored = tip.as_ref().map(|(seq, _)| *seq);
+        let first_wal = files.iter().filter_map(|f| parse_wal_seq(f)).min();
+        if restored.is_none() && next_seq > 0 && first_wal != Some(0) {
+            // Without the first WAL file the log may not hold the writes
+            // the links did: replaying what is left onto nothing would
+            // lose them, and the next prune would delete the links.
+            return Err(StorageError::Corrupt(
+                "no recovery point decodes and the WAL before them was pruned".into(),
+            ));
+        }
+        // Links newer than the restored point failed; older ones stay
+        // as fallback points until retention drops them.
+        report.corrupt_snapshots_skipped += unreadable
+            .iter()
+            .filter(|&&seq| restored.is_none_or(|r| seq > r))
+            .count() as u64;
+        let mut links = BTreeMap::new();
+        for (seq, info) in infos {
+            if restored.is_some_and(|r| seq <= r) {
+                links.insert(seq, info);
+            } else {
+                stale.push(info.file_name());
             }
+        }
+
+        // 4–5. Replay the WAL chain.
+        let (start_seq, start_offset) = match restored {
+            Some(seq) => (links[&seq].wal_seq, links[&seq].wal_offset),
+            None => (first_wal.unwrap_or(0), 0),
         };
         let mut seq = start_seq;
         let mut offset = start_offset;
@@ -246,20 +377,27 @@ impl Storage {
         }
         if span.is_recording() {
             span.attr("snapshot_seq", format!("{:?}", report.snapshot_seq));
+            span.attr("deltas_applied", report.deltas_applied.to_string());
             span.attr("replayed_records", report.replayed_records.to_string());
             span.attr("replayed_bytes", report.replayed_bytes.to_string());
             span.attr("truncated_bytes", report.truncated_bytes.to_string());
         }
         span.finish();
 
+        let wal_floor = first_wal.unwrap_or(resume_seq);
         let wal = Wal::new(backend.clone(), resume_seq, resume_offset, cfg.wal);
         let storage = Arc::new(Storage {
             backend,
             cfg,
             catalog: catalog.clone(),
             wal: Mutex::new(wal),
-            checkpoint_lock: Mutex::new(()),
-            next_snapshot_seq: AtomicU64::new(max_snapshot_seq.map_or(0, |s| s + 1)),
+            disk: Mutex::new(Disk {
+                links,
+                tip,
+                next_seq,
+                stale,
+                wal_floor,
+            }),
             last_error: Mutex::new(None),
             metrics,
         });
@@ -291,10 +429,12 @@ impl Storage {
         self.last_error.lock().clone()
     }
 
-    /// Write a snapshot, rotate the WAL, prune old snapshots and the WAL
-    /// files only they referenced. Returns the new snapshot's sequence.
+    /// Write a recovery point — a delta over the newest link, or a base
+    /// (module docs: checkpoints) — rotate the WAL, and prune the links
+    /// and WAL files retention no longer needs. Returns the new link's
+    /// sequence.
     pub fn checkpoint(&self) -> StorageResult<u64> {
-        let _guard = self.checkpoint_lock.lock();
+        let mut disk = self.disk.lock();
         let mut span =
             cr_obs::trace::TraceSpan::child("storage.checkpoint").timed(&self.metrics.snapshot_ns);
         // Capture a flushed position, then RELEASE the wal mutex before
@@ -304,51 +444,96 @@ impl Storage {
             wal.flush()?;
             wal.position()
         };
-        let data = encode_snapshot(&self.catalog, wal_seq, wal_offset);
-        let snap_seq = self.next_snapshot_seq.fetch_add(1, Ordering::Relaxed);
-        self.backend
-            .write_atomic(&snapshot_file_name(snap_seq), &data)?;
+        let cut = Cut::pin(&self.catalog);
+        let seq = disk.next_seq;
+        disk.next_seq += 1;
+        let (data, link, dirty) = match disk.delta_over() {
+            Some((link, since)) => {
+                let (data, dirty) = cut.encode_delta(since, link, wal_seq, wal_offset);
+                (data, Some(link), dirty)
+            }
+            None => (
+                cut.encode_base(wal_seq, wal_offset),
+                None,
+                cut.total_chunks(),
+            ),
+        };
+        let info = LinkInfo {
+            seq,
+            base_seq: link.map_or(seq, |l| l.base_seq),
+            prev_seq: link.map(|l| l.prev_seq),
+            wal_seq,
+            wal_offset,
+            bytes: data.len() as u64,
+        };
+        self.backend.write_atomic(&info.file_name(), &data)?;
+        // Durable: from now on deltas are taken against this cut.
+        disk.links.insert(seq, info);
+        disk.tip = Some((seq, cut.manifest()));
+        let total = cut.total_chunks();
+        drop(cut); // unpin the tables; the manifest holds only chunks
         self.wal.lock().rotate()?;
-        self.prune()?;
+        self.prune(&mut disk)?;
         if cr_obs::enabled() {
             self.metrics.snapshot_writes.inc();
             self.metrics.snapshot_bytes.add(data.len() as u64);
         }
         if span.is_recording() {
-            span.attr("snapshot_seq", snap_seq.to_string());
+            span.attr("snapshot_seq", seq.to_string());
+            span.attr("kind", if link.is_some() { "delta" } else { "base" });
             span.attr("bytes", data.len().to_string());
+            span.attr("dirty_chunks", dirty.to_string());
+            span.attr("total_chunks", total.to_string());
         }
-        Ok(snap_seq)
+        Ok(seq)
     }
 
-    /// Delete snapshots beyond the retention count, then WAL files older
-    /// than the oldest position any kept snapshot (or the live writer)
-    /// still needs.
-    fn prune(&self) -> StorageResult<()> {
-        let files = self.backend.list()?;
-        let mut snapshot_seqs: Vec<u64> =
-            files.iter().filter_map(|f| parse_snapshot_seq(f)).collect();
-        snapshot_seqs.sort_unstable();
-        let keep = self.cfg.snapshots_to_keep.max(1);
-        let cut = snapshot_seqs.len().saturating_sub(keep);
-        let (drop_seqs, keep_seqs) = snapshot_seqs.split_at(cut);
-        for &seq in drop_seqs {
-            self.backend.remove(&snapshot_file_name(seq))?;
-        }
-        // A WAL file is needed from the oldest kept snapshot's position
-        // onward; the live writer's file is always needed.
-        let mut min_needed = self.wal.lock().position().0;
-        for &seq in keep_seqs {
-            if let Some(data) = self.backend.read(&snapshot_file_name(seq))? {
-                if let Ok((wal_seq, _)) = peek_wal_position(&data) {
-                    min_needed = min_needed.min(wal_seq);
-                }
+    /// Keep the newest `snapshots_to_keep` independent recovery points —
+    /// the newest link of each of that many bases, so no two points share
+    /// a file — and every link their chains need; delete the other links
+    /// and the stale files found at open. The WAL is kept from the oldest
+    /// kept point's position; until that many bases exist, one unreadable
+    /// base could leave no point at all, so no WAL file is deleted and
+    /// replay from the first one still rebuilds every write. The live
+    /// writer's file is always kept.
+    fn prune(&self, disk: &mut Disk) -> StorageResult<()> {
+        let want = self.cfg.snapshots_to_keep.max(1);
+        let mut bases = BTreeSet::new();
+        let mut keep = BTreeSet::new();
+        let mut min_wal = self.wal.lock().position().0;
+        for link in disk.links.values().rev() {
+            if bases.len() == want {
+                break;
+            }
+            if bases.contains(&link.base_seq) {
+                continue;
+            }
+            if let Some(chain) = snapshot::chain(&disk.links, link.seq) {
+                bases.insert(link.base_seq);
+                min_wal = min_wal.min(link.wal_seq);
+                keep.extend(chain);
             }
         }
-        for f in &files {
-            if parse_wal_seq(f).is_some_and(|s| s < min_needed) {
-                self.backend.remove(f)?;
-            }
+        if bases.len() < want {
+            min_wal = disk.wal_floor;
+        }
+        for name in &disk.stale {
+            self.backend.remove(name)?;
+        }
+        disk.stale.clear();
+        let drop: Vec<LinkInfo> = disk
+            .links
+            .values()
+            .filter(|l| !keep.contains(&l.seq))
+            .copied()
+            .collect();
+        for link in drop {
+            self.backend.remove(&link.file_name())?;
+            disk.links.remove(&link.seq);
+        }
+        while disk.wal_floor < min_wal {
+            self.backend.remove(&wal_file_name(disk.wal_floor))?;
+            disk.wal_floor += 1;
         }
         Ok(())
     }
@@ -488,10 +673,12 @@ fn apply_dml(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{FaultyBackend, MemBackend};
+    use crate::backend::{FaultyBackend, MemBackend, RecordingBackend};
+    use crate::snapshot::{delta_file_name, snapshot_file_name};
     use crate::wal::FsyncPolicy;
     use cr_relation::row::row;
     use cr_relation::Value;
+    use std::sync::atomic::Ordering;
 
     fn open_mem(backend: &MemBackend) -> (Arc<Storage>, Database, RecoveryReport) {
         Storage::open(Arc::new(backend.clone()), StorageConfig::default()).unwrap()
@@ -607,46 +794,349 @@ mod tests {
         }
     }
 
+    /// Every link file on `backend`, checked, by seq.
+    fn link_files(backend: &MemBackend) -> BTreeMap<u64, LinkFile> {
+        let mut files = BTreeMap::new();
+        for name in backend.list().unwrap() {
+            if let Some((seq, delta)) = parse_link_name(&name) {
+                let data = backend.read(&name).unwrap().unwrap();
+                files.insert(seq, LinkFile::check(seq, delta, data).unwrap());
+            }
+        }
+        files
+    }
+
+    /// The seqs of every file named like a link, readable or not.
+    fn link_files_unchecked(backend: &MemBackend) -> Vec<u64> {
+        let mut seqs: Vec<u64> = backend
+            .list()
+            .unwrap()
+            .iter()
+            .filter_map(|name| parse_link_name(name).map(|(seq, _)| seq))
+            .collect();
+        seqs.sort_unstable();
+        seqs
+    }
+
+    /// The tables recovery point `seq` holds, without any WAL replay,
+    /// re-encoded as a base.
+    fn point_as_base(backend: &MemBackend, seq: u64) -> Vec<u8> {
+        let files = link_files(backend);
+        let infos = files.iter().map(|(&s, f)| (s, f.info)).collect();
+        let (tables, _) = recover_point(&files, &infos, seq).unwrap();
+        let restored = Catalog::new();
+        for t in tables {
+            restored.install_table(t).unwrap();
+        }
+        Cut::pin(&restored).encode_base(0, 0)
+    }
+
+    fn insert_range(db: &Database, ids: std::ops::Range<i64>) {
+        for i in ids {
+            db.insert("courses", row![i, format!("course {i}")])
+                .unwrap();
+        }
+    }
+
     #[test]
     fn corrupt_snapshot_falls_back_to_older() {
         let backend = MemBackend::new();
         {
             let (st, db, _) = open_mem(&backend);
             seed_schema(&db);
-            db.insert("courses", row![1i64, "A"]).unwrap();
-            st.checkpoint().unwrap(); // snapshot 0
-            db.insert("courses", row![2i64, "B"]).unwrap();
-            st.checkpoint().unwrap(); // snapshot 1
+            insert_range(&db, 0..1);
+            assert_eq!(st.checkpoint().unwrap(), 0); // base
+            insert_range(&db, 1..200); // a delta bigger than the base
+            assert_eq!(st.checkpoint().unwrap(), 1);
+            insert_range(&db, 200..201);
+            assert_eq!(st.checkpoint().unwrap(), 2); // compacted: a base
         }
-        backend.corrupt(&snapshot_file_name(1), 40, 0xff);
+        assert!(backend.read(&snapshot_file_name(2)).unwrap().is_some());
+        backend.corrupt(&snapshot_file_name(2), 40, 0xff);
         let (_st, db, report) = open_mem(&backend);
-        assert_eq!(report.snapshot_seq, Some(0));
+        assert_eq!(report.snapshot_seq, Some(1));
+        assert_eq!(report.deltas_applied, 1);
         assert_eq!(report.corrupt_snapshots_skipped, 1);
-        // Snapshot 0 + replay of the wal tail reconstructs row 2 anyway.
-        assert_eq!(titles(&db), vec!["A", "B"]);
+        // Point 1 + replay of the wal tail reconstructs row 200 anyway.
+        assert_eq!(titles(&db).len(), 201);
     }
 
     #[test]
-    fn checkpoint_prunes_old_files() {
+    fn corrupt_newest_delta_loses_no_acknowledged_write() {
+        let backend = MemBackend::new();
+        {
+            let (st, db, _) = open_mem(&backend);
+            seed_schema(&db);
+            insert_range(&db, 0..3000);
+            assert_eq!(st.checkpoint().unwrap(), 0);
+            db.execute_sql("UPDATE courses SET title = 'moved' WHERE id = 3")
+                .unwrap();
+            insert_range(&db, 3000..3010);
+            assert_eq!(st.checkpoint().unwrap(), 1);
+            db.execute_sql("DELETE FROM courses WHERE id = 200")
+                .unwrap();
+            insert_range(&db, 3010..3020);
+            assert_eq!(st.checkpoint().unwrap(), 2);
+            insert_range(&db, 3020..3030); // WAL tail only
+        }
+        assert!(backend.read(&delta_file_name(2)).unwrap().is_some());
+        let len = backend.read(&delta_file_name(2)).unwrap().unwrap().len();
+        backend.corrupt(&delta_file_name(2), len / 2, 0x08);
+        let (_st, db, report) = open_mem(&backend);
+        assert_eq!(report.snapshot_seq, Some(1));
+        assert_eq!(report.deltas_applied, 1);
+        assert_eq!(report.corrupt_snapshots_skipped, 1);
+        let got = titles(&db);
+        assert_eq!(got.len(), 3029);
+        assert_eq!(got[3], "moved");
+        assert!(!got.contains(&"course 200".to_owned()));
+        assert_eq!(got.last().map(String::as_str), Some("course 3029"));
+    }
+
+    #[test]
+    fn first_checkpoint_after_a_restart_is_a_delta() {
+        let backend = MemBackend::new();
+        {
+            let (st, db, _) = open_mem(&backend);
+            seed_schema(&db);
+            insert_range(&db, 0..300);
+            st.checkpoint().unwrap(); // base 0
+            insert_range(&db, 300..310);
+        }
+        let (st, db, report) = open_mem(&backend);
+        assert_eq!(report.snapshot_seq, Some(0));
+        assert_eq!(report.replayed_records, 10);
+        assert_eq!(st.checkpoint().unwrap(), 1);
+        let delta = &link_files(&backend)[&1];
+        assert_eq!(
+            delta.info.prev_seq,
+            Some(0),
+            "a delta over the restored base"
+        );
+        // The replayed tail is in it: the chain alone holds every row.
+        assert_eq!(
+            point_as_base(&backend, 1),
+            Cut::pin(&db.catalog()).encode_base(0, 0)
+        );
+    }
+
+    #[test]
+    fn failed_checkpoint_leaves_the_next_delta_covering_it() {
+        let backend = Arc::new(RecordingBackend::default());
+        let (st, db, _) = Storage::open(backend.clone(), StorageConfig::default()).unwrap();
+        seed_schema(&db);
+        insert_range(&db, 0..300);
+        assert_eq!(st.checkpoint().unwrap(), 0);
+        // A change to chunk 0 whose checkpoint never reaches disk...
+        db.execute_sql("UPDATE courses SET title = 'lost?' WHERE id = 1")
+            .unwrap();
+        backend.fail_atomic.store(true, Ordering::Relaxed);
+        assert!(st.checkpoint().is_err());
+        backend.fail_atomic.store(false, Ordering::Relaxed);
+        // ...is carried by the next delta, with a later one to chunk 2.
+        insert_range(&db, 300..301);
+        let seq = st.checkpoint().unwrap();
+        let delta = &link_files(&backend.inner)[&seq];
+        assert_eq!(delta.info.prev_seq, Some(0));
+        assert_eq!(
+            point_as_base(&backend.inner, seq),
+            Cut::pin(&db.catalog()).encode_base(0, 0)
+        );
+    }
+
+    /// After every checkpoint, the link files on disk are exactly the
+    /// chains of the newest link of each of the newest two bases, and the
+    /// WAL starts at the older of those points' positions — or, while
+    /// only one base exists, at the first file.
+    #[test]
+    fn checkpoint_keeps_two_independent_points() {
         let backend = MemBackend::new();
         let (st, db, _) = open_mem(&backend);
         seed_schema(&db);
-        for i in 0..5i64 {
-            db.insert("courses", row![i, "x"]).unwrap();
-            st.checkpoint().unwrap();
+        let mut kinds = BTreeSet::new();
+        for round in 0..12i64 {
+            insert_range(&db, round * 40..round * 40 + 40);
+            let seq = st.checkpoint().unwrap();
+            let files = link_files(&backend);
+            kinds.insert(files[&seq].info.is_delta());
+            let infos: BTreeMap<u64, LinkInfo> = files.iter().map(|(&s, f)| (s, f.info)).collect();
+            let mut points: Vec<u64> = Vec::new();
+            for (&s, info) in infos.iter().rev() {
+                if points.iter().all(|p| infos[p].base_seq != info.base_seq) {
+                    points.push(s);
+                }
+            }
+            assert_eq!(points[0], seq);
+            assert!(points.len() <= 2, "round {round}: a third base remains");
+            let needed: BTreeSet<u64> = points
+                .iter()
+                .flat_map(|&p| snapshot::chain(&infos, p).unwrap())
+                .collect();
+            let on_disk: BTreeSet<u64> = infos.keys().copied().collect();
+            assert_eq!(on_disk, needed, "round {round}: stale links remain");
+            let min_wal = backend
+                .list()
+                .unwrap()
+                .iter()
+                .filter_map(|f| parse_wal_seq(f))
+                .min();
+            let expected = match points[..] {
+                [_, _] => points.iter().map(|p| infos[p].wal_seq).min(),
+                _ => Some(0),
+            };
+            assert_eq!(min_wal, expected, "round {round}");
+            assert_eq!(
+                point_as_base(&backend, seq),
+                Cut::pin(&db.catalog()).encode_base(0, 0)
+            );
         }
-        let files = backend.list().unwrap();
-        let snaps = files
-            .iter()
-            .filter(|f| parse_snapshot_seq(f).is_some())
-            .count();
-        assert_eq!(snaps, 2, "retention keeps 2 snapshots: {files:?}");
-        let oldest_kept = files.iter().filter_map(|f| parse_snapshot_seq(f)).min();
-        assert_eq!(oldest_kept, Some(3));
-        // WAL files older than snapshot 3's position are gone.
-        let min_wal = files.iter().filter_map(|f| parse_wal_seq(f)).min();
-        assert!(min_wal >= Some(3), "stale wal files remain: {files:?}");
-        drop(db);
+        assert_eq!(
+            kinds.len(),
+            2,
+            "both deltas and compacted bases were written"
+        );
+    }
+
+    #[test]
+    fn a_corrupt_base_under_a_delta_tip_loses_no_acknowledged_write() {
+        // One chain: nothing of the WAL has been pruned, so replay from
+        // its first file rebuilds every write.
+        let backend = MemBackend::new();
+        {
+            let (st, db, _) = open_mem(&backend);
+            seed_schema(&db);
+            insert_range(&db, 0..3000);
+            assert_eq!(st.checkpoint().unwrap(), 0);
+            insert_range(&db, 3000..3010);
+            assert_eq!(st.checkpoint().unwrap(), 1);
+            insert_range(&db, 3010..3020);
+            assert_eq!(st.checkpoint().unwrap(), 2);
+            insert_range(&db, 3020..3030);
+        }
+        assert!(link_files(&backend)[&2].info.is_delta());
+        backend.corrupt(&snapshot_file_name(0), 40, 0xff);
+        let (_st, db, report) = open_mem(&backend);
+        assert_eq!(report.snapshot_seq, None);
+        assert_eq!(report.corrupt_snapshots_skipped, 3);
+        assert_eq!(titles(&db).len(), 3030);
+
+        // Two chains: the newest point of the older one takes over, and
+        // the store goes on from it.
+        let backend = MemBackend::new();
+        {
+            let (st, db, _) = open_mem(&backend);
+            seed_schema(&db);
+            insert_range(&db, 0..1);
+            assert_eq!(st.checkpoint().unwrap(), 0); // base
+            insert_range(&db, 1..200);
+            assert_eq!(st.checkpoint().unwrap(), 1);
+            insert_range(&db, 200..201);
+            assert_eq!(st.checkpoint().unwrap(), 2); // compacted: a base
+            insert_range(&db, 201..210);
+            assert_eq!(st.checkpoint().unwrap(), 3);
+            insert_range(&db, 210..220); // WAL tail only
+        }
+        assert!(link_files(&backend)[&3].info.is_delta());
+        backend.corrupt(&snapshot_file_name(2), 40, 0xff);
+        let (st, db, report) = open_mem(&backend);
+        assert_eq!(report.snapshot_seq, Some(1));
+        assert_eq!(report.deltas_applied, 1);
+        assert_eq!(report.corrupt_snapshots_skipped, 2);
+        let got = titles(&db);
+        assert_eq!(got.len(), 220);
+        assert_eq!(got.last().map(String::as_str), Some("course 219"));
+        insert_range(&db, 220..221);
+        assert_eq!(st.checkpoint().unwrap(), 4);
+        drop((st, db));
+        let (_st, db, report) = open_mem(&backend);
+        assert_eq!(report.snapshot_seq, Some(4));
+        assert_eq!(titles(&db).len(), 221);
+    }
+
+    #[test]
+    fn no_decodable_point_over_a_pruned_wal_is_corrupt() {
+        let backend = MemBackend::new();
+        {
+            let (st, db, _) = open_mem(&backend);
+            seed_schema(&db);
+            insert_range(&db, 0..1);
+            st.checkpoint().unwrap(); // base 0
+            insert_range(&db, 1..200);
+            st.checkpoint().unwrap(); // delta 1
+            insert_range(&db, 200..201);
+            st.checkpoint().unwrap(); // base 2
+        }
+        assert!(backend.read(&wal_file_name(0)).unwrap().is_none());
+        backend.corrupt(&snapshot_file_name(0), 40, 0xff);
+        backend.corrupt(&snapshot_file_name(2), 40, 0xff);
+        let open = Storage::open(Arc::new(backend.clone()), StorageConfig::default());
+        assert!(matches!(open, Err(StorageError::Corrupt(_))));
+        // Nothing was deleted: the files are still there to salvage.
+        assert_eq!(link_files_unchecked(&backend), [0, 1, 2]);
+    }
+
+    #[test]
+    fn derived_tables_are_neither_logged_nor_snapshotted() {
+        let backend = MemBackend::new();
+        {
+            let (st, db, _) = open_mem(&backend);
+            seed_schema(&db);
+            insert_range(&db, 0..3);
+            let mut derived = Table::new(
+                "Derived",
+                db.catalog().table_schema("courses").unwrap(),
+                vec![],
+            );
+            derived.mark_derived();
+            db.catalog().install_table(derived).unwrap();
+            // Observers reach every table again; a derived one takes none.
+            db.catalog().set_observer(st.clone());
+            db.insert("Derived", row![1i64, "x"]).unwrap();
+            st.checkpoint().unwrap();
+            db.insert("Derived", row![2i64, "y"]).unwrap(); // WAL tail
+            insert_range(&db, 3..4);
+        }
+        let (_st, db, report) = open_mem(&backend);
+        assert!(!db.catalog().has_table("Derived"));
+        assert_eq!(
+            report.skipped_records, 0,
+            "no derived record reached the WAL"
+        );
+        assert_eq!(titles(&db).len(), 4);
+    }
+
+    #[test]
+    fn a_parent_format_store_recovers_and_continues_with_deltas() {
+        // Two bases and their WAL, as a store written before deltas
+        // existed leaves them.
+        let backend = MemBackend::new();
+        {
+            let (st, db, _) = open_mem(&backend);
+            seed_schema(&db);
+            insert_range(&db, 0..5);
+            st.flush().unwrap();
+            let (seq, offset) = st.wal_position();
+            let base = Cut::pin(&db.catalog()).encode_base(seq, offset);
+            backend.write_atomic(&snapshot_file_name(0), &base).unwrap();
+            st.wal.lock().rotate().unwrap();
+            insert_range(&db, 5..8);
+            let (seq, offset) = st.wal_position();
+            let base = Cut::pin(&db.catalog()).encode_base(seq, offset);
+            backend.write_atomic(&snapshot_file_name(1), &base).unwrap();
+            st.wal.lock().rotate().unwrap();
+            insert_range(&db, 8..9);
+        }
+        let (st, db, report) = open_mem(&backend);
+        assert_eq!(report.snapshot_seq, Some(1));
+        assert_eq!(report.replayed_records, 1);
+        assert_eq!(titles(&db).len(), 9);
+        assert_eq!(st.checkpoint().unwrap(), 2);
+        let files = link_files(&backend);
+        assert_eq!(files[&2].info.prev_seq, Some(1));
+        assert!(
+            files.contains_key(&0),
+            "the older base stays as the independent fallback"
+        );
     }
 
     #[test]

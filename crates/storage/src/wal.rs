@@ -494,6 +494,10 @@ pub struct Wal {
     seq: u64,
     /// Bytes of the current file already handed to the backend.
     offset: u64,
+    /// Whether the current file's directory entry is known durable. A
+    /// file created by `append` survives a power cut only after a
+    /// directory sync; a failed one is retried at the next syncing flush.
+    dir_synced: bool,
     buf: Vec<u8>,
     buffered: usize,
     cfg: WalConfig,
@@ -507,6 +511,7 @@ impl Wal {
             backend,
             seq,
             offset,
+            dir_synced: false,
             buf: Vec::new(),
             buffered: 0,
             cfg,
@@ -567,6 +572,10 @@ impl Wal {
             let _fsync_span =
                 cr_obs::trace::TraceSpan::child("storage.wal.fsync").timed(&self.metrics.fsync_ns);
             self.backend.sync(&file)?;
+            if !self.dir_synced {
+                self.backend.sync_dir()?;
+                self.dir_synced = true;
+            }
             if cr_obs::enabled() {
                 self.metrics.fsyncs.inc();
             }
@@ -580,6 +589,7 @@ impl Wal {
         self.flush()?;
         self.seq += 1;
         self.offset = 0;
+        self.dir_synced = false;
         if cr_obs::enabled() {
             self.metrics.rotations.inc();
         }
@@ -590,8 +600,9 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::MemBackend;
+    use crate::backend::{MemBackend, RecordingBackend};
     use cr_relation::Value;
+    use std::sync::atomic::Ordering;
 
     fn sample_records() -> Vec<WalRecord> {
         let schema = Schema::qualified(
@@ -781,6 +792,65 @@ mod tests {
                 panic!("flip at {i} produced non-prefix records");
             }
         }
+    }
+
+    #[test]
+    fn a_new_wal_file_syncs_its_directory_entry_once() {
+        let backend = Arc::new(RecordingBackend::default());
+        let mut wal = Wal::new(backend.clone(), 0, 0, WalConfig::default());
+        let rec = WalRecord::Delete {
+            table: "T".into(),
+            rid: 1,
+            old: None,
+        };
+        let (w0, w1) = (wal_file_name(0), wal_file_name(1));
+        wal.append(&rec).unwrap();
+        assert_eq!(
+            backend.take_calls(),
+            [
+                format!("append {w0}"),
+                format!("sync {w0}"),
+                "sync_dir".into()
+            ]
+        );
+        wal.append(&rec).unwrap();
+        assert_eq!(
+            backend.take_calls(),
+            [format!("append {w0}"), format!("sync {w0}")]
+        );
+        wal.rotate().unwrap();
+        wal.append(&rec).unwrap();
+        assert_eq!(
+            backend.take_calls(),
+            [
+                format!("append {w1}"),
+                format!("sync {w1}"),
+                "sync_dir".into()
+            ]
+        );
+
+        // A failed directory sync fails the append that needed it, and
+        // the next append into that file tries it again.
+        backend.fail_dir_sync.store(true, Ordering::Relaxed);
+        wal.rotate().unwrap();
+        assert!(matches!(wal.append(&rec), Err(StorageError::Io(_))));
+        backend.fail_dir_sync.store(false, Ordering::Relaxed);
+        let w2 = wal_file_name(2);
+        backend.take_calls();
+        wal.append(&rec).unwrap();
+        assert_eq!(
+            backend.take_calls(),
+            [
+                format!("append {w2}"),
+                format!("sync {w2}"),
+                "sync_dir".into()
+            ]
+        );
+        wal.append(&rec).unwrap();
+        assert_eq!(
+            backend.take_calls(),
+            [format!("append {w2}"), format!("sync {w2}")]
+        );
     }
 
     #[test]

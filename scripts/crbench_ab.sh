@@ -20,6 +20,11 @@
 #            and the median difference exceeds the base's IQR;
 #            "-" (not resolved) otherwise
 #
+# Each run's `#` notes (crbench's stderr) are kept beside its metrics;
+# where they hold the durable workload's checkpoint note, the table is
+# followed by each side's quartiles of its median checkpoint time, so a
+# per-layer move comes from the same paired runs as the claim.
+#
 # Each run lasts the benchmark's own `run_seconds` (BENCHMARK.json).
 # Workloads default to all four. Knobs (environment):
 #   PAIRS=10 (at least 10)  SEED_BASE=<epoch-derived>  AB_DIR=target/crbench-ab
@@ -31,7 +36,7 @@ repo="$(cd "$(dirname "$0")/.." && pwd)"
 
 report() {
   python3 - "$1" "$repo/BENCHMARK.json" <<'EOF'
-import json, math, statistics, sys
+import json, math, re, statistics, sys
 from collections import defaultdict
 
 runs = [json.loads(l) for l in open(sys.argv[1]) if l.strip()]
@@ -44,6 +49,15 @@ def quartiles(xs):
         lo, hi = math.floor(k), math.ceil(k)
         return xs[lo] + (xs[hi] - xs[lo]) * (k - lo)
     return q(0.25), q(0.5), q(0.75)
+
+CHECKPOINT_NOTE = re.compile(r"checkpoints \(information only\): \d+ in the window, median ([0-9.]+) ms")
+
+def checkpoint_ms(run):
+    for note in run.get("notes", []):
+        m = CHECKPOINT_NOTE.search(note)
+        if m:
+            return float(m.group(1))
+    return None
 
 def sign_p(wins, n):
     k = min(wins, n - wins)
@@ -87,6 +101,13 @@ for w in sorted({w for w, _ in pairs}):
         print(f"  {m:14} {ratio:7.3f} {wins:3}/{n:<2} {sign_p(wins, n):7.3f} "
               f"{iqr / med if med else float('nan'):8.3f}  {verdict:7}  "
               f"{q1:.4g}/{med:.4g}/{q3:.4g} | {c1:.4g}/{cmed:.4g}/{c3:.4g}")
+    ck = [(checkpoint_ms(p["base"]), checkpoint_ms(p["change"])) for p in done]
+    ck = [(b, c) for b, c in ck if b is not None and c is not None]
+    if ck:
+        b1, bmed, b3 = quartiles([b for b, _ in ck])
+        c1, cmed, c3 = quartiles([c for _, c in ck])
+        print(f"  checkpoint median ms (information only, {len(ck)} pairs): "
+              f"base {b1:.4g}/{bmed:.4g}/{b3:.4g} | change {c1:.4g}/{cmed:.4g}/{c3:.4g}")
 EOF
 }
 
@@ -95,7 +116,7 @@ if [ "${1:-}" = "--report" ]; then
   exit 0
 fi
 if [ $# -lt 1 ]; then
-  sed -n '2,27p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,32p' "$0" | sed 's/^# \{0,1\}//'
   exit 2
 fi
 
@@ -136,21 +157,24 @@ done
 results="$ab_dir/results-$(date +%Y%m%d-%H%M%S).jsonl"
 echo "# base $base_ref ($sha), $pairs pairs x ${secs}s, seeds from $seed_base; raw: $results" >&2
 
+notes="$ab_dir/notes.$$"
 run() { # side workload seed pair
   local line
   line="$(CARGO_TARGET_DIR="${target[$1]}" bash "${tree[$1]}/crbench/run.sh" \
-    --workload "$2" --seed "$3" --seconds "$secs" 2>/dev/null | tail -n 1)" || true
+    --workload "$2" --seed "$3" --seconds "$secs" 2>"$notes" | tail -n 1)" || true
   python3 -c '
 import json, sys
-side, workload, seed, pair, line = sys.argv[1:]
+side, workload, seed, pair, line, notes = sys.argv[1:]
 try:
     r = json.loads(line)
 except ValueError:
     r = {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
 r = {"side": side, "workload": workload, "seed": int(seed), "pair": int(pair),
      "correct": r["correct"], "attempted": r["attempted"], "failed": r["failed"],
-     "metrics": {k: v["value"] for k, v in r["metrics"].items()}}
-print(json.dumps(r))' "$1" "$2" "$3" "$4" "$line" >> "$results"
+     "metrics": {k: v["value"] for k, v in r["metrics"].items()},
+     "notes": [l.rstrip("\n") for l in open(notes, errors="replace") if l.startswith("#")]}
+print(json.dumps(r))' "$1" "$2" "$3" "$4" "$line" "$notes" >> "$results"
+  rm -f "$notes"
   echo "# $2 pair $4 seed $3: $1 done" >&2
 }
 

@@ -1,4 +1,4 @@
-//! PR3 crash-recovery properties.
+//! Crash-recovery properties.
 //!
 //! The durability contract: for **any** mutation sequence and **any**
 //! crash point (measured in persisted bytes, so crashes land mid-frame,
@@ -19,6 +19,7 @@ use courserank::db::{Comment, Course, CourseRankDb, Student};
 use courserank::model::{Quarter, Term};
 use courserank::CourseRank;
 use cr_relation::row::{Row, RowId};
+use cr_storage::snapshot::Cut;
 use cr_storage::{FaultyBackend, MemBackend, Storage, StorageConfig};
 use proptest::prelude::*;
 
@@ -63,25 +64,49 @@ fn observe(db: &cr_relation::Database) -> TableState {
     )
 }
 
-/// Run the op sequence against a durable database, checkpointing after
-/// op `checkpoint_at` (if in range). Records the observable state after
-/// the DDL and after every op. Mutation failures (duplicate keys, …)
-/// and checkpoint failures (crash mid-snapshot) are allowed — the state
-/// timeline simply doesn't advance for them.
+/// Where in an op sequence the run checkpoints and restarts.
+#[derive(Debug, Clone)]
+struct Schedule {
+    /// Checkpoint after these ops (positions past the end never fire).
+    checkpoints: Vec<usize>,
+    /// Drop the store and reopen it from its files after this op, so
+    /// later checkpoints write deltas over a recovered chain.
+    reopen_at: usize,
+}
+
+fn schedule_strategy() -> impl Strategy<Value = Schedule> {
+    (proptest::collection::vec(0usize..50, 0..5), 0usize..50).prop_map(
+        |(checkpoints, reopen_at)| Schedule {
+            checkpoints,
+            reopen_at,
+        },
+    )
+}
+
+/// Run the op sequence against a durable database, checkpointing and
+/// reopening per `schedule`. Records the observable state after the DDL
+/// and after every op. Mutation failures (duplicate keys, …),
+/// checkpoint failures (crash mid-snapshot) and a failed reopen (crash
+/// before it) are allowed — the state timeline simply doesn't advance
+/// for them. Returns the timeline and the live store, if still open.
 fn run_ops(
     backend: Arc<dyn cr_storage::StorageBackend>,
     ops: &[Op],
-    checkpoint_at: usize,
-) -> Vec<TableState> {
+    schedule: &Schedule,
+) -> (
+    Vec<TableState>,
+    Option<(Arc<Storage>, cr_relation::Database)>,
+) {
     let mut states = vec![None]; // before any DDL
-    let Ok((storage, db, _)) = Storage::open(backend, StorageConfig::default()) else {
-        return states;
+    let Ok((mut storage, mut db, _)) = Storage::open(backend.clone(), StorageConfig::default())
+    else {
+        return (states, None);
     };
     if db
         .execute_sql("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
         .is_err()
     {
-        return states;
+        return (states, None);
     }
     states.push(observe(&db));
     let mut keys: Vec<i64> = Vec::new();
@@ -108,11 +133,18 @@ fn run_ops(
             }
         }
         states.push(observe(&db));
-        if i == checkpoint_at {
+        for _ in schedule.checkpoints.iter().filter(|&&c| c == i) {
             let _ = storage.checkpoint();
         }
+        if i == schedule.reopen_at {
+            drop((storage, db));
+            match Storage::open(backend.clone(), StorageConfig::default()) {
+                Ok((s, d, _)) => (storage, db) = (s, d),
+                Err(_) => return (states, None),
+            }
+        }
     }
-    states
+    (states, Some((storage, db)))
 }
 
 fn pick(keys: &[i64], n: usize) -> Option<i64> {
@@ -126,15 +158,18 @@ fn pick(keys: &[i64], n: usize) -> Option<i64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
+    /// Crash bytes land anywhere: inside WAL frames, inside a base or a
+    /// delta, between links, in a delta written over a chain recovered
+    /// by the mid-run reopen, and during compaction into a new base.
     #[test]
     fn any_crash_point_recovers_a_prefix(
         ops in proptest::collection::vec(op_strategy(), 1..40),
-        checkpoint_at in 0usize..50,
-        cut_points in proptest::collection::vec(0.0f64..1.0, 3),
+        schedule in schedule_strategy(),
+        cut_points in proptest::collection::vec(0.0f64..1.0, 4),
     ) {
         // Baseline: same ops, no fault. Timeline of every prefix state.
         let baseline = MemBackend::new();
-        let states = run_ops(Arc::new(baseline.clone()), &ops, checkpoint_at);
+        let (states, _) = run_ops(Arc::new(baseline.clone()), &ops, &schedule);
         let total = baseline.total_bytes();
 
         // Sanity: full recovery lands on the final state.
@@ -146,7 +181,7 @@ proptest! {
             let budget = (cut * total as f64) as u64;
             // Deterministic re-run: identical byte stream, cut short.
             let faulty = Arc::new(FaultyBackend::crash_after_bytes(budget));
-            run_ops(faulty.clone(), &ops, checkpoint_at);
+            run_ops(faulty.clone(), &ops, &schedule);
             let (_, db, report) =
                 Storage::open(Arc::new(faulty.surviving()), StorageConfig::default()).unwrap();
             let got = observe(&db);
@@ -156,6 +191,25 @@ proptest! {
                  is not any prefix state (report {report:?})"
             );
         }
+    }
+
+    /// The chain oracle: recovering base + deltas, with no WAL tail to
+    /// replay, and re-encoding the result as a base gives the bytes of a
+    /// base of the live cut at the last checkpoint.
+    #[test]
+    fn recovered_chain_equals_a_base_of_the_last_cut(
+        ops in proptest::collection::vec(op_strategy(), 1..60),
+        schedule in schedule_strategy(),
+    ) {
+        let backend = MemBackend::new();
+        let (_, live) = run_ops(Arc::new(backend.clone()), &ops, &schedule);
+        let (storage, db) = live.unwrap();
+        storage.checkpoint().unwrap();
+        let expected = Cut::pin(&db.catalog()).encode_base(0, 0);
+        let (_, recovered, report) =
+            Storage::open(Arc::new(backend.clone()), StorageConfig::default()).unwrap();
+        prop_assert_eq!(report.replayed_records, 0);
+        prop_assert_eq!(Cut::pin(&recovered.catalog()).encode_base(0, 0), expected);
     }
 }
 
