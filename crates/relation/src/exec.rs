@@ -11,11 +11,14 @@
 //!   instead of copying rows, and projections evaluate expression kernels
 //!   ([`Expr::eval_batch`]) only over selected slots — so a
 //!   scan→filter→project chain is one fused pass with no per-row
-//!   dispatch. Hash joins and hash aggregation group rows by hashing and
+//!   dispatch. Kernels read typed slices and write typed cells; a
+//!   `Value` is built only at the result boundary and for `Generic`
+//!   data. Hash joins and hash aggregation group rows by hashing and
 //!   comparing their key columns where they are stored (dense group ids,
-//!   no `Vec<Value>` key per row) and aggregation feeds the shared
-//!   `AggState` machinery, sort and limit
-//!   permute/truncate the selection vector. `Extend` probes the related
+//!   no `Vec<Value>` key per row), aggregates accumulate from typed
+//!   slices with `AggState`'s rules, sorts compare typed key columns in
+//!   place, and sort and limit permute/truncate the selection vector.
+//!   `Extend` probes the related
 //!   table's version-keyed nest image ([`Table::nested`]) when its
 //!   related side is a bare projected scan, and `Recommend` scores off
 //!   the columns, gathering only the rows it returns.
@@ -37,6 +40,7 @@
 //! FlexRecs' compiled per-user queries cheap on paper-scale data.
 
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::fmt::{self, Write as _};
 use std::ops::Bound;
@@ -45,7 +49,9 @@ use std::time::Instant;
 
 use cr_obs::trace::TraceSpan;
 
-use crate::batch::{Batch, Column as BatchColumn, ColumnBuilder, EvalCol, Vals};
+use crate::batch::{
+    Acc, Batch, Cells, Column as BatchColumn, ColumnBuilder, ColumnData, EvalCol, Vals, NULL_SLOT,
+};
 use crate::catalog::Catalog;
 use crate::error::{RelError, RelResult};
 use crate::expr::{BinOp, Expr};
@@ -1510,18 +1516,27 @@ fn filter_selection(
     predicate: &Expr,
     batch_size: usize,
 ) -> RelResult<(Vec<u32>, usize)> {
-    let sel = batch.selection();
-    let cols = batch.columns();
-    let chunk = batch_size.max(1);
+    let parts = batch.slots().chunks(batch_size);
     let mut keep = Vec::new();
-    let mut batches = 0usize;
-    for part in sel.chunks(chunk) {
-        let base = batches * chunk;
-        batches += 1;
-        let ec = predicate.eval_batch(cols, part)?;
-        for k in 0..part.len() {
-            match ec.value_at(k) {
-                Value::Bool(true) => keep.push((base + k) as u32),
+    let mut base = 0u32;
+    for part in &parts {
+        let ec = predicate.eval_batch(batch.columns(), *part)?;
+        keep_true(&ec, part.len(), base, &mut keep)?;
+        base += part.len() as u32;
+    }
+    Ok((keep, parts.len()))
+}
+
+/// Push `base + k` for each of the `n` predicate results that is TRUE,
+/// read straight from Bool cells and validity. Other storage is the
+/// `Generic` fallback: NULLs drop, any other value is the row path's
+/// type error.
+fn keep_true(ec: &EvalCol, n: usize, base: u32, keep: &mut Vec<u32>) -> RelResult<()> {
+    let v = ec.vals();
+    let Some(cells) = v.bools() else {
+        for k in 0..n {
+            match v.value_at(k) {
+                Value::Bool(true) => keep.push(base + k as u32),
                 Value::Bool(false) | Value::Null => {}
                 other => {
                     return Err(RelError::TypeMismatch {
@@ -1531,13 +1546,28 @@ fn filter_selection(
                 }
             }
         }
+        return Ok(());
+    };
+    let at = |k: usize| base + k as u32;
+    match cells {
+        Acc::Dense {
+            data,
+            validity: None,
+        } => keep.extend((0..n).filter(|&k| data[k]).map(at)),
+        Acc::Dense {
+            data,
+            validity: Some(valid),
+        } => keep.extend((0..n).filter(|&k| data[k] && valid[k]).map(at)),
+        Acc::Const(Some(true)) => keep.extend((0..n).map(at)),
+        cells => keep.extend((0..n).filter(|&k| cells.get(k) == Some(true)).map(at)),
     }
-    Ok((keep, batches))
+    Ok(())
 }
 
 /// Evaluate the projection kernels over the selected slots, producing a
-/// dense batch. A projection that only picks columns evaluates nothing:
-/// it shares the input column `Arc`s and keeps the selection vector.
+/// dense batch; chunks concatenate typed. A projection that only picks
+/// columns evaluates nothing: it shares the input column `Arc`s and keeps
+/// the selection vector.
 fn project_batched(
     batch: &Batch,
     exprs: &[(Expr, String)],
@@ -1556,8 +1586,7 @@ fn project_batched(
     if let Some(picked) = picks {
         return Ok((batch.with_columns(picked), batches));
     }
-    let sel = batch.selection();
-    let n = sel.len();
+    let slots = batch.slots();
     let mut out: Vec<Arc<BatchColumn>> = Vec::with_capacity(exprs.len());
     for (e, _) in exprs {
         if let Expr::Column(i) = e {
@@ -1566,20 +1595,17 @@ fn project_batched(
                 continue;
             }
         }
-        if n <= chunk {
-            out.push(Arc::new(e.eval_batch(cols, &sel)?.into_column(n)));
-        } else {
-            let mut b = ColumnBuilder::with_capacity(n);
-            for part in sel.chunks(chunk) {
-                let ec = e.eval_batch(cols, part)?;
-                for k in 0..part.len() {
-                    b.push(ec.value_at(k));
-                }
-            }
-            out.push(Arc::new(b.finish()));
-        }
+        let mut parts = slots
+            .chunks(chunk)
+            .into_iter()
+            .map(|part| Ok(e.eval_batch(cols, part)?.into_column(part.len())))
+            .collect::<RelResult<Vec<_>>>()?;
+        out.push(Arc::new(match parts.len() {
+            1 => parts.pop().expect("one part"),
+            _ => BatchColumn::concat(&parts),
+        }));
     }
-    Ok((Batch::new(out, n), batches))
+    Ok((Batch::new(out, slots.len()), batches))
 }
 
 /// Batched scan. Sequential scans serve the table's cached columnar image
@@ -1624,7 +1650,7 @@ fn scan_batched(
 fn live_column(batch: &Batch, c: usize) -> Vals<'_> {
     Vals::View {
         col: batch.column(c),
-        sel: batch.live(),
+        slots: batch.slots(),
     }
 }
 
@@ -1637,18 +1663,15 @@ fn operand<'a>(batch: &'a Batch, e: &Expr, slot: &'a mut Option<EvalCol>) -> Rel
             return Ok(live_column(batch, *i));
         }
     }
-    Ok(
-        match slot.insert(e.eval_batch(batch.columns(), &batch.selection())?) {
-            EvalCol::Col(col) => Vals::View { col, sel: None },
-            EvalCol::Const(v) => Vals::Const { v },
-        },
-    )
+    Ok(slot
+        .insert(e.eval_batch(batch.columns(), batch.slots())?)
+        .vals())
 }
 
 /// Batched hash join: group the right rows by key ([`KeyTable`] over the
 /// key columns, hashed and compared in place), probe the left view in
 /// order, then gather both sides' output columns by match index (typed
-/// gathers; NULL-extension for LEFT OUTER falls back to a builder).
+/// gathers; LEFT OUTER's NULL extension gathers `NULL_SLOT`).
 /// Non-equi predicates use the row nested-loop join and transpose.
 fn join_batched(
     left: &Batch,
@@ -1734,26 +1757,12 @@ fn join_batched(
     for c in 0..left_width {
         out.push(Arc::new(left.column(c).gather(&lidx)));
     }
-    if pairs.iter().all(|&(_, r)| r.is_some()) {
-        let ridx: Vec<u32> = pairs
-            .iter()
-            .filter_map(|&(_, r)| r.map(|i| right.base_index(i as usize) as u32))
-            .collect();
-        for c in 0..right_width {
-            out.push(Arc::new(right.column(c).gather(&ridx)));
-        }
-    } else {
-        for c in 0..right_width {
-            let col = right.column(c);
-            let mut b = ColumnBuilder::with_capacity(pairs.len());
-            for &(_, r) in &pairs {
-                match r {
-                    Some(i) => b.push(col.value(right.base_index(i as usize))),
-                    None => b.push(Value::Null),
-                }
-            }
-            out.push(Arc::new(b.finish()));
-        }
+    let ridx: Vec<u32> = pairs
+        .iter()
+        .map(|&(_, r)| r.map_or(NULL_SLOT, |i| right.base_index(i as usize) as u32))
+        .collect();
+    for c in 0..right_width {
+        out.push(Arc::new(right.column(c).gather(&ridx)));
     }
     Ok((
         Batch::new(out, pairs.len()),
@@ -1766,9 +1775,12 @@ fn join_batched(
 
 /// Batched aggregation: group keys and aggregate arguments are read in
 /// place (plain columns through the selection, other expressions as
-/// kernels), rows get dense group ids from a [`KeyTable`] over the key
-/// columns (first-seen order), and every group's [`AggState`]s live in
-/// one `Vec` — accumulation semantics are the row path's by construction.
+/// kernels), and rows get dense group ids from a [`KeyTable`] over the key
+/// columns (first-seen order). Each group's key is a typed gather of its
+/// first row. `COUNT`, and `SUM`/`AVG`/`MIN`/`MAX` over Int and Float
+/// (`MIN`/`MAX` over Text too), accumulate from typed cells with
+/// [`AggState`]'s rules; `DISTINCT` and other arguments feed `AggState`
+/// itself, row by row.
 fn aggregate_batched(batch: &Batch, group_by: &[Expr], aggs: &[AggExpr]) -> RelResult<Batch> {
     let n = batch.len();
     let mut gslots: Vec<Option<EvalCol>> = group_by.iter().map(|_| None).collect();
@@ -1787,71 +1799,231 @@ fn aggregate_batched(batch: &Batch, group_by: &[Expr], aggs: &[AggExpr]) -> RelR
         })
         .collect::<RelResult<Vec<_>>>()?;
     let key = Key::new(gvals.iter().copied(), n);
-    let hashes = key.hashes();
     let mut table = KeyTable::default();
-    let mut states: Vec<AggState> = Vec::new();
-    for (j, &h) in hashes.iter().enumerate() {
-        let g = table.find_or_insert(h, j, |f| key.eq(f, &key, j)) as usize;
-        if states.len() < table.len() * aggs.len() {
-            states.extend(aggs.iter().map(AggState::new));
-        }
-        let group_states = &mut states[g * aggs.len()..(g + 1) * aggs.len()];
-        for ((state, a), av) in group_states.iter_mut().zip(aggs).zip(&avals) {
-            let v = match av {
-                None => Value::Int(1),
-                Some(v) => v.value_at(j),
-            };
-            state.update(v, a.func == AggFn::CountStar)?;
-        }
-    }
+    let gids: Vec<u32> = key
+        .hashes()
+        .into_iter()
+        .enumerate()
+        .map(|(j, h)| table.find_or_insert(h, j, |f| key.eq(f, &key, j)))
+        .collect();
     // A global aggregate over empty input still yields one row.
     let groups = if group_by.is_empty() && n == 0 {
-        states.extend(aggs.iter().map(AggState::new));
         1
     } else {
         table.len()
     };
-    let mut out: Vec<ColumnBuilder> = (0..group_by.len() + aggs.len())
-        .map(|_| ColumnBuilder::with_capacity(groups))
+    let mut out: Vec<Option<BatchColumn>> = aggs
+        .iter()
+        .zip(&avals)
+        .map(|(a, v)| typed_aggregate(a, *v, &gids, groups))
         .collect();
-    for (b, v) in out.iter_mut().zip(&gvals) {
-        for &first in table.firsts() {
-            b.push(v.value_at(first as usize));
+    let rest: Vec<usize> = (0..aggs.len()).filter(|&i| out[i].is_none()).collect();
+    if !rest.is_empty() {
+        let mut states: Vec<AggState> = (0..groups)
+            .flat_map(|_| rest.iter().map(|&i| AggState::new(&aggs[i])))
+            .collect();
+        for (j, &g) in gids.iter().enumerate() {
+            let group_states = &mut states[g as usize * rest.len()..][..rest.len()];
+            for (state, &i) in group_states.iter_mut().zip(&rest) {
+                let v = match avals[i] {
+                    None => Value::Int(1),
+                    Some(v) => v.value_at(j),
+                };
+                state.update(v, aggs[i].func == AggFn::CountStar)?;
+            }
+        }
+        let mut built: Vec<ColumnBuilder> = rest
+            .iter()
+            .map(|_| ColumnBuilder::with_capacity(groups))
+            .collect();
+        for (k, state) in states.into_iter().enumerate() {
+            built[k % rest.len()].push(state.finish()?);
+        }
+        for (&i, b) in rest.iter().zip(built) {
+            out[i] = Some(b.finish());
         }
     }
-    let agg_out = &mut out[group_by.len()..];
-    for (i, state) in states.into_iter().enumerate() {
-        agg_out[i % aggs.len()].push(state.finish()?);
-    }
-    let cols = out.into_iter().map(|b| Arc::new(b.finish())).collect();
+    let cols = gvals
+        .iter()
+        .map(|v| v.gather(table.firsts()))
+        .chain(
+            out.into_iter()
+                .map(|c| c.expect("every aggregate has a column")),
+        )
+        .map(Arc::new)
+        .collect();
     Ok(Batch::new(cols, groups))
 }
 
-/// Batched sort: key expressions evaluate as kernels, then only the
-/// selection vector is permuted — column data never moves.
+/// One aggregate over typed cells, per group: `None` when its argument
+/// needs [`AggState`] (`DISTINCT`, `Generic` or other storage).
+fn typed_aggregate(
+    a: &AggExpr,
+    v: Option<Vals<'_>>,
+    gids: &[u32],
+    groups: usize,
+) -> Option<BatchColumn> {
+    if a.distinct {
+        return None;
+    }
+    let counts = |counted: &dyn Fn(usize) -> bool| {
+        let mut c = vec![0i64; groups];
+        for (j, &g) in gids.iter().enumerate() {
+            c[g as usize] += counted(j) as i64;
+        }
+        BatchColumn::ints(Some((c, None)), groups)
+    };
+    let v = match (a.func, v) {
+        (AggFn::CountStar, _) => return Some(counts(&|_| true)),
+        (_, None) => return None,
+        (_, Some(v)) => v,
+    };
+    match a.func {
+        AggFn::Count => {
+            let nulls = v.nulls(gids.len());
+            Some(counts(&|j| !nulls[j]))
+        }
+        AggFn::Sum => {
+            let mut any = vec![false; groups];
+            if let Some(cells) = v.ints() {
+                // Wrapping, like scalar `+`.
+                let mut sum = vec![0i64; groups];
+                for (j, &g) in gids.iter().enumerate() {
+                    if let Some(x) = cells.get(j) {
+                        sum[g as usize] = sum[g as usize].wrapping_add(x);
+                        any[g as usize] = true;
+                    }
+                }
+                return Some(BatchColumn::ints(Some((sum, Some(any))), groups));
+            }
+            let cells = v.floats()?;
+            let mut sum = vec![0.0f64; groups];
+            for (j, &g) in gids.iter().enumerate() {
+                if let Some(x) = cells.get(j) {
+                    sum[g as usize] += x;
+                    any[g as usize] = true;
+                }
+            }
+            Some(BatchColumn::floats(Some((sum, Some(any))), groups))
+        }
+        AggFn::Avg => {
+            let cells = v.nums()?;
+            let mut total = vec![0.0f64; groups];
+            let mut count = vec![0i64; groups];
+            for (j, &g) in gids.iter().enumerate() {
+                if let Some(x) = cells.get(j) {
+                    total[g as usize] += x;
+                    count[g as usize] += 1;
+                }
+            }
+            let avg = total
+                .iter()
+                .zip(&count)
+                .map(|(t, &c)| t / c as f64)
+                .collect();
+            let valid = count.iter().map(|&c| c > 0).collect();
+            Some(BatchColumn::floats(Some((avg, Some(valid))), groups))
+        }
+        AggFn::Min | AggFn::Max => {
+            let max = a.func == AggFn::Max;
+            let mut best = vec![NULL_SLOT; groups];
+            if let Some(cells) = v.ints() {
+                extreme(&mut best, gids, cells, max);
+            } else if let Some(cells) = v.floats() {
+                extreme(&mut best, gids, cells, max);
+            } else {
+                extreme(&mut best, gids, v.texts()?, max);
+            }
+            Some(v.gather(&best))
+        }
+        AggFn::CountStar => unreachable!("counted above"),
+    }
+}
+
+/// Each group's first row holding its least (`max`: greatest) cell, as
+/// `AggState`'s `v < cur` (`v > cur`) keeps it.
+fn extreme<C: Cells>(best: &mut [u32], gids: &[u32], cells: Acc<'_, C>, max: bool)
+where
+    C::Item: PartialOrd,
+{
+    for (j, &g) in gids.iter().enumerate() {
+        let Some(x) = cells.get(j) else { continue };
+        let b = &mut best[g as usize];
+        let better = match (*b != NULL_SLOT).then(|| cells.get(*b as usize)).flatten() {
+            None => true,
+            Some(cur) if max => x > cur,
+            Some(cur) => x < cur,
+        };
+        if better {
+            *b = j as u32;
+        }
+    }
+}
+
+/// Batched sort: key expressions evaluate as kernels into dense typed
+/// columns, compared in place per storage type (`Value::total_cmp` only
+/// for `Generic`), ties broken by position; then only the selection
+/// vector is permuted — column data never moves.
 fn sort_batched(batch: Batch, keys: &[SortKey]) -> RelResult<Batch> {
     let n = batch.len();
-    let kcols: Vec<EvalCol> = {
-        let sel = batch.selection();
-        keys.iter()
-            .map(|sk| sk.expr.eval_batch(batch.columns(), &sel))
-            .collect::<RelResult<Vec<_>>>()?
-    };
-    let keyed: Vec<Vec<Value>> = (0..n)
-        .map(|j| kcols.iter().map(|k| k.value_at(j)).collect())
+    let kcols: Vec<EvalCol> = keys
+        .iter()
+        .map(|sk| sk.expr.eval_batch(batch.columns(), batch.slots()))
+        .collect::<RelResult<Vec<_>>>()?;
+    // A constant key orders nothing.
+    let order: Vec<SortCol<'_>> = kcols
+        .iter()
+        .zip(keys)
+        .filter_map(|(k, sk)| match k {
+            EvalCol::Col(c) => Some(SortCol {
+                data: c.data(),
+                validity: c.validity(),
+                desc: sk.desc,
+            }),
+            EvalCol::Const(_) => None,
+        })
         .collect();
     let mut idx: Vec<u32> = (0..n as u32).collect();
-    idx.sort_by(|&a, &b| {
-        for (i, sk) in keys.iter().enumerate() {
-            let ord = keyed[a as usize][i].total_cmp(&keyed[b as usize][i]);
-            let ord = if sk.desc { ord.reverse() } else { ord };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        a.cmp(&b) // stable tiebreak
+    idx.sort_unstable_by(|&a, &b| {
+        let (i, j) = (a as usize, b as usize);
+        order
+            .iter()
+            .map(|k| k.cmp(i, j))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
+            .then(a.cmp(&b))
     });
     Ok(batch.select(idx))
+}
+
+/// One sort key: a dense column, compared in place.
+struct SortCol<'a> {
+    data: &'a ColumnData,
+    validity: Option<&'a [bool]>,
+    desc: bool,
+}
+
+impl SortCol<'_> {
+    /// `Value::total_cmp` of slots `a` and `b` (NULL first), reversed
+    /// when descending.
+    #[inline]
+    fn cmp(&self, a: usize, b: usize) -> Ordering {
+        let ord = match self.validity {
+            Some(v) if !(v[a] && v[b]) => v[a].cmp(&v[b]),
+            _ => match self.data {
+                ColumnData::Int(d) => d[a].cmp(&d[b]),
+                ColumnData::Float(d) => d[a].partial_cmp(&d[b]).unwrap_or(Ordering::Equal),
+                ColumnData::Bool(d) => d[a].cmp(&d[b]),
+                ColumnData::Text(t) => t.get(a).cmp(t.get(b)),
+                ColumnData::Generic(d) => d[a].total_cmp(&d[b]),
+            },
+        };
+        if self.desc {
+            ord.reverse()
+        } else {
+            ord
+        }
+    }
 }
 
 /// Batched limit/offset: a selection-vector slice; no data moves.
@@ -1868,22 +2040,15 @@ fn limit_batched(batch: Batch, limit: Option<usize>, offset: usize) -> Batch {
     batch.select((start as u32..end as u32).collect())
 }
 
-/// Concatenate two batches (UNION ALL).
+/// Concatenate two batches (UNION ALL), a typed append per column.
 fn union_batched(left: &Batch, right: &Batch) -> Batch {
-    let width = left.width();
-    let n = left.len() + right.len();
-    let mut cols = Vec::with_capacity(width);
-    for c in 0..width {
-        let mut b = ColumnBuilder::with_capacity(n);
-        for j in 0..left.len() {
-            b.push(left.value(c, j));
-        }
-        for j in 0..right.len() {
-            b.push(right.value(c, j));
-        }
-        cols.push(Arc::new(b.finish()));
-    }
-    Batch::new(cols, n)
+    let cols = (0..left.width())
+        .map(|c| {
+            let (l, r) = (left.dense_column(c), right.dense_column(c));
+            Arc::new(BatchColumn::concat([l.as_ref(), r.as_ref()]))
+        })
+        .collect();
+    Batch::new(cols, left.len() + right.len())
 }
 
 /// The Extend nest map built straight from a related batch's columns

@@ -9,7 +9,11 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::batch::{self, ColumnBuilder, EvalCol, Vals};
+use std::cmp::Ordering;
+
+use crate::batch::{
+    map_cells, zip_cells, zip_nums, Acc, Column, ColumnBuilder, EvalCol, Slots, TypedCells, Vals,
+};
 use crate::error::{RelError, RelResult};
 use crate::row::Row;
 use crate::schema::Schema;
@@ -625,24 +629,26 @@ impl Expr {
     /// names the base slots to evaluate, in output order. Returns a dense
     /// column with one slot per selected row, or a broadcast constant.
     ///
-    /// Semantics mirror [`Expr::eval`] row-for-row: typed fast-path
-    /// kernels are exact specializations of the scalar rules, and every
-    /// other case funnels through the same scalar cores
-    /// (`binary_scalar` & friends) the row evaluator uses. `AND`/`OR`/
-    /// `COALESCE` (and `ROUND`/`SUBSTR` extra arguments) keep their lazy
-    /// semantics by evaluating the deferred operand only over the
-    /// sub-selection of rows where the row evaluator would have reached
-    /// it — `a <> 0 AND b / a > 1` never divides by zero on either path.
-    pub fn eval_batch(&self, cols: &[Arc<batch::Column>], sel: &[u32]) -> RelResult<EvalCol> {
+    /// Semantics mirror [`Expr::eval`] row-for-row: typed kernels read
+    /// typed slices and write typed cells (comparisons, logic, `IS NULL`,
+    /// `LIKE`, `IN` and `BETWEEN` write Bool cells plus validity) as exact
+    /// specializations of the scalar rules, and `Generic` or mistyped
+    /// operands funnel through the same scalar cores (`binary_scalar` &
+    /// friends) the row evaluator uses. `AND`/`OR`/`COALESCE` (and
+    /// `ROUND`/`SUBSTR` extra arguments) keep their lazy semantics by
+    /// evaluating the deferred operand only over the sub-selection of rows
+    /// where the row evaluator would have reached it — `a <> 0 AND b / a >
+    /// 1` never divides by zero on either path.
+    pub fn eval_batch(&self, cols: &[Arc<Column>], sel: Slots<'_>) -> RelResult<EvalCol> {
         if sel.is_empty() {
             // Zero rows: nothing to evaluate, and nothing may error.
-            return Ok(EvalCol::Col(batch::Column::empty()));
+            return Ok(EvalCol::Col(Column::empty()));
         }
         let n = sel.len();
         match self {
             Expr::Literal(v) => Ok(EvalCol::Const(v.clone())),
             Expr::Column(i) => match cols.get(*i) {
-                Some(c) => Ok(EvalCol::Col(c.gather(sel))),
+                Some(c) => Ok(EvalCol::Col(c.take(sel))),
                 None => Err(RelError::Invalid(format!(
                     "row too short for column index {i}"
                 ))),
@@ -661,11 +667,10 @@ impl Expr {
                     return not_scalar(c.clone()).map(EvalCol::Const);
                 }
                 let v = o.vals(cols, sel);
-                let mut out = ColumnBuilder::with_capacity(n);
-                for j in 0..n {
-                    out.push(not_scalar(v.value_at(j))?);
+                if let Some(a) = v.bools() {
+                    return Ok(EvalCol::Col(Column::bools(map_cells(n, a, |b| !b), n)));
                 }
-                Ok(EvalCol::Col(out.finish()))
+                per_cell(n, |j| not_scalar(v.value_at(j)))
             }
             Expr::Neg(e) => {
                 let o = operand(e, cols, sel)?;
@@ -673,23 +678,25 @@ impl Expr {
                     return neg_scalar(c.clone()).map(EvalCol::Const);
                 }
                 let v = o.vals(cols, sel);
-                let mut out = ColumnBuilder::with_capacity(n);
-                for j in 0..n {
-                    out.push(neg_scalar(v.value_at(j))?);
+                if let Some(a) = v.ints() {
+                    return Ok(EvalCol::Col(Column::ints(
+                        map_cells(n, a, i64::wrapping_neg),
+                        n,
+                    )));
                 }
-                Ok(EvalCol::Col(out.finish()))
+                if let Some(a) = v.floats() {
+                    return Ok(EvalCol::Col(Column::floats(map_cells(n, a, |f| -f), n)));
+                }
+                per_cell(n, |j| neg_scalar(v.value_at(j)))
             }
             Expr::IsNull { expr, negated } => {
                 let o = operand(expr, cols, sel)?;
                 if let Operand::Const(c) = &o {
                     return Ok(EvalCol::Const(Value::Bool(c.is_null() != *negated)));
                 }
-                let v = o.vals(cols, sel);
-                let mut out = ColumnBuilder::with_capacity(n);
-                for j in 0..n {
-                    out.push(Value::Bool(v.null_at(j) != *negated));
-                }
-                Ok(EvalCol::Col(out.finish()))
+                let nulls = o.vals(cols, sel).nulls(n);
+                let data = nulls.into_iter().map(|null| null != *negated).collect();
+                Ok(EvalCol::Col(Column::bools(Some((data, None)), n)))
             }
             Expr::Like {
                 expr,
@@ -700,26 +707,25 @@ impl Expr {
                 let po = operand(pattern, cols, sel)?;
                 let ev = eo.vals(cols, sel);
                 let pv = po.vals(cols, sel);
-                let mut out = ColumnBuilder::with_capacity(n);
                 if let (Some(a), Some(b)) = (ev.texts(), pv.texts()) {
-                    for j in 0..n {
-                        out.push(match (a.get(j), b.get(j)) {
-                            (Some(s), Some(p)) => Value::Bool(like_match(s, p) != *negated),
-                            _ => Value::Null,
-                        });
-                    }
-                } else {
-                    for j in 0..n {
-                        let v = ev.value_at(j);
-                        let p = pv.value_at(j);
-                        out.push(if v.is_null() || p.is_null() {
-                            Value::Null
-                        } else {
-                            Value::Bool(like_match(v.as_text()?, p.as_text()?) != *negated)
-                        });
-                    }
+                    let cells = match b {
+                        Acc::Const(Some(p)) => {
+                            let p = LikePattern::new(p);
+                            map_cells(n, a, |s| p.matches(s) != *negated)
+                        }
+                        b => zip_cells(n, a, b, |s, p| like_match(s, p) != *negated),
+                    };
+                    return Ok(EvalCol::Col(Column::bools(cells, n)));
                 }
-                Ok(EvalCol::Col(out.finish()))
+                per_cell(n, |j| {
+                    let v = ev.value_at(j);
+                    let p = pv.value_at(j);
+                    Ok(if v.is_null() || p.is_null() {
+                        Value::Null
+                    } else {
+                        Value::Bool(like_match(v.as_text()?, p.as_text()?) != *negated)
+                    })
+                })
             }
             Expr::InList {
                 expr,
@@ -732,28 +738,31 @@ impl Expr {
                     .map(|e| operand(e, cols, sel))
                     .collect::<RelResult<_>>()?;
                 let ev = eo.vals(cols, sel);
-                let mut out = ColumnBuilder::with_capacity(n);
-                for j in 0..n {
+                let consts: Option<Vec<&Value>> = items
+                    .iter()
+                    .map(|it| match it {
+                        Operand::Const(v) => Some(v),
+                        _ => None,
+                    })
+                    .collect();
+                if let Some((found, valid)) = consts.and_then(|c| in_consts(n, ev, &c)) {
+                    let data = found.into_iter().map(|f| f != *negated).collect();
+                    return Ok(EvalCol::Col(Column::bools(Some((data, valid)), n)));
+                }
+                per_cell(n, |j| {
                     let v = ev.value_at(j);
                     if v.is_null() {
-                        out.push(Value::Null);
-                        continue;
+                        return Ok(Value::Null);
                     }
-                    let mut found = false;
-                    for it in &items {
+                    let found = items.iter().any(|it| {
                         let iv = it.vals(cols, sel);
-                        let eq = match iv.ref_at(j) {
+                        match iv.ref_at(j) {
                             Some(rv) => rv.sql_eq(&v),
                             None => iv.value_at(j).sql_eq(&v),
-                        };
-                        if eq {
-                            found = true;
-                            break;
                         }
-                    }
-                    out.push(Value::Bool(found != *negated));
-                }
-                Ok(EvalCol::Col(out.finish()))
+                    });
+                    Ok(Value::Bool(found != *negated))
+                })
             }
             Expr::Between {
                 expr,
@@ -767,20 +776,28 @@ impl Expr {
                 let vv = vo.vals(cols, sel);
                 let lv = lo_o.vals(cols, sel);
                 let hv = hi_o.vals(cols, sel);
-                let mut out = ColumnBuilder::with_capacity(n);
-                for j in 0..n {
+                let not_greater = |o: std::cmp::Ordering| o != std::cmp::Ordering::Greater;
+                if let (Some(ge), Some(le)) = (
+                    compare_vals(n, lv, vv, not_greater),
+                    compare_vals(n, vv, hv, not_greater),
+                ) {
+                    let cells = ge.zip(le).map(|((a, va), (b, vb))| {
+                        let data = a.iter().zip(&b).map(|(x, y)| (*x && *y) != *negated);
+                        (data.collect(), and_validity(va, vb))
+                    });
+                    return Ok(EvalCol::Col(Column::bools(cells, n)));
+                }
+                per_cell(n, |j| {
                     let v = vv.value_at(j);
                     let lo = lv.value_at(j);
                     let hi = hv.value_at(j);
-                    out.push(if v.is_null() || lo.is_null() || hi.is_null() {
+                    Ok(if v.is_null() || lo.is_null() || hi.is_null() {
                         Value::Null
                     } else {
-                        let within = lo.total_cmp(&v) != std::cmp::Ordering::Greater
-                            && v.total_cmp(&hi) != std::cmp::Ordering::Greater;
+                        let within = not_greater(lo.total_cmp(&v)) && not_greater(v.total_cmp(&hi));
                         Value::Bool(within != *negated)
-                    });
-                }
-                Ok(EvalCol::Col(out.finish()))
+                    })
+                })
             }
             Expr::Func { func, args } => eval_func_batch(*func, args, cols, sel),
         }
@@ -868,7 +885,7 @@ impl Expr {
     /// evaluation errors (the fold keeps the expression unfolded so the
     /// error surfaces at execution time, same as [`Expr::fold`]).
     fn eval_const_kernel(&self) -> Option<Value> {
-        match self.eval_batch(&[], &[0]) {
+        match self.eval_batch(&[], Slots::all(1)) {
             Ok(ec) => Some(ec.value_at(0)),
             Err(_) => None,
         }
@@ -912,19 +929,21 @@ fn eval_binary(op: BinOp, left: &Expr, right: &Expr, row: &Row) -> RelResult<Val
     binary_scalar(op, left.eval(row)?, right.eval(row)?)
 }
 
-/// Resolve a comparison operator against an ordering.
+/// Resolve a comparison operator against an ordering: one bit per
+/// accepted ordering (Less, Equal, Greater), so a kernel's inner loop has
+/// no branch on the operator.
 #[inline]
-fn cmp_result(op: BinOp, ord: std::cmp::Ordering) -> bool {
-    use std::cmp::Ordering::*;
-    match op {
-        BinOp::Eq => ord == Equal,
-        BinOp::NotEq => ord != Equal,
-        BinOp::Lt => ord == Less,
-        BinOp::LtEq => ord != Greater,
-        BinOp::Gt => ord == Greater,
-        BinOp::GtEq => ord != Less,
+fn cmp_accepts(op: BinOp) -> impl Fn(Ordering) -> bool + Copy {
+    let accepts: u8 = match op {
+        BinOp::Eq => 0b010,
+        BinOp::NotEq => 0b101,
+        BinOp::Lt => 0b001,
+        BinOp::LtEq => 0b011,
+        BinOp::Gt => 0b100,
+        BinOp::GtEq => 0b110,
         _ => unreachable!(),
-    }
+    };
+    move |ord| (accepts >> (ord as i8 + 1)) & 1 == 1
 }
 
 /// Logical NOT on an evaluated value (NULL propagates).
@@ -977,7 +996,7 @@ pub(crate) fn binary_scalar(op: BinOp, l: Value, r: Value) -> RelResult<Value> {
             (Value::Int(i), Value::Date(_)) => (Value::Date(*i as i32), r.clone()),
             _ => (l, r),
         };
-        return Ok(Value::Bool(cmp_result(op, l.total_cmp(&r))));
+        return Ok(Value::Bool(cmp_accepts(op)(l.total_cmp(&r))));
     }
     // Arithmetic. Text + Text concatenates (convenience used by FlexRecs'
     // compiled SQL when labelling results).
@@ -1051,28 +1070,28 @@ fn float_arith(op: BinOp, a: f64, b: f64) -> RelResult<Value> {
 
 /// A kernel operand: a view of an input column through the selection, a
 /// dense computed column, or a broadcast constant. Leaf column references
-/// stay views so comparison/arithmetic kernels read table storage directly
-/// instead of gathering first.
+/// stay views so kernels read table storage directly instead of gathering
+/// first.
 enum Operand {
     ColRef(usize),
-    Owned(batch::Column),
+    Owned(Column),
     Const(Value),
 }
 
 impl Operand {
-    fn vals<'a>(&'a self, cols: &'a [Arc<batch::Column>], sel: &'a [u32]) -> Vals<'a> {
+    fn vals<'a>(&'a self, cols: &'a [Arc<Column>], sel: Slots<'a>) -> Vals<'a> {
         match self {
             Operand::ColRef(i) => Vals::View {
                 col: &cols[*i],
-                sel: Some(sel),
+                slots: sel,
             },
-            Operand::Owned(c) => Vals::View { col: c, sel: None },
+            Operand::Owned(c) => c.vals(),
             Operand::Const(v) => Vals::Const { v },
         }
     }
 }
 
-fn operand(e: &Expr, cols: &[Arc<batch::Column>], sel: &[u32]) -> RelResult<Operand> {
+fn operand(e: &Expr, cols: &[Arc<Column>], sel: Slots<'_>) -> RelResult<Operand> {
     match e {
         Expr::Literal(v) => Ok(Operand::Const(v.clone())),
         Expr::Column(i) if *i < cols.len() => Ok(Operand::ColRef(*i)),
@@ -1083,12 +1102,87 @@ fn operand(e: &Expr, cols: &[Arc<batch::Column>], sel: &[u32]) -> RelResult<Oper
     }
 }
 
+/// The per-cell fallback: one scalar result per position, through a
+/// builder. Kernels use it for `Generic` storage, mistyped operands and
+/// the operations with no typed kernel.
+fn per_cell(n: usize, f: impl Fn(usize) -> RelResult<Value>) -> RelResult<EvalCol> {
+    let mut out = ColumnBuilder::with_capacity(n);
+    for j in 0..n {
+        out.push(f(j)?);
+    }
+    Ok(EvalCol::Col(out.finish()))
+}
+
+/// `Value::total_cmp` on two floats.
+#[inline]
+fn float_cmp(x: f64, y: f64) -> Ordering {
+    x.partial_cmp(&y).unwrap_or(Ordering::Equal)
+}
+
+/// `accept(l.total_cmp(r))` per position, NULL where either side is:
+/// `Some` when both sides are Int/Float, Text or Bool cells (the inner
+/// `None`: every position is NULL), `None` for the per-cell fallback.
+fn compare_vals(
+    n: usize,
+    l: Vals<'_>,
+    r: Vals<'_>,
+    accept: impl Fn(Ordering) -> bool,
+) -> Option<Option<TypedCells<bool>>> {
+    if let (Some(a), Some(b)) = (l.ints(), r.ints()) {
+        return Some(zip_cells(n, a, b, |x, y| accept(x.cmp(&y))));
+    }
+    if let (Some(a), Some(b)) = (l.nums(), r.nums()) {
+        return Some(zip_nums(n, a, b, |x, y| accept(float_cmp(x, y))));
+    }
+    if let (Some(a), Some(b)) = (l.texts(), r.texts()) {
+        return Some(zip_cells(n, a, b, |x, y| accept(x.cmp(y))));
+    }
+    if let (Some(a), Some(b)) = (l.bools(), r.bools()) {
+        return Some(zip_cells(n, a, b, |x, y| accept(x.cmp(&y))));
+    }
+    None
+}
+
+/// `IN` over constant items: is each position's cell `sql_eq` to an
+/// item? A typed comparison per item (an item of another type rank, or
+/// NULL, matches nothing); `None` for the per-cell fallback.
+fn in_consts(n: usize, v: Vals<'_>, items: &[&Value]) -> Option<TypedCells<bool>> {
+    if v.nums().is_none() && v.texts().is_none() && v.bools().is_none() {
+        return None;
+    }
+    let valid: Vec<bool> = v.nulls(n).into_iter().map(|null| !null).collect();
+    let mut found = vec![false; n];
+    for item in items {
+        if let Some(Some((eq, _))) = compare_vals(n, v, Vals::Const { v: item }, Ordering::is_eq) {
+            for ((f, e), ok) in found.iter_mut().zip(eq).zip(&valid) {
+                *f |= e && *ok;
+            }
+        }
+    }
+    Some((found, Some(valid)))
+}
+
+/// Is any non-NULL cell true?
+fn any_true(cells: Option<TypedCells<bool>>) -> bool {
+    cells.is_some_and(|(data, valid)| {
+        (0..data.len()).any(|j| data[j] && valid.as_ref().is_none_or(|v| v[j]))
+    })
+}
+
+/// Valid where both are.
+fn and_validity(a: Option<Vec<bool>>, b: Option<Vec<bool>>) -> Option<Vec<bool>> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.iter().zip(&b).map(|(x, y)| *x && *y).collect()),
+        (v, None) | (None, v) => v,
+    }
+}
+
 fn eval_binary_batch(
     op: BinOp,
     left: &Expr,
     right: &Expr,
-    cols: &[Arc<batch::Column>],
-    sel: &[u32],
+    cols: &[Arc<Column>],
+    sel: Slots<'_>,
 ) -> RelResult<EvalCol> {
     if matches!(op, BinOp::And | BinOp::Or) {
         return eval_logic_batch(op, left, right, cols, sel);
@@ -1101,130 +1195,115 @@ fn eval_binary_batch(
     }
     let l = lo.vals(cols, sel);
     let r = ro.vals(cols, sel);
-    let mut out = ColumnBuilder::with_capacity(n);
     if op.is_comparison() {
-        if let (Some(a), Some(b)) = (l.ints(), r.ints()) {
-            for j in 0..n {
-                out.push(match (a.get(j), b.get(j)) {
-                    (Some(x), Some(y)) => Value::Bool(cmp_result(op, x.cmp(&y))),
-                    _ => Value::Null,
-                });
-            }
-        } else if let (Some(a), Some(b)) = (l.nums(), r.nums()) {
-            for j in 0..n {
-                out.push(match (a.get(j), b.get(j)) {
-                    (Some(x), Some(y)) => Value::Bool(cmp_result(
-                        op,
-                        x.partial_cmp(&y).unwrap_or(std::cmp::Ordering::Equal),
-                    )),
-                    _ => Value::Null,
-                });
-            }
-        } else if let (Some(a), Some(b)) = (l.texts(), r.texts()) {
-            for j in 0..n {
-                out.push(match (a.get(j), b.get(j)) {
-                    (Some(x), Some(y)) => Value::Bool(cmp_result(op, x.cmp(y))),
-                    _ => Value::Null,
-                });
-            }
-        } else {
-            for j in 0..n {
-                out.push(binary_scalar(op, l.value_at(j), r.value_at(j))?);
-            }
+        if let Some(cells) = compare_vals(n, l, r, cmp_accepts(op)) {
+            return Ok(EvalCol::Col(Column::bools(cells, n)));
         }
-        return Ok(EvalCol::Col(out.finish()));
+        return per_cell(n, |j| binary_scalar(op, l.value_at(j), r.value_at(j)));
     }
     // Arithmetic kernels.
     if let (Some(a), Some(b)) = (l.ints(), r.ints()) {
-        for j in 0..n {
-            out.push(match (a.get(j), b.get(j)) {
-                (Some(x), Some(y)) => int_arith(op, x, y)?,
-                _ => Value::Null,
-            });
-        }
-        return Ok(EvalCol::Col(out.finish()));
+        let cells = match op {
+            BinOp::Add => zip_cells(n, a, b, i64::wrapping_add),
+            BinOp::Sub => zip_cells(n, a, b, i64::wrapping_sub),
+            BinOp::Mul => zip_cells(n, a, b, i64::wrapping_mul),
+            // A quotient is an Int or a Float, cell by cell; `%` stays with
+            // it so a zero divisor errors only in a non-NULL pair.
+            _ => {
+                return per_cell(n, |j| match (a.get(j), b.get(j)) {
+                    (Some(x), Some(y)) => int_arith(op, x, y),
+                    _ => Ok(Value::Null),
+                })
+            }
+        };
+        return Ok(EvalCol::Col(Column::ints(cells, n)));
     }
     if let (Some(a), Some(b)) = (l.nums(), r.nums()) {
-        for j in 0..n {
-            out.push(match (a.get(j), b.get(j)) {
-                (Some(x), Some(y)) => float_arith(op, x, y)?,
-                _ => Value::Null,
-            });
+        // `float_arith`'s error for a zero divisor in a non-NULL pair.
+        if matches!(op, BinOp::Div | BinOp::Mod) && any_true(zip_nums(n, a, b, |_, y| y == 0.0)) {
+            return float_arith(op, 1.0, 0.0).map(EvalCol::Const);
         }
-        return Ok(EvalCol::Col(out.finish()));
+        let cells = match op {
+            BinOp::Add => zip_nums(n, a, b, |x, y| x + y),
+            BinOp::Sub => zip_nums(n, a, b, |x, y| x - y),
+            BinOp::Mul => zip_nums(n, a, b, |x, y| x * y),
+            BinOp::Div => zip_nums(n, a, b, |x, y| x / y),
+            _ => zip_nums(n, a, b, |x, y| x % y),
+        };
+        // `Value::float`: a NaN result is NULL.
+        return Ok(EvalCol::Col(Column::floats(cells, n)));
     }
-    if op == BinOp::Add {
-        if let (Some(a), Some(b)) = (l.texts(), r.texts()) {
-            for j in 0..n {
-                out.push(match (a.get(j), b.get(j)) {
-                    (Some(x), Some(y)) => {
-                        let mut s = String::with_capacity(x.len() + y.len());
-                        s.push_str(x);
-                        s.push_str(y);
-                        Value::Text(s)
-                    }
-                    _ => Value::Null,
-                });
-            }
-            return Ok(EvalCol::Col(out.finish()));
-        }
-    }
-    for j in 0..n {
-        out.push(binary_scalar(op, l.value_at(j), r.value_at(j))?);
-    }
-    Ok(EvalCol::Col(out.finish()))
+    per_cell(n, |j| binary_scalar(op, l.value_at(j), r.value_at(j)))
 }
 
 fn eval_logic_batch(
     op: BinOp,
     left: &Expr,
     right: &Expr,
-    cols: &[Arc<batch::Column>],
-    sel: &[u32],
+    cols: &[Arc<Column>],
+    sel: Slots<'_>,
 ) -> RelResult<EvalCol> {
     let n = sel.len();
     // The left-side value that short-circuits this operator.
     let sc = matches!(op, BinOp::Or);
     let l = left.eval_batch(cols, sel)?;
-    if let EvalCol::Const(lv) = &l {
-        if *lv == Value::Bool(sc) {
-            return Ok(EvalCol::Const(Value::Bool(sc)));
-        }
-        let lv = lv.clone();
-        return match right.eval_batch(cols, sel)? {
-            EvalCol::Const(rv) => binary_scalar(op, lv, rv).map(EvalCol::Const),
-            EvalCol::Col(rc) => {
-                let mut out = ColumnBuilder::with_capacity(n);
-                for j in 0..n {
-                    out.push(binary_scalar(op, lv.clone(), rc.value(j))?);
+    let lc = match l {
+        EvalCol::Const(lv) if lv == Value::Bool(sc) => return Ok(EvalCol::Const(lv)),
+        EvalCol::Const(lv) => {
+            return match right.eval_batch(cols, sel)? {
+                EvalCol::Const(rv) => binary_scalar(op, lv, rv).map(EvalCol::Const),
+                // NULL combined with anything is NULL; the non-short-
+                // circuiting Bool leaves the right side's Bool cells as
+                // they are.
+                EvalCol::Col(_) if lv.is_null() => Ok(EvalCol::Col(Column::nulls(n))),
+                EvalCol::Col(rc) if rc.vals().bools().is_some() && lv.as_bool().is_ok() => {
+                    Ok(EvalCol::Col(rc))
                 }
-                Ok(EvalCol::Col(out.finish()))
-            }
-        };
-    }
-    let EvalCol::Col(lc) = l else { unreachable!() };
+                EvalCol::Col(rc) => per_cell(n, |j| binary_scalar(op, lv.clone(), rc.value(j))),
+            };
+        }
+        EvalCol::Col(lc) => lc,
+    };
     // Rows where the left side does not short-circuit still need the right
     // side — evaluate it only over that sub-selection, preserving the row
     // evaluator's lazy error semantics.
-    let mut sub_sel = Vec::new();
-    for (j, &slot) in sel.iter().enumerate().take(n) {
-        if lc.value(j) != Value::Bool(sc) {
-            sub_sel.push(slot);
-        }
-    }
-    if sub_sel.is_empty() {
+    let lb = lc.vals().bools();
+    let pending: Vec<u32> = (0..n as u32)
+        .filter(|&j| match lb {
+            Some(a) => a.get(j as usize) != Some(sc),
+            None => lc.value(j as usize) != Value::Bool(sc),
+        })
+        .collect();
+    if pending.is_empty() {
         return Ok(EvalCol::Const(Value::Bool(sc)));
     }
-    let r = right.eval_batch(cols, &sub_sel)?;
+    let sub: Vec<u32> = pending
+        .iter()
+        .map(|&j| sel.get(j as usize) as u32)
+        .collect();
+    let r = right.eval_batch(cols, Slots::List(&sub))?;
+    if let (Some(a), Some(b)) = (lb, r.vals().bools()) {
+        // A pending row is NULL when its left side is; otherwise the
+        // non-short-circuiting Bool leaves the right side's cell.
+        let mut data = vec![sc; n];
+        let mut validity = vec![true; n];
+        for (k, &j) in pending.iter().enumerate() {
+            let j = j as usize;
+            match (a.get(j), b.get(k)) {
+                (Some(_), Some(x)) => data[j] = x,
+                _ => validity[j] = false,
+            }
+        }
+        return Ok(EvalCol::Col(Column::bools(Some((data, Some(validity))), n)));
+    }
     let mut out = ColumnBuilder::with_capacity(n);
     let mut k = 0usize;
     for j in 0..n {
-        let lv = lc.value(j);
-        if lv == Value::Bool(sc) {
-            out.push(Value::Bool(sc));
-        } else {
-            out.push(binary_scalar(op, lv, r.value_at(k))?);
+        if pending.get(k) == Some(&(j as u32)) {
+            out.push(binary_scalar(op, lc.value(j), r.value_at(k))?);
             k += 1;
+        } else {
+            out.push(Value::Bool(sc));
         }
     }
     Ok(EvalCol::Col(out.finish()))
@@ -1233,8 +1312,8 @@ fn eval_logic_batch(
 fn eval_func_batch(
     func: ScalarFn,
     args: &[Expr],
-    cols: &[Arc<batch::Column>],
-    sel: &[u32],
+    cols: &[Arc<Column>],
+    sel: Slots<'_>,
 ) -> RelResult<EvalCol> {
     let n = sel.len();
     let arity_err = |expected: usize| {
@@ -1251,25 +1330,14 @@ fn eval_func_batch(
             }
             let o = operand(&args[0], cols, sel)?;
             let v = o.vals(cols, sel);
-            let mut out = ColumnBuilder::with_capacity(n);
-            if let Some(a) = v.texts() {
-                for j in 0..n {
-                    out.push(match a.get(j) {
-                        Some(s) => text_case_scalar(func, s),
-                        None => Value::Null,
-                    });
-                }
-            } else {
-                for j in 0..n {
-                    let v = v.value_at(j);
-                    out.push(if v.is_null() {
-                        Value::Null
-                    } else {
-                        text_case_scalar(func, v.as_text()?)
-                    });
-                }
-            }
-            Ok(EvalCol::Col(out.finish()))
+            per_cell(n, |j| {
+                let v = v.value_at(j);
+                Ok(if v.is_null() {
+                    Value::Null
+                } else {
+                    text_case_scalar(func, v.as_text()?)
+                })
+            })
         }
         ScalarFn::Abs => {
             if args.len() != 1 {
@@ -1291,13 +1359,13 @@ fn eval_func_batch(
             // The digits argument is only evaluated for rows whose value
             // is non-NULL, mirroring the row evaluator's laziness.
             let mut sub_sel = Vec::with_capacity(n);
-            for (j, &slot) in sel.iter().enumerate().take(n) {
+            for (j, slot) in sel.iter().enumerate() {
                 if !v0.is_null_at(j) {
                     sub_sel.push(slot);
                 }
             }
             let digits = match args.get(1) {
-                Some(d) => Some(d.eval_batch(cols, &sub_sel)?),
+                Some(d) => Some(d.eval_batch(cols, Slots::List(&sub_sel))?),
                 None => None,
             };
             let mut out = ColumnBuilder::with_capacity(n);
@@ -1326,8 +1394,11 @@ fn eval_func_batch(
                 if pending.is_empty() {
                     break;
                 }
-                let base: Vec<u32> = pending.iter().map(|&p| sel[p as usize]).collect();
-                let ec = a.eval_batch(cols, &base)?;
+                let base: Vec<u32> = pending
+                    .iter()
+                    .map(|&p| sel.get(p as usize) as u32)
+                    .collect();
+                let ec = a.eval_batch(cols, Slots::List(&base))?;
                 let mut still = Vec::new();
                 for (k, &p) in pending.iter().enumerate() {
                     let v = ec.value_at(k);
@@ -1406,13 +1477,13 @@ fn eval_func_batch(
             }
             let v0 = args[0].eval_batch(cols, sel)?;
             let mut sub_sel = Vec::with_capacity(n);
-            for (j, &slot) in sel.iter().enumerate().take(n) {
+            for (j, slot) in sel.iter().enumerate() {
                 if !v0.is_null_at(j) {
                     sub_sel.push(slot);
                 }
             }
-            let starts = args[1].eval_batch(cols, &sub_sel)?;
-            let lens = args[2].eval_batch(cols, &sub_sel)?;
+            let starts = args[1].eval_batch(cols, Slots::List(&sub_sel))?;
+            let lens = args[2].eval_batch(cols, Slots::List(&sub_sel))?;
             let mut out = ColumnBuilder::with_capacity(n);
             let mut k = 0usize;
             for j in 0..n {
@@ -1592,33 +1663,48 @@ fn substr_scalar(s: &str, start: i64, len: i64) -> Value {
 }
 
 /// SQL LIKE matching with `%` (any run) and `_` (any one char),
-/// case-insensitive. Iterative two-pointer algorithm (no recursion, no
-/// allocation beyond the lowercase buffers).
+/// case-insensitive.
 pub fn like_match(text: &str, pattern: &str) -> bool {
-    let t: Vec<char> = text.to_lowercase().chars().collect();
-    let p: Vec<char> = pattern.to_lowercase().chars().collect();
-    let (mut ti, mut pi) = (0usize, 0usize);
-    let (mut star_p, mut star_t) = (usize::MAX, 0usize);
-    while ti < t.len() {
-        if pi < p.len() && (p[pi] == '_' || p[pi] == t[ti]) {
-            ti += 1;
-            pi += 1;
-        } else if pi < p.len() && p[pi] == '%' {
-            star_p = pi;
-            star_t = ti;
-            pi += 1;
-        } else if star_p != usize::MAX {
-            star_t += 1;
-            ti = star_t;
-            pi = star_p + 1;
-        } else {
-            return false;
+    LikePattern::new(pattern).matches(text)
+}
+
+/// A LIKE pattern lowered once, so a kernel over a constant pattern pays
+/// for it once, not per row.
+struct LikePattern(Vec<char>);
+
+impl LikePattern {
+    fn new(pattern: &str) -> LikePattern {
+        LikePattern(pattern.to_lowercase().chars().collect())
+    }
+
+    /// Iterative two-pointer algorithm (no recursion, no allocation beyond
+    /// the lowercased text).
+    fn matches(&self, text: &str) -> bool {
+        let t: Vec<char> = text.to_lowercase().chars().collect();
+        let p = &self.0;
+        let (mut ti, mut pi) = (0usize, 0usize);
+        let (mut star_p, mut star_t) = (usize::MAX, 0usize);
+        while ti < t.len() {
+            if pi < p.len() && (p[pi] == '_' || p[pi] == t[ti]) {
+                ti += 1;
+                pi += 1;
+            } else if pi < p.len() && p[pi] == '%' {
+                star_p = pi;
+                star_t = ti;
+                pi += 1;
+            } else if star_p != usize::MAX {
+                star_t += 1;
+                ti = star_t;
+                pi = star_p + 1;
+            } else {
+                return false;
+            }
         }
+        while pi < p.len() && p[pi] == '%' {
+            pi += 1;
+        }
+        pi == p.len()
     }
-    while pi < p.len() && p[pi] == '%' {
-        pi += 1;
-    }
-    pi == p.len()
 }
 
 impl fmt::Display for Expr {
@@ -1885,23 +1971,58 @@ mod tests {
             },
         ];
         let b = Batch::from_rows(&rows, 3);
-        let sel: Vec<u32> = (0..rows.len() as u32).collect();
         for e in &exprs {
-            let ec = e.eval_batch(b.columns(), &sel).unwrap();
+            let ec = e.eval_batch(b.columns(), Slots::all(rows.len())).unwrap();
             for (j, r) in rows.iter().enumerate() {
                 assert_eq!(ec.value_at(j), e.eval(r).unwrap(), "expr {e} row {j}");
+            }
+            // A run that starts past slot 0 reads its own slots.
+            let run = Slots::Run { start: 1, len: 2 };
+            let ec = e.eval_batch(b.columns(), run).unwrap();
+            for (k, r) in rows[1..3].iter().enumerate() {
+                assert_eq!(ec.value_at(k), e.eval(r).unwrap(), "expr {e} run {k}");
             }
         }
         // A sub-selection evaluates only the selected slots, in order.
         let sub: Vec<u32> = vec![3, 0];
         for e in &exprs {
-            let ec = e.eval_batch(b.columns(), &sub).unwrap();
+            let ec = e.eval_batch(b.columns(), Slots::List(&sub)).unwrap();
             for (k, &j) in sub.iter().enumerate() {
                 assert_eq!(
                     ec.value_at(k),
                     e.eval(&rows[j as usize]).unwrap(),
                     "expr {e} slot {j}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn batch_division_errors_like_row_eval() {
+        use crate::batch::Batch;
+        let rows: Vec<Row> = vec![
+            vec![Value::Float(2.5), Value::Int(0)],
+            vec![Value::Null, Value::Null],
+            vec![Value::Float(1.0), Value::Int(3)],
+        ];
+        let b = Batch::from_rows(&rows, 2);
+        let float_divisor = || Expr::col_idx(0).sub(Expr::lit(2.5f64));
+        let exprs = [
+            Expr::lit(1.0f64).div(float_divisor()),
+            Expr::lit(1i64).binary(BinOp::Mod, float_divisor()),
+            Expr::lit(7i64).binary(BinOp::Mod, Expr::col_idx(1)),
+            Expr::lit(7i64).div(Expr::col_idx(1)),
+        ];
+        for e in exprs {
+            let row_err = e.eval(&rows[0]).unwrap_err();
+            let batch_err = e.eval_batch(b.columns(), Slots::all(3)).unwrap_err();
+            assert_eq!(format!("{row_err:?}"), format!("{batch_err:?}"), "{e}");
+            // A NULL divisor is NULL, not an error, through a selection and
+            // through a plain run alike.
+            for slots in [Slots::List(&[1, 2]), Slots::Run { start: 1, len: 2 }] {
+                let ec = e.eval_batch(b.columns(), slots).unwrap();
+                assert_eq!(ec.value_at(0), Value::Null, "{e}");
+                assert_eq!(ec.value_at(1), e.eval(&rows[2]).unwrap(), "{e}");
             }
         }
     }

@@ -3,9 +3,10 @@
 //!
 //! A key is one or more columns of a [`Batch`](crate::batch::Batch) (or
 //! of evaluated group-by kernels), read where they are stored. Hashes are
-//! computed a column at a time from typed storage into one `u64` per row,
-//! and two rows are compared slot by slot in place — no `Vec<Value>` is
-//! built per row, no key is cloned into a map.
+//! computed a column at a time from typed storage into one `u64` per row
+//! (Text hashes its bytes where the arena holds them), and two rows are
+//! compared slot by slot in place — no `Value` is built per cell, no key
+//! is cloned into a map.
 //!
 //! The semantics are exactly [`Value`]'s: equal keys are `sql_eq`
 //! column-wise (Int 3 equals Float 3.0, −0.0 equals 0.0, NULL equals NULL
@@ -21,7 +22,7 @@
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 
-use crate::batch::{IntsAcc, NumsAcc, TextsAcc, Vals};
+use crate::batch::{Acc, Cells, TextCells, Vals};
 use crate::value::Value;
 
 /// FxHash's multiplier: `mix` is one rotate, xor and multiply.
@@ -108,12 +109,12 @@ impl Hasher for FxHasher {
 }
 
 /// One key column, classified once by storage so the per-row hash and
-/// comparison are a slice index.
+/// comparison read a typed slice.
 #[derive(Clone, Copy)]
 enum Typed<'a> {
-    Int(IntsAcc<'a>),
-    Float(NumsAcc<'a>),
-    Text(TextsAcc<'a>),
+    Int(Acc<'a, &'a [i64]>),
+    Float(Acc<'a, &'a [f64]>),
+    Text(Acc<'a, TextCells<'a>>),
     /// Bool, Date, nested or mixed storage: compared as `Value`s.
     Any,
 }
@@ -124,15 +125,32 @@ struct KeyCol<'a> {
     typed: Typed<'a>,
 }
 
+/// Mix each position's cell hash (`NULL_HASH` for NULL) into `hashes`.
+fn hash_cells<C: Cells>(a: Acc<'_, C>, hashes: &mut [u64], hash: impl Fn(C::Item) -> u64) {
+    match a {
+        Acc::Dense {
+            data,
+            validity: None,
+        } => {
+            for (j, h) in hashes.iter_mut().enumerate() {
+                *h = mix(*h, hash(data.cell(j)));
+            }
+        }
+        _ => {
+            for (j, h) in hashes.iter_mut().enumerate() {
+                *h = mix(*h, a.get(j).map_or(NULL_HASH, &hash));
+            }
+        }
+    }
+}
+
 impl<'a> KeyCol<'a> {
     fn new(vals: Vals<'a>) -> KeyCol<'a> {
-        // Int storage is tried before the numeric accessor, so `Float`
-        // only ever holds Float storage.
         let typed = if let Some(a) = vals.ints() {
             Typed::Int(a)
         } else if let Some(a) = vals.texts() {
             Typed::Text(a)
-        } else if let Some(a) = vals.nums() {
+        } else if let Some(a) = vals.floats() {
             Typed::Float(a)
         } else {
             Typed::Any
@@ -142,21 +160,9 @@ impl<'a> KeyCol<'a> {
 
     fn hash_into(&self, hashes: &mut [u64]) {
         match self.typed {
-            Typed::Int(a) => {
-                for (j, h) in hashes.iter_mut().enumerate() {
-                    *h = mix(*h, a.get(j).map_or(NULL_HASH, |i| num_hash(i as f64)));
-                }
-            }
-            Typed::Float(a) => {
-                for (j, h) in hashes.iter_mut().enumerate() {
-                    *h = mix(*h, a.get(j).map_or(NULL_HASH, num_hash));
-                }
-            }
-            Typed::Text(a) => {
-                for (j, h) in hashes.iter_mut().enumerate() {
-                    *h = mix(*h, a.get(j).map_or(NULL_HASH, text_hash));
-                }
-            }
+            Typed::Int(a) => hash_cells(a, hashes, |i| num_hash(i as f64)),
+            Typed::Float(a) => hash_cells(a, hashes, num_hash),
+            Typed::Text(a) => hash_cells(a, hashes, text_hash),
             Typed::Any => {
                 for (j, h) in hashes.iter_mut().enumerate() {
                     let cell = match self.vals.ref_at(j) {
@@ -326,11 +332,14 @@ impl KeyTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::Column;
+    use crate::batch::{Column, Slots};
     use proptest::prelude::*;
 
     fn view(c: &Column) -> Vals<'_> {
-        Vals::View { col: c, sel: None }
+        Vals::View {
+            col: c,
+            slots: Slots::all(c.len()),
+        }
     }
 
     /// Group `values` (one key column) through a `KeyTable`; returns the
@@ -367,6 +376,29 @@ mod tests {
                 .collect(),
         );
         assert_eq!(group(&col, 5), vec![0, 1, 0, 2, 1]);
+    }
+
+    #[test]
+    fn text_keys_hash_like_their_values() {
+        let texts = ["", "a", "héllo", "日本語", "a"];
+        let col = Column::from_values(texts.iter().map(|s| Value::text(*s)).collect());
+        let want: Vec<u64> = texts
+            .iter()
+            .map(|s| values_hash(&[Value::text(*s)]))
+            .collect();
+        assert_eq!(Key::new([view(&col)], texts.len()).hashes(), want);
+        // Through a selection, and after a gather (which shares the arena).
+        let sel = [2u32, 1];
+        let through = Vals::View {
+            col: &col,
+            slots: Slots::List(&sel),
+        };
+        assert_eq!(Key::new([through], 2).hashes(), vec![want[2], want[1]]);
+        let picked = col.gather(&sel);
+        assert_eq!(
+            Key::new([view(&picked)], 2).hashes(),
+            vec![want[2], want[1]]
+        );
     }
 
     fn any_key() -> impl Strategy<Value = Value> {

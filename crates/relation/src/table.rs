@@ -646,7 +646,7 @@ impl Table {
             .collect();
         for (_, row) in self.scan() {
             for (b, v) in builders.iter_mut().zip(row.iter()) {
-                b.push(v.clone());
+                b.push_ref(v);
             }
         }
         let cols: ColumnarImage =

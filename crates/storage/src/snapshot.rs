@@ -205,6 +205,20 @@ impl Cut {
         )
     }
 
+    /// Does this cut hold exactly `manifest`'s tables, chunk for chunk?
+    pub fn holds(&self, manifest: &Manifest) -> bool {
+        self.0.len() == manifest.0.len()
+            && self.0.iter().all(|t| {
+                manifest.0.get(t.name()).is_some_and(|chunks| {
+                    chunks.len() == t.chunks().len()
+                        && chunks
+                            .iter()
+                            .zip(t.chunks())
+                            .all(|(a, b)| Arc::ptr_eq(a, b))
+                })
+            })
+    }
+
     /// Encode the cut as a base. `wal_seq`/`wal_offset` must be a flushed
     /// WAL position captured before the cut was pinned.
     pub fn encode_base(&self, wal_seq: u64, wal_offset: u64) -> Vec<u8> {

@@ -37,7 +37,9 @@
 //! share of its base (`COMPACT_AT_PERCENT`, not a setting). The manifest
 //! moves to the new cut only once the file is durable, so a failed
 //! checkpoint leaves the next delta covering everything since the last
-//! durable link.
+//! durable link. A checkpoint with nothing new — no WAL record since
+//! the newest link, the same tables, no dirty chunk — writes no file and
+//! returns that link's sequence.
 //!
 //! [`StorageConfig::snapshots_to_keep`] counts independent recovery
 //! points: the newest link over each of that many bases is kept with
@@ -161,6 +163,10 @@ struct Disk {
     links: BTreeMap<u64, LinkInfo>,
     /// The newest durable link and the chunks of the cut it holds.
     tip: Option<(u64, Manifest)>,
+    /// The WAL position right after the tip's checkpoint rotated the log,
+    /// when no record was appended while it ran: while the log is still
+    /// there, nothing has been logged since the tip.
+    quiet_at: Option<(u64, u64)>,
     next_seq: u64,
     /// Link files found at open that hold no recovery point; the next
     /// prune deletes them.
@@ -185,6 +191,14 @@ impl Disk {
             prev_seq: *tip,
         };
         Some((link, manifest))
+    }
+
+    /// The tip's seq when a checkpoint of `cut` at WAL position `wal_at`
+    /// would hold nothing new: no record logged since the tip, the same
+    /// persisted tables, and no chunk dirty against its manifest.
+    fn unchanged_tip(&self, wal_at: (u64, u64), cut: &Cut) -> Option<u64> {
+        let (tip, manifest) = self.tip.as_ref()?;
+        (self.quiet_at == Some(wal_at) && cut.holds(manifest)).then_some(*tip)
     }
 }
 
@@ -394,6 +408,7 @@ impl Storage {
             disk: Mutex::new(Disk {
                 links,
                 tip,
+                quiet_at: None,
                 next_seq,
                 stale,
                 wal_floor,
@@ -432,7 +447,8 @@ impl Storage {
     /// Write a recovery point — a delta over the newest link, or a base
     /// (module docs: checkpoints) — rotate the WAL, and prune the links
     /// and WAL files retention no longer needs. Returns the new link's
-    /// sequence.
+    /// sequence. When nothing changed since the newest link, writes
+    /// nothing and returns that link's sequence.
     pub fn checkpoint(&self) -> StorageResult<u64> {
         let mut disk = self.disk.lock();
         let mut span =
@@ -445,6 +461,14 @@ impl Storage {
             wal.position()
         };
         let cut = Cut::pin(&self.catalog);
+        if let Some(tip) = disk.unchanged_tip((wal_seq, wal_offset), &cut) {
+            if span.is_recording() {
+                span.attr("snapshot_seq", tip.to_string());
+                span.attr("kind", "unchanged");
+            }
+            return Ok(tip);
+        }
+        disk.quiet_at = None;
         let seq = disk.next_seq;
         disk.next_seq += 1;
         let (data, link, dirty) = match disk.delta_over() {
@@ -472,7 +496,13 @@ impl Storage {
         disk.tip = Some((seq, cut.manifest()));
         let total = cut.total_chunks();
         drop(cut); // unpin the tables; the manifest holds only chunks
-        self.wal.lock().rotate()?;
+        let quiet_at = {
+            let mut wal = self.wal.lock();
+            let before = wal.position();
+            wal.rotate()?;
+            (before == (wal_seq, wal_offset)).then(|| wal.position())
+        };
+        disk.quiet_at = quiet_at;
         self.prune(&mut disk)?;
         if cr_obs::enabled() {
             self.metrics.snapshot_writes.inc();
@@ -995,6 +1025,47 @@ mod tests {
             2,
             "both deltas and compacted bases were written"
         );
+    }
+
+    /// A checkpoint with nothing new since the newest link writes no file
+    /// and returns that link's seq; a write in between makes the next one
+    /// a delta again. A reopen recovers the same state.
+    #[test]
+    fn an_empty_checkpoint_writes_nothing() {
+        let backend = MemBackend::new();
+        let files = |b: &MemBackend| -> Vec<(String, Vec<u8>)> {
+            let names = b.list().unwrap();
+            names
+                .into_iter()
+                .map(|n| {
+                    let data = b.read(&n).unwrap().unwrap();
+                    (n, data)
+                })
+                .collect()
+        };
+        let want = {
+            let (st, db, _) = open_mem(&backend);
+            seed_schema(&db);
+            insert_range(&db, 0..50);
+            let seq = st.checkpoint().unwrap();
+            let before = files(&backend);
+            assert_eq!(st.checkpoint().unwrap(), seq);
+            assert_eq!(
+                files(&backend),
+                before,
+                "an empty checkpoint touched a file"
+            );
+            assert_eq!(link_files(&backend).len(), 1);
+            insert_range(&db, 50..51);
+            let next = st.checkpoint().unwrap();
+            assert!(next > seq);
+            assert!(link_files(&backend)[&next].info.is_delta());
+            assert_eq!(st.checkpoint().unwrap(), next);
+            Cut::pin(&db.catalog()).encode_base(0, 0)
+        };
+        let (_, db, _) = open_mem(&backend);
+        assert_eq!(Cut::pin(&db.catalog()).encode_base(0, 0), want);
+        assert_eq!(titles(&db).len(), 51);
     }
 
     #[test]

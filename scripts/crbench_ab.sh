@@ -22,8 +22,10 @@
 #
 # Each run's `#` notes (crbench's stderr) are kept beside its metrics;
 # where they hold the durable workload's checkpoint note, the table is
-# followed by each side's quartiles of its median checkpoint time, so a
-# per-layer move comes from the same paired runs as the claim.
+# followed by each side's quartiles of its median checkpoint time, and
+# where they hold crbench's `read kind bands` note, by each side's median
+# over runs of each read kind's median latency — so a per-layer or
+# per-kind move comes from the same paired runs as the claim.
 #
 # Each run lasts the benchmark's own `run_seconds` (BENCHMARK.json).
 # Workloads default to all four. Knobs (environment):
@@ -58,6 +60,14 @@ def checkpoint_ms(run):
         if m:
             return float(m.group(1))
     return None
+
+KIND_BAND = re.compile(r"(\S+) [0-9.]+–[0-9.]+% \(([0-9.]+) ms\)")
+
+def kind_medians(run):
+    for note in run.get("notes", []):
+        if "read kind bands:" in note:
+            return {k: float(ms) for k, ms in KIND_BAND.findall(note.split("read kind bands:", 1)[1])}
+    return {}
 
 def sign_p(wins, n):
     k = min(wins, n - wins)
@@ -108,6 +118,16 @@ for w in sorted({w for w, _ in pairs}):
         c1, cmed, c3 = quartiles([c for _, c in ck])
         print(f"  checkpoint median ms (information only, {len(ck)} pairs): "
               f"base {b1:.4g}/{bmed:.4g}/{b3:.4g} | change {c1:.4g}/{cmed:.4g}/{c3:.4g}")
+    kinds = [(kind_medians(p["base"]), kind_medians(p["change"])) for p in done]
+    names = sorted({k for b, c in kinds for k in b if k in c})
+    if names:
+        print("  read kind median ms (information only, median over the pairs): base | change")
+        for k in names:
+            got = [(b[k], c[k]) for b, c in kinds if k in b and k in c]
+            bmed = statistics.median(b for b, _ in got)
+            cmed = statistics.median(c for _, c in got)
+            ratio = cmed / bmed if bmed else float("nan")
+            print(f"    {k:22} {bmed:8.3f} | {cmed:8.3f}  ({ratio:.3f}x, {len(got)} pairs)")
 EOF
 }
 

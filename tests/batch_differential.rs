@@ -1025,3 +1025,185 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Typed kernels: float and text columns, sorts, aggregates, concatenation
+// ---------------------------------------------------------------------
+
+const TYPED_FLOATS: &[&str] = &["NULL", "-0.0", "0.0", "2.5", "0.0", "-1.5", "2.5"];
+const TYPED_TEXTS: &[&str] = &[
+    "NULL",
+    "''",
+    "'ünï cødé'",
+    "'日本'",
+    "'abc'",
+    "'abc'",
+    "'Zed'",
+];
+
+/// `U` holds a nullable FLOAT (−0.0 beside 0.0, repeats), a nullable TEXT
+/// (`''`, non-ASCII, repeats) and a nullable INT, with tombstones; `V` is
+/// a text-keyed build side with a text column to gather.
+fn build_typed_db(u: &[(usize, usize, i64)], v: &[(usize, usize, i64)]) -> Database {
+    let db = Database::new();
+    db.execute_sql("CREATE TABLE U (Id INT PRIMARY KEY, X FLOAT, T TEXT, N INT)")
+        .unwrap();
+    db.execute_sql("CREATE TABLE V (Id INT PRIMARY KEY, T TEXT, D TEXT, M INT)")
+        .unwrap();
+    let int = |x: i64| {
+        if x == 0 {
+            "NULL".to_owned()
+        } else {
+            x.to_string()
+        }
+    };
+    for (i, &(x, t, n)) in u.iter().enumerate() {
+        db.execute_sql(&format!(
+            "INSERT INTO U VALUES ({i}, {}, {}, {})",
+            TYPED_FLOATS[x % TYPED_FLOATS.len()],
+            TYPED_TEXTS[t % TYPED_TEXTS.len()],
+            int(n)
+        ))
+        .unwrap();
+    }
+    for (i, &(t, d, m)) in v.iter().enumerate() {
+        db.execute_sql(&format!(
+            "INSERT INTO V VALUES ({i}, {}, {}, {})",
+            TYPED_TEXTS[t % TYPED_TEXTS.len()],
+            TYPED_TEXTS[d % TYPED_TEXTS.len()],
+            int(m)
+        ))
+        .unwrap();
+    }
+    db.execute_sql("DELETE FROM U WHERE N = 2").unwrap();
+    db.execute_sql("DELETE FROM V WHERE M = -2").unwrap();
+    db
+}
+
+const TYPED_QUERIES: &[&str] = &[
+    // Sorts on one typed key: ties keep input order, NULL sorts first
+    // (last descending), −0.0 ties with 0.0.
+    "SELECT Id, X FROM U ORDER BY X",
+    "SELECT Id, X FROM U ORDER BY X DESC",
+    "SELECT Id, T FROM U ORDER BY T",
+    "SELECT Id, T FROM U ORDER BY T DESC",
+    "SELECT Id, N FROM U ORDER BY N DESC",
+    "SELECT Id, N FROM U ORDER BY N",
+    // Mixed-direction multi-key orders with ties.
+    "SELECT Id, T, X, N FROM U ORDER BY T DESC, X, N DESC",
+    "SELECT Id, X, T FROM U ORDER BY X DESC, T LIMIT 9 OFFSET 1",
+    // Text group keys (a NULL group included) with text MIN/MAX and
+    // float SUM/AVG.
+    "SELECT T, COUNT(*) AS n, COUNT(X) AS c, MIN(T) AS lo, MAX(T) AS hi, \
+     SUM(X) AS s, AVG(X) AS a, MIN(X) AS xl, MAX(X) AS xh FROM U GROUP BY T",
+    "SELECT N, MIN(T) AS lo, MAX(T) AS hi, SUM(N) AS s, AVG(N) AS a, COUNT(T) AS c \
+     FROM U GROUP BY N ORDER BY N",
+    "SELECT X, COUNT(*) AS n, SUM(DISTINCT N) AS d FROM U GROUP BY X",
+    "SELECT COUNT(*) AS n, SUM(X) AS s, MIN(T) AS lo, MAX(X) AS hi FROM U WHERE N > 100",
+    // UNION ALL of Int, Float and Text columns (one arena or two).
+    "SELECT N FROM U UNION ALL SELECT M FROM V",
+    "SELECT X FROM U UNION ALL SELECT X FROM U WHERE N > 0",
+    "SELECT T FROM U WHERE N < 0 UNION ALL SELECT T FROM U",
+    "SELECT T FROM U UNION ALL SELECT D FROM V",
+    // Computed projections over more rows than the batch: chunks
+    // concatenate typed.
+    "SELECT Id, X * 2, LOWER(T), T + '!', N + 1, X > 0, T = '' FROM U",
+    "SELECT Id, -X, UPPER(T), N * N FROM U WHERE N <> 1",
+    // Int `%` and `/` over a nullable divisor with no selection: a NULL
+    // divisor is NULL, never a division by zero.
+    "SELECT Id, N % N, 7 % N, 7 / N FROM U",
+    // Float comparisons, NULL operands included.
+    "SELECT Id FROM U WHERE X > NULL",
+    "SELECT Id, X = NULL, X < 0.0, X >= -0.0, NULL <> X FROM U",
+    "SELECT Id FROM U WHERE X = 0.0",
+    "SELECT Id FROM U WHERE X BETWEEN -0.0 AND 2.5 OR X IN (-1.5, 3)",
+    "SELECT Id FROM U WHERE NOT (X < 1) AND X IS NOT NULL",
+    "SELECT Id FROM U WHERE T = '' OR T LIKE '%ü%' OR T IN ('abc', NULL)",
+    "SELECT Id FROM U WHERE N BETWEEN -1 AND 3 AND T > 'a'",
+    // A join on text keys that gathers a text column from the build side.
+    "SELECT U.Id, V.D FROM U JOIN V ON U.T = V.T",
+    "SELECT U.Id, V.D, V.T FROM U LEFT JOIN V ON U.T = V.T",
+    "SELECT V.D, COUNT(*) AS n, MAX(U.X) AS x FROM U JOIN V ON U.T = V.T GROUP BY V.D ORDER BY n DESC, D",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The unoptimized plan on the row oracle is ground truth; every
+    /// walker prints the same rows (`Debug`: −0.0 stays −0.0).
+    #[test]
+    fn typed_kernels_match_row_oracle(
+        u in proptest::collection::vec((0usize..7, 0usize..7, -3i64..4), 0..60),
+        v in proptest::collection::vec((0usize..7, 0usize..7, -3i64..4), 0..30),
+    ) {
+        let db = build_typed_db(&u, &v);
+        let catalog = db.catalog();
+        for q in TYPED_QUERIES {
+            let plan = bind(q, &db);
+            let want = format!("{:?}", execute_with(&plan, &catalog, &oracle()).unwrap().rows);
+            let optimized = assert_optimize_stable(&plan);
+            for b in std::iter::once(0).chain(BATCH_SIZES.iter().copied()) {
+                let got = execute_with(&optimized, &catalog, &batched(b)).unwrap();
+                prop_assert_eq!(&format!("{:?}", got.rows), &want, "batch_size={} diverged on {}", b, q);
+            }
+        }
+    }
+}
+
+#[test]
+fn typed_corpus_has_the_shapes_it_claims() {
+    let rows: Vec<(usize, usize, i64)> = (0..14).map(|i| (i, i, i as i64 % 4 - 1)).collect();
+    let db = build_typed_db(&rows, &rows);
+    let got = format!("{:?}", db.query_sql("SELECT X, T FROM U").unwrap().rows);
+    for shape in [
+        "Float(-0.0)",
+        "Float(0.0)",
+        "Text(\"\")",
+        "ünï cødé",
+        "Null",
+    ] {
+        assert!(got.contains(shape), "{shape} missing from {got}");
+    }
+    // Tombstones: N = 2 rows were deleted.
+    let n = db.query_sql("SELECT COUNT(*) AS n FROM U").unwrap().rows[0][0].clone();
+    assert_eq!(n, Value::Int(11));
+}
+
+/// A WHERE whose result is not Bool is the same type error on both
+/// walkers, whatever storage the result has.
+#[test]
+fn non_bool_where_fails_alike_on_both_walkers() {
+    use cr_relation::{Expr, PlanBuilder};
+    let rows: Vec<(usize, usize, i64)> = (0..10).map(|i| (i, i, i as i64 % 4 - 1)).collect();
+    let db = build_typed_db(&rows, &rows);
+    let catalog = db.catalog();
+    let preds = [
+        Expr::col("N"),
+        Expr::col("X").add(Expr::lit(1.0f64)),
+        Expr::col("T"),
+        Expr::Func {
+            func: cr_relation::expr::ScalarFn::Coalesce,
+            args: vec![Expr::col("N"), Expr::col("T")],
+        },
+    ];
+    for p in preds {
+        let plan = PlanBuilder::scan(&catalog, "U")
+            .unwrap()
+            .filter(p.clone())
+            .unwrap()
+            .build();
+        let row = execute_with(&plan, &catalog, &oracle()).unwrap_err();
+        assert!(
+            matches!(row, cr_relation::RelError::TypeMismatch { .. }),
+            "{p}: {row:?}"
+        );
+        for &b in BATCH_SIZES {
+            let vec = execute_with(&plan, &catalog, &batched(b)).unwrap_err();
+            assert_eq!(
+                std::mem::discriminant(&vec),
+                std::mem::discriminant(&row),
+                "batch_size={b} on {p}: {vec:?} vs {row:?}"
+            );
+        }
+    }
+}
