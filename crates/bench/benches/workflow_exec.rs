@@ -3,8 +3,9 @@
 //! asserted byte-identical before timing, so the numbers compare
 //! equivalent work. Prints `[PR4] scenario=… median_ns=…` lines
 //! (interpreter vs plan) and `[PR7] …` lines (vectorized default vs the
-//! `batch_size: 0` row oracle), the formats `BENCH_pr4.json` and
-//! `BENCH_pr7.json` were taken from.
+//! `batch_size: 0` row oracle). CHANGES.md keeps the medians first taken
+//! with them; on the benchmark, crbench's `flexrecs.run.*_us` per-layer
+//! metrics (`--trace 1`) time the same plans.
 
 // Benches are measurement harnesses, not library code: aborting on a
 // broken fixture is the right behavior.

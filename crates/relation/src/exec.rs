@@ -61,6 +61,7 @@ use crate::plan::{AggExpr, AggFn, JoinKind, LogicalPlan, RecAggPlan, RecMethod, 
 use crate::profile::OpProfile;
 use crate::row::Row;
 use crate::schema::Schema;
+use crate::similarity::{dense_keys, Common, Probe, RatingsSim, SetSim};
 use crate::table::Table;
 use crate::value::Value;
 
@@ -2089,11 +2090,78 @@ fn cell(col: &BatchColumn, i: usize) -> Cow<'_, Value> {
         .map_or_else(|| Cow::Owned(col.value(i)), Cow::Borrowed)
 }
 
+/// How targets are scored against one comparator cell: through the cell's
+/// [`Probe`] when it gets one (`Set`/`Ratings` methods, dense Int keys),
+/// by [`pair_score`] otherwise.
+enum CellScorer<'a> {
+    Set(SetSim, Probe<'a, Value>),
+    Ratings(RatingsSim, usize, Probe<'a, (Value, f64)>),
+    Pairwise(&'a RecMethod, &'a Value),
+}
+
+impl<'a> CellScorer<'a> {
+    fn new(method: &'a RecMethod, c: &'a Value) -> Self {
+        let probed = match method {
+            RecMethod::Set(sim) => c
+                .as_set()
+                .and_then(Probe::set)
+                .map(|p| CellScorer::Set(*sim, p)),
+            RecMethod::Ratings { sim, min_common } => c
+                .as_ratings()
+                .and_then(Probe::ratings)
+                .map(|p| CellScorer::Ratings(*sim, *min_common, p)),
+            RecMethod::Text(_) | RecMethod::RatingLookup => None,
+        };
+        probed.unwrap_or(CellScorer::Pairwise(method, c))
+    }
+
+    /// [`pair_score`] of target cell `t` against this comparator cell;
+    /// `scratch` is reused from target to target.
+    fn score(&self, t: &Value, scratch: &mut Common) -> Option<f64> {
+        match self {
+            CellScorer::Set(sim, p) => Some(sim.score_probe(t.as_set()?, p)),
+            CellScorer::Ratings(sim, min_common, p) => {
+                Some(sim.score_probe(t.as_ratings()?, p, *min_common, scratch))
+            }
+            CellScorer::Pairwise(method, c) => pair_score(method, t, c),
+        }
+    }
+}
+
+/// EXPLAIN ANALYZE's `probe=dense:N,hashed:M` for a `Set`/`Ratings`
+/// Recommend: how many comparator cells get a [`Probe`] and how many are
+/// scored pairwise (merge or hash); `None` for other methods.
+fn probe_detail(spec: &RecSpec, comparator: &Batch) -> Option<String> {
+    let ratings = match spec.method {
+        RecMethod::Set(_) => false,
+        RecMethod::Ratings { .. } => true,
+        RecMethod::Text(_) | RecMethod::RatingLookup => return None,
+    };
+    let col = comparator.column(spec.comparator_col);
+    let (mut dense, mut pairwise) = (0, 0);
+    for i in 0..comparator.len() {
+        let c = cell(col, comparator.base_index(i));
+        let probed = if ratings {
+            c.as_ratings().map(|r| dense_keys(r.iter().map(|(k, _)| k)))
+        } else {
+            c.as_set().map(|s| dense_keys(s.iter()))
+        };
+        match probed {
+            Some(true) => dense += 1,
+            Some(false) => pairwise += 1,
+            None => {}
+        }
+    }
+    Some(format!("probe=dense:{dense},hashed:{pairwise}"))
+}
+
 /// Batched Recommend: scores straight off the columns and materializes
-/// only the rows it returns. Per target the comparators fold in input
-/// order through the row path's [`ScoreAcc`]/[`pair_score`], and the
-/// ranking is the row path's [`rec_order`], so the result is the row
-/// executor's bit for bit.
+/// only the rows it returns. The comparators are walked in input order,
+/// each scoring every live target through its [`CellScorer`] into that
+/// target's row-path [`ScoreAcc`] — so each target folds its scores in
+/// comparator order, and only one comparator's probe is alive at a time —
+/// and the ranking is the row path's [`rec_order`], so the result is the
+/// row executor's bit for bit.
 fn recommend_batched(target: &Batch, comparator: &Batch, spec: &RecSpec) -> Batch {
     let col_cells = |c: usize| -> Vec<Cow<'_, Value>> {
         let col = comparator.column(c);
@@ -2138,35 +2206,48 @@ fn recommend_batched(target: &Batch, comparator: &Batch, spec: &RecSpec) -> Batc
     }
 
     let tcol = target.column(spec.target_col);
-    // (score, live row) of every target that scored.
-    let mut scored: Vec<(f64, u32)> = Vec::new();
-    for j in 0..target.len() {
-        let base = target.base_index(j);
-        if let Some((t_idx, _)) = spec.exclude_seen {
-            let v = cell(target.column(t_idx), base);
-            if as_rec_scalar(&v).is_some_and(|v| seen.contains(v)) {
-                continue;
+    // (live row, target cell) of every target not excluded as seen.
+    let live: Vec<(u32, Cow<'_, Value>)> = (0..target.len())
+        .filter_map(|j| {
+            let base = target.base_index(j);
+            if let Some((t_idx, _)) = spec.exclude_seen {
+                let v = cell(target.column(t_idx), base);
+                if as_rec_scalar(&v).is_some_and(|v| seen.contains(v)) {
+                    return None;
+                }
             }
-        }
-        let t = cell(tcol, base);
-        let acc = match &spec.method {
-            RecMethod::RatingLookup => as_rec_scalar(&t)
-                .and_then(|key| per_key.get(key).copied())
-                .unwrap_or(ScoreAcc::EMPTY),
-            method => {
-                let mut acc = ScoreAcc::EMPTY;
-                for (c, &w) in ccells.iter().zip(&weights) {
-                    if let Some(s) = pair_score(method, &t, c) {
+            Some((j as u32, cell(tcol, base)))
+        })
+        .collect();
+    let accs: Vec<ScoreAcc> = match &spec.method {
+        RecMethod::RatingLookup => live
+            .iter()
+            .map(|(_, t)| {
+                as_rec_scalar(t)
+                    .and_then(|key| per_key.get(key).copied())
+                    .unwrap_or(ScoreAcc::EMPTY)
+            })
+            .collect(),
+        method => {
+            let mut accs = vec![ScoreAcc::EMPTY; live.len()];
+            let mut scratch = Common::default();
+            for (c, &w) in ccells.iter().zip(&weights) {
+                let scorer = CellScorer::new(method, c);
+                for ((_, t), acc) in live.iter().zip(&mut accs) {
+                    if let Some(s) = scorer.score(t, &mut scratch) {
                         acc.add(s, w);
                     }
                 }
-                acc
             }
-        };
-        if let Some(score) = acc.finish(&spec.agg) {
-            scored.push((score, j as u32));
+            accs
         }
-    }
+    };
+    // (score, live row) of every target that scored.
+    let mut scored: Vec<(f64, u32)> = live
+        .iter()
+        .zip(&accs)
+        .filter_map(|(&(j, _), acc)| Some((acc.finish(&spec.agg)?, j)))
+        .collect();
 
     // The row path's stable sort, spelled as a total order (input order
     // last) so the top k can be selected before anything is sorted.
@@ -2388,7 +2469,11 @@ fn run_batched<P: Profile>(
             let (t, tchild) = run_batched::<P>(target, catalog, batch_size)?;
             let (c, cchild) = run_batched::<P>(comparator, catalog, batch_size)?;
             let batch = recommend_batched(&t, &c, spec);
-            let label = P::label(|| plan_label(plan, recommend_detail(spec)));
+            let label = P::label(|| {
+                let mut detail = recommend_detail(spec);
+                detail.extend(probe_detail(spec, &c));
+                plan_label(plan, detail)
+            });
             (batch, label, vec![tchild, cchild])
         }
     };
@@ -2972,6 +3057,16 @@ mod tests {
         let rec = again.find("Recommend").expect("recommend profiled");
         assert_eq!(nest_of(rec), ["nest=cached", "nest=cached"]);
         assert!(again.render().contains("nest=cached"));
+        // The comparator side is every student: one probe per cell, all
+        // dense (Int course ids a few apart).
+        let comparator_cells = rec.children[1].rows_out;
+        assert!(comparator_cells > 0);
+        assert!(
+            rec.detail
+                .contains(&format!("probe=dense:{comparator_cells},hashed:0")),
+            "{:?}",
+            rec.detail
+        );
     }
 
     /// A related side that is more than a bare projected scan builds its

@@ -111,9 +111,160 @@ fn common_ratings(a: &[(Value, f64)], b: &[(Value, f64)]) -> (Vec<f64>, Vec<f64>
     (xs, ys)
 }
 
+/// The widest key span (`max − min + 1`) an all-Int comparator cell gets a
+/// dense probe for: an 8 KiB bitmap, plus 512 KiB of rating slots in
+/// `Ratings` mode; any other cell is scored pairwise. Scoring 3,500
+/// targets of 20 keys against one cell takes 0.12–0.22 ms through the
+/// probe at any span up to this one and 1.2–1.6 ms by the pairwise merge;
+/// building the probe costs under 1 µs for a set and 13 µs for ratings at
+/// this span.
+pub(crate) const DENSE_SPAN: u64 = 1 << 16;
+
+/// The paired ratings of the shared keys, as [`RatingsSim`] scores them.
+pub(crate) type Common = (Vec<f64>, Vec<f64>);
+
+/// One comparator cell — a `Set`'s keys (`E = Value`) or a `Ratings`
+/// vector (`E = (Value, f64)`) — whose keys are all Int and span at most
+/// [`DENSE_SPAN`], indexed once as a bitmap over `key − lo` (plus a rating
+/// slot per id in `Ratings` mode), so that every target cell scored
+/// against it walks its own keys and looks each one up: no merge, and no
+/// hashing, per pair. Scores through a probe are the pairwise
+/// [`SetSim::score`]/[`RatingsSim::score`] floats bit for bit.
+pub(crate) struct Probe<'a, E> {
+    /// The comparator cell, for the pairs the lookups cannot serve.
+    cell: &'a [E],
+    /// |C| over distinct keys.
+    distinct: usize,
+    lo: i64,
+    bits: Vec<u64>,
+    slots: Vec<f64>,
+}
+
+/// `(min, max − min + 1)` of keys that are all Int and span at most
+/// [`DENSE_SPAN`] — `(0, 0)` for none — or `None` otherwise.
+fn dense_span<'a>(keys: impl Iterator<Item = &'a Value>) -> Option<(i64, usize)> {
+    let mut range = None;
+    for k in keys {
+        let Value::Int(k) = *k else { return None };
+        range = Some(range.map_or((k, k), |(lo, hi): (i64, i64)| (lo.min(k), hi.max(k))));
+    }
+    match range {
+        None => Some((0, 0)),
+        Some((lo, hi)) if hi.abs_diff(lo) < DENSE_SPAN => Some((lo, hi.abs_diff(lo) as usize + 1)),
+        Some(_) => None,
+    }
+}
+
+/// Do these comparator keys get a [`Probe`]?
+pub(crate) fn dense_keys<'a>(keys: impl Iterator<Item = &'a Value>) -> bool {
+    dense_span(keys).is_some()
+}
+
+impl<'a, E> Probe<'a, E> {
+    /// Index `entries` (the cell's keys, with their ratings in `Ratings`
+    /// mode) if they are dense; a repeated key keeps its last rating, as
+    /// [`common_ratings_hashed`]'s map does.
+    fn build(
+        cell: &'a [E],
+        entries: impl Iterator<Item = (&'a Value, f64)> + Clone,
+        ratings: bool,
+    ) -> Option<Self> {
+        let (lo, n) = dense_span(entries.clone().map(|(k, _)| k))?;
+        let mut bits = vec![0u64; n.div_ceil(64)];
+        let mut slots = vec![0.0; if ratings { n } else { 0 }];
+        let mut distinct = 0;
+        for (k, v) in entries {
+            let Value::Int(k) = *k else { continue };
+            let i = k.wrapping_sub(lo) as usize;
+            let (word, bit) = (&mut bits[i / 64], 1u64 << (i % 64));
+            distinct += usize::from(*word & bit == 0);
+            *word |= bit;
+            if ratings {
+                slots[i] = v;
+            }
+        }
+        Some(Probe {
+            cell,
+            distinct,
+            lo,
+            bits,
+            slots,
+        })
+    }
+
+    /// The slot of key `k`, if the cell holds it.
+    #[inline]
+    fn slot(&self, k: i64) -> Option<usize> {
+        let i = usize::try_from(k.checked_sub(self.lo)?).ok()?;
+        let word = *self.bits.get(i / 64)?;
+        (word & (1 << (i % 64)) != 0).then_some(i)
+    }
+}
+
+impl<'a> Probe<'a, Value> {
+    /// The probe of a `Set` cell, if its keys are dense.
+    pub(crate) fn set(keys: &'a [Value]) -> Option<Self> {
+        Self::build(keys, keys.iter().map(|k| (k, 0.0)), false)
+    }
+
+    /// [`set_counts`] of `t` against the comparator cell. The walk checks
+    /// that `t` is strictly ascending and all Int as it goes; a target
+    /// that is not is counted by [`set_counts_hashed`], whose
+    /// distinct-element counts the merge and this walk both reproduce for
+    /// ascending input.
+    fn set_counts(&self, t: &[Value]) -> (usize, usize, usize) {
+        let mut prev = None;
+        let walked = t.iter().try_fold(0, |inter, v| {
+            let Value::Int(k) = *v else { return None };
+            if prev.is_some_and(|p| p >= k) {
+                return None;
+            }
+            prev = Some(k);
+            Some(inter + usize::from(self.slot(k).is_some()))
+        });
+        match walked {
+            Some(inter) => (inter, t.len(), self.distinct),
+            None => set_counts_hashed(t, self.cell),
+        }
+    }
+}
+
+impl<'a> Probe<'a, (Value, f64)> {
+    /// The probe of a `Ratings` cell, if its keys are dense.
+    pub(crate) fn ratings(ratings: &'a [(Value, f64)]) -> Option<Self> {
+        Self::build(ratings, ratings.iter().map(|(k, v)| (k, *v)), true)
+    }
+
+    /// [`common_ratings_hashed`] of `t` against the comparator cell, into
+    /// `out`: the probe holds each key's last rating and the walk goes in
+    /// `t` order, so these are that function's pairs in its order, for
+    /// any `t`.
+    fn common_ratings(&self, t: &[(Value, f64)], out: &mut Common) {
+        let (xs, ys) = out;
+        xs.clear();
+        ys.clear();
+        for (k, x) in t {
+            let Value::Int(k) = *k else {
+                // A Float key can equal an Int one: hash the pair.
+                *out = common_ratings_hashed(t, self.cell);
+                return;
+            };
+            if let Some(i) = self.slot(k) {
+                xs.push(*x);
+                ys.push(self.slots[i]);
+            }
+        }
+    }
+}
+
 impl SetSim {
     pub fn score(&self, a: &[Value], b: &[Value]) -> f64 {
         self.score_counts(set_counts(a, b))
+    }
+
+    /// [`SetSim::score`] of `t` against the probe's comparator cell.
+    pub(crate) fn score_probe(&self, t: &[Value], probe: &Probe<'_, Value>) -> f64 {
+        self.score_counts(probe.set_counts(t))
     }
 
     /// The similarity from `(|A∩B|, |A|, |B|)`.
@@ -184,6 +335,19 @@ impl RatingsSim {
     /// (a single shared rating says nothing; CF folklore uses 2–5).
     pub fn score(&self, a: &[(Value, f64)], b: &[(Value, f64)], min_common: usize) -> f64 {
         self.score_common(&common_ratings(a, b), min_common)
+    }
+
+    /// [`RatingsSim::score`] of `t` against the probe's comparator cell;
+    /// `scratch` holds the shared keys' ratings, reused from pair to pair.
+    pub(crate) fn score_probe(
+        &self,
+        t: &[(Value, f64)],
+        probe: &Probe<'_, (Value, f64)>,
+        min_common: usize,
+        scratch: &mut Common,
+    ) -> f64 {
+        probe.common_ratings(t, scratch);
+        self.score_common(scratch, min_common)
     }
 
     /// The similarity from the paired ratings of the shared keys.
@@ -555,6 +719,123 @@ mod tests {
             for sim in [TextSim::WordJaccard, TextSim::TrigramJaccard, TextSim::Levenshtein] {
                 let s = sim.score(&a, &b);
                 prop_assert!((0.0..=1.0).contains(&s), "{}: {s}", sim.name());
+            }
+        }
+    }
+
+    /// How far a comparator cell's keys stretch: within a few ids, to a
+    /// span of exactly [`DENSE_SPAN`], one past it, or across the whole
+    /// `i64` range (`-6..=i64::MAX` plus `i64::MIN`) or half of it
+    /// (`i64::MIN..=7`).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Stretch {
+        Narrow,
+        AtBound,
+        PastBound,
+        FullRange,
+        HalfRange,
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// A probe is an optimization of the pairwise scores, not an
+        /// approximation: a comparator cell gets one exactly when its keys
+        /// are Int and span at most `DENSE_SPAN`, and then every set and
+        /// ratings similarity of a target against it is the pairwise
+        /// `score`'s float, bit for bit — for sorted or unsorted,
+        /// duplicated, empty, negative, Text and far-apart keys, and a
+        /// target with a Float key.
+        #[test]
+        fn probe_equals_pairwise(
+            t in proptest::collection::vec((-6i64..8, 1.0f64..5.0), 0..14),
+            c in proptest::collection::vec((-6i64..8, 1.0f64..5.0), 0..14),
+            t_base in prop_oneof![Just(0i64), Just(-40), Just(1 << 40), Just(i64::MIN + 9)],
+            stretch in prop_oneof![
+                Just(Stretch::Narrow),
+                Just(Stretch::AtBound),
+                Just(Stretch::PastBound),
+                Just(Stretch::FullRange),
+                Just(Stretch::HalfRange),
+            ],
+            text in any::<bool>(),
+            float_key in any::<bool>(),
+            t_sorted in any::<bool>(),
+            c_sorted in any::<bool>(),
+        ) {
+            let key = |k: i64| if text { Value::Text(format!("k{k}")) } else { Value::Int(k) };
+            let cell = |v: &[(i64, f64)], base: i64, sorted: bool| -> Vec<(Value, f64)> {
+                let mut r: Vec<(Value, f64)> =
+                    v.iter().map(|&(k, x)| (key(base.wrapping_add(k)), x)).collect();
+                if sorted {
+                    // What the extend operator hands over.
+                    r.sort_by(|x, y| x.0.cmp(&y.0));
+                    r.dedup_by(|x, y| x.0 == y.0);
+                }
+                r
+            };
+            let mut rc = cell(&c, 0, c_sorted);
+            let mut rt = cell(&t, t_base, t_sorted);
+            let (low, far) = match stretch {
+                Stretch::Narrow => (None, None),
+                Stretch::AtBound => (Some(-6), Some(DENSE_SPAN as i64 - 7)),
+                Stretch::PastBound => (Some(-6), Some(DENSE_SPAN as i64 - 6)),
+                Stretch::FullRange => (Some(i64::MIN), Some(i64::MAX)),
+                Stretch::HalfRange => (Some(i64::MIN), Some(7)),
+            };
+            if let (Some(low), Some(far)) = (low, far) {
+                // The cell now spans at least low..=far; the target shares
+                // both ends.
+                rc.push((key(low), 2.0));
+                rc.push((key(far), 4.5));
+                rt.push((key(far), 1.5));
+                rt.push((key(low), 3.0));
+                for (r, sorted) in [(&mut rc, c_sorted), (&mut rt, t_sorted)] {
+                    if sorted {
+                        r.sort_by(|x, y| x.0.cmp(&y.0));
+                        r.dedup_by(|x, y| x.0 == y.0);
+                    }
+                }
+            }
+            if float_key && !text {
+                if let Some(first) = rt.first_mut() {
+                    if let Value::Int(k) = first.0 {
+                        first.0 = Value::Float(k as f64);
+                    }
+                }
+            }
+            let keys = |r: &[(Value, f64)]| -> Vec<Value> { r.iter().map(|(k, _)| k.clone()).collect() };
+            let (st, sc) = (keys(&rt), keys(&rc));
+
+            // An empty cell's keys are all Int, vacuously.
+            let dense = (!text || sc.is_empty()) && matches!(stretch, Stretch::Narrow | Stretch::AtBound);
+            let (set_probe, ratings_probe) = (Probe::set(&sc), Probe::ratings(&rc));
+            prop_assert_eq!(set_probe.is_some(), dense);
+            prop_assert_eq!(ratings_probe.is_some(), dense);
+            prop_assert_eq!(dense_keys(sc.iter()), dense);
+
+            if let Some(probe) = &set_probe {
+                for sim in [SetSim::Jaccard, SetSim::Dice, SetSim::Overlap, SetSim::Cosine] {
+                    prop_assert_eq!(
+                        sim.score_probe(&st, probe).to_bits(), sim.score(&st, &sc).to_bits(),
+                        "{}", sim.name()
+                    );
+                }
+            }
+            if let Some(probe) = &ratings_probe {
+                let mut scratch = Common::default();
+                for sim in [RatingsSim::InverseEuclidean, RatingsSim::Pearson, RatingsSim::Cosine] {
+                    for min_common in [0, 1, 2, 5] {
+                        prop_assert_eq!(
+                            sim.score_probe(&rt, probe, min_common, &mut scratch).to_bits(),
+                            sim.score(&rt, &rc, min_common).to_bits(),
+                            "{} min_common={}", sim.name(), min_common
+                        );
+                    }
+                }
+                // The walk finds the hash path's pairs in its order.
+                probe.common_ratings(&rt, &mut scratch);
+                prop_assert_eq!(&scratch, &common_ratings_hashed(&rt, &rc));
             }
         }
     }

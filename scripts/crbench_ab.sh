@@ -24,8 +24,11 @@
 # where they hold the durable workload's checkpoint note, the table is
 # followed by each side's quartiles of its median checkpoint time, and
 # where they hold crbench's `read kind bands` note, by each side's median
-# over runs of each read kind's median latency — so a per-layer or
-# per-kind move comes from the same paired runs as the claim.
+# over runs of each read kind's median latency and of its share of the
+# reads (the width of its start–end span in that note) — so a per-layer
+# or per-kind move comes from the same paired runs as the claim, and a
+# faster kind that moves requests into another band (any rec under 1 ms
+# counts as `rec_cached`) shows as a change of shares, not a slowdown.
 #
 # Each run lasts the benchmark's own `run_seconds` (BENCHMARK.json).
 # Workloads default to all four. Knobs (environment):
@@ -61,12 +64,15 @@ def checkpoint_ms(run):
             return float(m.group(1))
     return None
 
-KIND_BAND = re.compile(r"(\S+) [0-9.]+–[0-9.]+% \(([0-9.]+) ms\)")
+KIND_BAND = re.compile(r"(\S+) ([0-9.]+)–([0-9.]+)% \(([0-9.]+) ms\)")
 
 def kind_medians(run):
+    """Each read kind's (median ms, share of reads in %), the share being
+    the width of the kind's start–end span in the band note."""
     for note in run.get("notes", []):
         if "read kind bands:" in note:
-            return {k: float(ms) for k, ms in KIND_BAND.findall(note.split("read kind bands:", 1)[1])}
+            return {k: (float(ms), float(hi) - float(lo)) for k, lo, hi, ms
+                    in KIND_BAND.findall(note.split("read kind bands:", 1)[1])}
     return {}
 
 def sign_p(wins, n):
@@ -123,11 +129,17 @@ for w in sorted({w for w, _ in pairs}):
     if names:
         print("  read kind median ms (information only, median over the pairs): base | change")
         for k in names:
-            got = [(b[k], c[k]) for b, c in kinds if k in b and k in c]
+            got = [(b[k][0], c[k][0]) for b, c in kinds if k in b and k in c]
             bmed = statistics.median(b for b, _ in got)
             cmed = statistics.median(c for _, c in got)
             ratio = cmed / bmed if bmed else float("nan")
             print(f"    {k:22} {bmed:8.3f} | {cmed:8.3f}  ({ratio:.3f}x, {len(got)} pairs)")
+        print("  read kind share of reads % (information only, median over the pairs): base | change")
+        for k in names:
+            got = [(b[k][1], c[k][1]) for b, c in kinds if k in b and k in c]
+            bmed = statistics.median(b for b, _ in got)
+            cmed = statistics.median(c for _, c in got)
+            print(f"    {k:22} {bmed:8.1f} | {cmed:8.1f}  ({cmed - bmed:+.1f} points)")
 EOF
 }
 
@@ -136,7 +148,7 @@ if [ "${1:-}" = "--report" ]; then
   exit 0
 fi
 if [ $# -lt 1 ]; then
-  sed -n '2,32p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,37p' "$0" | sed 's/^# \{0,1\}//'
   exit 2
 fi
 

@@ -1207,3 +1207,200 @@ fn non_bool_where_fails_alike_on_both_walkers() {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Recommend over the keys its probes special-case
+// ---------------------------------------------------------------------
+
+/// Every walker the Recommend corpus runs on: the row oracle, then the
+/// batched walker at each batch size.
+const ALL_WALKERS: &[usize] = &[0, 1, 7, 1024];
+
+/// The rated-item key columns the corpus extends by, and how each
+/// comparator cell over it is scored: `Neg` holds negative ids (a dense
+/// probe), `Sparse` ids 70,001 apart — any two of them span more than the
+/// dense bound of 65,536 — and `Txt` Text keys (both pairwise, counted as
+/// `hashed`).
+const PROBE_KEYS: &[(&str, &str)] = &[("Neg", "dense"), ("Sparse", "hashed"), ("Txt", "hashed")];
+
+/// Six users (user 0 rates nothing unless a rating names it) and ratings
+/// whose item `i` is keyed three ways: `Neg` = −i − 1, `Sparse` =
+/// 70,001·i − 200,000 and `Txt` = `'k{i}'`. Score 0 is NULL.
+fn build_probe_db(ratings: &[(i64, i64, i64)]) -> Database {
+    let db = Database::new();
+    db.execute_sql("CREATE TABLE Users (UId INT PRIMARY KEY, Name TEXT, Age INT)")
+        .unwrap();
+    db.execute_sql(
+        "CREATE TABLE Rated (RId INT PRIMARY KEY, UId INT, Neg INT, Sparse INT, Txt TEXT, Score INT)",
+    )
+    .unwrap();
+    for uid in 0..6 {
+        db.execute_sql(&format!(
+            "INSERT INTO Users VALUES ({uid}, '{}', {})",
+            NAMES[uid as usize],
+            uid + 1
+        ))
+        .unwrap();
+    }
+    for (rid, &(uid, item, score)) in ratings.iter().enumerate() {
+        let score = if score == 0 {
+            "NULL".to_owned()
+        } else {
+            score.to_string()
+        };
+        db.execute_sql(&format!(
+            "INSERT INTO Rated VALUES ({rid}, {uid}, {}, {}, 'k{item}', {score})",
+            -item - 1,
+            70_001 * item - 200_000
+        ))
+        .unwrap();
+    }
+    db
+}
+
+/// Users extended by what they rated, keyed by `key`.
+fn rated_by(users: Node, key: &str, rating: bool) -> Node {
+    Node::Extend {
+        input: Box::new(users),
+        related_table: "Rated".to_owned(),
+        fk_column: "UId".to_owned(),
+        local_key: "UId".to_owned(),
+        key_column: key.to_owned(),
+        rating_column: rating.then(|| "Score".to_owned()),
+        as_name: "R".to_owned(),
+    }
+}
+
+/// Set and Ratings recommends over one key column: every similarity, a
+/// single comparator (user 0's cell is empty unless rated) and every user
+/// as comparators, ranked top-k or in full. Each comes with its number of
+/// comparator cells.
+fn probe_workflows(key: &str, comparator: i64) -> Vec<(usize, Workflow)> {
+    let recommend = |rating: bool, one: bool, spec: RecommendSpec| {
+        let comparators = if one { user(comparator) } else { src("Users") };
+        let root = Node::Recommend {
+            target: Box::new(rated_by(src("Users"), key, rating)),
+            comparator: Box::new(rated_by(comparators, key, rating)),
+            spec,
+        };
+        (if one { 1 } else { 6 }, Workflow::new("probe-keys", root))
+    };
+    let mut wfs = Vec::new();
+    for (i, sim) in [
+        SetSim::Jaccard,
+        SetSim::Dice,
+        SetSim::Overlap,
+        SetSim::Cosine,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let spec = RecommendSpec::new("R", "R", RecMethod::Set(sim));
+        let spec = if i % 2 == 0 {
+            spec.top_k(3)
+        } else {
+            spec.with_agg(RecAgg::Sum)
+        };
+        wfs.push(recommend(false, i < 2, spec));
+    }
+    for sim in [
+        RatingsSim::InverseEuclidean,
+        RatingsSim::Pearson,
+        RatingsSim::Cosine,
+    ] {
+        for (min_common, one) in [(0, true), (1, false), (2, true), (5, false)] {
+            let spec = RecommendSpec::new("R", "R", RecMethod::Ratings { sim, min_common })
+                .with_agg(RecAgg::WeightedAvg {
+                    weight_attr: "Age".to_owned(),
+                });
+            wfs.push(recommend(true, one, spec));
+        }
+    }
+    wfs
+}
+
+/// Run `wf` on every walker, profiled and plain: each returns the row
+/// oracle's rows bit for bit (`Debug` keeps every float's bits apart).
+/// Returns the oracle's rows and the batched walker's Recommend detail.
+fn run_probe_workflow(wf: &Workflow, catalog: &Catalog) -> (String, Vec<String>) {
+    let plan = cr_flexrecs::compile::compile(wf, catalog).unwrap();
+    let want = format!(
+        "{:?}",
+        execute_with(&plan, catalog, &oracle()).unwrap().rows
+    );
+    let mut detail = Vec::new();
+    for &b in ALL_WALKERS {
+        let plain = execute_with(&plan, catalog, &batched(b)).unwrap();
+        assert_eq!(
+            format!("{:?}", plain.rows),
+            want,
+            "batch_size={b}\n{}",
+            wf.explain()
+        );
+        let (profiled, profile) = execute_instrumented_with(&plan, catalog, &batched(b)).unwrap();
+        assert_eq!(
+            profiled,
+            plain,
+            "profiled, batch_size={b}\n{}",
+            wf.explain()
+        );
+        if b > 0 {
+            detail = profile.find("Recommend").unwrap().detail.clone();
+        }
+    }
+    (want, detail)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Recommend scores through one probe per comparator cell on the
+    /// batched walker and pairwise on the row walker; over negative,
+    /// sparse, Text and empty keys the two agree bit for bit.
+    #[test]
+    fn recommend_probes_match_row_oracle(
+        ratings in proptest::collection::vec((0i64..6, 0i64..8, 0i64..6), 0..40),
+        comparator in 0i64..6,
+    ) {
+        let db = build_probe_db(&ratings);
+        let catalog = db.catalog();
+        for (key, _) in PROBE_KEYS {
+            for (_, wf) in probe_workflows(key, comparator) {
+                run_probe_workflow(&wf, &catalog);
+            }
+        }
+    }
+}
+
+#[test]
+fn probe_corpus_has_the_shapes_it_claims() {
+    // Users 1–5 each rate items 0..=3 and their own item 3 + uid; user 0
+    // rates nothing, so its cell is empty — a dense probe, vacuously.
+    let mut ratings = Vec::new();
+    for uid in 1..6 {
+        for item in 0..4 {
+            ratings.push((uid, item, (uid + item) % 5 + 1));
+        }
+        ratings.push((uid, 3 + uid, 2));
+    }
+    let db = build_probe_db(&ratings);
+    let catalog = db.catalog();
+    for &(key, kind) in PROBE_KEYS {
+        let mut scored = 0;
+        for comparator in [1, 0] {
+            for (cells, wf) in probe_workflows(key, comparator) {
+                let (rows, detail) = run_probe_workflow(&wf, &catalog);
+                scored += usize::from(rows != "[]");
+                let empty = usize::from(cells > 1 || comparator == 0);
+                let dense = if kind == "dense" { cells } else { empty };
+                let want = format!("probe=dense:{dense},hashed:{}", cells - dense);
+                assert!(
+                    detail.contains(&want),
+                    "{key}: {detail:?}\n{}",
+                    wf.explain()
+                );
+            }
+        }
+        assert!(scored > 0, "{key}: nothing scored");
+    }
+}
