@@ -24,9 +24,8 @@ fn bench_flexrecs(c: &mut Criterion) {
         "E4",
         &format!(
             "related_courses({title:?}) -> {} scored courses, top score {:.2}",
-            result.tuples.len(),
-            result
-                .ranking("CourseID", "score")
+            result.rows.len(),
+            cr_flexrecs::ranking(&result, "CourseID", "score")
                 .unwrap()
                 .first()
                 .map(|(_, s)| *s)
@@ -54,7 +53,7 @@ fn bench_flexrecs(c: &mut Criterion) {
         "E5",
         &format!(
             "user_cf(student 1): {} courses; plan = interpreter; plan:\n{}",
-            direct.tuples.len(),
+            direct.rows.len(),
             compiled.plan.explain()
         ),
     );

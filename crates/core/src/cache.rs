@@ -203,12 +203,7 @@ impl DepSpec {
         // column inside the gate. Updates test both images (a row can
         // move into or out of the gated set).
         if let Some((column, values)) = &self.key {
-            let Some(pos) = event
-                .schema
-                .columns()
-                .iter()
-                .position(|c| c.name.eq_ignore_ascii_case(column))
-            else {
+            let Ok(pos) = cr_flexrecs::resolve(event.schema, column) else {
                 return true; // cannot resolve the column: stay conservative
             };
             // A missing image (no old row on insert, no new row on

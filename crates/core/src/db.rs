@@ -275,6 +275,22 @@ pub fn apply_flow_policies(db: &Database) {
     ] {
         catalog.set_table_policy(table, TablePolicy::new(Community));
     }
+    // Per-entry cache statistics (see `register_stat_tables`): aggregate
+    // counters, community-visible like relation's `cr_stat_counters`.
+    catalog.set_table_policy("cr_stat_cache", TablePolicy::new(Community));
+}
+
+/// Register the virtual `cr_stat_*` tables: core's per-entry
+/// `cr_stat_cache` and relation's system tables. `table_names()` (and
+/// thus snapshots) never sees them, so telemetry is queryable but never
+/// persisted. Idempotent, like [`cr_relation::register_system_tables`].
+fn register_stat_tables(db: &Database) -> RelResult<()> {
+    let catalog = db.catalog();
+    if !catalog.has_table("cr_stat_cache") {
+        catalog
+            .register_scan_provider("cr_stat_cache", Arc::new(crate::cache::CacheStatsProvider))?;
+    }
+    cr_relation::telemetry::register_system_tables(&catalog)
 }
 
 impl Default for CourseRankDb {
@@ -293,17 +309,7 @@ impl CourseRankDb {
         for ddl in INDEX_SQL {
             db.execute_sql(ddl).expect("index DDL is valid");
         }
-        // Richer per-entry cache stats first: register_system_tables
-        // skips names that already exist, so this view wins over the
-        // generic counters-only cr_stat_cache.
-        db.catalog()
-            .register_scan_provider(
-                "cr_stat_cache",
-                std::sync::Arc::new(crate::cache::CacheStatsProvider),
-            )
-            .expect("cr_stat_cache never collides with the app schema");
-        cr_relation::telemetry::register_system_tables(&db.catalog())
-            .expect("system tables never collide with the app schema");
+        register_stat_tables(&db).expect("system tables never collide with the app schema");
         apply_flow_policies(&db);
         CourseRankDb {
             db,
@@ -338,16 +344,7 @@ impl CourseRankDb {
                 Err(e) => return Err(e.into()),
             }
         }
-        // Virtual tables only — table_names() (and thus snapshots) never
-        // see them, so telemetry is queryable but never persisted. The
-        // per-entry cache view registers first (first name wins).
-        if !db.catalog().has_table("cr_stat_cache") {
-            db.catalog().register_scan_provider(
-                "cr_stat_cache",
-                std::sync::Arc::new(crate::cache::CacheStatsProvider),
-            )?;
-        }
-        cr_relation::telemetry::register_system_tables(&db.catalog())?;
+        register_stat_tables(&db)?;
         apply_flow_policies(&db);
         Ok((
             CourseRankDb {
@@ -1054,6 +1051,18 @@ mod tests {
             cr_relation::Value::Int(3),
         ];
         assert_eq!(rs.rows[0], expect);
+
+        // Core labels its own table: community-visible, so a student's
+        // session may select it (an anonymous one may not).
+        use cr_relation::plan::flow::{check_disclosure, Principal, Sensitivity};
+        let catalog = db.database().catalog();
+        let policy = catalog.table_policy("cr_stat_cache").expect("labeled");
+        assert_eq!(policy.default_label, Sensitivity::Community);
+        let plan = cr_relation::sql::plan_query("SELECT cache, entry FROM cr_stat_cache", &catalog)
+            .unwrap();
+        let student = check_disclosure(&plan, &catalog, &Principal::Student(Some(444)));
+        assert!(student.is_empty(), "{student}");
+        assert!(check_disclosure(&plan, &catalog, &Principal::Anonymous).has_errors());
     }
 
     #[test]

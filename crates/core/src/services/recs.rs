@@ -15,14 +15,14 @@
 //!
 //! [`LogicalPlan`]: cr_relation::plan::LogicalPlan
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::{Arc, OnceLock};
 
 use cr_flexrecs::compile::{compile, compile_and_run, run_compiled};
 use cr_flexrecs::templates::{self, SchemaMap};
-use cr_flexrecs::{RecResult, Workflow};
+use cr_flexrecs::{ranking, resolve, Workflow};
 use cr_relation::plan::{deps, LogicalPlan};
-use cr_relation::{ExecOptions, RelError, RelResult, Value};
+use cr_relation::{ExecOptions, RelError, RelResult, ResultSet, Value};
 
 use crate::cache::{register_cache, CacheStats, DepSpec, MutationKind, VersionedCache};
 use crate::db::{CourseRankDb, EnrollStatus};
@@ -188,13 +188,7 @@ fn ct_delta(state: &Arc<CtState>, event: &crate::cache::MutationEvent<'_>) -> Op
         return None;
     }
     let row = event.row?;
-    let col = |name: &str| {
-        event
-            .schema
-            .columns()
-            .iter()
-            .position(|c| c.name.eq_ignore_ascii_case(name))
-    };
+    let col = |name: &str| resolve(event.schema, name).ok();
     let suid = row.get(col("SuID")?)?.as_int().ok()?;
     if !state.neighbors.contains(&suid) {
         // The key gate normally spares these before the delta fn runs;
@@ -471,9 +465,7 @@ impl Recommender {
             student,
             opts.k_students,
         );
-        let neighbors: BTreeSet<StudentId> = self
-            .run_workflow(&wf)?
-            .ranking("SuID", "sim")?
+        let neighbors: BTreeSet<StudentId> = ranking(&self.run_workflow(&wf)?, "SuID", "sim")?
             .into_iter()
             .map(|(v, _)| v.as_int())
             .collect::<RelResult<_>>()?;
@@ -573,9 +565,9 @@ impl Recommender {
         &self,
         student: StudentId,
         opts: &RecOptions,
-        result: RecResult,
+        result: ResultSet,
     ) -> RelResult<Vec<CourseRec>> {
-        let ranking: Vec<(Value, f64)> = result.ranking("CourseID", "score")?;
+        let ranked = ranking(&result, "CourseID", "score")?;
 
         let taken: HashSet<CourseId> = if opts.exclude_taken {
             self.db
@@ -589,7 +581,7 @@ impl Recommender {
         };
 
         let mut out = Vec::with_capacity(opts.k_courses);
-        for (id, score) in ranking {
+        for (id, score) in ranked {
             let course = id.as_int()?;
             if taken.contains(&course) {
                 continue;
@@ -627,9 +619,7 @@ impl Recommender {
             .course(course)?
             .ok_or_else(|| RelError::Invalid(format!("no course {course}")))?;
         let wf = templates::related_courses(&self.map, &c.title, None, k);
-        let result = self.run_workflow(&wf)?;
-        result
-            .ranking("CourseID", "score")?
+        ranking(&self.run_workflow(&wf)?, "CourseID", "score")?
             .into_iter()
             .map(|(id, score)| {
                 let course = id.as_int()?;
@@ -666,21 +656,19 @@ impl Recommender {
         let wf =
             templates::major_recommendation(&self.map, student, opts.k_students, opts.min_common);
         let result = self.run_workflow(&wf)?;
-        let dep_idx = result
-            .column_index("DepID")
-            .ok_or_else(|| RelError::UnknownColumn("DepID".into()))?;
-        let score_idx = result
-            .column_index("score")
-            .ok_or_else(|| RelError::UnknownColumn("score".into()))?;
-        let mut per_dep: HashMap<String, (f64, usize)> = HashMap::new();
-        for t in &result.tuples {
-            let dep = match t[dep_idx].as_scalar() {
-                Some(Value::Text(d)) => d.clone(),
+        let dep_idx = resolve(&result.schema, "DepID")?;
+        let score_idx = resolve(&result.schema, "score")?;
+        // Folded by DepID so the stable sort below leaves tied
+        // departments in DepID order, the same on every call.
+        let mut per_dep: BTreeMap<String, (f64, usize)> = BTreeMap::new();
+        for row in &result.rows {
+            let dep = match &row[dep_idx] {
+                Value::Text(d) => d.clone(),
                 _ => continue,
             };
-            let score = match t[score_idx].as_scalar() {
-                Some(Value::Float(f)) => *f,
-                Some(Value::Int(i)) => *i as f64,
+            let score = match &row[score_idx] {
+                Value::Float(f) => *f,
+                Value::Int(i) => *i as f64,
                 _ => continue,
             };
             let slot = per_dep.entry(dep).or_insert((0.0, 0));
@@ -722,14 +710,14 @@ impl Recommender {
     /// interpreter also runs and the outputs are asserted identical —
     /// the interpreter's only remaining role is as that differential
     /// oracle; production builds never pay for the second run.
-    fn run_workflow(&self, wf: &Workflow) -> RelResult<RecResult> {
+    fn run_workflow(&self, wf: &Workflow) -> RelResult<ResultSet> {
         let run = compile_and_run(wf, &self.db.catalog())?;
         self.cross_checked(wf, run.result)
     }
 
     /// A plan run's result, asserted equal to the reference interpreter's
     /// under `oracle-checks` (see [`Recommender::run_workflow`]).
-    fn cross_checked(&self, wf: &Workflow, result: RecResult) -> RelResult<RecResult> {
+    fn cross_checked(&self, wf: &Workflow, result: ResultSet) -> RelResult<ResultSet> {
         #[cfg(any(test, feature = "oracle-checks"))]
         {
             let oracle = cr_flexrecs::execute(wf, &self.db.catalog())?;
@@ -1000,6 +988,77 @@ mod tests {
         assert!(!majors.is_empty());
         // Bob (Sally's twin) loves CS courses → CS should lead.
         assert_eq!(majors[0].0, "CS", "{majors:?}");
+    }
+
+    /// Departments whose courses score exactly alike come back in DepID
+    /// order on every cold call, not in a hash map's per-instance order.
+    #[test]
+    fn major_ties_break_by_dep_id() {
+        use crate::db::{Course, Student};
+        let db = CourseRankDb::new();
+        for dep in ["BIO", "ZOO", "ART", "MED", "LAW"] {
+            db.insert_department(dep, dep, "Sciences").unwrap();
+        }
+        for (id, dep) in [
+            (10, "BIO"),
+            (20, "ZOO"),
+            (30, "ART"),
+            (40, "MED"),
+            (50, "LAW"),
+        ] {
+            db.insert_course(&Course {
+                id,
+                dep: dep.into(),
+                title: format!("Course {id}"),
+                description: String::new(),
+                units: 3,
+                url: String::new(),
+            })
+            .unwrap();
+        }
+        for id in [1, 2] {
+            db.insert_student(&Student {
+                id,
+                name: format!("s{id}"),
+                class: "2011".into(),
+                major: None,
+                gpa: None,
+                share_plans: true,
+            })
+            .unwrap();
+        }
+        // Student 2 agrees with student 1 on course 10 and rates every
+        // other department's one course 4.0: four departments tie.
+        let ratings = [(1, 10, 5.0), (2, 10, 5.0), (2, 20, 4.0), (2, 30, 4.0)];
+        let ratings = ratings.into_iter().chain([(2, 40, 4.0), (2, 50, 4.0)]);
+        for (id, (student, course, rating)) in (1i64..).zip(ratings) {
+            db.insert_comment(&Comment {
+                id,
+                student,
+                course,
+                quarter: Quarter::new(2008, Term::Autumn),
+                text: "rated".into(),
+                rating,
+                date: 0,
+            })
+            .unwrap();
+        }
+        let opts = RecOptions {
+            min_common: 1,
+            ..RecOptions::default()
+        };
+        let want: Vec<(String, f64)> = [("BIO", 5.0), ("ART", 4.0), ("LAW", 4.0)]
+            .into_iter()
+            .chain([("MED", 4.0), ("ZOO", 4.0)])
+            .map(|(d, s)| (d.to_owned(), s))
+            .collect();
+        for _ in 0..24 {
+            // A fresh recommender each time: every call is a cold miss.
+            let majors = Recommender::new(db.clone())
+                .recommend_major(1, &opts)
+                .unwrap();
+            assert_eq!(majors, want);
+        }
     }
 
     #[test]

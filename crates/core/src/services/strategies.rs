@@ -9,7 +9,7 @@
 
 use cr_flexrecs::workflow::{Node, WfPredicate, Workflow};
 use cr_relation::row::row;
-use cr_relation::{RelError, RelResult, Value};
+use cr_relation::{RelError, RelResult, ResultSet, Value};
 
 use crate::db::CourseRankDb;
 use crate::model::StudentId;
@@ -109,7 +109,7 @@ impl Strategies {
 
     /// Select a strategy and execute it for a student on the unified
     /// plan pipeline (compile → optimize → shared executor).
-    pub fn run(&self, name: &str, student: StudentId) -> RelResult<cr_flexrecs::RecResult> {
+    pub fn run(&self, name: &str, student: StudentId) -> RelResult<ResultSet> {
         let wf = self.select(name, student)?;
         Ok(cr_flexrecs::compile::compile_and_run(&wf, &self.db.catalog())?.result)
     }

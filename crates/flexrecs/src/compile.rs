@@ -7,17 +7,17 @@
 //! operators to scans/filters/projections/joins, the ε extend and ▷
 //! recommend operators to the plan's first-class `Extend`/`Recommend`
 //! nodes — and the whole plan then flows through the same optimizer and
-//! (parallel) executor as SQL queries. One IR, one optimizer, one
-//! executor.
+//! executor as SQL queries. A run returns the executor's [`ResultSet`]
+//! as it is: one IR, one optimizer, one executor, one data model.
 //!
 //! The direct interpreter in [`crate::exec`] survives as the reference
 //! semantics; `tests/flexrecs_plan_equivalence.rs` property-tests that the
-//! compiled plan returns byte-identical results.
+//! compiled plan returns an identical `ResultSet`, schema included.
 //!
 //! Lowering is purely structural:
 //!
-//! * names resolve positionally, first case-insensitive match — the same
-//!   rule as the interpreter's `WfSchema::index_of`;
+//! * names resolve by [`resolve`]: first case-insensitive match — the
+//!   interpreter's rule too;
 //! * predicates lower to two-valued expressions
 //!   (`col IS NOT NULL AND col op lit`) so NULL comparisons behave as
 //!   `false` inside `OR`, exactly like the interpreter;
@@ -30,12 +30,10 @@ use std::time::{Duration, Instant};
 
 use cr_relation::plan::{optimizer, JoinKind, LogicalPlan, RecAggPlan, RecSpec};
 use cr_relation::{
-    Catalog, Column, DataType, ExecOptions, Expr, RelError, RelResult, Schema, Value,
+    Catalog, Column, DataType, ExecOptions, Expr, RelError, RelResult, ResultSet, Schema,
 };
 
-use crate::datum::{Datum, WfSchema};
-use crate::exec::RecResult;
-use crate::workflow::{infer_schema, CmpOp, Node, RecAgg, WfPredicate, Workflow};
+use crate::workflow::{infer_schema, resolve, CmpOp, Node, RecAgg, WfPredicate, Workflow};
 
 struct FrMetrics {
     compiled_runs: Arc<cr_obs::Counter>,
@@ -69,12 +67,12 @@ pub struct StepTiming {
 /// Result of a compiled run.
 #[derive(Debug, Clone)]
 pub struct CompiledRun {
-    pub result: RecResult,
+    /// The executor's result, carrying the plan's output schema.
+    pub result: ResultSet,
     /// The optimized plan that was executed.
     pub plan: LogicalPlan,
-    /// Fingerprint of the optimized plan (cache key material).
-    pub fingerprint: u64,
-    /// Wall-clock timing per phase (lower, optimize, execute).
+    /// Wall-clock timing per phase (lower — when this run lowered —,
+    /// optimize, execute).
     pub step_timings: Vec<StepTiming>,
 }
 
@@ -131,96 +129,73 @@ pub fn compile_and_run(workflow: &Workflow, catalog: &Catalog) -> RelResult<Comp
     compile_and_run_with(workflow, catalog, &ExecOptions::default())
 }
 
-/// [`compile_and_run`] with explicit execution options.
+/// [`compile_and_run`] with explicit execution options: [`compile`] timed
+/// as the "Lower" step, then [`run_compiled`].
 pub fn compile_and_run_with(
     workflow: &Workflow,
     catalog: &Catalog,
     opts: &ExecOptions,
 ) -> RelResult<CompiledRun> {
-    run_phases(workflow, catalog, opts, || {
-        let out_schema = infer_schema(&workflow.root, catalog)?;
-        Ok((out_schema, lower(&workflow.root, catalog)?))
-    })
+    let t0 = Instant::now();
+    let plan = {
+        let _stage = cr_obs::trace::TraceSpan::child("flexrecs.lower");
+        compile(workflow, catalog)?
+    };
+    let lowered = t0.elapsed();
+    let mut run = run_compiled(workflow, plan, catalog, opts)?;
+    run.step_timings.insert(0, step("Lower", 0, lowered));
+    Ok(run)
 }
 
-/// Optimize and run `plan`, which [`compile`] lowered from `workflow`:
-/// [`compile_and_run_with`] for a caller that needed the unoptimized plan
-/// first (to key a cache by its fingerprint), so the workflow is lowered
-/// once. Its "Lower" step only infers the output schema.
+/// Optimize and run `plan`, which [`compile`] lowered from `workflow`, as
+/// the timed steps "Optimize" and "Execute". A caller that needed the
+/// unoptimized plan first (to key a cache by its fingerprint) lowers
+/// once this way.
 pub fn run_compiled(
     workflow: &Workflow,
     plan: LogicalPlan,
     catalog: &Catalog,
     opts: &ExecOptions,
 ) -> RelResult<CompiledRun> {
-    run_phases(workflow, catalog, opts, || {
-        Ok((infer_schema(&workflow.root, catalog)?, plan))
-    })
-}
-
-/// The timed phases of a compiled run: `lower` (the workflow's output
-/// schema and unoptimized plan), optimize, execute.
-fn run_phases(
-    workflow: &Workflow,
-    catalog: &Catalog,
-    opts: &ExecOptions,
-    lower: impl FnOnce() -> RelResult<(WfSchema, LogicalPlan)>,
-) -> RelResult<CompiledRun> {
     let mut run_span = cr_obs::trace::TraceSpan::child("flexrecs.run").timed(&metrics().run_ns);
     if run_span.is_recording() {
         run_span.attr("workflow", workflow.name.to_string());
     }
-    let mut steps = Vec::with_capacity(3);
-    let mut phase = |label: &str, rows: usize, elapsed: Duration| {
-        if cr_obs::enabled() {
-            metrics().step_ns.record_duration(elapsed);
-        }
-        steps.push(StepTiming {
-            label: label.to_owned(),
-            rows,
-            elapsed,
-        });
-    };
-
-    let t0 = Instant::now();
-    let (out_schema, plan) = {
-        let _stage = cr_obs::trace::TraceSpan::child("flexrecs.lower");
-        lower()?
-    };
-    phase("Lower", 0, t0.elapsed());
 
     let t0 = Instant::now();
     let plan = {
         let _stage = cr_obs::trace::TraceSpan::child("flexrecs.optimize");
         optimizer::optimize(plan)
     };
-    phase("Optimize", 0, t0.elapsed());
+    let optimized = step("Optimize", 0, t0.elapsed());
 
     let t0 = Instant::now();
-    let rs = {
+    let result = {
         let _stage = cr_obs::trace::TraceSpan::child("flexrecs.execute");
         cr_relation::exec::execute_with(&plan, catalog, opts)?
     };
-    phase("Execute", rs.rows.len(), t0.elapsed());
+    let executed = step("Execute", result.rows.len(), t0.elapsed());
 
-    let tuples = rs
-        .rows
-        .into_iter()
-        .map(|r| r.into_iter().map(value_to_datum).collect())
-        .collect();
     if cr_obs::enabled() {
         metrics().compiled_runs.inc();
     }
-    let fingerprint = plan.fingerprint();
     Ok(CompiledRun {
-        result: RecResult {
-            schema: out_schema,
-            tuples,
-        },
+        result,
         plan,
-        fingerprint,
-        step_timings: steps,
+        step_timings: vec![optimized, executed],
     })
+}
+
+/// One [`StepTiming`], recorded into `flexrecs.step_ns` when metrics are on.
+fn step(label: &str, rows: usize, elapsed: Duration) -> StepTiming {
+    if cr_obs::enabled() {
+        metrics().step_ns.record_duration(elapsed);
+    }
+    StepTiming {
+        label: label.to_owned(),
+        rows,
+        elapsed,
+    }
 }
 
 /// Pretty-print the optimized plan a workflow compiles to, one operator
@@ -229,23 +204,6 @@ fn run_phases(
 pub fn explain_sql(workflow: &Workflow, catalog: &Catalog) -> RelResult<Vec<String>> {
     let plan = optimizer::optimize(compile(workflow, catalog)?);
     Ok(plan.explain().lines().map(str::to_owned).collect())
-}
-
-fn value_to_datum(v: Value) -> Datum {
-    match v {
-        Value::Set(items) => Datum::Set(items),
-        Value::Ratings(r) => Datum::Ratings(r),
-        other => Datum::Scalar(other),
-    }
-}
-
-/// Positional name resolution: first case-insensitive match, qualifiers
-/// ignored — the workflow layer's `WfSchema::index_of` rule (NOT the SQL
-/// binder's ambiguity-rejecting `Schema::resolve`).
-fn resolve(schema: &Schema, name: &str) -> RelResult<usize> {
-    (0..schema.len())
-        .find(|&i| schema.column(i).name.eq_ignore_ascii_case(name))
-        .ok_or_else(|| RelError::UnknownColumn(name.to_owned()))
 }
 
 fn lower(node: &Node, catalog: &Catalog) -> RelResult<LogicalPlan> {
@@ -338,12 +296,12 @@ fn lower(node: &Node, catalog: &Catalog) -> RelResult<LogicalPlan> {
             let key_col = resolve(input.schema(), local_key)?;
             let rel_schema = catalog.table_schema(related_table)?;
             let mut proj = vec![
-                rel_schema.index_of(fk_column)?,
-                rel_schema.index_of(key_column)?,
+                resolve(&rel_schema, fk_column)?,
+                resolve(&rel_schema, key_column)?,
             ];
             let rating = rating_column.is_some();
             if let Some(rc) = rating_column {
-                proj.push(rel_schema.index_of(rc)?);
+                proj.push(resolve(&rel_schema, rc)?);
             }
             let related_out = LogicalPlan::scan_output_schema(&rel_schema, &Some(proj.clone()));
             let related = LogicalPlan::Scan {
@@ -485,7 +443,7 @@ mod tests {
     use crate::exec;
     use crate::similarity::{RatingsSim, TextSim};
     use crate::workflow::{RecMethod, RecommendSpec};
-    use cr_relation::Database;
+    use cr_relation::{Database, Value};
     use std::collections::HashMap;
 
     fn db() -> Database {
@@ -594,9 +552,7 @@ mod tests {
     fn cf_scores_are_correct() {
         let db = db();
         let run = compile_and_run(&cf_workflow(), &db.catalog()).unwrap();
-        let m: HashMap<Value, f64> = run
-            .result
-            .ranking("CourseID", "score")
+        let m: HashMap<Value, f64> = crate::ranking(&run.result, "CourseID", "score")
             .unwrap()
             .into_iter()
             .collect();
@@ -612,7 +568,7 @@ mod tests {
         let run = compile_and_run(&cf_workflow(), &db.catalog()).unwrap();
         let labels: Vec<&str> = run.step_timings.iter().map(|s| s.label.as_str()).collect();
         assert_eq!(labels, vec!["Lower", "Optimize", "Execute"]);
-        assert_eq!(run.step_timings[2].rows, run.result.tuples.len());
+        assert_eq!(run.step_timings[2].rows, run.result.rows.len());
         let breakdown = run.timing_breakdown();
         assert!(breakdown.contains("Execute"));
         assert!(breakdown.contains("total"));
@@ -623,7 +579,7 @@ mod tests {
         let db = db();
         let a = compile_and_run(&cf_workflow(), &db.catalog()).unwrap();
         let b = compile_and_run(&cf_workflow(), &db.catalog()).unwrap();
-        assert_eq!(a.fingerprint, b.fingerprint);
+        assert_eq!(a.plan.fingerprint(), b.plan.fingerprint());
         // A different workflow fingerprints differently.
         let other = Workflow::new(
             "src",
@@ -632,7 +588,7 @@ mod tests {
             },
         );
         let c = compile_and_run(&other, &db.catalog()).unwrap();
-        assert_ne!(a.fingerprint, c.fingerprint);
+        assert_ne!(a.plan.fingerprint(), c.plan.fingerprint());
     }
 
     #[test]
@@ -680,7 +636,7 @@ mod tests {
         let direct = exec::execute(&wf, &db.catalog()).unwrap();
         let compiled = compile_and_run(&wf, &db.catalog()).unwrap();
         assert_eq!(compiled.result, direct);
-        assert_eq!(compiled.result.tuples.len(), 2); // ids 1 and 2
+        assert_eq!(compiled.result.rows.len(), 2); // ids 1 and 2
     }
 
     #[test]
@@ -721,7 +677,7 @@ mod tests {
         let direct = exec::execute(&wf, &db.catalog()).unwrap();
         let compiled = compile_and_run(&wf, &db.catalog()).unwrap();
         assert_eq!(compiled.result, direct);
-        assert_eq!(compiled.result.tuples.len(), 5);
+        assert_eq!(compiled.result.rows.len(), 5);
     }
 
     #[test]
@@ -744,7 +700,7 @@ mod tests {
         let direct = exec::execute(&wf, &db.catalog()).unwrap();
         let compiled = compile_and_run(&wf, &db.catalog()).unwrap();
         assert_eq!(compiled.result, direct);
-        assert_eq!(compiled.result.tuples.len(), 8);
+        assert_eq!(compiled.result.rows.len(), 8);
     }
 
     #[test]
@@ -772,7 +728,7 @@ mod tests {
         let direct = exec::execute(&wf, &db.catalog()).unwrap();
         let compiled = compile_and_run(&wf, &db.catalog()).unwrap();
         assert_eq!(compiled.result, direct);
-        let ranking = compiled.result.ranking("CourseID", "score").unwrap();
+        let ranking = crate::ranking(&compiled.result, "CourseID", "score").unwrap();
         assert_eq!(ranking[0].0, Value::Int(2));
     }
 }

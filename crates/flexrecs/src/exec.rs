@@ -1,129 +1,36 @@
 //! Direct workflow executor.
 //!
 //! Evaluates a workflow tree straight against the relational engine's
-//! tables — the reference semantics that the SQL [`crate::compile`] path is
-//! equivalence-tested against (ablation A2).
+//! tables — the reference semantics that the compiled plan path
+//! ([`crate::compile`]) is equivalence-tested against, whole
+//! [`ResultSet`]s (schema included) compared.
 
 use std::collections::HashMap;
 
-use cr_relation::{Catalog, RelError, RelResult, Value};
+use cr_relation::{Catalog, RelError, RelResult, ResultSet, Row, Schema, Value};
 
-use crate::datum::{Datum, Tuple, WfSchema};
 use crate::workflow::{
-    infer_schema, Node, RecAgg, RecMethod, RecommendSpec, WfPredicate, Workflow,
+    infer_schema, resolve, Node, RecAgg, RecMethod, RecommendSpec, WfPredicate, Workflow,
 };
 
-/// A workflow result: schema + tuples (score-ordered for recommend roots).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecResult {
-    pub schema: WfSchema,
-    pub tuples: Vec<Tuple>,
-}
-
-impl RecResult {
-    /// Index of a column.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.schema.index_of(name)
-    }
-
-    /// Extract `(key, score)` pairs given the key and score column names —
-    /// the shape recommendation consumers want.
-    pub fn ranking(&self, key: &str, score: &str) -> RelResult<Vec<(Value, f64)>> {
-        let ki = self
-            .column_index(key)
-            .ok_or_else(|| RelError::UnknownColumn(key.to_owned()))?;
-        let si = self
-            .column_index(score)
-            .ok_or_else(|| RelError::UnknownColumn(score.to_owned()))?;
-        let mut out = Vec::with_capacity(self.tuples.len());
-        for t in &self.tuples {
-            let k = t[ki]
-                .as_scalar()
-                .ok_or_else(|| RelError::Invalid("key column not scalar".into()))?
-                .clone();
-            let s = match &t[si] {
-                Datum::Scalar(Value::Float(f)) => *f,
-                Datum::Scalar(Value::Int(i)) => *i as f64,
-                other => {
-                    return Err(RelError::Invalid(format!(
-                        "score column not numeric: {other}"
-                    )))
-                }
-            };
-            out.push((k, s));
-        }
-        Ok(out)
-    }
-
-    /// Render as an aligned text table.
-    pub fn to_text_table(&self) -> String {
-        let headers: Vec<&str> = self
-            .schema
-            .columns
-            .iter()
-            .map(|(n, _)| n.as_str())
-            .collect();
-        let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-        let cells: Vec<Vec<String>> = self
-            .tuples
-            .iter()
-            .map(|t| {
-                t.iter()
-                    .enumerate()
-                    .map(|(i, d)| {
-                        let s = d.to_string();
-                        let s = if s.len() > 40 {
-                            format!(
-                                "{}…",
-                                &s[..s
-                                    .char_indices()
-                                    .take(39)
-                                    .last()
-                                    .map(|(i, c)| i + c.len_utf8())
-                                    .unwrap_or(0)]
-                            )
-                        } else {
-                            s
-                        };
-                        widths[i] = widths[i].max(s.len());
-                        s
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut out = String::new();
-        for (i, h) in headers.iter().enumerate() {
-            out.push_str(&format!("| {h:<w$} ", w = widths[i]));
-        }
-        out.push_str("|\n");
-        for (i, _) in headers.iter().enumerate() {
-            out.push_str(&format!("|-{}-", "-".repeat(widths[i])));
-        }
-        out.push_str("|\n");
-        for row in cells {
-            for (i, c) in row.iter().enumerate() {
-                out.push_str(&format!("| {c:<w$} ", w = widths[i]));
-            }
-            out.push_str("|\n");
-        }
-        out
-    }
-}
-
 /// Execute a workflow directly.
-pub fn execute(workflow: &Workflow, catalog: &Catalog) -> RelResult<RecResult> {
+pub fn execute(workflow: &Workflow, catalog: &Catalog) -> RelResult<ResultSet> {
     let schema = infer_schema(&workflow.root, catalog)?;
-    let tuples = eval(&workflow.root, catalog)?;
-    Ok(RecResult { schema, tuples })
+    let rows = eval(&workflow.root, catalog)?;
+    Ok(ResultSet { schema, rows })
 }
 
-pub(crate) fn eval(node: &Node, catalog: &Catalog) -> RelResult<Vec<Tuple>> {
+/// A cell as the FlexRecs operators see a scalar: nested `Set`/`Ratings`
+/// values are not scalars; everything else (including NULL) is.
+fn as_scalar(v: &Value) -> Option<&Value> {
+    (!v.is_nested()).then_some(v)
+}
+
+pub(crate) fn eval(node: &Node, catalog: &Catalog) -> RelResult<Vec<Row>> {
     match node {
-        Node::Source { table } => catalog.with_table(table, |t| {
-            t.scan()
-                .map(|(_, row)| row.iter().cloned().map(Datum::Scalar).collect())
-                .collect()
-        }),
+        Node::Source { table } => {
+            catalog.with_table(table, |t| t.scan().map(|(_, row)| row.to_vec()).collect())
+        }
 
         Node::Select { input, predicate } => {
             let schema = infer_schema(input, catalog)?;
@@ -141,11 +48,7 @@ pub(crate) fn eval(node: &Node, catalog: &Catalog) -> RelResult<Vec<Tuple>> {
             let schema = infer_schema(input, catalog)?;
             let idx: Vec<usize> = columns
                 .iter()
-                .map(|c| {
-                    schema
-                        .index_of(c)
-                        .ok_or_else(|| RelError::UnknownColumn(c.clone()))
-                })
+                .map(|c| resolve(&schema, c))
                 .collect::<RelResult<_>>()?;
             let tuples = eval(input, catalog)?;
             Ok(tuples
@@ -162,18 +65,14 @@ pub(crate) fn eval(node: &Node, catalog: &Catalog) -> RelResult<Vec<Tuple>> {
         } => {
             let ls = infer_schema(left, catalog)?;
             let rs = infer_schema(right, catalog)?;
-            let li = ls
-                .index_of(left_col)
-                .ok_or_else(|| RelError::UnknownColumn(left_col.clone()))?;
-            let ri = rs
-                .index_of(right_col)
-                .ok_or_else(|| RelError::UnknownColumn(right_col.clone()))?;
+            let li = resolve(&ls, left_col)?;
+            let ri = resolve(&rs, right_col)?;
             let lt = eval(left, catalog)?;
             let rt = eval(right, catalog)?;
             // Build on the right.
             let mut build: HashMap<&Value, Vec<usize>> = HashMap::with_capacity(rt.len());
             for (i, t) in rt.iter().enumerate() {
-                if let Some(v) = t[ri].as_scalar() {
+                if let Some(v) = as_scalar(&t[ri]) {
                     if !v.is_null() {
                         build.entry(v).or_default().push(i);
                     }
@@ -181,7 +80,7 @@ pub(crate) fn eval(node: &Node, catalog: &Catalog) -> RelResult<Vec<Tuple>> {
             }
             let mut out = Vec::new();
             for l in &lt {
-                let Some(v) = l[li].as_scalar() else { continue };
+                let Some(v) = as_scalar(&l[li]) else { continue };
                 if let Some(matches) = build.get(v) {
                     for &m in matches {
                         let mut combined = l.clone();
@@ -203,9 +102,7 @@ pub(crate) fn eval(node: &Node, catalog: &Catalog) -> RelResult<Vec<Tuple>> {
             ..
         } => {
             let schema = infer_schema(input, catalog)?;
-            let key_idx = schema
-                .index_of(local_key)
-                .ok_or_else(|| RelError::UnknownColumn(local_key.clone()))?;
+            let key_idx = resolve(&schema, local_key)?;
             // Pre-aggregate the related table by fk.
             enum Agg {
                 Sets(HashMap<Value, Vec<Value>>),
@@ -216,8 +113,8 @@ pub(crate) fn eval(node: &Node, catalog: &Catalog) -> RelResult<Vec<Tuple>> {
             // dedup, ratings average — so the direct executor and the SQL
             // compiler (which pre-aggregates with GROUP BY) agree.
             let agg = catalog.with_table(related_table, |t| -> RelResult<Agg> {
-                let fk = t.schema().index_of(fk_column)?;
-                let key = t.schema().index_of(key_column)?;
+                let fk = resolve(t.schema(), fk_column)?;
+                let key = resolve(t.schema(), key_column)?;
                 match rating_column {
                     None => {
                         let mut m: HashMap<Value, Vec<Value>> = HashMap::new();
@@ -234,7 +131,7 @@ pub(crate) fn eval(node: &Node, catalog: &Catalog) -> RelResult<Vec<Tuple>> {
                         Ok(Agg::Sets(m))
                     }
                     Some(rc) => {
-                        let ri = t.schema().index_of(rc)?;
+                        let ri = resolve(t.schema(), rc)?;
                         let mut sums: HashMap<Value, HashMap<Value, (f64, u32)>> = HashMap::new();
                         for (_, row) in t.scan() {
                             if row[fk].is_null() || row[ri].is_null() {
@@ -266,16 +163,15 @@ pub(crate) fn eval(node: &Node, catalog: &Catalog) -> RelResult<Vec<Tuple>> {
             let tuples = eval(input, catalog)?;
             let mut out = Vec::with_capacity(tuples.len());
             for mut t in tuples {
-                let key = t[key_idx]
-                    .as_scalar()
+                let key = as_scalar(&t[key_idx])
                     .ok_or_else(|| RelError::Invalid("extend key not scalar".into()))?;
-                let datum = match &agg {
-                    Agg::Sets(m) => Datum::Set(m.get(key).map_or(&[][..], Vec::as_slice).into()),
+                let nest = match &agg {
+                    Agg::Sets(m) => Value::Set(m.get(key).map_or(&[][..], Vec::as_slice).into()),
                     Agg::Ratings(m) => {
-                        Datum::Ratings(m.get(key).map_or(&[][..], Vec::as_slice).into())
+                        Value::Ratings(m.get(key).map_or(&[][..], Vec::as_slice).into())
                     }
                 };
-                t.push(datum);
+                t.push(nest);
                 out.push(t);
             }
             Ok(out)
@@ -307,14 +203,10 @@ pub(crate) fn eval(node: &Node, catalog: &Catalog) -> RelResult<Vec<Tuple>> {
     }
 }
 
-fn eval_predicate(p: &WfPredicate, schema: &WfSchema, t: &Tuple) -> RelResult<bool> {
+fn eval_predicate(p: &WfPredicate, schema: &Schema, t: &Row) -> RelResult<bool> {
     match p {
         WfPredicate::Cmp { column, op, value } => {
-            let i = schema
-                .index_of(column)
-                .ok_or_else(|| RelError::UnknownColumn(column.clone()))?;
-            let v = t[i]
-                .as_scalar()
+            let v = as_scalar(&t[resolve(schema, column)?])
                 .ok_or_else(|| RelError::Invalid(format!("column {column} not scalar")))?;
             if v.is_null() || value.is_null() {
                 return Ok(false);
@@ -350,41 +242,29 @@ fn eval_predicate(p: &WfPredicate, schema: &WfSchema, t: &Tuple) -> RelResult<bo
 /// The recommend operator: score every target tuple against the comparator
 /// set, aggregate, filter, rank, truncate.
 pub(crate) fn recommend(
-    target_schema: &WfSchema,
-    targets: Vec<Tuple>,
-    comparator_schema: &WfSchema,
-    comparators: &[Tuple],
+    target_schema: &Schema,
+    targets: Vec<Row>,
+    comparator_schema: &Schema,
+    comparators: &[Row],
     spec: &RecommendSpec,
-) -> RelResult<Vec<Tuple>> {
-    let t_idx = target_schema
-        .index_of(&spec.target_attr)
-        .ok_or_else(|| RelError::UnknownColumn(spec.target_attr.clone()))?;
-    let c_idx = comparator_schema
-        .index_of(&spec.comparator_attr)
-        .ok_or_else(|| RelError::UnknownColumn(spec.comparator_attr.clone()))?;
+) -> RelResult<Vec<Row>> {
+    let t_idx = resolve(target_schema, &spec.target_attr)?;
+    let c_idx = resolve(comparator_schema, &spec.comparator_attr)?;
     let weight_idx = match &spec.agg {
-        RecAgg::WeightedAvg { weight_attr } => Some(
-            comparator_schema
-                .index_of(weight_attr)
-                .ok_or_else(|| RelError::UnknownColumn(weight_attr.clone()))?,
-        ),
+        RecAgg::WeightedAvg { weight_attr } => Some(resolve(comparator_schema, weight_attr)?),
         _ => None,
     };
     let exclude = match &spec.exclude_seen {
         Some((t_attr, c_attr)) => {
-            let ti = target_schema
-                .index_of(t_attr)
-                .ok_or_else(|| RelError::UnknownColumn(t_attr.clone()))?;
-            let ci = comparator_schema
-                .index_of(c_attr)
-                .ok_or_else(|| RelError::UnknownColumn(c_attr.clone()))?;
+            let ti = resolve(target_schema, t_attr)?;
+            let ci = resolve(comparator_schema, c_attr)?;
             // Gather the union of seen keys across comparators.
             let mut seen: std::collections::HashSet<Value> = std::collections::HashSet::new();
             for c in comparators {
                 match &c[ci] {
-                    Datum::Set(s) => seen.extend(s.iter().cloned()),
-                    Datum::Ratings(r) => seen.extend(r.iter().map(|(k, _)| k.clone())),
-                    Datum::Scalar(_) => {}
+                    Value::Set(s) => seen.extend(s.iter().cloned()),
+                    Value::Ratings(r) => seen.extend(r.iter().map(|(k, _)| k.clone())),
+                    _ => {}
                 }
             }
             Some((ti, seen))
@@ -408,10 +288,10 @@ pub(crate) fn recommend(
         _ => None,
     };
 
-    let mut scored: Vec<(f64, Tuple)> = Vec::with_capacity(targets.len());
+    let mut scored: Vec<(f64, Row)> = Vec::with_capacity(targets.len());
     for mut t in targets {
         if let Some((ti, seen)) = &exclude {
-            if let Some(v) = t[*ti].as_scalar() {
+            if let Some(v) = as_scalar(&t[*ti]) {
                 if seen.contains(v) {
                     continue;
                 }
@@ -424,8 +304,8 @@ pub(crate) fn recommend(
         let mut acc_max = f64::NEG_INFINITY;
         for (i, c) in comparators.iter().enumerate() {
             let score: Option<f64> = match &spec.method {
-                RecMethod::Text(sim) => match (t[t_idx].as_scalar(), c[c_idx].as_scalar()) {
-                    (Some(Value::Text(a)), Some(Value::Text(b))) => Some(sim.score(a, b)),
+                RecMethod::Text(sim) => match (&t[t_idx], &c[c_idx]) {
+                    (Value::Text(a), Value::Text(b)) => Some(sim.score(a, b)),
                     _ => None,
                 },
                 RecMethod::Set(sim) => match (t[t_idx].as_set(), c[c_idx].as_set()) {
@@ -440,16 +320,14 @@ pub(crate) fn recommend(
                 }
                 RecMethod::RatingLookup => {
                     let maps = lookup_maps.as_ref().expect("built for lookup");
-                    t[t_idx]
-                        .as_scalar()
-                        .and_then(|key| maps[i].get(key).copied())
+                    as_scalar(&t[t_idx]).and_then(|key| maps[i].get(key).copied())
                 }
             };
             if let Some(s) = score {
                 let w = match weight_idx {
-                    Some(wi) => match c[wi].as_scalar() {
-                        Some(Value::Float(f)) => *f,
-                        Some(Value::Int(n)) => *n as f64,
+                    Some(wi) => match &c[wi] {
+                        Value::Float(f) => *f,
+                        Value::Int(n) => *n as f64,
                         _ => 0.0,
                     },
                     None => 1.0,
@@ -477,7 +355,7 @@ pub(crate) fn recommend(
         if final_score <= 0.0 {
             continue;
         }
-        t.push(Datum::Scalar(Value::float(final_score)));
+        t.push(Value::float(final_score));
         scored.push((final_score, t));
     }
     // Deterministic order: score descending, then the first scalar
@@ -488,8 +366,8 @@ pub(crate) fn recommend(
         b.0.partial_cmp(&a.0)
             .unwrap_or(std::cmp::Ordering::Equal)
             .then_with(|| {
-                let ka = a.1.first().and_then(Datum::as_scalar);
-                let kb = b.1.first().and_then(Datum::as_scalar);
+                let ka = a.1.first().and_then(as_scalar);
+                let kb = b.1.first().and_then(as_scalar);
                 match (ka, kb) {
                     (Some(x), Some(y)) => x.total_cmp(y),
                     _ => std::cmp::Ordering::Equal,
@@ -506,7 +384,7 @@ pub(crate) fn recommend(
 mod tests {
     use super::*;
     use crate::similarity::{RatingsSim, TextSim};
-    use crate::workflow::CmpOp;
+    use crate::workflow::{ranking, CmpOp};
     use cr_relation::Database;
 
     /// A small CourseRank-shaped database (the paper's §3.2 schema:
@@ -589,7 +467,7 @@ mod tests {
         let r = execute(&wf, &db.catalog()).unwrap();
         // 'Programming Abstractions' shares a word; medieval history gets
         // score 0 and is filtered; 2007 course excluded by the select.
-        let ranking = r.ranking("CourseID", "score").unwrap();
+        let ranking = ranking(&r, "CourseID", "score").unwrap();
         assert_eq!(ranking[0].0, Value::Int(2));
         assert!(ranking.iter().all(|(id, _)| *id != Value::Int(3)));
         assert!(ranking.iter().all(|(id, _)| *id != Value::Int(4)));
@@ -633,7 +511,7 @@ mod tests {
         };
         let wf = Workflow::new("cf", upper);
         let r = execute(&wf, &db.catalog()).unwrap();
-        let ranking = r.ranking("CourseID", "score").unwrap();
+        let ranking = ranking(&r, "CourseID", "score").unwrap();
         // Similar students = Bob (identical on courses 1,3) and Tim.
         let score_by_id: HashMap<Value, f64> = ranking.iter().cloned().collect();
         // Course 1: Bob 5.0, Tim 4.5 → 4.75.
@@ -683,7 +561,7 @@ mod tests {
         // exclude_seen here removes courses any *similar student* took —
         // the novelty-only variant.
         let r = execute(&Workflow::new("novel", upper), &db.catalog()).unwrap();
-        let ranking = r.ranking("CourseID", "score").unwrap();
+        let ranking = ranking(&r, "CourseID", "score").unwrap();
         // Bob and Tim took courses 1,2,3,5 between them → nothing new.
         assert!(ranking.is_empty());
     }
@@ -722,7 +600,7 @@ mod tests {
             ),
         };
         let r = execute(&Workflow::new("wcf", upper), &db.catalog()).unwrap();
-        let ranking = r.ranking("CourseID", "score").unwrap();
+        let ranking = ranking(&r, "CourseID", "score").unwrap();
         assert!(!ranking.is_empty());
         // Bob (sim 1.0) rates course 1 at 5.0; Ann (low sim) at 1.0; Tim in
         // between. The weighted average must stay close to Bob's rating.
@@ -751,7 +629,7 @@ mod tests {
             },
         );
         let r = execute(&wf, &db.catalog()).unwrap();
-        assert_eq!(r.tuples.len(), 11);
+        assert_eq!(r.rows.len(), 11);
         assert_eq!(r.schema.len(), 3);
     }
 
@@ -789,7 +667,7 @@ mod tests {
             },
         );
         let r = execute(&wf, &db.catalog()).unwrap();
-        let ranking = r.ranking("SuID", "score").unwrap();
+        let ranking = ranking(&r, "SuID", "score").unwrap();
         // Bob shares {1,3} of his {1,2,3} with Sally's {1,3}: J = 2/3.
         assert_eq!(ranking[0].0, Value::Int(2));
         assert!((ranking[0].1 - 2.0 / 3.0).abs() < 1e-9);
@@ -813,7 +691,7 @@ mod tests {
             },
         );
         let r = execute(&wf, &db.catalog()).unwrap();
-        assert_eq!(r.tuples.len(), 7);
+        assert_eq!(r.rows.len(), 7);
     }
 
     #[test]
@@ -841,6 +719,6 @@ mod tests {
             },
         );
         let r = execute(&wf, &db.catalog()).unwrap();
-        assert!(r.ranking("Nope", "score").is_err());
+        assert!(ranking(&r, "Nope", "score").is_err());
     }
 }

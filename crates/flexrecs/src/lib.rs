@@ -13,26 +13,33 @@
 //! > 'compiling' it into a sequence of SQL calls, which are executed by a
 //! > conventional DBMS."
 //!
-//! * [`datum`] — set-valued tuples: the **extend** operator (ε in Figure
-//!   5b) nests related tuples as a set/ratings attribute "irrespective of
-//!   the database schema";
+//! Workflows run on the relational engine's own types: a workflow's
+//! output is a [`cr_relation::ResultSet`] of [`cr_relation::Row`]s under a
+//! [`cr_relation::Schema`]. The **extend** operator (ε in Figure 5b) nests
+//! related tuples "irrespective of the database schema" as a
+//! [`cr_relation::Value::Set`] or [`cr_relation::Value::Ratings`] cell,
+//! typed [`cr_relation::DataType::Set`] / `Ratings`.
+//!
 //! * [`similarity`] — the function library (Jaccard, Dice, overlap,
 //!   cosine, Pearson, inverse Euclidean, text similarity);
 //! * [`workflow`] — the operator DAG (source, select, project, join,
-//!   extend, recommend, limit, union) with schema validation and a
+//!   extend, recommend, limit, union), its output schema
+//!   ([`workflow::infer_schema`]), the one name rule ([`resolve`]), the
+//!   `(key, score)` reading of a result ([`ranking`]) and a
 //!   Figure-5-style textual rendering;
-//! * [`exec`] — the direct executor over a [`cr_relation::Database`];
-//! * [`compile`] — the SQL compiler: workflows whose recommend steps are
-//!   expressible relationally (rating lookups, inverse-Euclidean rating
-//!   distance) become actual SQL strings run by the engine; others fall
-//!   back to "external functions called by the SQL statements" (hybrid);
+//! * [`compile`] — lowering onto the engine's [`LogicalPlan`] IR, then the
+//!   shared optimizer and executor: the production path;
+//! * [`exec`] — the direct interpreter, kept as the reference semantics
+//!   every compiled run is differential-tested against;
+//! * [`mod@lint`] — static checks of a workflow's compiled plan;
 //! * [`templates`] — the paper's two Figure 5 workflows plus the
 //!   course/major/quarter recommenders §3.2 describes CourseRank shipping.
+//!
+//! [`LogicalPlan`]: cr_relation::plan::LogicalPlan
 
 #![forbid(unsafe_code)]
 
 pub mod compile;
-pub mod datum;
 pub mod exec;
 pub mod lint;
 pub mod templates;
@@ -44,8 +51,9 @@ pub mod workflow;
 pub use cr_relation::similarity;
 
 pub use compile::{compile_and_run, CompiledRun, StepTiming};
-pub use datum::{Datum, Tuple, WfSchema, WfType};
-pub use exec::{execute, RecResult};
+pub use exec::execute;
 pub use lint::{lint, lint_for, LintReport};
 pub use similarity::{RatingsSim, SetSim, TextSim};
-pub use workflow::{CmpOp, Node, RecAgg, RecMethod, RecommendSpec, WfPredicate, Workflow};
+pub use workflow::{
+    ranking, resolve, CmpOp, Node, RecAgg, RecMethod, RecommendSpec, WfPredicate, Workflow,
+};

@@ -420,6 +420,7 @@ pub fn major_recommendation(
 mod tests {
     use super::*;
     use crate::exec::execute;
+    use crate::workflow::ranking;
     use cr_relation::{Database, Value};
 
     fn db() -> Database {
@@ -465,7 +466,7 @@ mod tests {
             5,
         );
         let r = execute(&wf, &db.catalog()).unwrap();
-        let ranking = r.ranking("CourseID", "score").unwrap();
+        let ranking = ranking(&r, "CourseID", "score").unwrap();
         assert_eq!(ranking[0].0, Value::Int(2));
     }
 
@@ -474,7 +475,7 @@ mod tests {
         let db = db();
         let wf = user_cf(&SchemaMap::default(), 444, 2, 10, 2, false);
         let r = execute(&wf, &db.catalog()).unwrap();
-        let ranking = r.ranking("CourseID", "score").unwrap();
+        let ranking = ranking(&r, "CourseID", "score").unwrap();
         assert!(!ranking.is_empty());
         // Similar students (Bob, Tim) both rated course 1 highly.
         let m: std::collections::HashMap<Value, f64> = ranking.into_iter().collect();
@@ -486,7 +487,7 @@ mod tests {
         let db = db();
         let wf = user_cf_weighted(&SchemaMap::default(), 444, 3, 10, 2);
         let r = execute(&wf, &db.catalog()).unwrap();
-        assert!(!r.tuples.is_empty());
+        assert!(!r.rows.is_empty());
     }
 
     #[test]
@@ -494,7 +495,7 @@ mod tests {
         let db = db();
         let wf = similar_students_by_courses(&SchemaMap::default(), 444, 3);
         let r = execute(&wf, &db.catalog()).unwrap();
-        let ranking = r.ranking("SuID", "sim").unwrap();
+        let ranking = ranking(&r, "SuID", "sim").unwrap();
         // Tim {1,3,5} vs Sally {1,3}: J=2/3; Bob {1,2,3}: J=2/3; Ann {1,3,5}: J=2/3.
         assert_eq!(ranking.len(), 3);
     }
@@ -504,7 +505,7 @@ mod tests {
         let db = db();
         let wf = item_item_cf(&SchemaMap::default(), 1, 5);
         let r = execute(&wf, &db.catalog()).unwrap();
-        let ranking = r.ranking("CourseID", "score").unwrap();
+        let ranking = ranking(&r, "CourseID", "score").unwrap();
         // Course 3 shares all four raters with course 1.
         assert_eq!(ranking[0].0, Value::Int(3));
     }
@@ -514,7 +515,7 @@ mod tests {
         let db = db();
         let wf = item_item_cf_ratings(&SchemaMap::default(), 1, 5);
         let direct = execute(&wf, &db.catalog()).unwrap();
-        let ranking = direct.ranking("CourseID", "score").unwrap();
+        let ranking = ranking(&direct, "CourseID", "score").unwrap();
         // Courses 1 and 3 share four raters but with *anti-correlated*
         // ratings for Ann (1.0 vs 5.0); cosine still ranks 3 first on this
         // tiny corpus, but the score is strictly below the set-based 1.0.
@@ -542,8 +543,8 @@ mod tests {
         let wf = major_recommendation(&SchemaMap::default(), 444, 2, 2);
         let r = execute(&wf, &db.catalog()).unwrap();
         // Output keeps DepID for application-level rollup.
-        assert!(r.schema.index_of("DepID").is_some());
-        assert!(!r.tuples.is_empty());
+        assert!(crate::resolve(&r.schema, "DepID").is_ok());
+        assert!(!r.rows.is_empty());
     }
 
     #[test]

@@ -21,9 +21,7 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-use cr_relation::Value;
-
-use crate::datum::{WfSchema, WfType};
+use cr_relation::{Catalog, Column, DataType, RelError, RelResult, ResultSet, Schema, Value};
 
 /// Comparison operators for workflow predicates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -296,7 +294,7 @@ impl Workflow {
     /// Statically check this workflow against a catalog: compile it onto
     /// the plan IR and run the plan validator plus dataflow analyses.
     /// Infallible — see [`crate::lint::lint`].
-    pub fn lint(&self, catalog: &cr_relation::catalog::Catalog) -> crate::lint::LintReport {
+    pub fn lint(&self, catalog: &Catalog) -> crate::lint::LintReport {
         crate::lint::lint(self, catalog)
     }
 
@@ -304,7 +302,7 @@ impl Workflow {
     /// against that principal's clearance instead of the template student).
     pub fn lint_for(
         &self,
-        catalog: &cr_relation::catalog::Catalog,
+        catalog: &Catalog,
         principal: &cr_relation::plan::flow::Principal,
     ) -> crate::lint::LintReport {
         crate::lint::lint_for(self, catalog, principal)
@@ -386,33 +384,62 @@ fn explain_node(node: &Node, depth: usize, out: &mut String) {
     }
 }
 
-/// Compute the output schema of a node against a database, validating
-/// attribute references along the way.
-pub fn infer_schema(
-    node: &Node,
-    catalog: &cr_relation::Catalog,
-) -> cr_relation::RelResult<WfSchema> {
-    use cr_relation::RelError;
-    match node {
-        Node::Source { table } => {
-            let schema = catalog.table_schema(table)?;
-            Ok(WfSchema {
-                columns: schema
-                    .columns()
-                    .iter()
-                    .map(|c| (c.name.clone(), WfType::Scalar))
-                    .collect(),
-            })
+/// Index of the column `name` in `schema`: the first case-insensitive
+/// match, qualifiers ignored. This is FlexRecs' one name rule, used by
+/// lowering, [`infer_schema`], the interpreter and [`ranking`].
+/// Unlike [`Schema::index_of`] it never rejects a duplicate name: a join
+/// of two tables on `UId` resolves `UId` to the left column.
+pub fn resolve(schema: &Schema, name: &str) -> RelResult<usize> {
+    schema
+        .columns()
+        .iter()
+        .position(|c| c.name.eq_ignore_ascii_case(name))
+        .ok_or_else(|| RelError::UnknownColumn(name.to_owned()))
+}
+
+/// Extract `(key, score)` pairs from a workflow result given the key and
+/// score column names — the shape recommendation consumers want. Scores
+/// may be Int or Float.
+pub fn ranking(result: &ResultSet, key: &str, score: &str) -> RelResult<Vec<(Value, f64)>> {
+    let ki = resolve(&result.schema, key)?;
+    let si = resolve(&result.schema, score)?;
+    let mut out = Vec::with_capacity(result.rows.len());
+    for row in &result.rows {
+        if row[ki].is_nested() {
+            return Err(RelError::Invalid("key column not scalar".into()));
         }
+        let s = match &row[si] {
+            Value::Float(f) => *f,
+            Value::Int(i) => *i as f64,
+            other => {
+                return Err(RelError::Invalid(format!(
+                    "score column not numeric: {other}"
+                )))
+            }
+        };
+        out.push((row[ki].clone(), s));
+    }
+    Ok(out)
+}
+
+/// A column type FlexRecs treats as a scalar: anything but `Set`/`Ratings`.
+fn scalar(ty: DataType) -> bool {
+    !matches!(ty, DataType::Set | DataType::Ratings)
+}
+
+/// Compute the output schema of a node against a database, validating
+/// attribute references along the way. The rules are lowering's, derived
+/// independently so the interpreter stays an oracle for the plan's
+/// schema too.
+pub fn infer_schema(node: &Node, catalog: &Catalog) -> RelResult<Schema> {
+    match node {
+        Node::Source { table } => catalog.table_schema(table),
         Node::Select { input, predicate } => {
             let s = infer_schema(input, catalog)?;
             let mut cols = Vec::new();
             predicate.columns(&mut cols);
             for c in cols {
-                let idx = s
-                    .index_of(&c)
-                    .ok_or_else(|| RelError::UnknownColumn(c.clone()))?;
-                if s.columns[idx].1 != WfType::Scalar {
+                if !scalar(s.column(resolve(&s, &c)?).data_type) {
                     return Err(RelError::Invalid(format!(
                         "predicate column {c} is not scalar"
                     )));
@@ -422,12 +449,16 @@ pub fn infer_schema(
         }
         Node::Project { input, columns } => {
             let s = infer_schema(input, catalog)?;
-            let mut out = WfSchema::default();
+            let mut out = Schema::default();
             for c in columns {
-                let idx = s
-                    .index_of(c)
-                    .ok_or_else(|| RelError::UnknownColumn(c.clone()))?;
-                out.columns.push(s.columns[idx].clone());
+                let col = s.column(resolve(&s, c)?);
+                out.push(
+                    Column {
+                        name: c.clone(),
+                        ..col.clone()
+                    },
+                    None,
+                );
             }
             Ok(out)
         }
@@ -439,10 +470,8 @@ pub fn infer_schema(
         } => {
             let ls = infer_schema(left, catalog)?;
             let rs = infer_schema(right, catalog)?;
-            ls.index_of(left_col)
-                .ok_or_else(|| RelError::UnknownColumn(left_col.clone()))?;
-            rs.index_of(right_col)
-                .ok_or_else(|| RelError::UnknownColumn(right_col.clone()))?;
+            resolve(&ls, left_col)?;
+            resolve(&rs, right_col)?;
             Ok(ls.join(&rs))
         }
         Node::Extend {
@@ -455,17 +484,18 @@ pub fn infer_schema(
             as_name,
         } => {
             let mut s = infer_schema(input, catalog)?;
-            s.index_of(local_key)
-                .ok_or_else(|| RelError::UnknownColumn(local_key.clone()))?;
+            resolve(&s, local_key)?;
             let rel = catalog.table_schema(related_table)?;
-            rel.index_of(fk_column)?;
-            rel.index_of(key_column)?;
-            if let Some(rc) = rating_column {
-                rel.index_of(rc)?;
-                s.push(as_name.clone(), WfType::Ratings);
-            } else {
-                s.push(as_name.clone(), WfType::Set);
-            }
+            resolve(&rel, fk_column)?;
+            resolve(&rel, key_column)?;
+            let ty = match rating_column {
+                Some(rc) => {
+                    resolve(&rel, rc)?;
+                    DataType::Ratings
+                }
+                None => DataType::Set,
+            };
+            s.push(Column::new(as_name, ty), None);
             Ok(s)
         }
         Node::Recommend {
@@ -475,19 +505,14 @@ pub fn infer_schema(
         } => {
             let ts = infer_schema(target, catalog)?;
             let cs = infer_schema(comparator, catalog)?;
-            let t_idx = ts
-                .index_of(&spec.target_attr)
-                .ok_or_else(|| RelError::UnknownColumn(spec.target_attr.clone()))?;
-            let c_idx = cs
-                .index_of(&spec.comparator_attr)
-                .ok_or_else(|| RelError::UnknownColumn(spec.comparator_attr.clone()))?;
+            let t_ty = ts.column(resolve(&ts, &spec.target_attr)?).data_type;
+            let c_ty = cs.column(resolve(&cs, &spec.comparator_attr)?).data_type;
             // Type discipline per method.
-            let (t_ty, c_ty) = (ts.columns[t_idx].1, cs.columns[c_idx].1);
             let ok = match &spec.method {
-                RecMethod::Text(_) => t_ty == WfType::Scalar && c_ty == WfType::Scalar,
-                RecMethod::Set(_) => t_ty == WfType::Set && c_ty == WfType::Set,
-                RecMethod::Ratings { .. } => t_ty == WfType::Ratings && c_ty == WfType::Ratings,
-                RecMethod::RatingLookup => t_ty == WfType::Scalar && c_ty == WfType::Ratings,
+                RecMethod::Text(_) => scalar(t_ty) && scalar(c_ty),
+                RecMethod::Set(_) => t_ty == DataType::Set && c_ty == DataType::Set,
+                RecMethod::Ratings { .. } => t_ty == DataType::Ratings && c_ty == DataType::Ratings,
+                RecMethod::RatingLookup => scalar(t_ty) && c_ty == DataType::Ratings,
             };
             if !ok {
                 return Err(RelError::Invalid(format!(
@@ -496,29 +521,22 @@ pub fn infer_schema(
                 )));
             }
             if let RecAgg::WeightedAvg { weight_attr } = &spec.agg {
-                let w = cs
-                    .index_of(weight_attr)
-                    .ok_or_else(|| RelError::UnknownColumn(weight_attr.clone()))?;
-                if cs.columns[w].1 != WfType::Scalar {
+                if !scalar(cs.column(resolve(&cs, weight_attr)?).data_type) {
                     return Err(RelError::Invalid(format!(
                         "weight attribute {weight_attr} is not scalar"
                     )));
                 }
             }
             if let Some((t_attr, c_attr)) = &spec.exclude_seen {
-                ts.index_of(t_attr)
-                    .ok_or_else(|| RelError::UnknownColumn(t_attr.clone()))?;
-                let ci = cs
-                    .index_of(c_attr)
-                    .ok_or_else(|| RelError::UnknownColumn(c_attr.clone()))?;
-                if cs.columns[ci].1 == WfType::Scalar {
+                resolve(&ts, t_attr)?;
+                if scalar(cs.column(resolve(&cs, c_attr)?).data_type) {
                     return Err(RelError::Invalid(format!(
                         "exclude_seen comparator attribute {c_attr} must be set/ratings"
                     )));
                 }
             }
             let mut out = ts;
-            out.push(spec.score_name.clone(), WfType::Scalar);
+            out.push(Column::new(&spec.score_name, DataType::Float), None);
             Ok(out)
         }
         Node::Limit { input, .. } => infer_schema(input, catalog),
@@ -571,6 +589,27 @@ mod tests {
     }
 
     #[test]
+    fn resolve_takes_the_first_case_insensitive_match() {
+        let users = Schema::qualified(
+            "Users",
+            vec![
+                Column::new("UId", DataType::Int),
+                Column::new("Name", DataType::Text),
+            ],
+        );
+        let ratings = Schema::qualified("Ratings", vec![Column::new("UId", DataType::Int)]);
+        let joined = users.join(&ratings);
+        assert_eq!(resolve(&joined, "name").unwrap(), 1);
+        assert_eq!(resolve(&joined, "NAME").unwrap(), 1);
+        // A duplicate name resolves to its first column, never ambiguous.
+        assert_eq!(resolve(&joined, "uid").unwrap(), 0);
+        assert_eq!(
+            resolve(&joined, "nope"),
+            Err(RelError::UnknownColumn("nope".into()))
+        );
+    }
+
+    #[test]
     fn source_schema() {
         let db = db();
         let s = infer_schema(
@@ -580,8 +619,7 @@ mod tests {
             &db.catalog(),
         )
         .unwrap();
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.columns[1], ("Title".to_owned(), WfType::Scalar));
+        assert_eq!(s, db.catalog().table_schema("Courses").unwrap());
     }
 
     #[test]
@@ -589,7 +627,7 @@ mod tests {
         let db = db();
         let s = infer_schema(&students_with_ratings(), &db.catalog()).unwrap();
         assert_eq!(s.len(), 3);
-        assert_eq!(s.columns[2], ("ratings".to_owned(), WfType::Ratings));
+        assert_eq!(s.column(2), &Column::new("ratings", DataType::Ratings));
     }
 
     #[test]
@@ -609,10 +647,7 @@ mod tests {
             ),
         };
         let s = infer_schema(&ok, &db.catalog()).unwrap();
-        assert_eq!(
-            s.columns.last().unwrap(),
-            &("score".to_owned(), WfType::Scalar)
-        );
+        assert_eq!(s.column(3), &Column::new("score", DataType::Float));
 
         // text similarity on a ratings attribute: rejected.
         let bad = Node::Recommend {

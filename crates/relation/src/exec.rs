@@ -657,7 +657,8 @@ fn limit_rows(rows: Vec<Row>, limit: Option<usize>, offset: usize) -> Vec<Row> {
 
 /// Treat a value as a scalar for the FlexRecs operators: nested
 /// Set/Ratings values are not scalars; everything else (including NULL)
-/// is. Mirrors the workflow layer's `Datum::as_scalar`.
+/// is. The FlexRecs interpreter (`cr_flexrecs::exec`) applies the same
+/// rule to the same `Value`s.
 fn as_rec_scalar(v: &Value) -> Option<&Value> {
     if v.is_nested() {
         None

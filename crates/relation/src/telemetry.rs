@@ -13,14 +13,11 @@
 //! | `cr_stat_histograms`   | histogram (count/sum/min/max/mean/p50/95/99) |
 //! | `cr_stat_traces`       | span in the flight recorder                  |
 //! | `cr_stat_slow_queries` | captured slow request                        |
-//! | `cr_stat_cache`        | `courserank.reccache.*` counter (fallback)   |
 //! | `cr_stat_storage`      | `storage.*` metric (histograms expanded)     |
 //!
-//! `cr_stat_cache` here is the generic fallback view. Registration is
-//! first-wins (see [`register_system_tables`]), and `cr-core` registers
-//! a richer per-entry provider under the same name *before* calling
-//! this — one row per live cache entry with its dependency footprint
-//! and survival counters (spared / delta-applied).
+//! Application layers add their own `cr_stat_*` tables on the same
+//! catalog: `cr-core` registers `cr_stat_cache`, one row per live cache
+//! entry with its dependency footprint and survival counters.
 //!
 //! Values are snapshots at scan time; the catalog reports an
 //! always-fresh version for them, so nothing downstream caches
@@ -218,35 +215,6 @@ impl ScanProvider for SlowQueriesProvider {
     }
 }
 
-/// A `(name, value)` view over counters under one prefix
-/// (`cr_stat_cache` = `courserank.reccache.*`).
-struct PrefixCountersProvider {
-    table: &'static str,
-    prefix: &'static str,
-}
-
-impl ScanProvider for PrefixCountersProvider {
-    fn schema(&self) -> Schema {
-        schema(
-            self.table,
-            vec![
-                Column::not_null("name", DataType::Text),
-                Column::not_null("value", DataType::Int),
-            ],
-        )
-    }
-
-    fn rows(&self) -> RelResult<Vec<Row>> {
-        let snap = Registry::global().snapshot();
-        Ok(snap
-            .counters
-            .iter()
-            .filter(|(name, _)| name.starts_with(self.prefix))
-            .map(|(name, v)| vec![Value::text(name.clone()), int(*v)])
-            .collect())
-    }
-}
-
 /// `cr_stat_storage(name, stat, value)` — every `storage.*` metric.
 /// Counters and gauges contribute a `value` row; histograms are
 /// expanded into `count`/`p50`/`p95`/`p99` rows so WAL fsync tails are
@@ -307,25 +275,17 @@ pub const SYSTEM_TABLES: &[&str] = &[
     "cr_stat_histograms",
     "cr_stat_traces",
     "cr_stat_slow_queries",
-    "cr_stat_cache",
     "cr_stat_storage",
 ];
 
 /// Register every `cr_stat_*` table on `catalog`. Idempotent: tables
 /// already present (another component registered first) are skipped.
 pub fn register_system_tables(catalog: &Catalog) -> RelResult<()> {
-    let providers: [(&str, Arc<dyn ScanProvider>); 6] = [
+    let providers: [(&str, Arc<dyn ScanProvider>); 5] = [
         ("cr_stat_counters", Arc::new(CountersProvider)),
         ("cr_stat_histograms", Arc::new(HistogramsProvider)),
         ("cr_stat_traces", Arc::new(TracesProvider)),
         ("cr_stat_slow_queries", Arc::new(SlowQueriesProvider)),
-        (
-            "cr_stat_cache",
-            Arc::new(PrefixCountersProvider {
-                table: "cr_stat_cache",
-                prefix: "courserank.reccache.",
-            }),
-        ),
         ("cr_stat_storage", Arc::new(StorageProvider)),
     ];
     for (name, provider) in providers {
@@ -335,15 +295,14 @@ pub fn register_system_tables(catalog: &Catalog) -> RelResult<()> {
         catalog.register_scan_provider(name, provider)?;
     }
     // Sensitivity labels apply even when another component registered the
-    // provider first (e.g. cr-core's richer cr_stat_cache): traces and the
-    // slow-query log embed query text and plan trees, so they are
-    // operator-only; aggregate counters/histograms are community-visible.
+    // provider first: traces and the slow-query log embed query text and
+    // plan trees, so they are operator-only; aggregate counters/histograms
+    // are community-visible.
     for (table, label) in [
         ("cr_stat_counters", Sensitivity::Community),
         ("cr_stat_histograms", Sensitivity::Community),
         ("cr_stat_traces", Sensitivity::Restricted),
         ("cr_stat_slow_queries", Sensitivity::Restricted),
-        ("cr_stat_cache", Sensitivity::Community),
         ("cr_stat_storage", Sensitivity::Community),
     ] {
         catalog.set_table_policy(table, TablePolicy::new(label));

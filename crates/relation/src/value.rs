@@ -531,6 +531,25 @@ mod tests {
         assert_eq!(Value::Float(3.0).to_string(), "3.0");
         assert_eq!(Value::text("hi").to_string(), "hi");
         assert_eq!(Value::Bool(true).to_string(), "true");
+        let set = Value::Set(vec![Value::Int(1), Value::Int(2)].into());
+        assert_eq!(set.to_string(), "{1, 2}");
+        let ratings = Value::Ratings(vec![(Value::Int(1), 4.0)].into());
+        assert_eq!(ratings.to_string(), "{1:4.0}");
+    }
+
+    #[test]
+    fn nested_accessors() {
+        let scalar = Value::Int(1);
+        assert!(!scalar.is_nested());
+        assert!(scalar.as_set().is_none() && scalar.as_ratings().is_none());
+        let set = Value::Set(vec![Value::Int(1), Value::Int(2)].into());
+        assert!(set.is_nested());
+        assert_eq!(set.as_set().map(<[Value]>::len), Some(2));
+        assert!(set.as_ratings().is_none());
+        let ratings = Value::Ratings(vec![(Value::Int(1), 4.0), (Value::Int(2), 3.5)].into());
+        assert!(ratings.is_nested());
+        assert_eq!(ratings.as_ratings().unwrap()[1], (Value::Int(2), 3.5));
+        assert!(ratings.as_set().is_none());
     }
 
     #[test]

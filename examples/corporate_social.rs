@@ -193,7 +193,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n== FlexRecs on the corporate schema: trainings for Ada ==");
     println!("{}", wf.explain());
     let result = cr_flexrecs::execute(&wf, &db.catalog())?;
-    for (id, score) in result.ranking("TrainingID", "score")? {
+    for (id, score) in cr_flexrecs::ranking(&result, "TrainingID", "score")? {
         let title = db
             .query_sql(&format!(
                 "SELECT Title FROM Trainings WHERE TrainingID = {id}"
@@ -207,7 +207,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let wf = templates::related_courses(&map, "Incident Response Fundamentals", None, 3);
     let result = cr_flexrecs::execute(&wf, &db.catalog())?;
     println!("\ntrainings related to \"Incident Response Fundamentals\":");
-    for (id, score) in result.ranking("TrainingID", "score")? {
+    for (id, score) in cr_flexrecs::ranking(&result, "TrainingID", "score")? {
         println!("  {score:.2}  training {id}");
     }
     Ok(())

@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", wf_a.explain());
     let result = cr_flexrecs::execute(&wf_a, &catalog)?;
     println!("courses with titles similar to {:?}:", course.title);
-    for (id, score) in result.ranking("CourseID", "score")? {
+    for (id, score) in cr_flexrecs::ranking(&result, "CourseID", "score")? {
         let title = app
             .db()
             .course(id.as_int()?)?
@@ -48,14 +48,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Direct execution:
     let direct = cr_flexrecs::execute(&wf_b, &catalog)?;
-    println!("direct executor: {} scored courses", direct.tuples.len());
+    println!("direct executor: {} scored courses", direct.rows.len());
 
     // Plan execution — the workflow lowered onto the unified IR.
     let compiled = compile_and_run(&wf_b, &catalog)?;
     println!(
         "plan executor: {} scored courses (plan fingerprint {:016x})",
-        compiled.result.tuples.len(),
-        compiled.fingerprint,
+        compiled.result.rows.len(),
+        compiled.plan.fingerprint(),
     );
     println!("\noptimized plan:");
     for line in explain_sql(&wf_b, &catalog)? {

@@ -13,12 +13,10 @@
 #![allow(clippy::unwrap_used)]
 
 use cr_flexrecs::compile::compile_and_run_with;
-use cr_flexrecs::{
-    CmpOp, Node, RecAgg, RecMethod, RecResult, RecommendSpec, WfPredicate, Workflow,
-};
+use cr_flexrecs::{CmpOp, Node, RecAgg, RecMethod, RecommendSpec, WfPredicate, Workflow};
 use cr_relation::{
-    execute_instrumented_with, execute_with, Catalog, Database, ExecOptions, RatingsSim, SetSim,
-    TextSim, Value,
+    execute_instrumented_with, execute_with, Catalog, Database, ExecOptions, RatingsSim, ResultSet,
+    SetSim, TextSim, Value,
 };
 use proptest::prelude::*;
 
@@ -931,10 +929,10 @@ fn nest_image_shapes_match_row_oracle() {
     };
     let before = check("cold and warm images");
     assert!(
-        before[..3].iter().all(|r| r.tuples.is_empty()),
+        before[..3].iter().all(|r| r.rows.is_empty()),
         "empty nests match nothing"
     );
-    let sizes: Vec<usize> = before.iter().map(|r| r.tuples.len()).collect();
+    let sizes: Vec<usize> = before.iter().map(|r| r.rows.len()).collect();
     assert!(sizes[3..].iter().all(|&n| n > 0), "{sizes:?}");
     // The insert patches every image built above; the delete retires them.
     db.execute_sql("INSERT INTO Ratings VALUES (900, 5, 2, 1)")
@@ -948,7 +946,7 @@ fn nest_image_shapes_match_row_oracle() {
 /// Every nest-shape workflow over `catalog` three ways — the table's nest
 /// image, a nest built from a filtered related scan, and the row oracle —
 /// asserted equal at every batch size; returns the oracle's results.
-fn nest_paths_agree(catalog: &Catalog, label: &str) -> Vec<RecResult> {
+fn nest_paths_agree(catalog: &Catalog, label: &str) -> Vec<ResultSet> {
     let mut results = Vec::new();
     for wf in nest_shape_workflows() {
         let row = compile_and_run_with(&wf, catalog, &oracle()).unwrap();

@@ -23,7 +23,7 @@ fn figure5a_related_courses_ranks_by_title_similarity() {
     let course = db.course(1).unwrap().unwrap();
     let wf = templates::related_courses(&SchemaMap::default(), &course.title, None, 10);
     let result = cr_flexrecs::execute(&wf, &db.catalog()).unwrap();
-    let ranking = result.ranking("CourseID", "score").unwrap();
+    let ranking = cr_flexrecs::ranking(&result, "CourseID", "score").unwrap();
     assert!(
         !ranking.is_empty(),
         "no related courses for {:?}",
@@ -66,7 +66,7 @@ fn figure5b_cf_structure_and_execution() {
     assert!(text.contains("rating_lookup"), "{text}");
 
     let result = cr_flexrecs::execute(&wf, &db.catalog()).unwrap();
-    let ranking = result.ranking("CourseID", "score").unwrap();
+    let ranking = cr_flexrecs::ranking(&result, "CourseID", "score").unwrap();
     assert!(!ranking.is_empty());
     // Ratings live in [1, 5]; the aggregated scores must too.
     for (_, s) in &ranking {
@@ -81,14 +81,11 @@ fn a2_plan_pipeline_equals_interpreter() {
         let wf = templates::user_cf(&SchemaMap::default(), student, 10, 50, 2, false);
         let direct = cr_flexrecs::execute(&wf, &db.catalog()).unwrap();
         let compiled = compile_and_run(&wf, &db.catalog()).unwrap();
-        let d: HashMap<Value, f64> = direct
-            .ranking("CourseID", "score")
+        let d: HashMap<Value, f64> = cr_flexrecs::ranking(&direct, "CourseID", "score")
             .unwrap()
             .into_iter()
             .collect();
-        let c: HashMap<Value, f64> = compiled
-            .result
-            .ranking("CourseID", "score")
+        let c: HashMap<Value, f64> = cr_flexrecs::ranking(&compiled.result, "CourseID", "score")
             .unwrap()
             .into_iter()
             .collect();
@@ -176,7 +173,7 @@ fn item_item_cf_finds_co_rated_courses() {
     let popular = rs.rows[0][0].as_int().unwrap();
     let wf = templates::item_item_cf(&SchemaMap::default(), popular, 5);
     let result = cr_flexrecs::execute(&wf, &db.catalog()).unwrap();
-    let ranking = result.ranking("CourseID", "score").unwrap();
+    let ranking = cr_flexrecs::ranking(&result, "CourseID", "score").unwrap();
     assert!(!ranking.is_empty());
     assert!(ranking.iter().all(|(id, _)| *id != Value::Int(popular)));
 }
@@ -195,6 +192,6 @@ fn item_item_cf_ratings_agrees_across_paths() {
     let direct = cr_flexrecs::execute(&wf, &db.catalog()).unwrap();
     let compiled = compile_and_run(&wf, &db.catalog()).unwrap();
     assert_eq!(compiled.result, direct);
-    let ranking = compiled.result.ranking("CourseID", "score").unwrap();
+    let ranking = cr_flexrecs::ranking(&compiled.result, "CourseID", "score").unwrap();
     assert!(ranking.iter().all(|(id, _)| *id != Value::Int(popular)));
 }

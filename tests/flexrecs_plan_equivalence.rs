@@ -586,11 +586,46 @@ fn nest_image_shapes_match_interpreter() {
             .collect()
     };
     let before = check();
-    assert!(before[..2].iter().all(|r| r.tuples.is_empty()));
-    assert!(before[2..].iter().all(|r| !r.tuples.is_empty()));
+    assert!(before[..2].iter().all(|r| r.rows.is_empty()));
+    assert!(before[2..].iter().all(|r| !r.rows.is_empty()));
     db.execute_sql("INSERT INTO Ratings VALUES (900, 5, 2, 1)")
         .unwrap();
     db.execute_sql("DELETE FROM Ratings WHERE UId = 3 AND IId = 1")
         .unwrap();
     assert_ne!(before, check(), "the mutation must show");
+}
+
+/// A projection spelled in a different case from the table (`uid`,
+/// `NAME`) over the join that duplicates `UId`: both paths resolve `uid`
+/// to the left (Users) column, report the requested spellings, and return
+/// equal `ResultSet`s, schema included.
+#[test]
+fn case_mismatched_projection_over_duplicate_join_matches_interpreter() {
+    let db = build_db(&[1, 2, 3], &[(1, 1, 3), (2, 2, 4), (2, 3, 5), (7, 1, 1)]);
+    let wf = Workflow::new(
+        "case-project",
+        Node::Project {
+            input: Box::new(Node::Join {
+                left: Box::new(src("Users")),
+                right: Box::new(src("Ratings")),
+                left_col: "UId".to_owned(),
+                right_col: "UId".to_owned(),
+            }),
+            columns: vec!["uid".to_owned(), "NAME".to_owned(), "score".to_owned()],
+        },
+    );
+    let catalog = db.catalog();
+    let direct = execute(&wf, &catalog).unwrap();
+    let compiled = compile_and_run(&wf, &catalog).unwrap();
+    assert_eq!(direct, compiled.result);
+    let names: Vec<&str> = direct
+        .schema
+        .columns()
+        .iter()
+        .map(|c| c.name.as_str())
+        .collect();
+    assert_eq!(names, ["uid", "NAME", "score"]);
+    // UId is the Users primary key: the left column, NOT NULL.
+    assert!(!direct.schema.column(0).nullable);
+    assert_eq!(direct.rows.len(), 3);
 }

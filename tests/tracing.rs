@@ -326,7 +326,7 @@ proptest! {
     /// errors, EXPLAIN ANALYZEs, and executes without panicking.
     #[test]
     fn system_table_scans_are_lint_clean_and_total(
-        table_idx in 0usize..6,
+        table_idx in 0..SYSTEM_TABLES.len(),
         limit in proptest::option::of(0usize..40),
         count in any::<bool>(),
         spans in 0usize..20,
