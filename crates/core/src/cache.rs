@@ -666,9 +666,8 @@ pub fn registered_cache_stats() -> Vec<(String, EntryStats)> {
 /// survival behaviour of the delta-driven caches is queryable in SQL:
 /// `SELECT cache, SUM(spared) FROM cr_stat_cache GROUP BY cache`.
 ///
-/// Registered by `CourseRankDb` *before* the generic
-/// `cr_relation::telemetry` set (registration skips existing names), so
-/// the app's richer per-entry view wins over the counters-only fallback.
+/// `CourseRankDb` registers it as the one `cr_stat_cache`, next to
+/// relation's system tables; relation defines no table of that name.
 pub struct CacheStatsProvider;
 
 impl cr_relation::ScanProvider for CacheStatsProvider {

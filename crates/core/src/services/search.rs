@@ -245,7 +245,6 @@ pub struct CourseCloud {
     /// corpus that matches their catalog cut.
     engine: Arc<SearchEngine>,
     spec: EntitySpec,
-    cloud_config: CloudConfig,
     /// Cached cloud aggregates, shared across rebinds so snapshot views
     /// warm the same cache (their generation pins which entries serve).
     cloud_cache: Arc<CloudCache>,
@@ -271,7 +270,6 @@ impl CourseCloud {
             db,
             engine: Arc::new(engine),
             spec,
-            cloud_config: CloudConfig::default(),
             cloud_cache,
             generation: 0,
         }
@@ -285,15 +283,9 @@ impl CourseCloud {
             db,
             engine: Arc::clone(&self.engine),
             spec: self.spec.clone(),
-            cloud_config: self.cloud_config.clone(),
             cloud_cache: Arc::clone(&self.cloud_cache),
             generation: self.generation,
         }
-    }
-
-    pub fn with_cloud_config(mut self, config: CloudConfig) -> Self {
-        self.cloud_config = config;
-        self
     }
 
     pub fn engine(&self) -> &SearchEngine {
@@ -346,7 +338,7 @@ impl CourseCloud {
     fn cloud_cached(&self, results: &SearchResults) -> DataCloud {
         let docs = &results.matched_docs;
         if docs.is_empty() {
-            return self.engine.cloud(results, &self.cloud_config);
+            return self.engine.cloud(results, &CloudConfig::default());
         }
         let corpus = self.engine.corpus();
         let ids: Vec<Value> = docs
@@ -373,7 +365,7 @@ impl CourseCloud {
                 &corpus.index,
                 &agg,
                 &results.query.terms,
-                &self.cloud_config,
+                &CloudConfig::default(),
             );
         }
         if cr_obs::enabled() {
@@ -384,7 +376,7 @@ impl CourseCloud {
             &corpus.index,
             &agg,
             &results.query.terms,
-            &self.cloud_config,
+            &CloudConfig::default(),
         );
         self.cloud_cache.insert(key, ids, agg, self.generation);
         cloud

@@ -1435,34 +1435,6 @@ mod tests {
     }
 
     #[test]
-    fn gate_decision_matches_legacy_matrix() {
-        // Owner always sees own plans.
-        assert_eq!(
-            gate_decision(&Principal::Student(Some(3)), 3, false),
-            GateDecision::Allow
-        );
-        // Sharer visible to other students.
-        assert_eq!(
-            gate_decision(&Principal::Student(Some(2)), 444, true),
-            GateDecision::Allow
-        );
-        // Opt-out hidden from other students.
-        assert_eq!(
-            gate_decision(&Principal::Student(Some(2)), 3, false),
-            GateDecision::DeniedOptOut
-        );
-        // Staff see everything; faculty nothing student-specific.
-        assert_eq!(
-            gate_decision(&Principal::Staff, 3, false),
-            GateDecision::Allow
-        );
-        assert_eq!(
-            gate_decision(&Principal::Faculty, 444, true),
-            GateDecision::DeniedRole
-        );
-    }
-
-    #[test]
     fn narrowed_scans_keep_every_p_code() {
         // The optimizer narrows scans to the columns read above them, so a
         // COUNT(*) can sit over scans that emit no column at all. The

@@ -41,8 +41,8 @@
 //! the newest link, the same tables, no dirty chunk — writes no file and
 //! returns that link's sequence.
 //!
-//! [`StorageConfig::snapshots_to_keep`] counts independent recovery
-//! points: the newest link over each of that many bases is kept with
+//! `SNAPSHOTS_TO_KEEP` counts independent recovery points: the newest
+//! link over each of that many bases is kept with
 //! every link its chain needs, so no two kept points share a file, and
 //! the WAL from the oldest kept point's position. Until that many bases
 //! exist no WAL file is deleted, and replay from the first one stands in
@@ -80,25 +80,17 @@ use crate::{StorageError, StorageResult};
 /// of the same tables (DESIGN §7 has the measurement).
 const COMPACT_AT_PERCENT: u64 = 10;
 
+/// Independent recovery points retained after a checkpoint: the newest
+/// link over each of this many bases, each with every link file its
+/// chain needs (older files and the WAL files only they reference are
+/// deleted). Keeping two means one corrupt file, base or delta, still
+/// leaves a recovery path.
+const SNAPSHOTS_TO_KEEP: usize = 2;
+
 /// Storage engine tuning.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct StorageConfig {
     pub wal: WalConfig,
-    /// Independent recovery points retained after a checkpoint: the
-    /// newest link over each of this many bases, each with every link
-    /// file its chain needs (older files and the WAL files only they
-    /// reference are deleted). Keeping ≥2 means one corrupt file, base or
-    /// delta, still leaves a recovery path.
-    pub snapshots_to_keep: usize,
-}
-
-impl Default for StorageConfig {
-    fn default() -> Self {
-        StorageConfig {
-            wal: WalConfig::default(),
-            snapshots_to_keep: 2,
-        }
-    }
 }
 
 /// What recovery found and did. Returned by [`Storage::open`] and
@@ -206,7 +198,6 @@ impl Disk {
 /// catalog's [`MutationObserver`] so logging is transparent to callers.
 pub struct Storage {
     backend: Arc<dyn StorageBackend>,
-    cfg: StorageConfig,
     catalog: Catalog,
     wal: Mutex<Wal>,
     disk: Mutex<Disk>,
@@ -402,7 +393,6 @@ impl Storage {
         let wal = Wal::new(backend.clone(), resume_seq, resume_offset, cfg.wal);
         let storage = Arc::new(Storage {
             backend,
-            cfg,
             catalog: catalog.clone(),
             wal: Mutex::new(wal),
             disk: Mutex::new(Disk {
@@ -518,7 +508,7 @@ impl Storage {
         Ok(seq)
     }
 
-    /// Keep the newest `snapshots_to_keep` independent recovery points —
+    /// Keep the newest `SNAPSHOTS_TO_KEEP` independent recovery points —
     /// the newest link of each of that many bases, so no two points share
     /// a file — and every link their chains need; delete the other links
     /// and the stale files found at open. The WAL is kept from the oldest
@@ -527,12 +517,11 @@ impl Storage {
     /// replay from the first one still rebuilds every write. The live
     /// writer's file is always kept.
     fn prune(&self, disk: &mut Disk) -> StorageResult<()> {
-        let want = self.cfg.snapshots_to_keep.max(1);
         let mut bases = BTreeSet::new();
         let mut keep = BTreeSet::new();
         let mut min_wal = self.wal.lock().position().0;
         for link in disk.links.values().rev() {
-            if bases.len() == want {
+            if bases.len() == SNAPSHOTS_TO_KEEP {
                 break;
             }
             if bases.contains(&link.base_seq) {
@@ -544,7 +533,7 @@ impl Storage {
                 keep.extend(chain);
             }
         }
-        if bases.len() < want {
+        if bases.len() < SNAPSHOTS_TO_KEEP {
             min_wal = disk.wal_floor;
         }
         for name in &disk.stale {
@@ -1218,7 +1207,6 @@ mod tests {
                 fsync: FsyncPolicy::Batch,
                 group_commit: 4,
             },
-            ..StorageConfig::default()
         };
         {
             let (st, db, _) = Storage::open(Arc::new(backend.clone()), cfg).unwrap();

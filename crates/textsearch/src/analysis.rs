@@ -113,39 +113,18 @@ pub struct Token {
     pub position: u32,
 }
 
-/// Analyzer configuration.
-#[derive(Debug, Clone)]
-pub struct Analyzer {
-    stem: bool,
-    remove_stopwords: bool,
-    min_len: usize,
-}
+/// Tokens shorter than this many bytes, before or after stemming, are
+/// dropped.
+const MIN_LEN: usize = 2;
 
-impl Default for Analyzer {
-    fn default() -> Self {
-        Analyzer {
-            stem: true,
-            remove_stopwords: true,
-            min_len: 2,
-        }
-    }
-}
+/// The analyzer: lowercases, drops stopwords and one-byte tokens, and
+/// stems what is left.
+#[derive(Debug, Clone, Default)]
+pub struct Analyzer;
 
 impl Analyzer {
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Disable stemming (used by tests and by exact-match tooling).
-    pub fn without_stemming(mut self) -> Self {
-        self.stem = false;
-        self
-    }
-
-    /// Keep stopwords (used when indexing identifiers like course codes).
-    pub fn keep_stopwords(mut self) -> Self {
-        self.remove_stopwords = false;
-        self
+        Analyzer
     }
 
     /// Tokenize a text into terms with positions.
@@ -164,18 +143,14 @@ impl Analyzer {
             let lower = raw.to_lowercase();
             let pos = position;
             position += 1;
-            if lower.len() < self.min_len {
+            if lower.len() < MIN_LEN {
                 continue;
             }
-            if self.remove_stopwords && STOPWORDS.binary_search(&lower.as_str()).is_ok() {
+            if STOPWORDS.binary_search(&lower.as_str()).is_ok() {
                 continue;
             }
-            let term = if self.stem {
-                stem(&lower)
-            } else {
-                lower.clone()
-            };
-            if term.len() < self.min_len {
+            let term = stem(&lower);
+            if term.len() < MIN_LEN {
                 continue;
             }
             out.push(Token {
@@ -313,24 +288,10 @@ mod tests {
     }
 
     #[test]
-    fn without_stemming_keeps_forms() {
-        let a = Analyzer::new().without_stemming();
-        assert_eq!(a.terms("programming classes"), vec!["programming"]);
-        // ("classes" is a stopword)
-    }
-
-    #[test]
     fn course_codes_tokenize() {
         let a = Analyzer::new();
         let terms = a.terms("CS106A meets MWF");
         assert!(terms.contains(&"cs106a".to_string()));
-    }
-
-    #[test]
-    fn keep_stopwords_mode() {
-        let a = Analyzer::new().keep_stopwords();
-        let terms = a.terms("the history");
-        assert_eq!(terms, vec!["the", "history"]);
     }
 
     #[test]

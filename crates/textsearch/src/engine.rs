@@ -6,8 +6,7 @@
 //! are analyzed with the same analyzer as the index, and quoted phrases
 //! ("latin american") map to bigram terms.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use cr_obs::trace::TraceSpan;
@@ -16,8 +15,8 @@ use cr_relation::Value;
 
 use crate::cloud::{compute_cloud, CloudConfig, DataCloud};
 use crate::entity::EntityCorpus;
-use crate::index::{DocId, Posting};
-use crate::score::{bm25f_term_score, idf, Bm25Params};
+use crate::index::DocId;
+use crate::score::{bm25f_term_score, idf};
 
 // Handles resolved once; recording is relaxed atomics. Counters gate on
 // `cr_obs::enabled()` and latencies ride a `TraceSpan` guard, so with
@@ -29,8 +28,6 @@ struct TsMetrics {
     candidate_set: Arc<cr_obs::Histogram>,
     clouds: Arc<cr_obs::Counter>,
     cloud_ns: Arc<cr_obs::Histogram>,
-    heap_prunes: Arc<cr_obs::Counter>,
-    docs_skipped: Arc<cr_obs::Counter>,
 }
 
 fn metrics() -> &'static TsMetrics {
@@ -44,8 +41,6 @@ fn metrics() -> &'static TsMetrics {
             candidate_set: r.histogram("textsearch.candidate_set"),
             clouds: r.counter("textsearch.clouds"),
             cloud_ns: r.histogram("textsearch.cloud_ns"),
-            heap_prunes: r.counter("textsearch.topk.heap_prunes"),
-            docs_skipped: r.counter("textsearch.topk.docs_skipped"),
         }
     })
 }
@@ -58,11 +53,6 @@ struct SearchStats {
     /// Docs that matched the first term (the candidate set the remaining
     /// conjuncts filter down).
     candidates: u64,
-    /// Top-k heap evictions (a better doc displaced the current k-th).
-    heap_prunes: u64,
-    /// Matching docs whose scoring was abandoned early because their
-    /// upper bound could not reach the current k-th score.
-    docs_skipped: u64,
 }
 
 fn record_query_metrics(stats: &SearchStats) {
@@ -73,33 +63,6 @@ fn record_query_metrics(stats: &SearchStats) {
     m.queries.inc();
     m.postings_lookups.add(stats.postings_lookups);
     m.candidate_set.record(stats.candidates);
-    m.heap_prunes.add(stats.heap_prunes);
-    m.docs_skipped.add(stats.docs_skipped);
-}
-
-/// Heap entry for top-k search. Ordering: higher score is greater; on a
-/// score tie the *lower* doc id is greater (it wins), matching the
-/// exhaustive sort (score desc, doc asc).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct TopkEntry {
-    score: f64,
-    doc: DocId,
-}
-
-impl Eq for TopkEntry {}
-
-impl Ord for TopkEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.score
-            .total_cmp(&other.score)
-            .then_with(|| other.doc.cmp(&self.doc))
-    }
-}
-
-impl PartialOrd for TopkEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 /// A parsed query: analyzed terms (unigrams or bigram phrases).
@@ -131,8 +94,15 @@ impl Query {
             }
         }
         push_words(rest, analyzer, &mut terms);
-        terms.dedup();
-        Query { terms }
+        // Keep each term's first occurrence, as `refine` does: a repeated
+        // term would add its score twice and key the cloud cache apart.
+        let mut unique: Vec<String> = Vec::with_capacity(terms.len());
+        for term in terms {
+            if !unique.contains(&term) {
+                unique.push(term);
+            }
+        }
+        Query { terms: unique }
     }
 
     /// Append a refinement term (from a cloud click).
@@ -185,24 +155,15 @@ pub struct SearchResults {
     pub matched_docs: Vec<DocId>,
 }
 
-/// The engine: a built [`EntityCorpus`] plus scoring parameters.
+/// The engine: a built [`EntityCorpus`], scored with BM25F.
 #[derive(Debug, Clone)]
 pub struct SearchEngine {
     corpus: EntityCorpus,
-    params: Bm25Params,
 }
 
 impl SearchEngine {
     pub fn new(corpus: EntityCorpus) -> Self {
-        SearchEngine {
-            corpus,
-            params: Bm25Params::default(),
-        }
-    }
-
-    pub fn with_params(mut self, params: Bm25Params) -> Self {
-        self.params = params;
-        self
+        SearchEngine { corpus }
     }
 
     pub fn corpus(&self) -> &EntityCorpus {
@@ -245,7 +206,7 @@ impl SearchEngine {
         let scored = postings
             .iter()
             .filter(|p| index.is_live(p.doc))
-            .map(|p| (p.doc, bm25f_term_score(index, p, term_idf, self.params)))
+            .map(|p| (p.doc, bm25f_term_score(index, p, term_idf)))
             .collect();
         (df, scored)
     }
@@ -323,144 +284,6 @@ impl SearchEngine {
             total,
             hits,
             matched_docs: matched.into_iter().map(|(d, _)| d).collect(),
-        }
-    }
-
-    /// Top-k search: same `hits` (docs, scores, order) and `total` as
-    /// [`SearchEngine::search`], computed with a bounded binary heap and
-    /// a per-term max-impact bound that abandons scoring any doc whose
-    /// upper bound cannot reach the current k-th score.
-    ///
-    /// `matched_docs` carries only the returned hits — use [`search`]
-    /// (exhaustive) when feeding cloud aggregation, which samples the
-    /// full score-ordered match list.
-    ///
-    /// [`search`]: SearchEngine::search
-    pub fn search_topk(&self, query: &Query, k: usize) -> SearchResults {
-        let _span = TraceSpan::child("textsearch.query").timed(&metrics().query_ns);
-        let mut stats = SearchStats::default();
-        let results = self.search_topk_inner(query, k, &mut stats);
-        record_query_metrics(&stats);
-        results
-    }
-
-    fn search_topk_inner(&self, query: &Query, k: usize, stats: &mut SearchStats) -> SearchResults {
-        let index = &self.corpus.index;
-        let nterms = query.terms.len();
-        if nterms == 0 {
-            return SearchResults {
-                query: query.clone(),
-                ..SearchResults::default()
-            };
-        }
-        let mut lists: Vec<&[Posting]> = Vec::with_capacity(nterms);
-        let mut idfs: Vec<f64> = Vec::with_capacity(nterms);
-        for term in &query.terms {
-            let postings = index.postings(term);
-            stats.postings_lookups += 1;
-            let df = postings.iter().filter(|p| index.is_live(p.doc)).count();
-            if df == 0 {
-                return SearchResults {
-                    query: query.clone(),
-                    ..SearchResults::default()
-                };
-            }
-            idfs.push(idf(index.num_docs(), df));
-            lists.push(postings);
-        }
-        // Max impact per term: BM25F's tf factor wtf·(k1+1)/(wtf+norm) is
-        // strictly below k1+1 (norm > 0), so idf·(k1+1) is a strict
-        // supremum of any single posting's contribution.
-        let mut suffix_ub = vec![0.0f64; nterms + 1];
-        for t in (0..nterms).rev() {
-            suffix_ub[t] = suffix_ub[t + 1] + idfs[t] * (self.params.k1 + 1.0);
-        }
-        // Drive the conjunctive intersection from the sparsest list;
-        // postings are sorted by doc id, so the other lists advance with
-        // monotone cursors.
-        let driver = (0..nterms)
-            .min_by_key(|&t| lists[t].len())
-            .expect("terms checked non-empty");
-        let mut cursors = vec![0usize; nterms];
-        let mut heap: BinaryHeap<Reverse<TopkEntry>> = BinaryHeap::with_capacity(k + 1);
-        let mut total = 0usize;
-        'docs: for p in lists[driver] {
-            let doc = p.doc;
-            if !index.is_live(doc) {
-                continue;
-            }
-            for t in 0..nterms {
-                if t == driver {
-                    continue;
-                }
-                let list = lists[t];
-                cursors[t] += list[cursors[t]..].partition_point(|q| q.doc < doc);
-                if cursors[t] >= list.len() {
-                    break 'docs; // this list is exhausted: nothing later matches
-                }
-                if list[cursors[t]].doc != doc {
-                    continue 'docs;
-                }
-            }
-            total += 1;
-            stats.candidates += 1;
-            if k == 0 {
-                continue;
-            }
-            // Score in term order (same float-add order as the exhaustive
-            // path), abandoning once even the residual strict upper bound
-            // cannot reach the current k-th score.
-            let threshold = if heap.len() == k {
-                Some(heap.peek().expect("k > 0").0)
-            } else {
-                None
-            };
-            let mut score = 0.0f64;
-            let mut abandoned = false;
-            for t in 0..nterms {
-                if let Some(th) = threshold {
-                    // The bound is strict, so `<=` can never drop a doc
-                    // that would have tied and won on doc order.
-                    if score + suffix_ub[t] <= th.score {
-                        stats.docs_skipped += 1;
-                        abandoned = true;
-                        break;
-                    }
-                }
-                let posting = if t == driver {
-                    p
-                } else {
-                    &lists[t][cursors[t]]
-                };
-                score += bm25f_term_score(index, posting, idfs[t], self.params);
-            }
-            if abandoned {
-                continue;
-            }
-            let entry = TopkEntry { score, doc };
-            if heap.len() < k {
-                heap.push(Reverse(entry));
-            } else if entry > heap.peek().expect("heap full").0 {
-                heap.pop();
-                heap.push(Reverse(entry));
-                stats.heap_prunes += 1;
-            }
-        }
-        let mut top: Vec<TopkEntry> = heap.into_iter().map(|r| r.0).collect();
-        top.sort_by(|a, b| b.cmp(a)); // best (highest score, lowest doc) first
-        let hits: Vec<SearchHit> = top
-            .iter()
-            .map(|e| SearchHit {
-                doc: e.doc,
-                entity_id: self.corpus.doc_to_id[e.doc.0 as usize].clone(),
-                score: e.score,
-            })
-            .collect();
-        SearchResults {
-            query: query.clone(),
-            total,
-            matched_docs: hits.iter().map(|h| h.doc).collect(),
-            hits,
         }
     }
 
@@ -544,6 +367,9 @@ mod tests {
         let a = Analyzer::new();
         let q = Query::parse("american \"latin american\" history", &a);
         assert_eq!(q.terms, vec!["american", "latin american", "history"]);
+        // A repeated term is kept once, where it first occurs.
+        let q = Query::parse("american politics american \"american politics\"", &a);
+        assert_eq!(q.terms, vec!["american", "politic", "american politic"]);
     }
 
     #[test]
@@ -648,67 +474,5 @@ mod tests {
         for w in r.hits.windows(2) {
             assert!(w[0].score >= w[1].score);
         }
-    }
-
-    fn assert_same_hits(a: &SearchResults, b: &SearchResults) {
-        assert_eq!(a.total, b.total);
-        assert_eq!(a.hits.len(), b.hits.len());
-        for (x, y) in a.hits.iter().zip(&b.hits) {
-            assert_eq!(x.doc, y.doc);
-            assert_eq!(x.entity_id, y.entity_id);
-            assert_eq!(
-                x.score.to_bits(),
-                y.score.to_bits(),
-                "scores differ for {:?}: {} vs {}",
-                x.doc,
-                x.score,
-                y.score
-            );
-        }
-    }
-
-    #[test]
-    fn topk_matches_exhaustive_search() {
-        let e = setup();
-        for query in ["american", "american politics", "latin america", "zorblatt"] {
-            let q = e.parse_query(query);
-            for k in [0, 1, 2, 5, 10] {
-                let full = e.search(&q, k);
-                let topk = e.search_topk(&q, k);
-                assert_same_hits(&full, &topk);
-            }
-        }
-    }
-
-    #[test]
-    fn topk_matched_docs_are_hits_only() {
-        let e = setup();
-        let r = e.search_topk(&e.parse_query("american"), 2);
-        assert_eq!(r.total, 5);
-        assert_eq!(r.hits.len(), 2);
-        assert_eq!(
-            r.matched_docs,
-            r.hits.iter().map(|h| h.doc).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn topk_records_prune_metrics() {
-        let e = setup();
-        cr_obs::enable();
-        let before = cr_obs::Registry::global().snapshot();
-        // k=1 over a 5-match query forces heap evictions and/or bound
-        // skips once the heap is full.
-        let r = e.search_topk(&e.parse_query("american"), 1);
-        assert_eq!(r.total, 5);
-        let snap = cr_obs::Registry::global().snapshot();
-        let pruned = snap.counter("textsearch.topk.heap_prunes").unwrap_or(0)
-            - before.counter("textsearch.topk.heap_prunes").unwrap_or(0);
-        let skipped = snap.counter("textsearch.topk.docs_skipped").unwrap_or(0)
-            - before.counter("textsearch.topk.docs_skipped").unwrap_or(0);
-        assert!(
-            pruned + skipped >= 1,
-            "expected at least one heap eviction or bound skip"
-        );
     }
 }

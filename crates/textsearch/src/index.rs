@@ -100,8 +100,6 @@ pub struct InvertedIndex {
     docs: Vec<DocEntry>,
     live_docs: usize,
     total_weighted_len: f64,
-    /// Whether to index adjacent-token bigrams (needed by data clouds).
-    index_bigrams: bool,
     /// Σ corpus_tf — total live tokens (incl. bigrams).
     corpus_tokens: u64,
 }
@@ -121,16 +119,8 @@ impl InvertedIndex {
             docs: Vec::new(),
             live_docs: 0,
             total_weighted_len: 0.0,
-            index_bigrams: true,
             corpus_tokens: 0,
         }
-    }
-
-    /// Disable bigram indexing (halves index size; clouds lose multi-word
-    /// terms).
-    pub fn without_bigrams(mut self) -> Self {
-        self.index_bigrams = false;
-        self
     }
 
     pub fn analyzer(&self) -> &Analyzer {
@@ -232,7 +222,7 @@ impl InvertedIndex {
                 let id = self.intern(&tok.term, &tok.surface);
                 hits.push((id, field.0));
                 if let Some((prev_id, p)) = prev {
-                    if self.index_bigrams && p.position + 1 == tok.position {
+                    if p.position + 1 == tok.position {
                         hits.push((self.intern_bigram(prev_id, p, id, tok), field.0));
                     }
                 }
@@ -418,15 +408,6 @@ mod tests {
         let t2 = ix2.field_id("title").unwrap();
         ix2.add_document(&[(t2, "history of science")]);
         assert_eq!(ix2.doc_freq("history science"), 0);
-    }
-
-    #[test]
-    fn without_bigrams_mode() {
-        let mut ix = InvertedIndex::new(Analyzer::new(), fields()).without_bigrams();
-        let t = ix.field_id("title").unwrap();
-        ix.add_document(&[(t, "Latin American Politics")]);
-        assert_eq!(ix.doc_freq("latin american"), 0);
-        assert_eq!(ix.doc_freq("latin"), 1);
     }
 
     #[test]

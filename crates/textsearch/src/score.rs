@@ -6,19 +6,12 @@
 
 use crate::index::{InvertedIndex, Posting};
 
-/// BM25 parameters. The defaults (k1 = 1.2, b = 0.75) are the standard
-/// Robertson settings and work well on short catalog text.
-#[derive(Debug, Clone, Copy)]
-pub struct Bm25Params {
-    pub k1: f64,
-    pub b: f64,
-}
+/// BM25 term-frequency saturation. 1.2 with [`B`] = 0.75 are the
+/// standard Robertson settings and work well on short catalog text.
+pub const K1: f64 = 1.2;
 
-impl Default for Bm25Params {
-    fn default() -> Self {
-        Bm25Params { k1: 1.2, b: 0.75 }
-    }
-}
+/// BM25 length normalization (see [`K1`]).
+pub const B: f64 = 0.75;
 
 /// Inverse document frequency with the usual +0.5 smoothing; never
 /// negative.
@@ -35,12 +28,7 @@ pub fn idf(num_docs: usize, doc_freq: usize) -> f64 {
 ///
 /// `weighted_tf = Σ_f weight_f × tf_{f}` — the BM25F "field fusion" — then
 /// standard BM25 saturation with weighted-length normalization.
-pub fn bm25f_term_score(
-    index: &InvertedIndex,
-    posting: &Posting,
-    term_idf: f64,
-    params: Bm25Params,
-) -> f64 {
+pub fn bm25f_term_score(index: &InvertedIndex, posting: &Posting, term_idf: f64) -> f64 {
     let mut wtf = 0.0;
     for (fi, tf) in posting.field_tf.iter().enumerate() {
         if *tf > 0 {
@@ -52,8 +40,8 @@ pub fn bm25f_term_score(
         None => return 0.0,
     };
     let avg = index.avg_weighted_len().max(1e-9);
-    let norm = params.k1 * (1.0 - params.b + params.b * doc.weighted_len / avg);
-    term_idf * (wtf * (params.k1 + 1.0)) / (wtf + norm)
+    let norm = K1 * (1.0 - B + B * doc.weighted_len / avg);
+    term_idf * (wtf * (K1 + 1.0)) / (wtf + norm)
 }
 
 #[cfg(test)]
@@ -97,8 +85,8 @@ mod tests {
         let ps = ix.postings("java");
         assert_eq!(ps.len(), 2);
         let term_idf = idf(ix.num_docs(), 2);
-        let s0 = bm25f_term_score(&ix, &ps[0], term_idf, Bm25Params::default());
-        let s1 = bm25f_term_score(&ix, &ps[1], term_idf, Bm25Params::default());
+        let s0 = bm25f_term_score(&ix, &ps[0], term_idf);
+        let s1 = bm25f_term_score(&ix, &ps[1], term_idf);
         assert!(
             s0 > s1,
             "title hit must outrank comment hit (paper §3.1): {s0} vs {s1}"
@@ -112,10 +100,7 @@ mod tests {
         let d = ix.add_document(&[(b, "java java")]);
         let posting = ix.postings("java")[0].clone();
         ix.remove_document(d);
-        assert_eq!(
-            bm25f_term_score(&ix, &posting, 1.0, Bm25Params::default()),
-            0.0
-        );
+        assert_eq!(bm25f_term_score(&ix, &posting, 1.0), 0.0);
     }
 
     #[test]
@@ -128,8 +113,8 @@ mod tests {
         ix.add_document(&[(b, "other words entirely")]);
         let ps = ix.postings("java");
         let term_idf = idf(ix.num_docs(), 2);
-        let s1 = bm25f_term_score(&ix, &ps[0], term_idf, Bm25Params::default());
-        let s8 = bm25f_term_score(&ix, &ps[1], term_idf, Bm25Params::default());
+        let s1 = bm25f_term_score(&ix, &ps[0], term_idf);
+        let s8 = bm25f_term_score(&ix, &ps[1], term_idf);
         assert!(s8 > s1);
         // Saturation: 8× the tf must be well under 8× the score.
         assert!(s8 < 4.0 * s1);

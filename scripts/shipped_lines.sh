@@ -4,10 +4,9 @@
 #   scripts/shipped_lines.sh [ref]
 #
 # "Shipped" is the library and binary code a build ships: every `.rs`
-# file under `crates/*/src` and `src/`, excluding `crates/bench` (a
-# measurement harness) and everything else (`tests/`, `examples/`,
-# `vendor/`, `crbench/`). Each file counts up to its first `#[cfg(test)]`
-# line, so in-file unit-test modules are left out.
+# file under `crates/*/src` and `src/`, and nothing else (`tests/`,
+# `examples/`, `vendor/`, `crbench/`). Each file counts up to its first
+# `#[cfg(test)]` line, so in-file unit-test modules are left out.
 #
 # With no argument the working tree is counted (tracked and new files,
 # as on disk); with <ref>, the files of that commit. Informational: it
@@ -29,7 +28,7 @@ else
   show() { cat "$repo/$1"; }
 fi
 
-files | grep -E '^(crates/[^/]+/src|src)/.*\.rs$' | grep -v '^crates/bench/' | sort |
+files | grep -E '^(crates/[^/]+/src|src)/.*\.rs$' | sort |
   while read -r f; do
     n="$(show "$f" </dev/null | awk '/^[[:space:]]*#\[cfg\(test\)\]/ { seen = 1 } !seen { n++ } END { print n + 0 }')"
     case "$f" in

@@ -180,10 +180,12 @@ fn e8_plan_sharing_opt_out_respected_end_to_end() {
 /// (`cr_relation::plan::flow::gate_decision` + `Catalog::flow_k`) must be
 /// byte-identical to the legacy role-matrix behavior of the `Privacy`
 /// service, across every (role × sharing × self/other) combination on
-/// real generated students.
+/// real generated students, and `gate_decision` itself must give the
+/// same answer for every student viewer.
 #[test]
 fn flow_derived_privacy_matches_legacy_matrix() {
     use courserank::auth::Role;
+    use cr_relation::plan::flow::{gate_decision, GateDecision, Principal};
 
     let (db, _) = cr_datagen::generate(&ScaleConfig::tiny()).unwrap();
     let privacy = Privacy::new(db.clone());
@@ -243,10 +245,23 @@ fn flow_derived_privacy_matches_legacy_matrix() {
                 assert_eq!(got, want, "viewer={viewer} role={role:?} owner={owner}");
                 assert_eq!(format!("{got:?}"), format!("{want:?}"));
                 cases += 1;
+                // `Privacy` answers self-access before it delegates, so a
+                // student's cells also go to `gate_decision` directly: its
+                // own self-access branch is part of the matrix.
+                if role == Role::Student {
+                    let principal = Principal::Student(Some(viewer));
+                    let direct = match gate_decision(&principal, owner, shares) {
+                        GateDecision::Allow => Ok(()),
+                        GateDecision::DeniedOptOut => Err(Withheld::OptedOut),
+                        GateDecision::DeniedRole => Err(Withheld::RoleForbidden),
+                    };
+                    assert_eq!(direct, want, "gate_decision: viewer={viewer} owner={owner}");
+                    cases += 1;
+                }
             }
         }
     }
-    assert_eq!(cases, 24);
+    assert_eq!(cases, 30);
 }
 
 #[test]
