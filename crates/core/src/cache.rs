@@ -3,8 +3,8 @@
 //! Recommendations are expensive (workflow execution over several joins)
 //! but their inputs change rarely relative to how often students reload
 //! the page. The cache keys an entry by the full request (strategy,
-//! student, parameters) and tags it with one [`DepSpec`] per base table
-//! the computation reads, stamped with the table *version* it was
+//! student, parameters) and tags it with one [`TableDeps`] footprint per
+//! base table the computation reads, stamped with the table *version* it was
 //! computed against. [`cr_relation::table::Table`] bumps a monotonic
 //! counter on every insert/update/delete, and lookups serve an entry only
 //! while every dependency is still at its stamped version — conservative,
@@ -45,13 +45,13 @@
 //! lock, so nothing here may call back into the catalog (a second cache
 //! lock holder doing the reverse order would deadlock). Lookups capture
 //! dependency versions from the catalog *before* taking the cache lock,
-//! and delta functions must be pure over `(old value, event)`.
+//! and delta functions must be pure over `(old value, mutation)`.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, OnceLock, Weak};
 
 use cr_relation::mutation::Mutation;
-use cr_relation::plan::deps::{ColumnSet, PlanDeps};
+use cr_relation::plan::deps::{ColumnSet, PlanDeps, TableDeps};
 use cr_relation::row::Row;
 use cr_relation::schema::Schema;
 use cr_relation::{Catalog, MutationObserver, RelResult, Value};
@@ -81,179 +81,72 @@ fn metrics() -> &'static CacheMetrics {
     })
 }
 
-/// What a cached value depends on within one base table. Produced by
-/// hand or from the plan-level extractor ([`DepSpec::from_plan_deps`]).
-/// `None` fields mean "everything" — the conservative default.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DepSpec {
-    /// Lowercase table name.
-    pub table: String,
-    /// Columns the value reads, lowercase (`None` = all).
-    pub columns: Option<BTreeSet<String>>,
-    /// Row gate: the value only consults rows whose `column` value is in
-    /// the set (`None` = all rows).
-    pub key: Option<(String, BTreeSet<Value>)>,
-}
-
-impl DepSpec {
-    /// Whole-table dependency (any write invalidates).
-    pub fn table(name: &str) -> DepSpec {
-        DepSpec {
-            table: name.to_ascii_lowercase(),
-            columns: None,
-            key: None,
-        }
-    }
-
-    /// Restrict to named columns.
-    pub fn with_columns<I: IntoIterator<Item = S>, S: AsRef<str>>(mut self, cols: I) -> DepSpec {
-        self.columns = Some(
-            cols.into_iter()
-                .map(|c| c.as_ref().to_ascii_lowercase())
-                .collect(),
-        );
-        self
-    }
-
-    /// Restrict to rows whose `column` is in `values`.
-    pub fn with_key<I: IntoIterator<Item = Value>>(mut self, column: &str, values: I) -> DepSpec {
-        self.key = Some((column.to_ascii_lowercase(), values.into_iter().collect()));
-        self
-    }
-
-    /// Lower a plan-level dependency footprint (from
-    /// [`cr_relation::plan::deps::extract_in`]) into cache dep specs.
-    pub fn from_plan_deps(deps: &PlanDeps) -> Vec<DepSpec> {
-        deps.tables
+/// Does a one-row `mutation` on a table with `schema` possibly affect a
+/// value whose footprint on that table is `deps`? `false` is a proof of
+/// disjointness; `true` is the conservative answer.
+fn intersects(deps: &TableDeps, schema: &Schema, mutation: &Mutation<'_>) -> bool {
+    // (post-image, pre-image)
+    let (row, old_row) = match *mutation {
+        Mutation::Insert { row, .. } => (Some(row), None),
+        Mutation::Update { row, old_row, .. } => (Some(row), Some(old_row)),
+        Mutation::Delete { row, .. } => (None, Some(row)),
+        // Index DDL changes no rows.
+        Mutation::CreateIndex { .. } => return false,
+    };
+    // Column test: only an UPDATE leaves the row set unchanged, so
+    // only there can "the changed columns miss my column set" spare
+    // the entry. Inserts/deletes change aggregates over any column.
+    if let (ColumnSet::Named(cols), Mutation::Update { row, old_row, .. }) =
+        (&deps.columns, mutation)
+    {
+        let changed_hits = old_row
             .iter()
-            .map(|(table, td)| DepSpec {
-                table: table.clone(),
-                columns: match &td.columns {
-                    ColumnSet::All => None,
-                    ColumnSet::Named(named) => Some(named.clone()),
-                },
-                key: td
-                    .key
-                    .as_ref()
-                    .map(|k| (k.column.clone(), k.values.clone())),
-            })
-            .collect()
-    }
-
-    /// Merge specs so each table appears once, unioning footprints: the
-    /// merged spec must cover every input, so columns widen to `None`
-    /// unless both sides name columns, and a key gate survives only when
-    /// both sides gate on the same column (values union).
-    pub fn merge(specs: Vec<DepSpec>) -> Vec<DepSpec> {
-        let mut by_table: BTreeMap<String, DepSpec> = BTreeMap::new();
-        for spec in specs {
-            match by_table.entry(spec.table.clone()) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(spec);
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    let cur = e.get_mut();
-                    cur.columns = match (cur.columns.take(), spec.columns) {
-                        (Some(mut a), Some(b)) => {
-                            a.extend(b);
-                            Some(a)
-                        }
-                        _ => None,
-                    };
-                    cur.key = match (cur.key.take(), spec.key) {
-                        (Some((ca, mut va)), Some((cb, vb))) if ca == cb => {
-                            va.extend(vb);
-                            Some((ca, va))
-                        }
-                        _ => None,
-                    };
-                }
-            }
+            .zip(row.iter())
+            .enumerate()
+            .filter(|(_, (o, n))| o != n)
+            .any(|(i, _)| {
+                schema
+                    .columns()
+                    .get(i)
+                    .is_none_or(|c| cols.contains(&c.name.to_ascii_lowercase()))
+            });
+        if !changed_hits {
+            return false;
         }
-        by_table.into_values().collect()
     }
-
-    /// Does a one-row delta described by `event` possibly affect a value
-    /// with this dependency? `false` is a proof of disjointness; `true`
-    /// is the conservative answer.
-    fn intersects(&self, event: &MutationEvent<'_>) -> bool {
-        // Column test: only an UPDATE leaves the row set unchanged, so
-        // only there can "the changed columns miss my column set" spare
-        // the entry. Inserts/deletes change aggregates over any column.
-        if let (Some(cols), MutationKind::Update) = (&self.columns, event.kind) {
-            if let (Some(old), Some(new)) = (event.old_row, event.row) {
-                let changed_hits = old
-                    .iter()
-                    .zip(new.iter())
-                    .enumerate()
-                    .filter(|(_, (o, n))| o != n)
-                    .any(|(i, _)| {
-                        event
-                            .schema
-                            .columns()
-                            .get(i)
-                            .is_none_or(|c| cols.contains(&c.name.to_ascii_lowercase()))
-                    });
-                if !changed_hits {
-                    return false;
-                }
-            }
+    // Key test: the delta misses if no touched row image has its key
+    // column inside the gate. Updates test both images (a row can
+    // move into or out of the gated set).
+    if let Some(key) = &deps.key {
+        let Ok(pos) = cr_flexrecs::resolve(schema, &key.column) else {
+            return true; // cannot resolve the column: stay conservative
+        };
+        // A missing image (no old row on insert, no new row on
+        // delete) contributes no key value; a present image with the
+        // column unreadable stays conservative.
+        let in_gate = |row: Option<&Row>| {
+            row.is_some_and(|r| r.get(pos).is_none_or(|v| key.values.contains(v)))
+        };
+        if !in_gate(row) && !in_gate(old_row) {
+            return false;
         }
-        // Key test: the delta misses if no touched row image has its key
-        // column inside the gate. Updates test both images (a row can
-        // move into or out of the gated set).
-        if let Some((column, values)) = &self.key {
-            let Ok(pos) = cr_flexrecs::resolve(event.schema, column) else {
-                return true; // cannot resolve the column: stay conservative
-            };
-            // A missing image (no old row on insert, no new row on
-            // delete) contributes no key value; a present image with the
-            // column unreadable stays conservative.
-            let in_gate = |row: Option<&Row>| {
-                row.is_some_and(|r| r.get(pos).is_none_or(|v| values.contains(v)))
-            };
-            if !in_gate(event.row) && !in_gate(event.old_row) {
-                return false;
-            }
-        }
-        true
     }
-}
-
-/// What happened to a row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MutationKind {
-    Insert,
-    Update,
-    Delete,
-}
-
-/// A one-row delta as seen by the cache observer and delta functions.
-#[derive(Debug)]
-pub struct MutationEvent<'a> {
-    /// Table name as emitted by the catalog (original casing).
-    pub table: &'a str,
-    pub schema: &'a Schema,
-    pub kind: MutationKind,
-    /// Post-image (insert/update).
-    pub row: Option<&'a Row>,
-    /// Pre-image (update/delete).
-    pub old_row: Option<&'a Row>,
-    /// Table version *after* this mutation.
-    pub version: u64,
+    true
 }
 
 /// Incremental maintenance hook: given the entry key, the current value,
-/// and a one-row delta that intersects the value's dependency set,
-/// return the maintained value — or `None` to fall back to dropping the
-/// entry. Must be pure over its arguments (it runs under both the
-/// table's write lock and the cache lock; calling into the catalog here
-/// deadlocks).
-pub type DeltaFn<V> = Arc<dyn Fn(&str, &V, &MutationEvent<'_>) -> Option<V> + Send + Sync>;
+/// and a one-row mutation on `(table, schema)` that intersects the
+/// value's footprint, return the maintained value — or `None` to fall
+/// back to dropping the entry. Must be pure over its arguments (it runs
+/// under both the table's write lock and the cache lock; calling into
+/// the catalog here deadlocks).
+pub type DeltaFn<V> =
+    Arc<dyn Fn(&str, &V, &str, &Schema, &Mutation<'_>) -> Option<V> + Send + Sync>;
 
 struct Entry<V> {
-    /// Dependency specs with the table version each is current at.
-    deps: Vec<(DepSpec, u64)>,
+    /// Per dependency table (lowercase): its footprint and the table
+    /// version the entry is current at.
+    deps: Vec<(String, TableDeps, u64)>,
     value: V,
     /// Insertion sequence for FIFO eviction.
     seq: u64,
@@ -333,7 +226,7 @@ impl<V> VersionedCache<V> {
                 (
                     k.clone(),
                     e.deps.len(),
-                    e.deps.iter().filter(|(d, _)| d.key.is_some()).count(),
+                    e.deps.iter().filter(|(_, d, _)| d.key.is_some()).count(),
                     e.spared,
                     e.delta_applied,
                 )
@@ -356,7 +249,7 @@ impl<V> std::fmt::Debug for VersionedCache<V> {
 impl<V: Clone> VersionedCache<V> {
     /// Look up `key`; recompute via `f` when absent or when any
     /// dependency table's version moved since the entry was stamped.
-    /// Dependencies are whole-table ([`DepSpec::table`]); a missing
+    /// Dependencies are whole-table ([`TableDeps::all`]); a missing
     /// table counts as version 0 (it springs to life at version ≥ 1 on
     /// its first insert, which invalidates).
     pub fn get_or_compute(
@@ -367,12 +260,12 @@ impl<V: Clone> VersionedCache<V> {
         f: impl FnOnce() -> RelResult<V>,
     ) -> RelResult<V> {
         self.get_or_compute_refined(catalog, key, deps, || {
-            Ok((f()?, deps.iter().map(|d| DepSpec::table(d)).collect()))
+            Ok((f()?, deps.iter().map(|d| (d, TableDeps::all())).collect()))
         })
     }
 
     /// [`VersionedCache::get_or_compute`] with refined dependencies: the
-    /// compute returns `(value, dep specs)` where every spec's table is
+    /// compute returns `(value, footprint)` where every footprint table is
     /// one of `tables` (the superset whose versions are captured before
     /// the compute runs — so a writer racing the computation leaves the
     /// entry stamped with the pre-write version, and the next lookup
@@ -382,7 +275,7 @@ impl<V: Clone> VersionedCache<V> {
         catalog: &Catalog,
         key: &str,
         tables: &[&str],
-        f: impl FnOnce() -> RelResult<(V, Vec<DepSpec>)>,
+        f: impl FnOnce() -> RelResult<(V, PlanDeps)>,
     ) -> RelResult<V> {
         // Versions before the lock (and before the compute): the cache
         // lock is never held across a catalog call (see module docs).
@@ -402,7 +295,7 @@ impl<V: Clone> VersionedCache<V> {
                 Some(e) => e
                     .deps
                     .iter()
-                    .all(|(spec, stamped)| versions.get(&spec.table) == Some(stamped)),
+                    .all(|(table, _, stamped)| versions.get(table) == Some(stamped)),
                 None => false,
             };
             match store.entries.get(key) {
@@ -423,22 +316,22 @@ impl<V: Clone> VersionedCache<V> {
         }
         // Compute outside the lock: concurrent misses may duplicate work
         // but never block each other.
-        let (value, specs) = f()?;
+        let (value, footprint) = f()?;
         if recording {
             metrics().misses.inc();
         }
-        let deps: Vec<(DepSpec, u64)> = specs
+        let deps: Vec<(String, TableDeps, u64)> = footprint
+            .tables
             .into_iter()
-            .map(|spec| {
-                let v = versions.get(&spec.table).copied();
+            .map(|(table, deps)| {
+                let v = versions.get(&table).copied();
                 debug_assert!(
                     v.is_some(),
-                    "dep spec names table {:?} outside the declared set",
-                    spec.table
+                    "footprint names table {table:?} outside the declared set"
                 );
                 // An undeclared table stamps as 0 and (once the table has
                 // any rows) can never validate: recompute, never stale.
-                (spec, v.unwrap_or(0))
+                (table, deps, v.unwrap_or(0))
             })
             .collect();
         let mut store = self.store.lock();
@@ -491,28 +384,29 @@ impl<V: Clone + Send + Sync + 'static> VersionedCache<V> {
         }));
     }
 
-    /// React to a one-row delta on `table`: advance, delta-apply, or
-    /// drop every dependent entry (see module docs for the protocol).
-    fn apply_event(&self, event: &MutationEvent<'_>) {
+    /// React to a one-row `mutation` on `table`, which leaves it at
+    /// `version`: advance, delta-apply, or drop every dependent entry
+    /// (see module docs for the protocol).
+    fn apply_mutation(&self, table: &str, schema: &Schema, mutation: &Mutation<'_>, version: u64) {
         let recording = cr_obs::enabled();
         let delta = self.delta.lock().clone();
-        let table = event.table.to_ascii_lowercase();
+        let lower = table.to_ascii_lowercase();
         let mut store = self.store.lock();
         let mut dropped = 0u64;
         let m = recording.then(metrics);
         store.entries.retain(|key, entry| {
-            let Some(pos) = entry.deps.iter().position(|(d, _)| d.table == table) else {
+            let Some(pos) = entry.deps.iter().position(|(t, _, _)| *t == lower) else {
                 return true; // independent of this table
             };
-            let stamped = entry.deps[pos].1;
-            if stamped + 1 != event.version {
+            let stamped = entry.deps[pos].2;
+            if stamped + 1 != version {
                 // The entry missed an earlier delta (pre-subscription or
                 // raced): only recompute is sound.
                 dropped += 1;
                 return false;
             }
-            if !entry.deps[pos].0.intersects(event) {
-                entry.deps[pos].1 = event.version;
+            if !intersects(&entry.deps[pos].1, schema, mutation) {
+                entry.deps[pos].2 = version;
                 entry.spared += 1;
                 if let Some(m) = m {
                     m.spared.inc();
@@ -520,9 +414,9 @@ impl<V: Clone + Send + Sync + 'static> VersionedCache<V> {
                 return true;
             }
             if let Some(delta) = &delta {
-                if let Some(next) = delta(key, &entry.value, event) {
+                if let Some(next) = delta(key, &entry.value, table, schema, mutation) {
                     entry.value = next;
-                    entry.deps[pos].1 = event.version;
+                    entry.deps[pos].2 = version;
                     entry.delta_applied += 1;
                     if let Some(m) = m {
                         m.delta_applied.inc();
@@ -546,7 +440,7 @@ impl<V: Clone + Send + Sync + 'static> VersionedCache<V> {
         let mut store = self.store.lock();
         let mut dropped = 0u64;
         store.entries.retain(|_, entry| {
-            let dependent = entry.deps.iter().any(|(d, _)| d.table == table);
+            let dependent = entry.deps.iter().any(|(t, _, _)| *t == table);
             if dependent {
                 dropped += 1;
             }
@@ -558,8 +452,8 @@ impl<V: Clone + Send + Sync + 'static> VersionedCache<V> {
     }
 }
 
-/// The catalog-side subscriber: translates raw [`Mutation`]s into
-/// [`MutationEvent`]s and forwards them to the (weakly held) cache.
+/// The catalog-side subscriber: forwards row [`Mutation`]s to the
+/// (weakly held) cache.
 struct CacheObserver<V> {
     cache: Weak<VersionedCache<V>>,
 }
@@ -569,40 +463,10 @@ impl<V: Clone + Send + Sync + 'static> MutationObserver for CacheObserver<V> {
         let Some(cache) = self.cache.upgrade() else {
             return;
         };
-        let event = match mutation {
-            Mutation::Insert { row, version, .. } => MutationEvent {
-                table,
-                schema,
-                kind: MutationKind::Insert,
-                row: Some(row),
-                old_row: None,
-                version: *version,
-            },
-            Mutation::Update {
-                row,
-                old_row,
-                version,
-                ..
-            } => MutationEvent {
-                table,
-                schema,
-                kind: MutationKind::Update,
-                row: Some(row),
-                old_row: Some(old_row),
-                version: *version,
-            },
-            Mutation::Delete { row, version, .. } => MutationEvent {
-                table,
-                schema,
-                kind: MutationKind::Delete,
-                row: None,
-                old_row: Some(row),
-                version: *version,
-            },
-            // Index DDL changes no rows and no versions.
-            Mutation::CreateIndex { .. } => return,
-        };
-        cache.apply_event(&event);
+        // Index DDL changes no rows and no versions.
+        if let Some(version) = mutation.version() {
+            cache.apply_mutation(table, schema, mutation, version);
+        }
     }
 
     fn on_create_table(&self, name: &str, _schema: &Schema, _pk_columns: &[usize]) {
@@ -857,7 +721,10 @@ mod tests {
                     computes.set(computes.get() + 1);
                     Ok((
                         gate,
-                        vec![DepSpec::table("T").with_key("Id", [Value::Int(gate)])],
+                        PlanDeps::from_iter([(
+                            "T",
+                            TableDeps::all().with_key("Id", [Value::Int(gate)]),
+                        )]),
                     ))
                 })
                 .unwrap()
@@ -894,7 +761,10 @@ mod tests {
             cache
                 .get_or_compute_refined(&db.catalog(), "k", &["W"], || {
                     computes.set(computes.get() + 1);
-                    Ok((7, vec![DepSpec::table("W").with_columns(["a"])]))
+                    Ok((
+                        7,
+                        PlanDeps::from_iter([("W", TableDeps::all().with_columns(["a"]))]),
+                    ))
                 })
                 .unwrap()
         };
@@ -917,13 +787,15 @@ mod tests {
         let cache: Arc<VersionedCache<i64>> = Arc::new(VersionedCache::default());
         VersionedCache::subscribe(&cache, &db.catalog());
         // Value = sum of X over T, maintained under inserts.
-        cache.set_delta_fn(Arc::new(|_key, value, event| match event.kind {
-            MutationKind::Insert => {
-                let x = event.row?.get(1)?.as_int().ok()?;
-                Some(*value + x)
-            }
-            _ => None,
-        }));
+        cache.set_delta_fn(Arc::new(
+            |_key, value, _table, _schema, mutation| match mutation {
+                Mutation::Insert { row, .. } => {
+                    let x = row.get(1)?.as_int().ok()?;
+                    Some(*value + x)
+                }
+                _ => None,
+            },
+        ));
         let computes = std::cell::Cell::new(0usize);
         let lookup = || {
             cache
@@ -932,7 +804,7 @@ mod tests {
                     let rs = db.query_sql("SELECT X FROM T")?;
                     Ok((
                         rs.rows.iter().filter_map(|r| r[0].as_int().ok()).sum(),
-                        vec![DepSpec::table("T")],
+                        PlanDeps::from_iter([("T", TableDeps::all())]),
                     ))
                 })
                 .unwrap()
@@ -973,7 +845,10 @@ mod tests {
         register_cache("test-cache", Arc::downgrade(&as_stats));
         cache
             .get_or_compute_refined(&db.catalog(), "k", &["T"], || {
-                Ok((1, vec![DepSpec::table("T").with_key("Id", [Value::Int(1)])]))
+                Ok((
+                    1,
+                    PlanDeps::from_iter([("T", TableDeps::all().with_key("Id", [Value::Int(1)]))]),
+                ))
             })
             .unwrap();
         db.execute_sql("INSERT INTO T VALUES (2, 20)").unwrap();

@@ -21,10 +21,11 @@ use std::sync::{Arc, OnceLock};
 use cr_flexrecs::compile::{compile, compile_and_run, run_compiled};
 use cr_flexrecs::templates::{self, SchemaMap};
 use cr_flexrecs::{ranking, resolve, Workflow};
-use cr_relation::plan::{deps, LogicalPlan};
-use cr_relation::{ExecOptions, RelError, RelResult, ResultSet, Value};
+use cr_relation::plan::deps::{self, PlanDeps, TableDeps};
+use cr_relation::plan::LogicalPlan;
+use cr_relation::{Mutation, RelError, RelResult, ResultSet, Schema, Value};
 
-use crate::cache::{register_cache, CacheStats, DepSpec, MutationKind, VersionedCache};
+use crate::cache::{register_cache, CacheStats, VersionedCache};
 use crate::db::{CourseRankDb, EnrollStatus};
 use crate::model::{CourseId, StudentId};
 use crate::obs::SvcMetrics;
@@ -154,16 +155,19 @@ impl CtState {
     /// three columns the aggregate reads, it lets the observer spare the
     /// entry for every comment by a non-neighbor — the common case in a
     /// write storm.
-    fn dep_specs(&self) -> Vec<DepSpec> {
-        vec![
-            DepSpec::table("Comments")
-                .with_columns(["suid", "courseid", "rating"])
-                .with_key("SuID", self.neighbors.iter().map(|s| Value::Int(*s))),
+    fn footprint(&self) -> PlanDeps {
+        PlanDeps::from_iter([
+            (
+                "Comments",
+                TableDeps::all()
+                    .with_columns(["suid", "courseid", "rating"])
+                    .with_key("SuID", self.neighbors.iter().map(|s| Value::Int(*s))),
+            ),
             // Neighbor similarity reads every transcript; the taken set
             // reads the student's own. Whole-table is the sound cover.
-            DepSpec::table("Enrollments"),
-            DepSpec::table("Students"),
-        ]
+            ("Enrollments", TableDeps::all()),
+            ("Students", TableDeps::all()),
+        ])
     }
 }
 
@@ -183,12 +187,19 @@ fn rating_of(v: &Value) -> Option<f64> {
 /// deletes, other tables) returns `None` → the entry drops and the next
 /// lookup recomputes. Pure over its inputs — it runs under the table
 /// write lock and must not call back into the catalog.
-fn ct_delta(state: &Arc<CtState>, event: &crate::cache::MutationEvent<'_>) -> Option<Arc<CtState>> {
-    if !event.table.eq_ignore_ascii_case("Comments") || event.kind != MutationKind::Insert {
+fn ct_delta(
+    state: &Arc<CtState>,
+    table: &str,
+    schema: &Schema,
+    mutation: &Mutation<'_>,
+) -> Option<Arc<CtState>> {
+    let Mutation::Insert { row, .. } = mutation else {
+        return None;
+    };
+    if !table.eq_ignore_ascii_case("Comments") {
         return None;
     }
-    let row = event.row?;
-    let col = |name: &str| resolve(event.schema, name).ok();
+    let col = |name: &str| resolve(schema, name).ok();
     let suid = row.get(col("SuID")?)?.as_int().ok()?;
     if !state.neighbors.contains(&suid) {
         // The key gate normally spares these before the delta fn runs;
@@ -225,7 +236,9 @@ impl Recommender {
         let major_cache: Arc<VersionedCache<Vec<(String, f64)>>> =
             Arc::new(VersionedCache::default());
         let ct_cache: Arc<VersionedCache<Arc<CtState>>> = Arc::new(VersionedCache::default());
-        ct_cache.set_delta_fn(Arc::new(|_key, state, event| ct_delta(state, event)));
+        ct_cache.set_delta_fn(Arc::new(|_key, state, table, schema, mutation| {
+            ct_delta(state, table, schema, mutation)
+        }));
         // Fan every cache into the catalog's mutation stream (next to
         // the WAL observer on durable databases) so deltas advance or
         // drop entries eagerly instead of rotting until lookup.
@@ -400,10 +413,10 @@ impl Recommender {
             );
             self.course_cache
                 .get_or_compute_refined(&catalog, &key, REC_DEPS, || {
-                    let run = run_compiled(&wf, plan, &catalog, &ExecOptions::default())?;
-                    let specs = self.course_dep_specs(&run.plan, opts);
+                    let run = run_compiled(&wf, plan, &catalog)?;
+                    let footprint = self.course_footprint(&run.plan, opts);
                     let result = self.cross_checked(&wf, run.result)?;
-                    Ok((self.rank_courses(student, opts, result)?, specs))
+                    Ok((self.rank_courses(student, opts, result)?, footprint))
                 })
         })
     }
@@ -426,8 +439,8 @@ impl Recommender {
             self.ct_cache
                 .get_or_compute_refined(&self.db.catalog(), &key, REC_DEPS, || {
                     let state = self.compute_ct_state(student, opts)?;
-                    let specs = state.dep_specs();
-                    Ok((Arc::new(state), specs))
+                    let footprint = state.footprint();
+                    Ok((Arc::new(state), footprint))
                 })?;
         #[cfg(any(test, feature = "oracle-checks"))]
         {
@@ -532,29 +545,25 @@ impl Recommender {
     /// optimized plan's extracted deps (minus derived relations, whose
     /// base table stands in) unioned with what the post-processing
     /// reads outside the plan.
-    fn course_dep_specs(&self, plan: &LogicalPlan, opts: &RecOptions) -> Vec<DepSpec> {
-        let mut specs = self.plan_dep_specs(plan);
+    fn course_footprint(&self, plan: &LogicalPlan, opts: &RecOptions) -> PlanDeps {
+        let mut footprint = deps::extract_in(plan, Some(&self.db.catalog()));
+        for derived in DERIVED_TABLES {
+            footprint.tables.remove(*derived);
+        }
         // Titles for the result page.
-        specs.push(DepSpec::table("Courses").with_columns(["courseid", "title"]));
+        footprint.add(
+            "Courses",
+            TableDeps::all().with_columns(["courseid", "title"]),
+        );
         if opts.exclude_taken {
-            specs.push(DepSpec::table("Enrollments"));
+            footprint.add("Enrollments", TableDeps::all());
         }
         if opts.basis == SimilarityBasis::Grades {
             // The plan scans GradePoints, which the enrollment write
             // path derives from Enrollments — the true base dependency.
-            specs.push(DepSpec::table("Enrollments"));
+            footprint.add("Enrollments", TableDeps::all());
         }
-        DepSpec::merge(specs)
-    }
-
-    /// The base-table footprint of an optimized plan, dropping derived
-    /// relations (see [`DERIVED_TABLES`]).
-    fn plan_dep_specs(&self, plan: &LogicalPlan) -> Vec<DepSpec> {
-        let pd = deps::extract_in(plan, Some(&self.db.catalog()));
-        DepSpec::from_plan_deps(&pd)
-            .into_iter()
-            .filter(|s| !DERIVED_TABLES.contains(&s.table.as_str()))
-            .collect()
+        footprint
     }
 
     /// The post-processing of a course-recommendation run: drop taken
@@ -608,7 +617,7 @@ impl Recommender {
                     let recs = self.related_courses_inner(course, k)?;
                     // The whole computation (title match + result page)
                     // reads only Courses.
-                    Ok((recs, vec![DepSpec::table("Courses")]))
+                    Ok((recs, PlanDeps::from_iter([("Courses", TableDeps::all())])))
                 })
         })
     }

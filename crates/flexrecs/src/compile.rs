@@ -29,9 +29,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use cr_relation::plan::{optimizer, JoinKind, LogicalPlan, RecAggPlan, RecSpec};
-use cr_relation::{
-    Catalog, Column, DataType, ExecOptions, Expr, RelError, RelResult, ResultSet, Schema,
-};
+use cr_relation::{Catalog, Column, DataType, Expr, RelError, RelResult, ResultSet, Schema};
 
 use crate::workflow::{infer_schema, resolve, CmpOp, Node, RecAgg, WfPredicate, Workflow};
 
@@ -123,26 +121,16 @@ pub fn compile(workflow: &Workflow, catalog: &Catalog) -> RelResult<LogicalPlan>
     Ok(plan)
 }
 
-/// Compile and run a workflow on the plan pipeline with default execution
-/// options.
+/// Compile and run a workflow on the plan pipeline: [`compile`] timed as
+/// the "Lower" step, then [`run_compiled`].
 pub fn compile_and_run(workflow: &Workflow, catalog: &Catalog) -> RelResult<CompiledRun> {
-    compile_and_run_with(workflow, catalog, &ExecOptions::default())
-}
-
-/// [`compile_and_run`] with explicit execution options: [`compile`] timed
-/// as the "Lower" step, then [`run_compiled`].
-pub fn compile_and_run_with(
-    workflow: &Workflow,
-    catalog: &Catalog,
-    opts: &ExecOptions,
-) -> RelResult<CompiledRun> {
     let t0 = Instant::now();
     let plan = {
         let _stage = cr_obs::trace::TraceSpan::child("flexrecs.lower");
         compile(workflow, catalog)?
     };
     let lowered = t0.elapsed();
-    let mut run = run_compiled(workflow, plan, catalog, opts)?;
+    let mut run = run_compiled(workflow, plan, catalog)?;
     run.step_timings.insert(0, step("Lower", 0, lowered));
     Ok(run)
 }
@@ -155,7 +143,6 @@ pub fn run_compiled(
     workflow: &Workflow,
     plan: LogicalPlan,
     catalog: &Catalog,
-    opts: &ExecOptions,
 ) -> RelResult<CompiledRun> {
     let mut run_span = cr_obs::trace::TraceSpan::child("flexrecs.run").timed(&metrics().run_ns);
     if run_span.is_recording() {
@@ -172,7 +159,7 @@ pub fn run_compiled(
     let t0 = Instant::now();
     let result = {
         let _stage = cr_obs::trace::TraceSpan::child("flexrecs.execute");
-        cr_relation::exec::execute_with(&plan, catalog, opts)?
+        cr_relation::exec::execute(&plan, catalog)?
     };
     let executed = step("Execute", result.rows.len(), t0.elapsed());
 

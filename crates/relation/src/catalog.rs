@@ -632,7 +632,6 @@ impl CatalogSnapshot {
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     catalog: Catalog,
-    exec_opts: exec::ExecOptions,
 }
 
 impl Database {
@@ -643,23 +642,13 @@ impl Database {
     /// Wrap an existing catalog (crash recovery hands back a catalog
     /// rebuilt from snapshot + WAL; this puts the SQL/plan facade on it).
     pub fn from_catalog(catalog: Catalog) -> Self {
-        Database {
-            catalog,
-            exec_opts: exec::ExecOptions::default(),
-        }
+        Database { catalog }
     }
 
-    /// Builder-style: set the default [`exec::ExecOptions`] used by every
-    /// plan/query entry point on this handle. Clones made afterwards keep
-    /// the options; the shared catalog data is unaffected.
-    pub fn with_exec_options(mut self, opts: exec::ExecOptions) -> Self {
-        self.exec_opts = opts;
-        self
-    }
-
-    /// The execution options this handle applies by default.
+    /// The execution options every entry point on this handle runs with:
+    /// always [`exec::ExecOptions::default`].
     pub fn exec_options(&self) -> exec::ExecOptions {
-        self.exec_opts
+        exec::ExecOptions::default()
     }
 
     /// The underlying catalog (cheap clone; shares data).
@@ -668,15 +657,10 @@ impl Database {
     }
 
     /// Pin a cross-table-consistent snapshot and wrap it in a read-only
-    /// `Database` that keeps this handle's execution options. See
-    /// [`Catalog::snapshot`].
+    /// `Database`. See [`Catalog::snapshot`].
     pub fn snapshot(&self) -> (Database, CatalogSnapshot) {
         let snap = self.catalog.snapshot();
-        let db = Database {
-            catalog: snap.catalog(),
-            exec_opts: self.exec_opts,
-        };
-        (db, snap)
+        (snap.database(), snap)
     }
 
     /// True if this handle wraps a frozen [`CatalogSnapshot`].
@@ -692,12 +676,7 @@ impl Database {
 
     /// Execute a SQL query (errors if the statement is not a SELECT).
     pub fn query_sql(&self, text: &str) -> RelResult<ResultSet> {
-        self.query_sql_with(text, &self.exec_opts)
-    }
-
-    /// [`Database::query_sql`] with explicit execution options.
-    pub fn query_sql_with(&self, text: &str, opts: &exec::ExecOptions) -> RelResult<ResultSet> {
-        sql::query_with(text, &self.catalog, opts)
+        sql::query(text, &self.catalog)
     }
 
     /// Statically check a plan against this database's catalog: structural
@@ -738,17 +717,8 @@ impl Database {
 
     /// Run a logical plan (optimizing first).
     pub fn run_plan(&self, plan: &LogicalPlan) -> RelResult<ResultSet> {
-        self.run_plan_with(plan, &self.exec_opts)
-    }
-
-    /// [`Database::run_plan`] with explicit execution options.
-    pub fn run_plan_with(
-        &self,
-        plan: &LogicalPlan,
-        opts: &exec::ExecOptions,
-    ) -> RelResult<ResultSet> {
         let optimized = optimizer::optimize(plan.clone());
-        exec::execute_with(&optimized, &self.catalog, opts)
+        exec::execute(&optimized, &self.catalog)
     }
 
     /// Run a logical plan (optimizing first) with per-operator profiling.
@@ -757,7 +727,7 @@ impl Database {
         plan: &LogicalPlan,
     ) -> RelResult<(ResultSet, crate::profile::OpProfile)> {
         let optimized = optimizer::optimize(plan.clone());
-        exec::execute_instrumented_with(&optimized, &self.catalog, &self.exec_opts)
+        exec::execute_instrumented(&optimized, &self.catalog)
     }
 
     /// `EXPLAIN ANALYZE` for a SQL query: executes it with per-operator
@@ -767,22 +737,13 @@ impl Database {
         &self,
         text: &str,
     ) -> RelResult<(ResultSet, crate::profile::OpProfile)> {
-        self.explain_analyze_sql_with(text, &self.exec_opts)
-    }
-
-    /// [`Database::explain_analyze_sql`] with explicit execution options.
-    pub fn explain_analyze_sql_with(
-        &self,
-        text: &str,
-        opts: &exec::ExecOptions,
-    ) -> RelResult<(ResultSet, crate::profile::OpProfile)> {
         let plan = sql::plan_query(text, &self.catalog)?;
-        exec::execute_instrumented_with(&plan, &self.catalog, opts)
+        exec::execute_instrumented(&plan, &self.catalog)
     }
 
     /// Run a logical plan exactly as given (for optimizer A/B tests).
     pub fn run_plan_unoptimized(&self, plan: &LogicalPlan) -> RelResult<ResultSet> {
-        exec::execute_with(plan, &self.catalog, &self.exec_opts)
+        exec::execute(plan, &self.catalog)
     }
 
     /// Insert a row programmatically.

@@ -1,37 +1,31 @@
 //! Physical execution.
 //!
-//! Two plan walkers share this module and the operator implementations
-//! below them:
+//! One walker executes plans, the **vectorized executor** `run_batched`:
+//! operators exchange columnar [`Batch`]es. Scans hand out the table's
+//! cached columnar image ([`Table::columnar`], `Arc`-shared, rebuilt only
+//! after a mutation), pushed-down filters set the batch's *selection
+//! vector* instead of copying rows, and projections evaluate expression
+//! kernels ([`Expr::eval_batch`]) only over selected slots — so a
+//! scan→filter→project chain is one fused pass with no per-row dispatch.
+//! Kernels read typed slices and write typed cells; a `Value` is built
+//! only at the result boundary and for `Generic` data. Hash joins and
+//! hash aggregation group rows by hashing and comparing their key columns
+//! where they are stored (dense group ids, no `Vec<Value>` key per row),
+//! aggregates accumulate from typed slices with `AggState`'s rules, sorts
+//! compare typed key columns in place, and sort and limit
+//! permute/truncate the selection vector. `Extend` probes the related
+//! table's version-keyed nest image ([`Table::nested`]) when its related
+//! side is a bare projected scan, and `Recommend` scores off the columns,
+//! gathering only the rows it returns.
 //!
-//! * `run_batched` — the **vectorized executor** (`batch_size > 0`, the
-//!   default, and the only path production callers use): operators
-//!   exchange columnar [`Batch`]es. Scans hand out the table's cached
-//!   columnar image ([`Table::columnar`], `Arc`-shared, rebuilt only after
-//!   a mutation), pushed-down filters set the batch's *selection vector*
-//!   instead of copying rows, and projections evaluate expression kernels
-//!   ([`Expr::eval_batch`]) only over selected slots — so a
-//!   scan→filter→project chain is one fused pass with no per-row
-//!   dispatch. Kernels read typed slices and write typed cells; a
-//!   `Value` is built only at the result boundary and for `Generic`
-//!   data. Hash joins and hash aggregation group rows by hashing and
-//!   comparing their key columns where they are stored (dense group ids,
-//!   no `Vec<Value>` key per row), aggregates accumulate from typed
-//!   slices with `AggState`'s rules, sorts compare typed key columns in
-//!   place, and sort and limit permute/truncate the selection vector.
-//!   `Extend` probes the related
-//!   table's version-keyed nest image ([`Table::nested`]) when its
-//!   related side is a bare projected scan, and `Recommend` scores off
-//!   the columns, gathering only the rows it returns.
+//! The walker is generic over `Profile`: `()` records nothing,
+//! [`OpProfile`] builds the EXPLAIN ANALYZE tree, the trace spans and the
+//! per-operator histograms — so profiling is a type parameter of the
+//! walker, not a second copy of it.
 //!
-//! * `run` — the **row executor** (`batch_size == 0`): the original
-//!   serial pipeline of `Vec<Row>` operators, kept as the differential
-//!   oracle that `tests/batch_differential.rs` compares the batched path
-//!   against.
-//!
-//! Both produce byte-identical results, and both are generic over
-//! `Profile`: `()` records nothing, [`OpProfile`] builds the EXPLAIN
-//! ANALYZE tree, the trace spans and the per-operator histograms — so
-//! profiling is a type parameter of a walker, not a second copy of it.
+//! [`oracle`] holds the row-at-a-time reference executor, a serial
+//! pipeline of `Vec<Row>` operators that tests call by name as ground
+//! truth; no option and no entry point here selects it.
 //!
 //! Scans pick an **access path** at runtime: if the pushed-down
 //! predicate contains an equality (or range) conjunct on the primary key
@@ -64,6 +58,8 @@ use crate::schema::Schema;
 use crate::similarity::{dense_keys, Common, Probe, RatingsSim, SetSim};
 use crate::table::Table;
 use crate::value::Value;
+
+pub mod oracle;
 
 // ---------------------------------------------------------------------
 // Metrics (handles resolved once; recording is relaxed atomics only)
@@ -112,12 +108,11 @@ fn metrics() -> &'static RelMetrics {
 // Execution options
 // ---------------------------------------------------------------------
 
-/// The one knob of physical execution: which walker runs.
+/// The one knob of physical execution: how large a batch is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecOptions {
-    /// Rows per expression-kernel invocation on the vectorized executor
-    /// (the default path). `0` selects the row-at-a-time executor, the
-    /// differential oracle; tests vary the size to land chunk boundaries
+    /// Rows per expression-kernel invocation; `0` runs as `1`. Results
+    /// do not depend on it — tests vary it to land chunk boundaries
     /// mid-table.
     pub batch_size: usize,
 }
@@ -258,7 +253,7 @@ pub fn execute_instrumented_with(
 }
 
 /// The one body behind every `execute*` entry point: open the
-/// `relation.query` span (timed into `relation.query_ns`), pick the
+/// `relation.query` span (timed into `relation.query_ns`), run the
 /// walker, materialize rows, record the query metrics, close the
 /// query-level profile (span attributes and slow-query capture).
 fn execute_as<P: Profile>(
@@ -267,13 +262,8 @@ fn execute_as<P: Profile>(
     opts: &ExecOptions,
 ) -> RelResult<(ResultSet, P)> {
     let mut span = TraceSpan::child("relation.query").timed(&metrics().query_ns);
-    let (rows, profile) = if opts.batch_size > 0 {
-        let (batch, profile) = run_batched::<P>(plan, catalog, opts.batch_size)?;
-        (batch.to_rows(), profile)
-    } else {
-        let (rows, profile) = run::<P>(plan, catalog)?;
-        (rows.into_owned(), profile)
-    };
+    let (batch, profile) = run_batched::<P>(plan, catalog, opts.batch_size.max(1))?;
+    let rows = batch.to_rows();
     if cr_obs::enabled() {
         let m = metrics();
         m.queries.inc();
@@ -483,174 +473,6 @@ fn recommend_detail(spec: &RecSpec) -> Vec<String> {
     detail
 }
 
-/// The row-at-a-time walker (the differential oracle). Returns `Cow` so
-/// `LogicalPlan::Values` lends its literal rows instead of cloning them
-/// on every run — copies happen only when an ancestor operator actually
-/// consumes owned rows.
-fn run<'p, P: Profile>(plan: &'p LogicalPlan, catalog: &Catalog) -> RelResult<(Cow<'p, [Row]>, P)> {
-    let open = P::open();
-    let (rows, label, children) = match plan {
-        LogicalPlan::Scan {
-            table,
-            alias,
-            projection,
-            filter,
-            ..
-        } => {
-            let (rows, path) =
-                catalog.with_table(table, |t| scan_table(t, projection, filter))??;
-            let label = P::label(|| scan_label(table, alias, &path, filter));
-            (Cow::Owned(rows), label, Vec::new())
-        }
-
-        LogicalPlan::Filter { input, predicate } => {
-            let (rows, child) = run::<P>(input, catalog)?;
-            let rows = filter_rows(rows.into_owned(), predicate)?;
-            let label = P::label(|| plan_label(plan, vec![format!("predicate={predicate}")]));
-            (Cow::Owned(rows), label, vec![child])
-        }
-
-        LogicalPlan::Project { input, exprs, .. } => {
-            let (rows, child) = run::<P>(input, catalog)?;
-            let rows = project_rows(rows.into_owned(), exprs)?;
-            let label = P::label(|| plan_label(plan, vec![format!("exprs={}", exprs.len())]));
-            (Cow::Owned(rows), label, vec![child])
-        }
-
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
-            ..
-        } => {
-            let (left_rows, lchild) = run::<P>(left, catalog)?;
-            let (right_rows, rchild) = run::<P>(right, catalog)?;
-            let (rows, info) = join_rows(
-                left_rows.into_owned(),
-                right_rows.into_owned(),
-                left.schema().len(),
-                right.schema().len(),
-                *kind,
-                on,
-            )?;
-            let label = P::label(|| join_label(*kind, &info));
-            (Cow::Owned(rows), label, vec![lchild, rchild])
-        }
-
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-            ..
-        } => {
-            let (rows, child) = run::<P>(input, catalog)?;
-            let out = aggregate_rows(&rows, group_by, aggs)?;
-            let label = P::label(|| plan_label(plan, aggregate_detail(group_by, aggs)));
-            (Cow::Owned(out), label, vec![child])
-        }
-
-        LogicalPlan::Sort { input, keys } => {
-            let (rows, child) = run::<P>(input, catalog)?;
-            let rows = sort_rows(rows.into_owned(), keys)?;
-            let label = P::label(|| plan_label(plan, vec![format!("keys={}", keys.len())]));
-            (Cow::Owned(rows), label, vec![child])
-        }
-
-        LogicalPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => {
-            let (rows, child) = run::<P>(input, catalog)?;
-            let rows = limit_rows(rows.into_owned(), *limit, *offset);
-            let label = P::label(|| plan_label(plan, limit_detail(*limit, *offset)));
-            (Cow::Owned(rows), label, vec![child])
-        }
-
-        LogicalPlan::Values { rows, .. } => {
-            let label = P::label(|| plan_label(plan, Vec::new()));
-            (Cow::Borrowed(rows.as_slice()), label, Vec::new())
-        }
-
-        LogicalPlan::Union { left, right } => {
-            let (rows, lchild) = run::<P>(left, catalog)?;
-            let (right_rows, rchild) = run::<P>(right, catalog)?;
-            let mut rows = rows.into_owned();
-            match right_rows {
-                Cow::Owned(mut r) => rows.append(&mut r),
-                Cow::Borrowed(r) => rows.extend_from_slice(r),
-            }
-            let label = P::label(|| plan_label(plan, Vec::new()));
-            (Cow::Owned(rows), label, vec![lchild, rchild])
-        }
-
-        LogicalPlan::Extend {
-            input,
-            related,
-            key_col,
-            rating,
-            as_name,
-            ..
-        } => {
-            let (input_rows, ichild) = run::<P>(input, catalog)?;
-            let (related_rows, rchild) = run::<P>(related, catalog)?;
-            let rows = extend_rows(input_rows.into_owned(), &related_rows, *key_col, *rating)?;
-            let label = P::label(|| plan_label(plan, extend_detail(*rating, *key_col, as_name)));
-            (Cow::Owned(rows), label, vec![ichild, rchild])
-        }
-
-        LogicalPlan::Recommend {
-            target,
-            comparator,
-            spec,
-            ..
-        } => {
-            let (target_rows, tchild) = run::<P>(target, catalog)?;
-            let (comparator_rows, cchild) = run::<P>(comparator, catalog)?;
-            let rows = recommend_rows(target_rows.into_owned(), &comparator_rows, spec)?;
-            let label = P::label(|| plan_label(plan, recommend_detail(spec)));
-            (Cow::Owned(rows), label, vec![tchild, cchild])
-        }
-    };
-    let profile = P::close(open, label, plan, rows.len(), children);
-    Ok((rows, profile))
-}
-
-// ---------------------------------------------------------------------
-// Row-level operator implementations
-// ---------------------------------------------------------------------
-
-fn filter_rows(rows: Vec<Row>, predicate: &Expr) -> RelResult<Vec<Row>> {
-    let mut out = Vec::with_capacity(rows.len() / 2);
-    for r in rows {
-        if predicate.eval_predicate(&r)? {
-            out.push(r);
-        }
-    }
-    Ok(out)
-}
-
-fn project_rows(rows: Vec<Row>, exprs: &[(Expr, String)]) -> RelResult<Vec<Row>> {
-    let mut out = Vec::with_capacity(rows.len());
-    for r in rows {
-        let mut projected = Vec::with_capacity(exprs.len());
-        for (e, _) in exprs {
-            projected.push(e.eval(&r)?);
-        }
-        out.push(projected);
-    }
-    Ok(out)
-}
-
-fn limit_rows(rows: Vec<Row>, limit: Option<usize>, offset: usize) -> Vec<Row> {
-    let it = rows.into_iter().skip(offset);
-    match limit {
-        Some(n) => it.take(n).collect(),
-        None => it.collect(),
-    }
-}
-
 // ---------------------------------------------------------------------
 // FlexRecs operators: Extend (ε) and Recommend (▷)
 // ---------------------------------------------------------------------
@@ -667,21 +489,6 @@ fn as_rec_scalar(v: &Value) -> Option<&Value> {
     }
 }
 
-/// [`NestMap::build`] over materialized rows (`[fk, key]` for Set,
-/// `[fk, key, rating]` for Ratings).
-fn build_nest_map(related_rows: &[Row], rating: bool) -> RelResult<NestMap> {
-    NestMap::build(
-        related_rows.iter().map(|row| {
-            (
-                row[0].clone(),
-                row[1].clone(),
-                if rating { Some(row[2].clone()) } else { None },
-            )
-        }),
-        rating,
-    )
-}
-
 /// The nested attribute an extend key maps to (empty when unmatched).
 fn nest_probe(map: &NestMap, key: &Value) -> RelResult<Value> {
     let key =
@@ -689,25 +496,9 @@ fn nest_probe(map: &NestMap, key: &Value) -> RelResult<Value> {
     Ok(map.probe(key))
 }
 
-fn extend_rows(
-    input_rows: Vec<Row>,
-    related_rows: &[Row],
-    key_col: usize,
-    rating: bool,
-) -> RelResult<Vec<Row>> {
-    let map = build_nest_map(related_rows, rating)?;
-    let mut out = Vec::with_capacity(input_rows.len());
-    for mut row in input_rows {
-        let nested = nest_probe(&map, &row[key_col])?;
-        row.push(nested);
-        out.push(row);
-    }
-    Ok(out)
-}
-
 /// One target's scores against the comparators, accumulated in
-/// comparator order. Both executors fold through this, so a target's
-/// final score is the same float on either path.
+/// comparator order. The walker and the [`oracle`] both fold through
+/// this, so a target's final score is the same float on either.
 #[derive(Debug, Clone, Copy)]
 struct ScoreAcc {
     sum: f64,
@@ -803,68 +594,6 @@ fn rating_lookup(cell: &Value) -> HashMap<&Value, f64> {
         .unwrap_or_default()
 }
 
-/// Precomputed per-run state for the row recommend operator: the
-/// exclusion key set and (for `RatingLookup`) one key → rating map per
-/// comparator.
-struct RecContext<'a> {
-    seen: HashSet<&'a Value>,
-    lookup: Vec<HashMap<&'a Value, f64>>,
-}
-
-fn build_rec_context<'a>(comparator_rows: &'a [Row], spec: &RecSpec) -> RecContext<'a> {
-    let mut seen: HashSet<&Value> = HashSet::new();
-    if let Some((_, c_idx)) = spec.exclude_seen {
-        for c in comparator_rows {
-            extend_seen(&mut seen, &c[c_idx]);
-        }
-    }
-    let lookup = if matches!(spec.method, RecMethod::RatingLookup) {
-        comparator_rows
-            .iter()
-            .map(|c| rating_lookup(&c[spec.comparator_col]))
-            .collect()
-    } else {
-        Vec::new()
-    };
-    RecContext { seen, lookup }
-}
-
-/// Score one target row against every comparator row. Returns `None` when
-/// the target is excluded, matched no comparator, or scored ≤ 0.
-fn score_target(
-    mut t: Row,
-    comparator_rows: &[Row],
-    spec: &RecSpec,
-    ctx: &RecContext<'_>,
-) -> Option<(f64, Row)> {
-    if let Some((t_idx, _)) = spec.exclude_seen {
-        if let Some(v) = as_rec_scalar(&t[t_idx]) {
-            if ctx.seen.contains(v) {
-                return None;
-            }
-        }
-    }
-    let mut acc = ScoreAcc::EMPTY;
-    for (i, c) in comparator_rows.iter().enumerate() {
-        let score = match &spec.method {
-            RecMethod::RatingLookup => {
-                as_rec_scalar(&t[spec.target_col]).and_then(|key| ctx.lookup[i].get(key).copied())
-            }
-            method => pair_score(method, &t[spec.target_col], &c[spec.comparator_col]),
-        };
-        if let Some(s) = score {
-            let weight = match spec.agg {
-                RecAggPlan::WeightedAvg { weight_col } => rec_weight(&c[weight_col]),
-                _ => 1.0,
-            };
-            acc.add(s, weight);
-        }
-    }
-    let final_score = acc.finish(&spec.agg)?;
-    t.push(Value::float(final_score));
-    Some((final_score, t))
-}
-
 /// Order of two scored targets: score descending, ties broken by the
 /// first column when both are scalar (`first_cols`, consulted only on a
 /// tie). Callers sort stably, so input order settles what remains.
@@ -883,33 +612,6 @@ fn rec_order<'a>(
             _ => Ordering::Equal,
         }
     })
-}
-
-/// Sort scored targets ([`rec_order`]) and apply top-k.
-fn finish_recommend(mut scored: Vec<(f64, Row)>, spec: &RecSpec) -> Vec<Row> {
-    fn first(row: &Row) -> Option<Cow<'_, Value>> {
-        row.first().map(Cow::Borrowed)
-    }
-    scored.sort_by(|a, b| rec_order((a.0, b.0), || (first(&a.1), first(&b.1))));
-    if let Some(k) = spec.k {
-        scored.truncate(k);
-    }
-    scored.into_iter().map(|(_, r)| r).collect()
-}
-
-fn recommend_rows(
-    target_rows: Vec<Row>,
-    comparator_rows: &[Row],
-    spec: &RecSpec,
-) -> RelResult<Vec<Row>> {
-    let ctx = build_rec_context(comparator_rows, spec);
-    let mut scored = Vec::new();
-    for t in target_rows {
-        if let Some(s) = score_target(t, comparator_rows, spec, &ctx) {
-            scored.push(s);
-        }
-    }
-    Ok(finish_recommend(scored, spec))
 }
 
 // ---------------------------------------------------------------------
@@ -1075,103 +777,36 @@ fn as_col_cmp_literal(e: &Expr) -> Option<(usize, BinOp, Value)> {
     None
 }
 
-/// Scan a table, returning the matching rows and the access path that
-/// served them (surfaced in EXPLAIN ANALYZE output).
-fn scan_table(
-    table: &Table,
-    projection: &Option<Vec<usize>>,
-    filter: &Option<Expr>,
-) -> RelResult<(Vec<Row>, AccessPath)> {
-    let path = choose_access_path(table, filter);
-    if cr_obs::enabled() {
-        let m = metrics();
-        match &path {
-            AccessPath::SeqScan => m.scan_seq.inc(),
-            AccessPath::PkLookup(_) => m.scan_pk.inc(),
-            AccessPath::IndexEq(..) => m.scan_index_eq.inc(),
-            AccessPath::IndexRange { .. } => m.scan_index_range.inc(),
-        }
-    }
-    let project = |r: &Row| -> Row {
-        match projection {
-            None => r.clone(),
-            Some(cols) => cols.iter().map(|&i| r[i].clone()).collect(),
-        }
+/// The rows an index-served `path` fetches, before the pushed-down filter
+/// runs; `None` for a `SeqScan`, which reads the columnar image instead.
+fn index_fetch<'t>(t: &'t Table, path: &AccessPath) -> RelResult<Option<Vec<&'t Row>>> {
+    let index = |name: &str| {
+        t.index(name)
+            .ok_or_else(|| RelError::UnknownIndex(name.to_owned()))
     };
-    let passes = |r: &Row| -> RelResult<bool> {
-        match filter {
-            Some(f) => f.eval_predicate(r),
-            None => Ok(true),
-        }
-    };
-    let mut out = Vec::new();
-    match &path {
-        AccessPath::SeqScan => {
-            for (_, r) in table.scan() {
-                if passes(r)? {
-                    out.push(project(r));
-                }
-            }
-        }
-        AccessPath::PkLookup(key) => {
-            if let Some(r) = table.get_by_pk(key) {
-                if passes(r)? {
-                    out.push(project(r));
-                }
-            }
-        }
-        AccessPath::IndexEq(name, key) => {
-            let idx = table
-                .index(name)
-                .ok_or_else(|| RelError::UnknownIndex(name.clone()))?;
-            if let Some(rids) = idx.get(key) {
-                for &rid in rids {
-                    if let Some(r) = table.get(rid) {
-                        if passes(r)? {
-                            out.push(project(r));
-                        }
-                    }
-                }
-            }
-        }
+    let rows = match path {
+        AccessPath::SeqScan => return Ok(None),
+        AccessPath::PkLookup(key) => t.get_by_pk(key).into_iter().collect(),
+        AccessPath::IndexEq(name, key) => index(name)?
+            .get(key)
+            .unwrap_or_default()
+            .iter()
+            .filter_map(|&rid| t.get(rid))
+            .collect(),
         AccessPath::IndexRange {
-            index,
+            index: name,
             lower,
             upper,
         } => {
-            let idx = table
-                .index(index)
-                .ok_or_else(|| RelError::UnknownIndex(index.clone()))?;
-            let lo_key = match &lower {
-                Bound::Included(v) => Bound::Included(vec![v.clone()]),
-                Bound::Excluded(v) => Bound::Excluded(vec![v.clone()]),
-                Bound::Unbounded => Bound::Unbounded,
-            };
-            let hi_key = match &upper {
-                Bound::Included(v) => Bound::Included(vec![v.clone()]),
-                Bound::Excluded(v) => Bound::Excluded(vec![v.clone()]),
-                Bound::Unbounded => Bound::Unbounded,
-            };
-            let lo_ref = match &lo_key {
-                Bound::Included(k) => Bound::Included(k),
-                Bound::Excluded(k) => Bound::Excluded(k),
-                Bound::Unbounded => Bound::Unbounded,
-            };
-            let hi_ref = match &hi_key {
-                Bound::Included(k) => Bound::Included(k),
-                Bound::Excluded(k) => Bound::Excluded(k),
-                Bound::Unbounded => Bound::Unbounded,
-            };
-            for rid in idx.range(lo_ref, hi_ref) {
-                if let Some(r) = table.get(rid) {
-                    if passes(r)? {
-                        out.push(project(r));
-                    }
-                }
-            }
+            let lo = lower.as_ref().map(|v| vec![v.clone()]);
+            let hi = upper.as_ref().map(|v| vec![v.clone()]);
+            index(name)?
+                .range(lo.as_ref(), hi.as_ref())
+                .filter_map(|rid| t.get(rid))
+                .collect()
         }
-    }
-    Ok((out, path))
+    };
+    Ok(Some(rows))
 }
 
 // ---------------------------------------------------------------------
@@ -1418,86 +1053,6 @@ impl AggState {
     }
 }
 
-fn aggregate_rows(rows: &[Row], group_by: &[Expr], aggs: &[AggExpr]) -> RelResult<Vec<Row>> {
-    let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
-    // Preserve first-seen group order for deterministic output.
-    let mut order: Vec<Vec<Value>> = Vec::new();
-    for r in rows {
-        let mut key = Vec::with_capacity(group_by.len());
-        for g in group_by {
-            key.push(g.eval(r)?);
-        }
-        let states = match groups.get_mut(&key) {
-            Some(s) => s,
-            None => {
-                order.push(key.clone());
-                groups
-                    .entry(key.clone())
-                    .or_insert_with(|| aggs.iter().map(AggState::new).collect())
-            }
-        };
-        for (state, a) in states.iter_mut().zip(aggs) {
-            let is_star = a.func == AggFn::CountStar;
-            let v = if is_star {
-                Value::Int(1)
-            } else {
-                a.arg.eval(r)?
-            };
-            state.update(v, is_star)?;
-        }
-    }
-    // Global aggregate over empty input still yields one row.
-    if groups.is_empty() && group_by.is_empty() {
-        let row = aggs
-            .iter()
-            .map(|a| AggState::new(a).finish())
-            .collect::<RelResult<Row>>()?;
-        return Ok(vec![row]);
-    }
-    let mut out = Vec::with_capacity(groups.len());
-    for key in order {
-        let states = groups.remove(&key).expect("group recorded in order");
-        let mut row = key;
-        for s in states {
-            row.push(s.finish()?);
-        }
-        out.push(row);
-    }
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------
-// Sort
-// ---------------------------------------------------------------------
-
-fn sort_rows(mut rows: Vec<Row>, keys: &[SortKey]) -> RelResult<Vec<Row>> {
-    // Pre-compute key tuples so expression evaluation happens O(n), not
-    // O(n log n); then sort indices and gather.
-    let mut keyed: Vec<(Vec<Value>, usize)> = Vec::with_capacity(rows.len());
-    for (i, r) in rows.iter().enumerate() {
-        let mut k = Vec::with_capacity(keys.len());
-        for sk in keys {
-            k.push(sk.expr.eval(r)?);
-        }
-        keyed.push((k, i));
-    }
-    keyed.sort_by(|(a, ai), (b, bi)| {
-        for (i, sk) in keys.iter().enumerate() {
-            let ord = a[i].total_cmp(&b[i]);
-            let ord = if sk.desc { ord.reverse() } else { ord };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        ai.cmp(bi) // stable tiebreak
-    });
-    let mut out = Vec::with_capacity(rows.len());
-    for (_, i) in keyed {
-        out.push(std::mem::take(&mut rows[i]));
-    }
-    Ok(out)
-}
-
 // ---------------------------------------------------------------------
 // Vectorized (batch-at-a-time) operators
 //
@@ -1505,8 +1060,8 @@ fn sort_rows(mut rows: Vec<Row>, keys: &[SortKey]) -> RelResult<Vec<Row>> {
 // selection vector. Filters narrow the selection instead of copying
 // rows; projections run `Expr::eval_batch` kernels over the selected
 // slots only. Row materialization happens once, at the `ResultSet`
-// boundary. Results are byte-identical to the row executor above (the
-// differential oracle) — `tests/batch_differential.rs` holds the line.
+// boundary. Results are byte-identical to the row-at-a-time reference
+// executor ([`oracle`]) — `tests/batch_differential.rs` holds the line.
 // ---------------------------------------------------------------------
 
 /// Evaluate `predicate` over the batch's live rows in `batch_size`-row
@@ -1576,8 +1131,7 @@ fn project_batched(
     batch_size: usize,
 ) -> RelResult<(Batch, usize)> {
     let cols = batch.columns();
-    let chunk = batch_size.max(1);
-    let batches = batch.len().div_ceil(chunk);
+    let batches = batch.len().div_ceil(batch_size);
     let picks: Option<Vec<Arc<BatchColumn>>> = exprs
         .iter()
         .map(|(e, _)| match e {
@@ -1598,7 +1152,7 @@ fn project_batched(
             }
         }
         let mut parts = slots
-            .chunks(chunk)
+            .chunks(batch_size)
             .into_iter()
             .map(|part| Ok(e.eval_batch(cols, part)?.into_column(part.len())))
             .collect::<RelResult<Vec<_>>>()?;
@@ -1613,8 +1167,8 @@ fn project_batched(
 /// Batched scan. Sequential scans serve the table's cached columnar image
 /// ([`Table::columnar`]) and fuse the pushed-down filter (selection
 /// vector) and projection (column picking) into it without copying a
-/// single row. Index-served paths touch few rows, so they reuse the row
-/// machinery and transpose.
+/// single row. Index-served paths touch few rows, so they filter and
+/// project rows and transpose.
 fn scan_batched(
     t: &Table,
     projection: &Option<Vec<usize>>,
@@ -1622,10 +1176,16 @@ fn scan_batched(
     batch_size: usize,
 ) -> RelResult<(Batch, AccessPath, usize)> {
     let path = choose_access_path(t, filter);
-    if matches!(path, AccessPath::SeqScan) {
-        if cr_obs::enabled() {
-            metrics().scan_seq.inc();
+    if cr_obs::enabled() {
+        let m = metrics();
+        match &path {
+            AccessPath::SeqScan => m.scan_seq.inc(),
+            AccessPath::PkLookup(_) => m.scan_pk.inc(),
+            AccessPath::IndexEq(..) => m.scan_index_eq.inc(),
+            AccessPath::IndexRange { .. } => m.scan_index_range.inc(),
         }
+    }
+    let Some(fetched) = index_fetch(t, &path)? else {
         let cols = t.columnar();
         let mut batch = Batch::new((*cols).clone(), t.len());
         let mut batches = 1;
@@ -1638,14 +1198,24 @@ fn scan_batched(
             let projected = idx.iter().map(|&i| Arc::clone(batch.column(i))).collect();
             batch = batch.with_columns(projected);
         }
-        Ok((batch, path, batches))
-    } else {
-        let (rows, path) = scan_table(t, projection, filter)?;
-        let width = projection
-            .as_ref()
-            .map_or(t.schema().columns().len(), Vec::len);
-        Ok((Batch::from_rows(&rows, width), path, 1))
+        return Ok((batch, path, batches));
+    };
+    let mut rows = Vec::with_capacity(fetched.len());
+    for r in fetched {
+        if let Some(f) = filter {
+            if !f.eval_predicate(r)? {
+                continue;
+            }
+        }
+        rows.push(match projection {
+            None => r.clone(),
+            Some(cols) => cols.iter().map(|&i| r[i].clone()).collect(),
+        });
     }
+    let width = projection
+        .as_ref()
+        .map_or(t.schema().columns().len(), Vec::len);
+    Ok((Batch::from_rows(&rows, width), path, 1))
 }
 
 /// Column `c` of `batch` over its live rows, read in place.
@@ -2320,8 +1890,8 @@ fn nest_image<P: Profile>(
     Some(served.and_then(|r| r))
 }
 
-/// The vectorized walker (the default execution path). Labels keep the
-/// row walker's operator names and fields, plus `batches=`/`selected=`.
+/// The vectorized walker (the one execution path). Labels name each
+/// node's operator and fields, plus `batches=`/`selected=`.
 fn run_batched<P: Profile>(
     plan: &LogicalPlan,
     catalog: &Catalog,
@@ -2777,26 +2347,25 @@ mod tests {
             ("SELECT * FROM a JOIN b ON a.x = b.y", 5),
             ("SELECT * FROM a LEFT JOIN b ON a.x = b.y", 7),
         ] {
-            let rs = db.query_sql(sql).unwrap();
+            let plan = crate::sql::plan_query(sql, &db.catalog()).unwrap();
+            let rs = execute(&plan, &db.catalog()).unwrap();
             assert_eq!(rs.rows.len(), want, "sql={sql}");
-            let oracle = db
-                .query_sql_with(sql, &ExecOptions { batch_size: 0 })
-                .unwrap();
-            assert_eq!(rs, oracle, "sql={sql}");
+            assert_eq!(
+                rs,
+                oracle::execute(&plan, &db.catalog()).unwrap(),
+                "sql={sql}"
+            );
         }
     }
 
+    /// A batch size of 0 is not a second walker: it runs batched, as 1.
     #[test]
-    fn database_default_options_apply() {
-        let db = db().with_exec_options(ExecOptions { batch_size: 0 });
-        assert_eq!(db.exec_options().batch_size, 0);
-        let rs = db.query_sql("SELECT * FROM courses").unwrap();
-        assert_eq!(rs.rows.len(), 5);
-        let batched = Database::clone(&db)
-            .with_exec_options(ExecOptions::default())
-            .query_sql("SELECT * FROM courses")
-            .unwrap();
-        assert_eq!(rs, batched);
+    fn zero_batch_size_runs_batched() {
+        let db = db();
+        let sql = "SELECT dep, COUNT(*) AS n FROM courses WHERE units > 3 GROUP BY dep";
+        let plan = crate::sql::plan_query(sql, &db.catalog()).unwrap();
+        let zero = execute_with(&plan, &db.catalog(), &ExecOptions { batch_size: 0 }).unwrap();
+        assert_eq!(zero, execute(&plan, &db.catalog()).unwrap());
     }
 
     /// Fixture for the FlexRecs operators: students and the courses they
@@ -3117,9 +2686,7 @@ mod tests {
             Value::Ratings(vec![(Value::Int(103), 1.0)].into())
         );
         assert_eq!(nest_detail(&filtered).0, after);
-        let oracle = db
-            .run_plan_with(&bare, &ExecOptions { batch_size: 0 })
-            .unwrap();
+        let oracle = oracle::execute(&bare, &db.catalog()).unwrap();
         assert_eq!(oracle.rows, after);
         // ...and a delete retires it.
         db.execute_sql("DELETE FROM taken WHERE tid = 7").unwrap();

@@ -242,15 +242,25 @@ impl Index {
         }
     }
 
-    /// Range scan (BTree only; yields nothing for hash indexes).
+    /// Range scan (BTree only; yields nothing for hash indexes, nor for
+    /// an empty interval such as `> 5 AND < 2` or `> 3 AND < 3`).
     ///
     /// Returns a lazy [`RangeIds`] iterator over the matching row ids, so
     /// the executor's access path streams ids straight off the tree
     /// instead of allocating a fresh `Vec<RowId>` per lookup.
     pub fn range<'a>(&'a self, lower: Bound<&IndexKey>, upper: Bound<&IndexKey>) -> RangeIds<'a> {
+        // `BTreeMap::range` panics on these instead of yielding nothing.
+        let empty = match (lower, upper) {
+            (Bound::Included(lo), Bound::Included(hi)) => lo > hi,
+            (
+                Bound::Included(lo) | Bound::Excluded(lo),
+                Bound::Included(hi) | Bound::Excluded(hi),
+            ) => lo >= hi,
+            _ => false,
+        };
         let buckets = match &self.storage {
-            IndexStorage::Hash(_) => None,
-            IndexStorage::BTree(m) => Some(m.range::<IndexKey, _>((lower, upper))),
+            IndexStorage::BTree(m) if !empty => Some(m.range::<IndexKey, _>((lower, upper))),
+            _ => None,
         };
         RangeIds {
             buckets,
@@ -341,6 +351,22 @@ mod tests {
             .range(Bound::Included(&key(3)), Bound::Excluded(&key(7)))
             .collect();
         assert_eq!(got, vec![RowId(3), RowId(4), RowId(5), RowId(6)]);
+        // Empty intervals (inverted, or equal with a bound excluded)
+        // yield nothing rather than panic.
+        let (two, three) = (key(2), key(3));
+        for (lower, upper) in [
+            (Bound::Excluded(&three), Bound::Excluded(&two)),
+            (Bound::Included(&three), Bound::Included(&two)),
+            (Bound::Excluded(&three), Bound::Excluded(&three)),
+            (Bound::Excluded(&three), Bound::Included(&three)),
+            (Bound::Included(&three), Bound::Excluded(&three)),
+        ] {
+            assert_eq!(idx.range(lower, upper).next(), None);
+        }
+        let point: Vec<RowId> = idx
+            .range(Bound::Included(&three), Bound::Included(&three))
+            .collect();
+        assert_eq!(point, vec![RowId(3)]);
     }
 
     #[test]

@@ -19,11 +19,11 @@
 //!   nested-loop and hash joins and hash aggregation keyed on the
 //!   columns themselves, sort, limit, union,
 //!   and the FlexRecs extend/recommend operators) running
-//!   batch-at-a-time over [`batch`] columns with selection vectors; the
-//!   serial row-at-a-time executor remains selectable
-//!   (`ExecOptions { batch_size: 0 }`, the executor's one option) as the
-//!   differential oracle, and both walkers take EXPLAIN ANALYZE
-//!   profiling as a type parameter rather than a second code path,
+//!   batch-at-a-time over [`batch`] columns with selection vectors and
+//!   taking EXPLAIN ANALYZE profiling as a type parameter rather than a
+//!   second code path; the serial row-at-a-time reference executor,
+//!   [`exec::oracle`], is called by name from tests as the differential
+//!   oracle and selected by nothing,
 //! * a [`sql`] front end (lexer → parser → binder) for the subset needed by
 //!   the paper's workloads: `CREATE TABLE`, `INSERT`, `SELECT` with joins /
 //!   `WHERE` / `GROUP BY` / `HAVING` / `ORDER BY` / `LIMIT`, `UPDATE`,

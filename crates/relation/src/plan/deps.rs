@@ -1,13 +1,12 @@
 //! Plan dependency extraction — what a plan actually *reads*.
 //!
-//! [`validate::provenance`](super::validate::provenance) answers "where
-//! does each output column come from" for humans; this module answers the
-//! machine-facing question result caches need: **which base tables, which
-//! columns of them, and (when filters are analyzable) which key values
-//! does this plan consult?** A cached result tagged with the extracted
-//! [`PlanDeps`] can then test an incoming mutation against its dependency
-//! set — a comment by a student the plan never filtered for provably
-//! cannot change the result, so the cache entry survives the write.
+//! This module answers the question result caches need: **which base
+//! tables, which columns of them, and (when filters are analyzable) which
+//! key values does this plan consult?** A cached result tagged with the
+//! extracted [`PlanDeps`] can then test an incoming mutation against its
+//! dependency set — a comment by a student the plan never filtered for
+//! provably cannot change the result, so the cache entry survives the
+//! write.
 //!
 //! Everything here is conservative: any plan shape the analysis does not
 //! understand degrades to "all columns, all keys" for the affected table,
@@ -71,6 +70,49 @@ pub struct TableDeps {
     pub key: Option<KeySet>,
 }
 
+impl TableDeps {
+    /// Every column of every row: the conservative footprint.
+    pub fn all() -> TableDeps {
+        TableDeps {
+            columns: ColumnSet::All,
+            key: None,
+        }
+    }
+
+    /// Restrict to the named columns.
+    pub fn with_columns<S: AsRef<str>>(mut self, cols: impl IntoIterator<Item = S>) -> TableDeps {
+        let named = cols.into_iter().map(|c| c.as_ref().to_ascii_lowercase());
+        self.columns = ColumnSet::Named(named.collect());
+        self
+    }
+
+    /// Restrict to rows whose `column` value is in `values`.
+    pub fn with_key(mut self, column: &str, values: impl IntoIterator<Item = Value>) -> TableDeps {
+        self.key = Some(KeySet {
+            column: column.to_ascii_lowercase(),
+            values: values.into_iter().collect(),
+        });
+        self
+    }
+
+    /// The footprint that covers both: columns union (`All` absorbs),
+    /// and a key gate survives only when both gate on the same column,
+    /// with the values unioned.
+    pub fn union(self, other: TableDeps) -> TableDeps {
+        let key = match (self.key, other.key) {
+            (Some(mut a), Some(mut b)) if a.column == b.column => {
+                a.values.append(&mut b.values);
+                Some(a)
+            }
+            _ => None,
+        };
+        TableDeps {
+            columns: self.columns.union(other.columns),
+            key,
+        }
+    }
+}
+
 /// Dependency footprint of a whole plan: per lowercase table name.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PlanDeps {
@@ -82,13 +124,28 @@ impl PlanDeps {
     pub fn table_names(&self) -> Vec<&str> {
         self.tables.keys().map(String::as_str).collect()
     }
+
+    /// Add a footprint on `table`, [`TableDeps::union`]ed with the one
+    /// already there.
+    pub fn add(&mut self, table: &str, deps: TableDeps) {
+        let table = table.to_ascii_lowercase();
+        let deps = match self.tables.remove(&table) {
+            Some(prev) => prev.union(deps),
+            None => deps,
+        };
+        self.tables.insert(table, deps);
+    }
 }
 
-/// Per-scan footprint, merged into [`PlanDeps`] at the end.
-struct ScanDep {
-    table: String,
-    columns: ColumnSet,
-    key: Option<KeySet>,
+impl<S: AsRef<str>> FromIterator<(S, TableDeps)> for PlanDeps {
+    /// One footprint per table, each [`PlanDeps::add`]ed.
+    fn from_iter<I: IntoIterator<Item = (S, TableDeps)>>(iter: I) -> PlanDeps {
+        let mut deps = PlanDeps::default();
+        for (table, d) in iter {
+            deps.add(table.as_ref(), d);
+        }
+        deps
+    }
 }
 
 /// Extract the dependency footprint of `plan`. Works on bound plans
@@ -104,48 +161,13 @@ pub fn extract(plan: &LogicalPlan) -> PlanDeps {
 /// filter consults — and its key constraints under a projection — needs
 /// the base schema. Without a catalog those cases degrade conservatively.
 pub fn extract_in(plan: &LogicalPlan, catalog: Option<&Catalog>) -> PlanDeps {
-    let mut scans = Vec::new();
-    walk_scan_chain(plan, catalog, &[], &mut scans);
     let mut deps = PlanDeps::default();
-    for scan in scans {
-        match deps.tables.remove(&scan.table) {
-            None => {
-                deps.tables.insert(
-                    scan.table,
-                    TableDeps {
-                        columns: scan.columns,
-                        key: scan.key,
-                    },
-                );
-            }
-            Some(prev) => {
-                // Second scan of the same table: union columns; keys
-                // survive only when both scans constrain the same column.
-                let key = match (prev.key, scan.key) {
-                    (Some(a), Some(mut b)) if a.column == b.column => {
-                        let mut values = a.values;
-                        values.append(&mut b.values);
-                        Some(KeySet {
-                            column: a.column,
-                            values,
-                        })
-                    }
-                    _ => None,
-                };
-                deps.tables.insert(
-                    scan.table,
-                    TableDeps {
-                        columns: prev.columns.union(scan.columns),
-                        key,
-                    },
-                );
-            }
-        }
-    }
+    walk_scan_chain(plan, catalog, &[], &mut deps);
     deps
 }
 
-/// Recursive walk; `scans` accumulates one entry per scan instance.
+/// Recursive walk; every scan instance's footprint is added to `deps`
+/// (a second scan of the same table unions with the first).
 /// Follows a chain of row-set-preserving nodes (`Filter`, `Sort`) down to
 /// a `Scan`, accumulating in `pending` the filter predicates that apply to
 /// every row the scan emits. Any other node ends the chain: its inputs
@@ -154,15 +176,15 @@ fn walk_scan_chain<'p>(
     plan: &'p LogicalPlan,
     catalog: Option<&Catalog>,
     pending: &[&'p Expr],
-    scans: &mut Vec<ScanDep>,
+    deps: &mut PlanDeps,
 ) {
     match plan {
         LogicalPlan::Filter { input, predicate } => {
             let mut preds = pending.to_vec();
             preds.push(predicate);
-            walk_scan_chain(input, catalog, &preds, scans);
+            walk_scan_chain(input, catalog, &preds, deps);
         }
-        LogicalPlan::Sort { input, .. } => walk_scan_chain(input, catalog, pending, scans),
+        LogicalPlan::Sort { input, .. } => walk_scan_chain(input, catalog, pending, deps),
         LogicalPlan::Scan {
             table,
             projection,
@@ -170,9 +192,8 @@ fn walk_scan_chain<'p>(
             schema,
             ..
         } => {
-            scans.push(scan_dep(
-                table, projection, filter, schema, catalog, pending,
-            ));
+            let scan = scan_dep(table, projection, filter, schema, catalog, pending);
+            deps.add(table, scan);
         }
         // Chain broken (Project/Join/Limit/…, a new operator included):
         // predicates above this node do not provably gate the scans below
@@ -180,7 +201,7 @@ fn walk_scan_chain<'p>(
         // dropping a key constraint only widens the footprint.
         other => {
             for (_, child) in other.children().into_iter().flatten() {
-                walk_scan_chain(child, catalog, &[], scans);
+                walk_scan_chain(child, catalog, &[], deps);
             }
         }
     }
@@ -193,7 +214,7 @@ fn scan_dep(
     output_schema: &Schema,
     catalog: Option<&Catalog>,
     above: &[&Expr],
-) -> ScanDep {
+) -> TableDeps {
     // `output_schema` is the scan's post-projection output (what gating
     // predicates above the scan are bound against); the scan's own pushed
     // filter is bound against the full base-table schema.
@@ -277,11 +298,7 @@ fn scan_dep(
         }
     }
 
-    ScanDep {
-        table: table.to_ascii_lowercase(),
-        columns,
-        key,
-    }
+    TableDeps { columns, key }
 }
 
 /// Extract `column = literal` / `column IN (literals)` constraints from

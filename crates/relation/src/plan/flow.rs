@@ -757,7 +757,7 @@ impl<'a> FlowChecker<'a> {
             self.restricted_reported.insert(template.table.clone());
         }
         // The scan filter executes against full-schema rows before the
-        // projection is applied (see exec::scan_table), so declassifiers
+        // projection is applied (see exec::scan_batched), so declassifiers
         // must see the full cell vector too.
         let mut info = FlowInfo::new(template.cells.clone());
         if let Some(pred) = filter {

@@ -31,4 +31,4 @@ pub use flow::{
 };
 pub use logical::{AggExpr, AggFn, JoinKind, LogicalPlan, SortKey};
 pub use rec::{RecAggPlan, RecMethod, RecSpec};
-pub use validate::{analyze, provenance, Diagnostic, Severity, ValidationReport};
+pub use validate::{analyze, Diagnostic, Severity, ValidationReport};

@@ -1174,89 +1174,6 @@ fn observe(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Dataflow: column provenance
-// ---------------------------------------------------------------------------
-
-/// Where each root output column comes from, as `table.column` chains or
-/// `<computed>` markers — the lineage half of the dataflow analyses,
-/// surfaced by `crlint` and usable next to EXPLAIN output.
-pub fn provenance(plan: &LogicalPlan) -> Vec<String> {
-    match plan {
-        LogicalPlan::Scan {
-            table,
-            alias,
-            schema,
-            ..
-        } => {
-            let qual = alias.as_deref().unwrap_or(table);
-            schema
-                .columns()
-                .iter()
-                .map(|c| format!("{qual}.{}", c.name))
-                .collect()
-        }
-        LogicalPlan::Filter { input, .. } | LogicalPlan::Sort { input, .. } => provenance(input),
-        LogicalPlan::Limit { input, .. } => provenance(input),
-        LogicalPlan::Project { input, exprs, .. } => {
-            let pin = provenance(input);
-            exprs
-                .iter()
-                .map(|(e, name)| match e {
-                    Expr::Column(i) if *i < pin.len() => pin[*i].clone(),
-                    _ => format!("<computed {name}>"),
-                })
-                .collect()
-        }
-        LogicalPlan::Join { left, right, .. } => {
-            let mut out = provenance(left);
-            out.extend(provenance(right));
-            out
-        }
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-            ..
-        } => {
-            let pin = provenance(input);
-            let mut out: Vec<String> = group_by
-                .iter()
-                .map(|e| match e {
-                    Expr::Column(i) if *i < pin.len() => pin[*i].clone(),
-                    _ => "<group key>".to_owned(),
-                })
-                .collect();
-            out.extend(aggs.iter().map(|a| format!("<agg {}>", a.name)));
-            out
-        }
-        LogicalPlan::Values { schema, .. } => schema
-            .columns()
-            .iter()
-            .map(|c| format!("<literal {}>", c.name))
-            .collect(),
-        LogicalPlan::Union { left, .. } => provenance(left),
-        LogicalPlan::Extend {
-            input,
-            related,
-            as_name,
-            ..
-        } => {
-            let mut out = provenance(input);
-            let rel = provenance(related);
-            let src = rel.first().cloned().unwrap_or_else(|| "?".to_owned());
-            // "ε(Comments.SuID) AS ratings" — which relation was nested.
-            out.push(format!("<{as_name}: nested from {src}>"));
-            out
-        }
-        LogicalPlan::Recommend { target, spec, .. } => {
-            let mut out = provenance(target);
-            out.push(format!("<score {}>", spec.score_name));
-            out
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1451,22 +1368,6 @@ mod tests {
             rows: vec![row![1i64, 2i64]],
         };
         assert!(validate(&plan).has_code(E_VALUES_ARITY));
-    }
-
-    #[test]
-    fn provenance_tracks_columns_to_sources() {
-        let c = setup();
-        let plan = extended(&c)
-            .project(vec![
-                (Expr::col("name"), "who"),
-                (Expr::col("courses"), "courses"),
-            ])
-            .unwrap()
-            .build();
-        let prov = provenance(&plan);
-        assert_eq!(prov.len(), 2);
-        assert_eq!(prov[0], "students.name");
-        assert!(prov[1].contains("nested from ratings.sid"), "{prov:?}");
     }
 
     #[test]

@@ -62,17 +62,7 @@ pub fn execute(text: &str, catalog: &Catalog) -> RelResult<ResultSet> {
 
 /// Execute a query (SELECT only).
 pub fn query(text: &str, catalog: &Catalog) -> RelResult<ResultSet> {
-    query_with(text, catalog, &crate::exec::ExecOptions::default())
-}
-
-/// Execute a query (SELECT only) with explicit execution options.
-pub fn query_with(
-    text: &str,
-    catalog: &Catalog,
-    opts: &crate::exec::ExecOptions,
-) -> RelResult<ResultSet> {
-    let plan = plan_query(text, catalog)?;
-    crate::exec::execute_with(&plan, catalog, opts)
+    crate::exec::execute(&plan_query(text, catalog)?, catalog)
 }
 
 /// Build the one-row "N rows affected" result used by DML statements.

@@ -26,7 +26,7 @@
 # a second run only recompiles the workspace's own crates.
 set -euo pipefail
 
-MAX_SITES=13
+MAX_SITES=12
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 work="$(mktemp -d)"

@@ -1,8 +1,9 @@
 //! PR7 differential testing: the vectorized (batch-at-a-time) executor is
 //! an *optimization*, not an approximation. For any generated database,
 //! query, or FlexRecs workflow, the batched pipeline must return
-//! byte-identical results to the row-at-a-time oracle (`batch_size: 0`) —
-//! at every batch size, and whether or not the run is profiled.
+//! byte-identical results to the row-at-a-time reference executor
+//! (`exec::oracle::execute`, called by name) — at every batch size, and
+//! whether or not the run is profiled.
 //!
 //! Predicates and data are NULL-heavy on purpose: three-valued logic,
 //! null join keys, null ratings, and null function arguments are where a
@@ -12,11 +13,12 @@
 // Test code: panicking on a broken fixture is the right behavior.
 #![allow(clippy::unwrap_used)]
 
-use cr_flexrecs::compile::compile_and_run_with;
+use cr_flexrecs::compile::compile;
 use cr_flexrecs::{CmpOp, Node, RecAgg, RecMethod, RecommendSpec, WfPredicate, Workflow};
+use cr_relation::plan::optimizer;
 use cr_relation::{
-    execute_instrumented_with, execute_with, Catalog, Database, ExecOptions, RatingsSim, ResultSet,
-    SetSim, TextSim, Value,
+    execute_instrumented_with, execute_with, Catalog, Database, ExecOptions, LogicalPlan,
+    RatingsSim, RelResult, ResultSet, SetSim, TextSim, Value,
 };
 use proptest::prelude::*;
 
@@ -28,8 +30,26 @@ fn batched(b: usize) -> ExecOptions {
     ExecOptions { batch_size: b }
 }
 
-fn oracle() -> ExecOptions {
-    ExecOptions { batch_size: 0 }
+/// `plan` on the row-at-a-time reference executor: the ground truth.
+fn oracle(plan: &LogicalPlan, catalog: &Catalog) -> RelResult<ResultSet> {
+    cr_relation::exec::oracle::execute(plan, catalog)
+}
+
+/// Every walker: the row oracle (`None`), then the batched walker at
+/// each batch size.
+const ALL_WALKERS: &[Option<usize>] = &[None, Some(1), Some(7), Some(1024)];
+
+/// `plan` on one of [`ALL_WALKERS`].
+fn run_on(walker: Option<usize>, plan: &LogicalPlan, catalog: &Catalog) -> RelResult<ResultSet> {
+    match walker {
+        None => oracle(plan, catalog),
+        Some(b) => execute_with(plan, catalog, &batched(b)),
+    }
+}
+
+/// `wf` lowered and optimized: the plan `compile_and_run` executes.
+fn workflow_plan(wf: &Workflow, catalog: &Catalog) -> LogicalPlan {
+    optimizer::optimize(compile(wf, catalog).unwrap())
 }
 
 // ---------------------------------------------------------------------
@@ -98,19 +118,21 @@ proptest! {
         rows2 in proptest::collection::vec((0i64..6, -20i64..20), 0..80),
     ) {
         let db = build_db(&rows1, &rows2);
+        let catalog = db.catalog();
         for q in QUERIES {
             assert_optimize_stable(&bind(q, &db));
-            let row = db.query_sql_with(q, &oracle()).unwrap();
+            let plan = cr_relation::sql::plan_query(q, &catalog).unwrap();
+            let row = oracle(&plan, &catalog).unwrap();
             for &b in BATCH_SIZES {
-                let vec = db.query_sql_with(q, &batched(b)).unwrap();
+                let vec = execute_with(&plan, &catalog, &batched(b)).unwrap();
                 prop_assert_eq!(&row, &vec, "batch_size={} diverged on {}", b, q);
             }
         }
     }
 
-    /// Profiling is an observer: on both walkers the instrumented run
+    /// Profiling is an observer: at every batch size the instrumented run
     /// returns the plain run's result, and its profile tree mirrors the
-    /// plan node for node.
+    /// plan node for node. (The oracle is unprofiled by design.)
     #[test]
     fn profiled_runs_match_plain_runs(
         rows1 in proptest::collection::vec((0i64..6, -20i64..20, 0usize..6), 0..120),
@@ -122,7 +144,7 @@ proptest! {
             let plan = cr_relation::sql::plan_query(q, &catalog).unwrap();
             // `explain` prints one line per plan node.
             let plan_nodes = plan.explain().lines().count();
-            for b in std::iter::once(0).chain(BATCH_SIZES.iter().copied()) {
+            for &b in BATCH_SIZES {
                 let plain = execute_with(&plan, &catalog, &batched(b)).unwrap();
                 let (rs, profile) = execute_instrumented_with(&plan, &catalog, &batched(b)).unwrap();
                 prop_assert_eq!(&rs, &plain, "batch_size={} profiled run diverged on {}", b, q);
@@ -386,13 +408,13 @@ proptest! {
         let catalog = db.catalog();
         let plans = KEY_QUERIES.iter().map(|q| bind(q, &db)).chain(key_plans(&db));
         for plan in plans {
-            let want = format!("{:?}", execute_with(&plan, &catalog, &oracle()).unwrap().rows);
+            let want = format!("{:?}", oracle(&plan, &catalog).unwrap().rows);
             let optimized = assert_optimize_stable(&plan);
-            for b in std::iter::once(0).chain(BATCH_SIZES.iter().copied()) {
-                let got = execute_with(&optimized, &catalog, &batched(b)).unwrap();
+            for &w in ALL_WALKERS {
+                let got = run_on(w, &optimized, &catalog).unwrap();
                 prop_assert_eq!(
                     &format!("{:?}", got.rows), &want,
-                    "batch_size={} diverged on\n{}", b, optimized.explain()
+                    "walker={:?} diverged on\n{}", w, optimized.explain()
                 );
             }
         }
@@ -718,18 +740,24 @@ proptest! {
     ) {
         let db = build_social_db(&users, &ratings);
         let catalog = db.catalog();
-        if let Ok(plan) = cr_flexrecs::compile::compile(&wf, &catalog) {
-            assert_optimize_stable(&plan);
+        let plan = compile(&wf, &catalog);
+        if let Ok(plan) = &plan {
+            assert_optimize_stable(plan);
             // Workflow selections merge into their scans, which moves a
             // filter warning's path from the Filter to the Scan.
-            assert_analyses_agree(&plan, &db, false);
+            assert_analyses_agree(plan, &db, false);
         }
-        let row = compile_and_run_with(&wf, &catalog, &oracle());
+        // A plan the compiler rejects is the same error on every walker.
+        let plan = plan.map(optimizer::optimize);
+        let run = |walk: &dyn Fn(&LogicalPlan) -> RelResult<ResultSet>| {
+            plan.as_ref().map_err(Clone::clone).and_then(walk)
+        };
+        let row = run(&|p| oracle(p, &catalog));
         for &b in BATCH_SIZES {
-            let vec = compile_and_run_with(&wf, &catalog, &batched(b));
+            let vec = run(&|p| execute_with(p, &catalog, &batched(b)));
             match (&row, &vec) {
                 (Ok(r), Ok(v)) => prop_assert_eq!(
-                    &r.result, &v.result,
+                    r, v,
                     "batch_size={} diverged\n{}", b, wf.explain()
                 ),
                 // Both executors must agree on rejection too.
@@ -901,29 +929,19 @@ fn nest_image_shapes_match_row_oracle() {
     let check = |label: &str| {
         let mut results = Vec::new();
         for wf in nest_shape_workflows() {
-            let row = compile_and_run_with(&wf, &catalog, &oracle()).unwrap();
-            let general = with_related_filter(row.plan.clone());
-            assert_ne!(
-                general,
-                row.plan,
-                "no related scan to filter\n{}",
-                wf.explain()
-            );
+            let plan = workflow_plan(&wf, &catalog);
+            let row = oracle(&plan, &catalog).unwrap();
+            let general = with_related_filter(plan.clone());
+            assert_ne!(general, plan, "no related scan to filter\n{}", wf.explain());
             for &b in BATCH_SIZES {
-                let vec = compile_and_run_with(&wf, &catalog, &batched(b)).unwrap();
-                assert_eq!(
-                    row.result,
-                    vec.result,
-                    "{label}: batch_size={b}\n{}",
-                    wf.explain()
-                );
                 // Cached image, batch-built nest and row oracle agree.
-                let cached = execute_with(&row.plan, &catalog, &batched(b)).unwrap();
+                let cached = execute_with(&plan, &catalog, &batched(b)).unwrap();
+                assert_eq!(row, cached, "{label}: batch_size={b}\n{}", wf.explain());
                 let built = execute_with(&general, &catalog, &batched(b)).unwrap();
                 assert_eq!(cached, built, "{label}: batch_size={b}\n{}", wf.explain());
-                assert_eq!(built, execute_with(&general, &catalog, &oracle()).unwrap());
+                assert_eq!(built, oracle(&general, &catalog).unwrap());
             }
-            results.push(row.result);
+            results.push(row);
         }
         results
     };
@@ -949,11 +967,12 @@ fn nest_image_shapes_match_row_oracle() {
 fn nest_paths_agree(catalog: &Catalog, label: &str) -> Vec<ResultSet> {
     let mut results = Vec::new();
     for wf in nest_shape_workflows() {
-        let row = compile_and_run_with(&wf, catalog, &oracle()).unwrap();
-        let general = with_related_filter(row.plan.clone());
-        let want = execute_with(&general, catalog, &oracle()).unwrap();
+        let plan = workflow_plan(&wf, catalog);
+        let row = oracle(&plan, catalog).unwrap();
+        let general = with_related_filter(plan.clone());
+        let want = oracle(&general, catalog).unwrap();
         for &b in BATCH_SIZES {
-            let image = execute_with(&row.plan, catalog, &batched(b)).unwrap();
+            let image = execute_with(&plan, catalog, &batched(b)).unwrap();
             let built = execute_with(&general, catalog, &batched(b)).unwrap();
             assert_eq!(
                 image,
@@ -968,7 +987,7 @@ fn nest_paths_agree(catalog: &Catalog, label: &str) -> Vec<ResultSet> {
                 wf.explain()
             );
         }
-        results.push(row.result);
+        results.push(row);
     }
     results
 }
@@ -1138,11 +1157,11 @@ proptest! {
         let catalog = db.catalog();
         for q in TYPED_QUERIES {
             let plan = bind(q, &db);
-            let want = format!("{:?}", execute_with(&plan, &catalog, &oracle()).unwrap().rows);
+            let want = format!("{:?}", oracle(&plan, &catalog).unwrap().rows);
             let optimized = assert_optimize_stable(&plan);
-            for b in std::iter::once(0).chain(BATCH_SIZES.iter().copied()) {
-                let got = execute_with(&optimized, &catalog, &batched(b)).unwrap();
-                prop_assert_eq!(&format!("{:?}", got.rows), &want, "batch_size={} diverged on {}", b, q);
+            for &w in ALL_WALKERS {
+                let got = run_on(w, &optimized, &catalog).unwrap();
+                prop_assert_eq!(&format!("{:?}", got.rows), &want, "walker={:?} diverged on {}", w, q);
             }
         }
     }
@@ -1190,7 +1209,7 @@ fn non_bool_where_fails_alike_on_both_walkers() {
             .filter(p.clone())
             .unwrap()
             .build();
-        let row = execute_with(&plan, &catalog, &oracle()).unwrap_err();
+        let row = oracle(&plan, &catalog).unwrap_err();
         assert!(
             matches!(row, cr_relation::RelError::TypeMismatch { .. }),
             "{p}: {row:?}"
@@ -1209,10 +1228,6 @@ fn non_bool_where_fails_alike_on_both_walkers() {
 // ---------------------------------------------------------------------
 // Recommend over the keys its probes special-case
 // ---------------------------------------------------------------------
-
-/// Every walker the Recommend corpus runs on: the row oracle, then the
-/// batched walker at each batch size.
-const ALL_WALKERS: &[usize] = &[0, 1, 7, 1024];
 
 /// The rated-item key columns the corpus extends by, and how each
 /// comparator cell over it is scored: `Neg` holds negative ids (a dense
@@ -1321,20 +1336,19 @@ fn probe_workflows(key: &str, comparator: i64) -> Vec<(usize, Workflow)> {
 /// oracle's rows bit for bit (`Debug` keeps every float's bits apart).
 /// Returns the oracle's rows and the batched walker's Recommend detail.
 fn run_probe_workflow(wf: &Workflow, catalog: &Catalog) -> (String, Vec<String>) {
-    let plan = cr_flexrecs::compile::compile(wf, catalog).unwrap();
-    let want = format!(
-        "{:?}",
-        execute_with(&plan, catalog, &oracle()).unwrap().rows
-    );
+    let plan = compile(wf, catalog).unwrap();
+    let want = format!("{:?}", oracle(&plan, catalog).unwrap().rows);
     let mut detail = Vec::new();
-    for &b in ALL_WALKERS {
-        let plain = execute_with(&plan, catalog, &batched(b)).unwrap();
+    for &w in ALL_WALKERS {
+        let plain = run_on(w, &plan, catalog).unwrap();
         assert_eq!(
             format!("{:?}", plain.rows),
             want,
-            "batch_size={b}\n{}",
+            "walker={w:?}\n{}",
             wf.explain()
         );
+        // The oracle is unprofiled by design.
+        let Some(b) = w else { continue };
         let (profiled, profile) = execute_instrumented_with(&plan, catalog, &batched(b)).unwrap();
         assert_eq!(
             profiled,
@@ -1342,9 +1356,7 @@ fn run_probe_workflow(wf: &Workflow, catalog: &Catalog) -> (String, Vec<String>)
             "profiled, batch_size={b}\n{}",
             wf.explain()
         );
-        if b > 0 {
-            detail = profile.find("Recommend").unwrap().detail.clone();
-        }
+        detail = profile.find("Recommend").unwrap().detail.clone();
     }
     (want, detail)
 }

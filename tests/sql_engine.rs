@@ -4,7 +4,8 @@
 // Test code: panicking on a broken fixture is the right behavior.
 #![allow(clippy::unwrap_used)]
 
-use cr_relation::{Database, ExecOptions, RelError, Value};
+use cr_relation::exec::{execute, oracle};
+use cr_relation::{Database, RelError, RelResult, ResultSet, Value};
 use proptest::prelude::*;
 
 fn db_with_data(values: &[(i64, i64)]) -> Database {
@@ -16,6 +17,16 @@ fn db_with_data(values: &[(i64, i64)]) -> Database {
             .unwrap();
     }
     db
+}
+
+/// `sql` planned once, then run on the row-at-a-time oracle and on the
+/// batched walker, with the walker's name.
+fn on_both_walkers(db: &Database, sql: &str) -> [(&'static str, RelResult<ResultSet>); 2] {
+    let catalog = db.catalog();
+    let plan = cr_relation::sql::plan_query(sql, &catalog);
+    let run =
+        |walk: fn(&_, &_) -> RelResult<ResultSet>| plan.clone().and_then(|p| walk(&p, &catalog));
+    [("oracle", run(oracle::execute)), ("batched", run(execute))]
 }
 
 #[test]
@@ -167,18 +178,12 @@ fn explain_plan_shows_pushdown() {
 #[test]
 fn int_sum_is_exact_past_f64_precision() {
     let db = db_with_data(&[(1, 9007199254740992), (2, 1)]);
-    for batch_size in [0, 1024] {
-        let opts = ExecOptions { batch_size };
-        let rs = db
-            .query_sql_with("SELECT SUM(v) AS s FROM t", &opts)
-            .unwrap();
-        assert_eq!(rs.scalar(), Some(&Value::Int(9007199254740993)));
-        let rs = db
-            .query_sql_with(
-                "SELECT SUM(v + v - v) AS s, SUM(v * 0.5) AS f FROM t",
-                &opts,
-            )
-            .unwrap();
+    for (_, rs) in on_both_walkers(&db, "SELECT SUM(v) AS s FROM t") {
+        assert_eq!(rs.unwrap().scalar(), Some(&Value::Int(9007199254740993)));
+    }
+    let sql = "SELECT SUM(v + v - v) AS s, SUM(v * 0.5) AS f FROM t";
+    for (_, rs) in on_both_walkers(&db, sql) {
+        let rs = rs.unwrap();
         assert_eq!(rs.rows[0][0], Value::Int(9007199254740993));
         assert_eq!(rs.rows[0][1], Value::Float(4503599627370496.5));
     }
@@ -193,30 +198,23 @@ fn int_overflow_wraps_on_every_operator() {
     let db = db_with_data(&[(1, -9223372036854775807)]);
     let min = Value::Int(i64::MIN);
     let wrapped = vec![min.clone(), Value::Int(0), min.clone(), min.clone()];
-    for batch_size in [0, 1024] {
-        let opts = ExecOptions { batch_size };
-        for operand in ["(v - 1)", "(-9223372036854775807 - 1)"] {
-            let sql = format!(
-                "SELECT {operand} / -1 AS d, {operand} % -1 AS m, -{operand} AS n, \
-                 ABS({operand}) AS a FROM t"
-            );
-            let rs = db.query_sql_with(&sql, &opts).unwrap();
-            assert_eq!(
-                rs.rows,
-                vec![wrapped.clone()],
-                "{sql} at batch {batch_size}"
-            );
+    for operand in ["(v - 1)", "(-9223372036854775807 - 1)"] {
+        let sql = format!(
+            "SELECT {operand} / -1 AS d, {operand} % -1 AS m, -{operand} AS n, \
+             ABS({operand}) AS a FROM t"
+        );
+        for (walker, rs) in on_both_walkers(&db, &sql) {
+            assert_eq!(rs.unwrap().rows, vec![wrapped.clone()], "{sql} on {walker}");
         }
-        for sql in [
-            "SELECT v / 0 FROM t",
-            "SELECT v % 0 FROM t",
-            "SELECT 1 / 0 FROM t",
-            "SELECT 1 % 0 FROM t",
-        ] {
-            assert!(
-                db.query_sql_with(sql, &opts).is_err(),
-                "{sql} at batch {batch_size}"
-            );
+    }
+    for sql in [
+        "SELECT v / 0 FROM t",
+        "SELECT v % 0 FROM t",
+        "SELECT 1 / 0 FROM t",
+        "SELECT 1 % 0 FROM t",
+    ] {
+        for (walker, rs) in on_both_walkers(&db, sql) {
+            assert!(rs.is_err(), "{sql} on {walker}");
         }
     }
 }
@@ -265,14 +263,38 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
-    /// Index lookups return exactly the rows a seq scan would.
+    /// Every probe an index can serve returns what a full scan returns:
+    /// on a table with no index, a hash index and a B-tree index on `v`.
+    /// Range bounds are drawn independently, so inverted (`v > 5 AND
+    /// v < 2`) and equal-excluded (`v > 3 AND v < 3`) intervals occur.
     #[test]
-    fn index_equals_scan(values in proptest::collection::vec(0i64..20, 1..80), probe in 0i64..20) {
+    fn index_equals_scan(
+        values in proptest::collection::vec(0i64..20, 1..80),
+        p in 0i64..20,
+        a in 0i64..20,
+        b in 0i64..20,
+        k in 0i64..90,
+    ) {
         let data: Vec<(i64, i64)> = values.iter().enumerate().map(|(i, &v)| (i as i64, v)).collect();
-        let with_idx = db_with_data(&data);
-        with_idx.execute_sql("CREATE INDEX by_v ON t (v)").unwrap();
         let without = db_with_data(&data);
-        let q = format!("SELECT id FROM t WHERE v = {probe} ORDER BY id");
-        prop_assert_eq!(with_idx.query_sql(&q).unwrap().rows, without.query_sql(&q).unwrap().rows);
+        let hash = db_with_data(&data);
+        hash.execute_sql("CREATE INDEX by_v ON t (v)").unwrap();
+        let btree = db_with_data(&data);
+        btree.execute_sql("CREATE INDEX by_v ON t (v) USING BTREE").unwrap();
+        for probe in [
+            format!("v = {p}"),
+            format!("v = {p}.0"),
+            "v = NULL".to_owned(),
+            format!("v > {a} AND v < {b}"),
+            format!("v >= {a} AND v <= {b}"),
+            format!("v > {a} AND v > {b}"),
+            format!("id = {k}"),
+            format!("id = {k}.0"),
+        ] {
+            let q = format!("SELECT id FROM t WHERE {probe} ORDER BY id");
+            let want = without.query_sql(&q).unwrap().rows;
+            prop_assert_eq!(&hash.query_sql(&q).unwrap().rows, &want, "hash: {}", q);
+            prop_assert_eq!(&btree.query_sql(&q).unwrap().rows, &want, "btree: {}", q);
+        }
     }
 }
