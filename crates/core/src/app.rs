@@ -107,9 +107,9 @@ impl CourseRank {
     /// read-only". This is what cr-server takes per read request.
     ///
     /// Shared with the live instance: the auth session store (logins stay
-    /// valid across views), the incentives entry-id allocator, the built
-    /// search index (`Arc`; live reindexing copies-on-write), and the
-    /// versioned rec/planner caches — cache keys are table-version
+    /// valid across views), the incentives entry-id allocator, the search
+    /// index (`Arc`; built once at assembly and never changed) with its
+    /// cloud cache, and the versioned rec/planner caches — cache keys are table-version
     /// vectors, so snapshot hits are exactly what a live request at those
     /// versions would compute. The returned [`CatalogSnapshot`] exposes
     /// the pinned version vector for cache stamps and assertions.

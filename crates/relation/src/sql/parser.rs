@@ -7,15 +7,47 @@ use crate::value::Value;
 use super::ast::*;
 use super::lexer::Token;
 
+/// How deep a statement may nest: parenthesized and function-argument
+/// expressions, `NOT`, unary signs, each operator of an `AND`/`OR`/
+/// arithmetic chain, `UNION ALL` and `EXPLAIN` each count one level.
+/// Parsing, binding, optimizing, the disclosure gate and evaluation all
+/// recurse once per level, so past this bound the parser returns an
+/// error instead of letting a hostile text overflow a 2 MiB session
+/// thread's stack.
+const MAX_DEPTH: usize = 64;
+
 /// The parser over a token stream.
 pub struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nesting levels open at `pos` (see [`MAX_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
     pub fn new(tokens: Vec<Token>) -> Self {
-        Parser { tokens, pos: 0 }
+        Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Open one nesting level, or fail past [`MAX_DEPTH`].
+    fn deeper(&mut self) -> RelResult<()> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nested deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Run `f` one nesting level down.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> RelResult<T>) -> RelResult<T> {
+        self.deeper()?;
+        let out = f(self);
+        self.depth -= 1;
+        out
     }
 
     fn err(&self, message: impl Into<String>) -> RelError {
@@ -127,7 +159,7 @@ impl Parser {
         }
         if t.is_kw("EXPLAIN") {
             self.pos += 1;
-            let inner = self.parse_statement()?;
+            let inner = self.nested(Self::parse_statement)?;
             return Ok(Statement::Explain(Box::new(inner)));
         }
         if t.is_kw("DELETE") {
@@ -371,7 +403,7 @@ impl Parser {
         }
         let union = if self.eat_kw("UNION") {
             self.expect_kw("ALL")?;
-            Some(Box::new(self.parse_select()?))
+            Some(Box::new(self.nested(Self::parse_select)?))
         } else {
             None
         };
@@ -480,12 +512,18 @@ impl Parser {
 
     /// Parse an expression.
     pub fn parse_expr(&mut self) -> RelResult<SqlExpr> {
-        self.parse_or()
+        self.nested(Self::parse_or)
     }
 
+    // Each operator of a left-associative chain nests the chain so far
+    // one level deeper, so the chain loops below open a level per
+    // operator and close them all when the chain ends.
+
     fn parse_or(&mut self) -> RelResult<SqlExpr> {
+        let depth = self.depth;
         let mut left = self.parse_and()?;
         while self.eat_kw("OR") {
+            self.deeper()?;
             let right = self.parse_and()?;
             left = SqlExpr::Binary {
                 op: SqlBinOp::Or,
@@ -493,12 +531,15 @@ impl Parser {
                 right: Box::new(right),
             };
         }
+        self.depth = depth;
         Ok(left)
     }
 
     fn parse_and(&mut self) -> RelResult<SqlExpr> {
+        let depth = self.depth;
         let mut left = self.parse_not()?;
         while self.eat_kw("AND") {
+            self.deeper()?;
             let right = self.parse_not()?;
             left = SqlExpr::Binary {
                 op: SqlBinOp::And,
@@ -506,12 +547,13 @@ impl Parser {
                 right: Box::new(right),
             };
         }
+        self.depth = depth;
         Ok(left)
     }
 
     fn parse_not(&mut self) -> RelResult<SqlExpr> {
         if self.eat_kw("NOT") {
-            Ok(SqlExpr::Not(Box::new(self.parse_not()?)))
+            Ok(SqlExpr::Not(Box::new(self.nested(Self::parse_not)?)))
         } else {
             self.parse_comparison()
         }
@@ -608,6 +650,7 @@ impl Parser {
     }
 
     fn parse_additive(&mut self) -> RelResult<SqlExpr> {
+        let depth = self.depth;
         let mut left = self.parse_multiplicative()?;
         loop {
             let op = match self.peek() {
@@ -616,6 +659,7 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
+            self.deeper()?;
             let right = self.parse_multiplicative()?;
             left = SqlExpr::Binary {
                 op,
@@ -623,10 +667,12 @@ impl Parser {
                 right: Box::new(right),
             };
         }
+        self.depth = depth;
         Ok(left)
     }
 
     fn parse_multiplicative(&mut self) -> RelResult<SqlExpr> {
+        let depth = self.depth;
         let mut left = self.parse_unary()?;
         loop {
             let op = match self.peek() {
@@ -636,6 +682,7 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
+            self.deeper()?;
             let right = self.parse_unary()?;
             left = SqlExpr::Binary {
                 op,
@@ -643,15 +690,16 @@ impl Parser {
                 right: Box::new(right),
             };
         }
+        self.depth = depth;
         Ok(left)
     }
 
     fn parse_unary(&mut self) -> RelResult<SqlExpr> {
         if self.eat_tok(&Token::Minus) {
-            return Ok(SqlExpr::Neg(Box::new(self.parse_unary()?)));
+            return Ok(SqlExpr::Neg(Box::new(self.nested(Self::parse_unary)?)));
         }
         if self.eat_tok(&Token::Plus) {
-            return self.parse_unary();
+            return self.nested(Self::parse_unary);
         }
         self.parse_primary()
     }
@@ -926,5 +974,91 @@ mod tests {
         let mut p = Parser::new(lex("SELECT 1; SELECT 2;").unwrap());
         let stmts = p.parse_statements().unwrap();
         assert_eq!(stmts.len(), 2);
+    }
+
+    /// Every way a statement nests, `n` levels deep, over `Courses`.
+    const FORMS: [&str; 12] = [
+        "parens",
+        "functions",
+        "in",
+        "not",
+        "minus",
+        "plus",
+        "and",
+        "or",
+        "sum",
+        "product",
+        "union",
+        "explain",
+    ];
+
+    fn nested_form(form: &str, n: usize) -> String {
+        let r = |s: &str| s.repeat(n);
+        let select = "SELECT CourseID FROM Courses";
+        match form {
+            "parens" => format!("SELECT {}CourseID{} FROM Courses", r("("), r(")")),
+            "functions" => format!("SELECT {}CourseID{} FROM Courses", r("ABS("), r(")")),
+            "in" => format!("{select} WHERE {}TRUE{}", r("TRUE IN ("), r(")")),
+            "not" => format!("{select} WHERE {}CourseID = 1", r("NOT ")),
+            "minus" => format!("SELECT {}CourseID FROM Courses", r("- ")),
+            "plus" => format!("SELECT {}CourseID FROM Courses", r("+ ")),
+            "and" => format!("{select} WHERE CourseID = 1{}", r(" AND CourseID = 1")),
+            "or" => format!("{select} WHERE CourseID = 1{}", r(" OR CourseID = 1")),
+            "sum" => format!("SELECT CourseID{} FROM Courses", r(" + 1")),
+            "product" => format!("SELECT CourseID{} FROM Courses", r(" * 1")),
+            "union" => format!("{select}{}", r(&format!(" UNION ALL {select}"))),
+            "explain" => format!("{}{select}", r("EXPLAIN ")),
+            _ => unreachable!("unknown form {form}"),
+        }
+    }
+
+    fn parse(text: &str) -> RelResult<Vec<Statement>> {
+        Parser::new(lex(text)?).parse_statements()
+    }
+
+    #[test]
+    fn sql_depth_bound_rejects_deep_nesting_of_every_form() {
+        for form in FORMS {
+            for n in [MAX_DEPTH, 20_000] {
+                let err = parse(&nested_form(form, n)).unwrap_err();
+                assert!(
+                    err.to_string().contains("nested deeper"),
+                    "{form} {n}: {err}"
+                );
+            }
+            // One level less is exactly at the bound: the statement's
+            // own expression takes the last level.
+            parse(&nested_form(form, MAX_DEPTH - 1)).unwrap();
+        }
+    }
+
+    /// A statement nested exactly to the bound parses, binds, passes the
+    /// disclosure gate and runs on a thread with a session's 2 MiB
+    /// stack, in whichever profile the test is built.
+    #[test]
+    fn sql_depth_bound_query_at_the_bound_runs_on_a_session_stack() {
+        let run = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let db = crate::Database::new();
+                db.execute_sql("CREATE TABLE Courses (CourseID INT PRIMARY KEY)")
+                    .unwrap();
+                db.execute_sql("INSERT INTO Courses VALUES (1)").unwrap();
+                let catalog = db.catalog();
+                let student = crate::Principal::parse("student:2").unwrap();
+                for form in FORMS {
+                    let text = nested_form(form, MAX_DEPTH - 1);
+                    if form != "explain" {
+                        crate::sql::plan_query(&text, &catalog).unwrap();
+                        let report =
+                            crate::plan::flow::check_disclosure_sql(&text, &catalog, &student)
+                                .unwrap();
+                        assert!(!report.has_errors(), "{form}");
+                    }
+                    db.execute_sql(&text).unwrap();
+                }
+            })
+            .unwrap();
+        run.join().unwrap();
     }
 }

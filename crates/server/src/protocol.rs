@@ -103,8 +103,11 @@ pub enum Request {
     /// consistency probe: under MVCC the counts always come from one
     /// atomic cut, whatever the order.
     Counts { tables: Vec<String> },
-    /// A read-only SQL query, executed against the pinned snapshot.
-    /// Mutating statements fail with [`ErrorCode::ReadOnly`].
+    /// One read-only SQL statement, executed against the pinned
+    /// snapshot. A SELECT must clear the session's disclosure check
+    /// ([`ErrorCode::PolicyDenied`]); a mutating statement fails with
+    /// [`ErrorCode::ReadOnly`]; a text of several statements, or one
+    /// that does not parse, is a [`ErrorCode::BadRequest`].
     SqlRead { query: String },
     /// Post a comment (server allocates the comment id).
     AddComment {
@@ -440,6 +443,35 @@ mod tests {
         for c in RequestClass::ALL {
             assert!(c.index() < 3);
         }
+    }
+
+    /// A pre-authentication frame nested a million levels deep is a
+    /// decode error on a session thread's 2 MiB stack, not an abort; the
+    /// deepest protocol message still decodes.
+    #[test]
+    fn json_depth_bound_rejects_a_deep_frame_before_the_handshake() {
+        let decode = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let depth = 1_000_000;
+                let body = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+                let mut buf = (body.len() as u32).to_be_bytes().to_vec();
+                buf.extend_from_slice(body.as_bytes());
+                let err = read_frame::<_, Request>(&mut std::io::Cursor::new(buf)).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                assert!(err.to_string().contains("nested too deep"), "{err}");
+
+                let rows = Response::Rows {
+                    columns: vec!["CourseID".into()],
+                    rows: vec![vec![cr_relation::Value::Int(1)]],
+                };
+                let mut buf = Vec::new();
+                write_frame(&mut buf, &rows).unwrap();
+                let back: Response = read_frame(&mut std::io::Cursor::new(buf)).unwrap().unwrap();
+                assert_eq!(back, rows);
+            })
+            .unwrap();
+        decode.join().unwrap();
     }
 
     #[test]

@@ -538,12 +538,14 @@ impl Server {
             Request::SqlRead { query } => {
                 // Disclosure check before execution: if the query plans
                 // as a SELECT, its information flow must clear this
-                // session's principal. Statements that do not plan
-                // (DML, DDL) fall through — the snapshot's read-only
-                // guard rejects them with its own typed error. The
-                // decision is memoized per (principal, text) on the
-                // catalog, so repeated queries pay one map lookup, not
-                // a plan + flow walk.
+                // session's principal. Any other single statement (DML,
+                // DDL) falls through — the snapshot's read-only guard
+                // rejects it with its own typed error. A text of several
+                // statements is refused: `execute_sql` would run them
+                // all, and none of them was gated. The decision is
+                // memoized per (principal, text) on the catalog, so
+                // repeated queries pay one map lookup, not a plan + flow
+                // walk.
                 let catalog = view.db().catalog();
                 if let Some(report) = check_disclosure_sql(query, &catalog, principal) {
                     self.metrics.flow_checked.inc();
@@ -555,6 +557,18 @@ impl Server {
                         return Response::Error {
                             code: ErrorCode::PolicyDenied,
                             message: format!("disclosure check failed for {principal}: {first}"),
+                        };
+                    }
+                } else {
+                    let message = match cr_relation::sql::parse(query) {
+                        Ok(stmts) if stmts.len() == 1 => None,
+                        Ok(_) => Some("a SQL read takes exactly one statement".to_owned()),
+                        Err(e) => Some(e.to_string()),
+                    };
+                    if let Some(message) = message {
+                        return Response::Error {
+                            code: ErrorCode::BadRequest,
+                            message,
                         };
                     }
                 }

@@ -94,7 +94,7 @@ pub struct CloudTerm {
 }
 
 /// A computed data cloud.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DataCloud {
     pub terms: Vec<CloudTerm>,
     /// How many result documents were aggregated.
@@ -122,102 +122,60 @@ impl DataCloud {
     }
 }
 
-/// Owned term aggregates over a result set: everything cloud scoring
-/// needs besides the corpus statistics. The counts are plain integers, so
-/// they can be maintained incrementally when one document is reindexed —
-/// [`CloudAgg::apply_reindex_delta`] — and the maintained aggregates are
-/// exactly equal to a recomputation (integer adds are order-independent);
-/// re-scoring from them via [`cloud_from_agg`] reproduces
-/// [`compute_cloud`] bit for bit.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct CloudAgg {
+/// Compute a data cloud over `results` (doc ids ordered by search score).
+///
+/// `exclude_terms` removes the query's own terms — a cloud for the query
+/// "american" should suggest *refinements*, not echo "american" back.
+///
+/// Scoring falls back to TF-IDF on a degenerate LLR outcome (the result
+/// set ≈ the whole corpus, so nothing is *over*represented and the cloud
+/// comes out empty): TF-IDF still ranks the set's frequent-but-rare
+/// terms, and aggregation is scorer-independent, so the fallback reuses
+/// the aggregates.
+pub fn compute_cloud(
+    index: &InvertedIndex,
+    results: &[DocId],
+    exclude_terms: &[String],
+    config: &CloudConfig,
+) -> DataCloud {
+    let agg = aggregate(index, results);
+    let excluded: Vec<TermId> = exclude_terms
+        .iter()
+        .filter_map(|t| index.term_id(t))
+        .collect();
+    let cloud = score_cloud(index, &agg, &excluded, config);
+    if cloud.terms.is_empty()
+        && agg.docs_aggregated > 0
+        && config.scorer == TermScorer::LogLikelihood
+    {
+        return score_cloud(
+            index,
+            &agg,
+            &excluded,
+            &CloudConfig {
+                scorer: TermScorer::TfIdf,
+                ..config.clone()
+            },
+        );
+    }
+    cloud
+}
+
+/// Term aggregates over a result set: everything cloud scoring needs
+/// besides the corpus statistics.
+struct CloudAgg {
     /// `(term, tf across result docs, number of result docs containing
-    /// it)`, strictly ascending by term id, without all-zero entries.
-    pub terms: Vec<(TermId, u64, usize)>,
+    /// it)`, strictly ascending by term id.
+    terms: Vec<(TermId, u64, usize)>,
     /// Σ tf — total tokens (incl. bigrams) across the aggregated docs.
-    pub token_total: u64,
+    token_total: u64,
     /// How many documents were aggregated.
-    pub docs_aggregated: usize,
+    docs_aggregated: usize,
 }
 
-impl CloudAgg {
-    /// Fold one document's reindex into the aggregates: `old`/`new` are
-    /// the doc's forward vectors before and after. Returns `false` (and
-    /// leaves the aggregates untouched) when the shift is inconsistent
-    /// with the stored counts (underflow) — the caller must discard the
-    /// aggregates and recompute.
-    pub fn apply_reindex_delta(&mut self, old: &[(TermId, u32)], new: &[(TermId, u32)]) -> bool {
-        let mut terms = Vec::with_capacity(self.terms.len() + new.len());
-        let mut token_total = self.token_total;
-        let mut rest = self.terms.iter().copied().peekable();
-        for (id, old_tf, new_tf) in tf_changes(old, new) {
-            while let Some(kept) = rest.next_if(|e| e.0 < id) {
-                terms.push(kept);
-            }
-            let (tf, df) = rest.next_if(|e| e.0 == id).map_or((0, 0), |e| (e.1, e.2));
-            let shifted = tf
-                .checked_add(new_tf as u64)
-                .and_then(|v| v.checked_sub(old_tf as u64));
-            let total = token_total
-                .checked_add(new_tf as u64)
-                .and_then(|v| v.checked_sub(old_tf as u64));
-            let df = match (old_tf > 0, new_tf > 0) {
-                (false, true) => df.checked_add(1),
-                (true, false) => df.checked_sub(1),
-                _ => Some(df),
-            };
-            let (Some(tf), Some(total), Some(df)) = (shifted, total, df) else {
-                return false;
-            };
-            token_total = total;
-            // A fresh aggregation has no zero entries; keep parity.
-            if tf != 0 || df != 0 {
-                terms.push((id, tf, df));
-            }
-        }
-        terms.extend(rest);
-        self.terms = terms;
-        self.token_total = token_total;
-        true
-    }
-}
-
-/// Merge two ascending forward vectors into `(term, old tf, new tf)` for
-/// every term whose tf changed, ascending by id (absent = 0).
-fn tf_changes(old: &[(TermId, u32)], new: &[(TermId, u32)]) -> Vec<(TermId, u32, u32)> {
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    loop {
-        let (id, old_tf, new_tf) = match (old.get(i), new.get(j)) {
-            (Some(&(a, ta)), Some(&(b, tb))) if a == b => {
-                i += 1;
-                j += 1;
-                (a, ta, tb)
-            }
-            (Some(&(a, ta)), Some(&(b, _))) if a < b => {
-                i += 1;
-                (a, ta, 0)
-            }
-            (Some(&(a, ta)), None) => {
-                i += 1;
-                (a, ta, 0)
-            }
-            (_, Some(&(b, tb))) => {
-                j += 1;
-                (b, 0, tb)
-            }
-            (None, None) => return out,
-        };
-        if old_tf != new_tf {
-            out.push((id, old_tf, new_tf));
-        }
-    }
-}
-
-/// The aggregation half of [`compute_cloud`], with owned counts — the
-/// cacheable/maintainable intermediate. Each result document's forward
-/// vector adds into arrays indexed by term id.
-pub fn aggregate_cloud(index: &InvertedIndex, results: &[DocId]) -> CloudAgg {
+/// The aggregation half of [`compute_cloud`]: each result document's
+/// forward vector adds into arrays indexed by term id.
+fn aggregate(index: &InvertedIndex, results: &[DocId]) -> CloudAgg {
     let vocabulary = index.vocabulary_size();
     let mut tf = vec![0u64; vocabulary];
     let mut df = vec![0usize; vocabulary];
@@ -242,62 +200,6 @@ pub fn aggregate_cloud(index: &InvertedIndex, results: &[DocId]) -> CloudAgg {
     }
 }
 
-/// The scoring half of [`compute_cloud`]: rank a (possibly cached and
-/// delta-maintained) aggregate against the *current* corpus statistics.
-/// `compute_cloud(ix, r, x, c) == cloud_from_agg(ix, &aggregate_cloud(ix, r), x, c)`
-/// bit for bit.
-///
-/// Scoring falls back to TF-IDF on a degenerate LLR outcome (the result
-/// set ≈ the whole corpus, so nothing is *over*represented and the cloud
-/// comes out empty): TF-IDF still ranks the set's frequent-but-rare
-/// terms, and aggregation is scorer-independent, so the fallback reuses
-/// the aggregates.
-pub fn cloud_from_agg(
-    index: &InvertedIndex,
-    agg: &CloudAgg,
-    exclude_terms: &[String],
-    config: &CloudConfig,
-) -> DataCloud {
-    let excluded: Vec<TermId> = exclude_terms
-        .iter()
-        .filter_map(|t| index.term_id(t))
-        .collect();
-    let cloud = score_cloud(index, agg, &excluded, config);
-    if cloud.terms.is_empty()
-        && agg.docs_aggregated > 0
-        && config.scorer == TermScorer::LogLikelihood
-    {
-        return score_cloud(
-            index,
-            agg,
-            &excluded,
-            &CloudConfig {
-                scorer: TermScorer::TfIdf,
-                ..config.clone()
-            },
-        );
-    }
-    cloud
-}
-
-/// Compute a data cloud over `results` (doc ids ordered by search score).
-///
-/// `exclude_terms` removes the query's own terms — a cloud for the query
-/// "american" should suggest *refinements*, not echo "american" back.
-pub fn compute_cloud(
-    index: &InvertedIndex,
-    results: &[DocId],
-    exclude_terms: &[String],
-    config: &CloudConfig,
-) -> DataCloud {
-    cloud_from_agg(
-        index,
-        &aggregate_cloud(index, results),
-        exclude_terms,
-        config,
-    )
-}
-
 /// A term that passed the cloud's filters, before strings are built.
 #[derive(Debug, Clone, Copy)]
 struct Scored {
@@ -309,6 +211,8 @@ struct Scored {
     parts: Option<(TermId, TermId)>,
 }
 
+/// The scoring half of [`compute_cloud`]: rank the aggregates against the
+/// corpus statistics.
 fn score_cloud(
     index: &InvertedIndex,
     agg: &CloudAgg,
@@ -618,72 +522,6 @@ mod tests {
             },
         );
         assert!(!cloud.terms.is_empty());
-    }
-
-    #[test]
-    fn aggregate_then_score_equals_compute_cloud() {
-        let (ix, results) = build_corpus();
-        let cfg = CloudConfig {
-            min_doc_freq: 1,
-            ..CloudConfig::default()
-        };
-        let exclude = vec!["american".to_owned()];
-        let direct = compute_cloud(&ix, &results, &exclude, &cfg);
-        let agg = aggregate_cloud(&ix, &results);
-        let split = cloud_from_agg(&ix, &agg, &exclude, &cfg);
-        assert_eq!(direct.docs_aggregated, split.docs_aggregated);
-        assert_eq!(direct.terms.len(), split.terms.len());
-        for (a, b) in direct.terms.iter().zip(&split.terms) {
-            assert_eq!(a.term, b.term);
-            assert_eq!(a.result_tf, b.result_tf);
-            assert_eq!(a.result_doc_freq, b.result_doc_freq);
-            assert_eq!(a.score.to_bits(), b.score.to_bits());
-        }
-    }
-
-    #[test]
-    fn reindex_delta_matches_recomputed_aggregates() {
-        let (mut ix, mut results) = build_corpus();
-        let cfg = CloudConfig::default();
-        let mut maintained = aggregate_cloud(&ix, &results);
-        // Reindex the first result doc with changed text (remove + re-add,
-        // as the entity layer does): some terms vanish, some appear, some
-        // change frequency.
-        let victim = results[0];
-        let old_tf = ix.doc(victim).unwrap().term_freqs.clone();
-        ix.remove_document(victim);
-        let b = ix.field_id("body").unwrap();
-        let fresh_doc = ix.add_document(&[(b, "american climate debate debate seminar")]);
-        let new_tf = ix.doc(fresh_doc).unwrap().term_freqs.clone();
-        assert!(maintained.apply_reindex_delta(&old_tf, &new_tf));
-        results[0] = fresh_doc;
-        let recomputed = aggregate_cloud(&ix, &results);
-        assert_eq!(maintained, recomputed);
-        // And scoring the maintained aggregates equals a cold cloud.
-        let cold = compute_cloud(&ix, &results, &[], &cfg);
-        let warm = cloud_from_agg(&ix, &maintained, &[], &cfg);
-        assert_eq!(cold.terms.len(), warm.terms.len());
-        for (a, w) in cold.terms.iter().zip(&warm.terms) {
-            assert_eq!(a.term, w.term);
-            assert_eq!(a.score.to_bits(), w.score.to_bits());
-        }
-    }
-
-    #[test]
-    fn reindex_delta_underflow_reports_unmaintainable() {
-        let mut agg = CloudAgg::default();
-        // The aggregates never saw term 7: subtracting must fail loudly
-        // rather than wrap, and leave the aggregates as they were.
-        assert!(!agg.apply_reindex_delta(&[(TermId(7), 3)], &[]));
-        assert_eq!(agg, CloudAgg::default());
-        // Consistent shifts still work on the same starting point.
-        assert!(agg.apply_reindex_delta(&[], &[(TermId(3), 2)]));
-        assert_eq!(agg.terms, vec![(TermId(3), 2, 1)]);
-        assert_eq!(agg.token_total, 2);
-        // A term that leaves the document leaves the aggregates.
-        assert!(agg.apply_reindex_delta(&[(TermId(3), 2)], &[(TermId(1), 1)]));
-        assert_eq!(agg.terms, vec![(TermId(1), 1, 1)]);
-        assert_eq!(agg.token_total, 1);
     }
 
     #[test]

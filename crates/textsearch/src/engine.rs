@@ -156,7 +156,7 @@ pub struct SearchResults {
 }
 
 /// The engine: a built [`EntityCorpus`], scored with BM25F.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SearchEngine {
     corpus: EntityCorpus,
 }
@@ -170,13 +170,9 @@ impl SearchEngine {
         &self.corpus
     }
 
-    pub fn corpus_mut(&mut self) -> &mut EntityCorpus {
-        &mut self.corpus
-    }
-
     /// Parse text into a query with the corpus analyzer.
     pub fn parse_query(&self, text: &str) -> Query {
-        Query::parse(text, self.corpus.index.analyzer())
+        Query::parse(text, self.corpus.index().analyzer())
     }
 
     /// Run a search: conjunctive over the query terms, BM25F-scored,
@@ -192,23 +188,16 @@ impl SearchEngine {
         results
     }
 
-    /// Score one term's postings over live docs. Returns the live doc
-    /// frequency and the per-doc BM25F contributions in posting
-    /// (ascending doc) order; df == 0 yields an empty score list.
-    fn score_term(&self, term: &str) -> (usize, Vec<(DocId, f64)>) {
-        let index = &self.corpus.index;
+    /// Score one term's postings: the per-doc BM25F contributions in
+    /// posting (ascending doc) order, one per document containing it.
+    fn score_term(&self, term: &str) -> Vec<(DocId, f64)> {
+        let index = self.corpus.index();
         let postings = index.postings(term);
-        let df = postings.iter().filter(|p| index.is_live(p.doc)).count();
-        if df == 0 {
-            return (0, Vec::new());
-        }
-        let term_idf = idf(index.num_docs(), df);
-        let scored = postings
+        let term_idf = idf(index.num_docs(), postings.len());
+        postings
             .iter()
-            .filter(|p| index.is_live(p.doc))
             .map(|p| (p.doc, bm25f_term_score(index, p, term_idf)))
-            .collect();
-        (df, scored)
+            .collect()
     }
 
     fn search_inner(&self, query: &Query, k: usize, stats: &mut SearchStats) -> SearchResults {
@@ -218,29 +207,25 @@ impl SearchEngine {
                 ..SearchResults::default()
             };
         }
-        // Per-term (df, scored postings), term by term with an early
-        // exit on a dead term.
+        // Per-term scored postings, term by term with an early exit on a
+        // term no document contains.
         let mut per_term = Vec::with_capacity(query.terms.len());
         for term in &query.terms {
             stats.postings_lookups += 1;
             let scored = self.score_term(term);
-            let dead = scored.0 == 0;
-            per_term.push(scored);
-            if dead {
-                break;
+            if scored.is_empty() {
+                return SearchResults {
+                    query: query.clone(),
+                    ..SearchResults::default()
+                };
             }
-        }
-        if per_term.len() < query.terms.len() || per_term.iter().any(|(df, _)| *df == 0) {
-            return SearchResults {
-                query: query.clone(),
-                ..SearchResults::default()
-            };
+            per_term.push(scored);
         }
         // Accumulate per-doc scores in term order — float-add order is
         // identical to a single interleaved pass; docs must match every
         // term.
         let mut acc: HashMap<DocId, (f64, usize)> = HashMap::new();
-        for (ti, (_, scored)) in per_term.iter().enumerate() {
+        for (ti, scored) in per_term.iter().enumerate() {
             for &(doc, s) in scored {
                 match acc.get_mut(&doc) {
                     Some(slot) if slot.1 == ti => {
@@ -275,7 +260,7 @@ impl SearchEngine {
             .take(k)
             .map(|&(doc, score)| SearchHit {
                 doc,
-                entity_id: self.corpus.doc_to_id[doc.0 as usize].clone(),
+                entity_id: self.corpus.entity_id(doc).clone(),
                 score,
             })
             .collect();
@@ -297,7 +282,7 @@ impl SearchEngine {
             metrics().clouds.inc();
         }
         compute_cloud(
-            &self.corpus.index,
+            self.corpus.index(),
             &results.matched_docs,
             &results.query.terms,
             config,

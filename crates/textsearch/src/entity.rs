@@ -14,7 +14,7 @@
 
 use std::collections::HashMap;
 
-use cr_relation::{Catalog, RelError, RelResult, Value};
+use cr_relation::{Catalog, RelResult, Value};
 
 use crate::analysis::Analyzer;
 use crate::index::{DocId, FieldSpec, InvertedIndex};
@@ -109,14 +109,26 @@ impl EntitySpec {
     }
 }
 
-/// The built corpus: the index plus the doc ↔ entity-id mappings.
-#[derive(Debug, Clone)]
+/// The built corpus: the index plus each document's entity id. Once
+/// [`build_index`] returns it nothing can change it: its fields are
+/// private and its methods take `&self`.
+#[derive(Debug)]
 pub struct EntityCorpus {
-    pub index: InvertedIndex,
+    index: InvertedIndex,
     /// doc id (dense) → entity id value.
-    pub doc_to_id: Vec<Value>,
-    /// entity id → doc id.
-    pub id_to_doc: HashMap<Value, DocId>,
+    doc_to_id: Vec<Value>,
+}
+
+impl EntityCorpus {
+    pub fn index(&self) -> &InvertedIndex {
+        &self.index
+    }
+
+    /// The entity id of a document. Panics on a doc id the corpus did not
+    /// assign.
+    pub fn entity_id(&self, doc: DocId) -> &Value {
+        &self.doc_to_id[doc.0 as usize]
+    }
 }
 
 /// Gather, per entity id, the text of every field.
@@ -203,110 +215,18 @@ fn gather_texts(catalog: &Catalog, spec: &EntitySpec) -> RelResult<EntityTexts> 
 pub fn build_index(catalog: &Catalog, spec: &EntitySpec) -> RelResult<EntityCorpus> {
     let gathered = gather_texts(catalog, spec)?;
     let mut index = InvertedIndex::new(Analyzer::new(), spec.field_specs());
-    let mut doc_to_id = Vec::with_capacity(gathered.ids.len());
-    let mut id_to_doc = HashMap::with_capacity(gathered.ids.len());
-    for (id, per_field) in gathered.ids.into_iter().zip(gathered.texts) {
+    for per_field in &gathered.texts {
         let field_texts: Vec<(crate::index::FieldId, &str)> = per_field
             .iter()
             .enumerate()
             .map(|(fi, s)| (crate::index::FieldId(fi as u16), s.as_str()))
             .collect();
-        let doc = index.add_document(&field_texts);
-        id_to_doc.insert(id.clone(), doc);
-        doc_to_id.push(id);
+        index.add_document(&field_texts);
     }
     Ok(EntityCorpus {
         index,
-        doc_to_id,
-        id_to_doc,
+        doc_to_id: gathered.ids,
     })
-}
-
-/// Rebuild a single entity's document in the corpus (after, e.g., a new
-/// comment arrives for a course): remove + re-add, updating the mappings.
-pub fn reindex_entity(
-    corpus: &mut EntityCorpus,
-    catalog: &Catalog,
-    spec: &EntitySpec,
-    entity_id: &Value,
-) -> RelResult<bool> {
-    let Some(&old_doc) = corpus.id_to_doc.get(entity_id) else {
-        return Ok(false);
-    };
-    // Gather this one entity's texts.
-    let mut per_field: Vec<String> = Vec::with_capacity(spec.fields.len());
-    let base_row =
-        catalog.with_table(&spec.base_table, |t| -> RelResult<Option<Vec<Value>>> {
-            let id_idx = t.schema().index_of(&spec.id_column)?;
-            for (_, row) in t.scan() {
-                if row[id_idx] == *entity_id {
-                    return Ok(Some(row.clone()));
-                }
-            }
-            Ok(None)
-        })??;
-    let Some(base_row) = base_row else {
-        // Entity deleted from the base table: remove from index.
-        corpus.index.remove_document(old_doc);
-        corpus.id_to_doc.remove(entity_id);
-        return Ok(true);
-    };
-    for (_, src) in &spec.fields {
-        match src {
-            FieldSource::Column { column, .. } => {
-                let ci =
-                    catalog.with_table(&spec.base_table, |t| t.schema().index_of(column))??;
-                per_field.push(match &base_row[ci] {
-                    Value::Text(s) => s.clone(),
-                    Value::Null => String::new(),
-                    other => other.to_string(),
-                });
-            }
-            FieldSource::Related {
-                table,
-                fk_column,
-                text_column,
-                ..
-            } => {
-                let text = catalog.with_table(table, |t| -> RelResult<String> {
-                    let fk = t.schema().index_of(fk_column)?;
-                    let tx = t.schema().index_of(text_column)?;
-                    let mut s = String::new();
-                    for (_, row) in t.scan() {
-                        if row[fk] == *entity_id {
-                            if let Value::Text(txt) = &row[tx] {
-                                if !s.is_empty() {
-                                    s.push(' ');
-                                }
-                                s.push_str(txt);
-                            }
-                        }
-                    }
-                    Ok(s)
-                })??;
-                per_field.push(text);
-            }
-        }
-    }
-    corpus.index.remove_document(old_doc);
-    let field_texts: Vec<(crate::index::FieldId, &str)> = per_field
-        .iter()
-        .enumerate()
-        .map(|(fi, s)| (crate::index::FieldId(fi as u16), s.as_str()))
-        .collect();
-    let new_doc = corpus.index.add_document(&field_texts);
-    corpus.id_to_doc.insert(entity_id.clone(), new_doc);
-    if new_doc.0 as usize >= corpus.doc_to_id.len() {
-        corpus.doc_to_id.push(entity_id.clone());
-    } else {
-        corpus.doc_to_id[new_doc.0 as usize] = entity_id.clone();
-    }
-    Ok(true)
-}
-
-/// Validation error helper.
-pub fn spec_error(msg: &str) -> RelError {
-    RelError::Invalid(msg.to_owned())
 }
 
 #[cfg(test)]
@@ -352,48 +272,15 @@ mod tests {
         assert_eq!(corpus.index.num_docs(), 3);
         // "sql" only occurs in a comment; the databases course must match.
         assert_eq!(corpus.index.doc_freq("sql"), 1);
-        let doc = corpus.id_to_doc[&Value::Int(2)];
-        assert_eq!(corpus.index.postings("sql")[0].doc, doc);
+        let doc = corpus.index.postings("sql")[0].doc;
+        assert_eq!(corpus.entity_id(doc), &Value::Int(2));
         // Comment text merged with title/description for entity 1.
-        let d1 = corpus.id_to_doc[&Value::Int(1)];
+        let d1 = DocId(0);
+        assert_eq!(corpus.entity_id(d1), &Value::Int(1));
         let entry = corpus.index.doc(d1).unwrap();
         for term in ["revolution", "american"] {
             let id = corpus.index.term_id(term).unwrap();
             assert!(entry.term_freqs.iter().any(|(t, _)| *t == id), "{term}");
         }
-    }
-
-    #[test]
-    fn reindex_picks_up_new_comment() {
-        let db = setup();
-        let mut corpus = build_index(&db.catalog(), &spec()).unwrap();
-        assert_eq!(corpus.index.doc_freq("compiler"), 0);
-        db.execute_sql("INSERT INTO Comments VALUES (13, 2, 'better than the compilers class')")
-            .unwrap();
-        reindex_entity(&mut corpus, &db.catalog(), &spec(), &Value::Int(2)).unwrap();
-        assert_eq!(corpus.index.doc_freq("compiler"), 1);
-        assert_eq!(corpus.index.num_docs(), 3);
-        // Mapping updated to the fresh doc id.
-        let d = corpus.id_to_doc[&Value::Int(2)];
-        assert!(corpus.index.is_live(d));
-        assert_eq!(corpus.doc_to_id[d.0 as usize], Value::Int(2));
-    }
-
-    #[test]
-    fn reindex_unknown_entity_is_noop() {
-        let db = setup();
-        let mut corpus = build_index(&db.catalog(), &spec()).unwrap();
-        assert!(!reindex_entity(&mut corpus, &db.catalog(), &spec(), &Value::Int(99)).unwrap());
-    }
-
-    #[test]
-    fn reindex_deleted_entity_removes_doc() {
-        let db = setup();
-        let mut corpus = build_index(&db.catalog(), &spec()).unwrap();
-        db.execute_sql("DELETE FROM Courses WHERE CourseID = 2")
-            .unwrap();
-        assert!(reindex_entity(&mut corpus, &db.catalog(), &spec(), &Value::Int(2)).unwrap());
-        assert_eq!(corpus.index.num_docs(), 2);
-        assert_eq!(corpus.index.doc_freq("sql"), 0);
     }
 }

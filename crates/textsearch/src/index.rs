@@ -3,7 +3,7 @@
 //! Documents are *entities* with multiple weighted fields. The index keeps:
 //!
 //! * a **term dictionary**: every unigram and bigram interned to a dense
-//!   [`TermId`], with per-id corpus statistics (corpus tf, live document
+//!   [`TermId`], with per-id corpus statistics (corpus tf, document
 //!   frequency), the display surface, and a bigram's two unigram parts;
 //! * **postings**: term id → list of (doc, per-field term frequency) —
 //!   drives retrieval;
@@ -13,11 +13,9 @@
 //! * corpus statistics (total/average field lengths, total tokens) —
 //!   drive BM25F and the cloud's log-likelihood scorer.
 //!
-//! Indexing is incremental: documents can be added and removed (CourseRank
-//! reindexes a course entity when a new comment arrives). Term ids are
-//! assigned append-only and never reused, even across removal or
-//! [`InvertedIndex::vacuum`], so an id held by a cached cloud aggregate
-//! always names the same term.
+//! Documents are only ever added, so every doc id and posting is live.
+//! An [`crate::entity::EntityCorpus`] owns its index and hands out only
+//! `&InvertedIndex`: once built, a search corpus never changes.
 
 use std::collections::HashMap;
 
@@ -61,18 +59,15 @@ pub struct DocEntry {
     /// The forward vector: `(term, tf across all fields)`, unweighted,
     /// **including bigrams**, strictly ascending by term id.
     pub term_freqs: Vec<(TermId, u32)>,
-    /// Tombstone.
-    pub deleted: bool,
 }
 
-/// Corpus statistics of one dictionary term, maintained across adds and
-/// removes.
+/// Corpus statistics of one dictionary term.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TermStats {
-    /// Exact corpus term frequency across live docs — the denominator of
-    /// the cloud's log-likelihood contingency table.
+    /// Exact corpus term frequency — the denominator of the cloud's
+    /// log-likelihood contingency table.
     pub corpus_tf: u64,
-    /// Number of live documents containing the term.
+    /// Number of documents containing the term.
     pub doc_freq: u32,
     /// A bigram's two unigram parts (`None` for a unigram).
     pub parts: Option<(TermId, TermId)>,
@@ -94,13 +89,11 @@ pub struct InvertedIndex {
     surfaces: Vec<String>,
     /// Per id: corpus statistics.
     stats: Vec<TermStats>,
-    /// Per id: postings in ascending doc order (includes tombstoned docs
-    /// until [`InvertedIndex::vacuum`]).
+    /// Per id: postings in ascending doc order.
     postings: Vec<Vec<Posting>>,
     docs: Vec<DocEntry>,
-    live_docs: usize,
     total_weighted_len: f64,
-    /// Σ corpus_tf — total live tokens (incl. bigrams).
+    /// Σ corpus_tf — total tokens (incl. bigrams).
     corpus_tokens: u64,
 }
 
@@ -117,7 +110,6 @@ impl InvertedIndex {
             stats: Vec::new(),
             postings: Vec::new(),
             docs: Vec::new(),
-            live_docs: 0,
             total_weighted_len: 0.0,
             corpus_tokens: 0,
         }
@@ -139,17 +131,17 @@ impl InvertedIndex {
             .map(|i| FieldId(i as u16))
     }
 
-    /// Number of live documents.
+    /// Number of documents.
     pub fn num_docs(&self) -> usize {
-        self.live_docs
+        self.docs.len()
     }
 
     /// Average weighted document length (BM25 normalization).
     pub fn avg_weighted_len(&self) -> f64 {
-        if self.live_docs == 0 {
+        if self.docs.is_empty() {
             0.0
         } else {
-            self.total_weighted_len / self.live_docs as f64
+            self.total_weighted_len / self.docs.len() as f64
         }
     }
 
@@ -173,27 +165,21 @@ impl InvertedIndex {
         &self.stats[id.0 as usize]
     }
 
-    /// Document frequency of a term over live docs.
+    /// Document frequency of a term.
     pub fn doc_freq(&self, term: &str) -> usize {
         self.term_id(term)
             .map_or(0, |id| self.term_stats(id).doc_freq as usize)
     }
 
-    /// Raw postings for a term (includes tombstoned docs; callers filter
-    /// with [`InvertedIndex::is_live`]).
+    /// A term's postings, ascending by doc.
     pub fn postings(&self, term: &str) -> &[Posting] {
         self.term_id(term)
             .map_or(&[], |id| self.postings[id.0 as usize].as_slice())
     }
 
-    /// Is this doc id live?
-    pub fn is_live(&self, doc: DocId) -> bool {
-        self.docs.get(doc.0 as usize).is_some_and(|d| !d.deleted)
-    }
-
-    /// Per-document entry (None if deleted/unknown).
+    /// Per-document entry (None for an id this index did not assign).
     pub fn doc(&self, doc: DocId) -> Option<&DocEntry> {
-        self.docs.get(doc.0 as usize).filter(|d| !d.deleted)
+        self.docs.get(doc.0 as usize)
     }
 
     /// Size of the term dictionary: every distinct unigram and bigram ever
@@ -249,9 +235,7 @@ impl InvertedIndex {
         self.docs.push(DocEntry {
             weighted_len,
             term_freqs,
-            deleted: false,
         });
-        self.live_docs += 1;
         doc
     }
 
@@ -294,42 +278,13 @@ impl InvertedIndex {
         id
     }
 
-    /// Remove a document (tombstone). Postings are filtered lazily; call
-    /// [`InvertedIndex::vacuum`] to compact after bulk deletions.
-    pub fn remove_document(&mut self, doc: DocId) -> bool {
-        match self.docs.get_mut(doc.0 as usize) {
-            Some(d) if !d.deleted => {
-                d.deleted = true;
-                self.live_docs -= 1;
-                self.total_weighted_len -= d.weighted_len;
-                for &(id, tf) in &d.term_freqs {
-                    let stats = &mut self.stats[id.0 as usize];
-                    stats.corpus_tf = stats.corpus_tf.saturating_sub(tf as u64);
-                    stats.doc_freq -= 1;
-                    self.corpus_tokens = self.corpus_tokens.saturating_sub(tf as u64);
-                }
-                d.term_freqs = Vec::new();
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Physically drop tombstoned postings. Term ids stay assigned.
-    pub fn vacuum(&mut self) {
-        let docs = &self.docs;
-        for ps in &mut self.postings {
-            ps.retain(|p| !docs[p.doc.0 as usize].deleted);
-        }
-    }
-
-    /// Exact corpus term frequency (live docs, incl. bigrams).
+    /// Exact corpus term frequency (incl. bigrams).
     pub fn corpus_tf(&self, term: &str) -> u64 {
         self.term_id(term)
             .map_or(0, |id| self.term_stats(id).corpus_tf)
     }
 
-    /// Total live tokens across the corpus (incl. bigrams).
+    /// Total tokens across the corpus (incl. bigrams).
     pub fn corpus_tokens(&self) -> u64 {
         self.corpus_tokens
     }
@@ -340,16 +295,6 @@ impl InvertedIndex {
     /// more often. Falls back to the term itself.
     pub fn display_form<'a>(&'a self, term: &'a str) -> &'a str {
         self.term_id(term).map_or(term, |id| self.term_surface(id))
-    }
-
-    /// All live doc ids (used by match-all queries / corpus statistics).
-    pub fn live_doc_ids(&self) -> Vec<DocId> {
-        self.docs
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| !d.deleted)
-            .map(|(i, _)| DocId(i as u32))
-            .collect()
     }
 }
 
@@ -411,42 +356,20 @@ mod tests {
     }
 
     #[test]
-    fn remove_and_vacuum() {
+    fn term_ids_are_interned_once() {
         let mut ix = index();
         let t = ix.field_id("title").unwrap();
-        let d0 = ix.add_document(&[(t, "alpha beta")]);
-        let d1 = ix.add_document(&[(t, "alpha gamma")]);
-        assert_eq!(ix.doc_freq("alpha"), 2);
-        assert!(ix.remove_document(d0));
-        assert!(!ix.remove_document(d0)); // double remove is a no-op
-        assert_eq!(ix.num_docs(), 1);
-        assert_eq!(ix.doc_freq("alpha"), 1); // lazy filtering
-        assert_eq!(ix.postings("alpha").len(), 2); // physical postings remain
-        ix.vacuum();
-        assert_eq!(ix.postings("alpha").len(), 1);
-        assert_eq!(ix.postings("alpha")[0].doc, d1);
-        assert!(ix.postings("beta").is_empty());
-    }
-
-    #[test]
-    fn term_ids_are_never_reused() {
-        let mut ix = index();
-        let t = ix.field_id("title").unwrap();
-        let d0 = ix.add_document(&[(t, "alpha beta")]);
+        ix.add_document(&[(t, "alpha beta")]);
         let alpha = ix.term_id("alpha").unwrap();
         let pair = ix.term_id("alpha beta").unwrap();
         assert_eq!(
             ix.term_stats(pair).parts,
             Some((alpha, ix.term_id("beta").unwrap()))
         );
-        ix.remove_document(d0);
-        ix.vacuum();
-        assert_eq!(ix.doc_freq("alpha"), 0);
-        assert_eq!(ix.corpus_tf("alpha beta"), 0);
         ix.add_document(&[(t, "gamma alpha beta")]);
         assert_eq!(ix.term_id("alpha"), Some(alpha));
         assert_eq!(ix.term_id("alpha beta"), Some(pair));
-        assert_eq!(ix.doc_freq("alpha beta"), 1);
+        assert_eq!(ix.doc_freq("alpha beta"), 2);
         assert_eq!(ix.vocabulary_size(), 5); // alpha, beta, alpha beta, gamma, gamma alpha
     }
 
@@ -467,10 +390,8 @@ mod tests {
         // 2 title tokens * 3.0 + 3 body tokens * 1.0 = 9.0
         ix.add_document(&[(t, "greek science"), (b, "famous greek scientists")]);
         assert!((ix.avg_weighted_len() - 9.0).abs() < 1e-9);
-        let d = ix.add_document(&[(b, "one")]);
+        ix.add_document(&[(b, "one")]);
         assert!((ix.avg_weighted_len() - 5.0).abs() < 1e-9);
-        ix.remove_document(d);
-        assert!((ix.avg_weighted_len() - 9.0).abs() < 1e-9);
     }
 
     #[test]
@@ -491,15 +412,5 @@ mod tests {
         assert_eq!(tf("war"), Some(1));
         assert_eq!(tf("politic politic"), Some(1));
         assert!(entry.term_freqs.windows(2).all(|w| w[0].0 < w[1].0));
-    }
-
-    #[test]
-    fn live_doc_ids_excludes_tombstones() {
-        let mut ix = index();
-        let b = ix.field_id("body").unwrap();
-        let d0 = ix.add_document(&[(b, "x")]);
-        let d1 = ix.add_document(&[(b, "yy")]);
-        ix.remove_document(d0);
-        assert_eq!(ix.live_doc_ids(), vec![d1]);
     }
 }

@@ -94,16 +94,6 @@ mod tests {
     }
 
     #[test]
-    fn deleted_doc_scores_zero() {
-        let mut ix = index();
-        let b = ix.field_id("body").unwrap();
-        let d = ix.add_document(&[(b, "java java")]);
-        let posting = ix.postings("java")[0].clone();
-        ix.remove_document(d);
-        assert_eq!(bm25f_term_score(&ix, &posting, 1.0), 0.0);
-    }
-
-    #[test]
     fn repeated_term_saturates() {
         let mut ix = index();
         let b = ix.field_id("body").unwrap();

@@ -3,17 +3,14 @@
 //! The index interns every unigram and bigram to a [`TermId`]; clouds
 //! aggregate and score over ids and build strings only for the terms they
 //! return. None of that may change a cloud. On random small-vocabulary
-//! corpora (with bigrams, stopword gaps and shared stems), put through
-//! random remove and reindex steps:
+//! corpora (with bigrams, stopword gaps and shared stems):
 //!
 //! * `compute_cloud` equals a string-keyed reference — the aggregation
 //!   and scoring clouds used before term ids, kept here as test-only
 //!   code — bit for bit;
-//! * `cloud_from_agg` over delta-maintained aggregates equals a cold
-//!   cloud, and the maintained aggregates equal a cold aggregation;
-//! * every term's maintained `doc_freq` equals its live postings, its
-//!   `corpus_tf` the sum over live forward vectors, and every forward
-//!   vector is strictly ascending.
+//! * every term's `doc_freq` equals its postings, its `corpus_tf` the sum
+//!   over the forward vectors, and every forward vector is strictly
+//!   ascending.
 
 // Test code: panicking on a broken fixture is the right behavior.
 #![allow(clippy::unwrap_used)]
@@ -21,8 +18,7 @@
 use std::collections::HashMap;
 
 use cr_textsearch::cloud::{
-    aggregate_cloud, cloud_from_agg, compute_cloud, log_likelihood_ratio, CloudConfig, CloudTerm,
-    DataCloud, TermScorer,
+    compute_cloud, log_likelihood_ratio, CloudConfig, CloudTerm, DataCloud, TermScorer,
 };
 use cr_textsearch::index::{DocId, FieldId, FieldSpec, InvertedIndex, TermId};
 use cr_textsearch::score::idf;
@@ -114,14 +110,10 @@ fn exclusions(ix: &InvertedIndex, ws: &[usize]) -> Vec<String> {
 mod reference {
     use super::*;
 
-    /// The document frequency the string-keyed scorer read: a term's live
+    /// The document frequency the string-keyed scorer read: a term's
     /// postings.
-    pub fn live_postings(index: &InvertedIndex, term: &str) -> usize {
-        index
-            .postings(term)
-            .iter()
-            .filter(|p| index.is_live(p.doc))
-            .count()
+    pub fn postings(index: &InvertedIndex, term: &str) -> usize {
+        index.postings(term).len()
     }
 
     pub fn cloud(
@@ -192,7 +184,7 @@ mod reference {
                 continue;
             }
             let mut score = match config.scorer {
-                TermScorer::TfIdf => tf as f64 * idf(corpus_docs, live_postings(index, term)),
+                TermScorer::TfIdf => tf as f64 * idf(corpus_docs, postings(index, term)),
                 TermScorer::LogLikelihood => {
                     let k1 = tf as f64;
                     let n1 = result_token_total as f64;
@@ -331,12 +323,12 @@ fn assert_same_cloud(got: &DataCloud, want: &DataCloud) {
     assert_eq!(got, want);
 }
 
-/// The maintained statistics agree with a recount from the live forward
-/// vectors and postings, and every forward vector is strictly ascending.
+/// The term statistics agree with a recount from the forward vectors and
+/// postings, and every forward vector is strictly ascending.
 fn assert_index_consistent(ix: &InvertedIndex) {
     let mut corpus_tf = vec![0u64; ix.vocabulary_size()];
-    for d in ix.live_doc_ids() {
-        let tf = &ix.doc(d).unwrap().term_freqs;
+    for d in 0..ix.num_docs() {
+        let tf = &ix.doc(DocId(d as u32)).unwrap().term_freqs;
         assert!(tf.windows(2).all(|w| w[0].0 < w[1].0), "{tf:?}");
         for &(id, n) in tf {
             corpus_tf[id.0 as usize] += n as u64;
@@ -346,11 +338,7 @@ fn assert_index_consistent(ix: &InvertedIndex) {
         let id = TermId(i as u32);
         let term = ix.term_text(id);
         assert_eq!(ix.term_id(term), Some(id));
-        assert_eq!(
-            ix.doc_freq(term),
-            reference::live_postings(ix, term),
-            "{term}"
-        );
+        assert_eq!(ix.doc_freq(term), reference::postings(ix, term), "{term}");
         assert_eq!(ix.corpus_tf(term), tf, "{term}");
     }
     assert_eq!(ix.corpus_tokens(), corpus_tf.iter().sum::<u64>());
@@ -366,13 +354,10 @@ fn doc_words() -> impl Strategy<Value = DocWords> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// After random removes and reindexes, the id-based cloud equals the
-    /// string-keyed reference bit for bit.
+    /// The id-based cloud equals the string-keyed reference bit for bit.
     #[test]
     fn cloud_equals_string_keyed_reference(
         docs in proptest::collection::vec((doc_words(), any::<bool>()), 1..24),
-        steps in proptest::collection::vec(
-            (0usize..24, proptest::option::of(doc_words())), 0..8),
         exclude in proptest::collection::vec(0usize..WORDS.len(), 0..3),
         max_terms in 1usize..10,
         min_df in 1usize..3,
@@ -382,84 +367,18 @@ proptest! {
         cohesion in 0usize..3,
     ) {
         let mut ix = new_index();
-        let mut slots: Vec<Option<DocId>> = docs.iter().map(|(d, _)| Some(add(&mut ix, d))).collect();
-        assert_index_consistent(&ix);
-        for (slot, text) in &steps {
-            let slot = slot % slots.len();
-            if let Some(doc) = slots[slot].take() {
-                ix.remove_document(doc);
-            }
-            slots[slot] = text.as_ref().map(|t| add(&mut ix, t));
-            assert_index_consistent(&ix);
-        }
         let results: Vec<DocId> = docs
             .iter()
-            .zip(&slots)
-            .filter(|((_, member), _)| *member)
-            .filter_map(|(_, doc)| *doc)
+            .map(|(d, member)| (add(&mut ix, d), *member))
+            .filter(|(_, member)| *member)
+            .map(|(doc, _)| doc)
             .collect();
+        assert_index_consistent(&ix);
         let exclude = exclusions(&ix, &exclude);
         let cfg = config(max_terms, min_df, min_bigrams, collapse, tfidf, cohesion);
         assert_same_cloud(
             &compute_cloud(&ix, &results, &exclude, &cfg),
             &reference::cloud(&ix, &results, &exclude, &cfg),
         );
-    }
-
-    /// Aggregates maintained through member reindexes (and untouched by
-    /// non-member writes) equal a cold aggregation, and score to the cold
-    /// cloud bit for bit.
-    #[test]
-    fn delta_maintained_cloud_equals_cold(
-        docs in proptest::collection::vec((doc_words(), any::<bool>()), 1..24),
-        steps in proptest::collection::vec(
-            (0usize..24, proptest::option::of(doc_words())), 1..8),
-        exclude in proptest::collection::vec(0usize..WORDS.len(), 0..3),
-        max_terms in 1usize..10,
-        min_df in 1usize..3,
-        min_bigrams in 0usize..4,
-    ) {
-        let mut ix = new_index();
-        let mut slots: Vec<Option<DocId>> = docs.iter().map(|(d, _)| Some(add(&mut ix, d))).collect();
-        let members: Vec<bool> = docs.iter().map(|(_, m)| *m).collect();
-        let results_of = |slots: &[Option<DocId>]| -> Vec<DocId> {
-            slots
-                .iter()
-                .zip(&members)
-                .filter(|(_, &m)| m)
-                .filter_map(|(d, _)| *d)
-                .collect()
-        };
-        let exclude = exclusions(&ix, &exclude);
-        let cfg = config(max_terms, min_df, min_bigrams, true, false, 1);
-        let mut maintained = aggregate_cloud(&ix, &results_of(&slots));
-        for (slot, text) in &steps {
-            let slot = slot % slots.len();
-            let Some(doc) = slots[slot] else { continue };
-            match text {
-                Some(t) => {
-                    let old = ix.doc(doc).unwrap().term_freqs.clone();
-                    ix.remove_document(doc);
-                    let fresh = add(&mut ix, t);
-                    slots[slot] = Some(fresh);
-                    if members[slot] {
-                        let new = ix.doc(fresh).unwrap().term_freqs.clone();
-                        prop_assert!(maintained.apply_reindex_delta(&old, &new));
-                    }
-                }
-                // Only a non-member may vanish: the cache drops an entry
-                // whose member is deleted.
-                None if !members[slot] => {
-                    ix.remove_document(doc);
-                    slots[slot] = None;
-                }
-                None => continue,
-            }
-            let results = results_of(&slots);
-            prop_assert_eq!(&maintained, &aggregate_cloud(&ix, &results));
-            let cold = compute_cloud(&ix, &results, &exclude, &cfg);
-            assert_same_cloud(&cloud_from_agg(&ix, &maintained, &exclude, &cfg), &cold);
-            assert_same_cloud(&cold, &reference::cloud(&ix, &results, &exclude, &cfg));
-        }
     }
 }

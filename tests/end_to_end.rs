@@ -97,8 +97,8 @@ fn student_journey() {
         .unwrap();
     assert_eq!(pts, 10);
 
-    // 8. The student writes a comment; the course page reindexes and the
-    //    comment becomes searchable.
+    // 8. The student writes a comment. Search indexes comments at
+    //    assembly only, so it becomes searchable in the next assembly.
     app.db()
         .insert_comment(&Comment {
             id: 700_000,
@@ -110,7 +110,8 @@ fn student_journey() {
             date: 0,
         })
         .unwrap();
-    // Reindex via a fresh facade (the shared index is behind an Arc).
+    let (hits, _) = app.search().search("xylophone", 5).unwrap();
+    assert!(hits.is_empty());
     let app2 = CourseRank::assemble(app.db().clone()).unwrap();
     let (hits2, _) = app2.search().search("xylophone", 5).unwrap();
     assert_eq!(hits2.len(), 1);

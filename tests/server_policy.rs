@@ -249,3 +249,67 @@ fn unknown_principal_rejected_at_handshake() {
     assert!(err.to_string().contains("BadRequest"), "{err}");
     assert_eq!(server.sessions().active(), 0);
 }
+
+fn bad_request(resp: &Response) {
+    assert!(
+        matches!(
+            resp,
+            Response::Error {
+                code: ErrorCode::BadRequest,
+                ..
+            }
+        ),
+        "{resp:?}"
+    );
+}
+
+#[test]
+fn sql_read_runs_exactly_one_statement() {
+    let server = tiny_server();
+    let mut student = connect(&server, "scripted", "student:2");
+
+    // The grade scan alone is denied...
+    let grades = "SELECT SuID, Grade FROM Enrollments";
+    assert!(client::is_policy_denied(&student.sql(grades).unwrap()));
+    // ...and so is a script that hides it behind a public SELECT: no
+    // text of several statements reaches execution.
+    for script in [
+        format!("SELECT CourseID FROM Courses; {grades}"),
+        format!("{grades}; SELECT CourseID FROM Courses"),
+        "DELETE FROM Comments; DELETE FROM Comments".to_owned(),
+    ] {
+        bad_request(&student.sql(&script).unwrap());
+    }
+    bad_request(&student.sql(" ; ").unwrap());
+
+    // A single mutating statement still meets the snapshot's read-only
+    // guard, and a lone gated SELECT still serves.
+    let resp = student.sql("DELETE FROM Comments").unwrap();
+    assert!(client::is_read_only_error(&resp), "{resp:?}");
+    assert!(matches!(
+        student.sql("SELECT CourseID FROM Courses;").unwrap(),
+        Response::Rows { .. }
+    ));
+    student.goodbye().unwrap();
+}
+
+#[test]
+fn sql_depth_bound_session_survives_a_deep_text() {
+    let server = tiny_server();
+    let mut student = connect(&server, "deep", "student:2");
+    let depth = 20_000;
+    let deep = format!(
+        "SELECT {}CourseID{} FROM Courses",
+        "(".repeat(depth),
+        ")".repeat(depth)
+    );
+    match student.sql(&deep).unwrap() {
+        Response::Error { message, .. } => assert!(message.contains("nested deeper"), "{message}"),
+        other => panic!("expected an error, got {other:?}"),
+    }
+    assert!(matches!(
+        student.sql("SELECT CourseID FROM Courses").unwrap(),
+        Response::Rows { .. }
+    ));
+    student.goodbye().unwrap();
+}
