@@ -42,21 +42,11 @@ impl Read for PipeConn {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         if self.pending.is_empty() {
             match self.rx.recv() {
-                Ok(chunk) => self.pending.extend(chunk),
+                Ok(chunk) => self.pending = chunk.into(),
                 Err(_) => return Ok(0), // peer dropped: EOF
             }
         }
-        let mut n = 0;
-        while n < buf.len() {
-            match self.pending.pop_front() {
-                Some(b) => {
-                    buf[n] = b;
-                    n += 1;
-                }
-                None => break,
-            }
-        }
-        Ok(n)
+        self.pending.read(buf)
     }
 }
 

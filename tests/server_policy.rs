@@ -9,6 +9,7 @@
 #![allow(clippy::unwrap_used)]
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use cr_server::client::{self, Client};
 use cr_server::protocol::{ErrorCode, Response};
@@ -311,5 +312,27 @@ fn sql_depth_bound_session_survives_a_deep_text() {
         student.sql("SELECT CourseID FROM Courses").unwrap(),
         Response::Rows { .. }
     ));
+    student.goodbye().unwrap();
+}
+
+/// A ~4 MiB `Hello` whose client name is one string gets its reply
+/// within a bound, since a frame decodes in one pass: one long string
+/// from a peer that has not yet authenticated cannot hold a session
+/// thread. The session it opens then serves a query.
+#[test]
+fn hello_time_bound_a_4_mib_client_is_answered_then_served() {
+    let server = tiny_server();
+    let name = "é 😀 \"long\" client\n".repeat((4 << 20) / 24);
+    let start = Instant::now();
+    let mut student = connect(&server, &name, "student:2");
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(5), "handshake took {took:?}");
+    match student
+        .sql("SELECT Title FROM Courses WHERE CourseID = 1")
+        .unwrap()
+    {
+        Response::Rows { rows, .. } => assert_eq!(rows.len(), 1),
+        other => panic!("unexpected: {other:?}"),
+    }
     student.goodbye().unwrap();
 }
