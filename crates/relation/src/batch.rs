@@ -70,15 +70,6 @@ impl<'a> Slots<'a> {
         }
     }
 
-    /// The base slots, in order.
-    pub fn iter(&self) -> impl Iterator<Item = u32> + 'a {
-        let (run, list) = match *self {
-            Slots::Run { start, len } => (start as u32..(start + len) as u32, &[][..]),
-            Slots::List(s) => (0..0, s),
-        };
-        run.chain(list.iter().copied())
-    }
-
     /// Consecutive pieces of at most `size` positions.
     pub fn chunks(&self, size: usize) -> Vec<Slots<'a>> {
         let size = size.max(1);
@@ -923,15 +914,6 @@ impl EvalCol {
         }
     }
 
-    /// Is the value for selected row `j` NULL?
-    #[inline]
-    pub fn is_null_at(&self, j: usize) -> bool {
-        match self {
-            EvalCol::Col(c) => c.is_null(j),
-            EvalCol::Const(v) => v.is_null(),
-        }
-    }
-
     /// Force into a dense column of length `n` (broadcasting a constant).
     pub fn into_column(self, n: usize) -> Column {
         match self {
@@ -1062,21 +1044,6 @@ impl<'a, C: Cells> Acc<'a, C> {
             }
             Acc::Const(v) => v,
         }
-    }
-}
-
-/// `f` over `n` positions of `a`: NULL in, NULL out. `None` when every
-/// position is NULL (the NULL constant).
-pub(crate) fn map_cells<A: Cells, T: Default>(
-    n: usize,
-    a: Acc<'_, A>,
-    f: impl Fn(A::Item) -> T,
-) -> Option<TypedCells<T>> {
-    match a {
-        Acc::Const(None) => None,
-        Acc::Const(Some(x)) => Some(((0..n).map(|_| f(x)).collect(), None)),
-        Acc::Dense { data, validity } => Some((data.map(n, f), validity.map(<[bool]>::to_vec))),
-        Acc::Sparse { .. } => Some(unzip_cells(n, |j| a.get(j).map(&f))),
     }
 }
 

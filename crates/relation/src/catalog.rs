@@ -483,11 +483,6 @@ impl Catalog {
         self.flow.read().k
     }
 
-    /// A point-in-time copy of the whole flow policy.
-    pub fn flow_policy(&self) -> FlowPolicy {
-        self.flow.read().clone()
-    }
-
     /// The current flow-cache generation: the snapshot pin when frozen,
     /// the live counter otherwise. Builders must capture it *before*
     /// reading the schema they build from, so a concurrent DDL leaves
@@ -682,25 +677,8 @@ impl Database {
     /// Statically check a plan against this database's catalog: structural
     /// and type invariants plus dataflow warnings (contradictory filters,
     /// unused extends, cartesian joins, …). Never executes anything.
-    /// Equivalent to [`Database::validate_plan_for`] with a full-clearance
-    /// principal (no disclosure findings are possible).
     pub fn validate_plan(&self, plan: &LogicalPlan) -> plan::ValidationReport {
         plan::analyze(plan, Some(&self.catalog))
-    }
-
-    /// [`Database::validate_plan`] plus the information-flow disclosure
-    /// check for a concrete principal: structural diagnostics (E/W codes)
-    /// followed by policy diagnostics (P codes). Never executes anything.
-    pub fn validate_plan_for(
-        &self,
-        plan: &LogicalPlan,
-        principal: &Principal,
-    ) -> plan::ValidationReport {
-        let mut report = plan::analyze(plan, Some(&self.catalog));
-        report
-            .diagnostics
-            .extend(self.check_disclosure(plan, principal).diagnostics);
-        report
     }
 
     /// Statically prove (or refute) that the plan's output may be shown to

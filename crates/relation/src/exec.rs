@@ -139,17 +139,6 @@ impl ResultSet {
         }
     }
 
-    /// Column index by (unqualified) name.
-    pub fn column_index(&self, name: &str) -> RelResult<usize> {
-        self.schema.index_of(name)
-    }
-
-    /// Iterate a single column's values.
-    pub fn column_values(&self, name: &str) -> RelResult<Vec<&Value>> {
-        let i = self.column_index(name)?;
-        Ok(self.rows.iter().map(|r| &r[i]).collect())
-    }
-
     /// First row, first column — for scalar queries (`SELECT COUNT(*) ...`).
     pub fn scalar(&self) -> Option<&Value> {
         self.rows.first().and_then(|r| r.first())

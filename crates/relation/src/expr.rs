@@ -6,14 +6,11 @@
 //! with positional references that evaluates without name lookups — the
 //! hot path runs on `&[Value]` with zero hashing.
 
+use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
-use std::cmp::Ordering;
-
-use crate::batch::{
-    map_cells, zip_cells, zip_nums, Acc, Column, ColumnBuilder, EvalCol, Slots, TypedCells, Vals,
-};
+use crate::batch::{zip_cells, zip_nums, Column, ColumnBuilder, EvalCol, Slots, TypedCells, Vals};
 use crate::error::{RelError, RelResult};
 use crate::row::Row;
 use crate::schema::Schema;
@@ -468,13 +465,6 @@ impl Expr {
         }
     }
 
-    /// Shift every positional column reference by `delta` (used when an
-    /// expression written against a join's right input is evaluated against
-    /// the concatenated join row).
-    pub fn shift_columns(&self, delta: usize) -> Expr {
-        self.map_columns(&|i| i + delta)
-    }
-
     /// Rewrite positional references through `f`.
     pub fn map_columns(&self, f: &dyn Fn(usize) -> usize) -> Expr {
         match self {
@@ -537,11 +527,15 @@ impl Expr {
 
     /// Evaluate against a row. Unbound names are an error.
     pub fn eval(&self, row: &Row) -> RelResult<Value> {
+        self.eval_in(row)
+    }
+
+    /// The row rules, over a row or one slot of batch columns.
+    fn eval_in(&self, row: &impl RowView) -> RelResult<Value> {
         match self {
             Expr::Literal(v) => Ok(v.clone()),
             Expr::Column(i) => row
-                .get(*i)
-                .cloned()
+                .cell(*i)
                 .ok_or_else(|| RelError::Invalid(format!("row too short for column index {i}"))),
             Expr::ColumnName { qualifier, name } => Err(RelError::Invalid(format!(
                 "unbound column reference {}{name} at eval time",
@@ -550,11 +544,31 @@ impl Expr {
                     .map(|q| format!("{q}."))
                     .unwrap_or_default()
             ))),
-            Expr::Binary { op, left, right } => eval_binary(*op, left, right, row),
-            Expr::Not(e) => not_scalar(e.eval(row)?),
-            Expr::Neg(e) => neg_scalar(e.eval(row)?),
+            Expr::Binary { op, left, right } => {
+                let l = left.eval_in(row)?;
+                // Short-circuit logical operators (also gives NULL-tolerant
+                // AND/OR).
+                match (op, &l) {
+                    (BinOp::And, Value::Bool(false)) => Ok(l),
+                    (BinOp::Or, Value::Bool(true)) => Ok(l),
+                    _ => binary_scalar(*op, l, right.eval_in(row)?),
+                }
+            }
+            Expr::Not(e) => match e.eval_in(row)? {
+                Value::Null => Ok(Value::Null),
+                v => Ok(Value::Bool(!v.as_bool()?)),
+            },
+            Expr::Neg(e) => match e.eval_in(row)? {
+                Value::Null => Ok(Value::Null),
+                Value::Int(i) => Ok(Value::Int(i.wrapping_neg())),
+                Value::Float(f) => Ok(Value::float(-f)),
+                v => Err(RelError::TypeMismatch {
+                    expected: "numeric".into(),
+                    found: v.type_name().into(),
+                }),
+            },
             Expr::IsNull { expr, negated } => {
-                let is_null = expr.eval(row)?.is_null();
+                let is_null = expr.eval_in(row)?.is_null();
                 Ok(Value::Bool(is_null != *negated))
             }
             Expr::Like {
@@ -562,8 +576,8 @@ impl Expr {
                 pattern,
                 negated,
             } => {
-                let v = expr.eval(row)?;
-                let p = pattern.eval(row)?;
+                let v = expr.eval_in(row)?;
+                let p = pattern.eval_in(row)?;
                 if v.is_null() || p.is_null() {
                     return Ok(Value::Null);
                 }
@@ -575,13 +589,13 @@ impl Expr {
                 list,
                 negated,
             } => {
-                let v = expr.eval(row)?;
+                let v = expr.eval_in(row)?;
                 if v.is_null() {
                     return Ok(Value::Null);
                 }
                 let mut found = false;
                 for item in list {
-                    if item.eval(row)?.sql_eq(&v) {
+                    if item.eval_in(row)?.sql_eq(&v) {
                         found = true;
                         break;
                     }
@@ -594,14 +608,14 @@ impl Expr {
                 high,
                 negated,
             } => {
-                let v = expr.eval(row)?;
-                let lo = low.eval(row)?;
-                let hi = high.eval(row)?;
+                let v = expr.eval_in(row)?;
+                let lo = low.eval_in(row)?;
+                let hi = high.eval_in(row)?;
                 if v.is_null() || lo.is_null() || hi.is_null() {
                     return Ok(Value::Null);
                 }
-                let within = lo.total_cmp(&v) != std::cmp::Ordering::Greater
-                    && v.total_cmp(&hi) != std::cmp::Ordering::Greater;
+                let within =
+                    lo.total_cmp(&v) != Ordering::Greater && v.total_cmp(&hi) != Ordering::Greater;
                 Ok(Value::Bool(within != *negated))
             }
             Expr::Func { func, args } => eval_func(*func, args, row),
@@ -627,199 +641,60 @@ impl Expr {
 
     /// Evaluate vector-at-a-time: `cols` are the input columns and `sel`
     /// names the base slots to evaluate, in output order. Returns a dense
-    /// column with one slot per selected row, or a broadcast constant.
+    /// column with one slot per selected row, or a broadcast constant,
+    /// equal slot for slot to [`Expr::eval`] on each selected row.
     ///
-    /// Semantics mirror [`Expr::eval`] row-for-row: typed kernels read
-    /// typed slices and write typed cells (comparisons, logic, `IS NULL`,
-    /// `LIKE`, `IN` and `BETWEEN` write Bool cells plus validity) as exact
-    /// specializations of the scalar rules, and `Generic` or mistyped
-    /// operands funnel through the same scalar cores (`binary_scalar` &
-    /// friends) the row evaluator uses. `AND`/`OR`/`COALESCE` (and
-    /// `ROUND`/`SUBSTR` extra arguments) keep their lazy semantics by
-    /// evaluating the deferred operand only over the sub-selection of rows
-    /// where the row evaluator would have reached it — `a <> 0 AND b / a >
-    /// 1` never divides by zero on either path.
+    /// Typed kernels exist only for the node kinds the workloads evaluate
+    /// in batches: column reads and literals, the six comparisons (one
+    /// kernel, Bool cells plus validity from typed slices), `AND`/`OR`
+    /// (one masked-lazy kernel: the right operand is evaluated only over
+    /// the slots whose left side does not short-circuit, so `a <> 0 AND
+    /// b / a > 1` never divides by zero) and `IS NULL`. Every other node
+    /// runs [`Expr::eval`]'s own rules slot by slot over a row view of
+    /// the columns, so its laziness and errors are the row evaluator's.
     pub fn eval_batch(&self, cols: &[Arc<Column>], sel: Slots<'_>) -> RelResult<EvalCol> {
         if sel.is_empty() {
             // Zero rows: nothing to evaluate, and nothing may error.
             return Ok(EvalCol::Col(Column::empty()));
         }
-        let n = sel.len();
         match self {
             Expr::Literal(v) => Ok(EvalCol::Const(v.clone())),
-            Expr::Column(i) => match cols.get(*i) {
-                Some(c) => Ok(EvalCol::Col(c.take(sel))),
-                None => Err(RelError::Invalid(format!(
-                    "row too short for column index {i}"
-                ))),
-            },
-            Expr::ColumnName { qualifier, name } => Err(RelError::Invalid(format!(
-                "unbound column reference {}{name} at eval time",
-                qualifier
-                    .as_deref()
-                    .map(|q| format!("{q}."))
-                    .unwrap_or_default()
-            ))),
-            Expr::Binary { op, left, right } => eval_binary_batch(*op, left, right, cols, sel),
-            Expr::Not(e) => {
-                let o = operand(e, cols, sel)?;
-                if let Operand::Const(c) = &o {
-                    return not_scalar(c.clone()).map(EvalCol::Const);
-                }
-                let v = o.vals(cols, sel);
-                if let Some(a) = v.bools() {
-                    return Ok(EvalCol::Col(Column::bools(map_cells(n, a, |b| !b), n)));
-                }
-                per_cell(n, |j| not_scalar(v.value_at(j)))
+            Expr::Column(i) if *i < cols.len() => Ok(EvalCol::Col(cols[*i].take(sel))),
+            Expr::Binary { op, left, right } if op.is_comparison() => {
+                compare_batch(*op, left, right, cols, sel)
             }
-            Expr::Neg(e) => {
-                let o = operand(e, cols, sel)?;
-                if let Operand::Const(c) = &o {
-                    return neg_scalar(c.clone()).map(EvalCol::Const);
-                }
-                let v = o.vals(cols, sel);
-                if let Some(a) = v.ints() {
-                    return Ok(EvalCol::Col(Column::ints(
-                        map_cells(n, a, i64::wrapping_neg),
-                        n,
-                    )));
-                }
-                if let Some(a) = v.floats() {
-                    return Ok(EvalCol::Col(Column::floats(map_cells(n, a, |f| -f), n)));
-                }
-                per_cell(n, |j| neg_scalar(v.value_at(j)))
-            }
+            Expr::Binary {
+                op: op @ (BinOp::And | BinOp::Or),
+                left,
+                right,
+            } => logic_batch(*op, left, right, cols, sel),
             Expr::IsNull { expr, negated } => {
                 let o = operand(expr, cols, sel)?;
                 if let Operand::Const(c) = &o {
                     return Ok(EvalCol::Const(Value::Bool(c.is_null() != *negated)));
                 }
+                let n = sel.len();
                 let nulls = o.vals(cols, sel).nulls(n);
                 let data = nulls.into_iter().map(|null| null != *negated).collect();
                 Ok(EvalCol::Col(Column::bools(Some((data, None)), n)))
             }
-            Expr::Like {
-                expr,
-                pattern,
-                negated,
-            } => {
-                let eo = operand(expr, cols, sel)?;
-                let po = operand(pattern, cols, sel)?;
-                let ev = eo.vals(cols, sel);
-                let pv = po.vals(cols, sel);
-                if let (Some(a), Some(b)) = (ev.texts(), pv.texts()) {
-                    let cells = match b {
-                        Acc::Const(Some(p)) => {
-                            let p = LikePattern::new(p);
-                            map_cells(n, a, |s| p.matches(s) != *negated)
-                        }
-                        b => zip_cells(n, a, b, |s, p| like_match(s, p) != *negated),
-                    };
-                    return Ok(EvalCol::Col(Column::bools(cells, n)));
-                }
-                per_cell(n, |j| {
-                    let v = ev.value_at(j);
-                    let p = pv.value_at(j);
-                    Ok(if v.is_null() || p.is_null() {
-                        Value::Null
-                    } else {
-                        Value::Bool(like_match(v.as_text()?, p.as_text()?) != *negated)
-                    })
+            _ => per_cell(sel.len(), |j| {
+                self.eval_in(&SlotRow {
+                    cols,
+                    slot: sel.get(j),
                 })
-            }
-            Expr::InList {
-                expr,
-                list,
-                negated,
-            } => {
-                let eo = operand(expr, cols, sel)?;
-                let items: Vec<Operand> = list
-                    .iter()
-                    .map(|e| operand(e, cols, sel))
-                    .collect::<RelResult<_>>()?;
-                let ev = eo.vals(cols, sel);
-                let consts: Option<Vec<&Value>> = items
-                    .iter()
-                    .map(|it| match it {
-                        Operand::Const(v) => Some(v),
-                        _ => None,
-                    })
-                    .collect();
-                if let Some((found, valid)) = consts.and_then(|c| in_consts(n, ev, &c)) {
-                    let data = found.into_iter().map(|f| f != *negated).collect();
-                    return Ok(EvalCol::Col(Column::bools(Some((data, valid)), n)));
-                }
-                per_cell(n, |j| {
-                    let v = ev.value_at(j);
-                    if v.is_null() {
-                        return Ok(Value::Null);
-                    }
-                    let found = items.iter().any(|it| {
-                        let iv = it.vals(cols, sel);
-                        match iv.ref_at(j) {
-                            Some(rv) => rv.sql_eq(&v),
-                            None => iv.value_at(j).sql_eq(&v),
-                        }
-                    });
-                    Ok(Value::Bool(found != *negated))
-                })
-            }
-            Expr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => {
-                let vo = operand(expr, cols, sel)?;
-                let lo_o = operand(low, cols, sel)?;
-                let hi_o = operand(high, cols, sel)?;
-                let vv = vo.vals(cols, sel);
-                let lv = lo_o.vals(cols, sel);
-                let hv = hi_o.vals(cols, sel);
-                let not_greater = |o: std::cmp::Ordering| o != std::cmp::Ordering::Greater;
-                if let (Some(ge), Some(le)) = (
-                    compare_vals(n, lv, vv, not_greater),
-                    compare_vals(n, vv, hv, not_greater),
-                ) {
-                    let cells = ge.zip(le).map(|((a, va), (b, vb))| {
-                        let data = a.iter().zip(&b).map(|(x, y)| (*x && *y) != *negated);
-                        (data.collect(), and_validity(va, vb))
-                    });
-                    return Ok(EvalCol::Col(Column::bools(cells, n)));
-                }
-                per_cell(n, |j| {
-                    let v = vv.value_at(j);
-                    let lo = lv.value_at(j);
-                    let hi = hv.value_at(j);
-                    Ok(if v.is_null() || lo.is_null() || hi.is_null() {
-                        Value::Null
-                    } else {
-                        let within = not_greater(lo.total_cmp(&v)) && not_greater(v.total_cmp(&hi));
-                        Value::Bool(within != *negated)
-                    })
-                })
-            }
-            Expr::Func { func, args } => eval_func_batch(*func, args, cols, sel),
+            }),
         }
     }
 
-    /// Constant-fold: evaluate constant subtrees down to literals (via the
-    /// row evaluator).
+    /// Constant-fold: evaluate constant subtrees down to literals through
+    /// [`Expr::eval_batch`] over a one-slot batch with no columns (the
+    /// risinglight approach: build a one-element array, apply the kernel,
+    /// take element 0), so folding runs exactly the code the executor
+    /// runs. A subtree whose evaluation errors stays unfolded, so the
+    /// error surfaces at execution time.
     pub fn fold(&self) -> Expr {
-        self.fold_with(false)
-    }
-
-    /// Constant-fold by running constant subtrees through the vectorized
-    /// kernel path ([`Expr::eval_batch`] over a single-slot batch) — the
-    /// optimizer uses this so that folding exercises exactly the code the
-    /// executor will run (the risinglight approach: build a one-element
-    /// array, apply the kernel, take element 0).
-    pub fn fold_kernel(&self) -> Expr {
-        self.fold_with(true)
-    }
-
-    fn fold_with(&self, kernel: bool) -> Expr {
-        let f = |e: &Expr| e.fold_with(kernel);
+        let f = Expr::fold;
         let folded = match self {
             Expr::Binary { op, left, right } => Expr::Binary {
                 op: *op,
@@ -868,27 +743,11 @@ impl Expr {
             other => other.clone(),
         };
         if folded.is_constant() {
-            let v = if kernel {
-                folded.eval_const_kernel()
-            } else {
-                folded.eval(&Vec::new()).ok()
-            };
-            if let Some(v) = v {
-                return Expr::Literal(v);
+            if let Ok(ec) = folded.eval_batch(&[], Slots::all(1)) {
+                return Expr::Literal(ec.value_at(0));
             }
         }
         folded
-    }
-
-    /// Evaluate a constant expression through the kernel path: a one-slot
-    /// batch with no columns, result taken from slot 0. `None` if
-    /// evaluation errors (the fold keeps the expression unfolded so the
-    /// error surfaces at execution time, same as [`Expr::fold`]).
-    fn eval_const_kernel(&self) -> Option<Value> {
-        match self.eval_batch(&[], Slots::all(1)) {
-            Ok(ec) => Some(ec.value_at(0)),
-            Err(_) => None,
-        }
     }
 
     /// Split a conjunctive predicate into its AND-ed parts.
@@ -916,17 +775,28 @@ impl Expr {
     }
 }
 
-fn eval_binary(op: BinOp, left: &Expr, right: &Expr, row: &Row) -> RelResult<Value> {
-    // Short-circuit logical operators (also gives NULL-tolerant AND/OR).
-    if matches!(op, BinOp::And | BinOp::Or) {
-        let l = left.eval(row)?;
-        return match (op, &l) {
-            (BinOp::And, Value::Bool(false)) => Ok(Value::Bool(false)),
-            (BinOp::Or, Value::Bool(true)) => Ok(Value::Bool(true)),
-            _ => binary_scalar(op, l, right.eval(row)?),
-        };
+/// What the row rules read column `i` from: a row, or one slot of batch
+/// columns.
+trait RowView {
+    fn cell(&self, i: usize) -> Option<Value>;
+}
+
+impl RowView for Row {
+    fn cell(&self, i: usize) -> Option<Value> {
+        self.get(i).cloned()
     }
-    binary_scalar(op, left.eval(row)?, right.eval(row)?)
+}
+
+/// Slot `slot` of `cols`, read as a row.
+struct SlotRow<'a> {
+    cols: &'a [Arc<Column>],
+    slot: usize,
+}
+
+impl RowView for SlotRow<'_> {
+    fn cell(&self, i: usize) -> Option<Value> {
+        self.cols.get(i).map(|c| c.value(self.slot))
+    }
 }
 
 /// Resolve a comparison operator against an ordering: one bit per
@@ -946,33 +816,11 @@ fn cmp_accepts(op: BinOp) -> impl Fn(Ordering) -> bool + Copy {
     move |ord| (accepts >> (ord as i8 + 1)) & 1 == 1
 }
 
-/// Logical NOT on an evaluated value (NULL propagates).
-pub(crate) fn not_scalar(v: Value) -> RelResult<Value> {
-    match v {
-        Value::Null => Ok(Value::Null),
-        v => Ok(Value::Bool(!v.as_bool()?)),
-    }
-}
-
-/// Arithmetic negation on an evaluated value (NULL propagates).
-pub(crate) fn neg_scalar(v: Value) -> RelResult<Value> {
-    match v {
-        Value::Null => Ok(Value::Null),
-        Value::Int(i) => Ok(Value::Int(i.wrapping_neg())),
-        Value::Float(f) => Ok(Value::float(-f)),
-        v => Err(RelError::TypeMismatch {
-            expected: "numeric".into(),
-            found: v.type_name().into(),
-        }),
-    }
-}
-
-/// Apply a binary operator to two *evaluated* values. This is the single
-/// semantic core shared by the row evaluator and the vectorized kernels'
-/// generic fallback — both paths produce byte-identical results by
-/// construction. Short-circuiting is the caller's job; `And`/`Or` here are
-/// the non-short-circuit combine.
-pub(crate) fn binary_scalar(op: BinOp, l: Value, r: Value) -> RelResult<Value> {
+/// Apply a binary operator to two *evaluated* values: the semantic core
+/// of the row rules, which the comparison and `AND`/`OR` kernels also
+/// call for the cells they cannot read typed. Short-circuiting is the
+/// caller's job; `And`/`Or` here are the non-short-circuit combine.
+fn binary_scalar(op: BinOp, l: Value, r: Value) -> RelResult<Value> {
     if matches!(op, BinOp::And | BinOp::Or) {
         return match (l, r) {
             (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
@@ -999,73 +847,38 @@ pub(crate) fn binary_scalar(op: BinOp, l: Value, r: Value) -> RelResult<Value> {
         return Ok(Value::Bool(cmp_accepts(op)(l.total_cmp(&r))));
     }
     // Arithmetic. Text + Text concatenates (convenience used by FlexRecs'
-    // compiled SQL when labelling results).
+    // compiled SQL when labelling results). Int × Int is SQL-style: a
+    // quotient that is not exact is a Float, as ratings averages must
+    // be, and overflow wraps (two's complement) like `SUM`: `i64::MIN /
+    // -1` is `i64::MIN` and `i64::MIN % -1` is 0. Anything else computes
+    // in floats, where a NaN result is NULL ([`Value::float`]). Only a
+    // zero divisor is an error.
+    let by_zero = |what: &str| Err(RelError::Arithmetic(format!("{what} by zero")));
     match (&l, &r) {
-        (Value::Text(a), Value::Text(b)) if op == BinOp::Add => {
-            let mut s = String::with_capacity(a.len() + b.len());
-            s.push_str(a);
-            s.push_str(b);
-            Ok(Value::Text(s))
+        (Value::Text(a), Value::Text(b)) if op == BinOp::Add => Ok(Value::Text(format!("{a}{b}"))),
+        (&Value::Int(a), &Value::Int(b)) => Ok(match op {
+            BinOp::Add => Value::Int(a.wrapping_add(b)),
+            BinOp::Sub => Value::Int(a.wrapping_sub(b)),
+            BinOp::Mul => Value::Int(a.wrapping_mul(b)),
+            BinOp::Div if b == 0 => return by_zero("division"),
+            BinOp::Div if a.wrapping_rem(b) == 0 => Value::Int(a.wrapping_div(b)),
+            BinOp::Div => Value::float(a as f64 / b as f64),
+            _ if b == 0 => return by_zero("modulo"),
+            _ => Value::Int(a.wrapping_rem(b)),
+        }),
+        _ => {
+            let (a, b) = (l.as_float()?, r.as_float()?);
+            Ok(Value::float(match op {
+                BinOp::Add => a + b,
+                BinOp::Sub => a - b,
+                BinOp::Mul => a * b,
+                BinOp::Div if b == 0.0 => return by_zero("division"),
+                BinOp::Div => a / b,
+                _ if b == 0.0 => return by_zero("modulo"),
+                _ => a % b,
+            }))
         }
-        (Value::Int(a), Value::Int(b)) => int_arith(op, *a, *b),
-        _ => float_arith(op, l.as_float()?, r.as_float()?),
     }
-}
-
-/// Integer arithmetic kernel (shared by the row evaluator and the
-/// vectorized `Int × Int` fast path). SQL-style: integer division yields a
-/// float when not exact, matching how ratings averages must behave.
-/// Overflow wraps (two's complement), like `SUM`: `i64::MIN / -1` is
-/// `i64::MIN` and `i64::MIN % -1` is 0; only a zero divisor is an error.
-#[inline]
-fn int_arith(op: BinOp, a: i64, b: i64) -> RelResult<Value> {
-    Ok(match op {
-        BinOp::Add => Value::Int(a.wrapping_add(b)),
-        BinOp::Sub => Value::Int(a.wrapping_sub(b)),
-        BinOp::Mul => Value::Int(a.wrapping_mul(b)),
-        BinOp::Div => {
-            if b == 0 {
-                return Err(RelError::Arithmetic("division by zero".into()));
-            }
-            if a.wrapping_rem(b) == 0 {
-                Value::Int(a.wrapping_div(b))
-            } else {
-                Value::float(a as f64 / b as f64)
-            }
-        }
-        BinOp::Mod => {
-            if b == 0 {
-                return Err(RelError::Arithmetic("modulo by zero".into()));
-            }
-            Value::Int(a.wrapping_rem(b))
-        }
-        _ => unreachable!(),
-    })
-}
-
-/// Float arithmetic kernel (shared by the row evaluator's coercing arm and
-/// the vectorized numeric fast path). NaN results become NULL via
-/// [`Value::float`].
-#[inline]
-fn float_arith(op: BinOp, a: f64, b: f64) -> RelResult<Value> {
-    Ok(match op {
-        BinOp::Add => Value::float(a + b),
-        BinOp::Sub => Value::float(a - b),
-        BinOp::Mul => Value::float(a * b),
-        BinOp::Div => {
-            if b == 0.0 {
-                return Err(RelError::Arithmetic("division by zero".into()));
-            }
-            Value::float(a / b)
-        }
-        BinOp::Mod => {
-            if b == 0.0 {
-                return Err(RelError::Arithmetic("modulo by zero".into()));
-            }
-            Value::float(a % b)
-        }
-        _ => unreachable!(),
-    })
 }
 
 /// A kernel operand: a view of an input column through the selection, a
@@ -1102,9 +915,7 @@ fn operand(e: &Expr, cols: &[Arc<Column>], sel: Slots<'_>) -> RelResult<Operand>
     }
 }
 
-/// The per-cell fallback: one scalar result per position, through a
-/// builder. Kernels use it for `Generic` storage, mistyped operands and
-/// the operations with no typed kernel.
+/// One scalar result per position, through a builder.
 fn per_cell(n: usize, f: impl Fn(usize) -> RelResult<Value>) -> RelResult<EvalCol> {
     let mut out = ColumnBuilder::with_capacity(n);
     for j in 0..n {
@@ -1143,100 +954,32 @@ fn compare_vals(
     None
 }
 
-/// `IN` over constant items: is each position's cell `sql_eq` to an
-/// item? A typed comparison per item (an item of another type rank, or
-/// NULL, matches nothing); `None` for the per-cell fallback.
-fn in_consts(n: usize, v: Vals<'_>, items: &[&Value]) -> Option<TypedCells<bool>> {
-    if v.nums().is_none() && v.texts().is_none() && v.bools().is_none() {
-        return None;
-    }
-    let valid: Vec<bool> = v.nulls(n).into_iter().map(|null| !null).collect();
-    let mut found = vec![false; n];
-    for item in items {
-        if let Some(Some((eq, _))) = compare_vals(n, v, Vals::Const { v: item }, Ordering::is_eq) {
-            for ((f, e), ok) in found.iter_mut().zip(eq).zip(&valid) {
-                *f |= e && *ok;
-            }
-        }
-    }
-    Some((found, Some(valid)))
-}
-
-/// Is any non-NULL cell true?
-fn any_true(cells: Option<TypedCells<bool>>) -> bool {
-    cells.is_some_and(|(data, valid)| {
-        (0..data.len()).any(|j| data[j] && valid.as_ref().is_none_or(|v| v[j]))
-    })
-}
-
-/// Valid where both are.
-fn and_validity(a: Option<Vec<bool>>, b: Option<Vec<bool>>) -> Option<Vec<bool>> {
-    match (a, b) {
-        (Some(a), Some(b)) => Some(a.iter().zip(&b).map(|(x, y)| *x && *y).collect()),
-        (v, None) | (None, v) => v,
-    }
-}
-
-fn eval_binary_batch(
+/// The comparison kernel: typed cells through [`compare_vals`];
+/// `Generic` storage and operands of different types compare cell by
+/// cell through [`binary_scalar`].
+fn compare_batch(
     op: BinOp,
     left: &Expr,
     right: &Expr,
     cols: &[Arc<Column>],
     sel: Slots<'_>,
 ) -> RelResult<EvalCol> {
-    if matches!(op, BinOp::And | BinOp::Or) {
-        return eval_logic_batch(op, left, right, cols, sel);
-    }
     let n = sel.len();
     let lo = operand(left, cols, sel)?;
     let ro = operand(right, cols, sel)?;
     if let (Operand::Const(a), Operand::Const(b)) = (&lo, &ro) {
         return binary_scalar(op, a.clone(), b.clone()).map(EvalCol::Const);
     }
-    let l = lo.vals(cols, sel);
-    let r = ro.vals(cols, sel);
-    if op.is_comparison() {
-        if let Some(cells) = compare_vals(n, l, r, cmp_accepts(op)) {
-            return Ok(EvalCol::Col(Column::bools(cells, n)));
-        }
-        return per_cell(n, |j| binary_scalar(op, l.value_at(j), r.value_at(j)));
+    let (l, r) = (lo.vals(cols, sel), ro.vals(cols, sel));
+    match compare_vals(n, l, r, cmp_accepts(op)) {
+        Some(cells) => Ok(EvalCol::Col(Column::bools(cells, n))),
+        None => per_cell(n, |j| binary_scalar(op, l.value_at(j), r.value_at(j))),
     }
-    // Arithmetic kernels.
-    if let (Some(a), Some(b)) = (l.ints(), r.ints()) {
-        let cells = match op {
-            BinOp::Add => zip_cells(n, a, b, i64::wrapping_add),
-            BinOp::Sub => zip_cells(n, a, b, i64::wrapping_sub),
-            BinOp::Mul => zip_cells(n, a, b, i64::wrapping_mul),
-            // A quotient is an Int or a Float, cell by cell; `%` stays with
-            // it so a zero divisor errors only in a non-NULL pair.
-            _ => {
-                return per_cell(n, |j| match (a.get(j), b.get(j)) {
-                    (Some(x), Some(y)) => int_arith(op, x, y),
-                    _ => Ok(Value::Null),
-                })
-            }
-        };
-        return Ok(EvalCol::Col(Column::ints(cells, n)));
-    }
-    if let (Some(a), Some(b)) = (l.nums(), r.nums()) {
-        // `float_arith`'s error for a zero divisor in a non-NULL pair.
-        if matches!(op, BinOp::Div | BinOp::Mod) && any_true(zip_nums(n, a, b, |_, y| y == 0.0)) {
-            return float_arith(op, 1.0, 0.0).map(EvalCol::Const);
-        }
-        let cells = match op {
-            BinOp::Add => zip_nums(n, a, b, |x, y| x + y),
-            BinOp::Sub => zip_nums(n, a, b, |x, y| x - y),
-            BinOp::Mul => zip_nums(n, a, b, |x, y| x * y),
-            BinOp::Div => zip_nums(n, a, b, |x, y| x / y),
-            _ => zip_nums(n, a, b, |x, y| x % y),
-        };
-        // `Value::float`: a NaN result is NULL.
-        return Ok(EvalCol::Col(Column::floats(cells, n)));
-    }
-    per_cell(n, |j| binary_scalar(op, l.value_at(j), r.value_at(j)))
 }
 
-fn eval_logic_batch(
+/// The `AND`/`OR` kernel, masked-lazy: the right operand is evaluated
+/// only over the slots whose left side does not short-circuit.
+fn logic_batch(
     op: BinOp,
     left: &Expr,
     right: &Expr,
@@ -1309,13 +1052,7 @@ fn eval_logic_batch(
     Ok(EvalCol::Col(out.finish()))
 }
 
-fn eval_func_batch(
-    func: ScalarFn,
-    args: &[Expr],
-    cols: &[Arc<Column>],
-    sel: Slots<'_>,
-) -> RelResult<EvalCol> {
-    let n = sel.len();
+fn eval_func(func: ScalarFn, args: &[Expr], row: &impl RowView) -> RelResult<Value> {
     let arity_err = |expected: usize| {
         Err(RelError::Invalid(format!(
             "{} expects {expected} argument(s), got {}",
@@ -1328,224 +1065,49 @@ fn eval_func_batch(
             if args.len() != 1 {
                 return arity_err(1);
             }
-            let o = operand(&args[0], cols, sel)?;
-            let v = o.vals(cols, sel);
-            per_cell(n, |j| {
-                let v = v.value_at(j);
-                Ok(if v.is_null() {
-                    Value::Null
-                } else {
-                    text_case_scalar(func, v.as_text()?)
-                })
+            let v = args[0].eval_in(row)?;
+            if v.is_null() {
+                return Ok(Value::Null);
+            }
+            let s = v.as_text()?;
+            Ok(match func {
+                ScalarFn::Lower => Value::Text(s.to_lowercase()),
+                ScalarFn::Upper => Value::Text(s.to_uppercase()),
+                _ => Value::Int(s.chars().count() as i64),
             })
         }
         ScalarFn::Abs => {
             if args.len() != 1 {
                 return arity_err(1);
             }
-            let o = operand(&args[0], cols, sel)?;
-            let v = o.vals(cols, sel);
-            let mut out = ColumnBuilder::with_capacity(n);
-            for j in 0..n {
-                out.push(abs_scalar(v.value_at(j))?);
+            match args[0].eval_in(row)? {
+                Value::Null => Ok(Value::Null),
+                Value::Int(i) => Ok(Value::Int(i.wrapping_abs())),
+                Value::Float(f) => Ok(Value::float(f.abs())),
+                v => Err(RelError::TypeMismatch {
+                    expected: "numeric".into(),
+                    found: v.type_name().into(),
+                }),
             }
-            Ok(EvalCol::Col(out.finish()))
         }
         ScalarFn::Round => {
             if args.is_empty() || args.len() > 2 {
                 return arity_err(1);
             }
-            let v0 = args[0].eval_batch(cols, sel)?;
-            // The digits argument is only evaluated for rows whose value
-            // is non-NULL, mirroring the row evaluator's laziness.
-            let mut sub_sel = Vec::with_capacity(n);
-            for (j, slot) in sel.iter().enumerate() {
-                if !v0.is_null_at(j) {
-                    sub_sel.push(slot);
-                }
+            let v = args[0].eval_in(row)?;
+            if v.is_null() {
+                return Ok(Value::Null);
             }
             let digits = match args.get(1) {
-                Some(d) => Some(d.eval_batch(cols, Slots::List(&sub_sel))?),
-                None => None,
+                Some(d) => d.eval_in(row)?.as_int()?,
+                None => 0,
             };
-            let mut out = ColumnBuilder::with_capacity(n);
-            let mut k = 0usize;
-            for j in 0..n {
-                let v = v0.value_at(j);
-                if v.is_null() {
-                    out.push(Value::Null);
-                    continue;
-                }
-                let d = match &digits {
-                    Some(dc) => dc.value_at(k).as_int()?,
-                    None => 0,
-                };
-                k += 1;
-                out.push(round_scalar(&v, d)?);
-            }
-            Ok(EvalCol::Col(out.finish()))
-        }
-        ScalarFn::Coalesce => {
-            // Lazy cascade: each argument is evaluated only over the rows
-            // still NULL after the previous ones.
-            let mut out: Vec<Option<Value>> = vec![None; n];
-            let mut pending: Vec<u32> = (0..n as u32).collect();
-            for a in args {
-                if pending.is_empty() {
-                    break;
-                }
-                let base: Vec<u32> = pending
-                    .iter()
-                    .map(|&p| sel.get(p as usize) as u32)
-                    .collect();
-                let ec = a.eval_batch(cols, Slots::List(&base))?;
-                let mut still = Vec::new();
-                for (k, &p) in pending.iter().enumerate() {
-                    let v = ec.value_at(k);
-                    if v.is_null() {
-                        still.push(p);
-                    } else {
-                        out[p as usize] = Some(v);
-                    }
-                }
-                pending = still;
-            }
-            let mut b = ColumnBuilder::with_capacity(n);
-            for v in out {
-                b.push(v.unwrap_or(Value::Null));
-            }
-            Ok(EvalCol::Col(b.finish()))
-        }
-        ScalarFn::Concat => {
-            let items: Vec<Operand> = args
-                .iter()
-                .map(|e| operand(e, cols, sel))
-                .collect::<RelResult<_>>()?;
-            let mut out = ColumnBuilder::with_capacity(n);
-            for j in 0..n {
-                let mut s = String::new();
-                for it in &items {
-                    let v = it.vals(cols, sel).value_at(j);
-                    if !v.is_null() {
-                        s.push_str(&v.to_string());
-                    }
-                }
-                out.push(Value::Text(s));
-            }
-            Ok(EvalCol::Col(out.finish()))
-        }
-        ScalarFn::Sqrt | ScalarFn::Ln | ScalarFn::Exp => {
-            if args.len() != 1 {
-                return arity_err(1);
-            }
-            let o = operand(&args[0], cols, sel)?;
-            let v = o.vals(cols, sel);
-            let mut out = ColumnBuilder::with_capacity(n);
-            for j in 0..n {
-                let v = v.value_at(j);
-                out.push(if v.is_null() {
-                    Value::Null
-                } else {
-                    math1_scalar(func, &v)?
-                });
-            }
-            Ok(EvalCol::Col(out.finish()))
-        }
-        ScalarFn::Pow => {
-            if args.len() != 2 {
-                return arity_err(2);
-            }
-            let ao = operand(&args[0], cols, sel)?;
-            let bo = operand(&args[1], cols, sel)?;
-            let av = ao.vals(cols, sel);
-            let bv = bo.vals(cols, sel);
-            let mut out = ColumnBuilder::with_capacity(n);
-            for j in 0..n {
-                let a = av.value_at(j);
-                let b = bv.value_at(j);
-                out.push(if a.is_null() || b.is_null() {
-                    Value::Null
-                } else {
-                    pow_scalar(&a, &b)?
-                });
-            }
-            Ok(EvalCol::Col(out.finish()))
-        }
-        ScalarFn::Substr => {
-            if args.len() != 3 {
-                return arity_err(3);
-            }
-            let v0 = args[0].eval_batch(cols, sel)?;
-            let mut sub_sel = Vec::with_capacity(n);
-            for (j, slot) in sel.iter().enumerate() {
-                if !v0.is_null_at(j) {
-                    sub_sel.push(slot);
-                }
-            }
-            let starts = args[1].eval_batch(cols, Slots::List(&sub_sel))?;
-            let lens = args[2].eval_batch(cols, Slots::List(&sub_sel))?;
-            let mut out = ColumnBuilder::with_capacity(n);
-            let mut k = 0usize;
-            for j in 0..n {
-                let v = v0.value_at(j);
-                if v.is_null() {
-                    out.push(Value::Null);
-                    continue;
-                }
-                let s = v.as_text()?;
-                let start = starts.value_at(k).as_int()?;
-                let len = lens.value_at(k).as_int()?;
-                k += 1;
-                out.push(substr_scalar(s, start, len));
-            }
-            Ok(EvalCol::Col(out.finish()))
-        }
-    }
-}
-
-fn eval_func(func: ScalarFn, args: &[Expr], row: &Row) -> RelResult<Value> {
-    let arity_err = |expected: usize| {
-        Err(RelError::Invalid(format!(
-            "{} expects {expected} argument(s), got {}",
-            func.sql(),
-            args.len()
-        )))
-    };
-    match func {
-        ScalarFn::Lower | ScalarFn::Upper | ScalarFn::Length => {
-            if args.len() != 1 {
-                return arity_err(1);
-            }
-            let v = args[0].eval(row)?;
-            if v.is_null() {
-                return Ok(Value::Null);
-            }
-            Ok(text_case_scalar(func, v.as_text()?))
-        }
-        ScalarFn::Abs => {
-            if args.len() != 1 {
-                return arity_err(1);
-            }
-            abs_scalar(args[0].eval(row)?)
-        }
-        ScalarFn::Round => {
-            if args.is_empty() || args.len() > 2 {
-                return arity_err(1);
-            }
-            let v = args[0].eval(row)?;
-            if v.is_null() {
-                return Ok(Value::Null);
-            }
-            let digits = if args.len() == 2 {
-                args[1].eval(row)?.as_int()?
-            } else {
-                0
-            };
-            round_scalar(&v, digits)
+            let scale = 10f64.powi(digits as i32);
+            Ok(Value::float((v.as_float()? * scale).round() / scale))
         }
         ScalarFn::Coalesce => {
             for a in args {
-                let v = a.eval(row)?;
+                let v = a.eval_in(row)?;
                 if !v.is_null() {
                     return Ok(v);
                 }
@@ -1555,7 +1117,7 @@ fn eval_func(func: ScalarFn, args: &[Expr], row: &Row) -> RelResult<Value> {
         ScalarFn::Concat => {
             let mut s = String::new();
             for a in args {
-                let v = a.eval(row)?;
+                let v = a.eval_in(row)?;
                 if !v.is_null() {
                     s.push_str(&v.to_string());
                 }
@@ -1566,145 +1128,75 @@ fn eval_func(func: ScalarFn, args: &[Expr], row: &Row) -> RelResult<Value> {
             if args.len() != 1 {
                 return arity_err(1);
             }
-            let v = args[0].eval(row)?;
+            let v = args[0].eval_in(row)?;
             if v.is_null() {
                 return Ok(Value::Null);
             }
-            math1_scalar(func, &v)
+            let f = v.as_float()?;
+            Ok(match func {
+                ScalarFn::Sqrt if f < 0.0 => Value::Null,
+                ScalarFn::Sqrt => Value::float(f.sqrt()),
+                ScalarFn::Ln if f <= 0.0 => Value::Null,
+                ScalarFn::Ln => Value::float(f.ln()),
+                _ => Value::float(f.exp()),
+            })
         }
         ScalarFn::Pow => {
             if args.len() != 2 {
                 return arity_err(2);
             }
-            let a = args[0].eval(row)?;
-            let b = args[1].eval(row)?;
+            let a = args[0].eval_in(row)?;
+            let b = args[1].eval_in(row)?;
             if a.is_null() || b.is_null() {
                 return Ok(Value::Null);
             }
-            pow_scalar(&a, &b)
+            Ok(Value::float(a.as_float()?.powf(b.as_float()?)))
         }
         ScalarFn::Substr => {
             if args.len() != 3 {
                 return arity_err(3);
             }
-            let v = args[0].eval(row)?;
+            let v = args[0].eval_in(row)?;
             if v.is_null() {
                 return Ok(Value::Null);
             }
+            // 1-based SQL start.
             let s = v.as_text()?;
-            let start = args[1].eval(row)?.as_int()?;
-            let len = args[2].eval(row)?.as_int()?;
-            Ok(substr_scalar(s, start, len))
+            let start = args[1].eval_in(row)?.as_int()?.max(1) as usize - 1;
+            let len = args[2].eval_in(row)?.as_int()?.max(0) as usize;
+            Ok(Value::Text(s.chars().skip(start).take(len).collect()))
         }
     }
-}
-
-/// `LOWER`/`UPPER`/`LENGTH` on a non-NULL text value.
-fn text_case_scalar(func: ScalarFn, s: &str) -> Value {
-    match func {
-        ScalarFn::Lower => Value::Text(s.to_lowercase()),
-        ScalarFn::Upper => Value::Text(s.to_uppercase()),
-        _ => Value::Int(s.chars().count() as i64),
-    }
-}
-
-/// `ABS` on an evaluated value (NULL propagates).
-fn abs_scalar(v: Value) -> RelResult<Value> {
-    match v {
-        Value::Null => Ok(Value::Null),
-        Value::Int(i) => Ok(Value::Int(i.wrapping_abs())),
-        Value::Float(f) => Ok(Value::float(f.abs())),
-        v => Err(RelError::TypeMismatch {
-            expected: "numeric".into(),
-            found: v.type_name().into(),
-        }),
-    }
-}
-
-/// `ROUND` on a non-NULL value.
-fn round_scalar(v: &Value, digits: i64) -> RelResult<Value> {
-    let f = v.as_float()?;
-    let scale = 10f64.powi(digits as i32);
-    Ok(Value::float((f * scale).round() / scale))
-}
-
-/// `SQRT`/`LN`/`EXP` on a non-NULL value.
-fn math1_scalar(func: ScalarFn, v: &Value) -> RelResult<Value> {
-    let f = v.as_float()?;
-    Ok(match func {
-        ScalarFn::Sqrt => {
-            if f < 0.0 {
-                Value::Null
-            } else {
-                Value::float(f.sqrt())
-            }
-        }
-        ScalarFn::Ln => {
-            if f <= 0.0 {
-                Value::Null
-            } else {
-                Value::float(f.ln())
-            }
-        }
-        _ => Value::float(f.exp()),
-    })
-}
-
-/// `POW` on two non-NULL values.
-fn pow_scalar(a: &Value, b: &Value) -> RelResult<Value> {
-    Ok(Value::float(a.as_float()?.powf(b.as_float()?)))
-}
-
-/// `SUBSTR` on a non-NULL text value (1-based SQL start).
-fn substr_scalar(s: &str, start: i64, len: i64) -> Value {
-    let start = start.max(1) as usize - 1;
-    let len = len.max(0) as usize;
-    Value::Text(s.chars().skip(start).take(len).collect())
 }
 
 /// SQL LIKE matching with `%` (any run) and `_` (any one char),
-/// case-insensitive.
+/// case-insensitive. Iterative two-pointer algorithm (no recursion, no
+/// allocation beyond the lowercased text and pattern).
 pub fn like_match(text: &str, pattern: &str) -> bool {
-    LikePattern::new(pattern).matches(text)
-}
-
-/// A LIKE pattern lowered once, so a kernel over a constant pattern pays
-/// for it once, not per row.
-struct LikePattern(Vec<char>);
-
-impl LikePattern {
-    fn new(pattern: &str) -> LikePattern {
-        LikePattern(pattern.to_lowercase().chars().collect())
-    }
-
-    /// Iterative two-pointer algorithm (no recursion, no allocation beyond
-    /// the lowercased text).
-    fn matches(&self, text: &str) -> bool {
-        let t: Vec<char> = text.to_lowercase().chars().collect();
-        let p = &self.0;
-        let (mut ti, mut pi) = (0usize, 0usize);
-        let (mut star_p, mut star_t) = (usize::MAX, 0usize);
-        while ti < t.len() {
-            if pi < p.len() && (p[pi] == '_' || p[pi] == t[ti]) {
-                ti += 1;
-                pi += 1;
-            } else if pi < p.len() && p[pi] == '%' {
-                star_p = pi;
-                star_t = ti;
-                pi += 1;
-            } else if star_p != usize::MAX {
-                star_t += 1;
-                ti = star_t;
-                pi = star_p + 1;
-            } else {
-                return false;
-            }
-        }
-        while pi < p.len() && p[pi] == '%' {
+    let t: Vec<char> = text.to_lowercase().chars().collect();
+    let p: Vec<char> = pattern.to_lowercase().chars().collect();
+    let (mut ti, mut pi) = (0usize, 0usize);
+    let (mut star_p, mut star_t) = (usize::MAX, 0usize);
+    while ti < t.len() {
+        if pi < p.len() && (p[pi] == '_' || p[pi] == t[ti]) {
+            ti += 1;
             pi += 1;
+        } else if pi < p.len() && p[pi] == '%' {
+            star_p = pi;
+            star_t = ti;
+            pi += 1;
+        } else if star_p != usize::MAX {
+            star_t += 1;
+            ti = star_t;
+            pi = star_p + 1;
+        } else {
+            return false;
         }
-        pi == p.len()
     }
+    while pi < p.len() && p[pi] == '%' {
+        pi += 1;
+    }
+    pi == p.len()
 }
 
 impl fmt::Display for Expr {
@@ -1890,14 +1382,35 @@ mod tests {
 
     #[test]
     fn constant_folding() {
-        let e = Expr::lit(2i64).add(Expr::lit(3i64)).mul(Expr::lit(4i64));
-        assert_eq!(e.fold(), Expr::Literal(Value::Int(20)));
-        // Non-constant parts survive.
-        let e = Expr::col_idx(0).add(Expr::lit(2i64).add(Expr::lit(3i64)));
-        let folded = e.fold();
-        match folded {
-            Expr::Binary { right, .. } => assert_eq!(*right, Expr::Literal(Value::Int(5))),
-            other => panic!("unexpected fold result {other:?}"),
+        let cases = vec![
+            (
+                Expr::lit(2i64).add(Expr::lit(3i64)).mul(Expr::lit(4i64)),
+                Expr::lit(20i64),
+            ),
+            // Non-constant parts survive.
+            (
+                Expr::col_idx(0).add(Expr::lit(2i64).add(Expr::lit(3i64))),
+                Expr::col_idx(0).add(Expr::lit(5i64)),
+            ),
+            (
+                Expr::lit(1i64).gt(Expr::lit(2i64)).or(Expr::lit(true)),
+                Expr::lit(true),
+            ),
+            (
+                Expr::Func {
+                    func: ScalarFn::Round,
+                    args: vec![Expr::lit(2.567f64), Expr::lit(1i64)],
+                },
+                Expr::lit(2.6f64),
+            ),
+            // Errors must survive folding for runtime reporting, not panic.
+            (
+                Expr::lit(1i64).div(Expr::lit(0i64)),
+                Expr::lit(1i64).div(Expr::lit(0i64)),
+            ),
+        ];
+        for (e, want) in cases {
+            assert_eq!(e.fold(), want, "fold of {e}");
         }
     }
 
@@ -2027,22 +1540,211 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fold_kernel_matches_fold() {
-        let exprs = vec![
-            Expr::lit(2i64).add(Expr::lit(3i64)).mul(Expr::lit(4i64)),
-            Expr::col_idx(0).add(Expr::lit(2i64).add(Expr::lit(3i64))),
-            Expr::lit(1i64).gt(Expr::lit(2i64)).or(Expr::lit(true)),
-            Expr::Func {
-                func: ScalarFn::Round,
-                args: vec![Expr::lit(2.567f64), Expr::lit(1i64)],
-            },
-            // Errors must survive folding for runtime reporting, not panic.
-            Expr::lit(1i64).div(Expr::lit(0i64)),
-        ];
-        for e in exprs {
-            assert_eq!(e.fold(), e.fold_kernel(), "kernel fold diverged on {e}");
+    /// SplitMix64: a seeded stream, so a failing case replays from its
+    /// printed seed.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
         }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
+            xs[self.below(xs.len())]
+        }
+    }
+
+    /// Columns of the random batches: Int, Float, Text, Bool, mixed
+    /// (`Generic` storage) and LIKE patterns (Text).
+    const WIDTH: usize = 6;
+
+    fn random_cell(rng: &mut Rng, c: usize) -> Value {
+        if rng.below(5) == 0 {
+            return Value::Null;
+        }
+        match c {
+            0 => Value::Int(rng.pick(&[0, 1, -1, 2, 7, -3, i64::MAX, i64::MIN])),
+            1 => Value::Float(rng.pick(&[0.0, -0.0, 0.5, -2.5, 3.0, 1e300])),
+            2 => Value::text(rng.pick(&["", "a", "Ab", "abc", "é", "2"])),
+            3 => Value::Bool(rng.below(2) == 0),
+            4 => match rng.below(5) {
+                4 => Value::Date(rng.pick(&[0, 2, 7])),
+                c => random_cell(rng, c),
+            },
+            _ => Value::text(rng.pick(&["%", "a%", "_b%", "%C", "", "A_", "é"])),
+        }
+    }
+
+    fn random_leaf(rng: &mut Rng) -> Expr {
+        let c = rng.below(WIDTH);
+        match rng.below(2) {
+            0 => Expr::col_idx(c),
+            _ => Expr::Literal(random_cell(rng, c)),
+        }
+    }
+
+    /// A tree of the kinds with a kernel (comparisons, `AND`/`OR`, `IS
+    /// NULL`) over random subtrees, so kernels are reached from the
+    /// root, as a filter reaches them.
+    fn kernel_expr(rng: &mut Rng, depth: usize) -> Expr {
+        use BinOp::*;
+        if depth == 0 {
+            return random_leaf(rng);
+        }
+        let sub = |rng: &mut Rng| Box::new(kernel_expr(rng, depth - 1));
+        match rng.below(4) {
+            0 => Expr::IsNull {
+                expr: Box::new(random_expr(rng, depth - 1)),
+                negated: rng.below(2) == 0,
+            },
+            1 => Expr::Binary {
+                op: rng.pick(&[And, Or]),
+                left: sub(rng),
+                right: sub(rng),
+            },
+            _ => Expr::Binary {
+                op: rng.pick(&[Eq, NotEq, Lt, LtEq, Gt, GtEq]),
+                left: Box::new(random_expr(rng, depth - 1)),
+                right: Box::new(random_expr(rng, depth - 1)),
+            },
+        }
+    }
+
+    /// A random tree over every node kind: every operator and function
+    /// (and a wrong arity now and then), LIKE over column and constant
+    /// patterns, IN over column items, and divisors that are often zero.
+    fn random_expr(rng: &mut Rng, depth: usize) -> Expr {
+        if depth == 0 || rng.below(4) == 0 {
+            return random_leaf(rng);
+        }
+        let d = depth - 1;
+        let negated = rng.below(2) == 0;
+        let boxed = |rng: &mut Rng| Box::new(random_expr(rng, d));
+        match rng.below(10) {
+            0..=2 => {
+                use BinOp::*;
+                let op = rng.pick(&[
+                    Add, Sub, Mul, Div, Mod, Eq, NotEq, Lt, LtEq, Gt, GtEq, And, Or,
+                ]);
+                Expr::Binary {
+                    op,
+                    left: boxed(rng),
+                    right: boxed(rng),
+                }
+            }
+            3 => Expr::Not(boxed(rng)),
+            4 => Expr::Neg(boxed(rng)),
+            5 => Expr::IsNull {
+                expr: boxed(rng),
+                negated,
+            },
+            6 => Expr::Like {
+                expr: boxed(rng),
+                pattern: boxed(rng),
+                negated,
+            },
+            7 => Expr::InList {
+                expr: boxed(rng),
+                list: (0..rng.below(4)).map(|_| random_expr(rng, d)).collect(),
+                negated,
+            },
+            8 => Expr::Between {
+                expr: boxed(rng),
+                low: boxed(rng),
+                high: boxed(rng),
+                negated,
+            },
+            _ => {
+                use ScalarFn::*;
+                let func = rng.pick(&[
+                    Lower, Upper, Length, Abs, Round, Coalesce, Concat, Substr, Sqrt, Pow, Ln, Exp,
+                ]);
+                let arity = match func {
+                    _ if rng.below(10) == 0 => rng.below(4),
+                    Round => 1 + rng.below(2),
+                    Coalesce | Concat => rng.below(4),
+                    Pow => 2,
+                    Substr => 3,
+                    _ => 1,
+                };
+                Expr::Func {
+                    func,
+                    args: (0..arity).map(|_| random_expr(rng, d)).collect(),
+                }
+            }
+        }
+    }
+
+    /// The batched evaluator agrees with the row evaluator on random
+    /// trees over random columns with NULLs: over a whole batch, a run
+    /// that starts past slot 0 and a list of slots (out of order, with
+    /// repeats), each selected slot's value is the row's, and the batch
+    /// errors exactly when some selected row does. The release CI step
+    /// runs this too, where integer overflow wraps instead of panicking.
+    #[test]
+    fn eval_differential() {
+        use crate::batch::Batch;
+        let (mut compared, mut errored) = (0usize, 0usize);
+        for seed in 0..10_000u64 {
+            let mut rng = Rng(seed);
+            let n = 1 + rng.below(9);
+            let rows: Vec<Row> = (0..n)
+                .map(|_| (0..WIDTH).map(|c| random_cell(&mut rng, c)).collect())
+                .collect();
+            let b = Batch::from_rows(&rows, WIDTH);
+            let e = match rng.below(2) {
+                0 => kernel_expr(&mut rng, 3),
+                _ => random_expr(&mut rng, 4),
+            };
+            let start = rng.below(n);
+            let len = 1 + rng.below(n - start);
+            let list: Vec<u32> = (0..1 + rng.below(2 * n))
+                .map(|_| rng.below(n) as u32)
+                .collect();
+            for sel in [Slots::all(n), Slots::Run { start, len }, Slots::List(&list)] {
+                let want: Vec<RelResult<Value>> =
+                    (0..sel.len()).map(|j| e.eval(&rows[sel.get(j)])).collect();
+                match e.eval_batch(b.columns(), sel) {
+                    Ok(ec) => {
+                        for (j, w) in want.iter().enumerate() {
+                            let slot = sel.get(j);
+                            match w {
+                                Ok(w) => assert_eq!(
+                                    format!("{:?}", ec.value_at(j)),
+                                    format!("{w:?}"),
+                                    "seed {seed}: {e} at slot {slot}"
+                                ),
+                                Err(err) => panic!(
+                                    "seed {seed}: {e} is a value in the batch, \
+                                     but slot {slot} errors: {err}"
+                                ),
+                            }
+                        }
+                        compared += 1;
+                    }
+                    Err(err) => {
+                        assert!(
+                            want.iter().any(Result::is_err),
+                            "seed {seed}: {e} errors in the batch ({err}), but no selected row does"
+                        );
+                        errored += 1;
+                    }
+                }
+            }
+        }
+        // Both outcomes are common, or the corpus shows little.
+        assert!(
+            compared > 10_000 && errored > 10_000,
+            "{compared} compared, {errored} errored"
+        );
     }
 
     #[test]

@@ -393,11 +393,6 @@ impl FlowPolicy {
     pub fn table(&self, table: &str) -> Option<&TablePolicy> {
         self.tables.get(&table.to_ascii_lowercase())
     }
-
-    /// Names of all tables with a registered policy (lowercase, sorted).
-    pub fn labeled_tables(&self) -> Vec<String> {
-        self.tables.keys().cloned().collect()
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -87,14 +87,12 @@ fn assert_rule_sound(rule: &str, plan: &LogicalPlan, schema_before: &crate::sche
 
 /// Fold constant subexpressions everywhere.
 ///
-/// Folding runs through the vectorized kernel path ([`Expr::fold_kernel`]):
-/// a literal-only subtree is evaluated as a one-row batch, so the optimizer
-/// exercises exactly the kernels the executor will run — any row-vs-batch
-/// divergence in folding shows up under the debug-build soundness harness
-/// instead of at execution time.
+/// Folding runs through the batched evaluator ([`Expr::fold`]): a
+/// literal-only subtree is evaluated as a one-row batch, so the optimizer
+/// exercises exactly the code the executor will run, and the validator's
+/// W101/W102 checks fold with the same function.
 fn fold_constants(plan: LogicalPlan) -> LogicalPlan {
-    plan.map_children(fold_constants)
-        .map_exprs(|e| e.fold_kernel())
+    plan.map_children(fold_constants).map_exprs(|e| e.fold())
 }
 
 /// Push filters down as far as they can go, bottom-up.
@@ -447,7 +445,7 @@ mod tests {
 
     #[test]
     fn constant_folding_runs_through_kernels() {
-        // The rule folds via Expr::fold_kernel (one-row batch evaluation);
+        // The rule folds via Expr::fold (one-row batch evaluation);
         // optimize() runs it under the debug-build soundness harness, so
         // a kernel-vs-row folding divergence would panic here.
         let c = setup();

@@ -158,11 +158,6 @@ impl Client<TcpStream> {
     }
 }
 
-/// Branch helper: did the server shed this request?
-pub fn is_overloaded(resp: &Response) -> bool {
-    matches!(resp, Response::Overloaded { .. })
-}
-
 /// Branch helper: the flow analysis denied this query for the session's
 /// principal.
 pub fn is_policy_denied(resp: &Response) -> bool {

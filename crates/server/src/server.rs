@@ -37,7 +37,7 @@
 //! cut across all tables — publication only decides *which* cut.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -721,11 +721,4 @@ impl Drop for TcpHandle {
             let _ = h.join();
         }
     }
-}
-
-/// Convenience: connect a [`TcpHandle`]'s address with `TcpStream`.
-pub fn connect_tcp(handle: &TcpHandle) -> std::io::Result<TcpStream> {
-    let s = TcpStream::connect(handle.local_addr())?;
-    s.set_nodelay(true)?;
-    Ok(s)
 }

@@ -19,7 +19,8 @@ pub struct SessionInfo {
     pub id: u64,
     /// Transport peer ("pipe" for in-process connections).
     pub peer: String,
-    /// Client-announced name from the handshake.
+    /// Client-announced name from the handshake, cut to
+    /// [`CLIENT_NAME_CAP`] bytes.
     pub client: String,
     /// The clearance this session's queries are disclosure-checked
     /// against (protocol v3 handshake).
@@ -37,6 +38,11 @@ pub struct SessionInfo {
     pub last_write_seq: u64,
 }
 
+/// The longest handshake client name a session keeps, in bytes. A
+/// longer name is cut at the last char boundary at or below it, so a
+/// peer cannot hold megabytes of server memory for a session's life.
+pub const CLIENT_NAME_CAP: usize = 256;
+
 /// The server-wide session table.
 #[derive(Debug, Default)]
 pub struct SessionRegistry {
@@ -52,7 +58,8 @@ impl SessionRegistry {
         })
     }
 
-    /// Open a session at handshake time; returns its id.
+    /// Open a session at handshake time; returns its id. The client
+    /// name is kept up to [`CLIENT_NAME_CAP`] bytes.
     pub fn open(&self, peer: &str, client: &str, principal: Principal) -> u64 {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let started_unix = SystemTime::now()
@@ -64,7 +71,7 @@ impl SessionRegistry {
             SessionInfo {
                 id,
                 peer: peer.to_owned(),
-                client: client.to_owned(),
+                client: client[..client.floor_char_boundary(CLIENT_NAME_CAP)].to_owned(),
                 principal,
                 started_unix,
                 requests: 0,

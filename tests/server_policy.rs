@@ -336,3 +336,46 @@ fn hello_time_bound_a_4_mib_client_is_answered_then_served() {
     }
     student.goodbye().unwrap();
 }
+
+#[test]
+fn a_4_mib_client_name_is_kept_to_the_cap() {
+    use cr_server::session::CLIENT_NAME_CAP;
+    let server = tiny_server();
+    // 4-byte chars after one ASCII byte: the cap falls inside a char.
+    let name = format!("x{}", "😀".repeat(1 << 20));
+    let mut student = connect(&server, &name, "student:2");
+    match student
+        .sql("SELECT Title FROM Courses WHERE CourseID = 1")
+        .unwrap()
+    {
+        Response::Rows { rows, .. } => assert_eq!(rows.len(), 1),
+        other => panic!("unexpected: {other:?}"),
+    }
+    let mut staff = connect(&server, "cap-staff", "staff");
+    let Response::Rows { rows, .. } = staff.sql("SELECT Client FROM cr_stat_sessions").unwrap()
+    else {
+        panic!("cr_stat_sessions is not rows");
+    };
+    let kept: Vec<String> = rows
+        .iter()
+        .filter_map(|r| match &r[0] {
+            cr_relation::Value::Text(c) if c.starts_with('x') => Some(c.clone()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(kept.len(), 1, "one capped session row");
+    let client = &kept[0];
+    assert!(
+        client.len() <= CLIENT_NAME_CAP,
+        "{} bytes kept",
+        client.len()
+    );
+    assert!(
+        client.len() > CLIENT_NAME_CAP - 4,
+        "{} bytes kept",
+        client.len()
+    );
+    assert!(name.starts_with(client.as_str()));
+    student.goodbye().unwrap();
+    staff.goodbye().unwrap();
+}
