@@ -697,6 +697,57 @@ mod tests {
         assert_eq!(reencoded, del);
     }
 
+    /// A v2 UPDATE and a v2 DELETE (tags 7 and 8, pre-image after the
+    /// redo fields) as the v2 encoder wrote them.
+    const V2_UPDATE_HEX: &str = "0708436f6d6d656e7473ac0204030805036e65770204000000000000e0bf04030505066f6c6420c3a900040000000000000440";
+    const V2_DELETE_HEX: &str = "0805566f746573f0a20404030505066f6c6420c3a900040000000000000440";
+
+    fn v2_pre_image() -> Row {
+        vec![
+            Value::Int(-3),
+            Value::text("old é"),
+            Value::Null,
+            Value::Float(2.5),
+        ]
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn unhex(text: &str) -> Vec<u8> {
+        (0..text.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&text[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn v2_golden_payloads() {
+        let update = WalRecord::Update {
+            table: "Comments".into(),
+            rid: 300,
+            row: vec![
+                Value::Int(4),
+                Value::text("new"),
+                Value::Bool(true),
+                Value::Float(-0.5),
+            ],
+            old: Some(v2_pre_image()),
+        };
+        let delete = WalRecord::Delete {
+            table: "Votes".into(),
+            rid: 70_000,
+            old: Some(v2_pre_image()),
+        };
+        for (rec, golden) in [(update, V2_UPDATE_HEX), (delete, V2_DELETE_HEX)] {
+            let mut buf = Vec::new();
+            encode_record(&rec, &mut buf);
+            assert_eq!(hex(&buf), golden);
+            assert_eq!(decode_record(&unhex(golden)).unwrap(), rec);
+        }
+    }
+
     #[test]
     fn records_roundtrip() {
         for rec in sample_records() {
