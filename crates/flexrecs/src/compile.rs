@@ -14,22 +14,25 @@
 //! semantics; `tests/flexrecs_plan_equivalence.rs` property-tests that the
 //! compiled plan returns an identical `ResultSet`, schema included.
 //!
-//! Lowering is purely structural:
+//! Lowering is purely structural. Every node is stacked through
+//! [`PlanBuilder`], which derives each output schema and checks each
+//! shape; what the compiler adds is FlexRecs' own:
 //!
 //! * names resolve by [`resolve`]: first case-insensitive match — the
-//!   interpreter's rule too;
+//!   interpreter's rule too — and reach the builder as positions;
 //! * predicates lower to two-valued expressions
 //!   (`col IS NOT NULL AND col op lit`) so NULL comparisons behave as
 //!   `false` inside `OR`, exactly like the interpreter;
-//! * the extend operator's related table becomes a projected sub-plan
+//! * the extend operator's related table becomes a projected scan
 //!   `[fk, key(, rating)]`, so the optimizer can treat it like any other
-//!   input.
+//!   input;
+//! * a join on a set or ratings attribute is an error, not a plan.
 
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use cr_relation::plan::{optimizer, JoinKind, LogicalPlan, RecAggPlan, RecSpec};
-use cr_relation::{Catalog, Column, DataType, Expr, RelError, RelResult, ResultSet, Schema};
+use cr_relation::{Catalog, DataType, Expr, PlanBuilder, RelError, RelResult, ResultSet, Schema};
 
 use crate::workflow::{infer_schema, resolve, CmpOp, Node, RecAgg, WfPredicate, Workflow};
 
@@ -103,7 +106,7 @@ pub fn compile(workflow: &Workflow, catalog: &Catalog) -> RelResult<LogicalPlan>
     // Full workflow validation (attribute existence, recommend type
     // discipline) before lowering, so errors carry workflow-level names.
     infer_schema(&workflow.root, catalog)?;
-    let plan = lower(&workflow.root, catalog)?;
+    let plan = lower(&workflow.root, catalog)?.build();
     // The plan validator re-checks the lowered output (single tree walk,
     // well under the 5% compile budget): any error here is a lowering bug,
     // not a user mistake — surface it before it becomes a wrong answer.
@@ -193,50 +196,23 @@ pub fn explain_sql(workflow: &Workflow, catalog: &Catalog) -> RelResult<Vec<Stri
     Ok(plan.explain().lines().map(str::to_owned).collect())
 }
 
-fn lower(node: &Node, catalog: &Catalog) -> RelResult<LogicalPlan> {
+fn lower(node: &Node, catalog: &Catalog) -> RelResult<PlanBuilder> {
     match node {
-        Node::Source { table } => {
-            let schema = catalog.table_schema(table)?;
-            Ok(LogicalPlan::Scan {
-                table: table.clone(),
-                alias: None,
-                projection: None,
-                filter: None,
-                schema,
-            })
-        }
+        Node::Source { table } => PlanBuilder::scan(catalog, table),
 
         Node::Select { input, predicate } => {
             let input = lower(input, catalog)?;
             let predicate = lower_predicate(predicate, input.schema())?;
-            Ok(LogicalPlan::Filter {
-                input: Box::new(input),
-                predicate,
-            })
+            input.filter(predicate)
         }
 
         Node::Project { input, columns } => {
             let input = lower(input, catalog)?;
-            let mut exprs = Vec::with_capacity(columns.len());
-            let mut schema = Schema::default();
-            for c in columns {
-                let i = resolve(input.schema(), c)?;
-                let col = input.schema().column(i);
-                schema.push(
-                    Column {
-                        name: c.clone(),
-                        data_type: col.data_type,
-                        nullable: col.nullable,
-                    },
-                    None,
-                );
-                exprs.push((Expr::col_idx(i), c.clone()));
-            }
-            Ok(LogicalPlan::Project {
-                input: Box::new(input),
-                exprs,
-                schema,
-            })
+            let columns = columns
+                .iter()
+                .map(|c| Ok((resolve(input.schema(), c)?, c.as_str())))
+                .collect::<RelResult<Vec<_>>>()?;
+            input.select_positions(&columns)
         }
 
         Node::Join {
@@ -259,15 +235,8 @@ fn lower(node: &Node, catalog: &Catalog) -> RelResult<LogicalPlan> {
                     )));
                 }
             }
-            let left_w = l.schema().len();
-            let schema = l.schema().join(r.schema());
-            Ok(LogicalPlan::Join {
-                left: Box::new(l),
-                right: Box::new(r),
-                kind: JoinKind::Inner,
-                on: Expr::col_idx(li).eq(Expr::col_idx(left_w + ri)),
-                schema,
-            })
+            let on = Expr::col_idx(li).eq(Expr::col_idx(l.schema().len() + ri));
+            l.join(r, JoinKind::Inner, on)
         }
 
         Node::Extend {
@@ -286,38 +255,11 @@ fn lower(node: &Node, catalog: &Catalog) -> RelResult<LogicalPlan> {
                 resolve(&rel_schema, fk_column)?,
                 resolve(&rel_schema, key_column)?,
             ];
-            let rating = rating_column.is_some();
             if let Some(rc) = rating_column {
                 proj.push(resolve(&rel_schema, rc)?);
             }
-            let related_out = LogicalPlan::scan_output_schema(&rel_schema, &Some(proj.clone()));
-            let related = LogicalPlan::Scan {
-                table: related_table.clone(),
-                alias: None,
-                projection: Some(proj),
-                filter: None,
-                schema: related_out,
-            };
-            let mut schema = input.schema().clone();
-            schema.push(
-                Column::new(
-                    as_name,
-                    if rating {
-                        DataType::Ratings
-                    } else {
-                        DataType::Set
-                    },
-                ),
-                None,
-            );
-            Ok(LogicalPlan::Extend {
-                input: Box::new(input),
-                related: Box::new(related),
-                key_col,
-                rating,
-                as_name: as_name.clone(),
-                schema,
-            })
+            let related = PlanBuilder::scan_columns(catalog, related_table, proj)?;
+            input.extend_at(related, key_col, rating_column.is_some(), as_name)
         }
 
         Node::Recommend {
@@ -351,26 +293,12 @@ fn lower(node: &Node, catalog: &Catalog) -> RelResult<LogicalPlan> {
                 score_name: spec.score_name.clone(),
                 exclude_seen,
             };
-            let mut schema = t.schema().clone();
-            schema.push(Column::new(&spec.score_name, DataType::Float), None);
-            Ok(LogicalPlan::Recommend {
-                target: Box::new(t),
-                comparator: Box::new(c),
-                spec: plan_spec,
-                schema,
-            })
+            t.recommend(c, plan_spec)
         }
 
-        Node::Limit { input, k } => Ok(LogicalPlan::Limit {
-            input: Box::new(lower(input, catalog)?),
-            limit: Some(*k),
-            offset: 0,
-        }),
+        Node::Limit { input, k } => Ok(lower(input, catalog)?.limit(*k)),
 
-        Node::Union { left, right } => Ok(LogicalPlan::Union {
-            left: Box::new(lower(left, catalog)?),
-            right: Box::new(lower(right, catalog)?),
-        }),
+        Node::Union { left, right } => lower(left, catalog)?.union(lower(right, catalog)?),
     }
 }
 

@@ -2386,13 +2386,7 @@ mod tests {
             .iter()
             .map(|c| taken.index_of(c).unwrap())
             .collect();
-        let related = PlanBuilder::from_plan(LogicalPlan::Scan {
-            table: "taken".into(),
-            alias: None,
-            schema: LogicalPlan::scan_output_schema(&taken, &Some(cols.clone())),
-            projection: Some(cols),
-            filter: None,
-        });
+        let related = PlanBuilder::scan_columns(&db.catalog(), "taken", cols).unwrap();
         PlanBuilder::scan(&db.catalog(), "students")
             .unwrap()
             .extend(related, "sid", rating, "courses")

@@ -1,9 +1,12 @@
 //! Fluent logical-plan builder.
 //!
-//! This is the programmatic query API used throughout the CourseRank layers
-//! (and by FlexRecs' direct executor). Expressions are written with *named*
-//! column references and bound against the evolving schema as operators are
-//! stacked.
+//! The one place plan nodes are built from their inputs: the SQL binder,
+//! the FlexRecs compiler and `CourseRankDb`'s typed reads all stack their
+//! operators here, so each node's output schema is derived, and its shape
+//! checked (union and Values arity, extend width, column positions), once.
+//! Expressions may use *named* column references; each is bound against
+//! the evolving schema as its operator is stacked. The validator
+//! re-checks the result, and the optimizer rewrites it in place.
 //!
 //! ```
 //! use cr_relation::{Database, PlanBuilder, Expr};
@@ -47,8 +50,8 @@ impl PlanBuilder {
         Self::scan_as(catalog, table, None)
     }
 
-    /// Start from an aliased table scan (needed for self-joins, which
-    /// FlexRecs' collaborative-filtering workflows compile into).
+    /// Start from a table scan whose columns are qualified by `alias`
+    /// (SQL's `FROM t AS a`, and any self-join).
     pub fn scan_as(catalog: &Catalog, table: &str, alias: Option<&str>) -> RelResult<Self> {
         let schema = catalog.table_schema(table)?;
         let schema = match alias {
@@ -62,6 +65,27 @@ impl PlanBuilder {
                 projection: None,
                 filter: None,
                 schema,
+            },
+        })
+    }
+
+    /// Start from a scan that emits only the columns of `table` at
+    /// `columns`, in that order (the related side of an extend).
+    pub fn scan_columns(catalog: &Catalog, table: &str, columns: Vec<usize>) -> RelResult<Self> {
+        let full = catalog.table_schema(table)?;
+        if let Some(c) = columns.iter().find(|&&c| c >= full.len()) {
+            return Err(RelError::Invalid(format!(
+                "scan column #{c} out of range for {table} (width {})",
+                full.len()
+            )));
+        }
+        Ok(PlanBuilder {
+            plan: LogicalPlan::Scan {
+                table: table.to_owned(),
+                alias: None,
+                schema: full.pick(&columns),
+                projection: Some(columns),
+                filter: None,
             },
         })
     }
@@ -124,21 +148,48 @@ impl PlanBuilder {
         })
     }
 
-    /// Keep the named columns (a positional projection that preserves
-    /// qualifiers and types exactly).
+    /// Keep the named columns, each under the name it is asked by. A name
+    /// may be qualified (`e.SuID`); see [`PlanBuilder::select_positions`]
+    /// for what the output keeps.
     pub fn select_columns(self, names: &[&str]) -> RelResult<Self> {
-        let input_schema = self.plan.schema().clone();
-        let mut exprs = Vec::with_capacity(names.len());
+        let input = self.plan.schema();
+        let columns = names
+            .iter()
+            .map(|name| {
+                let (q, n) = match name.split_once('.') {
+                    Some((q, n)) => (Some(q), n),
+                    None => (None, *name),
+                };
+                Ok((input.resolve(q, n)?, n))
+            })
+            .collect::<RelResult<Vec<_>>>()?;
+        self.select_positions(&columns)
+    }
+
+    /// Keep the input columns at the given positions, each under its
+    /// given name: type and nullability pass through, qualifiers are
+    /// dropped (the output is a new relation).
+    pub fn select_positions(self, columns: &[(usize, &str)]) -> RelResult<Self> {
+        let input = self.plan.schema();
+        let mut exprs = Vec::with_capacity(columns.len());
         let mut schema = Schema::default();
-        for name in names {
-            let (q, n) = match name.split_once('.') {
-                Some((q, n)) => (Some(q), n),
-                None => (None, *name),
-            };
-            let idx = input_schema.resolve(q, n)?;
-            let col = input_schema.column(idx).clone();
-            schema.push(col, input_schema.qualifier(idx).map(str::to_owned));
-            exprs.push((Expr::Column(idx), n.to_owned()));
+        for &(i, name) in columns {
+            if i >= input.len() {
+                return Err(RelError::Invalid(format!(
+                    "projected column #{i} out of range (width {})",
+                    input.len()
+                )));
+            }
+            let col = input.column(i);
+            schema.push(
+                Column {
+                    name: name.to_owned(),
+                    data_type: col.data_type,
+                    nullable: col.nullable,
+                },
+                None,
+            );
+            exprs.push((Expr::Column(i), name.to_owned()));
         }
         Ok(PlanBuilder {
             plan: LogicalPlan::Project {
@@ -286,6 +337,23 @@ impl PlanBuilder {
             None => (None, key_col),
         };
         let key_idx = self.plan.schema().resolve(q, n)?;
+        self.extend_at(related, key_idx, rating, as_name)
+    }
+
+    /// [`PlanBuilder::extend`] with the key column given by position.
+    pub fn extend_at(
+        self,
+        related: PlanBuilder,
+        key_col: usize,
+        rating: bool,
+        as_name: &str,
+    ) -> RelResult<Self> {
+        let width = self.plan.schema().len();
+        if key_col >= width {
+            return Err(RelError::Invalid(format!(
+                "extend key column #{key_col} out of range (width {width})"
+            )));
+        }
         let want = if rating { 3 } else { 2 };
         if related.plan.schema().len() != want {
             return Err(RelError::Invalid(format!(
@@ -305,7 +373,7 @@ impl PlanBuilder {
             plan: LogicalPlan::Extend {
                 input: Box::new(self.plan),
                 related: Box::new(related.plan),
-                key_col: key_idx,
+                key_col,
                 rating,
                 as_name: as_name.to_owned(),
                 schema,
@@ -548,13 +616,28 @@ mod tests {
     }
 
     #[test]
-    fn select_columns_preserves_qualifiers() {
+    fn select_columns_passes_columns_through_unqualified() {
         let c = setup();
         let b = PlanBuilder::scan(&c, "courses")
             .unwrap()
-            .select_columns(&["courses.units", "dep"])
+            .select_columns(&["courses.ID", "dep"])
             .unwrap();
-        assert_eq!(b.schema().column(0).name, "units");
-        assert_eq!(b.schema().qualifier(0), Some("courses"));
+        assert_eq!(b.schema().column(0), &Column::not_null("ID", DataType::Int));
+        assert_eq!(b.schema().column(1), &Column::new("dep", DataType::Text));
+        assert_eq!(b.schema().qualifier(0), None);
+        assert!(b.select_positions(&[(2, "x")]).is_err());
+    }
+
+    #[test]
+    fn positional_shapes_are_checked() {
+        let c = setup();
+        assert!(PlanBuilder::scan_columns(&c, "courses", vec![2, 3]).is_err());
+        let related = PlanBuilder::scan_columns(&c, "courses", vec![2, 0]).unwrap();
+        assert_eq!(related.schema().column(0).name, "units");
+        assert_eq!(related.schema().qualifier(1), Some("courses"));
+        let base = || PlanBuilder::scan(&c, "courses").unwrap();
+        assert!(base().extend_at(related.clone(), 3, false, "s").is_err());
+        let extended = base().extend_at(related, 0, false, "s").unwrap();
+        assert_eq!(extended.schema().column(3).data_type, DataType::Set);
     }
 }

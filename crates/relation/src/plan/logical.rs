@@ -4,7 +4,7 @@ use std::fmt;
 
 use crate::expr::Expr;
 use crate::row::Row;
-use crate::schema::{Column, DataType, Schema};
+use crate::schema::{DataType, Schema};
 use crate::value::Value;
 
 use super::rec::RecSpec;
@@ -315,27 +315,6 @@ impl LogicalPlan {
         self
     }
 
-    /// Effective scan schema after projection (helper used by exec).
-    pub fn scan_output_schema(full: &Schema, projection: &Option<Vec<usize>>) -> Schema {
-        match projection {
-            None => full.clone(),
-            Some(cols) => {
-                let mut s = Schema::default();
-                for &i in cols {
-                    s.push(
-                        Column {
-                            name: full.column(i).name.clone(),
-                            data_type: full.column(i).data_type,
-                            nullable: full.column(i).nullable,
-                        },
-                        full.qualifier(i).map(str::to_owned),
-                    );
-                }
-                s
-            }
-        }
-    }
-
     /// Stable-within-a-process fingerprint of the plan's structure, used as
     /// a cache key (combined with table versions) by result caches. Two
     /// structurally identical plans fingerprint identically.
@@ -436,23 +415,6 @@ mod tests {
         assert_eq!(AggFn::Sum.output_type(DataType::Int), DataType::Int);
         assert_eq!(AggFn::Sum.output_type(DataType::Float), DataType::Float);
         assert_eq!(AggFn::Min.output_type(DataType::Text), DataType::Text);
-    }
-
-    #[test]
-    fn scan_output_schema_projects() {
-        let full = Schema::qualified(
-            "t",
-            vec![
-                Column::new("a", DataType::Int),
-                Column::new("b", DataType::Text),
-                Column::new("c", DataType::Float),
-            ],
-        );
-        let s = LogicalPlan::scan_output_schema(&full, &Some(vec![2, 0]));
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.column(0).name, "c");
-        assert_eq!(s.column(1).name, "a");
-        assert_eq!(s.qualifier(0), Some("t"));
     }
 
     #[test]

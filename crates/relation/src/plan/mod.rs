@@ -1,10 +1,10 @@
 //! Logical query plans.
 //!
 //! A [`LogicalPlan`] is a tree of relational operators with **bound**
-//! expressions (positional column references). Plans are produced either by
-//! the [`PlanBuilder`] (programmatic API — what FlexRecs' direct executor
-//! uses) or by the SQL binder, then rewritten by the [`optimizer`] and
-//! executed by [`crate::exec`].
+//! expressions (positional column references). Every node is built by the
+//! [`PlanBuilder`] — which the SQL binder, the FlexRecs compiler and the
+//! typed reads all stack their operators through — then rewritten by the
+//! [`optimizer`] and executed by [`crate::exec`].
 //!
 //! Every pass walks the tree through three structural methods on the node:
 //! [`LogicalPlan::children`] (at most two `(edge label, &child)` pairs, the

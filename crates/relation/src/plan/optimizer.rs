@@ -22,7 +22,6 @@
 //!    column, and the root schema never changes.
 
 use crate::expr::Expr;
-use crate::schema::Schema;
 
 use super::logical::{JoinKind, LogicalPlan};
 use super::rec::RecSpec;
@@ -267,7 +266,7 @@ fn narrow(plan: LogicalPlan, required: Option<&[usize]>) -> (LogicalPlan, Kept) 
                 alias,
                 projection: Some(projection),
                 filter,
-                schema: pick(&schema, &kept),
+                schema: schema.pick(&kept),
             };
             (scan, Some(kept))
         }
@@ -324,7 +323,7 @@ fn narrow(plan: LogicalPlan, required: Option<&[usize]>) -> (LogicalPlan, Kept) 
                 right: Box::new(right),
                 kind,
                 on: remap(on, &Some(kept.clone())),
-                schema: pick(&schema, &kept),
+                schema: schema.pick(&kept),
             };
             (join, Some(kept))
         }
@@ -385,18 +384,6 @@ fn remap(e: Expr, kept: &Kept) -> Expr {
         None => e,
         Some(kept) => e.map_columns(&|c| kept.binary_search(&c).unwrap_or(c)),
     }
-}
-
-/// The columns of `schema` at `positions`, qualifiers kept.
-fn pick(schema: &Schema, positions: &[usize]) -> Schema {
-    let mut picked = Schema::default();
-    for &i in positions {
-        picked.push(
-            schema.column(i).clone(),
-            schema.qualifier(i).map(str::to_owned),
-        );
-    }
-    picked
 }
 
 #[cfg(test)]
@@ -757,7 +744,7 @@ mod tests {
         let scan = LogicalPlan::Scan {
             table: "t".into(),
             alias: None,
-            schema: LogicalPlan::scan_output_schema(&full, &Some(vec![2, 0, 1])),
+            schema: full.pick(&[2, 0, 1]),
             projection: Some(vec![2, 0, 1]),
             filter: None,
         };
@@ -1062,6 +1049,32 @@ mod tests {
             .build();
         let wide = PlanBuilder::scan(&c, "t").unwrap().build();
         assert_rule_sound("buggy_rule", &narrowed, wide.schema());
+    }
+
+    /// Folding a typed expression to a bare NULL (`NOT NULL`,
+    /// `LENGTH(NULL)`) keeps the plan valid: a NULL fits the declared
+    /// column of any type, so the debug-build soundness check holds.
+    #[test]
+    fn expressions_folding_to_null_keep_the_plan_valid() {
+        let db = crate::Database::new();
+        db.execute_sql("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+            .unwrap();
+        db.execute_sql("INSERT INTO t VALUES (1, 2)").unwrap();
+        for sql in [
+            "SELECT NOT NULL, LENGTH(NULL), ROUND(NULL) FROM t",
+            "SELECT NOT NULL AS k, MIN(NOT NULL) AS m, SUM(LENGTH(NULL)) AS s FROM t \
+             GROUP BY NOT NULL",
+        ] {
+            let plan = crate::sql::plan_query(sql, &db.catalog()).unwrap();
+            let report = super::super::validate::validate(&plan);
+            assert!(!report.has_errors(), "{sql}: {report}");
+            let rs = db.query_sql(sql).unwrap();
+            assert!(
+                rs.rows[0].iter().all(crate::Value::is_null),
+                "{sql}: {:?}",
+                rs.rows
+            );
+        }
     }
 
     #[test]

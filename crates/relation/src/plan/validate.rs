@@ -268,6 +268,13 @@ fn record(report: &ValidationReport) {
     }
 }
 
+/// The type a declared output column must have to hold `e`, or `None` for
+/// a bare NULL literal, which fits a column of any type (constant folding
+/// turns `NOT NULL` or `LENGTH(NULL)` into one), as it fits a predicate.
+fn declarable_type(e: &Expr, schema: &Schema) -> Option<DataType> {
+    (!matches!(e, Expr::Literal(Value::Null))).then(|| infer_expr_type(e, schema))
+}
+
 // ---------------------------------------------------------------------------
 // Entry points
 // ---------------------------------------------------------------------------
@@ -606,7 +613,9 @@ impl Checker<'_> {
                     if !self.check_expr(e, input.schema(), "projection expression") {
                         continue;
                     }
-                    let dt = infer_expr_type(e, input.schema());
+                    let Some(dt) = declarable_type(e, input.schema()) else {
+                        continue;
+                    };
                     if schema.column(i).data_type != dt {
                         self.error(
                             E_SCHEMA_TYPE,
@@ -705,7 +714,9 @@ impl Checker<'_> {
                     if !ok[i] {
                         continue;
                     }
-                    let dt = infer_expr_type(e, is);
+                    let Some(dt) = declarable_type(e, is) else {
+                        continue;
+                    };
                     if schema.column(i).data_type != dt {
                         self.error(
                             E_SCHEMA_TYPE,
@@ -721,7 +732,10 @@ impl Checker<'_> {
                     if !ok[group_by.len() + j] {
                         continue;
                     }
-                    let dt = a.func.output_type(infer_expr_type(&a.arg, is));
+                    let Some(dt) = declarable_type(&a.arg, is).map(|t| a.func.output_type(t))
+                    else {
+                        continue;
+                    };
                     let col = schema.column(group_by.len() + j);
                     if col.data_type != dt {
                         self.error(

@@ -136,6 +136,18 @@ impl Schema {
         self.qualifiers.push(qualifier);
     }
 
+    /// The columns at `positions`, in that order, qualifiers kept (a
+    /// projected scan's or a narrowed node's output).
+    pub fn pick(&self, positions: &[usize]) -> Schema {
+        Schema {
+            columns: positions.iter().map(|&i| self.columns[i].clone()).collect(),
+            qualifiers: positions
+                .iter()
+                .map(|&i| self.qualifiers[i].clone())
+                .collect(),
+        }
+    }
+
     /// Concatenate two schemas (join output).
     pub fn join(&self, right: &Schema) -> Schema {
         let mut columns = Vec::with_capacity(self.len() + right.len());
@@ -245,6 +257,14 @@ mod tests {
             s.resolve(Some("students"), "id"),
             Err(RelError::UnknownColumn(_))
         ));
+    }
+
+    #[test]
+    fn pick_keeps_columns_and_qualifiers() {
+        let s = sample().pick(&[2, 0]);
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.column(1), sample().column(0));
+        assert_eq!(s.qualifier(0), Some("courses"));
     }
 
     #[test]

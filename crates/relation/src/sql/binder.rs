@@ -4,7 +4,7 @@ use crate::catalog::Catalog;
 use crate::error::{RelError, RelResult};
 use crate::exec::{self, ResultSet};
 use crate::expr::{BinOp, Expr, ScalarFn};
-use crate::plan::{optimizer, AggExpr, AggFn, JoinKind, LogicalPlan, SortKey};
+use crate::plan::{optimizer, AggExpr, AggFn, JoinKind, LogicalPlan, PlanBuilder};
 use crate::schema::{Column, Schema};
 use crate::value::Value;
 
@@ -217,53 +217,32 @@ impl PipeAffected for usize {
 // SELECT binding
 // ---------------------------------------------------------------------
 
-/// Bind a SELECT into a logical plan.
+/// Bind a SELECT into a logical plan. The binder scopes names, expands
+/// wildcards, rewrites aggregates and places ORDER BY and DISTINCT; every
+/// node, and so every output schema, comes from [`PlanBuilder`].
 pub fn bind_select(q: &Select, catalog: &Catalog) -> RelResult<LogicalPlan> {
-    let plan = bind_single_select(q, catalog)?;
-    match &q.union {
-        None => Ok(plan),
-        Some(next) => {
-            let right = bind_select(next, catalog)?;
-            if plan.schema().len() != right.schema().len() {
-                return Err(RelError::Invalid(format!(
-                    "UNION arity mismatch: {} vs {}",
-                    plan.schema().len(),
-                    right.schema().len()
-                )));
-            }
-            Ok(LogicalPlan::Union {
-                left: Box::new(plan),
-                right: Box::new(right),
-            })
-        }
+    let mut plan = bind_single_select(q, catalog)?;
+    if let Some(next) = &q.union {
+        plan = plan.union(PlanBuilder::from_plan(bind_select(next, catalog)?))?;
     }
+    Ok(plan.build())
 }
 
-fn bind_single_select(q: &Select, catalog: &Catalog) -> RelResult<LogicalPlan> {
+fn bind_single_select(q: &Select, catalog: &Catalog) -> RelResult<PlanBuilder> {
     // 1. FROM
     let mut plan = match &q.from {
-        None => LogicalPlan::Values {
-            schema: Schema::default(),
-            rows: vec![Vec::new()],
-        },
+        None => PlanBuilder::values(Schema::default(), vec![Vec::new()])?,
         Some(from) => {
-            let mut p = bind_table_ref(&from.base, catalog)?;
+            let scan = |t: &TableRef| PlanBuilder::scan_as(catalog, &t.table, t.alias.as_deref());
+            let mut p = scan(&from.base)?;
             for j in &from.joins {
-                let right = bind_table_ref(&j.table, catalog)?;
-                let schema = p.schema().join(right.schema());
-                let on = convert_scalar(&j.on)?.bind(&schema)?;
-                plan_guard_no_agg(&j.on, "JOIN ... ON")?;
-                p = LogicalPlan::Join {
-                    left: Box::new(p),
-                    right: Box::new(right),
-                    kind: if j.left_outer {
-                        JoinKind::LeftOuter
-                    } else {
-                        JoinKind::Inner
-                    },
-                    on,
-                    schema,
+                let kind = if j.left_outer {
+                    JoinKind::LeftOuter
+                } else {
+                    JoinKind::Inner
                 };
+                // `convert_scalar` rejects an aggregate in the condition.
+                p = p.join(scan(&j.table)?, kind, convert_scalar(&j.on)?)?;
             }
             p
         }
@@ -272,16 +251,11 @@ fn bind_single_select(q: &Select, catalog: &Catalog) -> RelResult<LogicalPlan> {
     // 2. WHERE
     if let Some(f) = &q.filter {
         plan_guard_no_agg(f, "WHERE")?;
-        let predicate = convert_scalar(f)?.bind(plan.schema())?;
-        plan = LogicalPlan::Filter {
-            input: Box::new(plan),
-            predicate,
-        };
+        plan = plan.filter(convert_scalar(f)?)?;
     }
 
-    let input_schema = plan.schema().clone();
-
     // 3. Expand select items.
+    let input_schema = plan.schema();
     let mut items: Vec<(SqlExpr, String)> = Vec::new();
     for (i, item) in q.items.iter().enumerate() {
         match item {
@@ -328,146 +302,85 @@ fn bind_single_select(q: &Select, catalog: &Catalog) -> RelResult<LogicalPlan> {
         || items.iter().any(|(e, _)| e.contains_aggregate())
         || q.having.as_ref().is_some_and(|h| h.contains_aggregate());
 
-    // 4. Aggregation pipeline.
-    let (pre_project, project_exprs, project_schema) = if has_agg {
-        bind_aggregate_pipeline(q, plan, &input_schema, &items)?
+    // 4. Aggregation pipeline: the projection's expressions, over the
+    //    aggregate's output or (unbound) over the input.
+    let project_exprs = if has_agg {
+        let (agg, exprs) = bind_aggregate_pipeline(q, plan, &items)?;
+        plan = agg;
+        exprs
     } else {
         if q.having.is_some() {
             return Err(RelError::Invalid("HAVING without aggregation".into()));
         }
-        let mut exprs = Vec::with_capacity(items.len());
-        let mut schema = Schema::default();
-        for (e, name) in &items {
-            let bound = convert_scalar(e)?.bind(&input_schema)?;
-            let dtype = crate::plan::infer_expr_type(&bound, &input_schema);
-            schema.push(Column::new(name, dtype), None);
-            exprs.push((bound, name.clone()));
-        }
-        (plan, exprs, schema)
+        items
+            .iter()
+            .map(|(e, _)| convert_scalar(e))
+            .collect::<RelResult<Vec<_>>>()?
     };
 
-    // 5. ORDER BY placement: prefer binding against the projected output
-    //    (aliases visible); fall back to the pre-projection schema.
-    let mut sort_after: Vec<SortKey> = Vec::new();
-    let mut sort_before: Vec<SortKey> = Vec::new();
-    if !q.order_by.is_empty() {
-        let mut after_ok = true;
-        let mut after = Vec::new();
-        for o in &q.order_by {
-            match bind_order_key_output(&o.expr, &project_schema, &project_exprs) {
-                Some(expr) => after.push(SortKey { expr, desc: o.desc }),
-                None => {
-                    after_ok = false;
-                    break;
-                }
+    // 5. ORDER BY placement: prefer the projected output (aliases and
+    //    ordinals visible); without aggregation, fall back to sorting the
+    //    projection's input.
+    let names: Vec<&str> = items.iter().map(|(_, name)| name.as_str()).collect();
+    let mut sort_after = Vec::with_capacity(q.order_by.len());
+    for o in &q.order_by {
+        match bind_order_key_output(&o.expr, &names) {
+            Some(key) => sort_after.push((key, o.desc)),
+            None if has_agg => {
+                return Err(RelError::Invalid(format!(
+                    "ORDER BY expression {:?} must appear in the SELECT list under aggregation",
+                    o.expr
+                )))
             }
-        }
-        if after_ok {
-            sort_after = after;
-        } else {
-            let pre_schema = pre_project.schema().clone();
-            for o in &q.order_by {
-                let e = if has_agg {
-                    // Under aggregation the pre-project schema is the
-                    // aggregate output; rewriting has already happened for
-                    // project exprs but ORDER BY must be rewritten too —
-                    // handled in bind_aggregate_pipeline via output binding,
-                    // so reaching here means the key is invalid.
-                    return Err(RelError::Invalid(format!(
-                        "ORDER BY expression {:?} must appear in the SELECT list under aggregation",
-                        o.expr
-                    )));
-                } else {
-                    convert_scalar(&o.expr)?.bind(&pre_schema)?
-                };
-                sort_before.push(SortKey {
-                    expr: e,
-                    desc: o.desc,
-                });
+            None => {
+                let keys = q
+                    .order_by
+                    .iter()
+                    .map(|o| Ok((convert_scalar(&o.expr)?, o.desc)))
+                    .collect::<RelResult<Vec<_>>>()?;
+                plan = plan.sort(keys)?;
+                sort_after.clear();
+                break;
             }
         }
     }
-
-    let mut plan = pre_project;
-    if !sort_before.is_empty() {
-        plan = LogicalPlan::Sort {
-            input: Box::new(plan),
-            keys: sort_before,
-        };
-    }
-    plan = LogicalPlan::Project {
-        input: Box::new(plan),
-        exprs: project_exprs,
-        schema: project_schema.clone(),
-    };
+    plan = plan.project(project_exprs.into_iter().zip(names).collect())?;
     if !sort_after.is_empty() {
-        plan = LogicalPlan::Sort {
-            input: Box::new(plan),
-            keys: sort_after,
-        };
+        plan = plan.sort(sort_after)?;
     }
 
     // 6. DISTINCT — group on all output columns.
     if q.distinct {
-        let group_by: Vec<Expr> = (0..project_schema.len()).map(Expr::Column).collect();
-        plan = LogicalPlan::Aggregate {
-            input: Box::new(plan),
-            group_by,
-            aggs: Vec::new(),
-            schema: project_schema,
-        };
+        let group_by = (0..plan.schema().len()).map(Expr::Column).collect();
+        plan = plan.aggregate(group_by, Vec::new())?;
     }
 
     // 7. LIMIT/OFFSET.
     if q.limit.is_some() || q.offset.is_some() {
-        plan = LogicalPlan::Limit {
-            input: Box::new(plan),
-            limit: q.limit,
-            offset: q.offset.unwrap_or(0),
-        };
+        plan = plan.limit_offset(q.limit, q.offset.unwrap_or(0));
     }
     Ok(plan)
 }
 
-/// Try to bind an ORDER BY key against the projected output: either a bare
-/// name matching an output column, an output ordinal (`ORDER BY 2`), or an
-/// expression structurally identical to a projected expression.
-fn bind_order_key_output(
-    e: &SqlExpr,
-    out_schema: &Schema,
-    project_exprs: &[(Expr, String)],
-) -> Option<Expr> {
+/// Bind an ORDER BY key to a column of the projected output, whose
+/// column names are `names`: either a bare name matching exactly one
+/// output column, or an output ordinal (`ORDER BY 2`).
+fn bind_order_key_output(e: &SqlExpr, names: &[&str]) -> Option<Expr> {
     match e {
         // Output columns have no qualifiers; a qualified reference like
         // `q.QuestionID` still resolves by bare name when unambiguous.
-        SqlExpr::Column { name, .. } => out_schema.index_of(name).ok().map(Expr::Column),
-        SqlExpr::Literal(Value::Int(n)) if *n >= 1 && (*n as usize) <= out_schema.len() => {
+        SqlExpr::Column { name, .. } => {
+            let mut hits = (0..names.len()).filter(|&i| names[i].eq_ignore_ascii_case(name));
+            match (hits.next(), hits.next()) {
+                (Some(i), None) => Some(Expr::Column(i)),
+                _ => None,
+            }
+        }
+        SqlExpr::Literal(Value::Int(n)) if *n >= 1 && (*n as usize) <= names.len() => {
             Some(Expr::Column(*n as usize - 1))
         }
-        other => {
-            // Structural match against a projected expression, compared on
-            // the *unbound* conversion (names) — cheap best-effort.
-            let conv = convert_scalar(other).ok()?;
-            let _ = conv;
-            let _ = project_exprs;
-            None
-        }
+        _ => None,
     }
-}
-
-fn bind_table_ref(t: &TableRef, catalog: &Catalog) -> RelResult<LogicalPlan> {
-    let schema = catalog.table_schema(&t.table)?;
-    let schema = match &t.alias {
-        Some(a) => schema.with_qualifier(a),
-        None => schema,
-    };
-    Ok(LogicalPlan::Scan {
-        table: t.table.clone(),
-        alias: t.alias.clone(),
-        projection: None,
-        filter: None,
-        schema,
-    })
 }
 
 fn plan_guard_no_agg(e: &SqlExpr, clause: &str) -> RelResult<()> {
@@ -488,18 +401,15 @@ fn default_name(e: &SqlExpr, i: usize) -> String {
     }
 }
 
-/// Output of the aggregate pipeline: the plan below the projection, the
-/// projection expressions, and the projected schema.
-type AggregatePipeline = (LogicalPlan, Vec<(Expr, String)>, Schema);
-
-/// Build the Aggregate node plus the projection above it, rewriting
-/// aggregate calls and group keys into positional references.
+/// Stack the Aggregate node (and HAVING's filter) on `input`, and return
+/// the projection's expressions rewritten over the aggregate's output:
+/// aggregate calls and group keys become positional references.
 fn bind_aggregate_pipeline(
     q: &Select,
-    input: LogicalPlan,
-    input_schema: &Schema,
+    input: PlanBuilder,
     items: &[(SqlExpr, String)],
-) -> RelResult<AggregatePipeline> {
+) -> RelResult<(PlanBuilder, Vec<Expr>)> {
+    let input_schema = input.schema();
     // Bind group-by expressions.
     let mut group_bound: Vec<Expr> = Vec::with_capacity(q.group_by.len());
     for g in &q.group_by {
@@ -524,67 +434,29 @@ fn bind_aggregate_pipeline(
         }
     }
 
-    // Aggregate output schema: group keys then aggregates.
-    let mut agg_schema = Schema::default();
-    for (i, g) in group_bound.iter().enumerate() {
-        let (name, dt, qual) = match g {
-            Expr::Column(idx) => (
-                input_schema.column(*idx).name.clone(),
-                input_schema.column(*idx).data_type,
-                input_schema.qualifier(*idx).map(str::to_owned),
-            ),
-            other => (
-                format!("group_{i}"),
-                crate::plan::infer_expr_type(other, input_schema),
-                None,
-            ),
-        };
-        agg_schema.push(Column::new(name, dt), qual);
-    }
-    let aggs: Vec<AggExpr> = agg_calls
+    // HAVING and the projection, rewritten over the aggregate output.
+    let rewrite = |e: &SqlExpr| rewrite_over_aggregate(e, input_schema, &group_bound, &agg_calls);
+    let having = q.having.as_ref().map(rewrite).transpose()?;
+    let exprs = items
         .iter()
+        .map(|(e, _)| rewrite(e))
+        .collect::<RelResult<Vec<_>>>()?;
+
+    let aggs = agg_calls
+        .into_iter()
         .enumerate()
-        .map(|(i, (func, arg, distinct))| {
-            let in_dt = crate::plan::infer_expr_type(arg, input_schema);
-            agg_schema.push(
-                Column::new(format!("agg_{i}"), func.output_type(in_dt)),
-                None,
-            );
-            AggExpr {
-                func: *func,
-                arg: arg.clone(),
-                distinct: *distinct,
-                name: format!("agg_{i}"),
-            }
+        .map(|(i, (func, arg, distinct))| AggExpr {
+            func,
+            arg,
+            distinct,
+            name: format!("agg_{i}"),
         })
         .collect();
-
-    let mut plan = LogicalPlan::Aggregate {
-        input: Box::new(input),
-        group_by: group_bound.clone(),
-        aggs,
-        schema: agg_schema.clone(),
-    };
-
-    // HAVING (rewritten over the aggregate output).
-    if let Some(h) = &q.having {
-        let predicate = rewrite_over_aggregate(h, input_schema, &group_bound, &agg_calls)?;
-        plan = LogicalPlan::Filter {
-            input: Box::new(plan),
-            predicate,
-        };
+    let mut plan = input.aggregate(group_bound, aggs)?;
+    if let Some(predicate) = having {
+        plan = plan.filter(predicate)?;
     }
-
-    // Projection (rewritten).
-    let mut exprs = Vec::with_capacity(items.len());
-    let mut out_schema = Schema::default();
-    for (e, name) in items {
-        let rewritten = rewrite_over_aggregate(e, input_schema, &group_bound, &agg_calls)?;
-        let dt = crate::plan::infer_expr_type(&rewritten, &agg_schema);
-        out_schema.push(Column::new(name, dt), None);
-        exprs.push((rewritten, name.clone()));
-    }
-    Ok((plan, exprs, out_schema))
+    Ok((plan, exprs))
 }
 
 /// Record every aggregate call in `e` (deduplicated).

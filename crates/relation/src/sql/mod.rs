@@ -72,3 +72,133 @@ pub(crate) fn affected(n: usize) -> ResultSet {
         rows: vec![vec![Value::Int(n as i64)]],
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use std::time::{Duration, Instant};
+
+    use crate::Database;
+
+    /// Every SQL statement of the plan-shape golden: the SQL suites'
+    /// statements and crbench's, one per line after the entry's fixture.
+    const CORPUS: &str = include_str!("../../../../tests/golden/plan_shapes.txt");
+
+    /// One catalog every corpus statement binds against: the suites'
+    /// fixture tables merged (same-named ones take the union of their
+    /// columns) and the campus tables with the columns the statements
+    /// read.
+    const TABLES: &[&str] = &[
+        "CREATE TABLE t (id INT PRIMARY KEY, v INT, u INT)",
+        "CREATE TABLE s (sid INT PRIMARY KEY, name TEXT)",
+        "CREATE TABLE c (id INT PRIMARY KEY, cid INT, title TEXT, dep TEXT)",
+        "CREATE TABLE r (sid INT, cid INT, score FLOAT, PRIMARY KEY (sid, cid))",
+        "CREATE TABLE T1 (Id INT PRIMARY KEY, G INT, V INT, S TEXT)",
+        "CREATE TABLE T2 (Id INT PRIMARY KEY, K INT, W INT)",
+        "CREATE TABLE A (Id INT PRIMARY KEY, K INT, F FLOAT, S TEXT, P INT, Pad TEXT)",
+        "CREATE TABLE B (Id INT PRIMARY KEY, K INT, F FLOAT, S TEXT, W INT, Pad TEXT)",
+        "CREATE TABLE U (Id INT PRIMARY KEY, X FLOAT, T TEXT, N INT)",
+        "CREATE TABLE V (Id INT PRIMARY KEY, T TEXT, D TEXT, M INT)",
+        "CREATE TABLE Courses (CourseID INT PRIMARY KEY, DepID INT, Title TEXT, Units INT)",
+        "CREATE TABLE Students (SuID INT PRIMARY KEY, Name TEXT, Class TEXT)",
+        "CREATE TABLE Comments (CommentID INT PRIMARY KEY, CourseID INT, Rating INT, \
+         Year INT, Term TEXT)",
+        "CREATE TABLE Offerings (OfferingID INT PRIMARY KEY, CourseID INT, Year INT, \
+         Term TEXT, InstructorID INT)",
+        "CREATE TABLE Prerequisites (CourseID INT, PrereqID INT, PRIMARY KEY (CourseID, PrereqID))",
+        "CREATE TABLE Enrollments (SuID INT, CourseID INT, Year INT, PRIMARY KEY (SuID, CourseID))",
+    ];
+
+    fn statements() -> Vec<&'static str> {
+        CORPUS
+            .lines()
+            .filter_map(|line| line.split_once(" | ")?.1.split_once(": "))
+            .map(|(_, sql)| sql)
+            .collect()
+    }
+
+    /// SplitMix64: a seeded stream, so a failing case replays from its
+    /// printed seed.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A uniform index below `n` (`n > 0`).
+    fn below(state: &mut u64, n: usize) -> usize {
+        (next(state) % n as u64) as usize
+    }
+
+    /// `sql` mutated one of four ways: bits flipped (the bytes read back
+    /// lossily as UTF-8), cut short, a stretch duplicated in place, or a
+    /// run of another statement's tokens spliced in between two of its
+    /// own.
+    fn mutate(sql: &str, corpus: &[&str], rng: &mut u64) -> String {
+        let mut bytes = sql.as_bytes().to_vec();
+        match below(rng, 4) {
+            0 => {
+                for _ in 0..=below(rng, 4) {
+                    let i = below(rng, bytes.len());
+                    bytes[i] ^= 1 << below(rng, 8);
+                }
+            }
+            1 => bytes.truncate(below(rng, bytes.len())),
+            2 => {
+                let i = below(rng, bytes.len());
+                let j = i + below(rng, bytes.len() - i + 1);
+                let dup = bytes[i..j].to_vec();
+                bytes.splice(j..j, dup);
+            }
+            _ => {
+                let mut tokens: Vec<&str> = sql.split_whitespace().collect();
+                let donor: Vec<&str> = corpus[below(rng, corpus.len())]
+                    .split_whitespace()
+                    .collect();
+                let from = below(rng, donor.len());
+                let to = from + below(rng, donor.len() - from + 1);
+                let at = below(rng, tokens.len() + 1);
+                tokens.splice(at..at, donor[from..to].iter().copied());
+                return tokens.join(" ");
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    /// Seeded byte-level mutations of every corpus statement plan to a
+    /// plan or an error, never a panic, within 50 ms plus 1 µs per byte.
+    #[test]
+    fn mutated_statements_time_bound_plan_without_panic() {
+        let db = Database::new();
+        for ddl in TABLES {
+            db.execute_sql(ddl).unwrap();
+        }
+        let catalog = db.catalog();
+        let corpus = statements();
+        assert!(corpus.len() >= 100, "{} statements", corpus.len());
+        for sql in &corpus {
+            super::plan_query(sql, &catalog).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        }
+        for seed in 0..320u64 {
+            let rng = &mut { seed };
+            for (i, sql) in corpus.iter().enumerate() {
+                let text = mutate(sql, &corpus, rng);
+                let start = Instant::now();
+                let planned =
+                    std::panic::catch_unwind(|| super::plan_query(&text, &catalog).map(drop));
+                let took = start.elapsed();
+                assert!(
+                    planned.is_ok(),
+                    "seed {seed}, statement {i}: planning panicked on {text:?}"
+                );
+                let bound = Duration::from_millis(50) + Duration::from_micros(text.len() as u64);
+                assert!(
+                    took < bound,
+                    "seed {seed}, statement {i}: {} bytes took {took:?}",
+                    text.len()
+                );
+            }
+        }
+    }
+}

@@ -580,18 +580,14 @@ impl MutationObserver for Storage {
                 rid: rid.0,
                 row: (*row).clone(),
             },
-            Mutation::Update {
-                rid, row, old_row, ..
-            } => WalRecord::Update {
+            Mutation::Update { rid, row, .. } => WalRecord::Update {
                 table: table.to_owned(),
                 rid: rid.0,
                 row: (*row).clone(),
-                old: Some((*old_row).clone()),
             },
-            Mutation::Delete { rid, row, .. } => WalRecord::Delete {
+            Mutation::Delete { rid, .. } => WalRecord::Delete {
                 table: table.to_owned(),
                 rid: rid.0,
-                old: Some((*row).clone()),
             },
             Mutation::CreateIndex {
                 name,
@@ -661,10 +657,10 @@ fn apply_record(catalog: &Catalog, rec: WalRecord) -> StorageResult<bool> {
         WalRecord::Insert { table, rid, row } => {
             apply_dml(catalog, &table, |t| t.replay_insert(RowId(rid), row))
         }
-        WalRecord::Update {
-            table, rid, row, ..
-        } => apply_dml(catalog, &table, |t| t.replay_update(RowId(rid), row)),
-        WalRecord::Delete { table, rid, .. } => apply_dml(catalog, &table, |t| {
+        WalRecord::Update { table, rid, row } => {
+            apply_dml(catalog, &table, |t| t.replay_update(RowId(rid), row))
+        }
+        WalRecord::Delete { table, rid } => apply_dml(catalog, &table, |t| {
             t.replay_delete(RowId(rid));
             Ok(())
         }),

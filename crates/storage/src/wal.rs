@@ -62,20 +62,17 @@ const OP_DELETE: u8 = 3;
 const OP_CREATE_TABLE: u8 = 4;
 const OP_CREATE_INDEX: u8 = 5;
 const OP_DROP_TABLE: u8 = 6;
-// v2 records: updates/deletes that also carry the pre-mutation row image
-// (what delta-driven cache maintenance tests mutations against). Old
-// logs with tags 2/3 still decode — the old image is simply absent.
+// Updates and deletes as logs once wrote them: the redo fields of tags
+// 2/3, then the pre-mutation row image, which nothing read. They still
+// decode; the image is read past.
 const OP_UPDATE_V2: u8 = 7;
 const OP_DELETE_V2: u8 = 8;
 
-/// One logical WAL record. Row-bearing records carry redo images; DDL is
-/// logged too so a store that never reached its first snapshot still
-/// recovers (the schema itself replays). Updates and deletes may carry
-/// the pre-mutation image (`old`); replay ignores it (redo only), but it
-/// keeps the on-disk log rich enough to rebuild delta-maintained caches.
-/// Encoding is versioned: `old: Some` uses the v2 tags, `old: None`
-/// encodes byte-identically to the v1 format, and v1 logs decode with
-/// `old: None` — decode is fully backward compatible.
+/// One logical WAL record: redo only. Row-bearing records carry the image
+/// replay writes (none for a delete); DDL is logged too so a store that
+/// never reached its first snapshot still recovers (the schema itself
+/// replays). Caches are rebuilt from the recovered tables, so no record
+/// carries a pre-mutation image.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
     Insert {
@@ -87,14 +84,10 @@ pub enum WalRecord {
         table: String,
         rid: u64,
         row: Row,
-        /// Pre-update image (None when decoded from a v1 log).
-        old: Option<Row>,
     },
     Delete {
         table: String,
         rid: u64,
-        /// Deleted row image (None when decoded from a v1 log).
-        old: Option<Row>,
     },
     CreateTable {
         table: String,
@@ -228,41 +221,19 @@ fn read_usizes(buf: &[u8], pos: &mut usize) -> StorageResult<Vec<usize>> {
 /// Encode a record payload (no frame header).
 pub fn encode_record(rec: &WalRecord, out: &mut Vec<u8>) {
     match rec {
-        WalRecord::Insert { table, rid, row } => {
-            out.push(OP_INSERT);
-            codec::write_str(table, out);
-            codec::write_u64(*rid, out);
-            codec::write_row(row, out);
-        }
-        WalRecord::Update {
-            table,
-            rid,
-            row,
-            old,
-        } => {
-            out.push(if old.is_some() {
-                OP_UPDATE_V2
-            } else {
-                OP_UPDATE
+        WalRecord::Insert { table, rid, row } | WalRecord::Update { table, rid, row } => {
+            out.push(match rec {
+                WalRecord::Insert { .. } => OP_INSERT,
+                _ => OP_UPDATE,
             });
             codec::write_str(table, out);
             codec::write_u64(*rid, out);
             codec::write_row(row, out);
-            if let Some(old) = old {
-                codec::write_row(old, out);
-            }
         }
-        WalRecord::Delete { table, rid, old } => {
-            out.push(if old.is_some() {
-                OP_DELETE_V2
-            } else {
-                OP_DELETE
-            });
+        WalRecord::Delete { table, rid } => {
+            out.push(OP_DELETE);
             codec::write_str(table, out);
             codec::write_u64(*rid, out);
-            if let Some(old) = old {
-                codec::write_row(old, out);
-            }
         }
         WalRecord::CreateTable {
             table,
@@ -304,31 +275,21 @@ pub fn decode_record(buf: &[u8]) -> StorageResult<WalRecord> {
             let table = codec::read_str(buf, pos)?;
             let rid = codec::read_u64(buf, pos)?;
             let row = codec::read_row(buf, pos)?;
+            if op == OP_UPDATE_V2 {
+                codec::read_row(buf, pos)?;
+            }
             match op {
                 OP_INSERT => WalRecord::Insert { table, rid, row },
-                OP_UPDATE => WalRecord::Update {
-                    table,
-                    rid,
-                    row,
-                    old: None,
-                },
-                _ => WalRecord::Update {
-                    table,
-                    rid,
-                    row,
-                    old: Some(codec::read_row(buf, pos)?),
-                },
+                _ => WalRecord::Update { table, rid, row },
             }
         }
         OP_DELETE | OP_DELETE_V2 => {
             let table = codec::read_str(buf, pos)?;
             let rid = codec::read_u64(buf, pos)?;
-            let old = if op == OP_DELETE_V2 {
-                Some(codec::read_row(buf, pos)?)
-            } else {
-                None
-            };
-            WalRecord::Delete { table, rid, old }
+            if op == OP_DELETE_V2 {
+                codec::read_row(buf, pos)?;
+            }
+            WalRecord::Delete { table, rid }
         }
         OP_CREATE_TABLE => {
             let table = codec::read_str(buf, pos)?;
@@ -634,82 +595,54 @@ mod tests {
                 table: "T".into(),
                 rid: 0,
                 row: vec![Value::Int(1), Value::text("ann b.")],
-                old: None,
-            },
-            WalRecord::Update {
-                table: "T".into(),
-                rid: 0,
-                row: vec![Value::Int(1), Value::text("ann c.")],
-                old: Some(vec![Value::Int(1), Value::text("ann b.")]),
             },
             WalRecord::Delete {
                 table: "T".into(),
                 rid: 0,
-                old: Some(vec![Value::Int(1), Value::text("ann c.")]),
-            },
-            WalRecord::Delete {
-                table: "T".into(),
-                rid: 0,
-                old: None,
             },
             WalRecord::DropTable { table: "T".into() },
         ]
     }
 
-    /// A v1 writer never emitted old images: tags 2/3 followed by
-    /// table/rid(/row) only. Hand-encode those payloads and check they
-    /// still decode (with `old: None`), and that `old: None` records
-    /// re-encode to the exact legacy bytes.
+    /// Updates and deletes encode with tags 2/3 and their redo fields
+    /// only: table, rid, and for an update the new row.
     #[test]
-    fn legacy_v1_payloads_decode() {
+    fn update_and_delete_encode_redo_fields_only() {
         let mut upd = vec![OP_UPDATE];
         codec::write_str("T", &mut upd);
         codec::write_u64(7, &mut upd);
         codec::write_row(&[Value::Int(9)], &mut upd);
-        let decoded = decode_record(&upd).unwrap();
-        assert_eq!(
-            decoded,
-            WalRecord::Update {
-                table: "T".into(),
-                rid: 7,
-                row: vec![Value::Int(9)],
-                old: None,
-            }
-        );
-        let mut reencoded = Vec::new();
-        encode_record(&decoded, &mut reencoded);
-        assert_eq!(reencoded, upd);
-
         let mut del = vec![OP_DELETE];
         codec::write_str("T", &mut del);
         codec::write_u64(7, &mut del);
-        let decoded = decode_record(&del).unwrap();
-        assert_eq!(
-            decoded,
-            WalRecord::Delete {
-                table: "T".into(),
-                rid: 7,
-                old: None,
-            }
-        );
-        let mut reencoded = Vec::new();
-        encode_record(&decoded, &mut reencoded);
-        assert_eq!(reencoded, del);
+        for (rec, bytes) in [
+            (
+                WalRecord::Update {
+                    table: "T".into(),
+                    rid: 7,
+                    row: vec![Value::Int(9)],
+                },
+                upd,
+            ),
+            (
+                WalRecord::Delete {
+                    table: "T".into(),
+                    rid: 7,
+                },
+                del,
+            ),
+        ] {
+            let mut encoded = Vec::new();
+            encode_record(&rec, &mut encoded);
+            assert_eq!(encoded, bytes);
+            assert_eq!(decode_record(&bytes).unwrap(), rec);
+        }
     }
 
-    /// A v2 UPDATE and a v2 DELETE (tags 7 and 8, pre-image after the
-    /// redo fields) as the v2 encoder wrote them.
+    /// A v2 UPDATE and a v2 DELETE (tags 7 and 8) as the encoder that
+    /// wrote pre-images emitted them: the redo fields, then the image.
     const V2_UPDATE_HEX: &str = "0708436f6d6d656e7473ac0204030805036e65770204000000000000e0bf04030505066f6c6420c3a900040000000000000440";
     const V2_DELETE_HEX: &str = "0805566f746573f0a20404030505066f6c6420c3a900040000000000000440";
-
-    fn v2_pre_image() -> Row {
-        vec![
-            Value::Int(-3),
-            Value::text("old é"),
-            Value::Null,
-            Value::Float(2.5),
-        ]
-    }
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -722,8 +655,11 @@ mod tests {
             .collect()
     }
 
+    /// Logs written with pre-images still recover: a v2 payload decodes
+    /// to the redo record, and that record now encodes as the v2 bytes
+    /// with tag 2/3 and without the image.
     #[test]
-    fn v2_golden_payloads() {
+    fn v2_golden_payloads_decode_to_redo_records() {
         let update = WalRecord::Update {
             table: "Comments".into(),
             rid: 300,
@@ -733,18 +669,32 @@ mod tests {
                 Value::Bool(true),
                 Value::Float(-0.5),
             ],
-            old: Some(v2_pre_image()),
         };
         let delete = WalRecord::Delete {
             table: "Votes".into(),
             rid: 70_000,
-            old: Some(v2_pre_image()),
         };
-        for (rec, golden) in [(update, V2_UPDATE_HEX), (delete, V2_DELETE_HEX)] {
-            let mut buf = Vec::new();
-            encode_record(&rec, &mut buf);
-            assert_eq!(hex(&buf), golden);
+        let mut image = Vec::new();
+        codec::write_row(
+            &[
+                Value::Int(-3),
+                Value::text("old é"),
+                Value::Null,
+                Value::Float(2.5),
+            ],
+            &mut image,
+        );
+        for (rec, golden, v2_tag) in [
+            (update, V2_UPDATE_HEX, OP_UPDATE_V2),
+            (delete, V2_DELETE_HEX, OP_DELETE_V2),
+        ] {
             assert_eq!(decode_record(&unhex(golden)).unwrap(), rec);
+            let mut v2 = Vec::new();
+            encode_record(&rec, &mut v2);
+            assert!(v2.len() < golden.len() / 2, "no image is written");
+            v2[0] = v2_tag;
+            v2.extend_from_slice(&image);
+            assert_eq!(hex(&v2), golden);
         }
     }
 
@@ -793,7 +743,6 @@ mod tests {
         let rec = WalRecord::Delete {
             table: "T".into(),
             rid: 9,
-            old: None,
         };
         wal.append(&rec).unwrap();
         wal.append(&rec).unwrap();
@@ -852,7 +801,6 @@ mod tests {
         let rec = WalRecord::Delete {
             table: "T".into(),
             rid: 1,
-            old: None,
         };
         let (w0, w1) = (wal_file_name(0), wal_file_name(1));
         wal.append(&rec).unwrap();
@@ -911,7 +859,6 @@ mod tests {
         let rec = WalRecord::Delete {
             table: "T".into(),
             rid: 1,
-            old: None,
         };
         wal.append(&rec).unwrap();
         assert_eq!(wal.rotate().unwrap(), 1);

@@ -173,6 +173,44 @@ fn explain_plan_shows_pushdown() {
     assert!(text.contains("filter="), "{text}");
 }
 
+/// An ORDER BY key that is neither an output column's name nor an
+/// ordinal — an expression, even one the SELECT list computes too — sorts
+/// the projection's input; under aggregation it is an error.
+#[test]
+fn order_by_expression_outside_the_select_list() {
+    let db = db_with_data(&[(1, 20), (2, 10), (3, 30)]);
+    for sql in [
+        "SELECT id FROM t ORDER BY v * -1",
+        "SELECT v * -1 AS d, id FROM t ORDER BY v * -1",
+    ] {
+        let plan = cr_relation::sql::plan_query(sql, &db.catalog()).unwrap();
+        let text = plan.explain();
+        let ops: Vec<&str> = text
+            .lines()
+            .map(|l| l.split_whitespace().next().unwrap())
+            .collect();
+        assert_eq!(ops, ["Project", "Sort", "Scan"], "{sql}");
+        let ids: Vec<Value> = db
+            .query_sql(sql)
+            .unwrap()
+            .rows
+            .iter()
+            .map(|r| r.last().unwrap().clone())
+            .collect();
+        assert_eq!(ids, [Value::Int(3), Value::Int(1), Value::Int(2)], "{sql}");
+    }
+    for sql in [
+        "SELECT v, COUNT(*) AS n FROM t GROUP BY v ORDER BY v + 1",
+        "SELECT v, COUNT(*) AS n FROM t GROUP BY v ORDER BY COUNT(*)",
+    ] {
+        let err = db.query_sql(sql).unwrap_err().to_string();
+        assert!(
+            err.contains("must appear in the SELECT list under aggregation"),
+            "{sql}: {err}"
+        );
+    }
+}
+
 /// SUM over Int inputs is exact i64 arithmetic (wrapping, like scalar
 /// `+`), not an f64 accumulator; a Float input makes the sum a Float.
 #[test]
