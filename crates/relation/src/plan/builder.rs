@@ -152,16 +152,9 @@ impl PlanBuilder {
     /// may be qualified (`e.SuID`); see [`PlanBuilder::select_positions`]
     /// for what the output keeps.
     pub fn select_columns(self, names: &[&str]) -> RelResult<Self> {
-        let input = self.plan.schema();
         let columns = names
             .iter()
-            .map(|name| {
-                let (q, n) = match name.split_once('.') {
-                    Some((q, n)) => (Some(q), n),
-                    None => (None, *name),
-                };
-                Ok((input.resolve(q, n)?, n))
-            })
+            .map(|name| resolve_name(self.plan.schema(), name))
             .collect::<RelResult<Vec<_>>>()?;
         self.select_positions(&columns)
     }
@@ -332,11 +325,7 @@ impl PlanBuilder {
         rating: bool,
         as_name: &str,
     ) -> RelResult<Self> {
-        let (q, n) = match key_col.split_once('.') {
-            Some((q, n)) => (Some(q), n),
-            None => (None, key_col),
-        };
-        let key_idx = self.plan.schema().resolve(q, n)?;
+        let (key_idx, _) = resolve_name(self.plan.schema(), key_col)?;
         self.extend_at(related, key_idx, rating, as_name)
     }
 
@@ -441,6 +430,16 @@ impl PlanBuilder {
     pub fn build(self) -> LogicalPlan {
         self.plan
     }
+}
+
+/// Resolve a possibly qualified column name (`e.SuID`) against `schema`:
+/// its position and its bare name.
+fn resolve_name<'n>(schema: &Schema, name: &'n str) -> RelResult<(usize, &'n str)> {
+    let (q, n) = match name.split_once('.') {
+        Some((q, n)) => (Some(q), n),
+        None => (None, name),
+    };
+    Ok((schema.resolve(q, n)?, n))
 }
 
 /// Best-effort static type inference for projected expressions.
