@@ -33,7 +33,6 @@ use parking_lot::RwLock;
 
 use crate::error::{RelError, RelResult};
 use crate::exec::{self, ResultSet};
-use crate::expr::Expr;
 use crate::index::IndexKind;
 use crate::mutation::{CompositeObserver, MutationObserver, ObserverSlot};
 use crate::plan::flow::{FlowPolicy, Principal, TablePolicy};
@@ -779,24 +778,6 @@ impl Database {
             t.create_index(index_name, positions, kind, unique)
         })?
     }
-
-    /// Delete rows matching a (named-column) predicate; returns count.
-    pub fn delete_where(&self, table: &str, predicate: &Expr) -> RelResult<usize> {
-        self.catalog.with_table_mut(table, |t| {
-            let bound = predicate.bind(t.schema())?;
-            let mut victims = Vec::new();
-            for (rid, row) in t.scan() {
-                if bound.eval_predicate(row)? {
-                    victims.push(rid);
-                }
-            }
-            let n = victims.len();
-            for rid in victims {
-                t.delete(rid);
-            }
-            Ok(n)
-        })?
-    }
 }
 
 #[cfg(test)]
@@ -847,10 +828,8 @@ mod tests {
             vec![row![1i64, 10i64], row![2i64, 20i64], row![3i64, 30i64]],
         )
         .unwrap();
-        let n = db
-            .delete_where("t", &Expr::col("v").gt_eq(Expr::lit(20i64)))
-            .unwrap();
-        assert_eq!(n, 2);
+        let rs = db.execute_sql("DELETE FROM t WHERE v >= 20").unwrap();
+        assert_eq!(rs.scalar(), Some(&Value::Int(2)));
         let rs = db.query_sql("SELECT COUNT(*) AS n FROM t").unwrap();
         assert_eq!(rs.scalar(), Some(&Value::Int(1)));
     }

@@ -29,9 +29,10 @@
 //!
 //! Scans pick an **access path** at runtime: if the pushed-down
 //! predicate contains an equality (or range) conjunct on the primary key
-//! or an indexed column, the matching index serves the lookup and only
-//! the residual predicate is evaluated per row. This is what makes
-//! FlexRecs' compiled per-user queries cheap on paper-scale data.
+//! or an indexed column, the matching index serves the lookup and the
+//! predicate is evaluated only on the rows it fetches. This is what makes
+//! FlexRecs' compiled per-user queries cheap on paper-scale data. UPDATE
+//! and DELETE find their rows the same way, through `matching_rows`.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -53,7 +54,7 @@ use crate::keys::{Key, KeyTable};
 use crate::nest::NestMap;
 use crate::plan::{AggExpr, AggFn, JoinKind, LogicalPlan, RecAggPlan, RecMethod, RecSpec, SortKey};
 use crate::profile::OpProfile;
-use crate::row::Row;
+use crate::row::{Row, RowId};
 use crate::schema::Schema;
 use crate::similarity::{dense_keys, Common, Probe, RatingsSim, SetSim};
 use crate::table::Table;
@@ -766,22 +767,21 @@ fn as_col_cmp_literal(e: &Expr) -> Option<(usize, BinOp, Value)> {
     None
 }
 
-/// The rows an index-served `path` fetches, before the pushed-down filter
-/// runs; `None` for a `SeqScan`, which reads the columnar image instead.
-fn index_fetch<'t>(t: &'t Table, path: &AccessPath) -> RelResult<Option<Vec<&'t Row>>> {
+/// The rows `path` fetches, with their ids, before the filter runs.
+fn index_fetch<'t>(
+    t: &'t Table,
+    path: &AccessPath,
+) -> RelResult<impl Iterator<Item = (RowId, &'t Row)> + 't> {
     let index = |name: &str| {
         t.index(name)
             .ok_or_else(|| RelError::UnknownIndex(name.to_owned()))
     };
-    let rows = match path {
-        AccessPath::SeqScan => return Ok(None),
-        AccessPath::PkLookup(key) => t.get_by_pk(key).into_iter().collect(),
-        AccessPath::IndexEq(name, key) => index(name)?
-            .get(key)
-            .unwrap_or_default()
-            .iter()
-            .filter_map(|&rid| t.get(rid))
-            .collect(),
+    let rids: Box<dyn Iterator<Item = RowId> + 't> = match path {
+        AccessPath::SeqScan => Box::new(t.scan().map(|(rid, _)| rid)),
+        AccessPath::PkLookup(key) => Box::new(t.rowid_by_pk(key).into_iter()),
+        AccessPath::IndexEq(name, key) => {
+            Box::new(index(name)?.get(key).into_iter().flatten().copied())
+        }
         AccessPath::IndexRange {
             index: name,
             lower,
@@ -789,13 +789,35 @@ fn index_fetch<'t>(t: &'t Table, path: &AccessPath) -> RelResult<Option<Vec<&'t 
         } => {
             let lo = lower.as_ref().map(|v| vec![v.clone()]);
             let hi = upper.as_ref().map(|v| vec![v.clone()]);
-            index(name)?
-                .range(lo.as_ref(), hi.as_ref())
-                .filter_map(|rid| t.get(rid))
-                .collect()
+            Box::new(index(name)?.range(lo.as_ref(), hi.as_ref()))
         }
     };
-    Ok(Some(rows))
+    Ok(rids.filter_map(move |rid| t.get(rid).map(|row| (rid, row))))
+}
+
+/// The live rows of `t` that satisfy `filter`, fetched through `path`
+/// (from [`choose_access_path`]), with their ids in ascending row-id
+/// order. The whole filter is checked on every fetched row: that keeps an
+/// index equality on a NULL literal, and rows the index over-fetches, out
+/// of the result — and a row the path skips is never evaluated. A
+/// `SeqScan` walks the row slots, not the columnar image, which a write
+/// lock holder would otherwise rebuild after every write.
+pub(crate) fn matching_rows<'t>(
+    t: &'t Table,
+    path: &AccessPath,
+    filter: &Option<Expr>,
+) -> RelResult<Vec<(RowId, &'t Row)>> {
+    let mut rows = Vec::new();
+    for (rid, row) in index_fetch(t, path)? {
+        if filter
+            .as_ref()
+            .map_or(Ok(true), |f| f.eval_predicate(row))?
+        {
+            rows.push((rid, row));
+        }
+    }
+    rows.sort_unstable_by_key(|&(rid, _)| rid);
+    Ok(rows)
 }
 
 // ---------------------------------------------------------------------
@@ -1156,8 +1178,8 @@ fn project_batched(
 /// Batched scan. Sequential scans serve the table's cached columnar image
 /// ([`Table::columnar`]) and fuse the pushed-down filter (selection
 /// vector) and projection (column picking) into it without copying a
-/// single row. Index-served paths touch few rows, so they filter and
-/// project rows and transpose.
+/// single row. Index-served paths touch few rows, so they take their
+/// rows from [`matching_rows`], project them and transpose.
 fn scan_batched(
     t: &Table,
     projection: &Option<Vec<usize>>,
@@ -1174,7 +1196,7 @@ fn scan_batched(
             AccessPath::IndexRange { .. } => m.scan_index_range.inc(),
         }
     }
-    let Some(fetched) = index_fetch(t, &path)? else {
+    if path == AccessPath::SeqScan {
         let cols = t.columnar();
         let mut batch = Batch::new((*cols).clone(), t.len());
         let mut batches = 1;
@@ -1188,19 +1210,14 @@ fn scan_batched(
             batch = batch.with_columns(projected);
         }
         return Ok((batch, path, batches));
-    };
-    let mut rows = Vec::with_capacity(fetched.len());
-    for r in fetched {
-        if let Some(f) = filter {
-            if !f.eval_predicate(r)? {
-                continue;
-            }
-        }
-        rows.push(match projection {
+    }
+    let rows: Vec<Row> = matching_rows(t, &path, filter)?
+        .into_iter()
+        .map(|(_, r)| match projection {
             None => r.clone(),
             Some(cols) => cols.iter().map(|&i| r[i].clone()).collect(),
-        });
-    }
+        })
+        .collect();
     let width = projection
         .as_ref()
         .map_or(t.schema().columns().len(), Vec::len);

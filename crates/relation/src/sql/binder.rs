@@ -2,10 +2,11 @@
 
 use crate::catalog::Catalog;
 use crate::error::{RelError, RelResult};
-use crate::exec::{self, ResultSet};
+use crate::exec::{self, AccessPath, ResultSet};
 use crate::expr::{BinOp, Expr, ScalarFn};
 use crate::plan::{optimizer, AggExpr, AggFn, JoinKind, LogicalPlan, PlanBuilder};
 use crate::schema::{Column, Schema};
+use crate::table::Table;
 use crate::value::Value;
 
 use super::affected;
@@ -37,6 +38,20 @@ fn exec_explain(stmt: &Statement, catalog: &Catalog) -> RelResult<ResultSet> {
         Statement::Select(q) => {
             let plan = bind_select(q, catalog)?;
             optimizer::optimize(plan).explain()
+        }
+        // `Delete CommentVotes via PkLookup[5,7]`: the target table and
+        // the access path that finds the rows the statement changes.
+        Statement::Update(Update { table, filter, .. })
+        | Statement::Delete(Delete { table, filter }) => {
+            let verb = if matches!(stmt, Statement::Update(_)) {
+                "Update"
+            } else {
+                "Delete"
+            };
+            catalog.with_table(table, |t| -> RelResult<String> {
+                let (_, path) = dml_target(t, filter.as_ref())?;
+                Ok(format!("{verb} {} via {path}\n", t.name()))
+            })??
         }
         other => format!("{other:#?}\n"),
     };
@@ -141,76 +156,59 @@ fn exec_insert(ins: &Insert, catalog: &Catalog) -> RelResult<ResultSet> {
     Ok(affected(n))
 }
 
+/// A DML statement's WHERE bound over `t` and folded, as the optimizer
+/// folds a scan's pushed filter (so `id = -3` is a key equality), with
+/// the access path that finds its rows.
+fn dml_target(t: &Table, filter: Option<&SqlExpr>) -> RelResult<(Option<Expr>, AccessPath)> {
+    let filter = match filter {
+        Some(f) => Some(convert_scalar(f)?.bind(t.schema())?.fold()),
+        None => None,
+    };
+    let path = exec::choose_access_path(t, &filter);
+    Ok((filter, path))
+}
+
 fn exec_update(u: &Update, catalog: &Catalog) -> RelResult<ResultSet> {
-    catalog
-        .with_table_mut(&u.table, |t| -> RelResult<usize> {
-            let schema = t.schema().clone();
-            let filter = match &u.filter {
-                Some(f) => Some(convert_scalar(f)?.bind(&schema)?),
-                None => None,
-            };
-            let assignments: Vec<(usize, Expr)> = u
-                .assignments
-                .iter()
-                .map(|(col, e)| Ok((schema.index_of(col)?, convert_scalar(e)?.bind(&schema)?)))
-                .collect::<RelResult<_>>()?;
-            let mut updates = Vec::new();
-            for (rid, row) in t.scan() {
-                let keep = match &filter {
-                    Some(f) => f.eval_predicate(row)?,
-                    None => true,
-                };
-                if keep {
-                    let mut new_row = row.clone();
-                    for (pos, e) in &assignments {
-                        new_row[*pos] = e.eval(row)?;
-                    }
-                    updates.push((rid, new_row));
+    let n = catalog.with_table_mut(&u.table, |t| -> RelResult<usize> {
+        let (filter, path) = dml_target(t, u.filter.as_ref())?;
+        let schema = t.schema();
+        let assignments: Vec<(usize, Expr)> = u
+            .assignments
+            .iter()
+            .map(|(col, e)| Ok((schema.index_of(col)?, convert_scalar(e)?.bind(schema)?)))
+            .collect::<RelResult<_>>()?;
+        let updates = exec::matching_rows(t, &path, &filter)?
+            .into_iter()
+            .map(|(rid, row)| {
+                let mut new_row = row.clone();
+                for (pos, e) in &assignments {
+                    new_row[*pos] = e.eval(row)?;
                 }
-            }
-            let n = updates.len();
-            for (rid, new_row) in updates {
-                t.update(rid, new_row)?;
-            }
-            Ok(n)
-        })??
-        .pipe_affected()
+                Ok((rid, new_row))
+            })
+            .collect::<RelResult<Vec<_>>>()?;
+        let n = updates.len();
+        for (rid, new_row) in updates {
+            t.update(rid, new_row)?;
+        }
+        Ok(n)
+    })??;
+    Ok(affected(n))
 }
 
 fn exec_delete(d: &Delete, catalog: &Catalog) -> RelResult<ResultSet> {
-    catalog
-        .with_table_mut(&d.table, |t| -> RelResult<usize> {
-            let schema = t.schema().clone();
-            let filter = match &d.filter {
-                Some(f) => Some(convert_scalar(f)?.bind(&schema)?),
-                None => None,
-            };
-            let mut victims = Vec::new();
-            for (rid, row) in t.scan() {
-                let hit = match &filter {
-                    Some(f) => f.eval_predicate(row)?,
-                    None => true,
-                };
-                if hit {
-                    victims.push(rid);
-                }
-            }
-            let n = victims.len();
-            for rid in victims {
-                t.delete(rid);
-            }
-            Ok(n)
-        })??
-        .pipe_affected()
-}
-
-trait PipeAffected {
-    fn pipe_affected(self) -> RelResult<ResultSet>;
-}
-impl PipeAffected for usize {
-    fn pipe_affected(self) -> RelResult<ResultSet> {
-        Ok(affected(self))
-    }
+    let n = catalog.with_table_mut(&d.table, |t| -> RelResult<usize> {
+        let (filter, path) = dml_target(t, d.filter.as_ref())?;
+        let victims: Vec<_> = exec::matching_rows(t, &path, &filter)?
+            .into_iter()
+            .map(|(rid, _)| rid)
+            .collect();
+        for &rid in &victims {
+            t.delete(rid);
+        }
+        Ok(victims.len())
+    })??;
+    Ok(affected(n))
 }
 
 // ---------------------------------------------------------------------
