@@ -55,7 +55,7 @@ use crate::nest::NestMap;
 use crate::plan::{AggExpr, AggFn, JoinKind, LogicalPlan, RecAggPlan, RecMethod, RecSpec, SortKey};
 use crate::profile::OpProfile;
 use crate::row::{Row, RowId};
-use crate::schema::Schema;
+use crate::schema::{DataType, Schema};
 use crate::similarity::{dense_keys, Common, Probe, RatingsSim, SetSim};
 use crate::table::Table;
 use crate::value::Value;
@@ -670,7 +670,7 @@ pub fn choose_access_path(table: &Table, filter: &Option<Expr>) -> AccessPath {
     if !pk.is_empty() {
         let mut key: Vec<Option<Value>> = vec![None; pk.len()];
         for c in &conjuncts {
-            if let Some((col, v)) = as_col_eq_literal(c) {
+            if let Some((col, BinOp::Eq, v)) = as_col_cmp_literal(table, c) {
                 if let Some(pos) = pk.iter().position(|&p| p == col) {
                     key[pos] = Some(v);
                 }
@@ -683,7 +683,7 @@ pub fn choose_access_path(table: &Table, filter: &Option<Expr>) -> AccessPath {
 
     // 2. Single-column secondary index equality?
     for c in &conjuncts {
-        if let Some((col, v)) = as_col_eq_literal(c) {
+        if let Some((col, BinOp::Eq, v)) = as_col_cmp_literal(table, c) {
             if let Some(idx) = table.index_on_column(col) {
                 if idx.columns.len() == 1 {
                     return AccessPath::IndexEq(idx.name.clone(), vec![v]);
@@ -695,7 +695,7 @@ pub fn choose_access_path(table: &Table, filter: &Option<Expr>) -> AccessPath {
     // 3. Range on a B-tree index's leading column?
     let mut range: HashMap<usize, (Bound<Value>, Bound<Value>)> = HashMap::new();
     for c in &conjuncts {
-        if let Some((col, op, v)) = as_col_cmp_literal(c) {
+        if let Some((col, op, v)) = as_col_cmp_literal(table, c) {
             let entry = range
                 .entry(col)
                 .or_insert((Bound::Unbounded, Bound::Unbounded));
@@ -726,45 +726,33 @@ pub fn choose_access_path(table: &Table, filter: &Option<Expr>) -> AccessPath {
     AccessPath::SeqScan
 }
 
-fn as_col_eq_literal(e: &Expr) -> Option<(usize, Value)> {
-    if let Expr::Binary {
-        op: BinOp::Eq,
-        left,
-        right,
-    } = e
-    {
-        match (&**left, &**right) {
-            (Expr::Column(c), Expr::Literal(v)) | (Expr::Literal(v), Expr::Column(c)) => {
-                return Some((*c, v.clone()))
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-fn as_col_cmp_literal(e: &Expr) -> Option<(usize, BinOp, Value)> {
-    if let Expr::Binary { op, left, right } = e {
-        if !op.is_comparison() {
-            return None;
-        }
-        match (&**left, &**right) {
-            (Expr::Column(c), Expr::Literal(v)) => return Some((*c, *op, v.clone())),
-            (Expr::Literal(v), Expr::Column(c)) => {
-                // Flip the comparison: v < col  ≡  col > v.
-                let flipped = match op {
-                    BinOp::Lt => BinOp::Gt,
-                    BinOp::LtEq => BinOp::GtEq,
-                    BinOp::Gt => BinOp::Lt,
-                    BinOp::GtEq => BinOp::LtEq,
-                    other => *other,
-                };
-                return Some((*c, flipped, v.clone()));
-            }
-            _ => {}
-        }
-    }
-    None
+/// `col <op> literal`, either way round, with the literal as the key an
+/// index on `col` holds for it. The row rules read an INT literal against
+/// a DATE column as a DATE (`binary_scalar`), so the key is converted the
+/// same way; an INT column against a DATE literal compares as a wrapped
+/// DATE, which no key on the column expresses, so no index serves it.
+fn as_col_cmp_literal(t: &Table, e: &Expr) -> Option<(usize, BinOp, Value)> {
+    let Expr::Binary { op, left, right } = e else {
+        return None;
+    };
+    let (col, op, v) = match (&**left, &**right) {
+        (Expr::Column(c), Expr::Literal(v)) => (*c, *op, v),
+        // Flip the comparison: v < col  ≡  col > v.
+        (Expr::Literal(v), Expr::Column(c)) => match op {
+            BinOp::Lt => (*c, BinOp::Gt, v),
+            BinOp::LtEq => (*c, BinOp::GtEq, v),
+            BinOp::Gt => (*c, BinOp::Lt, v),
+            BinOp::GtEq => (*c, BinOp::LtEq, v),
+            other => (*c, *other, v),
+        },
+        _ => return None,
+    };
+    let key = match (t.schema().column(col).data_type, v) {
+        (DataType::Date, &Value::Int(i)) => Value::Date(i as i32),
+        (DataType::Int, Value::Date(_)) => return None,
+        _ => v.clone(),
+    };
+    op.is_comparison().then_some((col, op, key))
 }
 
 /// The rows `path` fetches, with their ids, before the filter runs.
@@ -796,12 +784,13 @@ fn index_fetch<'t>(
 }
 
 /// The live rows of `t` that satisfy `filter`, fetched through `path`
-/// (from [`choose_access_path`]), with their ids in ascending row-id
-/// order. The whole filter is checked on every fetched row: that keeps an
-/// index equality on a NULL literal, and rows the index over-fetches, out
-/// of the result — and a row the path skips is never evaluated. A
-/// `SeqScan` walks the row slots, not the columnar image, which a write
-/// lock holder would otherwise rebuild after every write.
+/// (from [`choose_access_path`]), with their ids, in the order the path
+/// fetches them (row-id order for a `SeqScan`). The whole filter is
+/// checked on every fetched row: that keeps an index equality on a NULL
+/// literal, and rows the index over-fetches, out of the result — and a
+/// row the path skips is never evaluated. A `SeqScan` walks the row
+/// slots, not the columnar image, which a write lock holder would
+/// otherwise rebuild after every write.
 pub(crate) fn matching_rows<'t>(
     t: &'t Table,
     path: &AccessPath,
@@ -816,7 +805,6 @@ pub(crate) fn matching_rows<'t>(
             rows.push((rid, row));
         }
     }
-    rows.sort_unstable_by_key(|&(rid, _)| rid);
     Ok(rows)
 }
 
@@ -2063,7 +2051,6 @@ mod tests {
     use super::*;
     use crate::catalog::Database;
     use crate::plan::PlanBuilder;
-    use crate::schema::DataType;
 
     fn db() -> Database {
         let db = Database::new();
@@ -2149,6 +2136,51 @@ mod tests {
                 ));
             })
             .unwrap();
+    }
+
+    /// The row rules read an INT literal against a DATE column as a DATE,
+    /// so an index on the column is probed with the DATE key; an INT
+    /// column against a DATE literal compares as a wrapped DATE, which no
+    /// key on the column expresses, so it is a sequential scan.
+    #[test]
+    fn date_keys_compare_as_the_row_rules_do() {
+        let db = Database::new();
+        db.execute_sql("CREATE TABLE e (id INT PRIMARY KEY, d DATE)")
+            .unwrap();
+        db.execute_sql("CREATE INDEX e_d ON e (d) USING BTREE")
+            .unwrap();
+        db.execute_sql("INSERT INTO e VALUES (1, 100), (2, 200), (3, NULL)")
+            .unwrap();
+        db.catalog()
+            .with_table("e", |t| {
+                let d = || Expr::col_idx(1);
+                let path = |f: Expr| choose_access_path(t, &Some(f));
+                assert_eq!(
+                    path(Expr::lit(100i64).eq(d())),
+                    AccessPath::IndexEq("e_d".into(), vec![Value::Date(100)])
+                );
+                assert_eq!(
+                    path(d().lt_eq(Expr::lit(150i64))),
+                    AccessPath::IndexRange {
+                        index: "e_d".into(),
+                        lower: Bound::Unbounded,
+                        upper: Bound::Included(Value::Date(150)),
+                    }
+                );
+                let id_is_date = Expr::col_idx(0).eq(Expr::lit(Value::Date(1)));
+                assert_eq!(path(id_is_date), AccessPath::SeqScan);
+            })
+            .unwrap();
+        let ids = |sql: &str| db.query_sql(sql).unwrap().rows;
+        assert_eq!(ids("SELECT id FROM e WHERE d = 100"), [[Value::Int(1)]]);
+        assert_eq!(ids("SELECT id FROM e WHERE d <= 150"), [[Value::Int(1)]]);
+        assert_eq!(
+            db.execute_sql("DELETE FROM e WHERE d = 100")
+                .unwrap()
+                .scalar(),
+            Some(&Value::Int(1))
+        );
+        assert_eq!(ids("SELECT id FROM e WHERE d < 300"), [[Value::Int(2)]]);
     }
 
     #[test]

@@ -177,7 +177,11 @@ fn exec_update(u: &Update, catalog: &Catalog) -> RelResult<ResultSet> {
             .iter()
             .map(|(col, e)| Ok((schema.index_of(col)?, convert_scalar(e)?.bind(schema)?)))
             .collect::<RelResult<_>>()?;
-        let updates = exec::matching_rows(t, &path, &filter)?
+        let mut rows = exec::matching_rows(t, &path, &filter)?;
+        // In row-id order, as a full scan meets them: with no statement
+        // rollback, the order decides which rows change before a conflict.
+        rows.sort_unstable_by_key(|&(rid, _)| rid);
+        let updates = rows
             .into_iter()
             .map(|(rid, row)| {
                 let mut new_row = row.clone();
@@ -199,10 +203,11 @@ fn exec_update(u: &Update, catalog: &Catalog) -> RelResult<ResultSet> {
 fn exec_delete(d: &Delete, catalog: &Catalog) -> RelResult<ResultSet> {
     let n = catalog.with_table_mut(&d.table, |t| -> RelResult<usize> {
         let (filter, path) = dml_target(t, d.filter.as_ref())?;
-        let victims: Vec<_> = exec::matching_rows(t, &path, &filter)?
+        let mut victims: Vec<_> = exec::matching_rows(t, &path, &filter)?
             .into_iter()
             .map(|(rid, _)| rid)
             .collect();
+        victims.sort_unstable(); // logged in row-id order, as a full scan would
         for &rid in &victims {
             t.delete(rid);
         }

@@ -218,25 +218,29 @@ fn below(state: &mut u64, n: u64) -> u64 {
     (z ^ (z >> 31)) % n
 }
 
-/// Insert a random row with primary key `(a, b)`, `a` in -4..=4; `v` and
-/// `w` are NULL one time in eleven and five.
+/// Insert a random row with primary key `(a, b)`, `a` in -4..=4; `v`, `w`
+/// and the DATE `d` (given as days, an INT) are NULL one time in eleven,
+/// five and eleven.
 fn insert_dml_row(db: &Database, rng: &mut u64, b: u64) {
     let mut null_or = |n: u64| match below(rng, n + 1) {
         0 => "NULL".to_owned(),
         x => (x - 1).to_string(),
     };
-    let (v, w) = (null_or(10), null_or(4));
+    let (v, w, d) = (null_or(10), null_or(4), null_or(10));
     let a = below(rng, 9) as i64 - 4;
     let s = ["x", "yx", "z"][below(rng, 3) as usize];
-    db.execute_sql(&format!("INSERT INTO t VALUES ({a}, {b}, {v}, {w}, '{s}')"))
-        .unwrap();
+    db.execute_sql(&format!(
+        "INSERT INTO t VALUES ({a}, {b}, {v}, {w}, '{s}', {d})"
+    ))
+    .unwrap();
 }
 
 /// UPDATE and DELETE change exactly the rows the row oracle's full scan
 /// selects, whichever access path finds them. A seeded stream of
 /// statements runs over a table with a composite primary key, a hash
-/// index on the NULL-able `w`, a B-tree index on the NULL-able `v` and
-/// tombstones. Before each statement the oracle runs `SELECT` with the
+/// index on the NULL-able `w`, B-tree indexes on the NULL-able `v` and on
+/// the NULL-able DATE `d` (which the WHERE compares with INT literals, as
+/// the row rules allow) and tombstones. Before each statement the oracle runs `SELECT` with the
 /// same WHERE — and, for an UPDATE, the SET expressions in place of the
 /// columns they assign — which predicts the `affected` count and the
 /// table the statement leaves.
@@ -246,10 +250,14 @@ fn dml_changes_the_rows_the_row_oracle_selects() {
     for seed in 0..48u64 {
         let rng = &mut { seed };
         let db = Database::new();
-        db.execute_sql("CREATE TABLE t (a INT, b INT, v INT, w INT, s TEXT, PRIMARY KEY (a, b))")
-            .unwrap();
+        db.execute_sql(
+            "CREATE TABLE t (a INT, b INT, v INT, w INT, s TEXT, d DATE, PRIMARY KEY (a, b))",
+        )
+        .unwrap();
         db.execute_sql("CREATE INDEX by_w ON t (w)").unwrap();
         db.execute_sql("CREATE INDEX by_v ON t (v) USING BTREE")
+            .unwrap();
+        db.execute_sql("CREATE INDEX by_d ON t (d) USING BTREE")
             .unwrap();
         let mut next_b = 0;
         while next_b < 40 {
@@ -263,7 +271,7 @@ fn dml_changes_the_rows_the_row_oracle_selects() {
             let x = below(rng, 9) as i64 - 4;
             let y = below(rng, next_b + 2);
             let (k, lo, hi) = (below(rng, 4), below(rng, 11), below(rng, 11));
-            let filter = match below(rng, 10) {
+            let filter = match below(rng, 13) {
                 0 => format!("a = {x} AND b = {y}"),
                 1 => format!("a = {x}"),
                 2 => "w = NULL".to_owned(),
@@ -273,6 +281,9 @@ fn dml_changes_the_rows_the_row_oracle_selects() {
                 6 => "v > 5 AND v < 3".to_owned(),
                 7 => format!("v >= {lo} AND s LIKE '%x%'"),
                 8 => format!("w = {k} AND v <= {hi}"),
+                9 => format!("d = {lo}"),
+                10 => format!("d >= {lo} AND d < {hi}"),
+                11 => format!("{hi} >= d AND s = 'x'"),
                 _ => format!("b = {y} OR v IS NULL"),
             };
             let sql_for = |select: &str| format!("{select} FROM t WHERE {filter}");
@@ -294,11 +305,13 @@ fn dml_changes_the_rows_the_row_oracle_selects() {
             let statement = match below(rng, 3) {
                 0 => format!("DELETE FROM t WHERE {filter}"),
                 1 => {
-                    want.extend(oracle_rows(&sql_for("SELECT a, b, v + 1, w, s")));
+                    want.extend(oracle_rows(&sql_for("SELECT a, b, v + 1, w, s, d")));
                     format!("UPDATE t SET v = v + 1 WHERE {filter}")
                 }
                 _ => {
-                    want.extend(oracle_rows(&sql_for(&format!("SELECT a, b, v, {k}, 'u'"))));
+                    want.extend(oracle_rows(&sql_for(&format!(
+                        "SELECT a, b, v, {k}, 'u', d"
+                    ))));
                     format!("UPDATE t SET w = {k}, s = 'u' WHERE {filter}")
                 }
             };
@@ -308,7 +321,7 @@ fn dml_changes_the_rows_the_row_oracle_selects() {
                 path.split(" via ")
                     .nth(1)
                     .unwrap()
-                    .split(['[', '('])
+                    .split('[')
                     .next()
                     .unwrap()
                     .to_owned(),
@@ -326,7 +339,14 @@ fn dml_changes_the_rows_the_row_oracle_selects() {
     }
     assert_eq!(
         paths_seen.into_iter().collect::<Vec<_>>(),
-        ["IndexEq", "IndexRange", "PkLookup", "SeqScan"]
+        [
+            "IndexEq(by_d)",
+            "IndexEq(by_w)",
+            "IndexRange(by_d)",
+            "IndexRange(by_v)",
+            "PkLookup",
+            "SeqScan"
+        ]
     );
 }
 
