@@ -7,6 +7,7 @@
 //! courses" / "can see how their class compares to other classes".
 
 use cr_relation::row::row;
+use cr_relation::sql::text_literal;
 use cr_relation::{RelError, RelResult, Value};
 
 use crate::db::CourseRankDb;
@@ -134,8 +135,9 @@ impl Faculty {
         let dept_avgs = self.db.database().query_sql(&format!(
             "SELECT cm.CourseID, AVG(cm.Rating) AS r FROM Comments cm \
              JOIN Courses c ON cm.CourseID = c.CourseID \
-             WHERE c.DepID = '{dep}' AND cm.Rating IS NOT NULL \
-             GROUP BY cm.CourseID"
+             WHERE c.DepID = {} AND cm.Rating IS NOT NULL \
+             GROUP BY cm.CourseID",
+            text_literal(&dep)
         ))?;
         let mut dept_ratings: Vec<f64> = dept_avgs
             .rows

@@ -14,6 +14,7 @@
 use std::sync::OnceLock;
 
 use cr_relation::row::row;
+use cr_relation::sql::text_literal;
 use cr_relation::{RelResult, Value};
 
 use crate::db::CourseRankDb;
@@ -212,7 +213,8 @@ impl Forum {
                     .query_sql(&format!(
                         "SELECT COUNT(*) AS n FROM Enrollments e JOIN Courses c \
                          ON e.CourseID = c.CourseID \
-                         WHERE e.SuID = {student} AND e.Status = 'taken' AND c.DepID = '{dep}'"
+                         WHERE e.SuID = {student} AND e.Status = 'taken' AND c.DepID = {}",
+                        text_literal(&dep)
                     ))?
                     .scalar()
                     .and_then(|v| v.as_int().ok())
@@ -279,6 +281,28 @@ mod tests {
         f.answer(1, 1, 444, "yes, it starts from zero").unwrap();
         f.mark_best(1).unwrap();
         assert!(f.unanswered().unwrap().is_empty());
+    }
+
+    /// A department id reaches the routing query as one text value: a
+    /// quote neither breaks the statement nor widens the match.
+    #[test]
+    fn department_ids_route_as_text() {
+        let f = forum();
+        let route = |dep: &str| {
+            f.route(&Question {
+                id: 1,
+                asker: None,
+                course: None,
+                dep: Some(dep.to_owned()),
+                text: "who teaches this?".into(),
+                seeded: false,
+            })
+        };
+        assert!(route("O'Brien").is_ok());
+        assert_eq!(
+            route("NOPE' OR c.DepID <> '").unwrap(),
+            route("NOPE").unwrap()
+        );
     }
 
     #[test]

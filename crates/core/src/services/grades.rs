@@ -196,20 +196,46 @@ mod tests {
     use crate::db::test_fixtures::small_campus;
     use crate::db::{EnrollStatus, Enrollment};
     use crate::model::{Quarter, Term};
-    use crate::services::privacy::PrivacyPolicy;
 
-    fn grades(min_class: i64) -> Grades {
-        let db = small_campus();
-        let privacy = Privacy::new(db.clone()).with_policy(PrivacyPolicy {
-            min_class_size: min_class,
-            official_disclosure_schools: ["Engineering".to_owned()].into_iter().collect(),
-        });
-        Grades::new(db, privacy)
+    fn grades_over(db: CourseRankDb) -> Grades {
+        Grades::new(db.clone(), Privacy::new(db))
+    }
+
+    fn grades() -> Grades {
+        grades_over(small_campus())
+    }
+
+    /// Enter new students (ids from 1001), `n` per `(grade, n)`, each
+    /// with that grade in `course`, taken in Autumn 2008.
+    fn add_graded(db: &CourseRankDb, course: CourseId, graded: &[(Grade, usize)]) {
+        let mut suid = 1000;
+        for &(grade, n) in graded {
+            for _ in 0..n {
+                suid += 1;
+                db.insert_student(&crate::db::Student {
+                    id: suid,
+                    name: format!("s{suid}"),
+                    class: "2011".into(),
+                    major: None,
+                    gpa: None,
+                    share_plans: true,
+                })
+                .unwrap();
+                db.insert_enrollment(&Enrollment {
+                    student: suid,
+                    course,
+                    quarter: Quarter::new(2008, Term::Autumn),
+                    grade: Some(grade),
+                    status: EnrollStatus::Taken,
+                })
+                .unwrap();
+            }
+        }
     }
 
     #[test]
     fn self_reported_counts() {
-        let g = grades(1);
+        let g = grades();
         let d = g.self_reported(101).unwrap();
         // Fixture: A (Sally), A- (Bob), B (Tim).
         assert_eq!(d.total(), 3);
@@ -220,7 +246,7 @@ mod tests {
 
     #[test]
     fn official_counts() {
-        let g = grades(1);
+        let g = grades();
         let d = g.official(101, 2008).unwrap();
         assert_eq!(d.total(), 80);
         assert_eq!(d.counts[&Grade::A], 40);
@@ -228,7 +254,7 @@ mod tests {
 
     #[test]
     fn mean_points_and_probabilities() {
-        let g = grades(1);
+        let g = grades();
         let d = g.official(101, 2008).unwrap();
         // (40·4.0 + 30·3.0 + 10·2.0)/80 = 3.375
         assert!((d.mean_points().unwrap() - 3.375).abs() < 1e-9);
@@ -239,7 +265,7 @@ mod tests {
 
     #[test]
     fn visible_prefers_official_for_disclosing_school() {
-        let g = grades(3);
+        let g = grades();
         let (d, source) = g.visible_distribution(101, 2008).unwrap().unwrap();
         assert_eq!(source, "official");
         assert_eq!(d.total(), 80);
@@ -247,16 +273,19 @@ mod tests {
 
     #[test]
     fn visible_falls_back_to_self_reported() {
-        let g = grades(1);
-        // 201 is Humanities (no official disclosure); Ann graded it A.
+        let db = small_campus();
+        // 201 is Humanities (no official disclosure); Ann graded it A,
+        // and four more students make the class big enough to show.
+        add_graded(&db, 201, &[(Grade::B, 4)]);
+        let g = grades_over(db);
         let (d, source) = g.visible_distribution(201, 2008).unwrap().unwrap();
         assert_eq!(source, "self-reported");
-        assert_eq!(d.total(), 1);
+        assert_eq!(d.total(), 5);
     }
 
     #[test]
     fn small_class_suppressed() {
-        let g = grades(5);
+        let g = grades();
         // 201 has one self-reported grade < 5.
         let r = g.visible_distribution(201, 2008).unwrap();
         assert!(matches!(r, Err(Withheld::ClassTooSmall { .. })));
@@ -278,37 +307,14 @@ mod tests {
     #[test]
     fn self_vs_official_close_when_reports_are_honest() {
         let db = small_campus();
-        let privacy = Privacy::new(db.clone());
         // Make the self-reported distribution mirror the official one:
-        // insert enrollments proportional to the official counts (scaled
-        // down 10×: 4 A, 3 B, 1 C).
-        let mut suid = 1000;
-        for (grade, n) in [(Grade::A, 4), (Grade::B, 3), (Grade::C, 1)] {
-            for _ in 0..n {
-                suid += 1;
-                db.insert_student(&crate::db::Student {
-                    id: suid,
-                    name: format!("s{suid}"),
-                    class: "2011".into(),
-                    major: None,
-                    gpa: None,
-                    share_plans: true,
-                })
-                .unwrap();
-                db.insert_enrollment(&Enrollment {
-                    student: suid,
-                    course: 103,
-                    quarter: Quarter::new(2008, Term::Autumn),
-                    grade: Some(grade),
-                    status: EnrollStatus::Taken,
-                })
-                .unwrap();
-            }
-        }
+        // enrollments proportional to the official counts (scaled down
+        // 10×: 4 A, 3 B, 1 C).
+        add_graded(&db, 103, &[(Grade::A, 4), (Grade::B, 3), (Grade::C, 1)]);
         for (grade, n) in [(Grade::A, 40), (Grade::B, 30), (Grade::C, 10)] {
             db.insert_official_grade(103, 2008, grade, n).unwrap();
         }
-        let g = Grades::new(db, privacy);
+        let g = grades_over(db);
         let (tv, sn, on) = g.self_vs_official(103, 2008).unwrap().unwrap();
         assert_eq!(sn, 8);
         assert_eq!(on, 80);
@@ -317,7 +323,7 @@ mod tests {
 
     #[test]
     fn render_histogram() {
-        let g = grades(1);
+        let g = grades();
         let d = g.official(101, 2008).unwrap();
         let text = d.render();
         assert!(text.contains("A "));

@@ -23,6 +23,13 @@ fn metrics() -> &'static SvcMetrics {
     M.get_or_init(|| SvcMetrics::new("planner"))
 }
 
+/// The lightest full-time quarter (Stanford: 12–20 units). A report
+/// warns on a quarter below it.
+pub const MIN_UNITS: i64 = 12;
+/// The heaviest full-time quarter. A report warns on a quarter above it,
+/// and autoplace fills no quarter past it.
+pub const MAX_UNITS: i64 = 20;
+
 /// Base tables a plan report reads (the student's enrollments, course
 /// units/titles, offering schedules, and prerequisite edges).
 const PLAN_DEPS: &[&str] = &["Enrollments", "Courses", "Offerings", "Prerequisites"];
@@ -64,32 +71,14 @@ pub struct PlanReport {
     pub total_units: i64,
     pub conflicts: Vec<Conflict>,
     pub prereq_violations: Vec<PrereqViolation>,
-    /// Quarters whose unit load is outside [min_units, max_units].
+    /// Quarters whose unit load is outside [`MIN_UNITS`, `MAX_UNITS`].
     pub load_warnings: Vec<(Quarter, i64)>,
-}
-
-/// Planner configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct PlannerConfig {
-    /// Unit-load guardrails per quarter (Stanford: 12–20 for full-time).
-    pub min_units: i64,
-    pub max_units: i64,
-}
-
-impl Default for PlannerConfig {
-    fn default() -> Self {
-        PlannerConfig {
-            min_units: 12,
-            max_units: 20,
-        }
-    }
 }
 
 /// The planner service.
 #[derive(Debug, Clone)]
 pub struct Planner {
     db: CourseRankDb,
-    config: PlannerConfig,
     /// Versioned cache of saved-plan reports; shared across clones.
     /// What-if reports ([`Planner::report_for`]) take arbitrary
     /// enrollment lists and bypass it.
@@ -100,7 +89,6 @@ impl Planner {
     pub fn new(db: CourseRankDb) -> Self {
         Planner {
             db,
-            config: PlannerConfig::default(),
             report_cache: Arc::new(VersionedCache::default()),
         }
     }
@@ -112,24 +100,15 @@ impl Planner {
     pub(crate) fn rebind(&self, db: CourseRankDb) -> Self {
         Planner {
             db,
-            config: self.config,
             report_cache: Arc::clone(&self.report_cache),
         }
-    }
-
-    pub fn with_config(mut self, config: PlannerConfig) -> Self {
-        self.config = config;
-        self
     }
 
     /// Build the plan report for a student from their enrollments
     /// (taken + planned).
     pub fn report(&self, student: StudentId) -> RelResult<PlanReport> {
         metrics().observe(|| {
-            let key = format!(
-                "plan|{student}|{}|{}",
-                self.config.min_units, self.config.max_units
-            );
+            let key = format!("plan|{student}");
             self.report_cache
                 .get_or_compute(&self.db.catalog(), &key, PLAN_DEPS, || {
                     let enrollments = self.db.enrollments_of(student)?;
@@ -179,7 +158,7 @@ impl Planner {
                 }
             }
             total_units += units;
-            if units < self.config.min_units || units > self.config.max_units {
+            if !(MIN_UNITS..=MAX_UNITS).contains(&units) {
                 load_warnings.push((*quarter, units));
             }
             conflicts.extend(self.conflicts_in_quarter(*quarter, &courses)?);
@@ -333,7 +312,7 @@ impl Planner {
                     }
                     // (b) load
                     let load = per_quarter_units.get(&quarter).copied().unwrap_or(0);
-                    if load + units > self.config.max_units {
+                    if load + units > MAX_UNITS {
                         continue;
                     }
                     // (c) offered this quarter, without conflicts
@@ -542,11 +521,7 @@ mod tests {
 
     #[test]
     fn autoplace_respects_prereq_chain() {
-        let db = small_campus();
-        let p = Planner::new(db.clone()).with_config(PlannerConfig {
-            min_units: 0,
-            max_units: 20,
-        });
+        let p = Planner::new(small_campus());
         // Tim has taken 101 only; ask for 102 then 103 (chain).
         let (placed, unplaced) = p
             .autoplace(4, &[103, 102], Quarter::new(2009, Term::Winter), 6)

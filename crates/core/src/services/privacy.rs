@@ -10,8 +10,6 @@
 //! * grade-distribution disclosure is negotiated per school — "we now
 //!   display the official distribution only for engineering courses".
 
-use std::collections::HashSet;
-
 use cr_relation::plan::flow::{self, GateDecision, Principal};
 use cr_relation::RelResult;
 
@@ -19,25 +17,10 @@ use crate::auth::Role;
 use crate::db::CourseRankDb;
 use crate::model::{CourseId, StudentId, UserId};
 
-/// Privacy configuration.
-#[derive(Debug, Clone)]
-pub struct PrivacyPolicy {
-    /// Minimum class size before any grade distribution is shown
-    /// (k-anonymity threshold).
-    pub min_class_size: i64,
-    /// Schools that agreed to official-distribution disclosure
-    /// (the paper: only Engineering at the time of writing).
-    pub official_disclosure_schools: HashSet<String>,
-}
-
-impl Default for PrivacyPolicy {
-    fn default() -> Self {
-        PrivacyPolicy {
-            min_class_size: 5,
-            official_disclosure_schools: ["Engineering".to_owned()].into_iter().collect(),
-        }
-    }
-}
+/// The one school that agreed to official-distribution disclosure (the
+/// paper: "we now display the official distribution only for engineering
+/// courses").
+const OFFICIAL_DISCLOSURE_SCHOOL: &str = "Engineering";
 
 /// Why a piece of data is being withheld.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,56 +39,28 @@ pub enum Withheld {
 #[derive(Debug, Clone)]
 pub struct Privacy {
     db: CourseRankDb,
-    policy: PrivacyPolicy,
 }
 
 impl Privacy {
-    /// The k-threshold comes from the catalog's flow policy
-    /// (`Catalog::flow_k`), so the runtime service and the static
-    /// disclosure analysis (`cr_relation::plan::flow`) enforce the same
-    /// number by construction.
     pub fn new(db: CourseRankDb) -> Self {
-        let min_class_size = db.database().catalog().flow_k();
-        Privacy {
-            db,
-            policy: PrivacyPolicy {
-                min_class_size,
-                ..PrivacyPolicy::default()
-            },
-        }
+        Privacy { db }
     }
 
-    /// Override the policy. The k-threshold is written back to the
-    /// catalog's flow policy so static plan checks stay in lockstep with
-    /// this service.
-    pub fn with_policy(mut self, policy: PrivacyPolicy) -> Self {
-        self.db
-            .database()
-            .catalog()
-            .set_flow_k(policy.min_class_size);
-        self.policy = policy;
-        self
-    }
-
-    /// The same service (same policy) over another database handle
-    /// (snapshot read views).
+    /// The same service over another database handle (snapshot read
+    /// views).
     pub(crate) fn rebind(&self, db: CourseRankDb) -> Self {
-        Privacy {
-            db,
-            policy: self.policy.clone(),
-        }
+        Privacy { db }
     }
 
-    pub fn policy(&self) -> &PrivacyPolicy {
-        &self.policy
-    }
-
-    /// May a distribution over `n` students be shown at all?
+    /// May a distribution over `n` students be shown at all? The
+    /// threshold is the flow analysis's [`flow::K`], so this runtime check
+    /// and the static disclosure analysis (`cr_relation::plan::flow`)
+    /// enforce the same number by construction.
     pub fn check_class_size(&self, n: i64) -> Result<(), Withheld> {
-        if n < self.policy.min_class_size {
+        if n < flow::K {
             Err(Withheld::ClassTooSmall {
                 size: n,
-                threshold: self.policy.min_class_size,
+                threshold: flow::K,
             })
         } else {
             Ok(())
@@ -116,13 +71,11 @@ impl Privacy {
     /// the course's school to have opted in (the Engineering anecdote).
     pub fn check_official_disclosure(&self, course: CourseId) -> RelResult<Result<(), Withheld>> {
         let school = self.school_of(course)?;
-        Ok(
-            if self.policy.official_disclosure_schools.contains(&school) {
-                Ok(())
-            } else {
-                Err(Withheld::SchoolNotDisclosing { school })
-            },
-        )
+        Ok(if school == OFFICIAL_DISCLOSURE_SCHOOL {
+            Ok(())
+        } else {
+            Err(Withheld::SchoolNotDisclosing { school })
+        })
     }
 
     fn school_of(&self, course: CourseId) -> RelResult<String> {
@@ -225,15 +178,5 @@ mod tests {
             p.can_view_plans(98, Role::Faculty, 444).unwrap(),
             Err(Withheld::RoleForbidden)
         );
-    }
-
-    #[test]
-    fn custom_policy() {
-        let p = Privacy::new(small_campus()).with_policy(PrivacyPolicy {
-            min_class_size: 10,
-            official_disclosure_schools: HashSet::new(),
-        });
-        assert!(p.check_class_size(9).is_err());
-        assert!(p.check_official_disclosure(101).unwrap().is_err());
     }
 }

@@ -45,7 +45,7 @@ fn cloud_metrics() -> &'static CloudCacheMetrics {
 const CLOUD_CACHE_CAPACITY: usize = 256;
 
 /// Finished data clouds by query terms. The corpus never changes once
-/// built and every cloud is computed with `CloudConfig::default()`, so a
+/// built and the cloud's rules are fixed (`cr_textsearch::cloud`), so a
 /// query's terms fix its result set and its cloud: an entry never goes
 /// stale, and a hit is a lookup.
 #[derive(Debug, Default)]
@@ -249,7 +249,6 @@ impl CourseCloud {
             self.engine.corpus().index(),
             &results.matched_docs,
             &results.query.terms,
-            &CloudConfig::default(),
         )
     }
 

@@ -9,6 +9,7 @@
 
 use cr_flexrecs::workflow::{Node, WfPredicate, Workflow};
 use cr_relation::row::row;
+use cr_relation::sql::text_literal;
 use cr_relation::{RelError, RelResult, ResultSet, Value};
 
 use crate::db::CourseRankDb;
@@ -57,8 +58,8 @@ impl Strategies {
             .map_err(|e| RelError::Invalid(format!("strategy serialization: {e}")))?;
         // Upsert: replace an existing definition of the same name.
         self.db.database().execute_sql(&format!(
-            "DELETE FROM RecStrategies WHERE Name = '{}'",
-            name.replace('\'', "''")
+            "DELETE FROM RecStrategies WHERE Name = {}",
+            text_literal(name)
         ))?;
         self.db
             .database()
@@ -85,8 +86,8 @@ impl Strategies {
     /// Load a stored strategy verbatim (with the placeholder intact).
     pub fn load(&self, name: &str) -> RelResult<Workflow> {
         let rs = self.db.database().query_sql(&format!(
-            "SELECT Json FROM RecStrategies WHERE Name = '{}'",
-            name.replace('\'', "''")
+            "SELECT Json FROM RecStrategies WHERE Name = {}",
+            text_literal(name)
         ))?;
         let json = rs
             .rows
@@ -145,8 +146,8 @@ impl Strategies {
     /// Remove a strategy.
     pub fn remove(&self, name: &str) -> RelResult<bool> {
         let rs = self.db.database().execute_sql(&format!(
-            "DELETE FROM RecStrategies WHERE Name = '{}'",
-            name.replace('\'', "''")
+            "DELETE FROM RecStrategies WHERE Name = {}",
+            text_literal(name)
         ))?;
         Ok(rs.scalar().and_then(|v| v.as_int().ok()).unwrap_or(0) > 0)
     }

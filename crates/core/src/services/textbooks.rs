@@ -9,6 +9,7 @@
 //! course are merged into confirmations rather than inserted twice; each
 //! accepted report earns incentive points (with the usual daily caps).
 
+use cr_relation::sql::text_literal;
 use cr_relation::{RelResult, Value};
 
 use crate::db::CourseRankDb;
@@ -78,8 +79,8 @@ impl Textbooks {
         // Same title (case-insensitive) already listed?
         let existing = self.db.database().query_sql(&format!(
             "SELECT TextbookID FROM Textbooks \
-             WHERE CourseID = {course} AND LOWER(Title) = LOWER('{}')",
-            normalized.replace('\'', "''")
+             WHERE CourseID = {course} AND LOWER(Title) = LOWER({})",
+            text_literal(normalized)
         ))?;
         if let Some(row) = existing.rows.first() {
             let id = row[0].as_int()?;

@@ -58,7 +58,7 @@ type FlowDecisionCache = BTreeMap<String, (u64, Arc<plan::ValidationReport>)>;
 pub struct Catalog {
     inner: Arc<RwLock<BTreeMap<String, TableCell>>>,
     /// Durability hook, shared by all clones; propagated to every table
-    /// (existing and future) by [`Catalog::set_observer`].
+    /// (existing and future) by [`Catalog::add_observer`].
     observer: Arc<RwLock<ObserverSlot>>,
     /// Virtual tables ([`ScanProvider`]s) by lowercase name. Read-only,
     /// never persisted, resolved after base tables.
@@ -72,10 +72,9 @@ pub struct Catalog {
     /// snapshot is an atomic cut between whole mutations, never inside
     /// one.
     publish: Arc<RwLock<()>>,
-    /// Information-flow policy: per-table sensitivity labels plus the
-    /// k-anonymity threshold (see [`crate::plan::flow`]). Shared by all
-    /// clones and by snapshots, so frozen read views enforce the same
-    /// labels as the live catalog.
+    /// Information-flow policy: per-table sensitivity labels (see
+    /// [`crate::plan::flow`]). Shared by all clones and by snapshots, so
+    /// frozen read views enforce the same labels as the live catalog.
     flow: Arc<RwLock<FlowPolicy>>,
     /// Memoized per-table scan templates for the flow checker (resolved
     /// labels per column), each stamped with the [`Catalog::flow_gen`]
@@ -132,19 +131,13 @@ impl Catalog {
         }
     }
 
-    /// Attach a [`MutationObserver`] (e.g. `cr-storage`'s WAL writer) to
-    /// every current and future table. Table DDL (create/drop/index) and
-    /// every successful row mutation are reported to it.
-    pub fn set_observer(&self, observer: Arc<dyn MutationObserver>) {
-        *self.observer.write() = ObserverSlot(Some(observer.clone()));
-        self.propagate_observer(observer);
-    }
-
-    /// Add a [`MutationObserver`] *alongside* any already attached one
-    /// (fan-out via [`CompositeObserver`], earlier observers notified
-    /// first). Storage attaches its WAL writer with
-    /// [`Catalog::set_observer`] before services subscribe caches here,
-    /// so durability always sees a mutation before any cache reacts.
+    /// Attach a [`MutationObserver`] to every current and future table,
+    /// alongside any already attached one (fan-out via
+    /// [`CompositeObserver`], earlier observers notified first). Table
+    /// DDL (create/drop/index) and every successful row mutation are
+    /// reported to it. `Storage::open` attaches its WAL writer to the
+    /// freshly recovered catalog before services subscribe caches, so
+    /// durability always sees a mutation before any cache reacts.
     pub fn add_observer(&self, observer: Arc<dyn MutationObserver>) {
         let composed: Arc<dyn MutationObserver> = {
             let mut slot = self.observer.write();
@@ -468,18 +461,6 @@ impl Catalog {
     /// The flow policy of one table, if registered.
     pub fn table_policy(&self, table: &str) -> Option<TablePolicy> {
         self.flow.read().table(table).cloned()
-    }
-
-    /// Set the k-anonymity threshold for aggregate declassification.
-    pub fn set_flow_k(&self, k: i64) {
-        self.flow.write().k = k;
-        // Cached decisions baked the old threshold into their verdicts.
-        self.flow_decisions.write().clear();
-    }
-
-    /// The k-anonymity threshold (default: [`plan::flow::DEFAULT_K`]).
-    pub fn flow_k(&self) -> i64 {
-        self.flow.read().k
     }
 
     /// The current flow-cache generation: the snapshot pin when frozen,

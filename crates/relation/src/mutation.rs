@@ -74,8 +74,7 @@ impl Mutation<'_> {
 
 /// Receiver for logical mutations. Implemented by `cr-storage`'s WAL
 /// writer and by delta-maintained result caches; attach with
-/// [`crate::Catalog::set_observer`] (replace) or
-/// [`crate::Catalog::add_observer`] (fan-out).
+/// [`crate::Catalog::add_observer`].
 pub trait MutationObserver: Send + Sync {
     /// Called after a mutation commits in memory, under the table lock.
     /// `schema` is the mutated table's schema (column-name resolution for

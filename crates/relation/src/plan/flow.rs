@@ -117,9 +117,11 @@ pub fn flow_code_table() -> &'static [(&'static str, &'static str)] {
     ]
 }
 
-/// Default k-anonymity threshold (the paper suppresses distributions for
-/// classes with fewer than 5 students).
-pub const DEFAULT_K: i64 = 5;
+/// The k-anonymity threshold: the minimum distinct-owner count before an
+/// aggregate over `PerUser` data declassifies. The paper suppresses grade
+/// distributions for classes with fewer than 5 students; CourseRank's
+/// privacy service withholds by the same number.
+pub const K: i64 = 5;
 
 // ---------------------------------------------------------------------------
 // Lattice and principals
@@ -365,24 +367,11 @@ impl TablePolicy {
     }
 }
 
-/// The catalog-wide flow policy: the k-anonymity threshold plus the table
-/// registry. Stored `Arc`-shared inside [`Catalog`] so snapshots keep the
-/// labels of the live catalog.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The catalog-wide flow policy: the table registry. Stored `Arc`-shared
+/// inside [`Catalog`] so snapshots keep the labels of the live catalog.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FlowPolicy {
-    /// Minimum distinct-owner count before an aggregate over `PerUser`
-    /// data declassifies (the paper's small-class threshold).
-    pub k: i64,
     tables: BTreeMap<String, TablePolicy>,
-}
-
-impl Default for FlowPolicy {
-    fn default() -> Self {
-        FlowPolicy {
-            k: DEFAULT_K,
-            tables: BTreeMap::new(),
-        }
-    }
 }
 
 impl FlowPolicy {
@@ -552,7 +541,6 @@ impl FlowInfo {
 struct FlowChecker<'a> {
     catalog: &'a Catalog,
     principal: &'a Principal,
-    k: i64,
     diags: Vec<Diagnostic>,
     stack: Vec<&'static str>,
     /// Tables already reported as P005 at their scan site, so the root
@@ -878,7 +866,7 @@ impl<'a> FlowChecker<'a> {
             // Rule 3: k-guard (`count >= k` / `count > k-1`).
             (BinOp::GtEq | BinOp::Gt, Value::Int(n)) if cell.guard.is_some() => {
                 let threshold = if op == BinOp::Gt { *n + 1 } else { *n };
-                if threshold >= self.k {
+                if threshold >= K {
                     let strong = cell.guard == Some(true);
                     let declassifies = info.cells.iter().any(|c| c.agg_guarded);
                     if !strong && declassifies {
@@ -888,7 +876,7 @@ impl<'a> FlowChecker<'a> {
                             format!(
                                 "k-guard on {} counts rows, not distinct owners; \
                                  {threshold} rows may cover fewer than {} students",
-                                cell.name, self.k
+                                cell.name, K
                             ),
                         ));
                     }
@@ -1161,7 +1149,6 @@ pub fn check_disclosure(
     let mut checker = FlowChecker {
         catalog,
         principal,
-        k: catalog.flow_k(),
         diags: Vec::new(),
         stack: vec![plan.op_name()],
         restricted_reported: BTreeSet::new(),
@@ -1242,7 +1229,7 @@ pub fn check_disclosure(
 /// planning and the flow walk; the per-request analysis overhead is one
 /// map lookup. Soundness: decisions depend only on schema and policy
 /// (never data), the cache key includes the principal, and entries are
-/// generation-stamped (DDL) and cleared on policy/k changes — the same
+/// generation-stamped (DDL) and cleared on policy changes — the same
 /// invalidation discipline the scan-template cache uses.
 ///
 /// Returns `None` when the text does not plan as a query (DML/DDL);

@@ -178,8 +178,8 @@ fn exec_update(u: &Update, catalog: &Catalog) -> RelResult<ResultSet> {
             .map(|(col, e)| Ok((schema.index_of(col)?, convert_scalar(e)?.bind(schema)?)))
             .collect::<RelResult<_>>()?;
         let mut rows = exec::matching_rows(t, &path, &filter)?;
-        // In row-id order, as a full scan meets them: with no statement
-        // rollback, the order decides which rows change before a conflict.
+        // In row-id order, as a full scan meets them: the order decides
+        // which conflict a failing statement reports.
         rows.sort_unstable_by_key(|&(rid, _)| rid);
         let updates = rows
             .into_iter()
@@ -192,9 +192,7 @@ fn exec_update(u: &Update, catalog: &Catalog) -> RelResult<ResultSet> {
             })
             .collect::<RelResult<Vec<_>>>()?;
         let n = updates.len();
-        for (rid, new_row) in updates {
-            t.update(rid, new_row)?;
-        }
+        t.update_all(updates)?;
         Ok(n)
     })??;
     Ok(affected(n))

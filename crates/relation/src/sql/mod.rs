@@ -47,6 +47,12 @@ pub fn plan_query(text: &str, catalog: &Catalog) -> RelResult<LogicalPlan> {
     }
 }
 
+/// `text` as a SQL string literal: quoted, every `'` doubled, so that it
+/// reads back as exactly `text` and cannot end the literal early.
+pub fn text_literal(text: &str) -> String {
+    format!("'{}'", text.replace('\'', "''"))
+}
+
 /// Execute one or more statements; returns the last statement's result.
 pub fn execute(text: &str, catalog: &Catalog) -> RelResult<ResultSet> {
     let stmts = parse(text)?;
@@ -77,7 +83,7 @@ pub(crate) fn affected(n: usize) -> ResultSet {
 mod tests {
     use std::time::{Duration, Instant};
 
-    use crate::Database;
+    use crate::{Database, Row};
 
     /// Every SQL statement of the plan-shape golden: the SQL suites'
     /// statements and crbench's, one per line after the entry's fixture.
@@ -114,6 +120,23 @@ mod tests {
             .filter_map(|line| line.split_once(" | ")?.1.split_once(": "))
             .map(|(_, sql)| sql)
             .collect()
+    }
+
+    #[test]
+    fn text_literal_reads_back_as_its_text() {
+        let db = Database::new();
+        for text in [
+            "",
+            "O'Brien",
+            "''",
+            "NOPE' OR c.DepID <> '",
+            "a\\b %_",
+            "Ünïcødé '✓'",
+        ] {
+            let sql = format!("SELECT {} AS t", super::text_literal(text));
+            let rs = db.query_sql(&sql).unwrap();
+            assert_eq!(rs.rows, vec![vec![crate::Value::text(text)]], "{sql}");
+        }
     }
 
     /// SplitMix64: a seeded stream, so a failing case replays from its
@@ -231,7 +254,8 @@ mod tests {
     /// Seeded byte-level mutations of UPDATE and DELETE statements,
     /// each executed against a fresh [`DML_FIXTURE`] database, end in a
     /// result or an error, never a panic, within 50 ms plus 1 µs per
-    /// byte; at least one in twenty still executes.
+    /// byte; at least one in twenty still executes. A single statement
+    /// that fails leaves every fixture table's rows as they were.
     #[test]
     fn mutated_dml_time_bound_execute_without_panic() {
         for sql in DML_SEEDS {
@@ -241,6 +265,11 @@ mod tests {
             }
             db.execute_sql(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
         }
+        let rows = |db: &Database| -> Vec<Vec<Row>> {
+            ["t", "CommentVotes"]
+                .map(|t| db.query_sql(&format!("SELECT * FROM {t}")).unwrap().rows)
+                .into()
+        };
         let mut executed = 0;
         for seed in 0..160u64 {
             let rng = &mut { seed };
@@ -250,6 +279,7 @@ mod tests {
                 for ddl in DML_FIXTURE {
                     db.execute_sql(ddl).unwrap();
                 }
+                let before = rows(&db);
                 let start = Instant::now();
                 let ran = std::panic::catch_unwind(|| db.execute_sql(&text).map(drop));
                 let took = start.elapsed();
@@ -257,6 +287,13 @@ mod tests {
                     panic!("seed {seed}, statement {i}: execution panicked on {text:?}");
                 };
                 executed += usize::from(result.is_ok());
+                if result.is_err() && super::parse(&text).is_ok_and(|s| s.len() == 1) {
+                    assert_eq!(
+                        rows(&db),
+                        before,
+                        "seed {seed}, statement {i}: {text:?} failed but changed rows"
+                    );
+                }
                 let bound = Duration::from_millis(50) + Duration::from_micros(text.len() as u64);
                 assert!(
                     took < bound,

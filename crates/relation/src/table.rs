@@ -36,6 +36,7 @@
 //! pins the image copies one shard of it. A delete, an update or a WAL
 //! replay drops the nest images, and the next use rebuilds them.
 
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
@@ -287,12 +288,11 @@ impl Table {
         }
     }
 
-    /// The first unique index in which `row`'s key is already taken by a
-    /// row other than `except`.
-    fn unique_conflict(&self, row: &Row, except: Option<RowId>) -> Option<&Index> {
+    /// The first unique index in which `row`'s key is already taken.
+    fn unique_conflict(&self, row: &Row) -> Option<&Index> {
         self.indexes
             .iter()
-            .find(|idx| idx.unique && idx.conflicts_except(&idx.key_of(row), except))
+            .find(|idx| idx.would_conflict(&idx.key_of(row)))
     }
 
     /// Enter `row` under `rid` in the PK map and every secondary index.
@@ -413,7 +413,7 @@ impl Table {
                 )));
             }
         }
-        if let Some(idx) = self.unique_conflict(&row, None) {
+        if let Some(idx) = self.unique_conflict(&row) {
             return Err(RelError::DuplicateKey(format!(
                 "{}:{}",
                 self.name, idx.name
@@ -465,39 +465,82 @@ impl Table {
     }
 
     /// Replace the row at `rid` with `new_row` (validated). Indexes are
-    /// updated. Every check — the row exists, and neither its primary key
-    /// nor any unique index key is taken by another row — runs before
-    /// anything is changed, so an error leaves the table as it was
-    /// (callers treat errors as aborts on a single-row basis; the engine
-    /// has no multi-statement transactions).
+    /// updated. Every check (the row is live, and neither its primary key
+    /// nor any unique index key is taken by another row) runs before the
+    /// write, so an error leaves the table as it was.
     pub fn update(&mut self, rid: RowId, new_row: Row) -> RelResult<()> {
-        let new_row = self.schema.validate_row(new_row)?;
-        let old_row = self
-            .get(rid)
-            .ok_or_else(|| RelError::Invalid(format!("no row {rid:?} in {}", self.name)))?;
-        let new_key = self.pk_key(&new_row);
-        if new_key != self.pk_key(old_row)
-            && new_key.is_some_and(|key| self.pk_index.contains_key(&key))
-        {
-            return Err(RelError::DuplicateKey(self.name.clone()));
-        }
-        if let Some(idx) = self.unique_conflict(&new_row, Some(rid)) {
-            return Err(RelError::DuplicateKey(format!(
-                "{}:{}",
-                self.name, idx.name
-            )));
-        }
-        let old_row = self.replace_row(rid, new_row).expect("checked live");
-        if self.observer.get().is_some() {
-            let row = self.get(rid).expect("just updated");
-            self.emit(&Mutation::Update {
-                rid,
-                row,
-                old_row: &old_row,
-                version: self.version,
-            });
+        self.update_all(vec![(rid, new_row)])
+    }
+
+    /// Replace each `(rid, new_row)` in list order, all or nothing; each
+    /// row id appears at most once. Every check a row makes — the row is
+    /// live, its new image is valid, and neither its primary key nor any
+    /// unique index key is taken by another row once the rows before it
+    /// are applied — runs before the first write. So an error is the one
+    /// the rows applied one by one would meet first, and it changes and
+    /// logs nothing.
+    pub(crate) fn update_all(&mut self, updates: Vec<(RowId, Row)>) -> RelResult<()> {
+        let updates = self.check_updates(updates)?;
+        for (rid, new_row) in updates {
+            let old_row = self.replace_row(rid, new_row).expect("checked live");
+            if self.observer.get().is_some() {
+                let row = self.get(rid).expect("just updated");
+                self.emit(&Mutation::Update {
+                    rid,
+                    row,
+                    old_row: &old_row,
+                    version: self.version,
+                });
+            }
         }
         Ok(())
+    }
+
+    /// [`Table::update_all`]'s checks, writing nothing: the updates with
+    /// their images validated. Each row's keys are checked against the
+    /// key moves of the rows before it, replayed over the primary key
+    /// and each unique index, each of which maps a key to at most one row.
+    fn check_updates(&self, updates: Vec<(RowId, Row)>) -> RelResult<Vec<(RowId, Row)>> {
+        let unique: Vec<&Index> = self.indexes.iter().filter(|i| i.unique).collect();
+        // Per constraint (the primary key, then each unique index): the
+        // row now holding each key a checked row moved from or to.
+        let mut moved: Vec<HashMap<IndexKey, Option<RowId>>> =
+            vec![HashMap::new(); 1 + unique.len()];
+        let keys = |row: &Row| -> Vec<Option<IndexKey>> {
+            std::iter::once(self.pk_key(row))
+                .chain(unique.iter().map(|idx| Some(idx.key_of(row))))
+                .collect()
+        };
+        let mut checked = Vec::with_capacity(updates.len());
+        for (rid, new_row) in updates {
+            let new_row = self.schema.validate_row(new_row)?;
+            let old_row = self
+                .get(rid)
+                .ok_or_else(|| RelError::Invalid(format!("no row {rid:?} in {}", self.name)))?;
+            let constraints = keys(old_row).into_iter().zip(keys(&new_row));
+            for (c, (old_key, new_key)) in constraints.enumerate() {
+                let (Some(old_key), Some(new_key)) = (old_key, new_key) else {
+                    continue; // no primary key
+                };
+                let taken = match moved[c].get(&new_key) {
+                    Some(holder) => holder.is_some_and(|r| r != rid),
+                    None if c == 0 => self.pk_index.get(&new_key).is_some_and(|&r| r != rid),
+                    None => unique[c - 1].conflicts_except(&new_key, Some(rid)),
+                };
+                if taken {
+                    return Err(RelError::DuplicateKey(match c {
+                        0 => self.name.clone(),
+                        _ => format!("{}:{}", self.name, unique[c - 1].name),
+                    }));
+                }
+                if old_key != new_key {
+                    moved[c].insert(old_key, None);
+                    moved[c].insert(new_key, Some(rid));
+                }
+            }
+            checked.push((rid, new_row));
+        }
+        Ok(checked)
     }
 
     // ------------------------------------------------------------------

@@ -406,7 +406,9 @@ impl Storage {
             last_error: Mutex::new(None),
             metrics,
         });
-        catalog.set_observer(storage.clone());
+        // First observer of the fresh catalog: the WAL sees each mutation
+        // before any cache subscribed later.
+        catalog.add_observer(storage.clone());
         Ok((storage, Database::from_catalog(catalog), report))
     }
 
@@ -1145,8 +1147,13 @@ mod tests {
             );
             derived.mark_derived();
             db.catalog().install_table(derived).unwrap();
-            // Observers reach every table again; a derived one takes none.
-            db.catalog().set_observer(st.clone());
+            // A new observer reaches every table again; a derived one
+            // takes none.
+            struct Ignore;
+            impl MutationObserver for Ignore {
+                fn on_mutation(&self, _: &str, _: &Schema, _: &Mutation<'_>) {}
+            }
+            db.catalog().add_observer(Arc::new(Ignore));
             db.insert("Derived", row![1i64, "x"]).unwrap();
             st.checkpoint().unwrap();
             db.insert("Derived", row![2i64, "y"]).unwrap(); // WAL tail

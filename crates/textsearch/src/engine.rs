@@ -275,8 +275,9 @@ impl SearchEngine {
     /// Compute the data cloud for a result set (excluding the query's own
     /// terms, per Figure 3). Cloud aggregation time is recorded in the
     /// `textsearch.cloud_ns` histogram when metrics collection is enabled,
-    /// and as a `textsearch.cloud` span when tracing is.
-    pub fn cloud(&self, results: &SearchResults, config: &CloudConfig) -> DataCloud {
+    /// and as a `textsearch.cloud` span when tracing is. The cloud's
+    /// rules are fixed; [`CloudConfig`] carries no settings.
+    pub fn cloud(&self, results: &SearchResults, _config: &CloudConfig) -> DataCloud {
         let _span = TraceSpan::child("textsearch.cloud").timed(&metrics().cloud_ns);
         if cr_obs::enabled() {
             metrics().clouds.inc();
@@ -285,20 +286,14 @@ impl SearchEngine {
             self.corpus.index(),
             &results.matched_docs,
             &results.query.terms,
-            config,
         )
     }
 
     /// The full search-then-cloud step used by the examples.
-    pub fn search_with_cloud(
-        &self,
-        text: &str,
-        k: usize,
-        config: &CloudConfig,
-    ) -> (SearchResults, DataCloud) {
+    pub fn search_with_cloud(&self, text: &str, k: usize) -> (SearchResults, DataCloud) {
         let q = self.parse_query(text);
         let results = self.search(&q, k);
-        let cloud = self.cloud(&results, config);
+        let cloud = self.cloud(&results, &CloudConfig::default());
         (results, cloud)
     }
 }
@@ -424,14 +419,7 @@ mod tests {
     #[test]
     fn cloud_excludes_query_and_suggests_refinements() {
         let e = setup();
-        let (r, cloud) = e.search_with_cloud(
-            "american",
-            10,
-            &CloudConfig {
-                min_doc_freq: 1,
-                ..CloudConfig::default()
-            },
-        );
+        let (r, cloud) = e.search_with_cloud("american", 10);
         assert_eq!(r.total, 5);
         let terms = cloud.term_strings();
         assert!(!terms.contains(&"american"));

@@ -35,7 +35,7 @@ pub mod index;
 pub mod score;
 
 pub use analysis::Analyzer;
-pub use cloud::{CloudConfig, CloudTerm, DataCloud, TermScorer};
+pub use cloud::{CloudConfig, CloudTerm, DataCloud};
 pub use engine::{SearchEngine, SearchHit, SearchResults};
 pub use entity::{EntitySpec, FieldSource};
 pub use highlight::{snippet, Snippet};

@@ -7,7 +7,7 @@
 
 use cr_relation::Database;
 use cr_textsearch::entity::{build_index, EntitySpec};
-use cr_textsearch::{CloudConfig, SearchEngine};
+use cr_textsearch::SearchEngine;
 
 fn setup() -> SearchEngine {
     let db = Database::new();
@@ -51,7 +51,7 @@ fn search_records_metrics_when_enabled() {
     let before_l = snap_before
         .counter("textsearch.postings_lookups")
         .unwrap_or(0);
-    let (r, _cloud) = e.search_with_cloud("american politics", 10, &CloudConfig::default());
+    let (r, _cloud) = e.search_with_cloud("american politics", 10);
     assert_eq!(r.total, 2);
     let snap = cr_obs::Registry::global().snapshot();
     assert_eq!(snap.counter("textsearch.queries"), Some(before_q + 1));

@@ -17,7 +17,6 @@
 
 use cr_flexrecs::templates::{self, SchemaMap};
 use cr_relation::Database;
-use cr_textsearch::cloud::CloudConfig;
 use cr_textsearch::engine::SearchEngine;
 use cr_textsearch::entity::{build_index, EntitySpec, FieldSource};
 
@@ -98,12 +97,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             1,
             100,
             1,
-            "the paging walkthrough saved my first oncall week",
+            "the paging and alerting walkthrough saved my first oncall week",
             5.0,
         ),
         (2, 100, 3, "finally understood borrowing", 4.5),
         (3, 101, 1, "escalation tree was gold", 5.0),
-        (4, 101, 7, "dashboards section is excellent for oncall", 4.5),
+        (
+            4,
+            101,
+            7,
+            "dashboards section is excellent for oncall escalation",
+            4.5,
+        ),
         (5, 101, 2, "great follow-up to the fundamentals", 4.0),
         (6, 102, 1, "good but long", 3.5),
         (7, 102, 4, "surprisingly useful for vendor calls", 4.0),
@@ -155,11 +160,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let corpus = build_index(&db.catalog(), &spec)?;
     let engine = SearchEngine::new(corpus);
-    let cfg = CloudConfig {
-        min_doc_freq: 1,
-        ..CloudConfig::default()
-    };
-    let (results, cloud) = engine.search_with_cloud("oncall", 10, &cfg);
+    let (results, cloud) = engine.search_with_cloud("oncall", 10);
     println!(
         "== corporate search: \"oncall\" → {} trainings ==",
         results.total

@@ -8,7 +8,7 @@
 
 use courserank::db::{Course, CourseRankDb, EnrollStatus, Enrollment, Offering, Student};
 use courserank::model::{Days, Grade, Quarter, Term};
-use courserank::services::planner::{Planner, PlannerConfig};
+use courserank::services::planner::Planner;
 use courserank::services::requirements::{Requirement, RequirementTracker};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -73,10 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         status: EnrollStatus::Taken,
     })?;
 
-    let planner = Planner::new(db.clone()).with_config(PlannerConfig {
-        min_units: 0,
-        max_units: 10,
-    });
+    let planner = Planner::new(db.clone());
 
     // Autoplace the rest of the core, respecting the prerequisite chain,
     // unit loads, offerings, and time conflicts.

@@ -177,7 +177,7 @@ fn e8_plan_sharing_opt_out_respected_end_to_end() {
 }
 
 /// PR10 differential check: the flow-derived enforcement
-/// (`cr_relation::plan::flow::gate_decision` + `Catalog::flow_k`) must be
+/// (`cr_relation::plan::flow::gate_decision` + `flow::K`) must be
 /// byte-identical to the legacy role-matrix behavior of the `Privacy`
 /// service, across every (role × sharing × self/other) combination on
 /// real generated students, and `gate_decision` itself must give the
@@ -190,12 +190,10 @@ fn flow_derived_privacy_matches_legacy_matrix() {
     let (db, _) = cr_datagen::generate(&ScaleConfig::tiny()).unwrap();
     let privacy = Privacy::new(db.clone());
 
-    // The k-threshold is one number, owned by the catalog's flow policy.
-    assert_eq!(
-        privacy.policy().min_class_size,
-        db.database().catalog().flow_k()
-    );
-    assert_eq!(db.database().catalog().flow_k(), 5);
+    // The k-threshold is one number, the flow analysis's `flow::K`.
+    assert_eq!(cr_relation::plan::flow::K, 5);
+    assert!(privacy.check_class_size(4).is_err());
+    assert!(privacy.check_class_size(5).is_ok());
 
     // The legacy matrix, restated verbatim as the oracle.
     let legacy = |viewer: i64, role: Role, owner: i64, shares: bool| -> Result<(), Withheld> {

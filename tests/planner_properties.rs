@@ -7,7 +7,7 @@
 
 use courserank::db::{Course, CourseRankDb, EnrollStatus, Enrollment, Offering};
 use courserank::model::{CourseId, Days, Quarter, Term};
-use courserank::services::planner::{Planner, PlannerConfig};
+use courserank::services::planner::{Planner, MAX_UNITS};
 use proptest::prelude::*;
 
 /// Build a campus from a compact random description: `n` courses, a
@@ -80,10 +80,7 @@ proptest! {
         slots in proptest::collection::vec((0u8..3, 0u8..6), 10),
     ) {
         let db = build_campus(n, &edges, &slots);
-        let planner = Planner::new(db.clone()).with_config(PlannerConfig {
-            min_units: 0,
-            max_units: 12,
-        });
+        let planner = Planner::new(db.clone());
         let all: Vec<CourseId> = (1..=n as CourseId).collect();
         let (placed, _unplaced) = planner
             .autoplace(1, &all, Quarter::new(2008, Term::Autumn), 12)
@@ -99,7 +96,7 @@ proptest! {
         );
         prop_assert!(report.conflicts.is_empty(), "conflicts: {:?}", report.conflicts);
         for q in &report.quarters {
-            prop_assert!(q.units <= 12, "overloaded quarter {:?}", q);
+            prop_assert!(q.units <= MAX_UNITS, "overloaded quarter {:?}", q);
         }
     }
 

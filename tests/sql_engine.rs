@@ -150,6 +150,42 @@ fn update_cannot_take_a_unique_index_key_from_another_row() {
     assert_eq!(rs.rows, vec![vec![Value::Int(2)]]);
 }
 
+/// A multi-row UPDATE is all or nothing. One whose second row takes a
+/// third row's key fails, and leaves every row as it was, in memory and
+/// in the log recovery replays. Keys the earlier rows of a statement
+/// vacate are free to the later ones.
+#[test]
+fn update_that_fails_on_a_later_row_changes_and_logs_nothing() {
+    use cr_storage::{MemBackend, Storage, StorageConfig};
+    let backend = MemBackend::new();
+    let open = || {
+        Storage::open(
+            std::sync::Arc::new(backend.clone()),
+            StorageConfig::default(),
+        )
+    };
+    let ids = |db: &Database| -> Vec<Value> {
+        let rs = db.query_sql("SELECT id FROM t ORDER BY id").unwrap();
+        rs.rows.into_iter().map(|r| r[0].clone()).collect()
+    };
+    {
+        let (_storage, db, _) = open().unwrap();
+        db.execute_sql("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+            .unwrap();
+        db.execute_sql("INSERT INTO t VALUES (1, 0), (2, 0), (13, 0)")
+            .unwrap();
+        assert!(matches!(
+            db.execute_sql("UPDATE t SET id = id + 11 WHERE id < 10"),
+            Err(RelError::DuplicateKey(_))
+        ));
+        assert_eq!(ids(&db), [1, 2, 13].map(Value::Int));
+    }
+    let (_storage, db, _) = open().unwrap();
+    assert_eq!(ids(&db), [1, 2, 13].map(Value::Int), "after recovery");
+    db.execute_sql("UPDATE t SET id = id - 1").unwrap();
+    assert_eq!(ids(&db), [0, 1, 12].map(Value::Int));
+}
+
 #[test]
 fn explain_statement_returns_plan_text() {
     let db = db_with_data(&[(1, 1), (2, 2)]);
