@@ -24,7 +24,8 @@ use cr_textsearch::Analyzer;
 use proptest::prelude::*;
 
 /// Shared stems ("system"/"systems") exercise display surfaces; stopwords
-/// ("the", "of") break bigrams.
+/// ("the", "of") break bigrams; phrases repeat bigrams. There are enough
+/// words that some clouds pass the 30-term cutoff.
 const WORDS: &[&str] = &[
     "american",
     "history",
