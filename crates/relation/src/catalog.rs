@@ -41,7 +41,7 @@ use crate::provider::ScanProvider;
 use crate::row::{Row, RowId};
 use crate::schema::Schema;
 use crate::sql;
-use crate::table::Table;
+use crate::table::{Table, Write};
 
 /// A table cell: the current immutable image, swapped (or mutated in
 /// place when unshared) under the cell's write lock.
@@ -709,16 +709,13 @@ impl Database {
         self.catalog.with_table_mut(table, |t| t.insert(row))?
     }
 
-    /// Insert many rows programmatically (single write lock).
+    /// Insert many rows programmatically (single write lock), all or
+    /// nothing: every row is checked before the first is inserted.
     pub fn insert_many(&self, table: &str, rows: Vec<Row>) -> RelResult<usize> {
-        self.catalog.with_table_mut(table, |t| {
-            let mut n = 0usize;
-            for r in rows {
-                t.insert(r)?;
-                n += 1;
-            }
-            Ok(n)
-        })?
+        let n = rows.len();
+        let writes = rows.into_iter().map(Write::Insert).collect();
+        self.catalog.with_table_mut(table, |t| t.apply(writes))??;
+        Ok(n)
     }
 
     /// Create a hash index.
@@ -797,6 +794,26 @@ mod tests {
         c2.with_table_mut("t", |t| t.insert(row![1i64]).unwrap())
             .unwrap();
         assert_eq!(c.table_len("t").unwrap(), 1);
+    }
+
+    /// A batch whose last row takes an existing key inserts none of it.
+    #[test]
+    fn insert_many_is_all_or_nothing() {
+        let db = Database::new();
+        db.execute_sql("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+            .unwrap();
+        db.insert("t", row![2i64, 0i64]).unwrap();
+        let catalog = db.catalog();
+        let (len, version) = (catalog.table_len("t"), catalog.table_version("t"));
+        assert!(matches!(
+            db.insert_many(
+                "t",
+                vec![row![1i64, 0i64], row![3i64, 0i64], row![2i64, 1i64]]
+            ),
+            Err(RelError::DuplicateKey(_))
+        ));
+        assert_eq!(catalog.table_len("t"), len);
+        assert_eq!(catalog.table_version("t"), version);
     }
 
     #[test]

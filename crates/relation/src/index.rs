@@ -77,10 +77,6 @@ impl<V: Clone> ShardMap<V> {
         self.shards[Self::shard_of(key)].get(key)
     }
 
-    pub(crate) fn contains_key(&self, key: &[Value]) -> bool {
-        self.shards[Self::shard_of(key)].contains_key(key)
-    }
-
     pub(crate) fn insert(&mut self, key: IndexKey, value: V) -> Option<V> {
         Arc::make_mut(&mut self.shards[Self::shard_of(&key)]).insert(key, value)
     }
@@ -192,17 +188,12 @@ impl Index {
         self.columns.iter().map(|&i| row[i].clone()).collect()
     }
 
-    /// True if inserting `key` would violate a unique constraint.
-    pub fn would_conflict(&self, key: &IndexKey) -> bool {
-        self.conflicts_except(key, None)
-    }
-
     /// True if `key` is taken under a unique constraint by a row other
     /// than `except` (a row being updated does not conflict with itself).
-    pub(crate) fn conflicts_except(&self, key: &IndexKey, except: Option<RowId>) -> bool {
+    pub(crate) fn conflicts_except(&self, key: &[Value], except: Option<RowId>) -> bool {
         self.unique
             && self
-                .get(key)
+                .lookup(key)
                 .is_some_and(|ids| ids.iter().any(|&r| Some(r) != except))
     }
 
@@ -236,6 +227,10 @@ impl Index {
 
     /// Equality lookup.
     pub fn get(&self, key: &IndexKey) -> Option<&[RowId]> {
+        self.lookup(key)
+    }
+
+    fn lookup(&self, key: &[Value]) -> Option<&[RowId]> {
         match &self.storage {
             IndexStorage::Hash(m) => m.get(key).map(|v| v.as_slice()),
             IndexStorage::BTree(m) => m.get(key).map(|v| v.as_slice()),
@@ -393,8 +388,8 @@ mod tests {
     fn unique_conflict_detection() {
         let mut idx = Index::new("u", vec![0], IndexKind::Hash, true);
         idx.insert(key(1), RowId(1));
-        assert!(idx.would_conflict(&key(1)));
-        assert!(!idx.would_conflict(&key(2)));
+        assert!(idx.conflicts_except(&key(1), None));
+        assert!(!idx.conflicts_except(&key(2), None));
         // A row never conflicts with its own entry.
         assert!(!idx.conflicts_except(&key(1), Some(RowId(1))));
         assert!(idx.conflicts_except(&key(1), Some(RowId(2))));

@@ -66,8 +66,8 @@ fn cell_hash(v: &Value) -> u64 {
 
 /// The hash of a key held as values: the same number [`Key::hashes`]
 /// gives a row holding these cells.
-pub(crate) fn values_hash(values: &[Value]) -> u64 {
-    values.iter().fold(0, |h, v| mix(h, cell_hash(v)))
+pub(crate) fn values_hash<'a>(values: impl IntoIterator<Item = &'a Value>) -> u64 {
+    values.into_iter().fold(0, |h, v| mix(h, cell_hash(v)))
 }
 
 /// An avalanche of `h` (murmur3's finalizer), so that any slice of its

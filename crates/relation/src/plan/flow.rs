@@ -229,8 +229,8 @@ impl fmt::Display for Principal {
     }
 }
 
-/// Outcome of the gated-visibility decision (the flow-derived form of the
-/// legacy `Privacy::can_view_plans` matrix).
+/// Outcome of the gated-visibility decision ([`gate_decision`], which
+/// courserank's `Privacy::can_view_plans` applies to each owner's row).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GateDecision {
     Allow,

@@ -6,7 +6,7 @@ use crate::exec::{self, AccessPath, ResultSet};
 use crate::expr::{BinOp, Expr, ScalarFn};
 use crate::plan::{optimizer, AggExpr, AggFn, JoinKind, LogicalPlan, PlanBuilder};
 use crate::schema::{Column, Schema};
-use crate::table::Table;
+use crate::table::{Table, Write};
 use crate::value::Value;
 
 use super::affected;
@@ -125,7 +125,6 @@ fn exec_insert(ins: &Insert, catalog: &Catalog) -> RelResult<ResultSet> {
             .collect::<RelResult<Vec<_>>>()?
     };
     let empty_row: Vec<Value> = Vec::new();
-    let mut n = 0usize;
     let mut rows = Vec::with_capacity(ins.rows.len());
     for tuple in &ins.rows {
         if tuple.len() != positions.len() {
@@ -144,15 +143,10 @@ fn exec_insert(ins: &Insert, catalog: &Catalog) -> RelResult<ResultSet> {
             }
             row[pos] = e.eval(&empty_row)?;
         }
-        rows.push(row);
+        rows.push(Write::Insert(row));
     }
-    catalog.with_table_mut(&ins.table, |t| -> RelResult<()> {
-        for row in rows {
-            t.insert(row)?;
-            n += 1;
-        }
-        Ok(())
-    })??;
+    let n = rows.len();
+    catalog.with_table_mut(&ins.table, |t| t.apply(rows))??;
     Ok(affected(n))
 }
 
@@ -188,11 +182,11 @@ fn exec_update(u: &Update, catalog: &Catalog) -> RelResult<ResultSet> {
                 for (pos, e) in &assignments {
                     new_row[*pos] = e.eval(row)?;
                 }
-                Ok((rid, new_row))
+                Ok(Write::Update(rid, new_row))
             })
             .collect::<RelResult<Vec<_>>>()?;
         let n = updates.len();
-        t.update_all(updates)?;
+        t.apply(updates)?;
         Ok(n)
     })??;
     Ok(affected(n))
@@ -206,10 +200,9 @@ fn exec_delete(d: &Delete, catalog: &Catalog) -> RelResult<ResultSet> {
             .map(|(rid, _)| rid)
             .collect();
         victims.sort_unstable(); // logged in row-id order, as a full scan would
-        for &rid in &victims {
-            t.delete(rid);
-        }
-        Ok(victims.len())
+        let n = victims.len();
+        t.apply(victims.into_iter().map(Write::Delete).collect())?;
+        Ok(n)
     })??;
     Ok(affected(n))
 }

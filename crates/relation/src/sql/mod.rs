@@ -83,7 +83,7 @@ pub(crate) fn affected(n: usize) -> ResultSet {
 mod tests {
     use std::time::{Duration, Instant};
 
-    use crate::{Database, Row};
+    use crate::{Database, RelError, Row};
 
     /// Every SQL statement of the plan-shape golden: the SQL suites'
     /// statements and crbench's, one per line after the entry's fixture.
@@ -240,8 +240,10 @@ mod tests {
         "INSERT INTO CommentVotes VALUES (5, 7, TRUE), (5, 8, FALSE), (2, 1, TRUE), (2, 3, TRUE)",
     ];
 
-    /// UPDATE and DELETE seeds: keyed, indexed, ranged and residual
-    /// shapes over [`DML_FIXTURE`].
+    /// INSERT, UPDATE and DELETE seeds over [`DML_FIXTURE`]: keyed,
+    /// indexed, ranged and residual shapes; multi-row INSERTs, one by
+    /// column list, one into the composite `CommentVotes` key; and
+    /// [`NULL_HELPFUL`].
     const DML_SEEDS: &[&str] = &[
         "DELETE FROM CommentVotes WHERE CommentID = 5 AND VoterID = 7",
         "UPDATE CommentVotes SET Helpful = NOT Helpful WHERE CommentID = 2 AND VoterID > 1",
@@ -249,27 +251,45 @@ mod tests {
         "UPDATE t SET u = u + 1 WHERE v >= 2 AND v < 8 AND u IS NOT NULL",
         "DELETE FROM t WHERE v > 5 AND v < 3 OR id = 1.0",
         "DELETE FROM t WHERE u IN (10, 30) AND v = NULL",
+        "INSERT INTO t VALUES (6, 2, 10), (4, NULL, 40), (7, 8, NULL)",
+        "INSERT INTO t (u, id) VALUES (50, 8), (NULL, -1)",
+        "INSERT INTO CommentVotes VALUES (5, 9, FALSE), (2, 7, TRUE)",
+        NULL_HELPFUL,
     ];
 
-    /// Seeded byte-level mutations of UPDATE and DELETE statements,
-    /// each executed against a fresh [`DML_FIXTURE`] database, end in a
-    /// result or an error, never a panic, within 50 ms plus 1 µs per
-    /// byte; at least one in twenty still executes. A single statement
-    /// that fails leaves every fixture table's rows as they were.
+    /// The one seed that fails: its last row puts NULL into `Helpful
+    /// BOOL NOT NULL`, after a row that would insert.
+    const NULL_HELPFUL: &str =
+        "INSERT INTO CommentVotes (VoterID, CommentID, Helpful) VALUES (4, 2, TRUE), (9, 5, NULL)";
+
+    /// Seeded byte-level mutations of INSERT, UPDATE and DELETE
+    /// statements, each executed against a fresh [`DML_FIXTURE`]
+    /// database, end in a result or an error, never a panic, within 50 ms
+    /// plus 1 µs per byte; at least one in twenty still executes. A
+    /// single statement that fails, [`NULL_HELPFUL`] among them, leaves
+    /// every fixture table's rows as they were.
     #[test]
     fn mutated_dml_time_bound_execute_without_panic() {
-        for sql in DML_SEEDS {
-            let db = Database::new();
-            for ddl in DML_FIXTURE {
-                db.execute_sql(ddl).unwrap();
-            }
-            db.execute_sql(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
-        }
         let rows = |db: &Database| -> Vec<Vec<Row>> {
             ["t", "CommentVotes"]
                 .map(|t| db.query_sql(&format!("SELECT * FROM {t}")).unwrap().rows)
                 .into()
         };
+        for sql in DML_SEEDS {
+            let db = Database::new();
+            for ddl in DML_FIXTURE {
+                db.execute_sql(ddl).unwrap();
+            }
+            let before = rows(&db);
+            match db.execute_sql(sql) {
+                Err(RelError::NullViolation(_)) if *sql == NULL_HELPFUL => {
+                    assert_eq!(rows(&db), before, "{sql} failed but changed rows");
+                }
+                result => {
+                    result.unwrap_or_else(|e| panic!("{sql}: {e}"));
+                }
+            }
+        }
         let mut executed = 0;
         for seed in 0..160u64 {
             let rng = &mut { seed };

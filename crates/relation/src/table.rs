@@ -29,14 +29,14 @@
 //! The columnar image ([`Table::columnar`]) and the nest images
 //! ([`Table::nested`]) are `Arc`s stamped with [`Table::version`] and
 //! built on first use. The columnar image is rebuilt after any mutation.
-//! A nest image survives inserts: [`Table::insert`] folds the new row into
-//! every nest image stamped at the pre-insert version and restamps it, so
+//! A nest image survives inserts: each inserted row is folded into every
+//! nest image stamped at the pre-insert version, which is restamped, so
 //! the image is patched, not rebuilt. A nest image is itself sharded
 //! copy-on-write (see [`crate::nest`]), so a patch made while a snapshot
 //! pins the image copies one shard of it. A delete, an update or a WAL
 //! replay drops the nest images, and the next use rebuilds them.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
@@ -44,6 +44,7 @@ use parking_lot::Mutex;
 use crate::batch::{Column as BatchColumn, ColumnBuilder};
 use crate::error::{RelError, RelResult};
 use crate::index::{Index, IndexKey, IndexKind, ShardMap};
+use crate::keys::{values_hash, KeyTable};
 use crate::mutation::{Mutation, MutationObserver, ObserverSlot};
 use crate::nest::NestMap;
 use crate::row::{Row, RowId};
@@ -147,6 +148,16 @@ impl Slots {
             .enumerate()
             .filter_map(|(i, slot)| slot.as_ref().map(|r| (RowId(i as u64), r)))
     }
+}
+
+/// One row write of a statement (see [`Table::apply`]).
+pub(crate) enum Write {
+    /// A new row, at the next row id.
+    Insert(Row),
+    /// The live row at the id, replaced by the row.
+    Update(RowId, Row),
+    /// The live row at the id, removed.
+    Delete(RowId),
 }
 
 /// An in-memory table.
@@ -288,48 +299,16 @@ impl Table {
         }
     }
 
-    /// The first unique index in which `row`'s key is already taken.
-    fn unique_conflict(&self, row: &Row) -> Option<&Index> {
-        self.indexes
-            .iter()
-            .find(|idx| idx.would_conflict(&idx.key_of(row)))
-    }
-
-    /// Enter `row` under `rid` in the PK map and every secondary index.
-    fn index_row(&mut self, rid: RowId, row: &Row) {
-        if let Some(key) = self.pk_key(row) {
-            self.pk_index.insert(key, rid);
-        }
-        for idx in &mut self.indexes {
-            let key = idx.key_of(row);
-            idx.insert(key, rid);
-        }
-    }
-
-    /// Tombstone the live row at `rid` and drop its PK and index entries.
-    /// A dead or absent slot is left alone, its chunk still shared.
-    fn take_row(&mut self, rid: RowId) -> Option<Row> {
-        self.get(rid)?;
-        let row = self.rows.replace(rid.0 as usize, None)?;
-        if let Some(key) = self.pk_key(&row) {
-            self.pk_index.remove(&key);
-        }
-        for idx in &mut self.indexes {
-            let key = idx.key_of(&row);
-            idx.remove(&key, rid);
-        }
-        self.live -= 1;
-        self.version += 1;
-        self.drop_nests();
-        Some(row)
-    }
-
-    /// Swap the row at `rid` — which the caller checked is live — for
-    /// `new_row`, moving PK and index entries whose keys changed (an
-    /// unchanged key keeps its place in its bucket). Returns the old row.
-    fn replace_row(&mut self, rid: RowId, new_row: Row) -> Option<Row> {
-        let old_row = self.rows.replace(rid.0 as usize, None)?;
-        let (old_key, new_key) = (self.pk_key(&old_row), self.pk_key(&new_row));
+    /// Put `new_row`, or a tombstone, in slot `rid` (below the slot
+    /// count) and move the PK and index entries whose keys change: an
+    /// insert's keys move from no row, a delete's to no row, and an
+    /// unchanged key keeps its place in its bucket. Returns the row that
+    /// was there; the caller patches or drops the nest images.
+    fn write_row(&mut self, rid: RowId, new_row: Option<Row>) -> Option<Row> {
+        let old_row = self.rows.replace(rid.0 as usize, new_row);
+        let new_row = self.rows.get(rid.0 as usize);
+        let pk = |row: Option<&Row>| row.and_then(|r| self.pk_key(r));
+        let (old_key, new_key) = (pk(old_row.as_ref()), pk(new_row));
         if old_key != new_key {
             if let Some(key) = old_key {
                 self.pk_index.remove(&key);
@@ -339,17 +318,20 @@ impl Table {
             }
         }
         for idx in &mut self.indexes {
-            let old_key = idx.key_of(&old_row);
-            let new_key = idx.key_of(&new_row);
+            let old_key = old_row.as_ref().map(|r| idx.key_of(r));
+            let new_key = new_row.map(|r| idx.key_of(r));
             if old_key != new_key {
-                idx.remove(&old_key, rid);
-                idx.insert(new_key, rid);
+                if let Some(key) = old_key {
+                    idx.remove(&key, rid);
+                }
+                if let Some(key) = new_key {
+                    idx.insert(key, rid);
+                }
             }
         }
-        self.rows.replace(rid.0 as usize, Some(new_row));
+        self.live = self.live + usize::from(new_row.is_some()) - usize::from(old_row.is_some());
         self.version += 1;
-        self.drop_nests();
-        Some(old_row)
+        old_row
     }
 
     /// Drop every nest image (module docs: derived images); the next
@@ -397,43 +379,8 @@ impl Table {
     /// Insert a row (validated and coerced against the schema).
     /// Returns the new row's id.
     pub fn insert(&mut self, row: Row) -> RelResult<RowId> {
-        let row = self.schema.validate_row(row)?;
-        if let Some(key) = self.pk_key(&row) {
-            if key.iter().any(Value::is_null) {
-                return Err(RelError::NullViolation("primary key".into()));
-            }
-            if self.pk_index.contains_key(&key) {
-                return Err(RelError::DuplicateKey(format!(
-                    "{}({})",
-                    self.name,
-                    key.iter()
-                        .map(ToString::to_string)
-                        .collect::<Vec<_>>()
-                        .join(",")
-                )));
-            }
-        }
-        if let Some(idx) = self.unique_conflict(&row) {
-            return Err(RelError::DuplicateKey(format!(
-                "{}:{}",
-                self.name, idx.name
-            )));
-        }
         let rid = RowId(self.rows.len as u64);
-        self.index_row(rid, &row);
-        self.rows.push(Some(row));
-        self.live += 1;
-        self.version += 1;
-        self.patch_nests(rid);
-        if self.observer.get().is_some() {
-            let row = self.get(rid).expect("just inserted");
-            self.emit(&Mutation::Insert {
-                rid,
-                row,
-                version: self.version,
-            });
-        }
-        Ok(rid)
+        self.apply(vec![Write::Insert(row)]).map(|()| rid)
     }
 
     /// Fetch a row by id (None if tombstoned or out of range).
@@ -453,94 +400,151 @@ impl Table {
 
     /// Delete by row id. Returns true if a live row was removed.
     pub fn delete(&mut self, rid: RowId) -> bool {
-        let Some(row) = self.take_row(rid) else {
-            return false;
-        };
-        self.emit(&Mutation::Delete {
-            rid,
-            row: &row,
-            version: self.version,
-        });
-        true
+        self.apply(vec![Write::Delete(rid)]).is_ok()
     }
 
     /// Replace the row at `rid` with `new_row` (validated). Indexes are
-    /// updated. Every check (the row is live, and neither its primary key
-    /// nor any unique index key is taken by another row) runs before the
-    /// write, so an error leaves the table as it was.
+    /// updated. Every check (the row is live, its primary key holds no
+    /// NULL, and neither it nor any unique index key is taken by another
+    /// row) runs before the write, so an error leaves the table as it was.
     pub fn update(&mut self, rid: RowId, new_row: Row) -> RelResult<()> {
-        self.update_all(vec![(rid, new_row)])
+        self.apply(vec![Write::Update(rid, new_row)])
     }
 
-    /// Replace each `(rid, new_row)` in list order, all or nothing; each
-    /// row id appears at most once. Every check a row makes — the row is
-    /// live, its new image is valid, and neither its primary key nor any
-    /// unique index key is taken by another row once the rows before it
-    /// are applied — runs before the first write. So an error is the one
-    /// the rows applied one by one would meet first, and it changes and
+    /// Apply a statement's row writes in list order, all or nothing; each
+    /// row id is written at most once. Every check a write makes — an
+    /// updated or deleted row is live, a new image is valid, its primary
+    /// key holds no NULL, and neither its primary key nor any unique
+    /// index key is held by another row once the writes before it are
+    /// applied — runs before the first write. So an error is the one the
+    /// writes applied one by one would meet first, and it changes and
     /// logs nothing.
-    pub(crate) fn update_all(&mut self, updates: Vec<(RowId, Row)>) -> RelResult<()> {
-        let updates = self.check_updates(updates)?;
-        for (rid, new_row) in updates {
-            let old_row = self.replace_row(rid, new_row).expect("checked live");
+    pub(crate) fn apply(&mut self, mut writes: Vec<Write>) -> RelResult<()> {
+        self.check(&mut writes)?;
+        for write in writes {
+            let (rid, new_row) = match write {
+                Write::Insert(row) => {
+                    self.rows.push(None);
+                    (RowId(self.rows.len as u64 - 1), Some(row))
+                }
+                Write::Update(rid, row) => (rid, Some(row)),
+                Write::Delete(rid) => (rid, None),
+            };
+            let old_row = self.write_row(rid, new_row);
+            if old_row.is_none() {
+                self.patch_nests(rid);
+            } else {
+                self.drop_nests();
+            }
             if self.observer.get().is_some() {
-                let row = self.get(rid).expect("just updated");
-                self.emit(&Mutation::Update {
-                    rid,
-                    row,
-                    old_row: &old_row,
-                    version: self.version,
+                let version = self.version;
+                self.emit(&match (old_row.as_ref(), self.get(rid)) {
+                    (None, Some(row)) => Mutation::Insert { rid, row, version },
+                    (Some(old_row), Some(row)) => Mutation::Update {
+                        rid,
+                        row,
+                        old_row,
+                        version,
+                    },
+                    (Some(row), None) => Mutation::Delete { rid, row, version },
+                    (None, None) => unreachable!("a checked write has a row"),
                 });
             }
         }
         Ok(())
     }
 
-    /// [`Table::update_all`]'s checks, writing nothing: the updates with
-    /// their images validated. Each row's keys are checked against the
-    /// key moves of the rows before it, replayed over the primary key
-    /// and each unique index, each of which maps a key to at most one row.
-    fn check_updates(&self, updates: Vec<(RowId, Row)>) -> RelResult<Vec<(RowId, Row)>> {
-        let unique: Vec<&Index> = self.indexes.iter().filter(|i| i.unique).collect();
-        // Per constraint (the primary key, then each unique index): the
-        // row now holding each key a checked row moved from or to.
-        let mut moved: Vec<HashMap<IndexKey, Option<RowId>>> =
-            vec![HashMap::new(); 1 + unique.len()];
-        let keys = |row: &Row| -> Vec<Option<IndexKey>> {
-            std::iter::once(self.pk_key(row))
-                .chain(unique.iter().map(|idx| Some(idx.key_of(row))))
-                .collect()
-        };
-        let mut checked = Vec::with_capacity(updates.len());
-        for (rid, new_row) in updates {
-            let new_row = self.schema.validate_row(new_row)?;
-            let old_row = self
-                .get(rid)
-                .ok_or_else(|| RelError::Invalid(format!("no row {rid:?} in {}", self.name)))?;
-            let constraints = keys(old_row).into_iter().zip(keys(&new_row));
-            for (c, (old_key, new_key)) in constraints.enumerate() {
-                let (Some(old_key), Some(new_key)) = (old_key, new_key) else {
-                    continue; // no primary key
-                };
-                let taken = match moved[c].get(&new_key) {
-                    Some(holder) => holder.is_some_and(|r| r != rid),
-                    None if c == 0 => self.pk_index.get(&new_key).is_some_and(|&r| r != rid),
-                    None => unique[c - 1].conflicts_except(&new_key, Some(rid)),
-                };
-                if taken {
-                    return Err(RelError::DuplicateKey(match c {
-                        0 => self.name.clone(),
-                        _ => format!("{}:{}", self.name, unique[c - 1].name),
-                    }));
+    /// [`Table::apply`]'s checks, writing nothing but each new image,
+    /// validated in place. Each write's keys are checked against the key
+    /// moves of the writes before it, replayed over the primary key and
+    /// each unique index, each of which maps a key to at most one row: an
+    /// insert moves its keys from no row, a delete to no row.
+    fn check(&self, writes: &mut [Write]) -> RelResult<()> {
+        // The primary key (`None`), then each unique index.
+        let unique = self.indexes.iter().filter(|i| i.unique);
+        let constraints = std::iter::once(None).chain(unique.map(Some));
+        // Per constraint: each key a checked write moved from or to, read
+        // in place (see `Table::image`), and the row now holding it. No
+        // write reads the last one's moves, so a one-row write records none.
+        let mut moved: Vec<(KeyTable, Vec<Option<RowId>>)> = Vec::new();
+        let mut next_rid = RowId(self.rows.len as u64);
+        for i in 0..writes.len() {
+            if let Write::Insert(row) | Write::Update(_, row) = &mut writes[i] {
+                *row = self.schema.validate_row(std::mem::take(row))?;
+            }
+            let writes = &*writes;
+            let (rid, old_row, new_row) = match &writes[i] {
+                Write::Insert(row) => {
+                    next_rid.0 += 1;
+                    (RowId(next_rid.0 - 1), None, Some(row))
                 }
-                if old_key != new_key {
-                    moved[c].insert(old_key, None);
-                    moved[c].insert(new_key, Some(rid));
+                Write::Update(rid, row) => (*rid, Some(self.live_row(*rid)?), Some(row)),
+                Write::Delete(rid) => (*rid, Some(self.live_row(*rid)?), None),
+            };
+            for (c, index) in constraints.clone().enumerate() {
+                let cols = index.map_or(&self.pk_columns, |idx| &idx.columns);
+                if cols.is_empty() {
+                    continue; // no primary key
+                }
+                let hash = |row: &Row| values_hash(cols.iter().map(|&k| &row[k]));
+                let same = |a: &Row, b: &Row| cols.iter().all(|&k| a[k] == b[k]);
+                if let Some(row) = new_row {
+                    if index.is_none() && cols.iter().any(|&k| row[k].is_null()) {
+                        return Err(RelError::NullViolation("primary key".into()));
+                    }
+                    let key: Cow<[Value]> = match cols.as_slice() {
+                        [k] => Cow::Borrowed(std::slice::from_ref(&row[*k])),
+                        _ => cols.iter().map(|&k| row[k].clone()).collect(),
+                    };
+                    let holder = moved.get(c).and_then(|(keys, holders)| {
+                        keys.find(hash(row), |s| same(self.image(writes, s), row))
+                            .map(|g| holders[g as usize])
+                    });
+                    let taken = match (holder, index) {
+                        (Some(holder), _) => holder.is_some_and(|r| r != rid),
+                        (None, None) => self.pk_index.get(&key).is_some_and(|&r| r != rid),
+                        (None, Some(idx)) => idx.conflicts_except(&key, Some(rid)),
+                    };
+                    if taken {
+                        let key: Vec<String> = key.iter().map(ToString::to_string).collect();
+                        return Err(RelError::DuplicateKey(match index {
+                            None => format!("{}({})", self.name, key.join(",")),
+                            Some(idx) => format!("{}:{}", self.name, idx.name),
+                        }));
+                    }
+                }
+                if i + 1 == writes.len() || old_row.zip(new_row).is_some_and(|(o, n)| same(o, n)) {
+                    continue;
+                }
+                if moved.is_empty() {
+                    moved.resize_with(constraints.clone().count(), Default::default);
+                }
+                let (keys, holders) = &mut moved[c];
+                for (row, s, holder) in [(old_row, 2 * i + 1, None), (new_row, 2 * i, Some(rid))] {
+                    let Some(row) = row else { continue };
+                    let g = keys.find_or_insert(hash(row), s, |s| same(self.image(writes, s), row));
+                    holders.resize(keys.len(), None);
+                    holders[g as usize] = holder;
                 }
             }
-            checked.push((rid, new_row));
         }
-        Ok(checked)
+        Ok(())
+    }
+
+    /// The live row at `rid`, or an error naming it.
+    fn live_row(&self, rid: RowId) -> RelResult<&Row> {
+        self.get(rid)
+            .ok_or_else(|| RelError::Invalid(format!("no row {rid:?} in {}", self.name)))
+    }
+
+    /// The image [`Table::check`] reads a moved key in: for `s = 2j`
+    /// write `j`'s new row, for `s = 2j + 1` the row it replaces.
+    fn image<'a>(&'a self, writes: &'a [Write], s: usize) -> &'a Row {
+        match &writes[s / 2] {
+            Write::Insert(row) | Write::Update(_, row) if s.is_multiple_of(2) => row,
+            Write::Update(rid, _) | Write::Delete(rid) => self.get(*rid).expect("checked live"),
+            Write::Insert(_) => unreachable!("an insert replaces no row"),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -567,31 +571,25 @@ impl Table {
         if self.rows.get(slot).is_some() {
             return Ok(()); // already reflected by the snapshot
         }
-        self.index_row(rid, &row);
-        self.rows.replace(slot, Some(row));
-        self.live += 1;
-        self.version += 1;
+        self.write_row(rid, Some(row));
         self.drop_nests();
         Ok(())
     }
 
     /// Re-apply a logged update (replace the row image at `rid`).
     pub fn replay_update(&mut self, rid: RowId, new_row: Row) -> RelResult<()> {
-        match self.get(rid) {
-            Some(_) => {
-                self.replace_row(rid, new_row);
-                Ok(())
-            }
-            None => Err(RelError::Invalid(format!(
-                "replay: no row {rid:?} in {}",
-                self.name
-            ))),
-        }
+        self.live_row(rid)?;
+        self.write_row(rid, Some(new_row));
+        self.drop_nests();
+        Ok(())
     }
 
     /// Re-apply a logged delete (no-op if the slot is already empty).
     pub fn replay_delete(&mut self, rid: RowId) {
-        self.take_row(rid);
+        if self.get(rid).is_some() {
+            self.write_row(rid, None);
+            self.drop_nests();
+        }
     }
 
     /// Iterate live rows with their ids, in row-id order.
@@ -630,7 +628,7 @@ impl Table {
         let mut idx = Index::new(name, columns, kind, unique);
         for (rid, row) in self.rows.iter() {
             let key = idx.key_of(row);
-            if idx.would_conflict(&key) {
+            if idx.conflicts_except(&key, None) {
                 return Err(RelError::DuplicateKey(format!(
                     "{}:{} (backfill)",
                     self.name, idx.name
@@ -861,6 +859,30 @@ mod tests {
         assert!(t
             .insert(vec![Value::Null, Value::Null, Value::Null])
             .is_err());
+    }
+
+    /// The NULL-key rule holds for updates as for inserts, on a table
+    /// whose schema lets the key column hold NULL.
+    #[test]
+    fn update_to_a_null_primary_key_is_rejected() {
+        let schema = Schema::new(vec![
+            Column::new("id", DataType::Int),
+            Column::new("v", DataType::Int),
+        ]);
+        let mut t = Table::new("t", schema, vec![0]);
+        assert!(matches!(
+            t.insert(row![Value::Null, 0i64]),
+            Err(RelError::NullViolation(_))
+        ));
+        let rid = t.insert(row![1i64, 0i64]).unwrap();
+        let version = t.version();
+        assert!(matches!(
+            t.update(rid, row![Value::Null, 0i64]),
+            Err(RelError::NullViolation(_))
+        ));
+        assert_eq!(t.get(rid), Some(&row![1i64, 0i64]));
+        assert_eq!(t.version(), version);
+        assert_eq!(t.rowid_by_pk(&vec![Value::Int(1)]), Some(rid));
     }
 
     #[test]

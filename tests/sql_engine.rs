@@ -186,6 +186,43 @@ fn update_that_fails_on_a_later_row_changes_and_logs_nothing() {
     assert_eq!(ids(&db), [0, 1, 12].map(Value::Int));
 }
 
+/// A multi-row INSERT whose later row takes a key, one held before the
+/// statement or one an earlier row of it takes, inserts none of its rows,
+/// in the table or in the log recovery replays.
+#[test]
+fn insert_that_fails_on_a_later_row_changes_and_logs_nothing() {
+    use cr_storage::{MemBackend, Storage, StorageConfig};
+    let backend = MemBackend::new();
+    let open = || {
+        Storage::open(
+            std::sync::Arc::new(backend.clone()),
+            StorageConfig::default(),
+        )
+    };
+    let ids = |db: &Database| -> Vec<Value> {
+        let rs = db.query_sql("SELECT id FROM t ORDER BY id").unwrap();
+        rs.rows.into_iter().map(|r| r[0].clone()).collect()
+    };
+    {
+        let (_storage, db, _) = open().unwrap();
+        db.execute_sql("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+            .unwrap();
+        db.execute_sql("INSERT INTO t VALUES (2, 0)").unwrap();
+        assert!(matches!(
+            db.execute_sql("INSERT INTO t VALUES (1, 0), (2, 0), (3, 0)"),
+            Err(RelError::DuplicateKey(_))
+        ));
+        assert_eq!(ids(&db), [Value::Int(2)]);
+    }
+    let (_storage, db, _) = open().unwrap();
+    assert_eq!(ids(&db), [Value::Int(2)], "after recovery");
+    assert!(matches!(
+        db.execute_sql("INSERT INTO t VALUES (5, 0), (5, 1)"),
+        Err(RelError::DuplicateKey(_))
+    ));
+    assert_eq!(ids(&db), [Value::Int(2)]);
+}
+
 #[test]
 fn explain_statement_returns_plan_text() {
     let db = db_with_data(&[(1, 1), (2, 2)]);
