@@ -56,7 +56,9 @@ use crate::plan::{AggExpr, AggFn, JoinKind, LogicalPlan, RecAggPlan, RecMethod, 
 use crate::profile::OpProfile;
 use crate::row::{Row, RowId};
 use crate::schema::{DataType, Schema};
-use crate::similarity::{dense_keys, Common, Probe, RatingsSim, SetSim};
+use crate::similarity::{
+    dense_keys, dense_span, strictly_ascending, Common, Probe, RatingsSim, SetSim, DENSE_SPAN,
+};
 use crate::table::Table;
 use crate::value::Value;
 
@@ -78,6 +80,9 @@ struct RelMetrics {
     /// [`Table::nested`] image) vs. served from a table's cached image.
     nest_builds: Arc<cr_obs::Counter>,
     nest_hits: Arc<cr_obs::Counter>,
+    /// Target rows a Recommend scored: all of its target input, or only
+    /// the candidates its postings path kept.
+    rec_scored: Arc<cr_obs::Counter>,
     /// Per-operator-kind latency histograms (`relation.op.<kind>_ns`),
     /// indexed by [`LogicalPlan::op_index`] and pre-resolved so the
     /// profiled executor never takes the registry lock per node — it
@@ -99,6 +104,7 @@ fn metrics() -> &'static RelMetrics {
             scan_index_range: r.counter("relation.scan.index_range"),
             nest_builds: r.counter("relation.nest.builds"),
             nest_hits: r.counter("relation.nest.hits"),
+            rec_scored: r.counter("relation.rec.scored"),
             op_ns: LogicalPlan::OP_NAMES
                 .map(|op| r.histogram(&format!("relation.op.{}_ns", op.to_ascii_lowercase()))),
         }
@@ -582,6 +588,67 @@ fn rating_lookup(cell: &Value) -> HashMap<&Value, f64> {
     cell.as_ratings()
         .map(|r| r.iter().map(|(k, v)| (k, *v)).collect())
         .unwrap_or_default()
+}
+
+/// `RatingLookup`'s per-key accumulators: every comparator's ratings
+/// folded into one [`ScoreAcc`] per key, comparator by comparator — a
+/// key's accumulator sees the scores a per-target walk over the
+/// comparators would hand it, in the same order — so each target is a
+/// single lookup.
+fn key_accs<'a>(cells: &'a [Cow<'a, Value>], weights: &[f64]) -> HashMap<&'a Value, ScoreAcc> {
+    let mut per_key: HashMap<&Value, ScoreAcc> = HashMap::new();
+    for (c, &w) in cells.iter().zip(weights) {
+        for (key, rating) in rating_lookup(c) {
+            per_key.entry(key).or_insert(ScoreAcc::EMPTY).add(rating, w);
+        }
+    }
+    per_key
+}
+
+/// [`key_accs`] over an array instead of a hash map: a slot per key of
+/// the span (`key − lo`), as a [`Probe`] indexes a comparator cell.
+struct DenseKeyAccs {
+    lo: i64,
+    /// 1 + the key's position in `accs`, 0 for a key no comparator holds.
+    slots: Vec<u32>,
+    accs: Vec<ScoreAcc>,
+}
+
+impl DenseKeyAccs {
+    /// The dense form of [`key_accs`], when every comparator key is Int,
+    /// they span at most [`DENSE_SPAN`], and every
+    /// cell is strictly ascending — so each cell adds each key once, as
+    /// its [`rating_lookup`] map would.
+    fn build(cells: &[Cow<'_, Value>], weights: &[f64]) -> Option<Self> {
+        let ratings = || cells.iter().filter_map(|c| c.as_ratings());
+        if !ratings().all(|r| strictly_ascending(r, |e| &e.0)) {
+            return None;
+        }
+        let (lo, n) = dense_span(ratings().flat_map(|r| r.iter().map(|(k, _)| k)))?;
+        let mut slots = vec![0u32; n];
+        let mut accs = Vec::new();
+        for (c, &w) in cells.iter().zip(weights) {
+            for (k, rating) in c.as_ratings().unwrap_or_default() {
+                let Value::Int(k) = *k else { continue };
+                let slot = &mut slots[k.wrapping_sub(lo) as usize];
+                if *slot == 0 {
+                    accs.push(ScoreAcc::EMPTY);
+                    *slot = accs.len() as u32;
+                }
+                accs[*slot as usize - 1].add(*rating, w);
+            }
+        }
+        Some(DenseKeyAccs { lo, slots, accs })
+    }
+
+    /// Key `k`'s accumulator, empty when no comparator holds it.
+    fn get(&self, k: i64) -> ScoreAcc {
+        k.checked_sub(self.lo)
+            .and_then(|i| self.slots.get(usize::try_from(i).ok()?))
+            .and_then(|&slot| self.accs.get((slot as usize).checked_sub(1)?))
+            .copied()
+            .unwrap_or(ScoreAcc::EMPTY)
+    }
 }
 
 /// Order of two scored targets: score descending, ties broken by the
@@ -1757,19 +1824,6 @@ fn recommend_batched(target: &Batch, comparator: &Batch, spec: &RecSpec) -> Batc
     for c in seen_cells.iter().flatten() {
         extend_seen(&mut seen, c);
     }
-    // RatingLookup: fold every comparator's ratings into one accumulator
-    // per key, comparator by comparator — a key's accumulator sees the
-    // scores a per-target walk over the comparators would hand it, in the
-    // same order — then each target is a single probe.
-    let mut per_key: HashMap<&Value, ScoreAcc> = HashMap::new();
-    if matches!(spec.method, RecMethod::RatingLookup) {
-        for (c, &w) in ccells.iter().zip(&weights) {
-            for (key, rating) in rating_lookup(c) {
-                per_key.entry(key).or_insert(ScoreAcc::EMPTY).add(rating, w);
-            }
-        }
-    }
-
     let tcol = target.column(spec.target_col);
     // (live row, target cell) of every target not excluded as seen.
     let live: Vec<(u32, Cow<'_, Value>)> = (0..target.len())
@@ -1785,14 +1839,23 @@ fn recommend_batched(target: &Batch, comparator: &Batch, spec: &RecSpec) -> Batc
         })
         .collect();
     let accs: Vec<ScoreAcc> = match &spec.method {
-        RecMethod::RatingLookup => live
-            .iter()
-            .map(|(_, t)| {
-                as_rec_scalar(t)
-                    .and_then(|key| per_key.get(key).copied())
-                    .unwrap_or(ScoreAcc::EMPTY)
-            })
-            .collect(),
+        RecMethod::RatingLookup => {
+            // An Int key reads the dense array when there is one; any
+            // other key, today's hash map, built on first need.
+            let dense = DenseKeyAccs::build(&ccells, &weights);
+            let mut hashed = None;
+            live.iter()
+                .map(|(_, t)| match (as_rec_scalar(t), &dense) {
+                    (Some(Value::Int(k)), Some(dense)) => dense.get(*k),
+                    (Some(key), _) => hashed
+                        .get_or_insert_with(|| key_accs(&ccells, &weights))
+                        .get(key)
+                        .copied()
+                        .unwrap_or(ScoreAcc::EMPTY),
+                    (None, _) => ScoreAcc::EMPTY,
+                })
+                .collect()
+        }
         method => {
             let mut accs = vec![ScoreAcc::EMPTY; live.len()];
             let mut scratch = Common::default();
@@ -1848,40 +1911,302 @@ fn recommend_batched(target: &Batch, comparator: &Batch, spec: &RecSpec) -> Batc
 }
 
 /// Extend's physical choice, like SeqScan vs. index access for a scan:
-/// when `related` is a bare projected scan — `[fk, key(, rating)]`, no
-/// filter, what every workflow template lowers to — the nest map is the
-/// table's version-keyed image ([`Table::nested`]) instead of a rebuild
-/// from the scanned rows; the flag says whether the image was cached.
-/// The scan still gets its profile node (one per plan node). `None` for
-/// any other related side: the caller builds from its batch.
-fn nest_image<P: Profile>(
-    related: &LogicalPlan,
+/// when the related side is a bare projected scan — `[fk, key(, rating)]`,
+/// no filter, what every workflow template lowers to — the nest map is
+/// the table's version-keyed image ([`Table::nested`]) instead of a
+/// rebuild from the scanned rows.
+struct NestScan<'p> {
+    plan: &'p LogicalPlan,
+    table: &'p str,
+    alias: &'p Option<String>,
+    fk: usize,
+    key: usize,
+    rating: Option<usize>,
+}
+
+impl<'p> NestScan<'p> {
+    /// `None` for any other related side: the caller builds from its
+    /// batch.
+    fn of(related: &'p LogicalPlan, rating: bool) -> Option<Self> {
+        let LogicalPlan::Scan {
+            table,
+            alias,
+            projection: Some(cols),
+            filter: None,
+            ..
+        } = related
+        else {
+            return None;
+        };
+        let (fk, key, rating) = match (cols.as_slice(), rating) {
+            (&[fk, key], false) => (fk, key, None),
+            (&[fk, key, r], true) => (fk, key, Some(r)),
+            _ => return None,
+        };
+        Some(NestScan {
+            plan: related,
+            table,
+            alias,
+            fk,
+            key,
+            rating,
+        })
+    }
+
+    fn serve<P: Profile>(&self, catalog: &Catalog, reverse: bool) -> RelResult<Served<P>> {
+        catalog.with_table(self.table, |t| {
+            let open = P::open();
+            let label = P::label(|| {
+                let op = scan_op(self.table, self.alias);
+                (op, vec!["access=NestImage".to_owned()])
+            });
+            let scan = P::close(open, label, self.plan, t.len(), Vec::new());
+            let (nest, cached) = t.nested(self.fk, self.key, self.rating)?;
+            let reverse = match reverse {
+                true => Some(t.nested(self.key, self.fk, None)?.0),
+                false => None,
+            };
+            Ok((nest, reverse, cached, scan))
+        })?
+    }
+}
+
+/// What [`NestScan::serve`] returns: the image; with `reverse`, the
+/// reverse image — `key` → `Value::Set` of `fk`, the same
+/// [`Table::nested`] with the columns swapped — taken from the same pin
+/// of the table, so both describe one version; whether the image was
+/// cached; and the scan's profile node (one per plan node).
+type Served<P> = (Arc<NestMap>, Option<Arc<NestMap>>, bool, P);
+
+/// Count an Extend's nest map as served from a cached image or built.
+fn count_nest(cached: bool) {
+    if cr_obs::enabled() {
+        let m = metrics();
+        if cached { &m.nest_hits } else { &m.nest_builds }.inc();
+    }
+}
+
+fn extend_label(
+    plan: &LogicalPlan,
     rating: bool,
-    catalog: &Catalog,
-) -> Option<RelResult<(Arc<NestMap>, bool, P)>> {
-    let LogicalPlan::Scan {
-        table,
-        alias,
-        projection: Some(cols),
-        filter: None,
-        ..
-    } = related
-    else {
-        return None;
-    };
-    let (fk, key, rating_col) = match (cols.as_slice(), rating) {
-        (&[fk, key], false) => (fk, key, None),
-        (&[fk, key, r], true) => (fk, key, Some(r)),
-        _ => return None,
-    };
-    let served = catalog.with_table(table, |t| {
+    key_col: usize,
+    as_name: &str,
+    cached: bool,
+) -> OpLabel {
+    let mut detail = extend_detail(rating, key_col, as_name);
+    detail.push(format!("nest={}", if cached { "cached" } else { "built" }));
+    plan_label(plan, detail)
+}
+
+/// The fewest keys a target cell must share with a comparator cell to
+/// score above 0, for the methods proven (by `similarity`'s tests) to
+/// score exactly 0 below it; `None` for any other method.
+fn shared_key_floor(method: &RecMethod) -> Option<usize> {
+    match method {
+        RecMethod::Set(SetSim::Jaccard | SetSim::Dice | SetSim::Overlap | SetSim::Cosine) => {
+            Some(1)
+        }
+        RecMethod::Ratings {
+            sim: RatingsSim::InverseEuclidean | RatingsSim::Pearson | RatingsSim::Cosine,
+            min_common,
+        } => Some((*min_common).max(1)),
+        _ => None,
+    }
+}
+
+/// Recommend's physical choice: a target that may be scored by postings.
+/// It is an Extend whose related side a [`NestScan`] serves, in the nest
+/// mode the method reads, on a key column declared INT, whose nested
+/// column is the one scored by a method [`shared_key_floor`] lists.
+struct PostingsTarget<'p> {
+    extend: &'p LogicalPlan,
+    input: &'p LogicalPlan,
+    scan: NestScan<'p>,
+    key_col: usize,
+    rating: bool,
+    as_name: &'p str,
+    /// [`shared_key_floor`] of the method.
+    floor: usize,
+}
+
+impl<'p> PostingsTarget<'p> {
+    fn of(target: &'p LogicalPlan, spec: &RecSpec, catalog: &Catalog) -> Option<Self> {
+        let LogicalPlan::Extend {
+            input,
+            related,
+            key_col,
+            rating,
+            as_name,
+            ..
+        } = target
+        else {
+            return None;
+        };
+        let floor = shared_key_floor(&spec.method)?;
+        let ratings_method = matches!(spec.method, RecMethod::Ratings { .. });
+        if *rating != ratings_method || spec.target_col != input.schema().len() {
+            return None;
+        }
+        let scan = NestScan::of(related, *rating)?;
+        let int_key = catalog
+            .with_table_schema(scan.table, |s| {
+                s.column(scan.key).data_type == DataType::Int
+            })
+            .ok()?;
+        int_key.then_some(PostingsTarget {
+            extend: target,
+            input,
+            scan,
+            key_col: *key_col,
+            rating: *rating,
+            as_name,
+            floor,
+        })
+    }
+
+    /// Run the Extend up to its nest probe: its input, then the forward
+    /// and reverse images, and close its profile node (reporting its input
+    /// rows). The probe waits for the comparator ([`Deferred::extend`]).
+    fn run<P: Profile>(&self, catalog: &Catalog, batch_size: usize) -> RelResult<(Deferred, P)> {
         let open = P::open();
-        let label = P::label(|| (scan_op(table, alias), vec!["access=NestImage".to_owned()]));
-        let scan = P::close(open, label, related, t.len(), Vec::new());
-        let (nest, cached) = t.nested(fk, key, rating_col)?;
-        Ok((nest, cached, scan))
-    });
-    Some(served.and_then(|r| r))
+        let (input, ichild) = run_batched::<P>(self.input, catalog, batch_size)?;
+        let (nest, reverse, cached, rchild) = self.scan.serve::<P>(catalog, true)?;
+        count_nest(cached);
+        let label =
+            P::label(|| extend_label(self.extend, self.rating, self.key_col, self.as_name, cached));
+        let profile = P::close(open, label, self.extend, input.len(), vec![ichild, rchild]);
+        let deferred = Deferred {
+            input,
+            key_col: self.key_col,
+            nest,
+            reverse,
+            floor: self.floor,
+        };
+        Ok((deferred, profile))
+    }
+}
+
+/// A [`PostingsTarget`] Extend's input and images, waiting for the
+/// comparator.
+struct Deferred {
+    input: Batch,
+    key_col: usize,
+    nest: Arc<NestMap>,
+    reverse: Option<Arc<NestMap>>,
+    floor: usize,
+}
+
+impl Deferred {
+    /// The Extend's output over the candidate rows only, when
+    /// [`Deferred::candidates`] finds them, else over every input row;
+    /// with the number of input rows and whether only candidates were
+    /// kept. A row that is not a candidate shares fewer than `floor` keys
+    /// with every comparator cell, so every similarity of it is exactly
+    /// 0 and Recommend would drop it: the answer is the same.
+    fn extend(self, comparator: &Batch, spec: &RecSpec) -> RelResult<(Batch, usize, bool)> {
+        let input_rows = self.input.len();
+        let keep = self.candidates(comparator, spec);
+        let fused = keep.is_some();
+        let input = match keep {
+            Some(keep) => self.input.select(keep),
+            None => self.input,
+        };
+        Ok((
+            extend_batched(input, &self.nest, self.key_col)?,
+            input_rows,
+            fused,
+        ))
+    }
+
+    /// The positions of the input rows whose key shares at least `floor`
+    /// keys with the comparator cells (a count summed over all of them,
+    /// so a superset of those that share `floor` with one), in input
+    /// order. Rows with a key that is not Int are kept as well, which is
+    /// always safe: a kept row is scored as in the full walk. `None` — score
+    /// every row — unless every comparator cell has the method's shape and
+    /// passes [`dense_keys`], every `WeightedAvg` weight is finite (0 × ∞
+    /// is NaN, which would not drop), and the postings' foreign keys are
+    /// Int (or NULL) within [`DENSE_SPAN`].
+    fn candidates(&self, comparator: &Batch, spec: &RecSpec) -> Option<Vec<u32>> {
+        let col = comparator.column(spec.comparator_col);
+        let cells: Vec<Cow<'_, Value>> = (0..comparator.len())
+            .map(|i| cell(col, comparator.base_index(i)))
+            .collect();
+        if let RecAggPlan::WeightedAvg { weight_col } = spec.agg {
+            let weights = comparator.column(weight_col);
+            let finite = (0..comparator.len())
+                .all(|i| rec_weight(&cell(weights, comparator.base_index(i))).is_finite());
+            if !finite {
+                return None;
+            }
+        }
+        let ratings = matches!(spec.method, RecMethod::Ratings { .. });
+        let mut keys: Vec<&Value> = Vec::new();
+        for c in &cells {
+            let start = keys.len();
+            match (ratings, c.as_ref()) {
+                (false, Value::Set(s)) => keys.extend(s.iter()),
+                (true, Value::Ratings(r)) => keys.extend(r.iter().map(|(k, _)| k)),
+                _ => return None,
+            }
+            if !dense_keys(keys[start..].iter().copied()) {
+                return None;
+            }
+        }
+        let reverse = self.reverse.as_deref()?;
+        let postings: Vec<&[Value]> = keys
+            .iter()
+            .filter_map(|k| reverse.get(k).and_then(Value::as_set))
+            .collect();
+        // NULL foreign keys match no target; any other non-Int one could
+        // equal an Int key, so it leaves the set to the full walk.
+        let fks = || postings.iter().flat_map(|p| p.iter());
+        let mut bounds: Option<(i64, i64)> = None;
+        for fk in fks() {
+            match *fk {
+                Value::Int(k) => {
+                    bounds = Some(bounds.map_or((k, k), |(lo, hi)| (lo.min(k), hi.max(k))));
+                }
+                Value::Null => {}
+                _ => return None,
+            }
+        }
+        let (lo, hi) = bounds.unwrap_or((0, 0));
+        if hi.abs_diff(lo) >= DENSE_SPAN {
+            return None;
+        }
+        let mut counts = vec![0u32; hi.abs_diff(lo) as usize + 1];
+        for fk in fks() {
+            if let Value::Int(k) = *fk {
+                counts[k.wrapping_sub(lo) as usize] += 1;
+            }
+        }
+        let floor = self.floor as u32;
+        let candidate = |k: i64| {
+            k.checked_sub(lo)
+                .and_then(|i| counts.get(usize::try_from(i).ok()?))
+                .is_some_and(|&n| n >= floor)
+        };
+        let (n, col) = (self.input.len(), self.input.column(self.key_col));
+        let vals = Vals::View {
+            col,
+            slots: self.input.slots(),
+        };
+        let keep: Vec<u32> = match vals.ints() {
+            Some(ints) => (0..n)
+                .filter(|&j| ints.get(j).is_none_or(candidate))
+                .map(|j| j as u32)
+                .collect(),
+            None => (0..n)
+                .filter(|&j| match cell(col, self.input.base_index(j)).as_ref() {
+                    Value::Int(k) => candidate(*k),
+                    _ => true,
+                })
+                .map(|j| j as u32)
+                .collect(),
+        };
+        Some(keep)
+    }
 }
 
 /// The vectorized walker (the one execution path). Labels name each
@@ -2005,23 +2330,19 @@ fn run_batched<P: Profile>(
             ..
         } => {
             let (i, ichild) = run_batched::<P>(input, catalog, batch_size)?;
-            let (nest, cached, rchild) = match nest_image::<P>(related, *rating, catalog) {
-                Some(served) => served?,
+            let (nest, cached, rchild) = match NestScan::of(related, *rating) {
+                Some(scan) => {
+                    let (nest, _, cached, rchild) = scan.serve::<P>(catalog, false)?;
+                    (nest, cached, rchild)
+                }
                 None => {
                     let (r, rchild) = run_batched::<P>(related, catalog, batch_size)?;
                     (Arc::new(nest_from_batch(&r, *rating)?), false, rchild)
                 }
             };
-            if cr_obs::enabled() {
-                let m = metrics();
-                if cached { &m.nest_hits } else { &m.nest_builds }.inc();
-            }
+            count_nest(cached);
             let batch = extend_batched(i, &nest, *key_col)?;
-            let label = P::label(|| {
-                let mut detail = extend_detail(*rating, *key_col, as_name);
-                detail.push(format!("nest={}", if cached { "cached" } else { "built" }));
-                plan_label(plan, detail)
-            });
+            let label = P::label(|| extend_label(plan, *rating, *key_col, as_name, cached));
             (batch, label, vec![ichild, rchild])
         }
 
@@ -2031,15 +2352,37 @@ fn run_batched<P: Profile>(
             spec,
             ..
         } => {
-            let (t, tchild) = run_batched::<P>(target, catalog, batch_size)?;
-            let (c, cchild) = run_batched::<P>(comparator, catalog, batch_size)?;
+            // The target side runs first either way; a postings target
+            // defers its Extend's nest probe until the comparator is known.
+            let (t, c, children, input_rows, fused) =
+                match PostingsTarget::of(target, spec, catalog) {
+                    Some(postings) => {
+                        let (deferred, tchild) = postings.run::<P>(catalog, batch_size)?;
+                        let (c, cchild) = run_batched::<P>(comparator, catalog, batch_size)?;
+                        let (t, input_rows, fused) = deferred.extend(&c, spec)?;
+                        (t, c, vec![tchild, cchild], input_rows, fused)
+                    }
+                    None => {
+                        let (t, tchild) = run_batched::<P>(target, catalog, batch_size)?;
+                        let (c, cchild) = run_batched::<P>(comparator, catalog, batch_size)?;
+                        let input_rows = t.len();
+                        (t, c, vec![tchild, cchild], input_rows, false)
+                    }
+                };
+            if cr_obs::enabled() {
+                metrics().rec_scored.add(t.len() as u64);
+            }
             let batch = recommend_batched(&t, &c, spec);
             let label = P::label(|| {
                 let mut detail = recommend_detail(spec);
                 detail.extend(probe_detail(spec, &c));
+                detail.push(match fused {
+                    true => format!("targets=postings:{}/{input_rows}", t.len()),
+                    false => format!("targets=all:{input_rows}"),
+                });
                 plan_label(plan, detail)
             });
-            (batch, label, vec![tchild, cchild])
+            (batch, label, children)
         }
     };
     let profile = P::close(open, label, plan, batch.len(), children);
@@ -2669,6 +3012,104 @@ mod tests {
             "{:?}",
             rec.detail
         );
+    }
+
+    /// A target that shares no key with any comparator adds only `0.0`
+    /// scores, and every aggregate drops it — the other half of what the
+    /// postings path rests on. A weight that is not finite is the
+    /// exception (0 × ∞ is NaN, which `finish` keeps), so that path takes
+    /// the full walk when one occurs.
+    #[test]
+    fn score_acc_of_zero_scores_finishes_none() {
+        let aggs = [
+            RecAggPlan::Max,
+            RecAggPlan::Avg,
+            RecAggPlan::Sum,
+            RecAggPlan::WeightedAvg { weight_col: 0 },
+        ];
+        let weights: [&[f64]; 6] = [
+            &[1.0],
+            &[0.0],
+            &[-2.0],
+            &[0.5, 0.25],
+            &[3.0, -3.0],
+            &[-1.0, 0.0, 4.0],
+        ];
+        for agg in &aggs {
+            for ws in weights {
+                let mut acc = ScoreAcc::EMPTY;
+                for &w in ws {
+                    acc.add(0.0, w);
+                }
+                assert_eq!(acc.finish(agg), None, "{agg} {ws:?}");
+            }
+        }
+        let mut acc = ScoreAcc::EMPTY;
+        acc.add(0.0, f64::INFINITY);
+        assert!(acc.finish(&aggs[3]).is_some_and(f64::is_nan));
+    }
+
+    /// The proven list: each set and ratings similarity, with the number
+    /// of shared keys below which it scores 0; nothing else.
+    #[test]
+    fn shared_key_floor_lists_the_proven_methods() {
+        use crate::similarity::TextSim;
+        for sim in [
+            SetSim::Jaccard,
+            SetSim::Dice,
+            SetSim::Overlap,
+            SetSim::Cosine,
+        ] {
+            assert_eq!(shared_key_floor(&RecMethod::Set(sim)), Some(1));
+        }
+        for sim in [
+            RatingsSim::InverseEuclidean,
+            RatingsSim::Pearson,
+            RatingsSim::Cosine,
+        ] {
+            for (min_common, floor) in [(0, 1), (1, 1), (2, 2), (5, 5)] {
+                let method = RecMethod::Ratings { sim, min_common };
+                assert_eq!(shared_key_floor(&method), Some(floor));
+            }
+        }
+        assert_eq!(
+            shared_key_floor(&RecMethod::Text(TextSim::WordJaccard)),
+            None
+        );
+        assert_eq!(shared_key_floor(&RecMethod::RatingLookup), None);
+    }
+
+    /// `RatingLookup` reads Int target keys from the dense array and any
+    /// other key from the hash map, where a Float key equals an Int one:
+    /// both agree with the row oracle.
+    #[test]
+    fn rating_lookup_dense_and_hashed_keys_agree_with_oracle() {
+        let db = nest_db();
+        db.execute_sql("CREATE TABLE picks (pid INT PRIMARY KEY, i INT, f FLOAT)")
+            .unwrap();
+        db.execute_sql(
+            "INSERT INTO picks VALUES (1,101,101.0),(2,102,102.5),(3,103,103.0),\
+             (4,NULL,NULL),(5,-7,102.0)",
+        )
+        .unwrap();
+        for (col, agg) in [(1, RecAggPlan::Avg), (2, RecAggPlan::Sum)] {
+            let targets = PlanBuilder::scan(&db.catalog(), "picks").unwrap();
+            let spec = RecSpec {
+                target_col: col,
+                comparator_col: 2,
+                method: RecMethod::RatingLookup,
+                agg,
+                k: None,
+                unbounded_ok: false,
+                score_name: "score".into(),
+                exclude_seen: None,
+            };
+            let comparators = PlanBuilder::from_plan(extend_students(&db, true));
+            let plan = targets.recommend(comparators, spec).unwrap().build();
+            let rs = db.run_plan(&plan).unwrap();
+            assert_eq!(rs, oracle::execute(&plan, &db.catalog()).unwrap(), "#{col}");
+            assert_eq!(rs.rows.len(), 3, "#{col}: {rs:?}");
+        }
     }
 
     /// A related side that is more than a bare projected scan builds its

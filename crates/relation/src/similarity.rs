@@ -30,7 +30,7 @@ pub enum SetSim {
 /// Are the keys strictly ascending (sorted, no duplicates)? What the
 /// extend operator's nest guarantees, and what makes a merge walk see
 /// exactly the pairs a hash intersection would.
-fn strictly_ascending<T>(items: &[T], key: impl Fn(&T) -> &Value) -> bool {
+pub(crate) fn strictly_ascending<T>(items: &[T], key: impl Fn(&T) -> &Value) -> bool {
     items.windows(2).all(|w| key(&w[0]) < key(&w[1]))
 }
 
@@ -142,7 +142,7 @@ pub(crate) struct Probe<'a, E> {
 
 /// `(min, max − min + 1)` of keys that are all Int and span at most
 /// [`DENSE_SPAN`] — `(0, 0)` for none — or `None` otherwise.
-fn dense_span<'a>(keys: impl Iterator<Item = &'a Value>) -> Option<(i64, usize)> {
+pub(crate) fn dense_span<'a>(keys: impl Iterator<Item = &'a Value>) -> Option<(i64, usize)> {
     let mut range = None;
     for k in keys {
         let Value::Int(k) = *k else { return None };
@@ -659,6 +659,56 @@ mod tests {
             prop_assert!((0.0..=1.0).contains(&ie));
             let p = RatingsSim::Pearson.score(&ra, &rb, 1);
             prop_assert!((-1.0 - 1e9_f64.recip()..=1.0 + 1e9_f64.recip()).contains(&p));
+        }
+
+        /// Disjoint ⇒ exactly 0: every set similarity of two sets that
+        /// share no key, either of them possibly empty, is `0.0`, by
+        /// `score` and through a dense probe. Recommend's postings path
+        /// scores only targets that share a key with a comparator, and
+        /// rests on this.
+        #[test]
+        fn set_sims_of_disjoint_sets_are_zero(
+            a in proptest::collection::vec(0i64..20, 0..10),
+            b in proptest::collection::vec(20i64..40, 0..10),
+        ) {
+            let set = |mut v: Vec<i64>| {
+                v.sort_unstable();
+                v.dedup();
+                vals(&v)
+            };
+            let (va, vb) = (set(a), set(b));
+            for sim in [SetSim::Jaccard, SetSim::Dice, SetSim::Overlap, SetSim::Cosine] {
+                prop_assert_eq!(sim.score(&va, &vb), 0.0, "{}", sim.name());
+                prop_assert_eq!(sim.score(&vb, &va), 0.0, "{}", sim.name());
+                let probe = Probe::set(&vb).unwrap();
+                prop_assert_eq!(sim.score_probe(&va, &probe), 0.0, "{} probed", sim.name());
+            }
+        }
+
+        /// Below `max(min_common, 1)` shared keys every ratings
+        /// similarity is exactly `0.0`, by `score` and through a probe.
+        #[test]
+        fn ratings_sims_below_min_common_are_zero(
+            a in proptest::collection::vec((0i64..12, 1.0f64..5.0), 0..8),
+            b in proptest::collection::vec((0i64..12, 1.0f64..5.0), 0..8),
+        ) {
+            // Keys strictly ascending, as the extend operator nests them.
+            let ratings = |mut v: Vec<(i64, f64)>| -> Vec<(Value, f64)> {
+                v.sort_by_key(|e| e.0);
+                v.dedup_by_key(|e| e.0);
+                v.into_iter().map(|(k, r)| (Value::Int(k), r)).collect()
+            };
+            let (ra, rb) = (ratings(a), ratings(b));
+            let common = ra.iter().filter(|(k, _)| rb.iter().any(|(j, _)| j == k)).count();
+            let probe = Probe::ratings(&rb).unwrap();
+            let mut scratch = Common::default();
+            for sim in [RatingsSim::InverseEuclidean, RatingsSim::Pearson, RatingsSim::Cosine] {
+                for min_common in (0..=8).filter(|&m| common < usize::max(m, 1)) {
+                    prop_assert_eq!(sim.score(&ra, &rb, min_common), 0.0, "{}", sim.name());
+                    let probed = sim.score_probe(&ra, &probe, min_common, &mut scratch);
+                    prop_assert_eq!(probed, 0.0, "{} probed", sim.name());
+                }
+            }
         }
 
         /// The sorted-merge path is an optimization of the hash path, not

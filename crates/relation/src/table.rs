@@ -1162,8 +1162,9 @@ mod tests {
     /// `(fk, key, rating)` column positions of a nest image.
     type Cols = (usize, usize, Option<usize>);
 
-    /// The two images of a `rated` table: Set mode and Ratings mode.
-    const IMAGES: [Cols; 2] = [(1, 2, None), (1, 2, Some(3))];
+    /// The images of a `rated` table: Set mode, Ratings mode, and the
+    /// reverse image Recommend's postings path reads (key → fks).
+    const IMAGES: [Cols; 3] = [(1, 2, None), (1, 2, Some(3)), (2, 1, None)];
 
     /// A cold nest build over the table's live rows (the oracle for
     /// [`Table::nested`]).
@@ -1194,7 +1195,7 @@ mod tests {
     }
 
     /// The last images a test saw, with the version it saw them at.
-    type Seen = [Option<(u64, Arc<NestMap>)>; 2];
+    type Seen = [Option<(u64, Arc<NestMap>)>; IMAGES.len()];
 
     /// Each image equals a cold build bit for bit. It is the same `Arc` as
     /// the one seen before exactly when the version has not moved since,

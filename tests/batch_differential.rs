@@ -1414,3 +1414,357 @@ fn probe_corpus_has_the_shapes_it_claims() {
         assert!(scored > 0, "{key}: nothing scored");
     }
 }
+
+// ---------------------------------------------------------------------
+// Recommend by postings: only the targets that share a key are scored
+// ---------------------------------------------------------------------
+
+/// `Marks` rates items for users 1–9; users 6 and 10 rate nothing. Item
+/// `i` is also `Tag` `'ki'` (a TEXT key column), and one of user 8's rows
+/// has a NULL `IId`. `Age` (a weight) is 0 for user 2 and negative for
+/// user 3.
+fn build_postings_db() -> Database {
+    let db = Database::new();
+    db.execute_sql("CREATE TABLE Users (UId INT PRIMARY KEY, Name TEXT, Age INT)")
+        .unwrap();
+    db.execute_sql("CREATE TABLE Items (IId INT PRIMARY KEY, Label TEXT)")
+        .unwrap();
+    db.execute_sql(
+        "CREATE TABLE Marks (MId INT PRIMARY KEY, UId INT, IId INT, Tag TEXT, Score INT)",
+    )
+    .unwrap();
+    let ages = [3, 0, -1, 2, 5, 1, 4, 2, 6, 1];
+    for (uid, age) in (1..).zip(ages) {
+        db.execute_sql(&format!(
+            "INSERT INTO Users VALUES ({uid}, 'u{uid}', {age})"
+        ))
+        .unwrap();
+    }
+    for iid in 1..=8 {
+        db.execute_sql(&format!("INSERT INTO Items VALUES ({iid}, 'i{iid}')"))
+            .unwrap();
+    }
+    // (user, item, score): user 7 rates as user 1 does, user 9 as user 2.
+    let marks = [
+        (1, 1, 5),
+        (1, 2, 4),
+        (1, 3, 3),
+        (2, 1, 4),
+        (2, 2, 4),
+        (3, 2, 3),
+        (3, 3, 2),
+        (3, 4, 5),
+        (4, 5, 1),
+        (4, 6, 2),
+        (5, 1, 5),
+        (7, 1, 5),
+        (7, 2, 4),
+        (7, 3, 3),
+        (8, 3, 2),
+        (8, 0, 4),
+        (8, 7, 1),
+        (9, 1, 4),
+        (9, 2, 4),
+    ];
+    for (mid, (uid, iid, score)) in marks.into_iter().enumerate() {
+        let (iid, tag) = match iid {
+            0 => ("NULL".to_owned(), "NULL".to_owned()),
+            i => (i.to_string(), format!("'k{i}'")),
+        };
+        db.execute_sql(&format!(
+            "INSERT INTO Marks VALUES ({mid}, {uid}, {iid}, {tag}, {score})"
+        ))
+        .unwrap();
+    }
+    db
+}
+
+/// Users extended by their `Marks`, keyed by `key`.
+fn marked(users: Node, key: &str, rating: bool) -> Node {
+    Node::Extend {
+        input: Box::new(users),
+        related_table: "Marks".to_owned(),
+        fk_column: "UId".to_owned(),
+        local_key: "UId".to_owned(),
+        key_column: key.to_owned(),
+        rating_column: rating.then(|| "Score".to_owned()),
+        as_name: "R".to_owned(),
+    }
+}
+
+fn users_where(pred: WfPredicate) -> Node {
+    maybe_select(src("Users"), Some(pred))
+}
+
+/// Each edge case of the postings path, with whether the plan's first
+/// Set/Ratings Recommend scores by postings (`true`) or takes the full
+/// walk.
+fn postings_workflows() -> Vec<(&'static str, bool, Workflow)> {
+    let rec = |target: Node, comparator: Node, spec: RecommendSpec| Node::Recommend {
+        target: Box::new(target),
+        comparator: Box::new(comparator),
+        spec,
+    };
+    let set = |sim| RecommendSpec::new("R", "R", RecMethod::Set(sim));
+    let ratings =
+        |sim, min_common| RecommendSpec::new("R", "R", RecMethod::Ratings { sim, min_common });
+    let weighted = || RecAgg::WeightedAvg {
+        weight_attr: "Age".to_owned(),
+    };
+    let all = || src("Users");
+    let one = |uid: i64| users_where(WfPredicate::eq("UId", uid));
+    let some = |uids: Vec<i64>| {
+        users_where(WfPredicate::Or(
+            uids.into_iter()
+                .map(|u| WfPredicate::eq("UId", u))
+                .collect(),
+        ))
+    };
+    let cases = vec![
+        (
+            "a comparator that shares no key",
+            true,
+            rec(
+                marked(
+                    users_where(WfPredicate::cmp("UId", CmpOp::NotEq, 4i64)),
+                    "IId",
+                    false,
+                ),
+                marked(one(4), "IId", false),
+                set(SetSim::Jaccard),
+            ),
+        ),
+        (
+            "an empty comparator cell",
+            true,
+            rec(
+                marked(all(), "IId", true),
+                marked(one(6), "IId", true),
+                ratings(RatingsSim::Pearson, 1),
+            ),
+        ),
+        (
+            "no comparator row",
+            true,
+            rec(
+                marked(all(), "IId", false),
+                marked(one(99), "IId", false),
+                set(SetSim::Dice),
+            ),
+        ),
+        (
+            "min_common above the overlap",
+            true,
+            rec(
+                marked(all(), "IId", true),
+                marked(one(1), "IId", true),
+                ratings(RatingsSim::InverseEuclidean, 3),
+            ),
+        ),
+        (
+            "min_common above every overlap",
+            true,
+            rec(
+                marked(all(), "IId", true),
+                marked(one(1), "IId", true),
+                ratings(RatingsSim::Cosine, 4),
+            ),
+        ),
+        (
+            "a target filter that drops candidates",
+            true,
+            rec(
+                marked(
+                    users_where(WfPredicate::cmp("Age", CmpOp::Gt, 2i64)),
+                    "IId",
+                    false,
+                ),
+                marked(one(1), "IId", false),
+                set(SetSim::Overlap),
+            ),
+        ),
+        (
+            "ties at the top-k boundary",
+            true,
+            rec(
+                marked(all(), "IId", false),
+                marked(one(1), "IId", false),
+                set(SetSim::Jaccard).top_k(3),
+            ),
+        ),
+        (
+            "several comparators under Avg, some scoring 0",
+            true,
+            rec(
+                marked(all(), "IId", false),
+                marked(some(vec![1, 4, 6]), "IId", false),
+                set(SetSim::Cosine).with_agg(RecAgg::Avg),
+            ),
+        ),
+        (
+            "several comparators under WeightedAvg, zero and negative weights",
+            true,
+            rec(
+                marked(all(), "IId", true),
+                marked(some(vec![2, 3, 4, 5]), "IId", true),
+                ratings(RatingsSim::InverseEuclidean, 1).with_agg(weighted()),
+            ),
+        ),
+        (
+            "several comparators under Sum",
+            true,
+            rec(
+                marked(all(), "IId", true),
+                marked(some(vec![1, 3, 5]), "IId", true),
+                ratings(RatingsSim::Pearson, 2).with_agg(RecAgg::Sum),
+            ),
+        ),
+        (
+            "exclude_seen",
+            true,
+            rec(
+                marked(all(), "IId", true),
+                marked(one(1), "IId", true),
+                ratings(RatingsSim::InverseEuclidean, 1)
+                    .top_k(4)
+                    .excluding_seen("UId", "R"),
+            ),
+        ),
+        (
+            // user_cf's shape: the upper operator reads the lower one's
+            // ratings, which the postings path must still nest.
+            "the nested column read above the Recommend",
+            true,
+            rec(
+                src("Items"),
+                rec(
+                    marked(
+                        users_where(WfPredicate::cmp("UId", CmpOp::NotEq, 1i64)),
+                        "IId",
+                        true,
+                    ),
+                    marked(one(1), "IId", true),
+                    ratings(RatingsSim::InverseEuclidean, 1)
+                        .top_k(3)
+                        .score_as("sim"),
+                ),
+                RecommendSpec::new("IId", "R", RecMethod::RatingLookup).with_agg(weighted()),
+            ),
+        ),
+        (
+            "a TEXT key column",
+            false,
+            rec(
+                marked(all(), "Tag", false),
+                marked(one(1), "Tag", false),
+                set(SetSim::Jaccard),
+            ),
+        ),
+        (
+            "a NULL key in the comparator",
+            false,
+            rec(
+                marked(all(), "IId", false),
+                marked(one(8), "IId", false),
+                set(SetSim::Jaccard),
+            ),
+        ),
+        (
+            "a NULL key only among the targets",
+            true,
+            rec(
+                marked(all(), "IId", false),
+                marked(one(3), "IId", false),
+                set(SetSim::Jaccard),
+            ),
+        ),
+        (
+            "a text similarity",
+            false,
+            rec(
+                all(),
+                one(1),
+                RecommendSpec::new("Name", "Name", RecMethod::Text(TextSim::WordJaccard)),
+            ),
+        ),
+    ];
+    cases
+        .into_iter()
+        .map(|(label, fused, root)| (label, fused, Workflow::new("postings", root)))
+        .collect()
+}
+
+/// Every `targets=` detail of a profile, depth first.
+fn targets_details(p: &cr_relation::OpProfile, out: &mut Vec<String>) {
+    out.extend(
+        p.detail
+            .iter()
+            .filter(|d| d.starts_with("targets="))
+            .cloned(),
+    );
+    for c in &p.children {
+        targets_details(c, out);
+    }
+}
+
+/// Each postings workflow on every walker, plain and profiled, equals the
+/// row oracle bit for bit, and its first Set/Ratings Recommend takes the
+/// path the case names. Returns the oracle's rows.
+fn postings_paths_agree(catalog: &Catalog, when: &str) -> Vec<String> {
+    let mut answers = Vec::new();
+    for (label, fused, wf) in postings_workflows() {
+        let plan = workflow_plan(&wf, catalog);
+        let want = format!("{:?}", oracle(&plan, catalog).unwrap().rows);
+        for &b in BATCH_SIZES {
+            let plain = execute_with(&plan, catalog, &batched(b)).unwrap();
+            assert_eq!(
+                format!("{:?}", plain.rows),
+                want,
+                "{when}, {label}: batch_size={b}"
+            );
+            let (profiled, profile) =
+                execute_instrumented_with(&plan, catalog, &batched(b)).unwrap();
+            assert_eq!(profiled, plain, "{when}, {label}: profiled, batch_size={b}");
+            let mut targets = Vec::new();
+            targets_details(&profile, &mut targets);
+            // The last is the innermost Recommend: the Set/Ratings one.
+            let path = targets.last().unwrap();
+            assert_eq!(
+                path.starts_with("targets=postings:"),
+                fused,
+                "{when}, {label}: {targets:?}\n{}",
+                profile.render()
+            );
+        }
+        answers.push(want);
+    }
+    answers
+}
+
+#[test]
+fn postings_edge_cases_match_row_oracle() {
+    let db = build_postings_db();
+    let before = postings_paths_agree(&db.catalog(), "cold");
+    assert_eq!(postings_paths_agree(&db.catalog(), "warm"), before);
+    // The fixture has the shapes it claims: no-key and empty comparators
+    // score nothing; the overlap, tie and multi-comparator cases do.
+    let empty: Vec<bool> = before.iter().map(|rows| rows == "[]").collect();
+    assert_eq!(
+        empty,
+        [
+            true, true, true, false, true, false, false, false, false, false, false, false, false,
+            false, false, false
+        ],
+        "{before:#?}"
+    );
+    // A delete drops the images (forward and reverse); an insert patches
+    // them. Both paths still answer as the oracle does.
+    db.execute_sql("DELETE FROM Marks WHERE UId = 7 AND IId = 2")
+        .unwrap();
+    let deleted = postings_paths_agree(&db.catalog(), "after a delete");
+    assert_ne!(deleted, before, "the delete must show");
+    db.execute_sql("INSERT INTO Marks VALUES (100, 4, 1, 'k1', 3)")
+        .unwrap();
+    let inserted = postings_paths_agree(&db.catalog(), "after an insert");
+    assert_ne!(inserted, deleted, "the insert must show");
+}

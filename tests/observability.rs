@@ -89,3 +89,39 @@ fn one_pass_through_the_system_populates_every_layer() {
     assert!(prom.contains("quantile=\"0.99\""));
     assert!(snap.to_json().starts_with('{'));
 }
+
+/// A Ratings-basis recommendation scores only the students who share
+/// enough rated courses with the student: EXPLAIN ANALYZE's inner
+/// Recommend reads `targets=postings:<scored>/<input>`, `<scored>` is
+/// fewer than `Students` holds, and the `relation.rec.scored` counter
+/// counts at least those targets.
+#[test]
+fn ratings_rec_scores_fewer_targets_than_students() {
+    cr_obs::install();
+    let (db, _stats) = cr_datagen::generate(&ScaleConfig::tiny()).unwrap();
+    let app = CourseRank::assemble(db).unwrap();
+    let rows = |sql: &str| app.db().database().query_sql(sql).unwrap().rows;
+    let students = rows("SELECT SuID FROM Students");
+    // The most active rater, so the run has neighbours to score.
+    let student = rows(
+        "SELECT SuID, COUNT(*) AS n FROM Comments WHERE Rating IS NOT NULL \
+         GROUP BY SuID ORDER BY n DESC, SuID LIMIT 1",
+    )[0][0]
+        .as_int()
+        .unwrap();
+    let wf = app.recs().course_workflow(student, &RecOptions::default());
+    let rendered = app.recs().explain_analyze_workflow(&wf).unwrap();
+    let (scored, input) = rendered
+        .split_whitespace()
+        .find_map(|w| w.trim_end_matches(']').strip_prefix("targets=postings:"))
+        .and_then(|t| t.split_once('/'))
+        .map(|(s, n)| (s.parse::<usize>().unwrap(), n.parse::<usize>().unwrap()))
+        .unwrap_or_else(|| panic!("no postings Recommend:\n{rendered}"));
+    assert_eq!(input, students.len() - 1, "{rendered}");
+    assert!(0 < scored && scored < students.len(), "{rendered}");
+
+    let counter = cr_obs::Registry::global().counter("relation.rec.scored");
+    let before = counter.get();
+    compile_and_run(&wf, &app.db().catalog()).unwrap();
+    assert!(counter.get() - before >= scored as u64);
+}
