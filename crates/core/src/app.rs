@@ -50,7 +50,7 @@ impl CourseRank {
     pub fn assemble(db: CourseRankDb) -> RelResult<Self> {
         let privacy = Privacy::new(db.clone());
         let incentives = Incentives::new(db.clone());
-        let app = CourseRank {
+        Ok(CourseRank {
             auth: Arc::new(Auth::new(db.clone())),
             search: Arc::new(CourseCloud::build(db.clone())?),
             recs: Recommender::new(db.clone()),
@@ -65,13 +65,7 @@ impl CourseRank {
             strategies: Strategies::new(db.clone()),
             textbooks: Textbooks::new(db.clone(), incentives),
             db,
-        };
-        // Derived relations are materialized here, on the writer side and
-        // after every service has subscribed its observers (a rebuilt
-        // table carries none): requests run on read views, which can only
-        // read them.
-        app.recs.ensure_grade_points()?;
-        Ok(app)
+        })
     }
 
     /// Open (or create) a durable CourseRank instance in `dir`: recover

@@ -345,14 +345,11 @@ pub(crate) fn recommend(
             RecAgg::Avg => acc_sum / acc_n as f64,
             RecAgg::Sum => acc_sum,
             RecAgg::Max => acc_max,
-            RecAgg::WeightedAvg { .. } => {
-                if acc_weight <= 0.0 {
-                    continue;
-                }
-                acc_sum / acc_weight
-            }
+            RecAgg::WeightedAvg { .. } if acc_weight > 0.0 => acc_sum / acc_weight,
+            RecAgg::WeightedAvg { .. } => continue,
         };
-        if final_score <= 0.0 {
+        // NaN (an infinite weight's 0 × ∞) drops like a score ≤ 0.
+        if final_score.is_nan() || final_score <= 0.0 {
             continue;
         }
         t.push(Value::float(final_score));

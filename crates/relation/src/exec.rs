@@ -518,8 +518,9 @@ impl ScoreAcc {
         self.max = self.max.max(score);
     }
 
-    /// The aggregate score; `None` when no comparator matched or the
-    /// score is ≤ 0.
+    /// The aggregate score; `None` when no comparator matched, or when
+    /// the score (or a `WeightedAvg` weight sum) is not positive — NaN
+    /// included, which an infinite weight makes of 0 × ∞ or ∞ / ∞.
     fn finish(&self, agg: &RecAggPlan) -> Option<f64> {
         if self.n == 0 {
             return None;
@@ -528,17 +529,10 @@ impl ScoreAcc {
             RecAggPlan::Avg => self.sum / self.n as f64,
             RecAggPlan::Sum => self.sum,
             RecAggPlan::Max => self.max,
-            RecAggPlan::WeightedAvg { .. } => {
-                if self.weight <= 0.0 {
-                    return None;
-                }
-                self.sum / self.weight
-            }
+            RecAggPlan::WeightedAvg { .. } if self.weight > 0.0 => self.sum / self.weight,
+            RecAggPlan::WeightedAvg { .. } => return None,
         };
-        if score <= 0.0 {
-            return None;
-        }
-        Some(score)
+        (score > 0.0).then_some(score)
     }
 }
 
@@ -2124,22 +2118,13 @@ impl Deferred {
     /// order. Rows with a key that is not Int are kept as well, which is
     /// always safe: a kept row is scored as in the full walk. `None` — score
     /// every row — unless every comparator cell has the method's shape and
-    /// passes [`dense_keys`], every `WeightedAvg` weight is finite (0 × ∞
-    /// is NaN, which would not drop), and the postings' foreign keys are
-    /// Int (or NULL) within [`DENSE_SPAN`].
+    /// passes [`dense_keys`], and the postings' foreign keys are Int (or
+    /// NULL) within [`DENSE_SPAN`].
     fn candidates(&self, comparator: &Batch, spec: &RecSpec) -> Option<Vec<u32>> {
         let col = comparator.column(spec.comparator_col);
         let cells: Vec<Cow<'_, Value>> = (0..comparator.len())
             .map(|i| cell(col, comparator.base_index(i)))
             .collect();
-        if let RecAggPlan::WeightedAvg { weight_col } = spec.agg {
-            let weights = comparator.column(weight_col);
-            let finite = (0..comparator.len())
-                .all(|i| rec_weight(&cell(weights, comparator.base_index(i))).is_finite());
-            if !finite {
-                return None;
-            }
-        }
         let ratings = matches!(spec.method, RecMethod::Ratings { .. });
         let mut keys: Vec<&Value> = Vec::new();
         for c in &cells {
@@ -3016,9 +3001,8 @@ mod tests {
 
     /// A target that shares no key with any comparator adds only `0.0`
     /// scores, and every aggregate drops it — the other half of what the
-    /// postings path rests on. A weight that is not finite is the
-    /// exception (0 × ∞ is NaN, which `finish` keeps), so that path takes
-    /// the full walk when one occurs.
+    /// postings path rests on. An infinite weight makes the score NaN
+    /// (0 × ∞), which drops too.
     #[test]
     fn score_acc_of_zero_scores_finishes_none() {
         let aggs = [
@@ -3046,7 +3030,7 @@ mod tests {
         }
         let mut acc = ScoreAcc::EMPTY;
         acc.add(0.0, f64::INFINITY);
-        assert!(acc.finish(&aggs[3]).is_some_and(f64::is_nan));
+        assert_eq!(acc.finish(&aggs[3]), None);
     }
 
     /// The proven list: each set and ratings similarity, with the number

@@ -185,9 +185,6 @@ pub struct Table {
     columnar: Versioned<ColumnarImage>,
     /// Lazily built nest images for the FlexRecs extend operator.
     nests: Versioned<NestImages>,
-    /// Derived data, rebuilt from base tables rather than persisted (see
-    /// [`Table::mark_derived`]).
-    derived: bool,
 }
 
 impl Table {
@@ -205,7 +202,6 @@ impl Table {
             observer: ObserverSlot::default(),
             columnar: Versioned::default(),
             nests: Versioned::default(),
-            derived: false,
         }
     }
 
@@ -237,24 +233,9 @@ impl Table {
     }
 
     /// Attach (or detach) the durability observer. Set by the catalog so
-    /// every handle to this table shares it. A derived table takes none:
-    /// its base tables' events cover it.
+    /// every handle to this table shares it.
     pub(crate) fn set_observer(&mut self, observer: Option<Arc<dyn MutationObserver>>) {
-        self.observer = ObserverSlot(observer.filter(|_| !self.derived));
-    }
-
-    /// Mark this table as derived: rebuilt from base tables whenever the
-    /// database is assembled, so never persisted. Persistence skips it
-    /// (snapshots, checkpoint deltas) and it takes no mutation observer,
-    /// so none of its writes are write-ahead logged.
-    pub fn mark_derived(&mut self) {
-        self.derived = true;
-        self.observer = ObserverSlot::default();
-    }
-
-    /// True once [`Table::mark_derived`] has run.
-    pub fn is_derived(&self) -> bool {
-        self.derived
+        self.observer = ObserverSlot(observer);
     }
 
     #[inline]
@@ -775,7 +756,6 @@ impl Table {
             pk_columns: _,
             version: _,
             observer: _,
-            derived: _,
             // An immutable `Arc`'d image: a clone copies the pointer.
             columnar: _,
             rows,

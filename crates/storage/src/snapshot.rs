@@ -41,8 +41,7 @@
 //! All integers are LEB128 varints; strings, schemas and rows use
 //! [`cr_relation::codec`] / the WAL's schema helpers. Tables are written
 //! in sorted-name order and chunks in index order, so identical states
-//! produce identical bytes. Derived tables ([`Table::is_derived`]) are
-//! rebuilt at assemble, never written.
+//! produce identical bytes.
 //!
 //! Live rows are stored as `(rid, row)` pairs alongside the total slot
 //! count, so tombstone gaps — and therefore row ids — survive a restart.
@@ -173,8 +172,8 @@ pub struct DeltaLink {
 #[derive(Debug, Clone, Default)]
 pub struct Manifest(HashMap<String, Vec<Arc<Chunk>>>);
 
-/// The persisted tables of one pinned catalog cut, in name order: what a
-/// checkpoint encodes. Derived tables are left out.
+/// The tables of one pinned catalog cut, in name order: what a
+/// checkpoint encodes.
 pub struct Cut(Vec<Arc<Table>>);
 
 impl Cut {
@@ -186,7 +185,6 @@ impl Cut {
             .table_names() // sorted (BTreeMap keys)
             .iter()
             .filter_map(|name| pinned.pin_table(name).ok())
-            .filter(|t| !t.is_derived())
             .collect())
     }
 
@@ -843,8 +841,7 @@ mod tests {
 
     /// Every kind of change a delta must carry: inserts into the tail
     /// chunk and into fresh chunks, an update and a delete in old chunks,
-    /// a table created, one dropped, one replaced whole, and a derived
-    /// table that must never be written.
+    /// a table created, one dropped and one replaced whole.
     #[test]
     fn chain_merged_equals_a_base_of_the_last_cut() {
         let c = Catalog::new();
@@ -874,11 +871,6 @@ mod tests {
                     fill(&c, "Fresh", 0..3);
                 }
                 1 => {
-                    let mut derived =
-                        Table::new("Derived", c.table_schema("Keep").unwrap(), vec![]);
-                    derived.insert(row![1i64, "not persisted"]).unwrap();
-                    derived.mark_derived();
-                    c.install_table(derived).unwrap();
                     c.with_table_mut("Swap", |t| {
                         let mut fresh = Table::new("Swap", t.schema().clone(), vec![0]);
                         fresh.insert(row![7i64, "replaced"]).unwrap();

@@ -422,9 +422,8 @@ impl Storage {
         self.wal.lock().position()
     }
 
-    /// Flush buffered WAL frames (a no-op under `FsyncPolicy::Always`
-    /// with `group_commit = 1`). Call before planned shutdown when using
-    /// batched policies.
+    /// Flush buffered WAL frames (a no-op with `group_commit = 1`). Call
+    /// before planned shutdown when records are grouped.
     pub fn flush(&self) -> StorageResult<()> {
         self.wal.lock().flush()
     }
@@ -1134,41 +1133,6 @@ mod tests {
     }
 
     #[test]
-    fn derived_tables_are_neither_logged_nor_snapshotted() {
-        let backend = MemBackend::new();
-        {
-            let (st, db, _) = open_mem(&backend);
-            seed_schema(&db);
-            insert_range(&db, 0..3);
-            let mut derived = Table::new(
-                "Derived",
-                db.catalog().table_schema("courses").unwrap(),
-                vec![],
-            );
-            derived.mark_derived();
-            db.catalog().install_table(derived).unwrap();
-            // A new observer reaches every table again; a derived one
-            // takes none.
-            struct Ignore;
-            impl MutationObserver for Ignore {
-                fn on_mutation(&self, _: &str, _: &Schema, _: &Mutation<'_>) {}
-            }
-            db.catalog().add_observer(Arc::new(Ignore));
-            db.insert("Derived", row![1i64, "x"]).unwrap();
-            st.checkpoint().unwrap();
-            db.insert("Derived", row![2i64, "y"]).unwrap(); // WAL tail
-            insert_range(&db, 3..4);
-        }
-        let (_st, db, report) = open_mem(&backend);
-        assert!(!db.catalog().has_table("Derived"));
-        assert_eq!(
-            report.skipped_records, 0,
-            "no derived record reached the WAL"
-        );
-        assert_eq!(titles(&db).len(), 4);
-    }
-
-    #[test]
     fn a_parent_format_store_recovers_and_continues_with_deltas() {
         // Two bases and their WAL, as a store written before deltas
         // existed leaves them.
@@ -1207,7 +1171,7 @@ mod tests {
         let backend = MemBackend::new();
         let cfg = StorageConfig {
             wal: WalConfig {
-                fsync: FsyncPolicy::Batch,
+                fsync: FsyncPolicy::Always,
                 group_commit: 4,
             },
         };

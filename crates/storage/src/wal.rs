@@ -391,19 +391,21 @@ fn try_frame(data: &[u8], pos: usize) -> Option<(WalRecord, usize)> {
 
 /// When WAL bytes reach stable storage.
 ///
-/// | policy   | backend write        | fsync                | loss window on crash        |
-/// |----------|----------------------|----------------------|-----------------------------|
-/// | `Always` | every append         | every append         | none (record durable first) |
-/// | `Batch`  | every group of N     | every group of N     | up to N−1 buffered records  |
-/// | `Never`  | every group of N     | left to the OS       | OS page-cache contents      |
+/// Frames reach the backend a group of N records at a time
+/// ([`WalConfig::group_commit`]); up to N−1 buffered records are lost on
+/// a crash (none at the default N = 1).
 ///
-/// All three preserve the recovery invariant — the surviving WAL is
-/// always a *prefix* of the logical log — they only move how much tail
-/// can be lost.
+/// | policy   | fsync                 | loss window on crash beyond the buffer |
+/// |----------|-----------------------|----------------------------------------|
+/// | `Always` | every flushed group   | none                                   |
+/// | `Never`  | left to the OS        | OS page-cache contents                 |
+///
+/// Both preserve the recovery invariant — the surviving WAL is always a
+/// *prefix* of the logical log — they only move how much tail can be
+/// lost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
     Always,
-    Batch,
     Never,
 }
 
@@ -501,7 +503,7 @@ impl Wal {
         if cr_obs::enabled() {
             self.metrics.appends.inc();
         }
-        if self.buffered >= self.cfg.group_commit.max(1) || self.cfg.fsync == FsyncPolicy::Always {
+        if self.buffered >= self.cfg.group_commit.max(1) {
             self.flush()?;
         }
         Ok(())
@@ -736,7 +738,7 @@ mod tests {
             0,
             0,
             WalConfig {
-                fsync: FsyncPolicy::Batch,
+                fsync: FsyncPolicy::Always,
                 group_commit: 3,
             },
         );

@@ -1422,10 +1422,10 @@ fn probe_corpus_has_the_shapes_it_claims() {
 /// `Marks` rates items for users 1–9; users 6 and 10 rate nothing. Item
 /// `i` is also `Tag` `'ki'` (a TEXT key column), and one of user 8's rows
 /// has a NULL `IId`. `Age` (a weight) is 0 for user 2 and negative for
-/// user 3.
+/// user 3. `Wt` (a FLOAT weight) is `Age`, but +∞ for user 5.
 fn build_postings_db() -> Database {
     let db = Database::new();
-    db.execute_sql("CREATE TABLE Users (UId INT PRIMARY KEY, Name TEXT, Age INT)")
+    db.execute_sql("CREATE TABLE Users (UId INT PRIMARY KEY, Name TEXT, Age INT, Wt FLOAT)")
         .unwrap();
     db.execute_sql("CREATE TABLE Items (IId INT PRIMARY KEY, Label TEXT)")
         .unwrap();
@@ -1434,11 +1434,15 @@ fn build_postings_db() -> Database {
     )
     .unwrap();
     let ages = [3, 0, -1, 2, 5, 1, 4, 2, 6, 1];
-    for (uid, age) in (1..).zip(ages) {
-        db.execute_sql(&format!(
-            "INSERT INTO Users VALUES ({uid}, 'u{uid}', {age})"
-        ))
-        .unwrap();
+    for (uid, age) in (1i64..).zip(ages) {
+        let wt = if uid == 5 { f64::INFINITY } else { age as f64 };
+        let user = vec![
+            Value::Int(uid),
+            Value::from(format!("u{uid}")),
+            Value::Int(age),
+            Value::from(wt),
+        ];
+        db.insert("Users", user).unwrap();
     }
     for iid in 1..=8 {
         db.execute_sql(&format!("INSERT INTO Items VALUES ({iid}, 'i{iid}')"))
@@ -1687,6 +1691,19 @@ fn postings_workflows() -> Vec<(&'static str, bool, Workflow)> {
                 RecommendSpec::new("Name", "Name", RecMethod::Text(TextSim::WordJaccard)),
             ),
         ),
+        (
+            // 0 × ∞ and ∞ / ∞ are NaN: every target drops, none is
+            // emitted with a NULL score.
+            "an infinite comparator weight",
+            true,
+            rec(
+                marked(all(), "IId", true),
+                marked(some(vec![1, 5]), "IId", true),
+                ratings(RatingsSim::InverseEuclidean, 1).with_agg(RecAgg::WeightedAvg {
+                    weight_attr: "Wt".to_owned(),
+                }),
+            ),
+        ),
     ];
     cases
         .into_iter()
@@ -1753,7 +1770,7 @@ fn postings_edge_cases_match_row_oracle() {
         empty,
         [
             true, true, true, false, true, false, false, false, false, false, false, false, false,
-            false, false, false
+            false, false, false, true
         ],
         "{before:#?}"
     );

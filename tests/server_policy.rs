@@ -174,9 +174,8 @@ fn k_aggregation_declassifies_grades_over_the_wire() {
 }
 
 /// Grade-similarity recommendations run on the request's read view like
-/// every other read: the derived GradePoints relation is materialized at
-/// assemble and kept current by the enrollment write path, so a miss
-/// only reads — before a write to Enrollments and after one.
+/// every other read: the grade points live on the enrollment rows, so a
+/// miss only reads — before a write to Enrollments and after one.
 #[test]
 fn grade_basis_recommendations_are_served_from_read_views() {
     use cr_server::protocol::Request;
@@ -211,22 +210,22 @@ fn grade_basis_recommendations_are_served_from_read_views() {
     let after: Vec<_> = (1..=8).map(|who| recommend(&mut student, who)).collect();
     assert_eq!(after, before);
 
-    // The derived relation carries its source's labels: grade points are
-    // grades, sealed from other students exactly like Enrollments.Grade.
-    let others = "SELECT SuID, CourseID, Points FROM GradePoints WHERE SuID = 3";
+    // Grade points are grades, sealed from other students exactly like
+    // Enrollments.Grade.
+    let others = "SELECT SuID, CourseID, Points FROM Enrollments WHERE SuID = 3";
     let resp = student.sql(others).unwrap();
     assert!(client::is_policy_denied(&resp), "{resp:?}");
-    let resp = student.sql("SELECT SuID, Points FROM GradePoints").unwrap();
+    let resp = student.sql("SELECT SuID, Points FROM Enrollments").unwrap();
     assert!(deny_message(&resp).contains("P001"), "{resp:?}");
-    // Which courses someone was graded in is plan data, gated like
-    // Enrollments.CourseID.
+    // Which courses someone was graded in is plan data, gated by
+    // SharePlans.
     let resp = student
-        .sql("SELECT CourseID FROM GradePoints WHERE SuID = 3")
+        .sql("SELECT CourseID FROM Enrollments WHERE SuID = 3")
         .unwrap();
     assert!(deny_message(&resp).contains("P004"), "{resp:?}");
     assert!(matches!(
         student
-            .sql("SELECT Points FROM GradePoints WHERE SuID = 2")
+            .sql("SELECT Points FROM Enrollments WHERE SuID = 2")
             .unwrap(),
         Response::Rows { .. }
     ));

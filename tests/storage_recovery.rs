@@ -443,3 +443,108 @@ fn bit_rot_in_wal_tail_is_cut_not_applied() {
         table_rows(&expected, "Comments")
     );
 }
+
+/// Grade points are written with the enrollment row, so grades-basis
+/// recommendations served just before a crash are served unchanged after
+/// recovery — whether the enrollments were recovered from the WAL alone
+/// or from a checkpoint plus the WAL — with no rebuild step in between.
+#[test]
+fn grades_recommendations_survive_a_crash_unchanged() {
+    use courserank::db::{EnrollStatus, Enrollment};
+    use courserank::model::Grade;
+    use courserank::services::recs::{RecOptions, SimilarityBasis};
+
+    let opts = RecOptions {
+        basis: SimilarityBasis::Grades,
+        min_common: 1,
+        exclude_taken: false,
+        ..RecOptions::default()
+    };
+    let grades = [Grade::A, Grade::BPlus, Grade::B, Grade::C, Grade::AMinus];
+    for checkpoint in [false, true] {
+        let backend = MemBackend::new();
+        let open = || {
+            CourseRank::open_with_backend(Arc::new(backend.clone()), StorageConfig::default())
+                .unwrap()
+                .0
+        };
+        let served = {
+            let app = open();
+            let db = app.db();
+            base_campus(db);
+            for id in 3..=6 {
+                db.insert_student(&Student {
+                    id,
+                    name: format!("s{id}"),
+                    class: "2011".into(),
+                    major: Some("CS".into()),
+                    gpa: None,
+                    share_plans: true,
+                })
+                .unwrap();
+            }
+            for op in tail_ops() {
+                apply(db, &op);
+            }
+            for student in 1..=6i64 {
+                if checkpoint && student == 4 {
+                    db.checkpoint().unwrap();
+                }
+                for course in 101..=106i64 {
+                    let pick = (student * 7 + course * 3) as usize;
+                    let status = if pick.is_multiple_of(5) {
+                        EnrollStatus::Planned
+                    } else {
+                        EnrollStatus::Taken
+                    };
+                    db.insert_enrollment(&Enrollment {
+                        student,
+                        course,
+                        quarter: Quarter::new(2008, Term::Autumn),
+                        grade: Some(grades[pick % grades.len()]),
+                        status,
+                    })
+                    .unwrap();
+                }
+            }
+            let served: Vec<_> = (1..=6)
+                .map(|s| app.recs().recommend_courses(s, &opts).unwrap())
+                .collect();
+            assert!(served.iter().any(|recs| !recs.is_empty()), "{served:?}");
+            served
+            // Dropped without a shutdown: the crash.
+        };
+        let app = open();
+        let recovered: Vec<_> = (1..=6)
+            .map(|s| app.recs().recommend_courses(s, &opts).unwrap())
+            .collect();
+        assert_eq!(recovered, served, "checkpoint={checkpoint}");
+    }
+}
+
+/// A store written before grade points moved onto the enrollment row has
+/// an `Enrollments` without `Points`. Nothing migrates it: opening it
+/// fails, and the error names the missing column.
+#[test]
+fn a_store_without_enrollment_points_fails_to_open() {
+    let backend = MemBackend::new();
+    {
+        let (_st, db, _) =
+            Storage::open(Arc::new(backend.clone()), StorageConfig::default()).unwrap();
+        db.execute_sql(
+            "CREATE TABLE Enrollments (SuID INT, CourseID INT, Year INT, Term TEXT, \
+             Grade TEXT, Status TEXT NOT NULL, PRIMARY KEY (SuID, CourseID, Year, Term))",
+        )
+        .unwrap();
+        db.execute_sql("INSERT INTO Enrollments VALUES (1, 101, 2008, 'Aut', 'A', 'taken')")
+            .unwrap();
+    }
+    let err = match CourseRankDb::open_with_backend(Arc::new(backend), StorageConfig::default()) {
+        Ok(_) => panic!("a store without Enrollments.Points opened"),
+        Err(e) => e.to_string(),
+    };
+    assert!(
+        err.contains("Enrollments") && err.contains("Points"),
+        "{err}"
+    );
+}
