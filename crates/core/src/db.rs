@@ -179,6 +179,7 @@ const INDEX_SQL: &[&str] = &[
     "CREATE INDEX points_by_user ON Points (UserID)",
     "CREATE INDEX questions_by_dep ON Questions (DepID)",
     "CREATE INDEX notes_by_course ON FacultyNotes (CourseID)",
+    "CREATE INDEX official_by_course ON OfficialGradeDist (CourseID)",
 ];
 
 /// Register the sensitivity labels that make the paper's §2.2 policies

@@ -20,6 +20,14 @@ use crate::db::CourseRankDb;
 use crate::model::{CourseId, Grade};
 use crate::services::privacy::{Privacy, Withheld};
 
+/// The registrar's counts for one course and year: every course page
+/// reads them, through the `official_by_course` index.
+fn official_sql(course: CourseId, year: i32) -> String {
+    format!(
+        "SELECT Grade, Count FROM OfficialGradeDist WHERE CourseID = {course} AND Year = {year}"
+    )
+}
+
 /// A grade distribution: counts per letter grade.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct GradeDistribution {
@@ -135,10 +143,7 @@ impl Grades {
 
     /// Official distribution for a course/year from the registrar data.
     pub fn official(&self, course: CourseId, year: i32) -> RelResult<GradeDistribution> {
-        let rs = self.db.database().query_sql(&format!(
-            "SELECT Grade, Count FROM OfficialGradeDist \
-             WHERE CourseID = {course} AND Year = {year}"
-        ))?;
+        let rs = self.db.database().query_sql(&official_sql(course, year))?;
         let mut counts = BTreeMap::new();
         for r in &rs.rows {
             if let (Ok(g), Ok(n)) = (r[0].as_text(), r[1].as_int()) {
@@ -250,6 +255,24 @@ mod tests {
         let d = g.official(101, 2008).unwrap();
         assert_eq!(d.total(), 80);
         assert_eq!(d.counts[&Grade::A], 40);
+    }
+
+    #[test]
+    fn official_counts_are_fetched_through_the_course_index() {
+        let g = grades();
+        let (rs, profile) =
+            g.db.database()
+                .explain_analyze_sql(&official_sql(101, 2008))
+                .unwrap();
+        assert!(!rs.rows.is_empty());
+        let scan = profile.find("Scan OfficialGradeDist").unwrap();
+        assert!(
+            scan.detail
+                .iter()
+                .any(|d| d.starts_with("access=IndexEq(official_by_course)")),
+            "{}",
+            profile.render()
+        );
     }
 
     #[test]

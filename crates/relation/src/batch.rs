@@ -991,6 +991,37 @@ impl<'a> Cells for TextCells<'a> {
     }
 }
 
+impl<'a> Acc<'a, TextCells<'a>> {
+    /// The arena entry ids behind these cells, and the arena's entry
+    /// count (every id is below it): equal ids hold equal texts, though
+    /// two ids may hold the same text too. `None` for a constant.
+    pub(crate) fn entries(self) -> Option<(Acc<'a, &'a [u32]>, usize)> {
+        let count = |t: TextCells<'_>| t.arena.offsets.len().saturating_sub(1);
+        match self {
+            Acc::Dense { data, validity } => Some((
+                Acc::Dense {
+                    data: data.pos,
+                    validity,
+                },
+                count(data),
+            )),
+            Acc::Sparse {
+                data,
+                validity,
+                sel,
+            } => Some((
+                Acc::Sparse {
+                    data: data.pos,
+                    validity,
+                    sel,
+                },
+                count(data),
+            )),
+            Acc::Const(_) => None,
+        }
+    }
+}
+
 /// A kernel operand's cells of one type, position by position: a dense
 /// run of a column, the column through a selection, or a constant.
 #[derive(Clone, Copy)]

@@ -9,11 +9,14 @@
 //! scan→filter→project chain is one fused pass with no per-row dispatch.
 //! Kernels read typed slices and write typed cells; a `Value` is built
 //! only at the result boundary and for `Generic` data. Hash joins and
-//! hash aggregation group rows by hashing and comparing their key columns
-//! where they are stored (dense group ids, no `Vec<Value>` key per row),
-//! aggregates accumulate from typed slices with `AggState`'s rules, sorts
-//! compare typed key columns in place, and sort and limit
-//! permute/truncate the selection vector. `Extend` probes the related
+//! hash aggregation give rows dense group ids through `keys::KeyIds`: a
+//! one-column key with a dense domain indexes an array by Int value or
+//! memoes each Text arena entry's group, and other keys are hashed and
+//! compared where they are stored (no `Vec<Value>` key per row).
+//! Aggregates accumulate from typed slices with `AggState`'s rules, sorts
+//! compare typed key columns in place (a sort under a `Limit` keeps only
+//! the rows the limit can return, by a bounded selection), and sort and
+//! limit permute/truncate the selection vector. `Extend` probes the related
 //! table's version-keyed nest image ([`Table::nested`]) when its related
 //! side is a bare projected scan, and `Recommend` scores off the columns,
 //! gathering only the rows it returns.
@@ -50,7 +53,7 @@ use crate::batch::{
 use crate::catalog::Catalog;
 use crate::error::{RelError, RelResult};
 use crate::expr::{BinOp, Expr};
-use crate::keys::{Key, KeyTable};
+use crate::keys::{IdPath, Key, KeyIds, NO_GROUP};
 use crate::nest::NestMap;
 use crate::plan::{AggExpr, AggFn, JoinKind, LogicalPlan, RecAggPlan, RecMethod, RecSpec, SortKey};
 use crate::profile::OpProfile;
@@ -415,12 +418,14 @@ fn scan_op(table: &str, alias: &Option<String>) -> String {
 
 fn join_label(kind: JoinKind, info: &JoinInfo) -> OpLabel {
     let mut detail = vec![format!("kind={kind:?}")];
-    if info.hash {
-        detail.push(format!("keys={}", info.keys));
-        detail.push("build=right".to_owned());
-        ("HashJoin".to_owned(), detail)
-    } else {
-        ("NestedLoopJoin".to_owned(), detail)
+    match info.ids {
+        Some(ids) => {
+            detail.push(format!("keys={}", info.keys));
+            detail.push("build=right".to_owned());
+            detail.push(format!("ids={ids}"));
+            ("HashJoin".to_owned(), detail)
+        }
+        None => ("NestedLoopJoin".to_owned(), detail),
     }
 }
 
@@ -429,10 +434,11 @@ fn plan_label(plan: &LogicalPlan, detail: Vec<String>) -> OpLabel {
     (plan.op_name().to_owned(), detail)
 }
 
-fn aggregate_detail(group_by: &[Expr], aggs: &[AggExpr]) -> Vec<String> {
+fn aggregate_detail(group_by: &[Expr], aggs: &[AggExpr], ids: IdPath) -> Vec<String> {
     vec![
         format!("group_by={}", group_by.len()),
         format!("aggs={}", aggs.len()),
+        format!("ids={ids}"),
     ]
 }
 
@@ -906,10 +912,11 @@ fn extract_equi_keys(on: &Expr, left_width: usize) -> (Vec<usize>, Vec<usize>, V
     (lk, rk, residual)
 }
 
-/// Which algorithm a join used (EXPLAIN ANALYZE annotation).
+/// Which algorithm a join used (EXPLAIN ANALYZE annotation): a hash join
+/// on `keys` columns gives its group ids' path, a nested loop none.
 struct JoinInfo {
-    hash: bool,
     keys: usize,
+    ids: Option<IdPath>,
 }
 
 fn join_rows(
@@ -919,7 +926,7 @@ fn join_rows(
     right_width: usize,
     kind: JoinKind,
     on: &Expr,
-) -> RelResult<(Vec<Row>, JoinInfo)> {
+) -> RelResult<Vec<Row>> {
     let (lk, rk, residual) = extract_equi_keys(on, left_width);
     let residual = if residual.is_empty() {
         None
@@ -986,13 +993,7 @@ fn join_rows(
             }
         }
     }
-    Ok((
-        out,
-        JoinInfo {
-            hash: !lk.is_empty(),
-            keys: lk.len(),
-        },
-    ))
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------
@@ -1295,11 +1296,13 @@ fn operand<'a>(batch: &'a Batch, e: &Expr, slot: &'a mut Option<EvalCol>) -> Rel
         .vals())
 }
 
-/// Batched hash join: group the right rows by key ([`KeyTable`] over the
-/// key columns, hashed and compared in place), probe the left view in
-/// order, then gather both sides' output columns by match index (typed
-/// gathers; LEFT OUTER's NULL extension gathers `NULL_SLOT`).
-/// Non-equi predicates use the row nested-loop join and transpose.
+/// Batched hash join: group the right rows by key ([`KeyIds`]: a dense
+/// array or arena-entry memo for a one-column key with a dense domain,
+/// else the [`KeyTable`](crate::keys::KeyTable) over the key columns,
+/// hashed and compared in place), probe the left view in order, then
+/// gather both sides' output columns by match index (typed gathers; LEFT
+/// OUTER's NULL extension gathers `NULL_SLOT`). Non-equi predicates use
+/// the row nested-loop join and transpose.
 fn join_batched(
     left: &Batch,
     right: &Batch,
@@ -1309,7 +1312,7 @@ fn join_batched(
     let (left_width, right_width) = (left.width(), right.width());
     let (lk, rk, residual) = extract_equi_keys(on, left_width);
     if lk.is_empty() {
-        let (rows, info) = join_rows(
+        let rows = join_rows(
             left.to_rows(),
             right.to_rows(),
             left_width,
@@ -1317,6 +1320,7 @@ fn join_batched(
             kind,
             on,
         )?;
+        let info = JoinInfo { keys: 0, ids: None };
         return Ok((Batch::from_rows(&rows, left_width + right_width), info));
     }
     let residual = if residual.is_empty() {
@@ -1327,37 +1331,35 @@ fn join_batched(
     // Build: each right row's group, then the groups' rows laid out
     // contiguously in input order (`rows[start[g]..start[g + 1]]`).
     let rkey = Key::new(rk.iter().map(|&c| live_column(right, c)), right.len());
-    let rhash = rkey.hashes();
-    let mut table = KeyTable::default();
-    let mut group = vec![u32::MAX; right.len()];
-    for (j, g) in group.iter_mut().enumerate() {
-        if !rkey.has_null(j) {
-            // NULL keys never join.
-            *g = table.find_or_insert(rhash[j], j, |f| rkey.eq(f, &rkey, j));
-        }
-    }
-    let mut start = vec![0usize; table.len() + 1];
-    for &g in group.iter().filter(|&&g| g != u32::MAX) {
+    let lkey = Key::new(lk.iter().map(|&c| live_column(left, c)), left.len());
+    // NULL keys never join: their rows get `NO_GROUP`.
+    let build = KeyIds::build(&rkey, &lkey);
+    let groups = build.len();
+    let mut start = vec![0usize; groups + 1];
+    for &g in build.ids().iter().filter(|&&g| g != NO_GROUP) {
         start[g as usize + 1] += 1;
     }
-    for g in 0..table.len() {
+    for g in 0..groups {
         start[g + 1] += start[g];
     }
-    let mut rows = vec![0u32; start[table.len()]];
+    let mut rows = vec![0u32; start[groups]];
     let mut fill = start.clone();
-    for (j, &g) in group.iter().enumerate().filter(|(_, &g)| g != u32::MAX) {
+    for (j, &g) in build
+        .ids()
+        .iter()
+        .enumerate()
+        .filter(|(_, &g)| g != NO_GROUP)
+    {
         rows[fill[g as usize]] = j as u32;
         fill[g as usize] += 1;
     }
-    let lkey = Key::new(lk.iter().map(|&c| live_column(left, c)), left.len());
     let mut pairs: Vec<(u32, Option<u32>)> = Vec::new();
-    for (j, h) in lkey.hashes().into_iter().enumerate() {
+    for (j, g) in build.probe(&lkey).into_iter().enumerate() {
         let mut matched = false;
-        let hit = match lkey.has_null(j) {
-            true => None,
-            false => table.find(h, |f| rkey.eq(f, &lkey, j)),
+        let matches = match g {
+            NO_GROUP => &[][..],
+            g => &rows[start[g as usize]..start[g as usize + 1]],
         };
-        let matches = hit.map_or(&[][..], |g| &rows[start[g as usize]..start[g as usize + 1]]);
         for &i in matches {
             let ok = match &residual {
                 Some(p) => {
@@ -1394,21 +1396,25 @@ fn join_batched(
     Ok((
         Batch::new(out, pairs.len()),
         JoinInfo {
-            hash: true,
             keys: lk.len(),
+            ids: Some(build.path()),
         },
     ))
 }
 
 /// Batched aggregation: group keys and aggregate arguments are read in
 /// place (plain columns through the selection, other expressions as
-/// kernels), and rows get dense group ids from a [`KeyTable`] over the key
+/// kernels), and rows get dense group ids from [`KeyIds`] over the key
 /// columns (first-seen order). Each group's key is a typed gather of its
 /// first row. `COUNT`, and `SUM`/`AVG`/`MIN`/`MAX` over Int and Float
 /// (`MIN`/`MAX` over Text too), accumulate from typed cells with
 /// [`AggState`]'s rules; `DISTINCT` and other arguments feed `AggState`
 /// itself, row by row.
-fn aggregate_batched(batch: &Batch, group_by: &[Expr], aggs: &[AggExpr]) -> RelResult<Batch> {
+fn aggregate_batched(
+    batch: &Batch,
+    group_by: &[Expr],
+    aggs: &[AggExpr],
+) -> RelResult<(Batch, IdPath)> {
     let n = batch.len();
     let mut gslots: Vec<Option<EvalCol>> = group_by.iter().map(|_| None).collect();
     let mut aslots: Vec<Option<EvalCol>> = aggs.iter().map(|_| None).collect();
@@ -1426,23 +1432,18 @@ fn aggregate_batched(batch: &Batch, group_by: &[Expr], aggs: &[AggExpr]) -> RelR
         })
         .collect::<RelResult<Vec<_>>>()?;
     let key = Key::new(gvals.iter().copied(), n);
-    let mut table = KeyTable::default();
-    let gids: Vec<u32> = key
-        .hashes()
-        .into_iter()
-        .enumerate()
-        .map(|(j, h)| table.find_or_insert(h, j, |f| key.eq(f, &key, j)))
-        .collect();
+    let ids = KeyIds::group(&key);
+    let gids = ids.ids();
     // A global aggregate over empty input still yields one row.
     let groups = if group_by.is_empty() && n == 0 {
         1
     } else {
-        table.len()
+        ids.len()
     };
     let mut out: Vec<Option<BatchColumn>> = aggs
         .iter()
         .zip(&avals)
-        .map(|(a, v)| typed_aggregate(a, *v, &gids, groups))
+        .map(|(a, v)| typed_aggregate(a, *v, gids, groups))
         .collect();
     let rest: Vec<usize> = (0..aggs.len()).filter(|&i| out[i].is_none()).collect();
     if !rest.is_empty() {
@@ -1472,14 +1473,14 @@ fn aggregate_batched(batch: &Batch, group_by: &[Expr], aggs: &[AggExpr]) -> RelR
     }
     let cols = gvals
         .iter()
-        .map(|v| v.gather(table.firsts()))
+        .map(|v| v.gather(ids.firsts()))
         .chain(
             out.into_iter()
                 .map(|c| c.expect("every aggregate has a column")),
         )
         .map(Arc::new)
         .collect();
-    Ok(Batch::new(cols, groups))
+    Ok((Batch::new(cols, groups), ids.path()))
 }
 
 /// One aggregate over typed cells, per group: `None` when its argument
@@ -1590,8 +1591,11 @@ where
 /// Batched sort: key expressions evaluate as kernels into dense typed
 /// columns, compared in place per storage type (`Value::total_cmp` only
 /// for `Generic`), ties broken by position; then only the selection
-/// vector is permuted — column data never moves.
-fn sort_batched(batch: Batch, keys: &[SortKey]) -> RelResult<Batch> {
+/// vector is permuted — column data never moves. With `top`, only the
+/// first `top` rows of that order are kept: a bounded selection under the
+/// same total order, then a sort of those rows alone, so they are the
+/// full sort's first `top` rows exactly.
+fn sort_batched(batch: Batch, keys: &[SortKey], top: Option<usize>) -> RelResult<Batch> {
     let n = batch.len();
     let kcols: Vec<EvalCol> = keys
         .iter()
@@ -1610,8 +1614,7 @@ fn sort_batched(batch: Batch, keys: &[SortKey]) -> RelResult<Batch> {
             EvalCol::Const(_) => None,
         })
         .collect();
-    let mut idx: Vec<u32> = (0..n as u32).collect();
-    idx.sort_unstable_by(|&a, &b| {
+    let cmp = |&a: &u32, &b: &u32| {
         let (i, j) = (a as usize, b as usize);
         order
             .iter()
@@ -1619,7 +1622,17 @@ fn sort_batched(batch: Batch, keys: &[SortKey]) -> RelResult<Batch> {
             .find(|o| o.is_ne())
             .unwrap_or(Ordering::Equal)
             .then(a.cmp(&b))
-    });
+    };
+    let mut idx: Vec<u32> = (0..n as u32).collect();
+    match top {
+        Some(0) => idx.clear(),
+        Some(k) if k < n => {
+            idx.select_nth_unstable_by(k - 1, cmp);
+            idx.truncate(k);
+        }
+        _ => {}
+    }
+    idx.sort_unstable_by(cmp);
     Ok(batch.select(idx))
 }
 
@@ -2270,14 +2283,14 @@ fn run_batched<P: Profile>(
             ..
         } => {
             let (batch, child) = run_batched::<P>(input, catalog, batch_size)?;
-            let out = aggregate_batched(&batch, group_by, aggs)?;
-            let label = P::label(|| plan_label(plan, aggregate_detail(group_by, aggs)));
+            let (out, ids) = aggregate_batched(&batch, group_by, aggs)?;
+            let label = P::label(|| plan_label(plan, aggregate_detail(group_by, aggs, ids)));
             (out, label, vec![child])
         }
 
         LogicalPlan::Sort { input, keys } => {
             let (batch, child) = run_batched::<P>(input, catalog, batch_size)?;
-            let batch = sort_batched(batch, keys)?;
+            let batch = sort_batched(batch, keys, None)?;
             let label = P::label(|| plan_label(plan, vec![format!("keys={}", keys.len())]));
             (batch, label, vec![child])
         }
@@ -2287,7 +2300,24 @@ fn run_batched<P: Profile>(
             limit,
             offset,
         } => {
-            let (batch, child) = run_batched::<P>(input, catalog, batch_size)?;
+            let (batch, child) = match (&**input, limit) {
+                // Top-N: the sort keeps only the rows the limit can return.
+                (LogicalPlan::Sort { input: rows, keys }, Some(limit)) => {
+                    let open = P::open();
+                    let top = offset.saturating_add(*limit);
+                    let (batch, child) = run_batched::<P>(rows, catalog, batch_size)?;
+                    let batch = sort_batched(batch, keys, Some(top))?;
+                    let label = P::label(|| {
+                        let detail = vec![format!("keys={}", keys.len()), format!("top={top}")];
+                        plan_label(input, detail)
+                    });
+                    let sorted = P::close(open, label, input, batch.len(), vec![child]);
+                    (batch, sorted)
+                }
+                // Any other input (or no limit) runs as itself, whatever
+                // its variant; the limit then slices what it returns.
+                _ => run_batched::<P>(input, catalog, batch_size)?,
+            };
             let batch = limit_batched(batch, *limit, *offset);
             let label = P::label(|| plan_label(plan, limit_detail(*limit, *offset)));
             (batch, label, vec![child])

@@ -61,17 +61,14 @@ fn run(plan: &LogicalPlan, catalog: &Catalog) -> RelResult<Vec<Row>> {
             kind,
             on,
             ..
-        } => {
-            let (rows, _) = join_rows(
-                run(left, catalog)?,
-                run(right, catalog)?,
-                left.schema().len(),
-                right.schema().len(),
-                *kind,
-                on,
-            )?;
-            Ok(rows)
-        }
+        } => join_rows(
+            run(left, catalog)?,
+            run(right, catalog)?,
+            left.schema().len(),
+            right.schema().len(),
+            *kind,
+            on,
+        ),
 
         LogicalPlan::Aggregate {
             input,

@@ -16,13 +16,19 @@
 //! the same numbers hash alike.
 //!
 //! [`KeyTable`] hands out dense group ids in first-seen order; callers
-//! index plain `Vec`s with them. [`values_hash`] hashes a key held as
-//! values the same way; the sharded index maps pick a key's shard by it.
+//! index plain `Vec`s with them. [`KeyIds`] is its dense front end, which
+//! the hash join and hash aggregate call: a one-column key whose domain
+//! is dense skips hashing every row — Int keys index an array by value,
+//! Text keys hash each distinct arena entry once. [`values_hash`] hashes
+//! a key held as values the same way; the sharded index maps pick a
+//! key's shard by it.
 
 use std::cmp::Ordering;
+use std::fmt;
 use std::hash::{Hash, Hasher};
 
 use crate::batch::{Acc, Cells, TextCells, Vals};
+use crate::similarity::DENSE_SPAN;
 use crate::value::Value;
 
 /// FxHash's multiplier: `mix` is one rotate, xor and multiply.
@@ -125,23 +131,24 @@ struct KeyCol<'a> {
     typed: Typed<'a>,
 }
 
-/// Mix each position's cell hash (`NULL_HASH` for NULL) into `hashes`.
-fn hash_cells<C: Cells>(a: Acc<'_, C>, hashes: &mut [u64], hash: impl Fn(C::Item) -> u64) {
+/// `f(j, cell)` for the first `n` positions of `a`: one storage match
+/// for the run, not one per cell.
+#[inline]
+fn each<C: Cells>(a: Acc<'_, C>, n: usize, mut f: impl FnMut(usize, Option<C::Item>)) {
     match a {
         Acc::Dense {
             data,
             validity: None,
-        } => {
-            for (j, h) in hashes.iter_mut().enumerate() {
-                *h = mix(*h, hash(data.cell(j)));
-            }
-        }
-        _ => {
-            for (j, h) in hashes.iter_mut().enumerate() {
-                *h = mix(*h, a.get(j).map_or(NULL_HASH, &hash));
-            }
-        }
+        } => (0..n).for_each(|j| f(j, Some(data.cell(j)))),
+        _ => (0..n).for_each(|j| f(j, a.get(j))),
     }
+}
+
+/// Mix each position's cell hash (`NULL_HASH` for NULL) into `hashes`.
+fn hash_cells<C: Cells>(a: Acc<'_, C>, hashes: &mut [u64], hash: impl Fn(C::Item) -> u64) {
+    each(a, hashes.len(), |j, cell| {
+        hashes[j] = mix(hashes[j], cell.map_or(NULL_HASH, &hash))
+    });
 }
 
 impl<'a> KeyCol<'a> {
@@ -329,6 +336,306 @@ impl KeyTable {
     }
 }
 
+/// The group a row has when it has none: a NULL join key, or a probe
+/// row whose key no build row holds.
+pub(crate) const NO_GROUP: u32 = u32::MAX;
+
+/// The most array slots a dense key domain may take per row it keys
+/// (and never more than [`DENSE_SPAN`] in all), so that a few rows whose
+/// keys lie far apart fall back to hashing rather than fill a large,
+/// mostly empty array. Measured in release mode on a 2-vCPU host as
+/// operator self time (median of 31 EXPLAIN ANALYZE runs of a group-by
+/// and of a join, uniform random Int keys, 64 to 4,096 rows): the array
+/// beat hashing by 1.4–4.1× at up to 64 slots per row, by 1.0–1.3× at
+/// 256, and lost (0.5–0.7×) at 1,024 — DESIGN.md, "Dense key domains and
+/// top-N".
+const SLOTS_PER_ROW: u64 = 64;
+
+/// Does a domain of `span` slots pay for itself over `rows` rows?
+fn dense_enough(span: u64, rows: usize) -> bool {
+    span <= DENSE_SPAN.min((rows as u64).saturating_mul(SLOTS_PER_ROW))
+}
+
+/// How a key's group ids were assigned, as EXPLAIN ANALYZE prints it
+/// (`ids=dense:<span>`, `ids=entries:<n>`, `ids=hashed`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum IdPath {
+    /// One Int column, by value: an array of `span` slots over `key − lo`.
+    Dense(usize),
+    /// One Text column, by arena entry: each distinct entry of an arena
+    /// of `n` entries is hashed once, its group memoed.
+    Entries(usize),
+    /// Every row hashed and compared through the [`KeyTable`].
+    Hashed,
+}
+
+impl fmt::Display for IdPath {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            IdPath::Dense(span) => write!(f, "dense:{span}"),
+            IdPath::Entries(n) => write!(f, "entries:{n}"),
+            IdPath::Hashed => f.write_str("hashed"),
+        }
+    }
+}
+
+/// The key's only column, when it has exactly one.
+fn single<'k, 'a>(key: &'k Key<'a>) -> Option<&'k KeyCol<'a>> {
+    match key.cols.as_slice() {
+        [c] => Some(c),
+        _ => None,
+    }
+}
+
+/// The least and greatest non-NULL cells, when any.
+fn int_range(a: Acc<'_, &[i64]>, n: usize) -> Option<(i64, i64)> {
+    let mut range: Option<(i64, i64)> = None;
+    each(a, n, |_, v| {
+        if let Some(v) = v {
+            range = Some(range.map_or((v, v), |(lo, hi)| (lo.min(v), hi.max(v))));
+        }
+    });
+    range
+}
+
+/// How the ids were assigned, and what a probe needs of it.
+enum Domain {
+    /// Slot `key − lo` holds its group id + 1 (0: no group); `firsts`
+    /// is each group's first row.
+    Span {
+        lo: i64,
+        hi: i64,
+        slots: Vec<u32>,
+        firsts: Vec<u32>,
+    },
+    /// Groups live in the table; `n` is the memoed arena's entry count.
+    Entries(usize),
+    Hashed,
+}
+
+/// Dense group ids for the rows of one key, in first-seen order — the
+/// one place the hash join's build and probe and the hash aggregate get
+/// them. A one-column key with a dense domain takes a short cut past
+/// hashing every row: Int keys index an array by value when their span
+/// is dense enough for the rows, and Text keys hash and compare each
+/// distinct arena entry once (a gathered column keeps its source's
+/// entries) and memo its group. Multi-column keys, Float and other
+/// storage go through the [`KeyTable`]. The ids are those the table
+/// alone would give: NULL keys group as one key (or never join), and Int
+/// 3 meets Float 3.0 through the table.
+pub(crate) struct KeyIds<'k, 'a> {
+    key: &'k Key<'a>,
+    domain: Domain,
+    table: KeyTable,
+    ids: Vec<u32>,
+}
+
+impl<'k, 'a> KeyIds<'k, 'a> {
+    /// Group ids for every row of `key`, NULL keys one group among the
+    /// others: what an aggregate groups by.
+    pub(crate) fn group(key: &'k Key<'a>) -> Self {
+        let span = single(key).and_then(|c| match c.typed {
+            Typed::Int(a) => Some(a),
+            _ => None,
+        });
+        Self::assign(key, span, true)
+    }
+
+    /// Group ids for the build rows of a join (`key`), to be probed with
+    /// `probe`'s rows: NULL keys get [`NO_GROUP`]. An Int array is used
+    /// only when the probe key is one Int column too, since it is probed
+    /// by value.
+    pub(crate) fn build(key: &'k Key<'a>, probe: &Key<'_>) -> Self {
+        let span = match (single(key).map(|c| c.typed), single(probe).map(|c| c.typed)) {
+            (Some(Typed::Int(a)), Some(Typed::Int(_))) => Some(a),
+            _ => None,
+        };
+        Self::assign(key, span, false)
+    }
+
+    fn assign(key: &'k Key<'a>, ints: Option<Acc<'a, &'a [i64]>>, null_groups: bool) -> Self {
+        let n = key.rows;
+        let mut ids = Vec::with_capacity(n);
+        let mut table = KeyTable::default();
+        // The group of the NULL key, opened at its first row.
+        let mut null = NO_GROUP;
+        if let Some((a, (lo, hi))) = ints.and_then(|a| Some((a, int_range(a, n)?))) {
+            let span = hi.abs_diff(lo).saturating_add(1);
+            if dense_enough(span, n) {
+                let mut slots = vec![0u32; span as usize];
+                let mut firsts = Vec::new();
+                each(a, n, |j, v| {
+                    ids.push(match v {
+                        Some(v) => {
+                            // lo <= v <= hi: the offset is exact and in range.
+                            let s = &mut slots[v.wrapping_sub(lo) as u64 as usize];
+                            if *s == 0 {
+                                firsts.push(j as u32);
+                                *s = firsts.len() as u32;
+                            }
+                            *s - 1
+                        }
+                        None if null_groups => {
+                            if null == NO_GROUP {
+                                null = firsts.len() as u32;
+                                firsts.push(j as u32);
+                            }
+                            null
+                        }
+                        None => NO_GROUP,
+                    })
+                });
+                return KeyIds {
+                    key,
+                    domain: Domain::Span {
+                        lo,
+                        hi,
+                        slots,
+                        firsts,
+                    },
+                    table,
+                    ids,
+                };
+            }
+        }
+        let texts = single(key).and_then(|c| match c.typed {
+            Typed::Text(t) => Some(t),
+            _ => None,
+        });
+        if let Some((t, (ents, count))) = texts.and_then(|t| Some((t, t.entries()?))) {
+            if dense_enough(count as u64, n) {
+                // Each entry's group id + 1; 0 until the entry is first met.
+                // Groups are hashed as `Key::hashes` hashes a one-column
+                // key, so a hashed probe finds them too.
+                let mut memo = vec![0u32; count];
+                each(ents, n, |j, e| {
+                    let same = |f: usize| key.eq(f, key, j);
+                    ids.push(match e {
+                        Some(e) => {
+                            let m = &mut memo[e as usize];
+                            if *m == 0 {
+                                let s = t.get(j).expect("an entry is a valid cell");
+                                *m = table.find_or_insert(mix(0, text_hash(s)), j, same) + 1;
+                            }
+                            *m - 1
+                        }
+                        None if null_groups => {
+                            if null == NO_GROUP {
+                                null = table.find_or_insert(mix(0, NULL_HASH), j, same);
+                            }
+                            null
+                        }
+                        None => NO_GROUP,
+                    })
+                });
+                return KeyIds {
+                    key,
+                    domain: Domain::Entries(count),
+                    table,
+                    ids,
+                };
+            }
+        }
+        for (j, h) in key.hashes().into_iter().enumerate() {
+            ids.push(if !null_groups && key.has_null(j) {
+                NO_GROUP
+            } else {
+                table.find_or_insert(h, j, |f| key.eq(f, key, j))
+            });
+        }
+        KeyIds {
+            key,
+            domain: Domain::Hashed,
+            table,
+            ids,
+        }
+    }
+
+    /// Each row's group id.
+    pub(crate) fn ids(&self) -> &[u32] {
+        &self.ids
+    }
+
+    /// The first row of each group, by group id.
+    pub(crate) fn firsts(&self) -> &[u32] {
+        match &self.domain {
+            Domain::Span { firsts, .. } => firsts,
+            _ => self.table.firsts(),
+        }
+    }
+
+    /// Number of groups.
+    pub(crate) fn len(&self) -> usize {
+        self.firsts().len()
+    }
+
+    pub(crate) fn path(&self) -> IdPath {
+        match &self.domain {
+            Domain::Span { slots, .. } => IdPath::Dense(slots.len()),
+            Domain::Entries(n) => IdPath::Entries(*n),
+            Domain::Hashed => IdPath::Hashed,
+        }
+    }
+
+    /// The group each row of `probe` finds here, [`NO_GROUP`] when its
+    /// key is NULL or no group holds it. A Text probe column memoes its
+    /// own arena's entries as the build did.
+    pub(crate) fn probe(&self, probe: &Key<'_>) -> Vec<u32> {
+        let n = probe.rows;
+        let mut out = Vec::with_capacity(n);
+        let col = single(probe).map(|c| c.typed);
+        match (&self.domain, col) {
+            (Domain::Span { lo, hi, slots, .. }, Some(Typed::Int(a))) => each(a, n, |_, v| {
+                out.push(match v {
+                    Some(v) if *lo <= v && v <= *hi => {
+                        slots[v.wrapping_sub(*lo) as u64 as usize].wrapping_sub(1)
+                    }
+                    _ => NO_GROUP,
+                })
+            }),
+            (Domain::Span { .. }, _) => unreachable!("an Int array is built only for an Int probe"),
+            (Domain::Entries(_), Some(Typed::Text(t)))
+                if t.entries()
+                    .is_some_and(|(_, count)| dense_enough(count as u64, n)) =>
+            {
+                let (ents, count) = t.entries().expect("tested above");
+                // Each entry's match + 1 (`NO_GROUP` wraps to 0); `UNSEEN`
+                // until the entry is first met.
+                const UNSEEN: u32 = u32::MAX;
+                let mut memo = vec![UNSEEN; count];
+                each(ents, n, |j, e| {
+                    out.push(match e {
+                        Some(e) => {
+                            let m = &mut memo[e as usize];
+                            if *m == UNSEEN {
+                                let s = t.get(j).expect("an entry is a valid cell");
+                                let hit = self
+                                    .table
+                                    .find(mix(0, text_hash(s)), |f| self.key.eq(f, probe, j));
+                                *m = hit.unwrap_or(NO_GROUP).wrapping_add(1);
+                            }
+                            m.wrapping_sub(1)
+                        }
+                        None => NO_GROUP,
+                    })
+                })
+            }
+            _ => {
+                for (j, h) in probe.hashes().into_iter().enumerate() {
+                    out.push(match probe.has_null(j) {
+                        true => NO_GROUP,
+                        false => self
+                            .table
+                            .find(h, |f| self.key.eq(f, probe, j))
+                            .unwrap_or(NO_GROUP),
+                    });
+                }
+            }
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,6 +738,42 @@ mod tests {
                 })
                 .collect();
             prop_assert_eq!(group(&col, values.len()), want);
+        }
+
+        /// `KeyIds` gives the table's ids whichever path it takes — one
+        /// Int column, narrow (an array) or wide (hashed), or one Text
+        /// column gathered so that entries repeat and two entries hold
+        /// the same text — NULLs included, and a probe with the build's
+        /// own rows finds each row's group (none for NULL).
+        #[test]
+        fn key_ids_are_the_tables_ids(
+            ints in proptest::collection::vec(proptest::option::of(-3i64..3), 0..120),
+            wide in any::<bool>(),
+            picks in proptest::collection::vec(0u32..12, 0..120),
+        ) {
+            let scale = if wide { 1_000_003 } else { 1 };
+            let ints = Column::from_values(
+                ints.iter().map(|k| k.map_or(Value::Null, |k| Value::Int(k * scale))).collect(),
+            );
+            let texts = Column::from_values(
+                (0..12)
+                    .map(|i| match i % 5 {
+                        4 => Value::Null,
+                        _ => Value::text(["a", "b", "a", ""][i % 4]),
+                    })
+                    .collect(),
+            )
+            .gather(&picks);
+            for col in [&ints, &texts] {
+                let key = Key::new([view(col)], col.len());
+                prop_assert_eq!(KeyIds::group(&key).ids(), &group(col, col.len())[..]);
+                let build = KeyIds::build(&key, &key);
+                let own: Vec<u32> = (0..col.len())
+                    .map(|j| if col.is_null(j) { NO_GROUP } else { build.ids()[j] })
+                    .collect();
+                prop_assert_eq!(build.ids(), &own[..]);
+                prop_assert_eq!(build.probe(&key), own);
+            }
         }
 
         /// Equal cells hash alike whatever storage holds them.

@@ -652,44 +652,101 @@ mod tests {
             .collect()
     }
 
+    /// The three join + group-by statements of the benchmark's analytics
+    /// mix.
+    const ANALYTICS: [&str; 3] = [
+        "SELECT c.DepID, COUNT(*) AS n, AVG(m.Rating) AS r FROM Comments m \
+         JOIN Courses c ON c.CourseID = m.CourseID \
+         WHERE m.Rating >= 2 AND c.Units >= 3 GROUP BY c.DepID ORDER BY n DESC",
+        "SELECT e.CourseID, COUNT(*) AS n FROM Enrollments e \
+         JOIN Courses c ON c.CourseID = e.CourseID \
+         WHERE e.Year = 2007 AND c.Units >= 2 GROUP BY e.CourseID ORDER BY n DESC LIMIT 20",
+        "SELECT c.DepID, COUNT(*) AS n, SUM(c.Units) AS u FROM Enrollments e \
+         JOIN Courses c ON c.CourseID = e.CourseID \
+         WHERE e.Year = 2008 AND c.Units >= 4 GROUP BY c.DepID ORDER BY u DESC",
+    ];
+
     #[test]
     fn analytics_statements_scan_only_what_they_read() {
-        // The three join + group-by statements of the benchmark's
-        // analytics mix: each scan under the join reads its join key and
-        // what the aggregate reads, nothing else; pushed filters stay
-        // bound to the full table.
+        // Each scan under the join reads its join key and what the
+        // aggregate reads, nothing else; pushed filters stay bound to the
+        // full table.
         let db = campus();
-        let cases = [
-            (
-                "SELECT c.DepID, COUNT(*) AS n, AVG(m.Rating) AS r FROM Comments m \
-                 JOIN Courses c ON c.CourseID = m.CourseID \
-                 WHERE m.Rating >= 2 AND c.Units >= 3 GROUP BY c.DepID ORDER BY n DESC",
-                [
-                    "Scan Comments AS m cols=[2, 6] filter=(#6 >= 2)",
-                    "Scan Courses AS c cols=[0, 1] filter=(#4 >= 3)",
-                ],
-            ),
-            (
-                "SELECT e.CourseID, COUNT(*) AS n FROM Enrollments e \
-                 JOIN Courses c ON c.CourseID = e.CourseID \
-                 WHERE e.Year = 2007 AND c.Units >= 2 GROUP BY e.CourseID ORDER BY n DESC LIMIT 20",
-                [
-                    "Scan Enrollments AS e cols=[1] filter=(#2 = 2007)",
-                    "Scan Courses AS c cols=[0] filter=(#4 >= 2)",
-                ],
-            ),
-            (
-                "SELECT c.DepID, COUNT(*) AS n, SUM(c.Units) AS u FROM Enrollments e \
-                 JOIN Courses c ON c.CourseID = e.CourseID \
-                 WHERE e.Year = 2008 AND c.Units >= 4 GROUP BY c.DepID ORDER BY u DESC",
-                [
-                    "Scan Enrollments AS e cols=[1] filter=(#2 = 2008)",
-                    "Scan Courses AS c cols=[0, 1, 4] filter=(#4 >= 4)",
-                ],
-            ),
+        let want = [
+            [
+                "Scan Comments AS m cols=[2, 6] filter=(#6 >= 2)",
+                "Scan Courses AS c cols=[0, 1] filter=(#4 >= 3)",
+            ],
+            [
+                "Scan Enrollments AS e cols=[1] filter=(#2 = 2007)",
+                "Scan Courses AS c cols=[0] filter=(#4 >= 2)",
+            ],
+            [
+                "Scan Enrollments AS e cols=[1] filter=(#2 = 2008)",
+                "Scan Courses AS c cols=[0, 1, 4] filter=(#4 >= 4)",
+            ],
         ];
-        for (sql, want) in cases {
+        for (sql, want) in ANALYTICS.iter().zip(want) {
             assert_eq!(scan_lines(sql, &db), want, "{sql}");
+        }
+    }
+
+    #[test]
+    fn analytics_statements_take_the_dense_key_paths() {
+        // Over a small campus, each join and group-by of the analytics
+        // statements assigns group ids through its dense domain: the Int
+        // CourseID by value, the Text DepID by arena entry. The sort under
+        // LIMIT is a top-N. A fall back to hashing shows here.
+        let db = campus();
+        let courses: Vec<String> = (1..=40)
+            .map(|i| format!("({i}, 'D{}', 'T{i}', NULL, {}, NULL)", i % 4, 1 + i % 5))
+            .collect();
+        let enrollments: Vec<String> = (0..300)
+            .map(|i| {
+                format!(
+                    "({i}, {}, {}, 'Aut', 'A', 'taken')",
+                    1 + i % 40,
+                    2006 + i % 3
+                )
+            })
+            .collect();
+        let comments: Vec<String> = (0..120)
+            .map(|i| {
+                format!(
+                    "({i}, {i}, {}, 2007, 'Aut', 'c', {}, NULL)",
+                    1 + i % 40,
+                    i % 5
+                )
+            })
+            .collect();
+        for (table, rows) in [
+            ("Courses", courses),
+            ("Enrollments", enrollments),
+            ("Comments", comments),
+        ] {
+            db.execute_sql(&format!("INSERT INTO {table} VALUES {}", rows.join(", ")))
+                .unwrap();
+        }
+        let want: [&[(&str, &str)]; 3] = [
+            &[("HashJoin", "ids=dense:"), ("Aggregate", "ids=entries:")],
+            &[
+                ("HashJoin", "ids=dense:"),
+                ("Aggregate", "ids=dense:"),
+                ("Sort", "top=20"),
+            ],
+            &[("HashJoin", "ids=dense:"), ("Aggregate", "ids=entries:")],
+        ];
+        for (sql, want) in ANALYTICS.iter().zip(want) {
+            let (rs, profile) = db.explain_analyze_sql(sql).unwrap();
+            assert!(!rs.rows.is_empty(), "{sql}");
+            for (op, detail) in want {
+                let node = profile.find(op).unwrap();
+                assert!(
+                    node.detail.iter().any(|d| d.starts_with(detail)),
+                    "{op} lacks {detail}:\n{}",
+                    profile.render()
+                );
+            }
         }
     }
 

@@ -455,6 +455,322 @@ fn key_corpus_has_the_shapes_it_claims() {
 }
 
 // ---------------------------------------------------------------------
+// Dense key domains and top-N: group ids by value and by arena entry,
+// sorts bounded by a LIMIT
+// ---------------------------------------------------------------------
+
+/// One row of a keyed table: `K INT`, `F FLOAT`, `S TEXT` (`None` is
+/// NULL) and `V INT`.
+type DomainRow = (Option<i64>, Option<f64>, Option<&'static str>, i64);
+
+/// Array slots a dense Int key domain may take per row it keys, and the
+/// cap on the whole array (`keys.rs`): the cases below straddle both.
+const SLOTS_PER_ROW: i64 = 64;
+const DENSE_SPAN: i64 = 1 << 16;
+
+/// Tables `D` and `E` of [`DomainRow`]s, inserted as values (no SQL
+/// literal spells `i64::MIN`). Equal texts in different rows are
+/// different arena entries of the scanned column.
+fn build_domain_db(d: &[DomainRow], e: &[DomainRow]) -> Database {
+    let db = Database::new();
+    for (table, rows) in [("D", d), ("E", e)] {
+        db.execute_sql(&format!(
+            "CREATE TABLE {table} (Id INT PRIMARY KEY, K INT, F FLOAT, S TEXT, V INT)"
+        ))
+        .unwrap();
+        let rows = rows
+            .iter()
+            .enumerate()
+            .map(|(i, &(k, f, s, v))| {
+                vec![
+                    Value::Int(i as i64),
+                    k.map_or(Value::Null, Value::Int),
+                    f.map_or(Value::Null, Value::Float),
+                    s.map_or(Value::Null, Value::text),
+                    Value::Int(v),
+                ]
+            })
+            .collect();
+        db.insert_many(table, rows).unwrap();
+    }
+    db
+}
+
+/// Joins and group-bys on one Int or Text key, and sorts under LIMIT and
+/// OFFSET whose keys tie (`V` takes few values), hold NULLs (`K`, `S`)
+/// or run descending.
+const DOMAIN_QUERIES: &[&str] = &[
+    "SELECT D.Id, E.Id FROM D JOIN E ON D.K = E.K",
+    "SELECT D.Id, E.V FROM D LEFT JOIN E ON D.K = E.K",
+    "SELECT K, COUNT(*) AS n, SUM(V) AS s, MIN(S) AS lo FROM D GROUP BY K",
+    "SELECT D.K, COUNT(*) AS n FROM D JOIN E ON D.K = E.K WHERE E.V > 0 GROUP BY D.K",
+    // Int keys meet Float keys numerically, on either side of the join.
+    "SELECT D.Id, E.Id FROM D JOIN E ON D.K = E.F",
+    "SELECT D.Id, E.Id FROM D JOIN E ON D.F = E.K",
+    // Text keys: equal texts in different arena entries are one key.
+    "SELECT S, COUNT(*) AS n, SUM(V) AS s FROM D GROUP BY S",
+    "SELECT D.Id, E.Id FROM D JOIN E ON D.S = E.S",
+    "SELECT D.Id, E.V FROM D LEFT JOIN E ON D.S = E.S",
+    // A gathered Text column keeps its source's entries.
+    "SELECT E.S, COUNT(*) AS n FROM D JOIN E ON D.K = E.K GROUP BY E.S",
+    // Top-N.
+    "SELECT Id, V FROM D ORDER BY V LIMIT 0",
+    "SELECT Id, V FROM D ORDER BY V LIMIT 3",
+    "SELECT Id, V FROM D ORDER BY V DESC LIMIT 3 OFFSET 2",
+    "SELECT Id, K FROM D ORDER BY K LIMIT 5",
+    "SELECT Id, K FROM D ORDER BY K DESC LIMIT 5 OFFSET 1",
+    "SELECT Id, S FROM D ORDER BY S, V DESC LIMIT 4",
+    "SELECT Id FROM D ORDER BY V LIMIT 1000000",
+    "SELECT Id FROM D ORDER BY V LIMIT 2 OFFSET 1000000",
+    "SELECT V, COUNT(*) AS n FROM D GROUP BY V ORDER BY n DESC, V LIMIT 2",
+];
+
+/// `n` rows whose Int keys are `lo`, `lo + span − 1` and points between
+/// (so the domain is exactly `span` wide), with tied `V`s, some NULL
+/// Floats and texts that repeat.
+fn spread(n: usize, lo: i64, span: i64) -> Vec<DomainRow> {
+    const TEXTS: &[Option<&str>] = &[Some("x"), Some("y"), None, Some("x"), Some("")];
+    (0..n)
+        .map(|i| {
+            let k = match i {
+                0 => lo,
+                1 => lo.wrapping_add(span - 1),
+                _ => lo.wrapping_add((i as i64 * 7919).rem_euclid(span)),
+            };
+            let f = (i % 3 != 0).then_some(k as f64);
+            (Some(k), f, TEXTS[i % TEXTS.len()], (i % 4) as i64)
+        })
+        .collect()
+}
+
+/// A named fixture: `D`'s rows, `E`'s rows, and the group-id path
+/// (`ids=` prefix) its Int join and Int group-by must take, or `None`
+/// when either may.
+type DomainCase = (
+    &'static str,
+    Vec<DomainRow>,
+    Vec<DomainRow>,
+    Option<&'static str>,
+);
+
+fn domain_cases() -> Vec<DomainCase> {
+    let small: Vec<DomainRow> = (0..24)
+        .map(|i: i64| {
+            let k = (i % 8 != 5).then_some(i % 7 - 3);
+            let s = [Some("b"), None, Some("a"), Some("b")][(i % 4) as usize];
+            (k, (i % 2 == 0).then_some((i % 5) as f64), s, i % 3)
+        })
+        .collect();
+    let n = 6;
+    let per = SLOTS_PER_ROW * n as i64;
+    let wide = 1100;
+    vec![
+        ("empty", vec![], vec![], None),
+        (
+            "all-NULL keys",
+            vec![(None, None, None, 1); 5],
+            vec![(None, None, None, 2); 3],
+            None,
+        ),
+        (
+            "negative and NULL keys",
+            small.clone(),
+            small,
+            Some("dense:"),
+        ),
+        (
+            "span at the relative bound",
+            spread(n, -100, per),
+            spread(n, -100, per),
+            Some("dense:"),
+        ),
+        (
+            "span past the relative bound",
+            spread(n, -100, per + 1),
+            spread(n, -100, per + 1),
+            Some("hashed"),
+        ),
+        (
+            "span at the cap",
+            spread(wide, 0, DENSE_SPAN),
+            spread(wide, 0, DENSE_SPAN),
+            Some("dense:65536"),
+        ),
+        (
+            "span past the cap",
+            spread(wide, 0, DENSE_SPAN + 1),
+            spread(wide, 0, DENSE_SPAN + 1),
+            Some("hashed"),
+        ),
+        (
+            "i64::MIN and i64::MAX keys",
+            spread(5, i64::MIN, 3)
+                .into_iter()
+                .chain(spread(5, i64::MAX - 2, 3))
+                .collect(),
+            vec![
+                (Some(i64::MAX), None, None, 0),
+                (Some(i64::MIN), None, None, 0),
+                (Some(0), None, None, 0),
+            ],
+            Some("hashed"),
+        ),
+        (
+            "a dense build at i64::MAX probed by i64::MIN",
+            spread(5, i64::MIN, 4)
+                .into_iter()
+                .chain(spread(3, i64::MAX - 3, 4))
+                .collect(),
+            spread(4, i64::MAX - 3, 4),
+            None,
+        ),
+        (
+            "a dense build at i64::MIN probed by i64::MAX",
+            spread(5, i64::MAX - 3, 4)
+                .into_iter()
+                .chain(spread(3, i64::MIN, 4))
+                .collect(),
+            spread(4, i64::MIN, 4),
+            None,
+        ),
+        (
+            "Int 3 against Float 3.0",
+            vec![
+                (Some(3), Some(3.0), Some("x"), 1),
+                (Some(0), Some(-0.0), None, 2),
+                (Some(3), None, Some("x"), 3),
+            ],
+            vec![
+                (Some(3), Some(3.0), Some("x"), 1),
+                (Some(-1), Some(0.0), Some("x"), 2),
+                (None, Some(3.0), None, 3),
+            ],
+            None,
+        ),
+    ]
+}
+
+/// The unoptimized plan on the row oracle against the optimized plan on
+/// every walker, row for row (`Debug`, so −0.0 and 0.0 stay apart).
+fn assert_domain_queries_match(db: &Database, label: &str) {
+    let catalog = db.catalog();
+    for q in DOMAIN_QUERIES {
+        let plan = bind(q, db);
+        let want = format!("{:?}", oracle(&plan, &catalog).unwrap().rows);
+        let optimized = assert_optimize_stable(&plan);
+        for &w in ALL_WALKERS {
+            let got = run_on(w, &optimized, &catalog).unwrap();
+            assert_eq!(
+                format!("{:?}", got.rows),
+                want,
+                "{label}: walker={w:?} diverged on {q}"
+            );
+        }
+    }
+}
+
+/// The `ids=` detail of the first `op` node of `sql`'s profile.
+fn ids_detail(db: &Database, sql: &str, op: &str) -> String {
+    let (_, profile) = db.explain_analyze_sql(sql).unwrap();
+    let node = profile
+        .find(op)
+        .unwrap_or_else(|| panic!("no {op}:\n{}", profile.render()));
+    node.detail
+        .iter()
+        .find_map(|d| d.strip_prefix("ids="))
+        .unwrap_or_else(|| panic!("{op} has no ids=:\n{}", profile.render()))
+        .to_owned()
+}
+
+#[test]
+fn dense_key_domains_and_top_n_match_row_oracle() {
+    for (label, d, e, path) in domain_cases() {
+        let db = build_domain_db(&d, &e);
+        assert_domain_queries_match(&db, label);
+        // The cases straddle the thresholds they claim to.
+        if let Some(path) = path {
+            for (sql, op) in [
+                (DOMAIN_QUERIES[0], "HashJoin"),
+                (DOMAIN_QUERIES[2], "Aggregate"),
+            ] {
+                let ids = ids_detail(&db, sql, op);
+                assert!(
+                    ids.starts_with(path),
+                    "{label}: {op} ids={ids}, want {path}"
+                );
+            }
+        }
+    }
+    // Text keys group and join by arena entry, NULL a group of its own.
+    let db = build_domain_db(&spread(12, 0, 5), &spread(7, 0, 5));
+    for (sql, op) in [
+        (DOMAIN_QUERIES[6], "Aggregate"),
+        (DOMAIN_QUERIES[7], "HashJoin"),
+        (DOMAIN_QUERIES[9], "Aggregate"),
+    ] {
+        let ids = ids_detail(&db, sql, op);
+        assert!(ids.starts_with("entries:"), "{sql}: ids={ids}");
+    }
+    let groups = db.query_sql(DOMAIN_QUERIES[6]).unwrap().rows;
+    assert_eq!(groups.len(), 4, "x, y, NULL and '': {groups:?}");
+    // A sort under LIMIT keeps only what the limit can return.
+    let (_, profile) = db.explain_analyze_sql(DOMAIN_QUERIES[12]).unwrap();
+    let sort = profile.find("Sort").unwrap();
+    assert!(
+        sort.detail.contains(&"top=5".to_owned()),
+        "{}",
+        profile.render()
+    );
+    assert_eq!(sort.rows_out, 5);
+}
+
+/// Int keys near a random base — 0, negative, or at either end of `i64`,
+/// where `key − lo` would overflow — spread narrowly or widely.
+fn arb_domain_rows() -> impl Strategy<Value = Vec<DomainRow>> {
+    proptest::collection::vec(
+        (
+            proptest::option::of(prop_oneof![0i64..6, 0i64..5000]),
+            0usize..5,
+            -2i64..3,
+        ),
+        0..50,
+    )
+    .prop_map(|rows| {
+        rows.into_iter()
+            .map(|(k, s, v)| {
+                let f = k.filter(|k| k % 2 == 0).map(|k| k as f64);
+                (
+                    k,
+                    f,
+                    [Some("p"), Some("q"), None, Some("p"), Some("")][s],
+                    v,
+                )
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn dense_key_domains_match_row_oracle_near_any_base(
+        base in prop_oneof![Just(0i64), Just(-2_500i64), Just(i64::MIN), Just(i64::MAX - 3)],
+        d in arb_domain_rows(),
+        e in arb_domain_rows(),
+    ) {
+        // Offsets wrap past the ends of `i64`: the extremes meet.
+        let shift = |rows: Vec<DomainRow>| -> Vec<DomainRow> {
+            rows.into_iter()
+                .map(|(k, f, s, v)| (k.map(|k| base.wrapping_add(k)), f, s, v))
+                .collect()
+        };
+        let db = build_domain_db(&shift(d), &shift(e));
+        assert_domain_queries_match(&db, &format!("base {base}"));
+    }
+}
+
+// ---------------------------------------------------------------------
 // FlexRecs workflows: Extend and every Recommend method
 // ---------------------------------------------------------------------
 
